@@ -17,8 +17,6 @@
 //!   log-shipping propagation, no-wait vs waiting epoch prepares
 //!   (via check-period extremes), write-log capacity.
 
-pub mod load;
-
 use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ReplicaNode};
 use coterie_quorum::{CoterieRule, NodeId};
 use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};

@@ -5,6 +5,36 @@ use coterie_base::SimDuration;
 use coterie_quorum::CoterieRule;
 use std::sync::Arc;
 
+/// How long a coordinator waits for permission-phase responses before
+/// treating silent nodes as failed.
+pub const COLLECT_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+/// How long a coordinator waits for 2PC votes.
+pub const VOTE_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+/// How long a participant holds an unprepared lock before unilaterally
+/// releasing it (guards against crashed coordinators).
+pub const LOCK_LEASE: SimDuration = SimDuration::from_millis(500);
+/// Base backoff before a contention retry; jittered and scaled by the
+/// attempt number.
+pub const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(10);
+/// Retries after contention-induced failures before giving up.
+pub const MAX_RETRIES: u32 = 6;
+/// Failed propagation attempts per target before the source gives up on it
+/// (the epoch-checking protocol owns long-term repair).
+pub const MAX_PROP_ATTEMPTS: u32 = 10;
+/// Re-offer coalescing window (DESIGN.md §10): after a peer is brought
+/// current, a re-offer to it (the peer was re-marked stale by newer writes)
+/// waits out this window so one offer — carrying every delta committed
+/// meanwhile — replaces the one-offer-per-delta chatter a write burst would
+/// otherwise produce.
+pub const PROPAGATION_COALESCE: SimDuration = SimDuration::from_millis(5);
+/// How long a recovered participant waits between decision queries for an
+/// in-doubt transaction.
+pub const DECISION_RETRY: SimDuration = SimDuration::from_millis(100);
+/// Group commit: the longest a buffered delta may wait for companions
+/// before the host flushes anyway. Bounds the extra latency group commit
+/// can add to any single operation.
+pub const GROUP_COMMIT_MAX_DELAY: SimDuration = SimDuration::from_millis(2);
+
 /// Whether epochs adjust dynamically (the paper's contribution) or stay
 /// fixed at the full replica set (the conventional static protocols).
 #[derive(Clone, Debug)]
@@ -50,19 +80,6 @@ pub struct ProtocolConfig {
     pub mode: Mode,
     /// Stale-marking (paper) or write-all-current (baseline).
     pub write_mode: WriteMode,
-    /// How long a coordinator waits for permission-phase responses before
-    /// treating silent nodes as failed.
-    pub collect_timeout: SimDuration,
-    /// How long a coordinator waits for 2PC votes.
-    pub vote_timeout: SimDuration,
-    /// How long a participant holds an unprepared lock before unilaterally
-    /// releasing it (guards against crashed coordinators).
-    pub lock_lease: SimDuration,
-    /// Base backoff before a contention retry; jittered and scaled by the
-    /// attempt number.
-    pub retry_backoff: SimDuration,
-    /// Retries after contention-induced failures before giving up.
-    pub max_retries: u32,
     /// Maximum random delay a good replica waits before starting to
     /// propagate (staggers the duplicate offers the paper's design allows).
     pub propagation_jitter: SimDuration,
@@ -70,19 +87,6 @@ pub struct ProtocolConfig {
     /// target; actual retries back off exponentially in the per-target
     /// failed-attempt count (capped at 2⁶×) plus jitter.
     pub propagation_retry: SimDuration,
-    /// Failed propagation attempts per target before the source gives up
-    /// on it (the epoch-checking protocol owns long-term repair). Must be
-    /// at least 1.
-    pub max_prop_attempts: u32,
-    /// Re-offer coalescing window (DESIGN.md §10): after a peer is brought
-    /// current, a re-offer to it (the peer was re-marked stale by newer
-    /// writes) waits out this window so one offer — carrying every delta
-    /// committed meanwhile — replaces the one-offer-per-delta chatter a
-    /// write burst would otherwise produce.
-    pub propagation_coalesce: SimDuration,
-    /// How long a recovered participant waits between decision queries for
-    /// an in-doubt transaction.
-    pub decision_retry: SimDuration,
     /// If true, propagation locks both replicas for the transfer, exactly
     /// as the paper's §4.2 pseudo-code does — and, as the paper admits,
     /// "the propagation can interfere with write operations". The default
@@ -127,10 +131,6 @@ pub struct ProtocolConfig {
     /// (ack-before-flush rule). `1` disables group commit (write-through,
     /// the pre-PR-6 behavior).
     pub group_commit_max_batch: usize,
-    /// Group commit: the longest a buffered delta may wait for companions
-    /// before the host flushes anyway. Bounds the extra latency group
-    /// commit can add to any single operation.
-    pub group_commit_max_delay: SimDuration,
     /// How the epoch-check initiator is chosen (§4.3 / \[7\]).
     pub initiator: InitiatorPolicy,
     /// Seed for the engine-owned deterministic RNG. Each node derives its
@@ -165,22 +165,13 @@ impl ProtocolConfig {
                 check_period: SimDuration::from_secs(10),
             },
             write_mode: WriteMode::StaleMarking,
-            collect_timeout: SimDuration::from_millis(50),
-            vote_timeout: SimDuration::from_millis(50),
-            lock_lease: SimDuration::from_millis(500),
-            retry_backoff: SimDuration::from_millis(10),
-            max_retries: 6,
             propagation_jitter: SimDuration::from_millis(20),
             propagation_retry: SimDuration::from_millis(200),
-            max_prop_attempts: 10,
-            propagation_coalesce: SimDuration::from_millis(5),
-            decision_retry: SimDuration::from_millis(100),
             lock_propagation: false,
             safety_threshold: 2,
             max_write_batch: 1,
             pipeline_window: 1,
             group_commit_max_batch: 1,
-            group_commit_max_delay: SimDuration::from_millis(2),
             initiator: InitiatorPolicy::RankStagger,
             seed: 0,
         }
@@ -195,12 +186,6 @@ impl ProtocolConfig {
     /// Switches to the static (conventional) protocol.
     pub fn static_mode(mut self) -> Self {
         self.mode = Mode::Static;
-        self
-    }
-
-    /// Switches to the write-all-current baseline.
-    pub fn write_all_current(mut self) -> Self {
-        self.write_mode = WriteMode::WriteAllCurrent;
         self
     }
 
@@ -230,12 +215,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Caps failed propagation attempts per target (minimum 1).
-    pub fn prop_attempts(mut self, n: u32) -> Self {
-        self.max_prop_attempts = n.max(1);
-        self
-    }
-
     /// Sets the §4.1 safety threshold (0 disables).
     pub fn safety(mut self, threshold: usize) -> Self {
         self.safety_threshold = threshold;
@@ -260,10 +239,9 @@ impl ProtocolConfig {
         self
     }
 
-    /// Sets the group-commit knobs (batch minimum 1; 1 disables).
-    pub fn group_commit(mut self, max_batch: usize, max_delay: SimDuration) -> Self {
+    /// Sets the group-commit batch cap (minimum 1; 1 disables).
+    pub fn group_commit(mut self, max_batch: usize) -> Self {
         self.group_commit_max_batch = max_batch.max(1);
-        self.group_commit_max_delay = max_delay;
         self
     }
 }

@@ -18,7 +18,7 @@
 //!   *highest* live node ends up coordinating (the classic bully winner),
 //!   and a recovering higher node bullies the role back.
 
-use crate::config::Mode;
+use crate::config::{Mode, COLLECT_TIMEOUT};
 use crate::msg::{Msg, OpId};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
 use coterie_base::TimerId;
@@ -84,7 +84,7 @@ impl ReplicaNode {
             self.become_leader(ctx);
             return;
         }
-        let timeout = self.config.collect_timeout * 2;
+        let timeout = COLLECT_TIMEOUT * 2;
         let timer = ctx.set_timer(timeout, Timer::ElectionTimeout { round });
         self.vol.election.in_flight = Some(ElectionRound {
             round,
@@ -116,7 +116,7 @@ impl ReplicaNode {
                 rd.deferred = true;
                 // Wait (a fresh timeout) for the Coordinator announcement.
                 ctx.cancel_timer(rd.timer);
-                let timeout = self.config.collect_timeout * 6;
+                let timeout = COLLECT_TIMEOUT * 6;
                 rd.timer = ctx.set_timer(timeout, Timer::ElectionTimeout { round });
             }
         }

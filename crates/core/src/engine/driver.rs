@@ -4,12 +4,13 @@
 //!
 //! This is the building block for schedule exploration: because the driver
 //! is `Clone`, an explorer can fork the cluster at any point and try every
-//! enabled event from the same state. It also journals every
-//! [`Effect::Persist`] into a per-node [`FramedJournal`], so crash-replay
-//! tests can compare reconstructed durable state against the live engine —
-//! and, through the per-node [`Failpoints`], storage faults (failed,
+//! enabled event from the same state. Every node runs behind its own
+//! `EffectInterpreter`, which journals each `Persist` into a per-node
+//! [`FramedJournal`] — so crash-replay tests can compare reconstructed
+//! durable state against the live engine, and storage faults (failed,
 //! torn, or bit-flipped appends) can be injected at the journal boundary
-//! deterministically.
+//! deterministically. What is the driver's own is below: the message and
+//! timer pools, partitions, and the fail-stop bookkeeping.
 
 use std::fmt::Write as _;
 
@@ -20,11 +21,12 @@ use crate::config::ProtocolConfig;
 use crate::msg::{ClientRequest, Msg, ProtocolEvent};
 use crate::node::{Durable, ReplicaNode, Timer};
 
-use super::failpoint::{sites, Failpoints, FaultKind, FiredFault};
-use super::io::{Effect, Input};
+use super::failpoint::{sites, FaultKind, FiredFault};
+use super::interp::{EffectInterpreter, Replica, Substrate};
+use super::io::Input;
 use super::metrics::{keys, MetricsRegistry};
-use super::storage::{DurableDelta, FramedJournal, FramedReplay, StableStorage};
-use super::trace::{ReplayClass, TraceEvent, TraceRecord, TraceRing, TraceSink};
+use super::storage::{FramedJournal, FramedReplay, StableStorage};
+use super::trace::{TraceRecord, TraceRing};
 
 /// An in-flight protocol message.
 #[derive(Clone, Debug)]
@@ -76,30 +78,21 @@ pub struct StepDriver {
     timers: Vec<PendingTimer>,
     outputs: Vec<(SimTime, NodeId, ProtocolEvent)>,
     journals: Vec<FramedJournal>,
-    failpoints: Vec<Failpoints>,
+    interps: Vec<EffectInterpreter>,
     /// Partition island id per node; nodes in different islands cannot
     /// exchange messages (deliveries bounce as `CallFailed`).
     partition: Vec<u8>,
-    /// Per-node group-commit coalescing buffer (deltas journaled but not
-    /// yet flushed). Always empty when `group_commit_max_batch <= 1`.
-    gc_pending: Vec<Vec<DurableDelta>>,
-    /// Per-node observable effects (sends/outputs) held back behind a
-    /// buffered delta until the covering flush (ack-before-flush).
-    gc_deferred: Vec<Vec<Effect>>,
-    /// Per-node count of journal flushes (header commits) performed.
-    flushes: Vec<u64>,
-    /// Per-node flight recorders; `None` until
-    /// [`enable_tracing`](StepDriver::enable_tracing).
-    tracing: Option<Vec<TraceRing>>,
 }
 
 impl StepDriver {
     /// Builds and boots an `n`-node cluster.
     pub fn new(n: usize, config: ProtocolConfig) -> Self {
-        let seed = config.seed;
         let mut driver = StepDriver {
             nodes: (0..n as u32)
                 .map(|id| ReplicaNode::new(NodeId(id), config.clone()))
+                .collect(),
+            interps: (0..n as u32)
+                .map(|id| EffectInterpreter::new(NodeId(id), &config))
                 .collect(),
             config,
             down: vec![false; n],
@@ -108,14 +101,7 @@ impl StepDriver {
             timers: Vec::new(),
             outputs: Vec::new(),
             journals: vec![FramedJournal::new(); n],
-            failpoints: (0..n as u64)
-                .map(|id| Failpoints::new(seed ^ (id << 32)))
-                .collect(),
             partition: vec![0; n],
-            gc_pending: vec![Vec::new(); n],
-            gc_deferred: vec![Vec::new(); n],
-            flushes: vec![0; n],
-            tracing: None,
         };
         for id in 0..n as u32 {
             driver.step_node(NodeId(id), Input::Boot);
@@ -188,18 +174,22 @@ impl StepDriver {
 
     /// Arms a one-shot storage fault at `node`'s next journal append.
     pub fn arm_storage_fault(&mut self, node: NodeId, kind: FaultKind) {
-        self.failpoints[node.0 as usize].arm(sites::JOURNAL_APPEND, kind);
+        self.interps[node.0 as usize]
+            .failpoints
+            .arm(sites::JOURNAL_APPEND, kind);
     }
 
     /// Sets a probabilistic storage-fault rate (per mille per append) at
     /// `node`'s journal. Zero removes the rate.
     pub fn set_storage_fault_rate(&mut self, node: NodeId, kind: FaultKind, per_mille: u16) {
-        self.failpoints[node.0 as usize].set_rate(sites::JOURNAL_APPEND, kind, per_mille);
+        self.interps[node.0 as usize]
+            .failpoints
+            .set_rate(sites::JOURNAL_APPEND, kind, per_mille);
     }
 
     /// Storage faults that actually fired at `node`, in order.
     pub fn fired_faults(&self, node: NodeId) -> &[FiredFault] {
-        self.failpoints[node.0 as usize].fired()
+        self.interps[node.0 as usize].failpoints.fired()
     }
 
     /// Splits the cluster into partition islands: `islands[i]` is node
@@ -263,57 +253,25 @@ impl StepDriver {
         self.step_node(t.node, Input::TimerFired(t.timer));
     }
 
-    /// Fail-stops `node`: volatile state and armed timers are lost; in-flight
-    /// messages to it will bounce on delivery.
+    /// Fail-stops `node`: volatile state and armed timers are lost (a batch
+    /// still coalescing becomes a torn tail); in-flight messages to it
+    /// will bounce on delivery.
     pub fn crash(&mut self, node: NodeId) {
         assert!(!self.down[node.0 as usize], "node already down");
-        let i = node.0 as usize;
-        // A crash mid-coalesce leaves the buffered batch as a torn tail on
-        // media: some prefix of its bytes, count never bumped. Replay drops
-        // it — correct, because every observable effect behind it was still
-        // deferred (ack-before-flush), so nothing it covered was promised.
-        if !self.gc_pending[i].is_empty() {
-            let batch = std::mem::take(&mut self.gc_pending[i]);
-            let total: usize = batch
-                .iter()
-                .map(|d| super::codec::encode_delta(d).len() + 8)
-                .sum();
-            let keep = self.failpoints[i].draw(total as u64) as usize;
-            self.journals[i].append_batch_torn(&batch, keep);
-        }
-        self.gc_deferred[i].clear();
-        self.down[i] = true;
-        self.timers.retain(|t| t.node != node);
-        self.step_node(node, Input::Crash);
+        let (interp, mut replica, _) = self.parts(node);
+        interp.crash(&mut replica);
+        self.mark_down(node);
     }
 
-    /// Restarts a crashed node from its journal, exactly as a real host
-    /// would: the engine's in-memory durable state is discarded and the
-    /// checked replay decides how to boot. A clean or torn-tail journal
-    /// boots normally (the torn tail is truncated first — it was never
-    /// acknowledged). A quarantined journal boots into the stale-rejoin
-    /// protocol: the longest intact prefix is installed, the damaged
-    /// history is discarded, and the node re-enters the cluster stale.
+    /// Restarts a crashed node from its journal alone (see
+    /// `EffectInterpreter::recover`): a clean or torn-tail journal boots
+    /// normally, a quarantined one boots into the stale-rejoin protocol.
     pub fn recover(&mut self, node: NodeId) {
         assert!(self.down[node.0 as usize], "node not down");
         self.down[node.0 as usize] = false;
-        let i = node.0 as usize;
-        let replay = self.journals[i].replay_checked(&self.config);
-        let class = match &replay.verdict {
-            super::storage::ReplayVerdict::Clean => ReplayClass::Clean,
-            super::storage::ReplayVerdict::TornTail { .. } => ReplayClass::TornTail,
-            super::storage::ReplayVerdict::Quarantined { .. } => ReplayClass::Quarantined,
-        };
-        self.trace_host(node, TraceEvent::JournalReplay { class });
-        if replay.verdict.is_bootable() {
-            self.journals[i].truncate_tail();
-            self.nodes[i].install_durable(replay.durable);
-            self.step_node(node, Input::Boot);
-        } else {
-            self.journals[i].reset_to(&replay.durable, &self.config);
-            self.nodes[i].install_durable(replay.durable);
-            self.step_node(node, Input::BootQuarantined);
-        }
+        let (interp, mut replica, _) = self.parts(node);
+        let boot = interp.recover(&mut replica);
+        self.step_node(node, boot);
     }
 
     /// Runs a fixed, deterministic schedule for `d` of driver time: pending
@@ -332,7 +290,7 @@ impl StepDriver {
                 continue;
             }
             // Message pool drained: a real host's flush deadline
-            // (`group_commit_max_delay`, ~ms) expires before any protocol
+            // (`GROUP_COMMIT_MAX_DELAY`, ~ms) expires before any protocol
             // timer (~tens of ms), so the buffers flush before timers fire.
             if self.flush_group_commit() {
                 continue;
@@ -361,144 +319,40 @@ impl StepDriver {
         }
     }
 
-    fn step_node(&mut self, node: NodeId, input: Input) {
+    /// Borrows `node`'s interpreter, its replica parts, and the pools its
+    /// effects land in — disjoint fields, so one interpreter call can use
+    /// all three.
+    fn parts(&mut self, node: NodeId) -> (&mut EffectInterpreter, Replica<'_>, Pools<'_>) {
         let i = node.0 as usize;
-        let effects = match self.tracing.as_mut() {
-            Some(rings) => self.nodes[i].step_traced(self.now, input, &mut rings[i]),
-            None => self.nodes[i].step(self.now, input),
-        };
-        let group = self.config.group_commit_max_batch > 1;
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg, lamport } => {
-                    if group && !self.gc_pending[i].is_empty() {
-                        self.gc_deferred[i].push(Effect::Send { to, msg, lamport });
-                    } else {
-                        self.messages.push(Envelope {
-                            from: node,
-                            to,
-                            msg,
-                            lamport,
-                        });
-                    }
-                }
-                Effect::SetTimer { id, delay, timer } => self.timers.push(PendingTimer {
-                    node,
-                    id,
-                    fire_at: self.now + delay,
-                    timer,
-                }),
-                Effect::CancelTimer(id) => {
-                    self.timers.retain(|t| !(t.node == node && t.id == id));
-                }
-                Effect::Persist(delta) => {
-                    if group {
-                        // Coalesce; the covering flush happens at the batch
-                        // cap (below) or when the schedule goes idle
-                        // (`run_for`) or the caller flushes explicitly.
-                        self.gc_pending[i].push(*delta);
-                        if self.gc_pending[i].len() >= self.config.group_commit_max_batch
-                            && !self.flush_node(node)
-                        {
-                            return; // node fail-stopped mid-flush
-                        }
-                    } else if !self.persist(node, &delta) {
-                        // The append failed (wholly or torn): the write
-                        // never became stable, so the effects that were to
-                        // follow it must not happen — the node fail-stops
-                        // mid-step, exactly like a crash between the disk
-                        // write and the acks it would have covered.
-                        self.down[i] = true;
-                        self.timers.retain(|t| t.node != node);
-                        self.step_node(node, Input::Crash);
-                        return;
-                    }
-                }
-                Effect::Output(ev) => {
-                    if group && !self.gc_pending[i].is_empty() {
-                        self.gc_deferred[i].push(Effect::Output(ev));
-                    } else {
-                        self.outputs.push((self.now, node, ev));
-                    }
-                }
-            }
+        (
+            &mut self.interps[i],
+            Replica {
+                node: &mut self.nodes[i],
+                journal: &mut self.journals[i],
+                now: self.now,
+            },
+            Pools {
+                node,
+                now: self.now,
+                messages: &mut self.messages,
+                timers: &mut self.timers,
+                outputs: &mut self.outputs,
+            },
+        )
+    }
+
+    fn step_node(&mut self, node: NodeId, input: Input) {
+        let (interp, mut replica, mut pools) = self.parts(node);
+        if !interp.step(&mut replica, input, &mut pools) {
+            self.mark_down(node);
         }
     }
 
-    /// Flushes `node`'s group-commit buffer: one batched journal append
-    /// (the failpoint registry is consulted once per *flush*, matching a
-    /// real host's one-write-per-fsync fault surface), then the deferred
-    /// observable effects are released in their original order. Returns
-    /// false if the node fail-stopped (append fault).
-    fn flush_node(&mut self, node: NodeId) -> bool {
-        let i = node.0 as usize;
-        if !self.gc_pending[i].is_empty() {
-            let batch = std::mem::take(&mut self.gc_pending[i]);
-            let fault = self.failpoints[i].check(sites::JOURNAL_APPEND);
-            let ok = match fault {
-                None => {
-                    self.journals[i].append_batch(&batch);
-                    true
-                }
-                Some(FaultKind::AppendFail) => false,
-                Some(FaultKind::TornWrite) => {
-                    let total: usize = batch
-                        .iter()
-                        .map(|d| super::codec::encode_delta(d).len() + 8)
-                        .sum();
-                    let keep = self.failpoints[i].draw(total as u64) as usize;
-                    self.journals[i].append_batch_torn(&batch, keep);
-                    false
-                }
-                Some(FaultKind::BitFlip) => {
-                    self.journals[i].append_batch(&batch);
-                    let len = self.journals[i].bytes().len() as u64;
-                    let byte = self.failpoints[i].draw(len) as usize;
-                    let bit = self.failpoints[i].draw(8) as u8;
-                    self.journals[i].flip_bit(byte, bit);
-                    true
-                }
-            };
-            if let Some(kind) = fault {
-                self.trace_host(node, TraceEvent::FailpointTrip { kind });
-            }
-            if ok {
-                self.trace_host(
-                    node,
-                    TraceEvent::JournalFlush {
-                        records: batch.len() as u64,
-                    },
-                );
-            }
-            if !ok {
-                // Nothing covered by the lost batch was acknowledged; the
-                // node fail-stops exactly like a write-through append
-                // fault, dropping the deferred effects with it.
-                self.gc_deferred[i].clear();
-                self.down[i] = true;
-                self.timers.retain(|t| t.node != node);
-                self.step_node(node, Input::Crash);
-                return false;
-            }
-            self.flushes[i] += 1;
-        }
-        for effect in std::mem::take(&mut self.gc_deferred[i]) {
-            match effect {
-                Effect::Send { to, msg, lamport } => self.messages.push(Envelope {
-                    from: node,
-                    to,
-                    msg,
-                    lamport,
-                }),
-                Effect::Output(ev) => self.outputs.push((self.now, node, ev)),
-                // buffer_step defers only Send/Output; timers and persists
-                // are applied immediately, never deferred, so reaching one
-                // of these arms would be a buffer_step bug — dropping the
-                // effect is still safe.
-                Effect::SetTimer { .. } | Effect::CancelTimer(_) | Effect::Persist(_) => {}
-            }
-        }
-        true
+    /// The driver's half of a fail-stop: the node is down and holds no
+    /// timers.
+    fn mark_down(&mut self, node: NodeId) {
+        self.down[node.0 as usize] = true;
+        self.timers.retain(|t| t.node != node);
     }
 
     /// Flushes every node's group-commit buffer; returns true if any node
@@ -506,22 +360,23 @@ impl StepDriver {
     pub fn flush_group_commit(&mut self) -> bool {
         let mut any = false;
         for id in 0..self.nodes.len() as u32 {
-            let i = id as usize;
-            if self.down[i] {
+            let node = NodeId(id);
+            if self.down[id as usize] || self.interps[id as usize].buffered() == 0 {
                 continue;
             }
-            if !self.gc_pending[i].is_empty() || !self.gc_deferred[i].is_empty() {
-                any = true;
-                self.flush_node(NodeId(id));
+            any = true;
+            let (interp, mut replica, mut pools) = self.parts(node);
+            if !interp.flush(&mut replica, &mut pools) {
+                self.mark_down(node);
             }
         }
         any
     }
 
-    /// Journal flushes (header commits; fsyncs on a real host) performed
-    /// by `node` so far.
+    /// Group-commit flushes `node` performed so far (0 in write-through
+    /// mode; see `EffectInterpreter::flushes`).
     pub fn flushes(&self, node: NodeId) -> u64 {
-        self.flushes[node.0 as usize]
+        self.interps[node.0 as usize].flushes()
     }
 
     /// Attaches a flight recorder of capacity `cap` to every node. Every
@@ -530,48 +385,30 @@ impl StepDriver {
     /// effects, journals, and digests are byte-identical with or without
     /// it.
     pub fn enable_tracing(&mut self, cap: usize) {
-        self.tracing = Some(vec![TraceRing::new(cap); self.nodes.len()]);
+        for interp in &mut self.interps {
+            interp.tracing = Some(TraceRing::new(cap));
+        }
     }
 
     /// True once [`enable_tracing`](StepDriver::enable_tracing) ran.
     pub fn tracing_enabled(&self) -> bool {
-        self.tracing.is_some()
+        self.interps.iter().any(|i| i.tracing.is_some())
     }
 
     /// `node`'s flight recorder, if tracing is enabled.
     pub fn trace_ring(&self, node: NodeId) -> Option<&TraceRing> {
-        self.tracing.as_ref().map(|r| &r[node.0 as usize])
+        self.interps[node.0 as usize].tracing.as_ref()
     }
 
     /// All retained records, causally merged across nodes (empty when
     /// tracing is disabled).
     pub fn merged_trace(&self) -> Vec<TraceRecord> {
-        match &self.tracing {
-            Some(rings) => {
-                let refs: Vec<&TraceRing> = rings.iter().collect();
-                super::trace::causal_merge(&refs)
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Stamps and records a host-level event (journal append/flush/replay,
-    /// failpoint trip) against `node`'s recorder. No-op when tracing is
-    /// disabled — host events, unlike engine events, do not consume
-    /// sequence numbers in untraced runs, which is fine because nothing
-    /// observes them there.
-    fn trace_host(&mut self, node: NodeId, event: TraceEvent) {
-        let i = node.0 as usize;
-        if let Some(rings) = self.tracing.as_mut() {
-            let (seq, lamport) = self.nodes[i].trace_stamp();
-            rings[i].record(TraceRecord {
-                at: self.now,
-                node,
-                seq,
-                lamport,
-                event,
-            });
-        }
+        let rings: Vec<&TraceRing> = self
+            .interps
+            .iter()
+            .filter_map(|i| i.tracing.as_ref())
+            .collect();
+        super::trace::causal_merge(&rings)
     }
 
     /// A unified snapshot of the cluster's metrics: every node's registry
@@ -581,64 +418,16 @@ impl StepDriver {
         for node in &self.nodes {
             merged.merge(&node.stats.registry);
         }
-        merged.add(keys::JOURNAL_FLUSHES, self.flushes.iter().sum());
+        merged.add(
+            keys::JOURNAL_FLUSHES,
+            self.interps.iter().map(EffectInterpreter::flushes).sum(),
+        );
         merged
     }
 
     /// Deltas currently coalescing in `node`'s group-commit buffer.
     pub fn gc_buffered(&self, node: NodeId) -> usize {
-        self.gc_pending[node.0 as usize].len()
-    }
-
-    /// Appends `delta` to `node`'s journal, consulting the failpoint
-    /// registry. Returns false if the node must fail-stop (append failed
-    /// or tore). A bit-flip fault appends normally, then silently corrupts
-    /// a random journal bit — latent damage discovered at the next replay.
-    fn persist(&mut self, node: NodeId, delta: &DurableDelta) -> bool {
-        let i = node.0 as usize;
-        match self.failpoints[i].check(sites::JOURNAL_APPEND) {
-            None => {
-                self.journals[i].append_delta(delta);
-                self.trace_host(node, TraceEvent::JournalAppend { records: 1 });
-                true
-            }
-            Some(FaultKind::AppendFail) => {
-                self.trace_host(
-                    node,
-                    TraceEvent::FailpointTrip {
-                        kind: FaultKind::AppendFail,
-                    },
-                );
-                false
-            }
-            Some(FaultKind::TornWrite) => {
-                let record_len = super::codec::encode_delta(delta).len() + 8;
-                let keep = self.failpoints[i].draw(record_len as u64) as usize;
-                self.journals[i].append_torn(delta, keep);
-                self.trace_host(
-                    node,
-                    TraceEvent::FailpointTrip {
-                        kind: FaultKind::TornWrite,
-                    },
-                );
-                false
-            }
-            Some(FaultKind::BitFlip) => {
-                self.journals[i].append_delta(delta);
-                let len = self.journals[i].bytes().len() as u64;
-                let byte = self.failpoints[i].draw(len) as usize;
-                let bit = self.failpoints[i].draw(8) as u8;
-                self.journals[i].flip_bit(byte, bit);
-                self.trace_host(
-                    node,
-                    TraceEvent::FailpointTrip {
-                        kind: FaultKind::BitFlip,
-                    },
-                );
-                self.trace_host(node, TraceEvent::JournalAppend { records: 1 });
-                true
-            }
-        }
+        self.interps[node.0 as usize].buffered()
     }
 
     /// A deterministic digest of the cluster's logical state: engine states,
@@ -651,9 +440,10 @@ impl StepDriver {
         for (i, node) in self.nodes.iter().enumerate() {
             let _ = write!(
                 repr,
-                "n{i};down={};isl={};gcp={:?};gcd={:?};",
-                self.down[i], self.partition[i], self.gc_pending[i], self.gc_deferred[i]
+                "n{i};down={};isl={};",
+                self.down[i], self.partition[i]
             );
+            self.interps[i].write_digest(&mut repr);
             canonical_node(&mut repr, node);
         }
         let mut msgs: Vec<String> = self
@@ -677,6 +467,44 @@ impl StepDriver {
             let _ = write!(repr, ";{}:{e:?}", n.0);
         }
         fnv1a(repr.as_bytes())
+    }
+}
+
+/// The pending-event pools, as the substrate one node's effects land in.
+struct Pools<'a> {
+    node: NodeId,
+    now: SimTime,
+    messages: &'a mut Vec<Envelope>,
+    timers: &'a mut Vec<PendingTimer>,
+    outputs: &'a mut Vec<(SimTime, NodeId, ProtocolEvent)>,
+}
+
+impl Substrate for Pools<'_> {
+    fn send(&mut self, to: NodeId, msg: Msg, lamport: u64) {
+        self.messages.push(Envelope {
+            from: self.node,
+            to,
+            msg,
+            lamport,
+        });
+    }
+
+    fn set_timer(&mut self, id: TimerId, delay: SimDuration, timer: Timer) {
+        self.timers.push(PendingTimer {
+            node: self.node,
+            id,
+            fire_at: self.now + delay,
+            timer,
+        });
+    }
+
+    fn cancel_timer(&mut self, id: TimerId) {
+        let node = self.node;
+        self.timers.retain(|t| !(t.node == node && t.id == id));
+    }
+
+    fn output(&mut self, event: ProtocolEvent) {
+        self.outputs.push((self.now, self.node, event));
     }
 }
 

@@ -1,16 +1,17 @@
 //! Deterministic, seeded storage-fault injection.
 //!
-//! A [`Failpoints`] registry is owned by a *host* (the step driver, the
-//! simnet adapter) and consulted at named sites — e.g. just before a
-//! journal append. Faults fire either as one-shot armed events or with a
-//! per-mille probability, and every draw comes from a private
-//! [`Rng64`] stream, so a given `(seed, schedule)` pair injects exactly
-//! the same faults on every run. The registry keeps a log of fired faults
-//! so harnesses can report *which* injections a failing seed performed.
+//! A [`Failpoints`] registry is owned by each replica's effect interpreter
+//! (so both hosts share one fault surface) and consulted at named sites —
+//! e.g. just before a journal commit. Faults fire either as one-shot armed
+//! events or with a per-mille probability, and every draw comes from a
+//! private [`Rng64`] stream, so a given `(seed, schedule)` pair injects
+//! exactly the same faults on every run. The registry keeps a log of fired
+//! faults so harnesses can report *which* injections a failing seed
+//! performed.
 //!
-//! The engine itself never sees this type: fault injection happens in the
-//! host at the effect boundary, preserving the sans-I/O contract that
-//! `step` is a pure function of its inputs.
+//! The engine itself never sees this type: fault injection happens at the
+//! effect boundary, preserving the sans-I/O contract that `step` is a pure
+//! function of its inputs.
 
 use std::collections::{BTreeMap, VecDeque};
 

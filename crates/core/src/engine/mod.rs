@@ -25,14 +25,19 @@
 //! additionally travels through [`Effect::Persist`]: whenever a step
 //! changes [`Durable`](crate::node::Durable), the engine prepends a
 //! [`DurableDelta`] describing exactly what changed — epoch installation is
-//! a single atomic delta, mirroring the paper's atomic epoch commit. Hosts
-//! that care about real durability append deltas to a [`StableStorage`]
-//! journal; replaying the journal reconstructs `Durable` after a crash.
+//! a single atomic delta, mirroring the paper's atomic epoch commit.
+//! Journaling hosts run the engine behind the one effect interpreter
+//! (`interp.rs`, crate-private), which commits deltas to a
+//! [`FramedJournal`] before releasing the effects they govern and
+//! reconstructs `Durable` from checked replay after a crash; hosts only say
+//! where the other four effects land. [`StableStorage`] is the minimal
+//! append/replay contract a journal offers.
 
 pub mod codec;
 pub mod ctx;
 pub mod driver;
 pub mod failpoint;
+pub(crate) mod interp;
 pub mod io;
 pub mod metrics;
 pub mod rng;

@@ -379,6 +379,17 @@ fn len_prefix(payload: &[u8]) -> [u8; 4] {
         .to_le_bytes()
 }
 
+/// Lays `deltas` out as framed records (`len | crc32 | payload` each) at
+/// the end of `out` — the one place the record framing is written.
+fn frame_into(out: &mut Vec<u8>, deltas: &[DurableDelta]) {
+    for delta in deltas {
+        let payload = super::codec::encode_delta(delta);
+        out.extend_from_slice(&len_prefix(&payload));
+        out.extend_from_slice(&super::codec::crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+    }
+}
+
 impl FramedJournal {
     /// A fresh journal holding only the header (count 0).
     pub fn new() -> Self {
@@ -422,16 +433,10 @@ impl FramedJournal {
         self.appended_total
     }
 
-    /// Appends one record and commits it by bumping the count header.
+    /// Appends one record and commits it by bumping the count header: a
+    /// batch of one.
     pub fn append_delta(&mut self, delta: &DurableDelta) {
-        let payload = super::codec::encode_delta(delta);
-        self.buf.extend_from_slice(&len_prefix(&payload));
-        self.buf
-            .extend_from_slice(&super::codec::crc32(&payload).to_le_bytes());
-        self.buf.extend_from_slice(&payload);
-        self.count += 1;
-        self.appended_total += 1;
-        self.rewrite_header();
+        self.append_batch(std::slice::from_ref(delta));
     }
 
     /// Group commit (DESIGN.md §10): appends every record of `deltas` and
@@ -444,13 +449,7 @@ impl FramedJournal {
         if deltas.is_empty() {
             return;
         }
-        for delta in deltas {
-            let payload = super::codec::encode_delta(delta);
-            self.buf.extend_from_slice(&len_prefix(&payload));
-            self.buf
-                .extend_from_slice(&super::codec::crc32(&payload).to_le_bytes());
-            self.buf.extend_from_slice(&payload);
-        }
+        frame_into(&mut self.buf, deltas);
         self.count += deltas.len() as u64;
         self.appended_total += deltas.len() as u64;
         self.rewrite_header();
@@ -461,36 +460,33 @@ impl FramedJournal {
     /// the whole batch as a torn tail. Correct because the single header
     /// rewrite is the batch's only commit point — a crash anywhere before
     /// it loses every delta of the batch, none of which was acknowledged
-    /// (ack-before-flush). At least one byte is always dropped.
+    /// (ack-before-flush). At least one byte is always dropped (a
+    /// fully-written batch would be indistinguishable from a pre-commit
+    /// crash, which is the same recovery anyway).
     pub fn append_batch_torn(&mut self, deltas: &[DurableDelta], keep: usize) {
-        let mut record = Vec::new();
-        for delta in deltas {
-            let payload = super::codec::encode_delta(delta);
-            record.extend_from_slice(&len_prefix(&payload));
-            record.extend_from_slice(&super::codec::crc32(&payload).to_le_bytes());
-            record.extend_from_slice(&payload);
-        }
-        let keep = keep.min(record.len().saturating_sub(1));
+        self.append_batch_torn_at(deltas, |_| keep);
+    }
+
+    /// [`append_batch_torn`](FramedJournal::append_batch_torn) with the cut
+    /// point chosen by `cut` from the batch's framed length, so a fault
+    /// injector can draw it without knowing the framing.
+    pub(super) fn append_batch_torn_at(
+        &mut self,
+        deltas: &[DurableDelta],
+        cut: impl FnOnce(usize) -> usize,
+    ) {
+        let mut records = Vec::new();
+        frame_into(&mut records, deltas);
+        let keep = cut(records.len()).min(records.len().saturating_sub(1));
         self.buf
-            .extend_from_slice(record.get(..keep).unwrap_or(&record));
+            .extend_from_slice(records.get(..keep).unwrap_or(&records));
         self.appended_total += deltas.len() as u64;
     }
 
-    /// A torn append: only `keep` bytes of the record reach the journal
-    /// and the count is *not* bumped — the on-media state after a crash
-    /// mid-append. At least one byte is always dropped (a fully-written
-    /// record would be indistinguishable from a pre-commit crash, which
-    /// is the same recovery anyway).
+    /// A torn append — the on-media state after a crash mid-append: a torn
+    /// batch of one.
     pub fn append_torn(&mut self, delta: &DurableDelta, keep: usize) {
-        let payload = super::codec::encode_delta(delta);
-        let mut record = Vec::with_capacity(payload.len().saturating_add(8));
-        record.extend_from_slice(&len_prefix(&payload));
-        record.extend_from_slice(&super::codec::crc32(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
-        let keep = keep.min(record.len().saturating_sub(1));
-        self.buf
-            .extend_from_slice(record.get(..keep).unwrap_or(&record));
-        self.appended_total += 1;
+        self.append_batch_torn(std::slice::from_ref(delta), keep);
     }
 
     /// Flips one bit in place; returns false if `byte` is out of range.
@@ -640,62 +636,6 @@ impl FramedJournal {
         let crc = super::codec::crc32(&count_bytes).to_le_bytes();
         self.buf[4..12].copy_from_slice(&count_bytes);
         self.buf[12..16].copy_from_slice(&crc);
-    }
-}
-
-/// The coalescing half of group commit (DESIGN.md §10): deltas accumulate
-/// here until the batch cap is hit or the host's flush deadline fires, then
-/// drain into one [`FramedJournal::append_batch`]. The buffer itself is
-/// host-agnostic bookkeeping — *hosts* own the two correctness rules that
-/// make coalescing safe:
-///
-/// * **Ack-before-flush**: every effect of a step whose `Persist` is still
-///   buffered (sends, outputs — anything observable) must be deferred
-///   until the covering flush commits. A buffered delta that never reaches
-///   media is then indistinguishable from a crash just before the step.
-/// * **Crash = torn tail**: a crash with a non-empty buffer loses the
-///   whole buffered suffix; since nothing it covered was acknowledged,
-///   replay's torn-tail classification recovers correctly.
-#[derive(Clone, Debug, Default)]
-pub struct GroupCommitBuffer {
-    pending: Vec<DurableDelta>,
-    max_batch: usize,
-}
-
-impl GroupCommitBuffer {
-    /// A buffer flushing after at most `max_batch` deltas (minimum 1).
-    pub fn new(max_batch: usize) -> Self {
-        GroupCommitBuffer {
-            pending: Vec::new(),
-            max_batch: max_batch.max(1),
-        }
-    }
-
-    /// Buffers one delta; returns true when the batch cap is reached and
-    /// the caller must flush now.
-    pub fn push(&mut self, delta: DurableDelta) -> bool {
-        self.pending.push(delta);
-        self.pending.len() >= self.max_batch
-    }
-
-    /// Deltas currently buffered.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// The buffered deltas (digest/inspection; flushing uses `drain`).
-    pub fn pending(&self) -> &[DurableDelta] {
-        &self.pending
-    }
-
-    /// Takes the buffered batch, leaving the buffer empty.
-    pub fn drain(&mut self) -> Vec<DurableDelta> {
-        std::mem::take(&mut self.pending)
     }
 }
 

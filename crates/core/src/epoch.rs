@@ -14,7 +14,7 @@
 //! literal bully election of \[7\].
 
 use crate::classify::Classified;
-use crate::config::Mode;
+use crate::config::{Mode, COLLECT_TIMEOUT, VOTE_TIMEOUT};
 use crate::engine::metrics::keys;
 use crate::engine::trace::TraceEvent;
 use crate::msg::{Action, Msg, OpId, StateTuple};
@@ -120,7 +120,7 @@ impl ReplicaNode {
         self.vol.epoch_check_active = true;
         self.vol.last_epoch_check_seen = Some(ctx.now());
         let all = NodeSet::from_iter(self.all_nodes());
-        let timeout = self.config.collect_timeout;
+        let timeout = COLLECT_TIMEOUT;
         let timer = ctx.set_timer(timeout, Timer::Collect { op });
         let ec = EpochCoordinator {
             op,
@@ -236,7 +236,7 @@ impl ReplicaNode {
             stale,
             desired_version,
         };
-        let timeout = self.config.vote_timeout;
+        let timeout = VOTE_TIMEOUT;
         let timer = ctx.set_timer(timeout, Timer::Votes { op });
         // Re-borrow after set_timer ended the earlier borrow; nothing in
         // between can remove the entry within this same step.
@@ -340,8 +340,7 @@ impl ReplicaNode {
         // unrepaired. One-shot so retry timers never accumulate.
         if !self.vol.epoch_retry_armed {
             self.vol.epoch_retry_armed = true;
-            let delay =
-                self.config.collect_timeout * 8 + self.jitter(ctx, self.config.collect_timeout * 8);
+            let delay = COLLECT_TIMEOUT * 8 + self.jitter(ctx, COLLECT_TIMEOUT * 8);
             ctx.set_timer(delay, Timer::EpochRetry);
         }
     }

@@ -2,9 +2,10 @@
 //! substrate (feature `simnet-host`).
 //!
 //! The adapters are deliberately thin: each simulator callback is
-//! translated into one [`Input`], fed to [`ReplicaNode::step`], and the
-//! returned [`Effect`]s are replayed onto the simulator's context. All
-//! protocol behaviour lives in the engine; nothing here makes decisions.
+//! translated into one [`Input`] and the resulting effects land on the
+//! simulator's context. All protocol behaviour lives in the engine and
+//! all durability behaviour in the `EffectInterpreter`; nothing here
+//! makes decisions.
 //!
 //! Two hosts are provided:
 //!
@@ -12,38 +13,29 @@
 //!   simply lives in the engine struct (and survives simulated crashes
 //!   because the engine value survives them). `Persist` effects are
 //!   dropped: there is no storage to write to.
-//! * [`JournaledNode`] additionally appends every `Persist` delta to a
-//!   framed, checksummed [`FramedJournal`] and, on crash, **discards the
-//!   engine's durable state and reinstalls it from checked journal
-//!   replay** — so a simulation run over `JournaledNode`s proves the
-//!   journal alone carries everything the protocol needs across failures.
-//!   A quarantined replay (damage inside the committed prefix) makes the
-//!   next start a [`Input::BootQuarantined`], which enters the
-//!   stale-rejoin protocol instead of booting normally.
-//!
-//! When [`group_commit_max_batch`] is above 1, `JournaledNode` coalesces
-//! journal appends (DESIGN.md §10): `Persist` deltas accumulate in a
-//! [`GroupCommitBuffer`] and flush as one [`FramedJournal::append_batch`]
-//! when the batch cap is hit or the [`Timer::HostFlush`] deadline fires.
-//! While any delta is buffered, every *observable* effect (`Send`,
-//! `Output`) is deferred until the covering flush — the ack-before-flush
-//! rule: a client ack or a 2PC vote must never outrun the stable-storage
-//! write that justifies it. Timer effects stay immediate: they are local,
-//! leak nothing, and the engine's handlers already tolerate spurious
-//! firings. A crash with a non-empty buffer simply discards it — none of
-//! the buffered steps' observable effects escaped, so recovery is
-//! identical to crashing just before those steps ran.
-//!
-//! [`group_commit_max_batch`]: crate::config::ProtocolConfig::group_commit_max_batch
+//! * [`JournaledNode`] runs the engine behind an `EffectInterpreter`
+//!   over a framed, checksummed [`FramedJournal`]: every `Persist` delta
+//!   is committed before the effects it governs are released, and on
+//!   crash the engine's durable state is **discarded and reinstalled from
+//!   checked journal replay** — so a simulation run over `JournaledNode`s
+//!   proves the journal alone carries everything the protocol needs
+//!   across failures. What is the host's own: applying effects to the
+//!   [`Ctx`], the [`HOST_FLUSH_TIMER`] that bounds how long a group-commit
+//!   batch may wait for companions (`on_idle` flushes sooner when the
+//!   inbox drains), the [`SyncSink`] that charges each commit a real
+//!   `fdatasync`, and the wall-clock histogram of that cost.
 
-use coterie_base::{SimTime, TimerId};
+use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_quorum::NodeId;
 use coterie_simnet::{Application, Ctx};
 
+use crate::config::{ProtocolConfig, GROUP_COMMIT_MAX_DELAY};
+use crate::engine::interp::{EffectInterpreter, Replica, Substrate};
 use crate::engine::io::{Effect, Input};
 use crate::engine::metrics::{keys, MetricsRegistry};
-use crate::engine::storage::{FramedJournal, GroupCommitBuffer};
-use crate::engine::trace::{ReplayClass, TraceEvent, TraceRecord, TraceRing, TraceSink};
+use crate::engine::storage::FramedJournal;
+use crate::engine::trace::TraceRing;
+use crate::engine::{sites, FaultKind};
 use crate::msg::{ClientRequest, Msg, ProtocolEvent};
 use crate::node::{ReplicaNode, Timer};
 
@@ -65,7 +57,7 @@ pub struct WireMsg {
 pub const HOST_FLUSH_TIMER: TimerId = TimerId(u64::MAX);
 
 /// A best-effort on-disk mirror of the journal image, used by the
-/// throughput bench to charge each flush a real `fsync`. Errors are
+/// benchmark's live host to charge each commit a real `fsync`. Errors are
 /// swallowed: the in-memory [`FramedJournal`] stays authoritative, the
 /// sink only exists so a flush costs what it would on real storage.
 #[derive(Clone, Debug)]
@@ -110,8 +102,8 @@ impl SyncSink {
     }
 }
 
-/// Replays engine effects onto a simulator context. `Persist` effects are
-/// handled by the caller (journaling hosts intercept them first).
+/// Replays engine effects onto a simulator context for the journal-less
+/// host: `Persist` is dropped, there is no storage to write to.
 fn replay_effects<A>(ctx: &mut Ctx<'_, A>, effects: &[Effect])
 where
     A: Application<Msg = WireMsg, Timer = Timer, Output = ProtocolEvent>,
@@ -182,62 +174,63 @@ impl Application for ReplicaNode {
 
 /// A replica host that treats the [`FramedJournal`] as its only stable
 /// storage: durable state is recovered from checked journal replay after
-/// every crash rather than trusted from memory. Optionally group-commits
-/// journal appends (see the module docs).
+/// every crash rather than trusted from memory (see the module docs).
 #[derive(Clone, Debug)]
 pub struct JournaledNode {
     /// The engine.
     pub node: ReplicaNode,
     /// The framed journal of persisted deltas.
     pub journal: FramedJournal,
-    /// Set when the last crash-replay quarantined the journal; the next
-    /// start boots via the stale-rejoin protocol.
-    quarantined: bool,
-    /// Coalescing buffer for group commit (cap 1 = write-through).
-    buffer: GroupCommitBuffer,
-    /// Observable effects held back until the covering flush.
-    deferred: Vec<Effect>,
+    interp: EffectInterpreter,
+    /// What the next start feeds the engine: [`Input::BootQuarantined`]
+    /// when the last crash-replay quarantined the journal.
+    boot: Input,
+    /// Set when a storage fault fail-stopped the node. The simulator still
+    /// counts it as up (a callback cannot crash its own node), so it stays
+    /// silent — every input swallowed, leftover timers firing into nothing
+    /// — until the substrate crashes and restarts it; see the contract on
+    /// `EffectInterpreter::step`.
+    failed: bool,
     /// True while a [`HOST_FLUSH_TIMER`] is armed.
     flush_armed: bool,
-    /// Journal flushes performed (each is one header commit; on real
-    /// storage, one fsync). The throughput bench reads this to show the
-    /// fsync amortization group commit buys.
+    /// Journal commits performed (each is one header rewrite; on real
+    /// storage, one fsync).
     pub flushes: u64,
-    /// Optional on-disk mirror: every flush also writes the journal delta
+    /// Optional on-disk mirror: every commit also writes the journal delta
     /// to a real file and `fdatasync`s it.
     sync: Option<SyncSink>,
-    /// Optional bounded flight recorder for this node's trace events.
-    tracing: Option<TraceRing>,
-    /// Host-level metrics: journal flush count and flush latency.
+    /// Host-level metrics: the commit-latency histogram.
     host_metrics: MetricsRegistry,
+    /// The time of the last callback that carried one; `on_crash` has no
+    /// `Ctx`, so its trace records are stamped with this.
+    now: SimTime,
 }
 
 impl JournaledNode {
     /// Creates a journaled node with pristine state and an empty journal.
-    pub fn new(me: NodeId, config: crate::config::ProtocolConfig) -> Self {
-        let cap = config.group_commit_max_batch;
+    pub fn new(me: NodeId, config: ProtocolConfig) -> Self {
         JournaledNode {
+            interp: EffectInterpreter::new(me, &config),
             node: ReplicaNode::new(me, config),
             journal: FramedJournal::new(),
-            quarantined: false,
-            buffer: GroupCommitBuffer::new(cap),
-            deferred: Vec::new(),
+            boot: Input::Boot,
+            failed: false,
             flush_armed: false,
             flushes: 0,
             sync: None,
-            tracing: None,
             host_metrics: MetricsRegistry::new(),
+            now: SimTime::ZERO,
         }
     }
 
     /// Attaches a flight recorder keeping the last `cap` trace events.
     pub fn enable_tracing(&mut self, cap: usize) {
-        self.tracing = Some(TraceRing::new(cap));
+        self.interp.tracing = Some(TraceRing::new(cap));
     }
 
     /// This node's flight recorder, if tracing is enabled.
     pub fn trace_ring(&self) -> Option<&TraceRing> {
-        self.tracing.as_ref()
+        self.interp.tracing.as_ref()
     }
 
     /// A unified snapshot of this node's metrics: the engine's registry
@@ -249,126 +242,110 @@ impl JournaledNode {
         merged
     }
 
-    /// Stamps and records a host-level trace event (no-op when tracing is
-    /// disabled).
-    fn trace_host(&mut self, at: SimTime, event: TraceEvent) {
-        if let Some(ring) = self.tracing.as_mut() {
-            let node = self.node.me;
-            let (seq, lamport) = self.node.trace_stamp();
-            ring.record(TraceRecord {
-                at,
-                node,
-                seq,
-                lamport,
-                event,
-            });
-        }
-    }
-
-    /// Attaches a real file the journal image is mirrored to; every flush
+    /// Attaches a real file the journal image is mirrored to; every commit
     /// then costs one `fdatasync` on it. The file should be empty.
     pub fn attach_sync_file(&mut self, file: std::fs::File) {
         self.sync = Some(SyncSink::new(file));
     }
 
+    /// Arms a one-shot storage fault at this node's next journal commit.
+    pub fn arm_storage_fault(&mut self, kind: FaultKind) {
+        self.interp.failpoints.arm(sites::JOURNAL_APPEND, kind);
+    }
+
     /// True while a quarantined replay is waiting for its rejoin boot.
     pub fn is_quarantined(&self) -> bool {
-        self.quarantined
+        matches!(self.boot, Input::BootQuarantined)
     }
 
-    /// Deltas buffered and not yet flushed to the journal.
+    /// Deltas buffered and not yet committed to the journal.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.interp.buffered()
     }
 
-    fn flush(&mut self, ctx: &mut Ctx<'_, Self>) {
-        if !self.buffer.is_empty() {
-            let batch = self.buffer.drain();
-            // Host boundary: wall-clock timing of the (possibly fsync'd)
-            // flush — measurement only, never protocol-visible.
-            #[allow(clippy::disallowed_methods)]
-            let started = std::time::Instant::now();
-            self.journal.append_batch(&batch);
-            self.flushes += 1;
-            if let Some(sink) = &mut self.sync {
-                sink.commit(self.journal.bytes());
-            }
-            self.host_metrics
-                .observe(keys::JOURNAL_FLUSH_US, started.elapsed().as_micros() as u64);
-            self.trace_host(
-                ctx.now(),
-                TraceEvent::JournalFlush {
-                    records: batch.len() as u64,
-                },
-            );
+    /// Runs one interpreter call against this node's parts and the
+    /// context, then re-arms or cancels the flush deadline to match the
+    /// buffer: armed exactly while a delta waits for companions.
+    fn interpret(
+        &mut self,
+        ctx: &mut Ctx<'_, Self>,
+        call: impl FnOnce(&mut EffectInterpreter, &mut Replica<'_>, &mut CtxHost<'_, '_>) -> bool,
+    ) {
+        if self.failed {
+            return;
         }
-        if std::mem::take(&mut self.flush_armed) {
+        self.now = ctx.now();
+        let mut host = CtxHost {
+            ctx,
+            sync: &mut self.sync,
+            flushes: &mut self.flushes,
+            metrics: &mut self.host_metrics,
+        };
+        let mut replica = Replica {
+            node: &mut self.node,
+            journal: &mut self.journal,
+            now: self.now,
+        };
+        self.failed = !call(&mut self.interp, &mut replica, &mut host);
+        let waiting = self.interp.buffered() > 0;
+        if waiting && !self.flush_armed {
+            ctx.set_timer_with_id(HOST_FLUSH_TIMER, GROUP_COMMIT_MAX_DELAY, Timer::HostFlush);
+        } else if !waiting && self.flush_armed {
             ctx.cancel_timer(HOST_FLUSH_TIMER);
         }
-        let held = std::mem::take(&mut self.deferred);
-        replay_effects(ctx, &held);
+        self.flush_armed = waiting;
     }
 
     fn run(&mut self, ctx: &mut Ctx<'_, Self>, input: Input) {
-        let now = ctx.now();
-        let effects = match self.tracing.as_mut() {
-            Some(ring) => self.node.step_traced(now, input, ring),
-            None => self.node.step(now, input),
-        };
-        let write_through = self.node.config.group_commit_max_batch <= 1;
-        if write_through {
-            // Write-ahead: journal the delta before any send/output it
-            // governs.
-            let mut appended = false;
-            for effect in &effects {
-                if let Effect::Persist(delta) = effect {
-                    #[allow(clippy::disallowed_methods)]
-                    let started = std::time::Instant::now();
-                    self.journal.append_delta(delta);
-                    self.flushes += 1;
-                    if let Some(sink) = &mut self.sync {
-                        sink.commit(self.journal.bytes());
-                    }
-                    self.host_metrics
-                        .observe(keys::JOURNAL_FLUSH_US, started.elapsed().as_micros() as u64);
-                    appended = true;
-                }
-            }
-            if appended {
-                self.trace_host(now, TraceEvent::JournalAppend { records: 1 });
-            }
-            replay_effects(ctx, &effects);
-            return;
+        self.interpret(ctx, |interp, replica, host| {
+            interp.step(replica, input, host)
+        });
+    }
+
+    fn flush(&mut self, ctx: &mut Ctx<'_, Self>) {
+        self.interpret(ctx, |interp, replica, host| interp.flush(replica, host));
+    }
+}
+
+/// The simulator context plus the host-side durability work, as the
+/// substrate a [`JournaledNode`]'s effects land in.
+struct CtxHost<'a, 'c> {
+    ctx: &'a mut Ctx<'c, JournaledNode>,
+    sync: &'a mut Option<SyncSink>,
+    flushes: &'a mut u64,
+    metrics: &'a mut MetricsRegistry,
+}
+
+impl Substrate for CtxHost<'_, '_> {
+    fn send(&mut self, to: NodeId, msg: Msg, lamport: u64) {
+        self.ctx.send(to, WireMsg { lamport, msg });
+    }
+
+    fn set_timer(&mut self, id: TimerId, delay: SimDuration, timer: Timer) {
+        self.ctx.set_timer_with_id(id, delay, timer);
+    }
+
+    fn cancel_timer(&mut self, id: TimerId) {
+        self.ctx.cancel_timer(id);
+    }
+
+    fn output(&mut self, event: ProtocolEvent) {
+        self.ctx.output(event);
+    }
+
+    fn commit(&mut self, journal: &mut FramedJournal, write: impl FnOnce(&mut FramedJournal)) {
+        // Host boundary: wall-clock timing of the whole commit — encode,
+        // append and the (possibly fsync'd) mirror — measurement only,
+        // never protocol-visible.
+        #[allow(clippy::disallowed_methods)]
+        let started = std::time::Instant::now();
+        write(journal);
+        if let Some(sink) = self.sync {
+            sink.commit(journal.bytes());
         }
-        let mut must_flush = false;
-        for effect in effects {
-            match effect {
-                Effect::Persist(delta) => {
-                    if self.buffer.is_empty() && !self.flush_armed {
-                        let delay = self.node.config.group_commit_max_delay;
-                        ctx.set_timer_with_id(HOST_FLUSH_TIMER, delay, Timer::HostFlush);
-                        self.flush_armed = true;
-                    }
-                    must_flush |= self.buffer.push(*delta);
-                }
-                Effect::SetTimer { id, delay, timer } => {
-                    ctx.set_timer_with_id(id, delay, timer);
-                }
-                Effect::CancelTimer(id) => ctx.cancel_timer(id),
-                observable @ (Effect::Send { .. } | Effect::Output(_)) => {
-                    // Ack-before-flush: anything behind a buffered delta
-                    // waits for the flush that makes the delta stable.
-                    if self.buffer.is_empty() {
-                        replay_effects(ctx, std::slice::from_ref(&observable));
-                    } else {
-                        self.deferred.push(observable);
-                    }
-                }
-            }
-        }
-        if must_flush {
-            self.flush(ctx);
-        }
+        *self.flushes += 1;
+        self.metrics
+            .observe(keys::JOURNAL_FLUSH_US, started.elapsed().as_micros() as u64);
     }
 }
 
@@ -387,40 +364,22 @@ impl Application for JournaledNode {
     type Output = ProtocolEvent;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        if std::mem::take(&mut self.quarantined) {
-            self.run(ctx, Input::BootQuarantined);
-        } else {
-            self.run(ctx, Input::Boot);
-        }
+        let boot = std::mem::replace(&mut self.boot, Input::Boot);
+        self.run(ctx, boot);
     }
 
     fn on_crash(&mut self) {
-        let _ = self.node.step(SimTime::ZERO, Input::Crash);
-        // A crash loses the coalescing buffer and everything deferred
-        // behind it — none of it was observable, so this is the same as
-        // crashing before those steps. The host drops our timers (the
-        // flush deadline included).
-        self.buffer.drain();
-        self.deferred.clear();
-        self.flush_armed = false;
-        // Lose the in-memory durable state; come back from "disk" via a
-        // checked replay. A torn tail is truncated (it was never
-        // acknowledged); a quarantined journal is reset to the intact
-        // prefix and flagged so the next start takes the rejoin path.
-        let replay = self.journal.replay_checked(&self.node.config);
-        let class = match &replay.verdict {
-            crate::engine::storage::ReplayVerdict::Clean => ReplayClass::Clean,
-            crate::engine::storage::ReplayVerdict::TornTail { .. } => ReplayClass::TornTail,
-            crate::engine::storage::ReplayVerdict::Quarantined { .. } => ReplayClass::Quarantined,
+        // Lose the in-memory durable state and come back from "disk". The
+        // host drops our timers (the flush deadline included).
+        let mut replica = Replica {
+            node: &mut self.node,
+            journal: &mut self.journal,
+            now: self.now,
         };
-        if replay.verdict.is_bootable() {
-            self.journal.truncate_tail();
-        } else {
-            self.journal.reset_to(&replay.durable, &self.node.config);
-            self.quarantined = true;
-        }
-        self.node.install_durable(replay.durable);
-        self.trace_host(SimTime::ZERO, TraceEvent::JournalReplay { class });
+        self.interp.crash(&mut replica);
+        self.boot = self.interp.recover(&mut replica);
+        self.failed = false;
+        self.flush_armed = false;
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, wire: WireMsg) {
@@ -456,7 +415,7 @@ impl Application for JournaledNode {
     fn on_idle(&mut self, ctx: &mut Ctx<'_, Self>) {
         // The inbox is empty, so nothing else is coming to fill the
         // batch; waiting out the flush deadline would be pure latency.
-        if !self.buffer.is_empty() || !self.deferred.is_empty() {
+        if self.interp.buffered() > 0 {
             self.flush(ctx);
         }
     }

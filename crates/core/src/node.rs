@@ -3,7 +3,7 @@
 //! [`ReplicaNode::step`] entry point); hosts adapt it to their substrate
 //! (see the `simnet-host` feature).
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, DECISION_RETRY, LOCK_LEASE, RETRY_BACKOFF};
 use crate::election::ElectionState;
 use crate::engine::metrics::{keys, MetricsRegistry};
 use crate::engine::rng::Rng64;
@@ -451,7 +451,7 @@ impl ReplicaNode {
 
     /// Arms (or re-arms) the lock lease for `op`.
     pub fn arm_lock_lease(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        let lease = self.config.lock_lease;
+        let lease = LOCK_LEASE;
         let id = ctx.set_timer(lease, Timer::LockLease { op });
         self.vol.lock_leases.insert(op, id);
     }
@@ -503,14 +503,14 @@ impl ReplicaNode {
     /// Arms the decision-retry chain for `op`, at most one chain per op.
     pub(crate) fn arm_decision_retry(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
         if self.vol.decision_retry_armed.insert(op) {
-            let retry = self.config.decision_retry;
+            let retry = DECISION_RETRY;
             ctx.set_timer(retry, Timer::DecisionRetry { op });
         }
     }
 
     /// Jittered exponential backoff before retry `attempt`.
     pub fn backoff(&self, ctx: &mut NodeCtx<'_>, attempt: u32) -> SimDuration {
-        let base = self.config.retry_backoff;
+        let base = RETRY_BACKOFF;
         let scaled = base * (1u64 << attempt.min(6));
         scaled + SimDuration::from_micros(ctx.rand_below(scaled.micros().max(1)))
     }

@@ -10,6 +10,7 @@
 //! and suggests logging as an optimization; we keep the simple locking and
 //! stagger sources with jitter instead.
 
+use crate::config::{COLLECT_TIMEOUT, LOCK_LEASE, MAX_PROP_ATTEMPTS, PROPAGATION_COALESCE};
 use crate::engine::metrics::keys;
 use crate::msg::{Msg, OpId, PropPayload, PropReply, ProtocolEvent};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
@@ -141,7 +142,7 @@ impl ReplicaNode {
         }
         self.vol.propagator.cooldown.remove(&target);
         let prop = self.next_op();
-        let timeout = self.config.collect_timeout * 4;
+        let timeout = COLLECT_TIMEOUT * 4;
         let timer = ctx.set_timer(timeout, Timer::PropTimeout { prop });
         self.vol.propagator.in_flight = Some(PropFlight {
             prop,
@@ -223,7 +224,7 @@ impl ReplicaNode {
             }
             false
         };
-        let lease = ctx.set_timer(self.config.lock_lease, Timer::PropLease { prop });
+        let lease = ctx.set_timer(LOCK_LEASE, Timer::PropLease { prop });
         self.vol.incoming_prop = Some(IncomingProp {
             prop,
             source: from,
@@ -491,7 +492,7 @@ impl ReplicaNode {
                 self.vol
                     .propagator
                     .cooldown
-                    .insert(flight.target, ctx.now() + self.config.propagation_coalesce);
+                    .insert(flight.target, ctx.now() + PROPAGATION_COALESCE);
             }
         }
     }
@@ -499,7 +500,7 @@ impl ReplicaNode {
     fn bump_attempts(&mut self, target: NodeId) {
         let n = self.vol.propagator.attempts.entry(target).or_insert(0);
         *n += 1;
-        if *n >= self.config.max_prop_attempts {
+        if *n >= MAX_PROP_ATTEMPTS {
             // Give up: the epoch-checking protocol owns long-term repair.
             self.vol.propagator.remaining.remove(target);
             self.vol.propagator.attempts.remove(&target);

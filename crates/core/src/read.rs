@@ -5,6 +5,7 @@
 //! object from it, release, and return.
 
 use crate::classify::Classified;
+use crate::config::{COLLECT_TIMEOUT, MAX_RETRIES};
 use crate::engine::metrics::keys;
 use crate::msg::{ClientRequest, FailReason, Msg, OpId, ProtocolEvent, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
@@ -86,7 +87,7 @@ impl ReplicaNode {
             });
             return;
         };
-        let timeout = self.config.collect_timeout;
+        let timeout = COLLECT_TIMEOUT;
         let timer = ctx.set_timer(timeout, Timer::Collect { op });
         let rc = ReadCoordinator {
             op,
@@ -189,7 +190,7 @@ impl ReplicaNode {
                     self.finish_read_ok(ctx, op, version, pages);
                     return;
                 }
-                let timeout = self.config.collect_timeout;
+                let timeout = COLLECT_TIMEOUT;
                 let timer = ctx.set_timer(timeout, Timer::Fetch { op });
                 rc.phase = RPhase::Fetch {
                     target,
@@ -260,7 +261,7 @@ impl ReplicaNode {
             return;
         }
         rc.polled = all;
-        let timeout = self.config.collect_timeout;
+        let timeout = COLLECT_TIMEOUT;
         rc.collect_timer = Some(ctx.set_timer(timeout, Timer::Collect { op }));
         for node in remaining.iter() {
             ctx.send(node, Msg::ReadReq { op });
@@ -340,7 +341,7 @@ impl ReplicaNode {
         let target = alternates.remove(0);
         let min_version = *min_version;
         let alternates = alternates.clone();
-        let timeout = self.config.collect_timeout;
+        let timeout = COLLECT_TIMEOUT;
         let timer = ctx.set_timer(timeout, Timer::Fetch { op });
         rc.phase = RPhase::Fetch {
             target,
@@ -386,7 +387,7 @@ impl ReplicaNode {
             ctx.send(n, Msg::Release { op });
         }
         let retryable = matches!(reason, FailReason::Contention | FailReason::CommitFailed);
-        if retryable && rc.attempt < self.config.max_retries {
+        if retryable && rc.attempt < MAX_RETRIES {
             let delay = self.backoff(ctx, rc.attempt + 1);
             ctx.set_timer(
                 delay,

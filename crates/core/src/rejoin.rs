@@ -58,7 +58,7 @@ use std::collections::BTreeMap;
 use coterie_quorum::{NodeId, QuorumKind};
 
 use crate::classify::Classified;
-use crate::config::Mode;
+use crate::config::{Mode, COLLECT_TIMEOUT};
 use crate::engine::trace::TraceEvent;
 use crate::msg::{Msg, OpId, ProtocolEvent, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
@@ -254,7 +254,7 @@ impl ReplicaNode {
     }
 
     fn arm_rejoin_retry(&mut self, ctx: &mut NodeCtx<'_>) {
-        let base = self.config.collect_timeout * 4;
+        let base = COLLECT_TIMEOUT * 4;
         let delay = base + self.jitter(ctx, base);
         ctx.set_timer(delay, Timer::RejoinRetry);
     }

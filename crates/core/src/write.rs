@@ -15,7 +15,7 @@
 //! quorum members must be synchronously reconciled first.
 
 use crate::classify::Classified;
-use crate::config::WriteMode;
+use crate::config::{WriteMode, COLLECT_TIMEOUT, MAX_RETRIES, VOTE_TIMEOUT};
 use crate::engine::metrics::keys;
 use crate::engine::trace::TraceEvent;
 use crate::msg::{Action, ClientRequest, FailReason, Msg, OpId, ProtocolEvent, StateTuple};
@@ -193,7 +193,7 @@ impl ReplicaNode {
             self.maybe_launch_queued(ctx);
             return;
         };
-        let timeout = self.config.collect_timeout;
+        let timeout = COLLECT_TIMEOUT;
         let timer = ctx.set_timer(timeout, Timer::Collect { op });
         let wc = WriteCoordinator {
             op,
@@ -364,7 +364,7 @@ impl ReplicaNode {
             return;
         }
         wc.polled = all;
-        let timeout = self.config.collect_timeout;
+        let timeout = COLLECT_TIMEOUT;
         wc.collect_timer = Some(ctx.set_timer(timeout, Timer::Collect { op }));
         for node in remaining.iter() {
             ctx.send(node, Msg::WriteReq { op });
@@ -401,7 +401,7 @@ impl ReplicaNode {
         // The recorded good list: the intended holders of the new version.
         let mut good_list: Vec<NodeId> = c.good.iter().chain(optional.iter()).copied().collect();
         good_list.sort_unstable();
-        let timeout = self.config.vote_timeout;
+        let timeout = VOTE_TIMEOUT;
         let timer = ctx.set_timer(timeout, Timer::Votes { op });
         let writes: Vec<PartialWrite> = wc.batch.iter().map(|e| e.write.clone()).collect();
         ctx.trace(TraceEvent::PrepareIssued { op });
@@ -479,7 +479,7 @@ impl ReplicaNode {
             // lint:allow(panic): GOOD is nonempty on this path, so a max version exists
             let base = c.next_version().expect("good nonempty");
             let new_version = base + wc.batch.len() as u64 - 1;
-            let timeout = self.config.vote_timeout;
+            let timeout = VOTE_TIMEOUT;
             let timer = ctx.set_timer(timeout, Timer::Votes { op });
             let writes: Vec<PartialWrite> = wc.batch.iter().map(|e| e.write.clone()).collect();
             ctx.trace(TraceEvent::PrepareIssued { op });
@@ -553,7 +553,7 @@ impl ReplicaNode {
             self.wac_commit_with_base(ctx, op, c, targets, pages, version);
             return;
         }
-        let timeout = self.config.collect_timeout;
+        let timeout = COLLECT_TIMEOUT;
         let timer = ctx.set_timer(timeout, Timer::Fetch { op });
         let Some(wc) = self.vol.writes.get_mut(&op) else {
             return;
@@ -594,7 +594,7 @@ impl ReplicaNode {
             wc.granted.remove(&n);
             ctx.send(n, Msg::Release { op });
         }
-        let timeout = self.config.vote_timeout;
+        let timeout = VOTE_TIMEOUT;
         let timer = ctx.set_timer(timeout, Timer::Votes { op });
         let writes: Vec<PartialWrite> = wc.batch.iter().map(|e| e.write.clone()).collect();
         let good_list: Vec<NodeId> = participants.clone();
@@ -873,7 +873,7 @@ impl ReplicaNode {
             .collect();
         good_list.sort_unstable();
         let writes: Vec<PartialWrite> = batch.iter().map(|e| e.write.clone()).collect();
-        let timer = ctx.set_timer(self.config.vote_timeout, Timer::Votes { op });
+        let timer = ctx.set_timer(VOTE_TIMEOUT, Timer::Votes { op });
         ctx.trace(TraceEvent::PrepareIssued { op });
         for &node in good_required.iter().chain(optional.iter()) {
             ctx.send(
@@ -1006,7 +1006,7 @@ impl ReplicaNode {
             // one round.
             let mut min_attempt = u32::MAX;
             for entry in wc.batch.into_iter().rev() {
-                if entry.attempt < self.config.max_retries {
+                if entry.attempt < MAX_RETRIES {
                     min_attempt = min_attempt.min(entry.attempt + 1);
                     self.vol.write_queue.push_front(BatchEntry {
                         attempt: entry.attempt + 1,
@@ -1030,7 +1030,7 @@ impl ReplicaNode {
             return;
         }
         for entry in wc.batch {
-            if retryable && entry.attempt < self.config.max_retries {
+            if retryable && entry.attempt < MAX_RETRIES {
                 let delay = self.backoff(ctx, entry.attempt + 1);
                 ctx.set_timer(
                     delay,

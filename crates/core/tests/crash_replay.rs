@@ -3,8 +3,8 @@
 //! alone is identical to the engine's live durable state — so a crash at
 //! any point loses nothing the protocol promised to keep.
 //!
-//! The driver appends each [`Effect::Persist`] delta to a per-node
-//! [`MemJournal`] as it applies effects; replaying that journal from the
+//! The driver commits each [`Effect::Persist`] delta to a per-node
+//! [`FramedJournal`] as it applies effects; replaying that journal from the
 //! pristine state must reproduce `durable` exactly. The property also
 //! crashes and recovers nodes mid-schedule (recovery re-installs the
 //! replayed state), so the equality is checked across real fail-stop

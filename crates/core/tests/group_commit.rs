@@ -226,7 +226,7 @@ proptest! {
         let config = config()
             .write_batch(4)
             .pipeline(3)
-            .group_commit(8, SimDuration::from_millis(2))
+            .group_commit(8)
             .rng_seed(seed);
         let mut driver = StepDriver::new(4, config);
         let mut rng = Rng64::new(seed ^ 0xD1CE_CAFE);

@@ -5,9 +5,12 @@
 //! fencing of in-doubt transactions.
 
 use bytes::Bytes;
-use coterie_core::{ClientRequest, Mode, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode};
+use coterie_core::{
+    ClientRequest, FaultKind, JournaledNode, Mode, PartialWrite, ProtocolConfig, ProtocolEvent,
+    ReplicaNode,
+};
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
-use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
+use coterie_simnet::{NodeStatus, Sim, SimConfig, SimDuration, SimTime};
 use std::sync::Arc;
 
 fn cluster(n: usize, seed: u64, check_secs: u64) -> Sim<ReplicaNode> {
@@ -82,6 +85,89 @@ fn participant_crash_after_prepare_recovers_the_outcome() {
     sim.run_for(SimDuration::from_secs(1));
     assert_eq!(sim.node(NodeId(1)).durable.version, v_before);
     assert!(sim.node(NodeId(1)).durable.prepared.is_none());
+}
+
+/// The journaling host comes back from its journal alone. With group
+/// commit on (cap 8) the crash catches a non-empty buffer — the batch
+/// becomes a torn tail and the node recovers to the committed prefix;
+/// with it off (cap 1) the same schedule runs write-through. Then a torn
+/// commit injected at another node silences it until the substrate
+/// restarts it. Either way every journal ends up reproducing exactly what
+/// its node holds.
+#[test]
+fn journaled_host_recovers_exactly_what_its_journal_committed() {
+    for cap in [1usize, 8] {
+        let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
+            .check_period(SimDuration::from_secs(60))
+            .group_commit(cap);
+        let seed = SimConfig {
+            seed: 6,
+            ..Default::default()
+        };
+        let mut sim = Sim::new(3, seed, |id| JournaledNode::new(id, config.clone()));
+        let committed = |sim: &mut Sim<JournaledNode>, id: u64| {
+            sim.take_outputs()
+                .iter()
+                .any(|(_, _, e)| matches!(e, ProtocolEvent::WriteOk { id: i, .. } if *i == id))
+        };
+        sim.schedule_external(SimTime::ZERO, NodeId(0), w(1, "kept"));
+        sim.run_for(SimDuration::from_secs(1));
+        assert!(committed(&mut sim, 1), "cap {cap}: first write");
+
+        // Crash the coordinator 0.5 ms into its next write: inside the
+        // flush deadline, so with group commit on the step's delta (and
+        // the requests deferred behind it) is still buffered.
+        sim.schedule_external(sim.now(), NodeId(0), w(2, "doomed"));
+        sim.run_for(SimDuration::from_micros(500));
+        let victim = sim.node(NodeId(0));
+        assert_eq!(victim.buffered() > 0, cap > 1, "cap {cap}: buffer at crash");
+        let on_disk = victim.journal.replay_checked(&config).durable;
+        sim.crash_now(NodeId(0));
+        assert_eq!(sim.node(NodeId(0)).node.durable, on_disk, "cap {cap}");
+        assert_eq!(sim.node(NodeId(0)).buffered(), 0);
+        sim.recover_now(NodeId(0));
+
+        // A torn commit fail-stops node 2 from the inside; the other two
+        // still form a majority.
+        sim.node_mut(NodeId(2))
+            .arm_storage_fault(FaultKind::TornWrite);
+        sim.schedule_external(sim.now(), NodeId(1), w(3, "after"));
+        sim.run_for(SimDuration::from_secs(5));
+        assert!(committed(&mut sim, 3), "cap {cap}: write after the faults");
+        // Unlike the step driver, this host cannot mark itself down: the
+        // simulator still counts node 2 as up, and it stays silent — the
+        // engine crashed, nothing buffered, no later step taken — until
+        // the substrate restarts it.
+        assert_eq!(sim.status(NodeId(2)), NodeStatus::Up, "cap {cap}");
+        let silenced = sim.node(NodeId(2));
+        assert_eq!(silenced.buffered(), 0, "cap {cap}");
+        assert!(
+            silenced.node.durable.version < sim.node(NodeId(1)).node.durable.version,
+            "cap {cap}: the silenced node cannot have applied the write"
+        );
+        let frozen = silenced.node.durable.clone();
+        sim.schedule_external(sim.now(), NodeId(2), w(4, "swallowed"));
+        sim.run_for(SimDuration::from_secs(1));
+        assert!(
+            !committed(&mut sim, 4),
+            "cap {cap}: a silenced node answers nothing"
+        );
+        assert_eq!(sim.node(NodeId(2)).node.durable, frozen, "cap {cap}");
+        sim.crash_now(NodeId(2));
+        sim.recover_now(NodeId(2));
+        sim.run_for(SimDuration::from_secs(5));
+
+        for id in 0..3u32 {
+            let host = sim.node(NodeId(id));
+            assert_eq!(host.buffered(), 0, "cap {cap}: node {id} still buffering");
+            assert_eq!(
+                host.journal.replay_checked(&config).durable,
+                host.node.durable,
+                "cap {cap}: node {id} journal replay differs from live state"
+            );
+            assert!(!host.node.durable.stale, "cap {cap}: node {id} left stale");
+        }
+    }
 }
 
 #[test]

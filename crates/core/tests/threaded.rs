@@ -6,24 +6,37 @@
 #![allow(clippy::disallowed_methods)]
 
 use bytes::Bytes;
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode};
+use coterie_core::{
+    ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+};
 use coterie_quorum::{GridCoterie, NodeId};
-use coterie_simnet::{SimDuration, ThreadedRuntime};
+use coterie_simnet::{Application, SimDuration, ThreadedRuntime};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Epoch checks every `check_ms` of *wall clock*; timeouts as configured.
+fn config(n: usize, check_ms: u64) -> ProtocolConfig {
+    ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
+        .check_period(SimDuration::from_millis(check_ms))
+}
+
 fn spawn_cluster(n: usize) -> ThreadedRuntime<ReplicaNode> {
-    // Epoch checks every 500 ms of *wall clock*; timeouts as configured.
-    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
-        .check_period(SimDuration::from_millis(500));
+    let config = config(n, 500);
     ThreadedRuntime::spawn(n, 42, Duration::from_millis(20), move |id| {
         ReplicaNode::new(id, config.clone())
     })
 }
 
-#[test]
-fn writes_and_reads_commit_over_real_threads() {
-    let rt = spawn_cluster(9);
+/// Five serial writes spread over a 9-node cluster of `make`'s hosts, then
+/// a read from a different node; returns the hosts once propagation has
+/// had a moment to settle.
+fn write_read_settle<A>(make: impl FnMut(NodeId) -> A) -> Vec<A>
+where
+    A: Application<External = ClientRequest, Output = ProtocolEvent> + Send + 'static,
+    A::Msg: Send,
+    A::Timer: Send,
+{
+    let rt = ThreadedRuntime::spawn(9, 42, Duration::from_millis(20), make);
     for i in 0..5u64 {
         rt.inject(
             NodeId((i % 9) as u32),
@@ -72,14 +85,46 @@ fn writes_and_reads_commit_over_real_threads() {
         }
     }
     assert!(read_ok, "read did not complete over threads");
-    // Give asynchronous propagation a moment, then check convergence: at
-    // least the safety threshold's worth of replicas hold v5 and nobody is
-    // left stale.
+    // Give asynchronous propagation a moment to converge.
     std::thread::sleep(Duration::from_millis(1500));
-    let nodes = rt.shutdown();
+    rt.shutdown()
+}
+
+/// Convergence: at least the safety threshold's worth of replicas hold v5
+/// and nobody is left stale.
+fn assert_converged<'a>(nodes: impl Iterator<Item = &'a ReplicaNode>) {
+    let nodes: Vec<_> = nodes.collect();
     let holders = nodes.iter().filter(|n| n.durable.version == 5).count();
     assert!(holders >= 2, "only {holders} replicas hold v5");
     assert!(nodes.iter().all(|n| !n.durable.stale), "stale replica left");
+}
+
+#[test]
+fn writes_and_reads_commit_over_real_threads() {
+    let config = config(9, 500);
+    let nodes = write_read_settle(|id| ReplicaNode::new(id, config.clone()));
+    assert_converged(nodes.iter());
+}
+
+/// The same run on the journaling host with group commit on — the only
+/// test of its `on_idle` flush and `HOST_FLUSH_TIMER` arming: every ack
+/// above had to wait for the flush that covered it, and afterwards each
+/// journal alone reproduces what its node holds. (No epoch check falls
+/// inside the run, so every buffer has drained by shutdown.)
+#[test]
+fn group_commit_host_acks_after_flush_and_journals_what_it_holds() {
+    let config = config(9, 60_000).group_commit(8);
+    let nodes = write_read_settle(|id| JournaledNode::new(id, config.clone()));
+    assert_converged(nodes.iter().map(|n| &n.node));
+    for n in &nodes {
+        assert!(n.flushes > 0, "node {:?} never committed", n.node.me);
+        assert_eq!(
+            n.journal.replay_checked(&config).durable,
+            n.node.durable,
+            "node {:?}: journal replay differs from live durable state",
+            n.node.me
+        );
+    }
 }
 
 #[test]

@@ -171,7 +171,7 @@ pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -
         .pages(cfg.n_pages)
         .write_batch(cfg.write_batch)
         .pipeline(cfg.pipeline_window)
-        .group_commit(cfg.group_commit, SimDuration::from_millis(2))
+        .group_commit(cfg.group_commit)
         .rng_seed(seed);
     let mut driver = StepDriver::new(n, protocol);
     if cfg.trace_cap > 0 {

@@ -87,7 +87,7 @@ pub fn role_for(rel: &str) -> RoleSpec {
     if rel.starts_with("crates/simnet/src/") {
         // Host crate: owns clocks, threads, and sockets-if-it-wants-them;
         // panics in the substrate still take down experiments. Its effect
-        // consumption is delegated to coterie-core's host.rs / driver.rs,
+        // consumption is delegated to coterie-core's host.rs / interp.rs,
         // which the surface matrix polices directly.
         return RoleSpec {
             panic: true,

@@ -74,9 +74,13 @@ struct Tracked {
 /// (engine/io.rs), `Msg`/`MsgClass` the wire vocabulary (msg.rs), `Timer`
 /// the scheduled-work vocabulary (node.rs), `TraceEvent` the observability
 /// vocabulary (engine/trace.rs). Consumers: the engine step dispatcher
-/// must handle every input, message, and timer; both effect hosts inside
-/// coterie-core (`StepDriver` and the threaded adapter) must consume
-/// every effect; `msg.rs` must classify every message; `TraceEvent::kind`
+/// must handle every input, message, and timer; the effect interpreter
+/// (engine/interp.rs — the only matcher of `Effect::Persist` that
+/// journals) and the journal-less simnet adapter in host.rs must consume
+/// every effect. The interpreter hands the four substrate effects to its
+/// hosts through the `Substrate` trait, so `StepDriver` and
+/// `JournaledNode` are held to them by the compiler rather than by this
+/// matrix; `msg.rs` must classify every message; `TraceEvent::kind`
 /// in trace.rs must tag every trace event (so adding a variant without a
 /// rendering is a finding, and a variant no live protocol code emits is
 /// dead). The simnet hosts drive these same consumer files, so they are
@@ -93,7 +97,7 @@ const REGISTRY: &[Tracked] = &[
         def_file: "crates/core/src/engine/io.rs",
         require_match: true,
         consumers: &[
-            "crates/core/src/engine/driver.rs",
+            "crates/core/src/engine/interp.rs",
             "crates/core/src/host.rs",
         ],
     },

@@ -29,7 +29,7 @@ fn surface_matrix_reports_exact_positions() {
         .collect();
     let want = vec![
         // Consumer match misses `Ghost`: anchored at its first Effect match.
-        "surface:crates/core/src/engine/driver.rs:7:5".to_string(),
+        "surface:crates/core/src/engine/interp.rs:7:5".to_string(),
         // `Ghost` is never constructed and never pattern-matched: both
         // anchored at the variant's definition.
         "surface:crates/core/src/engine/io.rs:6:5".to_string(),

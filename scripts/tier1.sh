@@ -43,11 +43,6 @@ echo "==> example smoke runs"
 cargo run --release --example quickstart
 cargo run --release --example failover
 
-echo "==> throughput smoke (closed-loop load driver, bounded)"
-# Both coterie rules with batching+pipelining+group-commit enabled on the
-# sim host; asserts committed progress and zero invariant violations.
-cargo run --release -p coterie-bench --bin bench_throughput -- --smoke
-
 echo "==> nemesis smoke (bounded storage-fault soak)"
 # Fixed seeds, short schedules: 6 grid + 6 majority runs of crashes,
 # partitions, torn writes, and journal corruption; exits non-zero on any
@@ -61,12 +56,7 @@ echo "==> trace determinism smoke"
 # change a single journal/digest/output byte.
 cargo test -q -p coterie-core --test determinism --test trace_determinism
 
-echo "==> tracing-overhead gate (write-heavy sim cells vs checked-in baseline)"
-# Re-runs the write-heavy deterministic sim cells with tracing disabled
-# (the production default: no-op sink) and fails if throughput regresses
-# more than 5% against BENCH_protocol_throughput.json. Sim cells run in
-# simulated time, so on unchanged code this reproduces the artifact
-# numbers exactly; the tolerance absorbs intentional protocol changes.
-cargo run --release -p coterie-bench --bin bench_throughput -- --gate
+echo "==> line budget (per-crate src ceilings, shrink-only)"
+scripts/loc_budget.sh
 
 echo "tier-1: all green"
