@@ -25,7 +25,7 @@ use super::failpoint::{sites, FaultKind, FiredFault};
 use super::interp::{EffectInterpreter, Replica, Substrate};
 use super::io::Input;
 use super::metrics::{keys, MetricsRegistry};
-use super::storage::{FramedJournal, FramedReplay, StableStorage};
+use super::storage::{FramedJournal, FramedReplay};
 use super::trace::{TraceRecord, TraceRing};
 
 /// An in-flight protocol message.
@@ -499,8 +499,14 @@ impl Substrate for Pools<'_> {
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
-        let node = self.node;
-        self.timers.retain(|t| !(t.node == node && t.id == id));
+        // `(node, id)` is unique (ids come from the node's `timer_seq`), so
+        // stop at the first match instead of sweeping the whole pool; a
+        // plain `remove` keeps the rest in arming order.
+        let is_it = |t: &PendingTimer| t.node == self.node && t.id == id;
+        if let Some(i) = self.timers.iter().position(is_it) {
+            self.timers.remove(i);
+            debug_assert!(!self.timers.iter().any(is_it), "duplicate timer id");
+        }
     }
 
     fn output(&mut self, event: ProtocolEvent) {

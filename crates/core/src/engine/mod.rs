@@ -30,8 +30,7 @@
 //! (`interp.rs`, crate-private), which commits deltas to a
 //! [`FramedJournal`] before releasing the effects they govern and
 //! reconstructs `Durable` from checked replay after a crash; hosts only say
-//! where the other four effects land. [`StableStorage`] is the minimal
-//! append/replay contract a journal offers.
+//! where the other four effects land.
 
 pub mod codec;
 pub mod ctx;
@@ -53,10 +52,7 @@ pub use failpoint::{sites, Failpoints, FaultKind, FiredFault};
 pub use io::{Effect, Input};
 pub use metrics::{keys, Histogram, MetricsRegistry};
 pub use rng::Rng64;
-pub use storage::{
-    DurableDelta, FramedJournal, FramedReplay, MemJournal, QuarantineReason, ReplayVerdict,
-    StableStorage,
-};
+pub use storage::{DurableDelta, FramedJournal, FramedReplay, QuarantineReason, ReplayVerdict};
 pub use trace::{
     causal_merge, render_jsonl, NoopSink, ReplayClass, TraceEvent, TraceRecord, TraceRing,
     TraceSink,

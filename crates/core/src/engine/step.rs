@@ -65,7 +65,8 @@ impl ReplicaNode {
         self.lamport = lamport;
         self.trace_seq = trace_seq;
 
-        if let Some(delta) = DurableDelta::diff(&self.shadow, &self.durable) {
+        let decided = std::mem::take(&mut self.decided);
+        if let Some(delta) = DurableDelta::capture(&self.shadow, &self.durable, decided) {
             delta.apply(&mut self.shadow);
             debug_assert_eq!(
                 self.shadow, self.durable,

@@ -1,20 +1,28 @@
-//! Durability: deltas, the stable-storage contract, and an in-memory
-//! journal.
+//! Durability: per-step deltas and the framed journal they are written to.
 //!
 //! The engine never writes to disk; it *describes* what must become
 //! durable. After every [`step`](crate::node::ReplicaNode::step) that
 //! changes [`Durable`], the engine emits exactly one
 //! [`Effect::Persist`](super::io::Effect::Persist) carrying a
-//! [`DurableDelta`] — the precise set of fields that changed, computed by
-//! diffing against a shadow copy. Two properties matter:
+//! [`DurableDelta`] — the precise set of fields that changed. Three
+//! properties matter:
 //!
 //! * **Atomicity of epoch installation.** The paper requires the epoch
 //!   tuple `(enumber, elist)` to change atomically; the delta carries the
-//!   pair as one field, and a whole delta is applied atomically by
-//!   [`StableStorage::append`], so no torn epoch can be observed on replay.
+//!   pair as one field, and a whole delta is one checksummed record of the
+//!   [`FramedJournal`], so no torn epoch can be observed on replay.
 //! * **Write-ahead ordering.** The `Persist` effect is always the *first*
 //!   effect of a step: a host that journals before sending guarantees the
 //!   2PC prepare record is stable before the vote that promises it.
+//! * **Capture costs O(change), not O(history).** The bounded fields are
+//!   *compared* against a shadow copy of the last persisted state. The one
+//!   field that grows with uptime — the coordinator's append-only decision
+//!   map — is never compared: every decision enters it through
+//!   `ReplicaNode::record_decision`, which also *records* the pair for the
+//!   step to drain into its delta. The map-scanning `DurableDelta::diff`
+//!   survives in debug builds only, as the oracle every capture is asserted
+//!   equal to: a decision written past the entry point fails the first
+//!   debug test that steps over it instead of going silently un-journaled.
 
 use bytes::Bytes;
 use coterie_quorum::NodeId;
@@ -27,7 +35,7 @@ use crate::store::{PageId, WriteLog};
 /// The durable-state change produced by one engine step.
 ///
 /// `None` / empty fields mean "unchanged". [`DurableDelta::apply`] replays
-/// the change onto a [`Durable`]; [`DurableDelta::diff`] computes it.
+/// the change onto a [`Durable`]; `DurableDelta::capture` computes it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DurableDelta {
     /// New replica version number.
@@ -60,16 +68,27 @@ pub struct DurableDelta {
 }
 
 impl DurableDelta {
-    /// Computes the delta carrying `old` to `new`, or `None` if the states
-    /// are identical.
+    /// The delta carrying `old` to `new`, or `None` if nothing changed;
+    /// `decided` holds the decisions recorded since `old`, in any order.
     ///
-    /// Cheap by construction: scalar fields compare as integers, pages
-    /// compare per-slot (`Bytes` content equality over refcounted slices),
-    /// the log compares by `(len, newest version)` — sound because log
-    /// versions are strictly increasing — and decisions compare by length,
-    /// sound because the map is append-only.
-    pub fn diff(old: &Durable, new: &Durable) -> Option<DurableDelta> {
-        let mut d = DurableDelta::default();
+    /// [`step`](crate::node::ReplicaNode::step) runs this after every
+    /// input, so it costs O(change): scalars compare as integers, pages per
+    /// slot (`Bytes` content equality over refcounted slices), the log by
+    /// `(len, newest version)` — sound because log versions strictly
+    /// increase — and the decision map is not read: `decided`, sorted by op
+    /// id as the map and so the journal always ordered it, *is* the addition.
+    pub(crate) fn capture(
+        old: &Durable,
+        new: &Durable,
+        mut decided: Vec<(OpId, bool)>,
+    ) -> Option<DurableDelta> {
+        decided.sort_unstable_by_key(|&(op, _)| op);
+        #[cfg(debug_assertions)]
+        assert_eq!(decided, added_decisions(old, new), "unrecorded decision");
+        let mut d = DurableDelta {
+            decisions: decided,
+            ..DurableDelta::default()
+        };
         if new.version != old.version {
             d.version = Some(new.version);
         }
@@ -97,22 +116,6 @@ impl DurableDelta {
         if new.prepared != old.prepared {
             d.prepared = Some(new.prepared.clone());
         }
-        if new.decisions.len() != old.decisions.len() {
-            // `decisions` is a BTreeMap, so the filtered additions come
-            // out already sorted by op id — the order the journal records.
-            let added: Vec<(OpId, bool)> = new
-                .decisions
-                .iter()
-                .filter(|(op, _)| !old.decisions.contains_key(op))
-                .map(|(op, commit)| (*op, *commit))
-                .collect();
-            debug_assert_eq!(
-                added.len().saturating_add(old.decisions.len()),
-                new.decisions.len(),
-                "decision map must be append-only"
-            );
-            d.decisions = added;
-        }
         if new.op_counter != old.op_counter {
             d.op_counter = Some(new.op_counter);
         }
@@ -125,11 +128,32 @@ impl DurableDelta {
         if new.rejoin_pending != old.rejoin_pending {
             d.rejoin_pending = Some(new.rejoin_pending);
         }
-        if d == DurableDelta::default() {
-            None
-        } else {
-            Some(d)
-        }
+        (!d.is_empty()).then_some(d)
+    }
+
+    /// The delta carrying `old` to `new`, decisions found by scanning `new`'s
+    /// whole map against `old`'s: O(decisions ever made). Debug and test
+    /// builds only — it is the reference the engine's recorded capture is
+    /// asserted against, and what tests holding two bare [`Durable`]s call.
+    #[cfg(any(test, debug_assertions))]
+    pub fn diff(old: &Durable, new: &Durable) -> Option<DurableDelta> {
+        DurableDelta::capture(old, new, added_decisions(old, new))
+    }
+
+    /// True if no field is set.
+    fn is_empty(&self) -> bool {
+        self.version.is_none()
+            && self.stale.is_none()
+            && self.dversion.is_none()
+            && self.epoch.is_none()
+            && self.pages.is_empty()
+            && self.log.is_none()
+            && self.prepared.is_none()
+            && self.decisions.is_empty()
+            && self.op_counter.is_none()
+            && self.last_good.is_none()
+            && self.quarantine_fence.is_none()
+            && self.rejoin_pending.is_none()
     }
 
     /// Applies this delta to `durable`.
@@ -174,85 +198,16 @@ impl DurableDelta {
     }
 }
 
-/// The contract between the engine's hosts and a durability backend.
-///
-/// `append` must be atomic: after a crash, replay sees every delta up to
-/// some prefix boundary, never half of one. The in-memory [`MemJournal`]
-/// satisfies this trivially; a disk-backed implementation would frame and
-/// checksum records.
-pub trait StableStorage {
-    /// Atomically appends one step's durable change.
-    fn append(&mut self, delta: &DurableDelta);
-
-    /// Reconstructs the durable state from the journal: the pristine state
-    /// for `config`, plus every appended delta in order.
-    fn replay(&self, config: &ProtocolConfig) -> Durable;
-}
-
-/// An append-only in-memory journal of [`DurableDelta`]s with optional
-/// compaction.
-#[derive(Clone, Debug, Default)]
-pub struct MemJournal {
-    /// Compacted prefix, if [`compact`](MemJournal::compact) has run.
-    base: Option<Durable>,
-    /// Deltas appended since the base.
-    deltas: Vec<DurableDelta>,
-    appended_total: u64,
-}
-
-impl MemJournal {
-    /// An empty journal.
-    pub fn new() -> Self {
-        MemJournal::default()
-    }
-
-    /// Number of deltas currently retained (since the last compaction).
-    pub fn len(&self) -> usize {
-        self.deltas.len()
-    }
-
-    /// True if nothing has ever been appended.
-    pub fn is_empty(&self) -> bool {
-        self.deltas.is_empty() && self.base.is_none()
-    }
-
-    /// Total deltas appended over the journal's lifetime (compaction does
-    /// not reset this).
-    pub fn appended_total(&self) -> u64 {
-        self.appended_total
-    }
-
-    /// The deltas retained since the last compaction, in append order.
-    /// Determinism tests serialize these to compare runs byte-for-byte.
-    pub fn deltas(&self) -> &[DurableDelta] {
-        &self.deltas
-    }
-
-    /// Folds all retained deltas into a single base snapshot, bounding
-    /// memory while preserving [`replay`](StableStorage::replay) results.
-    pub fn compact(&mut self, config: &ProtocolConfig) {
-        let folded = self.replay(config);
-        self.base = Some(folded);
-        self.deltas.clear();
-    }
-}
-
-impl StableStorage for MemJournal {
-    fn append(&mut self, delta: &DurableDelta) {
-        self.deltas.push(delta.clone());
-        self.appended_total += 1;
-    }
-
-    fn replay(&self, config: &ProtocolConfig) -> Durable {
-        let mut durable = match &self.base {
-            Some(base) => base.clone(),
-            None => Durable::pristine(config),
-        };
-        for delta in &self.deltas {
-            delta.apply(&mut durable);
-        }
-        durable
-    }
+/// The reference scan: entries of `new`'s decision map absent from `old`'s,
+/// in op-id order (the map's own). Sound as "the additions" because the map
+/// is append-only, which `ReplicaNode::record_decision` asserts.
+#[cfg(any(test, debug_assertions))]
+fn added_decisions(old: &Durable, new: &Durable) -> Vec<(OpId, bool)> {
+    new.decisions
+        .iter()
+        .filter(|(op, _)| !old.decisions.contains_key(op))
+        .map(|(op, commit)| (*op, *commit))
+        .collect()
 }
 
 /// Journal format v2 magic bytes (`"CTJ2"`).
@@ -540,12 +495,14 @@ impl FramedJournal {
     }
 
     /// Replaces the journal with a fresh one whose single record carries
-    /// `durable` (as a delta from pristine). This is the quarantine-
-    /// recovery baseline: the damaged history is discarded and the
-    /// journal restarts from the state the replica rejoined with.
+    /// `durable` (as a delta from pristine, every decision included). This
+    /// is the quarantine-recovery baseline: the damaged history is
+    /// discarded and the journal restarts from the state the replica
+    /// rejoined with.
     pub fn reset_to(&mut self, durable: &Durable, config: &ProtocolConfig) {
         let mut fresh = FramedJournal::new();
-        if let Some(delta) = DurableDelta::diff(&Durable::pristine(config), durable) {
+        let decided = durable.decisions.iter().map(|(op, c)| (*op, *c)).collect();
+        if let Some(delta) = DurableDelta::capture(&Durable::pristine(config), durable, decided) {
             fresh.append_delta(&delta);
         }
         fresh.appended_total = self.appended_total.saturating_add(fresh.count);
@@ -626,6 +583,13 @@ impl FramedJournal {
         }
     }
 
+    /// Unchecked replay: the durable state of the longest intact prefix.
+    /// Hosts that care about the verdict call
+    /// [`replay_checked`](FramedJournal::replay_checked) directly.
+    pub fn replay(&self, config: &ProtocolConfig) -> Durable {
+        self.replay_checked(config).durable
+    }
+
     fn rewrite_header(&mut self) {
         if self.buf.len() < JOURNAL_HEADER_LEN {
             // Adopted bytes shorter than a header (torn creation): nothing
@@ -658,19 +622,6 @@ fn quarantined(durable: Durable, records_applied: u64, reason: QuarantineReason)
         durable,
         records_applied,
         verdict: ReplayVerdict::Quarantined { reason },
-    }
-}
-
-impl StableStorage for FramedJournal {
-    fn append(&mut self, delta: &DurableDelta) {
-        self.append_delta(delta);
-    }
-
-    /// Unchecked-contract replay: returns the longest intact prefix. Hosts
-    /// that care about the verdict call
-    /// [`replay_checked`](FramedJournal::replay_checked) directly.
-    fn replay(&self, config: &ProtocolConfig) -> Durable {
-        self.replay_checked(config).durable
     }
 }
 
@@ -735,37 +686,58 @@ mod tests {
         assert_eq!(rebuilt, new);
     }
 
-    #[test]
-    fn journal_replay_reconstructs_state() {
+    /// A coordinator holding 3 000 decisions (even seqs), restored the way
+    /// recovery restores it.
+    fn long_lived_coordinator() -> (crate::node::ReplicaNode, Durable) {
         let config = cfg();
-        let mut state = Durable::pristine(&config);
-        let mut journal = MemJournal::new();
-
-        for v in 1..=6u64 {
-            let mut next = state.clone();
-            next.version = v;
-            next.object
-                .apply(&PartialWrite::new([((v % 4) as PageId, b("pg"))]));
-            next.log.push(LogEntry {
-                version: v,
-                write: PartialWrite::new([((v % 4) as PageId, b("pg"))]),
-            });
-            let delta = DurableDelta::diff(&state, &next).expect("changed");
-            journal.append(&delta);
-            state = next;
-
-            assert_eq!(journal.replay(&config), state);
+        let mut held = Durable::pristine(&config);
+        for seq in 1..=3_000u64 {
+            held.decisions.insert(op(2 * seq), seq % 3 == 0);
         }
-        assert_eq!(journal.appended_total(), 6);
+        let mut node = crate::node::ReplicaNode::new(NodeId(0), config);
+        node.install_durable(held.clone());
+        (node, held)
+    }
 
-        journal.compact(&config);
-        assert_eq!(journal.len(), 0);
-        assert_eq!(
-            journal.replay(&config),
-            state,
-            "compaction preserves replay"
-        );
-        assert_eq!(journal.appended_total(), 6);
+    fn op(seq: u64) -> OpId {
+        let node = NodeId(0);
+        OpId { node, seq }
+    }
+
+    /// What one step persists (`Crash` touches no durable field itself, so
+    /// the delta is exactly what was recorded before it).
+    fn persisted_by_step(node: &mut crate::node::ReplicaNode) -> Option<DurableDelta> {
+        use super::super::io::{Effect, Input};
+        let effects = node.step(coterie_base::SimTime::ZERO, Input::Crash);
+        effects.into_iter().find_map(|e| match e {
+            Effect::Persist(delta) => Some(*delta),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn recorded_decisions_come_out_in_op_order_and_match_the_scan() {
+        let (mut node, held) = long_lived_coordinator();
+        // Recorded out of op order; one sorts into the middle of the map.
+        node.record_decision(op(6_001), true);
+        node.record_decision(op(7), false);
+        let scanned = DurableDelta::diff(&held, &node.durable).expect("changed");
+        let delta = persisted_by_step(&mut node).expect("two decisions to persist");
+        assert_eq!(delta.decisions, vec![(op(7), false), (op(6_001), true)]);
+        assert_eq!(delta, scanned);
+        assert_eq!(persisted_by_step(&mut node), None, "drained by the step");
+        // Nor does a recorded decision outlive the state it was made in.
+        node.record_decision(op(9), true);
+        node.install_durable(held);
+        assert_eq!(persisted_by_step(&mut node), None, "cleared by install");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "re-decided")]
+    fn redeciding_an_op_differently_is_caught_at_the_entry_point() {
+        let (mut node, _) = long_lived_coordinator();
+        node.record_decision(op(2), true); // op(2): seq 1, 1 % 3 != 0 => held as abort
     }
 
     /// A journal of `n` simple version-bump deltas plus the final state.
@@ -797,7 +769,7 @@ mod tests {
         assert_eq!(replay.records_applied, 6);
         assert_eq!(replay.durable, state);
         assert_eq!(journal.committed_records(), 6);
-        // The StableStorage contract view agrees.
+        // The unchecked view agrees.
         assert_eq!(journal.replay(&config), state);
     }
 

@@ -289,7 +289,7 @@ impl ReplicaNode {
         }
         let (participants, timer) = (participants.clone(), *timer);
         ctx.cancel_timer(timer);
-        self.durable.decisions.insert(op, true);
+        self.record_decision(op, true);
         for &p in &participants {
             ctx.send(
                 p,
@@ -322,7 +322,7 @@ impl ReplicaNode {
         };
         if let EPhase::Voting { participants, .. } = &ec.phase {
             let participants = participants.clone();
-            self.durable.decisions.insert(op, false);
+            self.record_decision(op, false);
             for &p in &participants {
                 ctx.send(
                     p,

@@ -78,9 +78,9 @@ pub use election::InitiatorPolicy;
 pub use engine::driver::{Envelope, PendingTimer};
 pub use engine::{
     causal_merge, keys, render_jsonl, DriverEvent, DurableDelta, Effect, Failpoints, FaultKind,
-    FiredFault, FramedJournal, FramedReplay, Histogram, Input, MemJournal, MetricsRegistry,
-    NodeCtx, NoopSink, QuarantineReason, ReplayClass, ReplayVerdict, Rng64, StableStorage,
-    StepDriver, TraceEvent, TraceRecord, TraceRing, TraceSink,
+    FiredFault, FramedJournal, FramedReplay, Histogram, Input, MetricsRegistry, NodeCtx, NoopSink,
+    QuarantineReason, ReplayClass, ReplayVerdict, Rng64, StepDriver, TraceEvent, TraceRecord,
+    TraceRing, TraceSink,
 };
 #[cfg(feature = "simnet-host")]
 pub use host::{JournaledNode, WireMsg};

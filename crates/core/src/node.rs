@@ -387,6 +387,10 @@ pub struct ReplicaNode {
     /// Shadow copy of [`durable`](ReplicaNode::durable) as of the last
     /// emitted `Persist`, used to diff out per-step deltas.
     pub(crate) shadow: Durable,
+    /// Decisions [`record_decision`](ReplicaNode::record_decision) added to
+    /// the durable map during the current step; `step` drains it into the
+    /// step's delta, so it is empty between steps.
+    pub(crate) decided: Vec<(OpId, bool)>,
 }
 
 /// Context threaded through all protocol handlers (engine-owned).
@@ -401,6 +405,7 @@ impl ReplicaNode {
             rng: Rng64::new(config.seed ^ u64::from(me.0)),
             config,
             shadow: durable.clone(),
+            decided: Vec::new(),
             durable,
             vol: Volatile::default(),
             stats: NodeStats::default(),
@@ -426,13 +431,32 @@ impl ReplicaNode {
     }
 
     /// Replaces the durable state wholesale — the recovery path for hosts
-    /// that reconstruct it from stable storage
-    /// (see [`StableStorage::replay`](crate::engine::StableStorage::replay))
+    /// that reconstruct it from stable storage (see
+    /// [`FramedJournal::replay_checked`](crate::engine::FramedJournal::replay_checked))
     /// instead of trusting the in-memory copy. Resets the persistence
-    /// shadow so the next step diffs against the installed state.
+    /// shadow and the recorded decisions so the next step captures its
+    /// change against the installed state alone.
     pub fn install_durable(&mut self, durable: Durable) {
         self.shadow = durable.clone();
         self.durable = durable;
+        self.decided.clear();
+    }
+
+    /// Records this coordinator's 2PC outcome for `op` — the only way a
+    /// decision enters [`Durable::decisions`]. The pair is also noted for
+    /// the step's [`DurableDelta`](crate::engine::DurableDelta), which is
+    /// what lets the capture skip the ever-growing map; that shortcut rests
+    /// on the map being append-only, so an op is never re-decided
+    /// differently (an overwrite would never reach the journal).
+    pub(crate) fn record_decision(&mut self, op: OpId, commit: bool) {
+        let previous = self.durable.decisions.insert(op, commit);
+        debug_assert!(
+            previous.is_none_or(|p| p == commit),
+            "{op:?} re-decided: {previous:?} -> {commit}"
+        );
+        if previous.is_none() {
+            self.decided.push((op, commit));
+        }
     }
 
     /// Allocates a fresh operation id.

@@ -744,7 +744,7 @@ impl ReplicaNode {
             return;
         };
         ctx.cancel_timer(timer);
-        self.durable.decisions.insert(op, true);
+        self.record_decision(op, true);
         // Pipelined 2PC: with more writes queued and chain budget left,
         // allocate the next round now and ride its lock handoff on this
         // decision. Participants move their exclusive lock from `op` to
@@ -945,7 +945,7 @@ impl ReplicaNode {
         let Some(wc) = self.vol.writes.remove(&op) else {
             return;
         };
-        self.durable.decisions.insert(op, false);
+        self.record_decision(op, false);
         if let WPhase::Voting { participants, .. } = &wc.phase {
             for &p in participants {
                 ctx.send(

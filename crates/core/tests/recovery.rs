@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use coterie_core::{
     ClientRequest, FaultKind, JournaledNode, Mode, PartialWrite, ProtocolConfig, ProtocolEvent,
-    ReplicaNode,
+    ReplicaNode, StepDriver,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 use coterie_simnet::{NodeStatus, Sim, SimConfig, SimDuration, SimTime};
@@ -168,6 +168,73 @@ fn journaled_host_recovers_exactly_what_its_journal_committed() {
             assert!(!host.node.durable.stale, "cap {cap}: node {id} left stale");
         }
     }
+}
+
+/// A decision the journal never took dies with the crash: the append of
+/// the very step that decides a write fails, so the coordinator's memory
+/// holds a decision its journal does not. Recovery installs the replayed
+/// state, and no later delta may carry the lost decision — the per-step
+/// record of decisions must not leak across `install_durable`.
+#[test]
+fn recovery_forgets_the_decision_whose_append_failed() {
+    let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
+        .check_period(SimDuration::from_secs(60));
+    let mut driver = StepDriver::new(3, config);
+    let coord = NodeId(0);
+    let decided = |d: &StepDriver| d.node(coord).durable.decisions.clone();
+    driver.inject(coord, w(1, "kept"));
+    driver.run_for(SimDuration::from_secs(1));
+    let kept = decided(&driver);
+    assert_eq!(kept.len(), 1);
+
+    // Deliver message by message up to the one whose step decides write 2
+    // (found on a fork of the driver), then fail that step's append.
+    driver.inject(coord, w(2, "lost"));
+    loop {
+        let mut probe = driver.clone();
+        probe.deliver(0);
+        if decided(&probe).len() > kept.len() {
+            break;
+        }
+        driver.deliver(0);
+    }
+    driver.arm_storage_fault(coord, FaultKind::AppendFail);
+    driver.deliver(0);
+    assert!(driver.is_down(coord), "a failed append is fail-stop");
+    assert_eq!(decided(&driver).len(), 2, "decided in memory only");
+    assert_eq!(driver.replay_journal(coord).decisions, kept);
+
+    driver.recover(coord);
+    assert_eq!(
+        decided(&driver),
+        kept,
+        "recovery installs the journal's view"
+    );
+    assert_eq!(driver.replay_journal(coord), driver.node(coord).durable);
+    driver.run_for(SimDuration::from_secs(5));
+    driver.inject(coord, w(3, "after"));
+    driver.run_for(SimDuration::from_secs(2));
+    assert!(driver
+        .outputs()
+        .iter()
+        .any(|(_, _, e)| matches!(e, ProtocolEvent::WriteOk { id: 3, .. })));
+    for id in 0..3u32 {
+        let n = NodeId(id);
+        assert_eq!(
+            driver.replay_journal(n),
+            driver.node(n).durable,
+            "node {id}"
+        );
+        assert!(
+            driver.node(n).durable.prepared.is_none(),
+            "node {id} in doubt"
+        );
+    }
+    assert_eq!(
+        decided(&driver).len(),
+        kept.len() + 1,
+        "only write 3 was decided after recovery"
+    );
 }
 
 #[test]

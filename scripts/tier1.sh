@@ -17,6 +17,19 @@ cargo fmt "${FMT_ARGS[@]}" -- --check
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> history flatness (core.step_growth on traced write_leader <= 2.0)"
+# One step() must cost at the end of a 6 000-write history what it cost at
+# the start. The figure is a ratio inside one run, so machine speed cancels:
+# 3.8 when the durable capture rescanned the decision table, ~1.0 since.
+growth=$(cargo run --release --quiet -p coterie-bench --bin benchmark -- \
+  --workload write_leader --seed 1 --seconds 10 --trace 1 |
+  tail -n 1 | sed -n 's/.*"core\.step_growth": {"value": \([0-9.eE+-]*\).*/\1/p')
+echo "core.step_growth = ${growth:-missing}"
+awk -v g="$growth" 'BEGIN { exit !(g != "" && g + 0 <= 2.0) }' || {
+  echo "tier-1: step() cost grows with history"
+  exit 1
+}
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 
