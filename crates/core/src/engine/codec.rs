@@ -30,25 +30,63 @@ pub struct DecodeError {
 /// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) — the checksum the
 /// framed journal stores per record. Hand-rolled so the engine stays free
 /// of external dependencies.
+///
+/// Slice-by-8: the loop folds eight input bytes per round through eight
+/// 256-entry tables, where table `k` maps a byte to its CRC contribution
+/// once `k` further bytes have followed it; the tail of fewer than eight
+/// bytes goes through table 0 one byte at a time. The values are those of
+/// the one-table bytewise loop, which stays in this file's tests as the
+/// reference the sliced loop is compared against.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        // lint:allow(arith): idx is masked to 0..=255, always in bounds
-        crc = (crc >> 8) ^ CRC32_TABLE[idx];
+    let mut rounds = bytes.chunks_exact(8);
+    for c in &mut rounds {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = entry(&t[7], lo)
+            ^ entry(&t[6], lo >> 8)
+            ^ entry(&t[5], lo >> 16)
+            ^ entry(&t[4], lo >> 24)
+            ^ entry(&t[3], hi)
+            ^ entry(&t[2], hi >> 8)
+            ^ entry(&t[1], hi >> 16)
+            ^ entry(&t[0], hi >> 24);
+    }
+    for &b in rounds.remainder() {
+        crc = (crc >> 8) ^ entry(&t[0], crc ^ u32::from(b));
     }
     !crc
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+/// The entry of `table` selected by the low byte of `v` — the one place a
+/// CRC table is indexed.
+#[inline(always)]
+fn entry(table: &[u32; 256], v: u32) -> u32 {
+    // lint:allow(arith): the index is masked to 0..=255, always in bounds
+    table[(v & 0xFF) as usize]
+}
 
-const fn crc32_table() -> [u32; 256] {
+/// `CRC32_TABLES[k][b]`: the CRC register after byte `b` and then `k` zero
+/// bytes have been shifted through it. Table 0 is the classic bytewise table.
+static CRC32_TABLES: [[u32; 256]; 8] = [
+    crc32_table(0),
+    crc32_table(1),
+    crc32_table(2),
+    crc32_table(3),
+    crc32_table(4),
+    crc32_table(5),
+    crc32_table(6),
+    crc32_table(7),
+];
+
+const fn crc32_table(zero_bytes: u32) -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i: u32 = 0;
     while i < 256 {
         let mut crc = i;
         let mut bit = 0;
-        while bit < 8 {
+        while bit < 8 * (1 + zero_bytes) {
             crc = if crc & 1 != 0 {
                 (crc >> 1) ^ 0xEDB8_8320
             } else {
@@ -66,27 +104,35 @@ const fn crc32_table() -> [u32; 256] {
 /// Encodes a delta into the journal payload format.
 pub fn encode_delta(delta: &DurableDelta) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    put_opt_u64(&mut out, delta.version);
-    put_opt_bool(&mut out, delta.stale);
-    put_opt_u64(&mut out, delta.dversion);
+    encode_delta_into(&mut out, delta);
+    out
+}
+
+/// Appends the journal payload encoding of `delta` to `out` — the same
+/// bytes [`encode_delta`] returns, written where the caller wants them (the
+/// journal frames records in place).
+pub fn encode_delta_into(out: &mut Vec<u8>, delta: &DurableDelta) {
+    put_opt_u64(out, delta.version);
+    put_opt_bool(out, delta.stale);
+    put_opt_u64(out, delta.dversion);
     match &delta.epoch {
         None => out.push(0),
         Some((enumber, elist)) => {
             out.push(1);
-            put_u64(&mut out, *enumber);
-            put_nodes(&mut out, elist);
+            put_u64(out, *enumber);
+            put_nodes(out, elist);
         }
     }
-    put_len(&mut out, delta.pages.len());
+    put_len(out, delta.pages.len());
     for (page, contents) in &delta.pages {
-        put_u16(&mut out, *page);
-        put_bytes(&mut out, contents);
+        put_u16(out, *page);
+        put_bytes(out, contents);
     }
     match &delta.log {
         None => out.push(0),
         Some(log) => {
             out.push(1);
-            put_log(&mut out, log);
+            put_log(out, log);
         }
     }
     match &delta.prepared {
@@ -97,28 +143,27 @@ pub fn encode_delta(delta: &DurableDelta) -> Vec<u8> {
                 None => out.push(0),
                 Some((op, action)) => {
                     out.push(1);
-                    put_op(&mut out, *op);
-                    put_action(&mut out, action);
+                    put_op(out, *op);
+                    put_action(out, action);
                 }
             }
         }
     }
-    put_len(&mut out, delta.decisions.len());
+    put_len(out, delta.decisions.len());
     for (op, commit) in &delta.decisions {
-        put_op(&mut out, *op);
+        put_op(out, *op);
         out.push(u8::from(*commit));
     }
-    put_opt_u64(&mut out, delta.op_counter);
+    put_opt_u64(out, delta.op_counter);
     match &delta.last_good {
         None => out.push(0),
         Some(good) => {
             out.push(1);
-            put_nodes(&mut out, good);
+            put_nodes(out, good);
         }
     }
-    put_opt_u64(&mut out, delta.quarantine_fence);
-    put_opt_bool(&mut out, delta.rejoin_pending);
-    out
+    put_opt_u64(out, delta.quarantine_fence);
+    put_opt_bool(out, delta.rejoin_pending);
 }
 
 /// Decodes a journal payload back into a delta. Fails (never panics) on
@@ -660,12 +705,30 @@ mod tests {
         assert_eq!(err.what, "page count");
     }
 
+    /// The classic one-table loop, one byte per round: the reference the
+    /// slice-by-8 `crc32` must agree with on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(0xFFFF_FFFF, |crc: u32, &b| {
+            (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize]
+        })
+    }
+
     #[test]
-    fn crc32_matches_known_vectors() {
+    fn crc32_matches_known_vectors_and_the_bytewise_reference() {
         // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"hello"), 0x3610_A686);
+        for f in [crc32, crc32_bytewise] {
+            assert_eq!(f(b""), 0);
+            assert_eq!(f(b"123456789"), 0xCBF4_3926);
+            assert_eq!(f(b"hello"), 0x3610_A686);
+        }
+        // Every way the 8-byte rounds and the tail can split an input: each
+        // length 0..=64 at each start offset 0..8, then a 4 KiB record.
+        let bytes: Vec<u8> = (0..4096u32).map(|i| (i * 37 + (i >> 5)) as u8).collect();
+        for (start, len) in (0..8).flat_map(|s| (0..=64).map(move |l| (s, l))) {
+            let input = &bytes[start..start + len];
+            assert_eq!(crc32(input), crc32_bytewise(input), "{start}+{len}");
+        }
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
     }
 
     #[test]

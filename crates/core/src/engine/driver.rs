@@ -11,7 +11,16 @@
 //! torn, or bit-flipped appends) can be injected at the journal boundary
 //! deterministically. What is the driver's own is below: the message and
 //! timer pools, partitions, and the fail-stop bookkeeping.
+//!
+//! The two pools are lent out as **one slice each, in send / arming order**,
+//! and `deliver(i)` / `fire(i)` remove exactly index `i`: the explorer, the
+//! nemesis and the benchmark's scheduler all pick events by indexing into
+//! those slices, so the order is part of the contract. Behind the slice,
+//! removal costs the distance to the nearer end, not the size of the pool:
+//! the oldest message or timer leaves from the front, and a timer that gets
+//! cancelled was armed moments ago at the back.
 
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use coterie_base::{SimDuration, SimTime, TimerId};
@@ -67,6 +76,51 @@ pub enum DriverEvent {
     Recover(NodeId),
 }
 
+/// A pending-event pool: arrival order, always lendable as one slice, and
+/// `remove(i)` shifts whichever side of `i` is shorter — as a `VecDeque`
+/// does. What a `VecDeque` does not promise is one contiguous slice, so
+/// `push` straightens it on the rare push that wraps around the ring.
+/// Removal and `retain` only move elements toward the hole and do not wrap
+/// a straight deque, but std does not promise that either: `as_slice`
+/// checks in every build rather than lend a truncated slice.
+#[derive(Clone, Debug)]
+struct Pool<T>(VecDeque<T>);
+
+impl<T> Pool<T> {
+    fn new() -> Self {
+        Pool(VecDeque::new())
+    }
+
+    fn push(&mut self, item: T) {
+        self.0.push_back(item);
+        if !self.0.as_slices().1.is_empty() {
+            // Straightening costs O(len); with `len` of slack the next wrap
+            // is at least `len` pushes away, so pushes stay amortised O(1)
+            // even for a pool that hovers just under its capacity.
+            self.0.reserve(self.0.len());
+            self.0.make_contiguous();
+        }
+    }
+
+    /// Every element, oldest first.
+    fn as_slice(&self) -> &[T] {
+        let (all, wrapped) = self.0.as_slices();
+        assert!(wrapped.is_empty(), "push keeps the pool contiguous");
+        all
+    }
+
+    /// Drops every element `keep` rejects, keeping the rest in order.
+    fn retain(&mut self, keep: impl FnMut(&T) -> bool) {
+        self.0.retain(keep);
+    }
+
+    /// Removes and returns element `i`, keeping the rest in order.
+    fn remove(&mut self, i: usize) -> T {
+        // lint:allow(panic): an out-of-range index is a caller bug, as with `Vec::remove`
+        self.0.remove(i).expect("pool index in range")
+    }
+}
+
 /// A cluster of engines plus the pending-event pools they feed on.
 #[derive(Clone, Debug)]
 pub struct StepDriver {
@@ -74,8 +128,8 @@ pub struct StepDriver {
     nodes: Vec<ReplicaNode>,
     down: Vec<bool>,
     now: SimTime,
-    messages: Vec<Envelope>,
-    timers: Vec<PendingTimer>,
+    messages: Pool<Envelope>,
+    timers: Pool<PendingTimer>,
     outputs: Vec<(SimTime, NodeId, ProtocolEvent)>,
     journals: Vec<FramedJournal>,
     interps: Vec<EffectInterpreter>,
@@ -97,8 +151,8 @@ impl StepDriver {
             config,
             down: vec![false; n],
             now: SimTime::ZERO,
-            messages: Vec::new(),
-            timers: Vec::new(),
+            messages: Pool::new(),
+            timers: Pool::new(),
             outputs: Vec::new(),
             journals: vec![FramedJournal::new(); n],
             partition: vec![0; n],
@@ -128,12 +182,12 @@ impl StepDriver {
 
     /// The in-flight messages, in send order.
     pub fn pending_messages(&self) -> &[Envelope] {
-        &self.messages
+        self.messages.as_slice()
     }
 
     /// The armed timers, in arming order.
     pub fn pending_timers(&self) -> &[PendingTimer] {
-        &self.timers
+        self.timers.as_slice()
     }
 
     /// Number of replicas in the cluster.
@@ -177,14 +231,6 @@ impl StepDriver {
         self.interps[node.0 as usize]
             .failpoints
             .arm(sites::JOURNAL_APPEND, kind);
-    }
-
-    /// Sets a probabilistic storage-fault rate (per mille per append) at
-    /// `node`'s journal. Zero removes the rate.
-    pub fn set_storage_fault_rate(&mut self, node: NodeId, kind: FaultKind, per_mille: u16) {
-        self.interps[node.0 as usize]
-            .failpoints
-            .set_rate(sites::JOURNAL_APPEND, kind, per_mille);
     }
 
     /// Storage faults that actually fired at `node`, in order.
@@ -285,7 +331,7 @@ impl StepDriver {
     pub fn run_for(&mut self, d: SimDuration) {
         let deadline = self.now + d;
         loop {
-            if !self.messages.is_empty() {
+            if !self.pending_messages().is_empty() {
                 self.deliver(0);
                 continue;
             }
@@ -296,7 +342,7 @@ impl StepDriver {
                 continue;
             }
             let next = self
-                .timers
+                .pending_timers()
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, t)| (t.fire_at, t.node.0, t.id.0))
@@ -447,13 +493,13 @@ impl StepDriver {
             canonical_node(&mut repr, node);
         }
         let mut msgs: Vec<String> = self
-            .messages
+            .pending_messages()
             .iter()
             .map(|e| format!("{}>{}:{:?}", e.from.0, e.to.0, e.msg))
             .collect();
         msgs.sort_unstable();
         let mut tmrs: Vec<String> = self
-            .timers
+            .pending_timers()
             .iter()
             .map(|t| format!("{}#{}:{:?}", t.node.0, t.id.0, t.timer))
             .collect();
@@ -474,8 +520,8 @@ impl StepDriver {
 struct Pools<'a> {
     node: NodeId,
     now: SimTime,
-    messages: &'a mut Vec<Envelope>,
-    timers: &'a mut Vec<PendingTimer>,
+    messages: &'a mut Pool<Envelope>,
+    timers: &'a mut Pool<PendingTimer>,
     outputs: &'a mut Vec<(SimTime, NodeId, ProtocolEvent)>,
 }
 
@@ -500,12 +546,16 @@ impl Substrate for Pools<'_> {
 
     fn cancel_timer(&mut self, id: TimerId) {
         // `(node, id)` is unique (ids come from the node's `timer_seq`), so
-        // stop at the first match instead of sweeping the whole pool; a
-        // plain `remove` keeps the rest in arming order.
+        // stop at the first match instead of sweeping the whole pool — and
+        // look from the back: a timer that gets cancelled was armed moments
+        // ago, behind a pool of older ones that will fire instead.
         let is_it = |t: &PendingTimer| t.node == self.node && t.id == id;
-        if let Some(i) = self.timers.iter().position(is_it) {
+        if let Some(i) = self.timers.as_slice().iter().rposition(is_it) {
             self.timers.remove(i);
-            debug_assert!(!self.timers.iter().any(is_it), "duplicate timer id");
+            debug_assert!(
+                !self.timers.as_slice().iter().any(is_it),
+                "duplicate timer id"
+            );
         }
     }
 
@@ -595,4 +645,68 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A pool against a plain `Vec` model: a seeded mix of arming, removal
+    /// at the front / middle / back, cancellation and fail-stop sweeps, with
+    /// far more pushes than the ring ever holds at once.
+    #[test]
+    fn pool_matches_a_vec_model_across_wrap_arounds() {
+        let mut rng = super::super::rng::Rng64::new(0xC0FFEE);
+        let mut messages = Pool::new();
+        let (mut timers, mut outputs) = (Pool::new(), Vec::new());
+        let mut pools = Pools {
+            node: NodeId(0),
+            now: SimTime::ZERO,
+            messages: &mut messages,
+            timers: &mut timers,
+            outputs: &mut outputs,
+        };
+        let mut model: Vec<(NodeId, TimerId)> = Vec::new();
+        let (mut next_id, mut wraps) = (0, 0);
+        for step in 0..20_000 {
+            pools.node = NodeId(rng.below(4) as u32);
+            // Grow to ~200 entries, then hover: removals mostly take the
+            // front, so the ring's head keeps advancing and pushes wrap.
+            match rng.below(if model.len() < 200 { 12 } else { 20 }) {
+                0..=7 => {
+                    next_id += 1;
+                    let start = pools.timers.as_slice().as_ptr();
+                    let had_room = pools.timers.0.len() < pools.timers.0.capacity();
+                    pools.set_timer(TimerId(next_id), SimDuration::ZERO, Timer::EpochTick);
+                    model.push((pools.node, TimerId(next_id)));
+                    // Room to push, yet the slice moved: the push wrapped
+                    // and the pool straightened itself.
+                    wraps += u32::from(had_room && start != pools.timers.as_slice().as_ptr());
+                }
+                8..=15 if !model.is_empty() => {
+                    let len = model.len();
+                    let i = [0, 0, 0, 1 % len, len / 2, len - 1][rng.below(6) as usize];
+                    let t = pools.timers.remove(i);
+                    assert_eq!((t.node, t.id), model.remove(i));
+                }
+                16..=18 if !model.is_empty() => {
+                    // A recently armed timer, then an id that never was.
+                    let back = rng.below(model.len().min(8) as u64) as usize;
+                    let (node, id) = model[model.len() - 1 - back];
+                    pools.node = node;
+                    pools.cancel_timer(id);
+                    pools.cancel_timer(TimerId(0));
+                    model.retain(|&t| t != (node, id));
+                }
+                _ => {
+                    let node = pools.node;
+                    pools.timers.retain(|t| t.node != node || t.id.0 % 5 != 0);
+                    model.retain(|t| t.0 != pools.node || t.1 .0 % 5 != 0);
+                }
+            }
+            let pending = pools.timers.as_slice().iter().map(|t| (t.node, t.id));
+            assert_eq!(pending.collect::<Vec<_>>(), model, "after step {step}");
+        }
+        assert!(wraps >= 3, "only {wraps} wrap-arounds exercised");
+    }
 }

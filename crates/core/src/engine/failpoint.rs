@@ -2,12 +2,12 @@
 //!
 //! A [`Failpoints`] registry is owned by each replica's effect interpreter
 //! (so both hosts share one fault surface) and consulted at named sites —
-//! e.g. just before a journal commit. Faults fire either as one-shot armed
-//! events or with a per-mille probability, and every draw comes from a
-//! private [`Rng64`] stream, so a given `(seed, schedule)` pair injects
-//! exactly the same faults on every run. The registry keeps a log of fired
-//! faults so harnesses can report *which* injections a failing seed
-//! performed.
+//! e.g. just before a journal commit. Faults fire as one-shot armed events,
+//! and every auxiliary draw (a torn write's cut point, a flipped bit's
+//! position) comes from a private [`Rng64`] stream, so a given
+//! `(seed, schedule)` pair injects exactly the same faults on every run.
+//! The registry keeps a log of fired faults so harnesses can report *which*
+//! injections a failing seed performed.
 //!
 //! The engine itself never sees this type: fault injection happens at the
 //! effect boundary, preserving the sans-I/O contract that `step` is a pure
@@ -54,9 +54,6 @@ pub struct Failpoints {
     rng: Rng64,
     /// One-shot faults, consumed front-first per site.
     armed: BTreeMap<String, VecDeque<FaultKind>>,
-    /// Probabilistic faults: per-mille chance per check, drawn in
-    /// insertion order (deterministic: `BTreeMap` + per-kind slots).
-    rates: BTreeMap<String, Vec<(FaultKind, u16)>>,
     fired: Vec<FiredFault>,
 }
 
@@ -67,7 +64,6 @@ impl Failpoints {
             // Decorrelate from engine RNGs, which seed with `seed ^ node`.
             rng: Rng64::new(seed ^ 0xFA11_0000_0000_0001),
             armed: BTreeMap::new(),
-            rates: BTreeMap::new(),
             fired: Vec::new(),
         }
     }
@@ -80,42 +76,16 @@ impl Failpoints {
             .push_back(kind);
     }
 
-    /// Sets a probabilistic fault: each [`check`](Failpoints::check) of
-    /// `site` fires `kind` with probability `per_mille`/1000. Setting the
-    /// same kind again replaces its rate; 0 removes it.
-    pub fn set_rate(&mut self, site: &str, kind: FaultKind, per_mille: u16) {
-        let slots = self.rates.entry(site.to_string()).or_default();
-        slots.retain(|(k, _)| *k != kind);
-        if per_mille > 0 {
-            slots.push((kind, per_mille.min(1000)));
-        }
-        if slots.is_empty() {
-            self.rates.remove(site);
-        }
-    }
-
-    /// Consults the registry at `site`. Armed one-shots fire first (in
-    /// arm order), then probabilistic rates are drawn. Every probabilistic
-    /// slot consumes exactly one RNG draw whether or not it fires, so the
-    /// injection schedule depends only on the sequence of `check` calls.
+    /// Consults the registry at `site`: the oldest fault armed there fires,
+    /// once. A site with nothing armed never fires and consumes no RNG
+    /// draw, so the injection schedule depends only on what was armed.
     pub fn check(&mut self, site: &str) -> Option<FaultKind> {
-        if let Some(queue) = self.armed.get_mut(site) {
-            if let Some(kind) = queue.pop_front() {
-                if queue.is_empty() {
-                    self.armed.remove(site);
-                }
-                return Some(self.record(site, kind));
-            }
+        let queue = self.armed.get_mut(site)?;
+        let kind = queue.pop_front();
+        if queue.is_empty() {
+            self.armed.remove(site);
         }
-        let slots = self.rates.get(site).cloned().unwrap_or_default();
-        let mut hit = None;
-        for (kind, per_mille) in slots {
-            let draw = self.rng.below(1000);
-            if hit.is_none() && draw < u64::from(per_mille) {
-                hit = Some(kind);
-            }
-        }
-        hit.map(|kind| self.record(site, kind))
+        kind.map(|kind| self.record(site, kind))
     }
 
     /// A deterministic auxiliary draw in `0..n` — hosts use this to pick
@@ -130,11 +100,6 @@ impl Failpoints {
     /// Every fault fired so far, in firing order.
     pub fn fired(&self) -> &[FiredFault] {
         &self.fired
-    }
-
-    /// True if no faults are armed and no rates are set.
-    pub fn is_quiet(&self) -> bool {
-        self.armed.is_empty() && self.rates.is_empty()
     }
 
     fn record(&mut self, site: &str, kind: FaultKind) -> FaultKind {
@@ -165,43 +130,18 @@ mod tests {
     }
 
     #[test]
-    fn rates_are_deterministic_per_seed() {
-        let run = |seed| {
-            let mut fp = Failpoints::new(seed);
-            fp.set_rate("s", FaultKind::BitFlip, 200);
-            (0..100)
-                .map(|_| fp.check("s").is_some())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(7), run(7), "same seed, same schedule");
-        assert_ne!(run(7), run(8), "different seed, different schedule");
-        let hits = run(7).iter().filter(|h| **h).count();
-        assert!(hits > 5 && hits < 50, "~20% rate, got {hits}/100");
-    }
-
-    #[test]
-    fn zero_rate_clears_and_full_rate_always_fires() {
-        let mut fp = Failpoints::new(3);
-        fp.set_rate("s", FaultKind::AppendFail, 1000);
-        assert_eq!(fp.check("s"), Some(FaultKind::AppendFail));
-        fp.set_rate("s", FaultKind::AppendFail, 0);
-        assert_eq!(fp.check("s"), None);
-        assert!(fp.is_quiet() || !fp.rates.contains_key("s"));
-    }
-
-    #[test]
     fn unknown_sites_never_fire_and_consume_no_draws() {
         let mut a = Failpoints::new(9);
         let mut b = Failpoints::new(9);
-        // `a` checks a site with no registration 50 times first.
+        // `a` first checks a site with nothing armed 50 times.
         for _ in 0..50 {
             assert_eq!(a.check("nothing.here"), None);
         }
-        a.set_rate("s", FaultKind::TornWrite, 500);
-        b.set_rate("s", FaultKind::TornWrite, 500);
-        let sa: Vec<bool> = (0..20).map(|_| a.check("s").is_some()).collect();
-        let sb: Vec<bool> = (0..20).map(|_| b.check("s").is_some()).collect();
-        assert_eq!(sa, sb, "quiet checks must not advance the stream");
+        let draws = |fp: &mut Failpoints| {
+            fp.arm("s", FaultKind::TornWrite);
+            (fp.check("s"), [(); 20].map(|()| fp.draw(1000)))
+        };
+        assert_eq!(draws(&mut a), draws(&mut b), "quiet checks drew nothing");
     }
 
     #[test]

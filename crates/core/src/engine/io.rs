@@ -102,21 +102,3 @@ pub enum Effect {
     /// epoch installation, ...).
     Output(ProtocolEvent),
 }
-
-impl Effect {
-    /// The destination node, for `Send` effects.
-    pub fn send_to(&self) -> Option<NodeId> {
-        match self {
-            Effect::Send { to, .. } => Some(*to),
-            Effect::SetTimer { .. }
-            | Effect::CancelTimer(_)
-            | Effect::Persist(_)
-            | Effect::Output(_) => None,
-        }
-    }
-
-    /// True if this effect is a `Persist`.
-    pub fn is_persist(&self) -> bool {
-        matches!(self, Effect::Persist(_))
-    }
-}

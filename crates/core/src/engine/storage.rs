@@ -73,7 +73,7 @@ impl DurableDelta {
     ///
     /// [`step`](crate::node::ReplicaNode::step) runs this after every
     /// input, so it costs O(change): scalars compare as integers, pages per
-    /// slot (`Bytes` content equality over refcounted slices), the log by
+    /// slot (by content, unless both are one shared buffer), the log by
     /// `(len, newest version)` — sound because log versions strictly
     /// increase — and the decision map is not read: `decided`, sorted by op
     /// id as the map and so the journal always ordered it, *is* the addition.
@@ -102,11 +102,16 @@ impl DurableDelta {
             d.epoch = Some((new.enumber, new.elist.clone()));
         }
         debug_assert_eq!(old.object.n_pages(), new.object.n_pages());
+        // A page nobody rewrote is still the shadow's own refcounted buffer:
+        // same pointer and length, so equal without reading a byte of it.
+        let shared = |(o, n): (&Bytes, &Bytes)| o.as_ptr() == n.as_ptr() && o.len() == n.len();
         for p in 0..new.object.n_pages() as PageId {
             let (o, n) = (old.object.page(p), new.object.page(p));
-            if o != n {
-                // lint:allow(panic): p < n_pages, and old/new page counts are equal
-                d.pages.push((p, n.expect("page in range").clone()));
+            // `n` is `new`'s own page `p < n_pages`, so it is always there;
+            // a page `old` lacks compares unequal and is captured.
+            debug_assert!(n.is_some(), "page {p} of {} in range", new.object.n_pages());
+            if !o.zip(n).is_some_and(shared) && o != n {
+                d.pages.extend(n.map(|n| (p, n.clone())));
             }
         }
         let log_id = |l: &WriteLog| (l.len(), l.newest_version());
@@ -336,12 +341,25 @@ fn len_prefix(payload: &[u8]) -> [u8; 4] {
 
 /// Lays `deltas` out as framed records (`len | crc32 | payload` each) at
 /// the end of `out` — the one place the record framing is written.
+///
+/// Each record is built where it will live: reserve the 8-byte `len | crc`
+/// slot, encode the payload straight behind it, then patch the slot from
+/// the bytes just written — no temporary payload buffer, no second copy.
+/// Every slot is patched before this returns, so a caller that then cuts
+/// the batch short (a torn append) keeps a prefix of exactly these bytes.
 fn frame_into(out: &mut Vec<u8>, deltas: &[DurableDelta]) {
     for delta in deltas {
-        let payload = super::codec::encode_delta(delta);
-        out.extend_from_slice(&len_prefix(&payload));
-        out.extend_from_slice(&super::codec::crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let slot = out.len();
+        out.extend_from_slice(&[0; 8]);
+        let body = out.len();
+        super::codec::encode_delta_into(out, delta);
+        let (frame, payload) = out.split_at_mut(body);
+        let (len, crc) = (len_prefix(payload), super::codec::crc32(payload));
+        if let Some(frame) = frame.get_mut(slot..) {
+            let (len_slot, crc_slot) = frame.split_at_mut(4);
+            len_slot.copy_from_slice(&len);
+            crc_slot.copy_from_slice(&crc.to_le_bytes());
+        }
     }
 }
 
@@ -430,11 +448,11 @@ impl FramedJournal {
         deltas: &[DurableDelta],
         cut: impl FnOnce(usize) -> usize,
     ) {
-        let mut records = Vec::new();
-        frame_into(&mut records, deltas);
-        let keep = cut(records.len()).min(records.len().saturating_sub(1));
-        self.buf
-            .extend_from_slice(records.get(..keep).unwrap_or(&records));
+        let start = self.buf.len();
+        frame_into(&mut self.buf, deltas);
+        let framed = self.buf.len().saturating_sub(start);
+        let keep = cut(framed).min(framed.saturating_sub(1));
+        self.buf.truncate(start.saturating_add(keep));
         self.appended_total += deltas.len() as u64;
     }
 
@@ -899,6 +917,57 @@ mod tests {
         batched.append_batch(&deltas);
         assert_eq!(batched.bytes(), one_by_one.bytes());
         assert_eq!(batched.committed_records(), 5);
+    }
+
+    #[test]
+    fn in_place_framing_is_len_crc_payload_and_a_torn_batch_is_its_prefix() {
+        // Three shapes: scalars and decisions, a page with a log, nothing.
+        let mut log = WriteLog::new(4);
+        log.push(LogEntry {
+            version: 8,
+            write: PartialWrite::new([(1, b("page one")), (3, b(""))]),
+        });
+        let batch = [
+            DurableDelta {
+                version: Some(3),
+                decisions: vec![(op(4), true), (op(6), false)],
+                ..DurableDelta::default()
+            },
+            DurableDelta {
+                pages: vec![(1, b("page one"))],
+                log: Some(log),
+                ..DurableDelta::default()
+            },
+            DurableDelta::default(),
+        ];
+        // The documented framing, spelled out record by record.
+        let mut whole = Vec::new();
+        for d in &batch {
+            let payload = super::super::codec::encode_delta(d);
+            whole.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            whole.extend_from_slice(&super::super::codec::crc32(&payload).to_le_bytes());
+            whole.extend_from_slice(&payload);
+        }
+        let mut journal = FramedJournal::new();
+        journal.append_batch(&batch);
+        assert_eq!(journal.bytes()[JOURNAL_HEADER_LEN..], whole);
+        assert_eq!(journal.replay_checked(&cfg()).verdict, ReplayVerdict::Clean);
+        // Cuts inside the first slot, a payload, a later record, and past
+        // the end (clamped so at least one byte is dropped).
+        for keep in [0, 3, 8, 9, whole.len() / 2, whole.len() - 1, usize::MAX] {
+            let mut torn = FramedJournal::new();
+            torn.append_batch_torn_at(&batch, |framed| {
+                assert_eq!(
+                    framed,
+                    whole.len(),
+                    "the cut is drawn from the framed length"
+                );
+                keep
+            });
+            let kept = keep.min(whole.len() - 1);
+            assert_eq!(torn.bytes()[JOURNAL_HEADER_LEN..], whole[..kept]);
+            assert_eq!((torn.committed_records(), torn.appended_total()), (0, 3));
+        }
     }
 
     #[test]

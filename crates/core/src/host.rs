@@ -253,11 +253,6 @@ impl JournaledNode {
         self.interp.failpoints.arm(sites::JOURNAL_APPEND, kind);
     }
 
-    /// True while a quarantined replay is waiting for its rejoin boot.
-    pub fn is_quarantined(&self) -> bool {
-        matches!(self.boot, Input::BootQuarantined)
-    }
-
     /// Deltas buffered and not yet committed to the journal.
     pub fn buffered(&self) -> usize {
         self.interp.buffered()

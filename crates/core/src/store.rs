@@ -8,6 +8,8 @@
 //! just the missing suffix of writes to a stale replica, falling back to a
 //! full snapshot when the log has been trimmed.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 /// Index of a page within the data item.
@@ -148,9 +150,14 @@ pub struct LogEntry {
 }
 
 /// A bounded log of recent writes, ordered by version.
+///
+/// Entries are immutable once pushed and held behind `Arc`, so cloning the
+/// log — which every applied write does twice, into its durable delta and
+/// into the persisted-state shadow — bumps refcounts instead of copying
+/// each entry's page list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WriteLog {
-    entries: std::collections::VecDeque<LogEntry>,
+    entries: std::collections::VecDeque<Arc<LogEntry>>,
     cap: usize,
 }
 
@@ -168,7 +175,7 @@ impl WriteLog {
         if let Some(last) = self.entries.back() {
             debug_assert!(entry.version > last.version, "log versions must increase");
         }
-        self.entries.push_back(entry);
+        self.entries.push_back(Arc::new(entry));
         while self.entries.len() > self.cap {
             self.entries.pop_front();
         }
@@ -191,7 +198,7 @@ impl WriteLog {
 
     /// The retained entries in version order (journal codec and tests).
     pub fn iter(&self) -> impl Iterator<Item = &LogEntry> {
-        self.entries.iter()
+        self.entries.iter().map(|e| &**e)
     }
 
     /// The writes needed to carry a replica from `from_version` up to the
@@ -204,8 +211,7 @@ impl WriteLog {
             return None; // gap: the needed prefix was trimmed
         }
         Some(
-            self.entries
-                .iter()
+            self.iter()
                 .filter(|e| e.version > from_version)
                 .cloned()
                 .collect(),
@@ -319,6 +325,22 @@ mod tests {
         assert!(log.updates_since(2).is_none());
         assert!(log.updates_since(3).is_some(), "v4.. is intact");
         assert_eq!(log.updates_since(3).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn cloned_log_shares_entries_and_diverges_on_push() {
+        let write = PartialWrite::new([(0, b("x"))]);
+        let mut log = WriteLog::new(4);
+        for version in 1..=2 {
+            let write = write.clone();
+            log.push(LogEntry { version, write });
+        }
+        let mut copy = log.clone();
+        assert_eq!(copy, log);
+        // A clone bumps refcounts; it copies no entry.
+        assert!(log.iter().zip(copy.iter()).all(|(a, b)| std::ptr::eq(a, b)));
+        copy.push(LogEntry { version: 3, write });
+        assert_eq!((copy.len(), log.len(), log.newest_version()), (3, 2, 2));
     }
 
     #[test]

@@ -17,16 +17,29 @@ cargo fmt "${FMT_ARGS[@]}" -- --check
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> history flatness (core.step_growth on traced write_leader <= 2.0)"
-# One step() must cost at the end of a 6 000-write history what it cost at
-# the start. The figure is a ratio inside one run, so machine speed cancels:
-# 3.8 when the durable capture rescanned the decision table, ~1.0 since.
-growth=$(cargo run --release --quiet -p coterie-bench --bin benchmark -- \
-  --workload write_leader --seed 1 --seconds 10 --trace 1 |
-  tail -n 1 | sed -n 's/.*"core\.step_growth": {"value": \([0-9.eE+-]*\).*/\1/p')
+echo "==> traced write_leader: history flatness and timer/permission step ratio"
+# Two ratios inside one run, so machine speed cancels in both.
+# core.step_growth <= 2.0: one step() must cost at the end of a 6 000-write
+# history what it costs at the start (3.8 if the durable capture rescans the
+# decision table, ~1.0 when it records what changed).
+# core.step_ns.timer <= core.step_ns.permission: on this workload a timer step
+# is a no-op DecisionRetry fire, so the ratio prices removing one entry from
+# the driver's pool against a real message step (1.6 if removal shifts the
+# whole pool, ~0.4 when it shifts the shorter side).
+traced=$(cargo run --release --quiet -p coterie-bench --bin benchmark -- \
+  --workload write_leader --seed 1 --seconds 10 --trace 1 | tail -n 1)
+metric() { sed -n "s/.*\"$1\": {\"value\": \([0-9.eE+-]*\).*/\1/p" <<<"$traced"; }
+growth=$(metric 'core\.step_growth')
+timer=$(metric 'core\.step_ns\.timer')
+permission=$(metric 'core\.step_ns\.permission')
 echo "core.step_growth = ${growth:-missing}"
+echo "core.step_ns.timer = ${timer:-missing}, core.step_ns.permission = ${permission:-missing}"
 awk -v g="$growth" 'BEGIN { exit !(g != "" && g + 0 <= 2.0) }' || {
   echo "tier-1: step() cost grows with history"
+  exit 1
+}
+awk -v t="$timer" -v p="$permission" 'BEGIN { exit !(t != "" && p != "" && t + 0 <= p + 0) }' || {
+  echo "tier-1: a no-op timer step costs more than a permission step (pool removal is O(pool)?)"
   exit 1
 }
 
