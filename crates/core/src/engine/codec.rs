@@ -14,7 +14,9 @@ use bytes::Bytes;
 use coterie_quorum::NodeId;
 
 use crate::msg::{Action, OpId};
-use crate::store::{LogEntry, PageId, PartialWrite, WriteLog};
+use std::sync::Arc;
+
+use crate::store::{LogDelta, LogEntry, PageId, PartialWrite};
 
 use super::storage::DurableDelta;
 
@@ -112,64 +114,40 @@ pub fn encode_delta(delta: &DurableDelta) -> Vec<u8> {
 /// bytes [`encode_delta`] returns, written where the caller wants them (the
 /// journal frames records in place).
 pub fn encode_delta_into(out: &mut Vec<u8>, delta: &DurableDelta) {
-    put_opt_u64(out, delta.version);
-    put_opt_bool(out, delta.stale);
-    put_opt_u64(out, delta.dversion);
-    match &delta.epoch {
-        None => out.push(0),
-        Some((enumber, elist)) => {
-            out.push(1);
-            put_u64(out, *enumber);
-            put_nodes(out, elist);
-        }
-    }
+    put_opt(out, delta.version, put_u64);
+    put_opt(out, delta.stale, put_bool);
+    put_opt(out, delta.dversion, put_u64);
+    put_opt(out, delta.epoch.as_ref(), |out, (enumber, elist)| {
+        put_u64(out, *enumber);
+        put_nodes(out, elist);
+    });
     put_len(out, delta.pages.len());
     for (page, contents) in &delta.pages {
         put_u16(out, *page);
         put_bytes(out, contents);
     }
-    match &delta.log {
-        None => out.push(0),
-        Some(log) => {
-            out.push(1);
-            put_log(out, log);
-        }
-    }
-    match &delta.prepared {
-        None => out.push(0),
-        Some(slot) => {
-            out.push(1);
-            match slot {
-                None => out.push(0),
-                Some((op, action)) => {
-                    out.push(1);
-                    put_op(out, *op);
-                    put_action(out, action);
-                }
-            }
-        }
-    }
+    put_log(out, &delta.log);
+    put_opt(out, delta.prepared.as_ref(), |out, slot| {
+        put_opt(out, slot.as_ref(), |out, (op, action)| {
+            put_op(out, *op);
+            put_action(out, action);
+        })
+    });
     put_len(out, delta.decisions.len());
     for (op, commit) in &delta.decisions {
         put_op(out, *op);
-        out.push(u8::from(*commit));
+        put_bool(out, *commit);
     }
-    put_opt_u64(out, delta.op_counter);
-    match &delta.last_good {
-        None => out.push(0),
-        Some(good) => {
-            out.push(1);
-            put_nodes(out, good);
-        }
-    }
-    put_opt_u64(out, delta.quarantine_fence);
-    put_opt_bool(out, delta.rejoin_pending);
+    put_opt(out, delta.op_counter, put_u64);
+    put_opt(out, delta.last_good.as_deref(), put_nodes);
+    put_opt(out, delta.quarantine_fence, put_u64);
+    put_opt(out, delta.rejoin_pending, put_bool);
 }
 
 /// Decodes a journal payload back into a delta. Fails (never panics) on
 /// any truncation, bad tag, or internal inconsistency — including
-/// non-increasing write-log versions, which a bit flip can produce and
-/// which would otherwise corrupt propagation.
+/// non-increasing versions among the log entries one record pushes, which
+/// a bit flip can produce and which would otherwise corrupt propagation.
 pub fn decode_delta(payload: &[u8]) -> Result<DurableDelta, DecodeError> {
     let mut r = Reader {
         buf: payload,
@@ -179,31 +157,21 @@ pub fn decode_delta(payload: &[u8]) -> Result<DurableDelta, DecodeError> {
         version: r.opt_u64()?,
         stale: r.opt_bool()?,
         dversion: r.opt_u64()?,
+        epoch: r.opt("epoch option tag", |r| {
+            Ok((r.u64("epoch number")?, r.nodes()?))
+        })?,
         ..DurableDelta::default()
     };
-    if r.tag("epoch option tag")? {
-        let enumber = r.u64("epoch number")?;
-        let elist = r.nodes()?;
-        delta.epoch = Some((enumber, elist));
-    }
     let n_pages = r.count("page count")?;
     for _ in 0..n_pages {
         let page: PageId = r.u16("page id")?;
         let contents = r.bytes("page contents")?;
         delta.pages.push((page, contents));
     }
-    if r.tag("log option tag")? {
-        delta.log = Some(r.log()?);
-    }
-    if r.tag("prepared option tag")? {
-        if r.tag("prepared slot tag")? {
-            let op = r.op()?;
-            let action = r.action()?;
-            delta.prepared = Some(Some((op, action)));
-        } else {
-            delta.prepared = Some(None);
-        }
-    }
+    delta.log = r.log()?;
+    delta.prepared = r.opt("prepared option tag", |r| {
+        r.opt("prepared slot tag", |r| Ok((r.op()?, r.action()?)))
+    })?;
     let n_decisions = r.count("decision count")?;
     for _ in 0..n_decisions {
         let op = r.op()?;
@@ -211,9 +179,7 @@ pub fn decode_delta(payload: &[u8]) -> Result<DurableDelta, DecodeError> {
         delta.decisions.push((op, commit));
     }
     delta.op_counter = r.opt_u64()?;
-    if r.tag("last-good option tag")? {
-        delta.last_good = Some(r.nodes()?);
-    }
+    delta.last_good = r.opt("last-good option tag", Reader::nodes)?;
     delta.quarantine_fence = r.opt_u64()?;
     delta.rejoin_pending = r.opt_bool()?;
     if r.pos != r.buf.len() {
@@ -249,23 +215,15 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
-        }
-    }
+fn put_bool(out: &mut Vec<u8>, v: bool) {
+    out.push(u8::from(v));
 }
 
-fn put_opt_bool(out: &mut Vec<u8>, v: Option<bool>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            out.push(u8::from(v));
-        }
+/// An `Option`: a one-byte tag, then the value if there is one.
+fn put_opt<T>(out: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    put_bool(out, v.is_some());
+    if let Some(v) = v {
+        put(out, v);
     }
 }
 
@@ -294,10 +252,15 @@ fn put_write(out: &mut Vec<u8>, write: &PartialWrite) {
     }
 }
 
-fn put_log(out: &mut Vec<u8>, log: &WriteLog) {
-    put_u64(out, log.cap() as u64);
-    put_len(out, log.len());
-    for entry in log.iter() {
+/// One tag byte — 0 unchanged, 1 entries pushed, 2 cleared and then entries
+/// pushed (possibly none) — and, unless 0, the counted entries.
+fn put_log(out: &mut Vec<u8>, log: &LogDelta) {
+    if log.is_empty() {
+        return out.push(0);
+    }
+    out.push(if log.cleared { 2 } else { 1 });
+    put_len(out, log.pushed.len());
+    for entry in &log.pushed {
         put_u64(out, entry.version);
         put_write(out, &entry.write);
     }
@@ -320,17 +283,13 @@ fn put_action(out: &mut Vec<u8>, action: &Action) {
             put_u64(out, *new_version);
             put_nodes(out, stale);
             put_nodes(out, good);
-            match base {
-                None => out.push(0),
-                Some((pages, version)) => {
-                    out.push(1);
-                    put_len(out, pages.len());
-                    for p in pages {
-                        put_bytes(out, p);
-                    }
-                    put_u64(out, *version);
+            put_opt(out, base.as_ref(), |out, (pages, version)| {
+                put_len(out, pages.len());
+                for p in pages {
+                    put_bytes(out, p);
                 }
-            }
+                put_u64(out, *version);
+            });
         }
         Action::MarkStale { desired_version } => {
             out.push(1);
@@ -414,8 +373,13 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn tag(&mut self, what: &'static str) -> Result<bool, DecodeError> {
-        self.bool(what)
+    /// An `Option`: a one-byte tag, then the value if the tag says so.
+    fn opt<T>(
+        &mut self,
+        what: &'static str,
+        read: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Option<T>, DecodeError> {
+        self.bool(what)?.then(|| read(self)).transpose()
     }
 
     fn count(&mut self, what: &'static str) -> Result<u32, DecodeError> {
@@ -428,19 +392,11 @@ impl<'a> Reader<'a> {
     }
 
     fn opt_u64(&mut self) -> Result<Option<u64>, DecodeError> {
-        if self.tag("u64 option tag")? {
-            Ok(Some(self.u64("u64 value")?))
-        } else {
-            Ok(None)
-        }
+        self.opt("u64 option tag", |r| r.u64("u64 value"))
     }
 
     fn opt_bool(&mut self) -> Result<Option<bool>, DecodeError> {
-        if self.tag("bool option tag")? {
-            Ok(Some(self.bool("bool value")?))
-        } else {
-            Ok(None)
-        }
+        self.opt("bool option tag", |r| r.bool("bool value"))
     }
 
     fn bytes(&mut self, what: &'static str) -> Result<Bytes, DecodeError> {
@@ -478,17 +434,22 @@ impl<'a> Reader<'a> {
         Ok(PartialWrite { pages })
     }
 
-    fn log(&mut self) -> Result<WriteLog, DecodeError> {
-        let cap = self.u64("log cap")?;
-        if cap > u64::from(MAX_COUNT) {
-            self.pos -= 8;
-            return Err(self.err("log cap"));
-        }
+    fn log(&mut self) -> Result<LogDelta, DecodeError> {
+        let cleared = match self.u8("log tag")? {
+            0 => return Ok(LogDelta::default()),
+            1 => false,
+            2 => true,
+            _ => {
+                self.pos -= 1;
+                return Err(self.err("log tag"));
+            }
+        };
         let n = self.count("log entry count")?;
-        if u64::from(n) > cap {
-            return Err(self.err("log entry count exceeds cap"));
+        if n == 0 && !cleared {
+            // Tag 0 is the one encoding of "unchanged".
+            return Err(self.err("empty log push"));
         }
-        let mut log = WriteLog::new(cap as usize);
+        let mut pushed = Vec::with_capacity(n as usize);
         let mut last_version = 0u64;
         for i in 0..n {
             let version = self.u64("log entry version")?;
@@ -497,9 +458,9 @@ impl<'a> Reader<'a> {
             }
             last_version = version;
             let write = self.write()?;
-            log.push(LogEntry { version, write });
+            pushed.push(Arc::new(LogEntry { version, write }));
         }
-        Ok(log)
+        Ok(LogDelta { cleared, pushed })
     }
 
     fn action(&mut self) -> Result<Action, DecodeError> {
@@ -513,17 +474,14 @@ impl<'a> Reader<'a> {
                 let new_version = self.u64("action new_version")?;
                 let stale = self.nodes()?;
                 let good = self.nodes()?;
-                let base = if self.tag("base option tag")? {
-                    let n = self.count("base page count")?;
+                let base = self.opt("base option tag", |r| {
+                    let n = r.count("base page count")?;
                     let mut pages = Vec::with_capacity(n as usize);
                     for _ in 0..n {
-                        pages.push(self.bytes("base page")?);
+                        pages.push(r.bytes("base page")?);
                     }
-                    let version = self.u64("base version")?;
-                    Some((pages, version))
-                } else {
-                    None
-                };
+                    Ok((pages, r.u64("base version")?))
+                })?;
                 Ok(Action::DoUpdate {
                     writes,
                     new_version,
@@ -561,61 +519,13 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProtocolConfig;
-    use crate::node::Durable;
-    use coterie_quorum::GridCoterie;
-    use std::sync::Arc;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
     fn rich_delta() -> DurableDelta {
-        let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 4);
-        let old = Durable::pristine(&config);
-        let mut new = old.clone();
-        new.version = 7;
-        new.stale = true;
-        new.dversion = 9;
-        new.enumber = 3;
-        new.elist = vec![NodeId(0), NodeId(2), NodeId(3)];
-        new.object
-            .apply(&PartialWrite::new([(0, b("aa")), (2, b(""))]));
-        new.log.push(LogEntry {
-            version: 7,
-            write: PartialWrite::new([(0, b("aa"))]),
-        });
-        new.prepared = Some((
-            OpId {
-                node: NodeId(2),
-                seq: 40,
-            },
-            Action::NewEpoch {
-                list: vec![NodeId(0), NodeId(1)],
-                enumber: 4,
-                good: vec![NodeId(0)],
-                stale: vec![NodeId(1)],
-                desired_version: 8,
-            },
-        ));
-        new.decisions.insert(
-            OpId {
-                node: NodeId(0),
-                seq: 1,
-            },
-            true,
-        );
-        new.decisions.insert(
-            OpId {
-                node: NodeId(0),
-                seq: 2,
-            },
-            false,
-        );
-        new.op_counter = 12;
-        new.last_good = vec![NodeId(0), NodeId(2)];
-        new.quarantine_fence = 1_000_000;
-        new.rejoin_pending = true;
+        let (old, new) = super::super::storage::tests::rich_states();
         DurableDelta::diff(&old, &new).expect("changed")
     }
 
@@ -668,6 +578,51 @@ mod tests {
             };
             let decoded = decode_delta(&encode_delta(&delta)).expect("decodes");
             assert_eq!(decoded, delta);
+        }
+    }
+
+    #[test]
+    fn every_log_shape_is_one_encoding_and_versions_within_a_record_increase() {
+        let entry = |version| {
+            let write = PartialWrite::new([(1, b("x")), (3, b(""))]);
+            Arc::new(LogEntry { version, write })
+        };
+        let encode = |cleared, pushed| {
+            let log = LogDelta { cleared, pushed };
+            let delta = DurableDelta {
+                log,
+                ..DurableDelta::default()
+            };
+            (encode_delta(&delta), delta)
+        };
+        let encoded = |cleared, pushed| {
+            let (bytes, delta) = encode(cleared, pushed);
+            let decoded = decode_delta(&bytes).expect("decodes");
+            assert_eq!((&decoded, encode_delta(&decoded)), (&delta, bytes.clone()));
+            bytes
+        };
+        let unchanged = encoded(false, vec![]);
+        let one = encoded(false, vec![entry(5)]);
+        encoded(false, vec![entry(5), entry(6), entry(9)]);
+        let mut cleared = encoded(true, vec![]);
+        encoded(true, vec![entry(2)]);
+        // A committed write's record carries its one entry — count, version,
+        // the write — and nothing that grows with the log.
+        assert_eq!(one.len(), unchanged.len() + 4 + 8 + 17);
+        // The log tag sits behind the three scalar tags, the epoch tag and
+        // the (empty) page count. "Pushed, but nothing" is not a second
+        // spelling of "unchanged".
+        let tag_at = 1 + 1 + 1 + 1 + 4;
+        assert_eq!((unchanged[tag_at], one[tag_at], cleared[tag_at]), (0, 1, 2));
+        for (tag, what) in [(1, "empty log push"), (3, "log tag")] {
+            cleared[tag_at] = tag;
+            assert_eq!(decode_delta(&cleared).unwrap_err().what, what);
+        }
+        // Equal or falling versions inside one record are damage.
+        for second in [5, 4] {
+            let (bytes, _) = encode(false, vec![entry(5), entry(second)]);
+            let err = decode_delta(&bytes).expect_err("non-increasing");
+            assert_eq!(err.what, "log versions must increase");
         }
     }
 

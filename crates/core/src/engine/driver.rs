@@ -217,7 +217,7 @@ impl StepDriver {
 
     /// Reconstructs `node`'s durable state purely from its journal.
     pub fn replay_journal(&self, node: NodeId) -> Durable {
-        self.journals[node.0 as usize].replay(&self.config)
+        self.replay_checked(node).durable
     }
 
     /// Checked replay of `node`'s journal: durable state plus the framing
@@ -512,7 +512,7 @@ impl StepDriver {
         for (_, n, e) in &self.outputs {
             let _ = write!(repr, ";{}:{e:?}", n.0);
         }
-        fnv1a(repr.as_bytes())
+        crate::store::fnv1a(crate::store::FNV1A_SEED, repr.as_bytes())
     }
 }
 
@@ -614,7 +614,7 @@ fn canonical_node(out: &mut String, node: &ReplicaNode) {
         v.incoming_prop,
         v.pending_epoch_prepare,
     );
-    let retry: Vec<_> = v.decision_retry_armed.iter().copied().collect();
+    let retry: Vec<_> = v.decision_retry_armed.keys().copied().collect();
     let _ = write!(
         out,
         "eck=({:?},{},{});dra={retry:?};rej={:?};elec={:?};seq={};rng={:?};",
@@ -636,15 +636,6 @@ fn sorted_map<V: std::fmt::Debug>(
     // BTreeMap iterates in key order, so the rendering is canonical as-is.
     let entries: Vec<_> = map.iter().collect();
     let _ = write!(out, "{label}={entries:?};");
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

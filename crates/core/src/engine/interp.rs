@@ -212,22 +212,28 @@ impl EffectInterpreter {
             self.trace(r, TraceEvent::FailpointTrip { kind });
         }
         let ok = match fault {
-            None => {
-                host.commit(r.journal, |journal| journal.append_batch(&self.pending));
-                true
-            }
             Some(FaultKind::AppendFail) => false,
             Some(FaultKind::TornWrite) => {
                 self.tear(r.journal);
                 false
             }
-            // Appends normally, then silently corrupts a random journal
-            // bit — latent damage discovered at the next replay.
-            Some(FaultKind::BitFlip) => {
+            None | Some(FaultKind::BitFlip) => {
                 host.commit(r.journal, |journal| journal.append_batch(&self.pending));
-                let byte = self.failpoints.draw(r.journal.bytes().len() as u64) as usize;
-                let bit = self.failpoints.draw(8) as u8;
-                r.journal.flip_bit(byte, bit);
+                // A bit flip appends normally, then silently corrupts one
+                // journal bit — latent damage discovered at the next replay.
+                // Always three draws: a unit (the header or one committed
+                // record), a byte of it, a bit — so which record is hit
+                // depends on how many records there are, not on how large
+                // the format makes them. A journal an earlier flip already
+                // mis-framed is one unit.
+                if fault.is_some() {
+                    let unit = self.failpoints.draw(r.journal.committed_records() + 1);
+                    let span = r.journal.unit_span(unit);
+                    let span = span.unwrap_or(0..r.journal.bytes().len());
+                    let byte = span.start + self.failpoints.draw(span.len() as u64) as usize;
+                    let bit = self.failpoints.draw(8) as u8;
+                    r.journal.flip_bit(byte, bit);
+                }
                 true
             }
         };

@@ -168,12 +168,7 @@ impl ReplicaNode {
             Msg::DecisionQuery { op } => {
                 // Coordinator unreachable: stay blocked, re-query later
                 // (deduplicated: at most one retry chain per op).
-                if self
-                    .durable
-                    .prepared
-                    .as_ref()
-                    .is_some_and(|(p, _)| *p == op)
-                {
+                if self.in_doubt(op) {
                     self.arm_decision_retry(ctx, op);
                 }
             }

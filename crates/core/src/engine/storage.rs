@@ -14,15 +14,21 @@
 //! * **Write-ahead ordering.** The `Persist` effect is always the *first*
 //!   effect of a step: a host that journals before sending guarantees the
 //!   2PC prepare record is stable before the vote that promises it.
-//! * **Capture costs O(change), not O(history).** The bounded fields are
-//!   *compared* against a shadow copy of the last persisted state. The one
-//!   field that grows with uptime — the coordinator's append-only decision
-//!   map — is never compared: every decision enters it through
-//!   `ReplicaNode::record_decision`, which also *records* the pair for the
-//!   step to drain into its delta. The map-scanning `DurableDelta::diff`
+//! * **Capture costs O(change), not O(history) or O(state).** The scalar
+//!   fields and the pages are *compared* against a shadow copy of the last
+//!   persisted state. The write log is not: a delta says what happened to it
+//!   — the entries this step pushed, found by identity against the shadow
+//!   (`WriteLog::delta_since`) — so a committed write journals its one
+//!   entry, not the log. The one field that grows with uptime — the
+//!   coordinator's append-only decision map — is never compared either:
+//!   every decision enters it through `ReplicaNode::record_decision`, which
+//!   also *records* the pair for the step to drain into its delta. The
+//!   map-scanning `DurableDelta::diff`
 //!   survives in debug builds only, as the oracle every capture is asserted
 //!   equal to: a decision written past the entry point fails the first
 //!   debug test that steps over it instead of going silently un-journaled.
+
+use std::ops::Range;
 
 use bytes::Bytes;
 use coterie_quorum::NodeId;
@@ -30,7 +36,7 @@ use coterie_quorum::NodeId;
 use crate::config::ProtocolConfig;
 use crate::msg::{Action, OpId};
 use crate::node::Durable;
-use crate::store::{PageId, WriteLog};
+use crate::store::{LogDelta, PageId};
 
 /// The durable-state change produced by one engine step.
 ///
@@ -48,9 +54,9 @@ pub struct DurableDelta {
     pub epoch: Option<(u64, Vec<NodeId>)>,
     /// Rewritten pages of the object.
     pub pages: Vec<(PageId, Bytes)>,
-    /// Full replacement write log (logs are tiny and bounded; shipping the
-    /// whole log keeps the delta trivially correct under trimming).
-    pub log: Option<WriteLog>,
+    /// What happened to the write log: cleared, then these entries pushed.
+    /// Never the log itself — trimming follows from the configured cap.
+    pub log: LogDelta,
     /// New prepared-transaction slot (outer `Some` = changed; inner
     /// `Option` is the slot's new value).
     pub prepared: Option<Option<(OpId, Action)>>,
@@ -73,10 +79,10 @@ impl DurableDelta {
     ///
     /// [`step`](crate::node::ReplicaNode::step) runs this after every
     /// input, so it costs O(change): scalars compare as integers, pages per
-    /// slot (by content, unless both are one shared buffer), the log by
-    /// `(len, newest version)` — sound because log versions strictly
-    /// increase — and the decision map is not read: `decided`, sorted by op
-    /// id as the map and so the journal always ordered it, *is* the addition.
+    /// slot (by content, unless both are one shared buffer), the log walks
+    /// back over the entries pushed since `old`, and the decision map is not
+    /// read: `decided`, sorted by op id as the map and so the journal always
+    /// ordered it, *is* the addition.
     pub(crate) fn capture(
         old: &Durable,
         new: &Durable,
@@ -86,18 +92,18 @@ impl DurableDelta {
         #[cfg(debug_assertions)]
         assert_eq!(decided, added_decisions(old, new), "unrecorded decision");
         let mut d = DurableDelta {
+            version: changed(&old.version, &new.version),
+            stale: changed(&old.stale, &new.stale),
+            dversion: changed(&old.dversion, &new.dversion),
+            log: new.log.delta_since(&old.log),
+            prepared: changed(&old.prepared, &new.prepared),
             decisions: decided,
+            op_counter: changed(&old.op_counter, &new.op_counter),
+            last_good: changed(&old.last_good, &new.last_good),
+            quarantine_fence: changed(&old.quarantine_fence, &new.quarantine_fence),
+            rejoin_pending: changed(&old.rejoin_pending, &new.rejoin_pending),
             ..DurableDelta::default()
         };
-        if new.version != old.version {
-            d.version = Some(new.version);
-        }
-        if new.stale != old.stale {
-            d.stale = Some(new.stale);
-        }
-        if new.dversion != old.dversion {
-            d.dversion = Some(new.dversion);
-        }
         if new.enumber != old.enumber || new.elist != old.elist {
             d.epoch = Some((new.enumber, new.elist.clone()));
         }
@@ -114,25 +120,6 @@ impl DurableDelta {
                 d.pages.extend(n.map(|n| (p, n.clone())));
             }
         }
-        let log_id = |l: &WriteLog| (l.len(), l.newest_version());
-        if log_id(&new.log) != log_id(&old.log) {
-            d.log = Some(new.log.clone());
-        }
-        if new.prepared != old.prepared {
-            d.prepared = Some(new.prepared.clone());
-        }
-        if new.op_counter != old.op_counter {
-            d.op_counter = Some(new.op_counter);
-        }
-        if new.last_good != old.last_good {
-            d.last_good = Some(new.last_good.clone());
-        }
-        if new.quarantine_fence != old.quarantine_fence {
-            d.quarantine_fence = Some(new.quarantine_fence);
-        }
-        if new.rejoin_pending != old.rejoin_pending {
-            d.rejoin_pending = Some(new.rejoin_pending);
-        }
         (!d.is_empty()).then_some(d)
     }
 
@@ -147,31 +134,14 @@ impl DurableDelta {
 
     /// True if no field is set.
     fn is_empty(&self) -> bool {
-        self.version.is_none()
-            && self.stale.is_none()
-            && self.dversion.is_none()
-            && self.epoch.is_none()
-            && self.pages.is_empty()
-            && self.log.is_none()
-            && self.prepared.is_none()
-            && self.decisions.is_empty()
-            && self.op_counter.is_none()
-            && self.last_good.is_none()
-            && self.quarantine_fence.is_none()
-            && self.rejoin_pending.is_none()
+        *self == DurableDelta::default()
     }
 
     /// Applies this delta to `durable`.
     pub fn apply(&self, durable: &mut Durable) {
-        if let Some(v) = self.version {
-            durable.version = v;
-        }
-        if let Some(s) = self.stale {
-            durable.stale = s;
-        }
-        if let Some(v) = self.dversion {
-            durable.dversion = v;
-        }
+        set(&mut durable.version, &self.version);
+        set(&mut durable.stale, &self.stale);
+        set(&mut durable.dversion, &self.dversion);
         if let Some((enumber, elist)) = &self.epoch {
             durable.enumber = *enumber;
             durable.elist = elist.clone();
@@ -179,27 +149,27 @@ impl DurableDelta {
         for (p, contents) in &self.pages {
             durable.object.write_page(*p, contents.clone());
         }
-        if let Some(log) = &self.log {
-            durable.log = log.clone();
-        }
-        if let Some(prepared) = &self.prepared {
-            durable.prepared = prepared.clone();
-        }
+        durable.log.apply(&self.log);
+        set(&mut durable.prepared, &self.prepared);
         for (op, commit) in &self.decisions {
             durable.decisions.insert(*op, *commit);
         }
-        if let Some(c) = self.op_counter {
-            durable.op_counter = c;
-        }
-        if let Some(g) = &self.last_good {
-            durable.last_good = g.clone();
-        }
-        if let Some(f) = self.quarantine_fence {
-            durable.quarantine_fence = f;
-        }
-        if let Some(p) = self.rejoin_pending {
-            durable.rejoin_pending = p;
-        }
+        set(&mut durable.op_counter, &self.op_counter);
+        set(&mut durable.last_good, &self.last_good);
+        set(&mut durable.quarantine_fence, &self.quarantine_fence);
+        set(&mut durable.rejoin_pending, &self.rejoin_pending);
+    }
+}
+
+/// One `Option` field of a capture: `new`, if it differs from `old`.
+fn changed<T: PartialEq + Clone>(old: &T, new: &T) -> Option<T> {
+    (old != new).then(|| new.clone())
+}
+
+/// One `Option` field of an apply: overwrites `slot` if the delta has a value.
+fn set<T: Clone>(slot: &mut T, value: &Option<T>) {
+    if let Some(value) = value {
+        slot.clone_from(value);
     }
 }
 
@@ -428,21 +398,16 @@ impl FramedJournal {
         self.rewrite_header();
     }
 
-    /// A torn group-commit flush: only `keep` bytes of the batch's records
-    /// reach the journal and the count is *not* bumped, so replay drops
+    /// A torn group-commit flush: only a prefix of the batch's records
+    /// reaches the journal and the count is *not* bumped, so replay drops
     /// the whole batch as a torn tail. Correct because the single header
     /// rewrite is the batch's only commit point — a crash anywhere before
     /// it loses every delta of the batch, none of which was acknowledged
-    /// (ack-before-flush). At least one byte is always dropped (a
+    /// (ack-before-flush). `cut` picks how many bytes survive from the
+    /// batch's framed length, so a fault injector can draw the cut without
+    /// knowing the framing; at least one byte is always dropped (a
     /// fully-written batch would be indistinguishable from a pre-commit
     /// crash, which is the same recovery anyway).
-    pub fn append_batch_torn(&mut self, deltas: &[DurableDelta], keep: usize) {
-        self.append_batch_torn_at(deltas, |_| keep);
-    }
-
-    /// [`append_batch_torn`](FramedJournal::append_batch_torn) with the cut
-    /// point chosen by `cut` from the batch's framed length, so a fault
-    /// injector can draw it without knowing the framing.
     pub(super) fn append_batch_torn_at(
         &mut self,
         deltas: &[DurableDelta],
@@ -456,21 +421,10 @@ impl FramedJournal {
         self.appended_total += deltas.len() as u64;
     }
 
-    /// A torn append — the on-media state after a crash mid-append: a torn
-    /// batch of one.
-    pub fn append_torn(&mut self, delta: &DurableDelta, keep: usize) {
-        self.append_batch_torn(std::slice::from_ref(delta), keep);
-    }
-
     /// Flips one bit in place; returns false if `byte` is out of range.
     pub fn flip_bit(&mut self, byte: usize, bit: u8) -> bool {
-        match self.buf.get_mut(byte) {
-            Some(b) => {
-                *b ^= 1u8 << (bit % 8);
-                true
-            }
-            None => false,
-        }
+        let flipped = self.buf.get_mut(byte).map(|b| *b ^= 1u8 << (bit % 8));
+        flipped.is_some()
     }
 
     /// Drops unacknowledged bytes past the last committed record — the
@@ -481,35 +435,28 @@ impl FramedJournal {
     /// quarantine case) is left untouched; [`reset_to`](Self::reset_to)
     /// owns that recovery.
     pub fn truncate_tail(&mut self) -> usize {
-        if self.buf.len() < JOURNAL_HEADER_LEN || self.buf[..4] != JOURNAL_MAGIC {
-            return 0;
-        }
-        let Some(count) = read_committed_count(&self.buf) else {
+        let Ok(mut walk) = Walk::open(&self.buf) else {
             return 0;
         };
-        let mut pos = JOURNAL_HEADER_LEN;
-        for _ in 0..count {
-            // checked_add: a corrupted length prefix near usize::MAX must
-            // not wrap `pos` back into the committed prefix.
-            let Some(body) = pos.checked_add(8) else {
-                return 0;
-            };
-            let Some(header) = self.buf.get(pos..body) else {
-                return 0;
-            };
-            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-            let Some(next) = body.checked_add(len) else {
-                return 0;
-            };
-            if self.buf.len() < next {
-                return 0;
-            }
-            pos = next;
+        walk.by_ref().for_each(drop);
+        if walk.truncated() {
+            return 0;
         }
-        let dropped = self.buf.len().saturating_sub(pos);
-        self.buf.truncate(pos);
+        let (end, count) = (walk.pos, walk.count);
+        let dropped = self.buf.len().saturating_sub(end);
+        self.buf.truncate(end);
         self.count = count;
         dropped
+    }
+
+    /// The bytes of storage-fault unit `unit`: 0 is the header, `k` the
+    /// `k`-th committed record, frame included. `None` if earlier damage
+    /// keeps the walk from reaching it.
+    pub(super) fn unit_span(&self, unit: u64) -> Option<Range<usize>> {
+        match usize::try_from(unit).ok()?.checked_sub(1) {
+            None => Some(0..JOURNAL_HEADER_LEN.min(self.buf.len())),
+            Some(record) => Walk::open(&self.buf).ok()?.nth(record),
+        }
     }
 
     /// Replaces the journal with a fresh one whose single record carries
@@ -532,80 +479,55 @@ impl FramedJournal {
     pub fn replay_checked(&self, config: &ProtocolConfig) -> FramedReplay {
         let mut durable = Durable::pristine(config);
         let buf = &self.buf;
-        if buf.len() < JOURNAL_HEADER_LEN {
+        let mut walk = match Walk::open(buf) {
+            Ok(walk) => walk,
             // Journal creation itself was torn; nothing was ever
             // committed, so pristine boot is correct.
-            return FramedReplay {
-                durable,
-                records_applied: 0,
-                verdict: ReplayVerdict::TornTail {
-                    dropped_bytes: buf.len(),
-                },
-            };
-        }
-        if buf[..4] != JOURNAL_MAGIC {
-            return quarantined(durable, 0, QuarantineReason::BadMagic);
-        }
-        let count = match read_committed_count(buf) {
-            Some(c) => c,
-            None => return quarantined(durable, 0, QuarantineReason::HeaderCorrupt),
+            Err(None) => {
+                let dropped_bytes = buf.len();
+                let verdict = ReplayVerdict::TornTail { dropped_bytes };
+                return FramedReplay {
+                    durable,
+                    records_applied: 0,
+                    verdict,
+                };
+            }
+            Err(Some(reason)) => return quarantined(durable, 0, reason),
         };
-        let mut pos = JOURNAL_HEADER_LEN;
-        for index in 0..count {
-            // checked_add throughout: on 32-bit hosts a corrupted length
-            // prefix could wrap `pos + 8 + len` back inside the buffer and
-            // mis-parse instead of quarantining.
-            let Some(body) = pos.checked_add(8) else {
-                return quarantined(durable, index, QuarantineReason::RecordTruncated { index });
-            };
-            let Some(header) = buf.get(pos..body) else {
-                return quarantined(durable, index, QuarantineReason::RecordTruncated { index });
-            };
-            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-            let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-            let Some(end) = body.checked_add(len) else {
-                return quarantined(durable, index, QuarantineReason::RecordTruncated { index });
-            };
-            let Some(payload) = buf.get(body..end) else {
-                return quarantined(durable, index, QuarantineReason::RecordTruncated { index });
-            };
-            if super::codec::crc32(payload) != crc {
-                return quarantined(durable, index, QuarantineReason::ChecksumMismatch { index });
-            }
-            match super::codec::decode_delta(payload) {
-                Ok(delta) => delta.apply(&mut durable),
-                Err(e) => {
-                    return quarantined(
-                        durable,
+        while let Some(span) = walk.next() {
+            let index = walk.index.saturating_sub(1);
+            let record = buf.get(span).and_then(|r| r.split_at_checked(8));
+            let (frame, payload) = record.unwrap_or_default();
+            let crc = frame.last_chunk::<4>().map(|c| u32::from_le_bytes(*c));
+            let reason = if crc != Some(super::codec::crc32(payload)) {
+                QuarantineReason::ChecksumMismatch { index }
+            } else {
+                match super::codec::decode_delta(payload) {
+                    Ok(delta) => {
+                        delta.apply(&mut durable);
+                        continue;
+                    }
+                    Err(e) => QuarantineReason::Undecodable {
                         index,
-                        QuarantineReason::Undecodable {
-                            index,
-                            what: e.what,
-                        },
-                    );
+                        what: e.what,
+                    },
                 }
-            }
-            pos = end;
+            };
+            return quarantined(durable, index, reason);
         }
-        let dropped = buf.len().saturating_sub(pos);
+        if walk.truncated() {
+            let index = walk.index;
+            return quarantined(durable, index, QuarantineReason::RecordTruncated { index });
+        }
+        let verdict = match buf.len().saturating_sub(walk.pos) {
+            0 => ReplayVerdict::Clean,
+            dropped_bytes => ReplayVerdict::TornTail { dropped_bytes },
+        };
         FramedReplay {
             durable,
-            records_applied: count,
-            verdict: if dropped == 0 {
-                ReplayVerdict::Clean
-            } else {
-                ReplayVerdict::TornTail {
-                    dropped_bytes: dropped,
-                }
-            },
+            records_applied: walk.count,
+            verdict,
         }
-    }
-
-    /// Unchecked replay: the durable state of the longest intact prefix.
-    /// Hosts that care about the verdict call
-    /// [`replay_checked`](FramedJournal::replay_checked) directly.
-    pub fn replay(&self, config: &ProtocolConfig) -> Durable {
-        self.replay_checked(config).durable
     }
 
     fn rewrite_header(&mut self) {
@@ -621,18 +543,70 @@ impl FramedJournal {
     }
 }
 
+/// The one walk over a journal image: yields the byte span of each
+/// committed record (frame and payload), lengths checked against the buffer;
+/// checksums and payloads are the caller's business. It stops after the
+/// header's count, or early at a record that runs past the end of the buffer
+/// ([`truncated`](Walk::truncated)); `pos` ends behind the last record yielded.
+struct Walk<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    /// Records yielded so far: the index of the next one.
+    index: u64,
+    count: u64,
+}
+
+impl<'a> Walk<'a> {
+    /// Checks the header. `Err(None)` is a buffer shorter than a header (a
+    /// torn creation: nothing was ever committed).
+    fn open(buf: &'a [u8]) -> Result<Self, Option<QuarantineReason>> {
+        if buf.len() < JOURNAL_HEADER_LEN {
+            return Err(None);
+        }
+        if !buf.starts_with(&JOURNAL_MAGIC) {
+            return Err(Some(QuarantineReason::BadMagic));
+        }
+        let count = read_committed_count(buf).ok_or(Some(QuarantineReason::HeaderCorrupt))?;
+        Ok(Walk {
+            buf,
+            pos: JOURNAL_HEADER_LEN,
+            index: 0,
+            count,
+        })
+    }
+
+    /// True once the walk has stopped short of the header's count.
+    fn truncated(&self) -> bool {
+        self.index < self.count
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = Range<usize>;
+
+    fn next(&mut self) -> Option<Range<usize>> {
+        if self.index == self.count {
+            return None;
+        }
+        // checked_add throughout: a corrupted length prefix near
+        // `usize::MAX` must not wrap the position back inside the buffer
+        // and mis-parse instead of quarantining.
+        let body = self.pos.checked_add(8)?;
+        let len = self.buf.get(self.pos..body)?.first_chunk::<4>()?;
+        let end = body.checked_add(u32::from_le_bytes(*len) as usize)?;
+        let span = self.pos..end;
+        self.buf.get(span.clone())?;
+        (self.pos, self.index) = (end, self.index.saturating_add(1));
+        Some(span)
+    }
+}
+
 /// Reads the committed count from a header, or `None` if the header is
 /// missing or fails its checksum.
 fn read_committed_count(buf: &[u8]) -> Option<u64> {
-    let header = buf.get(..JOURNAL_HEADER_LEN)?;
-    let mut count_bytes = [0u8; 8];
-    count_bytes.copy_from_slice(&header[4..12]);
-    let mut crc_bytes = [0u8; 4];
-    crc_bytes.copy_from_slice(&header[12..16]);
-    if super::codec::crc32(&count_bytes) != u32::from_le_bytes(crc_bytes) {
-        return None;
-    }
-    Some(u64::from_le_bytes(count_bytes))
+    let count = buf.get(4..12)?.first_chunk::<8>()?;
+    let crc = buf.get(12..JOURNAL_HEADER_LEN)?.first_chunk::<4>()?;
+    (super::codec::crc32(count) == u32::from_le_bytes(*crc)).then(|| u64::from_le_bytes(*count))
 }
 
 fn quarantined(durable: Durable, records_applied: u64, reason: QuarantineReason) -> FramedReplay {
@@ -644,7 +618,7 @@ fn quarantined(durable: Durable, records_applied: u64, reason: QuarantineReason)
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::store::{LogEntry, PartialWrite};
     use coterie_quorum::GridCoterie;
@@ -661,47 +635,59 @@ mod tests {
     #[test]
     fn diff_of_identical_states_is_none() {
         let d = Durable::pristine(&cfg());
-        assert!(DurableDelta::diff(&d, &d.clone()).is_none());
+        let mut same = d.clone();
+        same.log.clear(); // clearing an empty log is no change either
+        assert!(DurableDelta::diff(&d, &same).is_none());
+    }
+
+    /// A pristine state and one that differs from it in every field (the
+    /// codec tests encode the delta between them).
+    pub(in crate::engine) fn rich_states() -> (Durable, Durable) {
+        let old = Durable::pristine(&cfg());
+        let mut new = old.clone();
+        new.version = 7;
+        new.stale = true;
+        new.dversion = 9;
+        new.enumber = 3;
+        new.elist = vec![NodeId(0), NodeId(2), NodeId(3)];
+        new.object
+            .apply(&PartialWrite::new([(0, b("aa")), (2, b(""))]));
+        new.log.push(LogEntry {
+            version: 7,
+            write: PartialWrite::new([(0, b("aa"))]),
+        });
+        let action = Action::NewEpoch {
+            list: vec![NodeId(0), NodeId(1)],
+            enumber: 4,
+            good: vec![NodeId(0)],
+            stale: vec![NodeId(1)],
+            desired_version: 8,
+        };
+        new.prepared = Some((op(40), action));
+        new.decisions.extend([(op(1), true), (op(2), false)]);
+        new.op_counter = 12;
+        new.last_good = vec![NodeId(0), NodeId(2)];
+        new.quarantine_fence = 1_000_000;
+        new.rejoin_pending = true;
+        (old, new)
+    }
+
+    /// `apply(capture(old, new))(old) == new`, and the delta survives the
+    /// codec; returns what it says about the log.
+    fn round_trip(old: &Durable, new: &Durable) -> LogDelta {
+        let delta = DurableDelta::diff(old, new).expect("changed");
+        let mut rebuilt = old.clone();
+        delta.apply(&mut rebuilt);
+        assert_eq!(&rebuilt, new);
+        let decoded = super::super::codec::decode_delta(&super::super::codec::encode_delta(&delta));
+        assert_eq!(decoded.as_ref(), Ok(&delta));
+        delta.log
     }
 
     #[test]
     fn diff_then_apply_round_trips() {
-        let config = cfg();
-        let old = Durable::pristine(&config);
-        let mut new = old.clone();
-        new.version = 3;
-        new.stale = true;
-        new.dversion = 5;
-        new.enumber = 2;
-        new.elist = vec![NodeId(0), NodeId(2)];
-        new.object
-            .apply(&PartialWrite::new([(1, b("hello")), (3, b("world"))]));
-        new.log.push(LogEntry {
-            version: 3,
-            write: PartialWrite::new([(1, b("hello"))]),
-        });
-        new.prepared = Some((
-            OpId {
-                node: NodeId(1),
-                seq: 9,
-            },
-            Action::MarkStale { desired_version: 7 },
-        ));
-        new.decisions.insert(
-            OpId {
-                node: NodeId(0),
-                seq: 1,
-            },
-            true,
-        );
-        new.op_counter = 11;
-        new.last_good = vec![NodeId(0)];
-        new.rejoin_pending = true;
-
-        let delta = DurableDelta::diff(&old, &new).expect("changed");
-        let mut rebuilt = old.clone();
-        delta.apply(&mut rebuilt);
-        assert_eq!(rebuilt, new);
+        let (old, new) = rich_states();
+        assert_eq!(round_trip(&old, &new).pushed.len(), 1);
     }
 
     /// A coordinator holding 3 000 decisions (even seqs), restored the way
@@ -758,23 +744,31 @@ mod tests {
         node.record_decision(op(2), true); // op(2): seq 1, 1 % 3 != 0 => held as abort
     }
 
-    /// A journal of `n` simple version-bump deltas plus the final state.
-    fn build_framed(config: &ProtocolConfig, n: u64) -> (FramedJournal, Durable) {
+    fn entry(version: u64) -> LogEntry {
+        let write = PartialWrite::new([((version % 4) as PageId, b("pg"))]);
+        LogEntry { version, write }
+    }
+
+    /// The deltas of `n` simple committed writes plus the final state.
+    fn build_deltas(config: &ProtocolConfig, n: u64) -> (Vec<DurableDelta>, Durable) {
         let mut state = Durable::pristine(config);
-        let mut journal = FramedJournal::new();
+        let mut deltas = Vec::new();
         for v in 1..=n {
             let mut next = state.clone();
             next.version = v;
-            next.object
-                .apply(&PartialWrite::new([((v % 4) as PageId, b("pg"))]));
-            next.log.push(LogEntry {
-                version: v,
-                write: PartialWrite::new([((v % 4) as PageId, b("pg"))]),
-            });
-            let delta = DurableDelta::diff(&state, &next).expect("changed");
-            journal.append_delta(&delta);
+            next.object.apply(&entry(v).write);
+            next.log.push(entry(v));
+            deltas.push(DurableDelta::diff(&state, &next).expect("changed"));
             state = next;
         }
+        (deltas, state)
+    }
+
+    /// A journal those deltas were appended to one at a time.
+    fn build_framed(config: &ProtocolConfig, n: u64) -> (FramedJournal, Durable) {
+        let (deltas, state) = build_deltas(config, n);
+        let mut journal = FramedJournal::new();
+        deltas.iter().for_each(|d| journal.append_delta(d));
         (journal, state)
     }
 
@@ -787,87 +781,49 @@ mod tests {
         assert_eq!(replay.records_applied, 6);
         assert_eq!(replay.durable, state);
         assert_eq!(journal.committed_records(), 6);
-        // The unchecked view agrees.
-        assert_eq!(journal.replay(&config), state);
     }
 
     #[test]
-    fn framed_torn_append_recovers_committed_prefix() {
+    fn framed_torn_append_recovers_committed_prefix_and_never_keeps_the_whole_record() {
         let config = cfg();
-        let (mut journal, state) = build_framed(&config, 3);
-        let mut next = state.clone();
-        next.version = 9;
-        let delta = DurableDelta::diff(&state, &next).expect("changed");
-        journal.append_torn(&delta, 5);
-        let replay = journal.replay_checked(&config);
-        assert_eq!(replay.verdict, ReplayVerdict::TornTail { dropped_bytes: 5 });
-        assert_eq!(replay.durable, state, "torn record dropped, prefix kept");
-        assert!(replay.verdict.is_bootable());
-    }
-
-    #[test]
-    fn framed_torn_append_never_keeps_whole_record() {
-        let config = cfg();
-        let (mut journal, state) = build_framed(&config, 1);
-        let mut next = state.clone();
-        next.version = 2;
-        let delta = DurableDelta::diff(&state, &next).expect("changed");
-        journal.append_torn(&delta, usize::MAX);
-        let replay = journal.replay_checked(&config);
-        assert!(
-            matches!(replay.verdict, ReplayVerdict::TornTail { .. }),
-            "even keep=MAX drops at least one byte: {:?}",
-            replay.verdict
-        );
-        assert_eq!(replay.durable, state);
-    }
-
-    #[test]
-    fn framed_midstream_bit_flip_quarantines() {
-        let config = cfg();
-        let (journal, _) = build_framed(&config, 5);
-        // Flip one payload bit of the second record: offset just past the
-        // header and the first record's frame.
-        let mut corrupt = journal.clone();
-        assert!(corrupt.flip_bit(JOURNAL_HEADER_LEN + 8 + 2, 3));
-        let replay = corrupt.replay_checked(&config);
-        match replay.verdict {
-            ReplayVerdict::Quarantined { .. } => {}
-            other => panic!("expected quarantine, got {other:?}"),
+        let (journal, state) = build_framed(&config, 3);
+        let delta = DurableDelta {
+            version: Some(9),
+            ..DurableDelta::default()
+        };
+        let whole = 8 + super::super::codec::encode_delta(&delta).len();
+        // Even a cut past the end drops at least one byte.
+        for (keep, kept) in [(5, 5), (usize::MAX, whole - 1)] {
+            let mut journal = journal.clone();
+            journal.append_batch_torn_at(std::slice::from_ref(&delta), |_| keep);
+            let replay = journal.replay_checked(&config);
+            let dropped_bytes = kept;
+            assert_eq!(replay.verdict, ReplayVerdict::TornTail { dropped_bytes });
+            assert_eq!(replay.durable, state, "torn record dropped, prefix kept");
+            assert!(replay.verdict.is_bootable());
         }
-        assert!(!replay.verdict.is_bootable());
     }
 
     #[test]
-    fn framed_header_count_flip_quarantines_not_truncates() {
+    fn framed_damage_inside_the_committed_prefix_quarantines() {
         let config = cfg();
         let (journal, _) = build_framed(&config, 5);
-        // Flip a count bit (header offset 4..12): without the header CRC
-        // this would masquerade as a torn tail and silently drop
-        // acknowledged records.
-        let mut corrupt = journal.clone();
-        assert!(corrupt.flip_bit(5, 0));
-        let replay = corrupt.replay_checked(&config);
-        assert_eq!(
-            replay.verdict,
-            ReplayVerdict::Quarantined {
-                reason: QuarantineReason::HeaderCorrupt
-            }
-        );
-    }
-
-    #[test]
-    fn framed_bad_magic_quarantines() {
-        let config = cfg();
-        let (journal, _) = build_framed(&config, 2);
-        let mut corrupt = journal.clone();
-        assert!(corrupt.flip_bit(0, 7));
-        assert_eq!(
-            corrupt.replay_checked(&config).verdict,
-            ReplayVerdict::Quarantined {
-                reason: QuarantineReason::BadMagic
-            }
-        );
+        let checksum = QuarantineReason::ChecksumMismatch { index: 0 };
+        for (byte, bit, reason) in [
+            // One payload bit of the first record, just past its frame.
+            (JOURNAL_HEADER_LEN + 8 + 2, 3, checksum),
+            // A count bit (header offset 4..12): without the header CRC this
+            // would masquerade as a torn tail and silently drop
+            // acknowledged records.
+            (5, 0, QuarantineReason::HeaderCorrupt),
+            (0, 7, QuarantineReason::BadMagic),
+        ] {
+            let mut corrupt = journal.clone();
+            assert!(corrupt.flip_bit(byte, bit));
+            let replay = corrupt.replay_checked(&config);
+            assert_eq!(replay.verdict, ReplayVerdict::Quarantined { reason });
+            assert!(!replay.verdict.is_bootable());
+        }
     }
 
     #[test]
@@ -896,37 +852,20 @@ mod tests {
     fn batch_append_is_byte_identical_to_sequential() {
         let config = cfg();
         let (one_by_one, state) = build_framed(&config, 5);
-        // Re-derive the same delta sequence and append it as one batch.
-        let mut deltas = Vec::new();
-        let replayed = one_by_one.replay_checked(&config);
-        assert_eq!(replayed.durable, state);
-        let mut cur = Durable::pristine(&config);
-        for v in 1..=5u64 {
-            let mut next = cur.clone();
-            next.version = v;
-            next.object
-                .apply(&PartialWrite::new([((v % 4) as PageId, b("pg"))]));
-            next.log.push(LogEntry {
-                version: v,
-                write: PartialWrite::new([((v % 4) as PageId, b("pg"))]),
-            });
-            deltas.push(DurableDelta::diff(&cur, &next).expect("changed"));
-            cur = next;
-        }
+        assert_eq!(one_by_one.replay_checked(&config).durable, state);
         let mut batched = FramedJournal::new();
-        batched.append_batch(&deltas);
+        batched.append_batch(&build_deltas(&config, 5).0);
         assert_eq!(batched.bytes(), one_by_one.bytes());
         assert_eq!(batched.committed_records(), 5);
     }
 
     #[test]
     fn in_place_framing_is_len_crc_payload_and_a_torn_batch_is_its_prefix() {
-        // Three shapes: scalars and decisions, a page with a log, nothing.
-        let mut log = WriteLog::new(4);
-        log.push(LogEntry {
+        // Three shapes: scalars and decisions, a page with a log push, nothing.
+        let pushed = vec![Arc::new(LogEntry {
             version: 8,
             write: PartialWrite::new([(1, b("page one")), (3, b(""))]),
-        });
+        })];
         let batch = [
             DurableDelta {
                 version: Some(3),
@@ -935,7 +874,10 @@ mod tests {
             },
             DurableDelta {
                 pages: vec![(1, b("page one"))],
-                log: Some(log),
+                log: LogDelta {
+                    cleared: false,
+                    pushed,
+                },
                 ..DurableDelta::default()
             },
             DurableDelta::default(),
@@ -974,15 +916,11 @@ mod tests {
     fn torn_batch_flush_drops_whole_batch() {
         let config = cfg();
         let (mut journal, state) = build_framed(&config, 2);
-        let d1 = DurableDelta {
-            version: Some(3),
+        let batch = [3, 4].map(|v| DurableDelta {
+            version: Some(v),
             ..DurableDelta::default()
-        };
-        let d2 = DurableDelta {
-            version: Some(4),
-            ..DurableDelta::default()
-        };
-        journal.append_batch_torn(&[d1, d2], usize::MAX);
+        });
+        journal.append_batch_torn_at(&batch, |_| usize::MAX);
         let replay = journal.replay_checked(&config);
         assert!(
             matches!(replay.verdict, ReplayVerdict::TornTail { .. }),
@@ -994,6 +932,82 @@ mod tests {
         let mut healed = journal.clone();
         assert!(healed.truncate_tail() > 0);
         assert_eq!(healed.replay_checked(&config).verdict, ReplayVerdict::Clean);
+    }
+
+    #[test]
+    fn log_delta_is_what_the_step_pushed_not_the_log() {
+        let config = cfg().log_capacity(8);
+        let pristine = Durable::pristine(&config);
+        let mut old = pristine.clone();
+        (1..=5).for_each(|v| old.log.push(entry(v)));
+        // One push: exactly that entry, the very one the live log holds.
+        let mut new = old.clone();
+        new.log.push(entry(6));
+        let log = round_trip(&old, &new);
+        assert_eq!((log.cleared, log.pushed.len()), (false, 1));
+        let newest = new.log.iter().last().expect("just pushed");
+        assert!(std::ptr::eq(&*log.pushed[0], newest));
+        // Several pushes in one step (propagation catch-up), running past
+        // the cap: the pushes alone; replaying them re-trims.
+        (7..=11).for_each(|v| new.log.push(entry(v)));
+        let log = round_trip(&old, &new);
+        assert_eq!((log.cleared, log.pushed.len()), (false, 6));
+        assert_eq!(new.log.len(), 8);
+        // More pushes than the cap holds: nothing of `old` is left to
+        // continue from, so the delta is the whole (cap-sized) log — which
+        // is also what `reset_to` writes, onto a pristine state.
+        (12..=20).for_each(|v| new.log.push(entry(v)));
+        let log = round_trip(&old, &new);
+        assert_eq!((log.cleared, log.pushed.len()), (true, 8));
+        assert_eq!(log.pushed, round_trip(&pristine, &new).pushed);
+        let mut journal = FramedJournal::new();
+        journal.reset_to(&new, &config);
+        assert_eq!(journal.replay_checked(&config).durable, new);
+        // A snapshot restore: cleared; cleared and then pushed.
+        let mut restored = new.clone();
+        restored.log.clear();
+        assert_eq!(round_trip(&new, &restored).pushed.len(), 0);
+        restored.log.push(entry(31));
+        let log = round_trip(&new, &restored);
+        assert_eq!((log.cleared, log.pushed.len()), (true, 1));
+    }
+
+    #[test]
+    fn apply_is_total_over_records_of_other_histories() {
+        // The benchmark's journal probe replays several nodes' record
+        // suffixes onto one pristine state: a pushed entry need not extend
+        // the log it lands on. It is appended as is, in every profile.
+        let push = |v| DurableDelta {
+            log: LogDelta {
+                cleared: false,
+                pushed: vec![Arc::new(entry(v))],
+            },
+            ..DurableDelta::default()
+        };
+        let mut journal = FramedJournal::new();
+        journal.append_batch(&[push(9), push(3), push(3)]);
+        let replay = journal.replay_checked(&cfg());
+        assert_eq!(replay.verdict, ReplayVerdict::Clean);
+        let versions: Vec<u64> = replay.durable.log.iter().map(|e| e.version).collect();
+        assert_eq!(versions, [9, 3, 3]);
+    }
+
+    #[test]
+    fn storage_fault_units_are_the_header_and_each_committed_record() {
+        let (mut journal, _) = build_framed(&cfg(), 3);
+        assert_eq!(journal.unit_span(0), Some(0..JOURNAL_HEADER_LEN));
+        let spans: Vec<_> = (1..=3).filter_map(|u| journal.unit_span(u)).collect();
+        assert_eq!(spans[0].start, JOURNAL_HEADER_LEN);
+        assert_eq!(
+            (spans[1].start, spans[2].start),
+            (spans[0].end, spans[1].end)
+        );
+        assert_eq!(spans[2].end, journal.bytes().len());
+        assert_eq!(journal.unit_span(4), None);
+        // A record cut short is no unit, though the ones before it are.
+        journal.buf.truncate(spans[2].end - 1);
+        assert_eq!(journal.unit_span(2), Some(spans[1].clone()));
+        assert_eq!(journal.unit_span(3), None);
     }
 
     #[test]

@@ -91,4 +91,4 @@ pub use msg::{
 };
 pub use node::{Durable, NodeStats, ReplicaNode, Timer, Volatile};
 pub use rejoin::RejoinState;
-pub use store::{LogEntry, PageId, PagedObject, PartialWrite, WriteLog};
+pub use store::{LogDelta, LogEntry, PageId, PagedObject, PartialWrite, WriteLog};

@@ -17,7 +17,7 @@ use crate::store::{PagedObject, WriteLog};
 use crate::write::{BatchEntry, WriteCoordinator};
 use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_quorum::{NodeId, PlanCache, View};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Timers used by the protocol.
 #[derive(Clone, Debug)]
@@ -214,8 +214,9 @@ pub struct Volatile {
     pub epoch_check_active: bool,
     /// True while a one-shot epoch retry timer is pending.
     pub epoch_retry_armed: bool,
-    /// Ops with a pending decision-retry timer (prevents duplicate chains).
-    pub decision_retry_armed: BTreeSet<OpId>,
+    /// The pending decision-retry timer of each in-doubt op: at most one
+    /// chain per op, and the handle that disarms it once the op is decided.
+    pub decision_retry_armed: BTreeMap<OpId, TimerId>,
     /// Bully-election state (used when `initiator` is `Bully`).
     pub election: ElectionState,
     /// In-progress stale-rejoin after a quarantined boot (see
@@ -345,11 +346,6 @@ impl NodeStats {
     pub fn msgs_bounced(&self, class: MsgClass) -> u64 {
         self.registry.counter(keys::msgs_bounced(class))
     }
-
-    /// Total messages received across classes.
-    pub fn msgs_in_total(&self) -> u64 {
-        MsgClass::ALL.iter().map(|&c| self.msgs_in(c)).sum()
-    }
 }
 
 /// A replica node running the dynamic structured coterie protocol.
@@ -413,11 +409,6 @@ impl ReplicaNode {
             lamport: 0,
             trace_seq: 0,
         }
-    }
-
-    /// The node's current Lamport counter (trace metadata).
-    pub fn lamport(&self) -> u64 {
-        self.lamport
     }
 
     /// Stamps a host-level trace event: ticks the per-node sequence
@@ -495,11 +486,9 @@ impl ReplicaNode {
         self.vol.lock_leases.remove(&op);
         // Never break a prepared transaction's lock: 2PC blocks until the
         // outcome is known (textbook behaviour).
-        if let Some((prep_op, _)) = &self.durable.prepared {
-            if *prep_op == op {
-                self.arm_lock_lease(ctx, op);
-                return;
-            }
+        if self.in_doubt(op) {
+            self.arm_lock_lease(ctx, op);
+            return;
         }
         self.vol.lock.release(op);
         ctx.trace(TraceEvent::LockRelease { op });
@@ -524,12 +513,29 @@ impl ReplicaNode {
         }
     }
 
+    /// True while `op` sits prepared and undecided at this replica.
+    pub(crate) fn in_doubt(&self, op: OpId) -> bool {
+        matches!(&self.durable.prepared, Some((p, _)) if *p == op)
+    }
+
     /// Arms the decision-retry chain for `op`, at most one chain per op.
     pub(crate) fn arm_decision_retry(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        if self.vol.decision_retry_armed.insert(op) {
-            let retry = DECISION_RETRY;
-            ctx.set_timer(retry, Timer::DecisionRetry { op });
+        self.vol
+            .decision_retry_armed
+            .entry(op)
+            .or_insert_with(|| ctx.set_timer(DECISION_RETRY, Timer::DecisionRetry { op }));
+    }
+
+    /// Empties the prepared slot — the one way it is emptied — and disarms
+    /// the retry chain that was chasing its outcome: an op that is no longer
+    /// in doubt holds no timer.
+    pub(crate) fn take_prepared(&mut self, ctx: &mut NodeCtx<'_>) -> Option<(OpId, Action)> {
+        let slot = self.durable.prepared.take();
+        let armed = |(op, _): &(OpId, Action)| self.vol.decision_retry_armed.remove(op);
+        if let Some(timer) = slot.as_ref().and_then(armed) {
+            ctx.cancel_timer(timer);
         }
+        slot
     }
 
     /// Jittered exponential backoff before retry `attempt`.

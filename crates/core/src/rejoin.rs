@@ -89,7 +89,7 @@ impl ReplicaNode {
         // of the lost suffix; we can no longer keep the promise either
         // way. Dropping it is safe: if the coordinator committed, this
         // replica is repaired by propagation like any stale replica.
-        self.durable.prepared = None;
+        self.take_prepared(ctx);
         self.durable.stale = true;
         // Durable so that a crash during the handshake cannot orphan it:
         // the quarantined boot's own delta may heal the journal, making the

@@ -273,18 +273,12 @@ impl ReplicaNode {
             self.vol.pending_epoch_prepare = None;
         }
         ctx.trace(TraceEvent::DecisionTaken { op, commit });
-        let applied = match self.durable.prepared.take() {
-            Some((p, action)) if p == op => {
-                if commit {
-                    self.apply_action(ctx, &action);
-                }
-                true
+        let applied = self.in_doubt(op);
+        if applied {
+            if let Some((_, action)) = self.take_prepared(ctx).filter(|_| commit) {
+                self.apply_action(ctx, &action);
             }
-            other => {
-                self.durable.prepared = other;
-                false
-            }
-        };
+        }
         // Pipelined 2PC handoff: a committing decision may name the
         // chained round whose prepare is right behind it; move the
         // exclusive lock (and its lease) to that round instead of opening
@@ -345,22 +339,15 @@ impl ReplicaNode {
     /// retry chain exists per op (see `arm_decision_retry`).
     pub(crate) fn on_decision_retry(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
         self.vol.decision_retry_armed.remove(&op);
-        let still_in_doubt = self
-            .durable
-            .prepared
-            .as_ref()
-            .is_some_and(|(p, _)| *p == op);
-        if !still_in_doubt {
+        if !self.in_doubt(op) {
             return;
         }
         if op.node == self.me {
             // We coordinated this op ourselves and then crashed: resolve
             // directly from the durable decision log.
             let commit = self.durable.decisions.get(&op).copied().unwrap_or(false);
-            if let Some((_, action)) = self.durable.prepared.take() {
-                if commit {
-                    self.apply_action(ctx, &action);
-                }
+            if let Some((_, action)) = self.take_prepared(ctx).filter(|_| commit) {
+                self.apply_action(ctx, &action);
             }
             self.release_lock(ctx, op);
             return;

@@ -61,11 +61,6 @@ impl PartialWrite {
     pub fn is_empty(&self) -> bool {
         self.pages.is_empty()
     }
-
-    /// Total payload bytes.
-    pub fn payload_bytes(&self) -> usize {
-        self.pages.iter().map(|(_, b)| b.len()).sum()
-    }
 }
 
 /// The materialized data item at one replica.
@@ -123,21 +118,19 @@ impl PagedObject {
     /// An order-sensitive FNV-1a digest over all pages, used by the
     /// consistency checker to compare replica contents cheaply.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |byte: u8| {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        for page in &self.pages {
-            for chunk in (page.len() as u32).to_le_bytes() {
-                eat(chunk);
-            }
-            for &b in page.iter() {
-                eat(b);
-            }
-        }
-        h
+        self.pages.iter().fold(FNV1A_SEED, |h, page| {
+            fnv1a(fnv1a(h, &(page.len() as u32).to_le_bytes()), page)
+        })
     }
+}
+
+/// The FNV-1a offset basis: the hash of no bytes.
+pub(crate) const FNV1A_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a hash `h`.
+pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    let eat = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+    bytes.iter().fold(h, eat)
 }
 
 /// One committed write in the log.
@@ -151,14 +144,32 @@ pub struct LogEntry {
 
 /// A bounded log of recent writes, ordered by version.
 ///
-/// Entries are immutable once pushed and held behind `Arc`, so cloning the
-/// log — which every applied write does twice, into its durable delta and
-/// into the persisted-state shadow — bumps refcounts instead of copying
-/// each entry's page list.
+/// Entries are immutable once pushed and held behind `Arc`: the live log,
+/// the persisted-state shadow and the journal delta of the step that pushed
+/// an entry all hold the *same* entry, which is also how a step tells what
+/// it pushed (`delta_since`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WriteLog {
     entries: std::collections::VecDeque<Arc<LogEntry>>,
     cap: usize,
+}
+
+/// What one step did to a [`WriteLog`]: emptied it (a snapshot restore),
+/// then pushed entries. Trimming is not recorded — it follows from the cap,
+/// which is configuration, so replaying the pushes re-trims.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LogDelta {
+    /// The log was emptied before `pushed` was appended.
+    pub cleared: bool,
+    /// The entries appended, oldest first.
+    pub pushed: Vec<Arc<LogEntry>>,
+}
+
+impl LogDelta {
+    /// True if the log did not change.
+    pub fn is_empty(&self) -> bool {
+        !self.cleared && self.pushed.is_empty()
+    }
 }
 
 impl WriteLog {
@@ -175,9 +186,48 @@ impl WriteLog {
         if let Some(last) = self.entries.back() {
             debug_assert!(entry.version > last.version, "log versions must increase");
         }
-        self.entries.push_back(Arc::new(entry));
+        self.push_shared(Arc::new(entry));
+    }
+
+    /// Appends an entry another log already holds, then trims to the cap.
+    /// No version check: journal replay must accept whatever was recorded.
+    fn push_shared(&mut self, entry: Arc<LogEntry>) {
+        self.entries.push_back(entry);
         while self.entries.len() > self.cap {
             self.entries.pop_front();
+        }
+    }
+
+    /// The change carrying `old` — an earlier state of this log, sharing its
+    /// entries (the persisted-state shadow) — to `self`, in O(entries pushed):
+    /// whatever sits behind `old`'s newest entry, found by identity from the
+    /// back, was pushed since. If that entry is gone (cleared, or trimmed away
+    /// by a cap's worth of pushes) the delta is "cleared, then all of
+    /// `self`", which is right for any `old`.
+    pub(crate) fn delta_since(&self, old: &WriteLog) -> LogDelta {
+        let kept = match old.entries.back() {
+            None => Some(0),
+            Some(last) => self
+                .entries
+                .iter()
+                .rposition(|e| Arc::ptr_eq(e, last))
+                .map(|i| i + 1),
+        };
+        LogDelta {
+            cleared: kept.is_none(),
+            pushed: self.entries.range(kept.unwrap_or(0)..).cloned().collect(),
+        }
+    }
+
+    /// Replays `delta`. Total: a pushed entry whose version does not extend
+    /// this log (records of several journals replayed onto one state) is
+    /// appended as is.
+    pub(crate) fn apply(&mut self, delta: &LogDelta) {
+        if delta.cleared {
+            self.entries.clear();
+        }
+        for entry in &delta.pushed {
+            self.push_shared(entry.clone());
         }
     }
 
@@ -191,12 +241,7 @@ impl WriteLog {
         self.entries.is_empty()
     }
 
-    /// The retention bound this log was created with.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// The retained entries in version order (journal codec and tests).
+    /// The retained entries in version order.
     pub fn iter(&self) -> impl Iterator<Item = &LogEntry> {
         self.entries.iter().map(|e| &**e)
     }
@@ -246,7 +291,6 @@ mod tests {
         assert_eq!(w.len(), 2);
         let page1 = w.pages.iter().find(|(p, _)| *p == 1).unwrap();
         assert_eq!(page1.1, b("new"));
-        assert_eq!(w.payload_bytes(), 4);
         assert!(!w.is_empty());
         assert!(PartialWrite::new([]).is_empty());
     }

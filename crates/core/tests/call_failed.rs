@@ -3,8 +3,11 @@
 //! (delivering a message to a down node steps the *sender* with
 //! [`Input::CallFailed`]).
 //!
-//! Two paths with non-trivial bounce semantics are covered here:
+//! Three paths with non-trivial bounce semantics are covered here:
 //!
+//! * **Decision recovery** — a prepared participant's `DecisionRetry` chain
+//!   is disarmed the moment the decision arrives, and keeps re-querying
+//!   (through bounced `DecisionQuery`s) while the decision is lost.
 //! * **Propagation** — a bounced `PropOffer`/`PropData` clears the
 //!   in-flight attempt, bumps the per-target failure count, and re-arms
 //!   the kick timer; once the target recovers, propagation completes.
@@ -17,7 +20,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use coterie_base::SimDuration;
 use coterie_core::{
-    ClientRequest, MsgClass, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver, Timer,
+    ClientRequest, Msg, MsgClass, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver, Timer,
 };
 use coterie_quorum::{MajorityCoterie, NodeId};
 
@@ -54,6 +57,71 @@ fn run_until(driver: &mut StepDriver, bound: usize, done: impl Fn(&StepDriver) -
         );
     }
     panic!("condition did not hold within {bound} events");
+}
+
+/// The decision-retry timers pending anywhere, and whether any node still
+/// remembers having armed one.
+fn decision_retries(d: &StepDriver) -> (usize, bool) {
+    let is_retry = |t: &&coterie_core::PendingTimer| matches!(t.timer, Timer::DecisionRetry { .. });
+    let armed = (0..d.cluster_size() as u32)
+        .any(|n| !d.node(NodeId(n)).vol.decision_retry_armed.is_empty());
+    (d.pending_timers().iter().filter(is_retry).count(), armed)
+}
+
+#[test]
+fn decision_retry_is_disarmed_by_the_decision_and_chases_a_lost_one() {
+    let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
+        .pages(4)
+        .static_mode();
+    let mut driver = StepDriver::new(3, config);
+    let write = |id: u64| ClientRequest::Write {
+        id,
+        write: PartialWrite::new([(0, Bytes::copy_from_slice(&id.to_le_bytes()))]),
+    };
+    let coordinator = NodeId(0);
+
+    // A committed write leaves nothing behind: every participant armed a
+    // retry when it prepared, and none survives its decision.
+    driver.inject(coordinator, write(1));
+    run_until(&mut driver, 500, |d| decision_retries(d).0 > 0);
+    run_until(&mut driver, 500, |d| d.pending_messages().is_empty());
+    let newest = |d: &StepDriver| (0..3).map(|n| d.node(NodeId(n)).durable.version).max();
+    assert_eq!(newest(&driver), Some(1));
+    assert_eq!(decision_retries(&driver), (0, false));
+
+    // Lose the next decision: cut a participant off once the coordinator
+    // has decided but before the decision reaches it.
+    driver.inject(coordinator, write(2));
+    let decision_to = |d: &StepDriver| {
+        let to_peer = |e: &&coterie_core::Envelope| {
+            matches!(e.msg, Msg::Decision { commit: true, .. }) && e.to != coordinator
+        };
+        d.pending_messages().iter().find(to_peer).map(|e| e.to)
+    };
+    run_until(&mut driver, 500, |d| decision_to(d).is_some());
+    let cut_off = decision_to(&driver).expect("checked by run_until");
+    let mut islands = vec![0; 3];
+    islands[cut_off.0 as usize] = 1;
+    driver.set_partition(islands);
+
+    // The chain does its job: it fires, asks, the query bounces, it re-arms.
+    let bounced = |d: &StepDriver| d.node(cut_off).stats.msgs_bounced(MsgClass::Commit);
+    run_until(&mut driver, 500, |d| bounced(d) >= 2);
+    let node = driver.node(cut_off);
+    assert!(node.durable.prepared.is_some(), "still in doubt");
+    assert_eq!(node.durable.version, 1);
+    assert_eq!(
+        decision_retries(&driver),
+        (1, true),
+        "one chain, still armed"
+    );
+
+    // Once the coordinator is reachable again the next query resolves it.
+    driver.heal_partition();
+    driver.run_for(SimDuration::from_secs(1));
+    let node = driver.node(cut_off);
+    assert_eq!((node.durable.version, &node.durable.prepared), (2, &None));
+    assert_eq!(decision_retries(&driver), (0, false));
 }
 
 #[test]

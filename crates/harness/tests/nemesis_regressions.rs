@@ -1,22 +1,28 @@
 //! Pinned reproductions of known-latent nemesis violations.
 //!
-//! ROADMAP open item 2: an extended-seed sweep finds dirty runs that were
-//! already present at the seed commit — majority seeds 62 and 98 diverge
-//! on the epoch *member list* while agreeing on the epoch number, after a
-//! node recovers mid-epoch-check (the PR-4 rejoin guards don't cover the
-//! recovery/epoch-install interaction). This test pins the minimal repro
-//! (`cargo run -p coterie-harness --bin nemesis -- 1 62 3000 majority`)
+//! ROADMAP open item 1: an extended-seed sweep finds dirty runs that were
+//! already present at the seed commit — nodes diverge on the epoch *member
+//! list* while agreeing on the epoch number, after a node recovers
+//! mid-epoch-check (the PR-4 rejoin guards don't cover the
+//! recovery/epoch-install interaction). This test pins the lowest plain
+//! seed that hits it
+//! (`cargo run -p coterie-harness --bin nemesis -- 1 23 3000 majority`)
 //! so the bug has an executable spec, and captures its flight-recorder
-//! dump as a checked-in artifact (`tests/data/nemesis_seed62_trace.jsonl`)
+//! dump as a checked-in artifact (`tests/data/nemesis_seed23_trace.jsonl`)
 //! — the causally ordered last-N trace records per node leading up to the
-//! first violation. DESIGN.md §14.4 walks the reconstructed causal chain.
+//! first violation. DESIGN.md §14.4 walks the causal chain, reconstructed
+//! at majority seed 62 of the schedules before PR 16 re-pinned them (that
+//! seed now runs clean: the bug is no longer *hit* there, not fixed).
 //!
 //! The run asserts the *presence* of the bug: it fails the moment the
-//! violation is fixed. Whoever fixes ROADMAP item 2 should watch it fail,
-//! invert the assertions into a permanent clean-run regression test, and
-//! delete the artifact. Until then, the checked-in dump also pins trace
-//! determinism end-to-end: the same seed must reproduce the same causal
-//! history byte-for-byte (regenerate with `NEMESIS_TRACE_REGEN=1`).
+//! violation is fixed — or the moment a change moves the seeded schedules
+//! again, in which case re-pin it the same way (sweep the plain config,
+//! take the lowest seed whose violations contain `epoch safety`). Whoever
+//! fixes ROADMAP item 1 should watch it fail, invert the assertions into a
+//! permanent clean-run regression test, and delete the artifact. Until
+//! then, the checked-in dump also pins trace determinism end-to-end: the
+//! same seed must reproduce the same causal history byte-for-byte
+//! (regenerate with `NEMESIS_TRACE_REGEN=1`).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -25,22 +31,22 @@ use coterie_harness::nemesis::{run_nemesis, NemesisConfig};
 use coterie_quorum::MajorityCoterie;
 
 #[test]
-fn epoch_list_divergence_majority_seed_62_still_reproduces() {
+fn epoch_list_divergence_majority_seed_23_still_reproduces() {
     let cfg = NemesisConfig {
         n_nodes: 5,
         steps: 3_000,
         ..NemesisConfig::default()
     };
-    let run = run_nemesis(Arc::new(MajorityCoterie::new()), 62, &cfg);
+    let run = run_nemesis(Arc::new(MajorityCoterie::new()), 23, &cfg);
     assert!(
         !run.clean(),
-        "majority seed 62 ran clean: ROADMAP item 2 appears fixed — \
-         invert this test into a clean-run regression gate and delete \
-         tests/data/nemesis_seed62_trace.jsonl"
+        "majority seed 23 ran clean: ROADMAP item 1 is fixed (invert this \
+         test into a clean-run gate, delete tests/data/nemesis_seed23_trace.jsonl) \
+         or the seeded schedules moved (re-pin: see the module docs)"
     );
     assert!(
         run.violations.iter().any(|v| v.contains("epoch safety")),
-        "seed 62 violated something other than epoch safety: {:?}",
+        "seed 23 violated something other than epoch safety: {:?}",
         run.violations
     );
 
@@ -60,7 +66,7 @@ fn epoch_list_divergence_majority_seed_62_still_reproduces() {
     assert_eq!(dump.timeline.lines().count(), dump.records + 1);
 
     // The dump is a deterministic artifact: same seed, same bytes.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/nemesis_seed62_trace.jsonl");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/nemesis_seed23_trace.jsonl");
     if std::env::var_os("NEMESIS_TRACE_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &dump.jsonl).unwrap();
@@ -76,7 +82,7 @@ fn epoch_list_divergence_majority_seed_62_still_reproduces() {
     });
     assert!(
         expected == dump.jsonl,
-        "seed-62 flight-recorder dump drifted from the checked-in artifact.\n\
+        "seed-23 flight-recorder dump drifted from the checked-in artifact.\n\
          If the schedule or trace taxonomy changed intentionally, regenerate \
          with NEMESIS_TRACE_REGEN=1; otherwise determinism broke."
     );
