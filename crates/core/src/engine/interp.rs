@@ -285,8 +285,14 @@ impl EffectInterpreter {
     /// the acknowledged prefix (the longest intact prefix is installed,
     /// the damaged history is discarded, and the node re-enters the
     /// cluster stale).
+    ///
+    /// A quarantine is one journal write: the rewritten image already says
+    /// "stale, rejoin handshake owed". Were the flags left to the boot
+    /// step's own delta, a failed append of that delta would leave an image
+    /// that replays clean and boots as a current replica, though it lost
+    /// acknowledged writes.
     pub fn recover(&mut self, r: &mut Replica<'_>) -> Input {
-        let replay = r.journal.replay_checked(&r.node.config);
+        let mut replay = r.journal.replay_checked(&r.node.config);
         let class = match replay.verdict {
             ReplayVerdict::Clean => ReplayClass::Clean,
             ReplayVerdict::TornTail { .. } => ReplayClass::TornTail,
@@ -297,6 +303,8 @@ impl EffectInterpreter {
             r.journal.truncate_tail();
             Input::Boot
         } else {
+            replay.durable.stale = true;
+            replay.durable.rejoin_pending = true;
             r.journal.reset_to(&replay.durable, &r.node.config);
             Input::BootQuarantined
         };

@@ -121,18 +121,19 @@ impl ReplicaNode {
             Msg::WriteReq { op } => self.srv_write_req(ctx, from, op),
             Msg::ReadReq { op } => self.srv_read_req(ctx, from, op),
             Msg::EpochCheckReq { op } => self.srv_epoch_check_req(ctx, from, op),
-            Msg::StateResp { op, granted, state } => {
-                self.on_state_resp(ctx, from, op, granted, state)
-            }
+            Msg::StateResp {
+                op,
+                granted,
+                state,
+                pages,
+            } => self.on_state_resp(ctx, from, op, granted, state, pages),
             Msg::Release { op } => self.release_lock(ctx, op),
             Msg::Prepare { op, action, extra } => self.srv_prepare(ctx, from, op, action, extra),
             Msg::Vote { op, yes } => self.on_vote(ctx, from, op, yes),
             Msg::Decision { op, commit, chain } => self.srv_decision(ctx, from, op, commit, chain),
             Msg::DecisionQuery { op } => self.srv_decision_query(ctx, from, op),
             Msg::FetchReq { op } => self.srv_fetch_req(ctx, from, op),
-            Msg::FetchResp { op, version, pages } => {
-                self.on_fetch_resp(ctx, from, op, version, pages)
-            }
+            Msg::FetchResp { op, version, pages } => self.write_fetch_resp(ctx, op, version, pages),
             Msg::PropOffer { prop, version } => self.srv_prop_offer(ctx, from, prop, version),
             Msg::PropResp { prop, reply } => self.on_prop_resp(ctx, from, prop, reply),
             Msg::PropData {
@@ -161,7 +162,7 @@ impl ReplicaNode {
             // An unreachable 2PC participant is an implicit "no" (it cannot
             // have prepared: it never received the Prepare).
             Msg::Prepare { op, .. } => self.on_vote(ctx, to, op, false),
-            Msg::FetchReq { op } => self.on_fetch_failed(ctx, op, to),
+            Msg::FetchReq { op } => self.write_fetch_failed(ctx, op),
             Msg::PropOffer { prop, .. } | Msg::PropData { prop, .. } => {
                 self.on_prop_peer_failed(ctx, prop, to)
             }
@@ -196,7 +197,7 @@ impl ReplicaNode {
         match timer {
             Timer::Collect { op } => self.on_collect_timeout(ctx, op),
             Timer::Votes { op } => self.on_vote_timeout(ctx, op),
-            Timer::Fetch { op } => self.on_fetch_timeout(ctx, op),
+            Timer::Fetch { op } => self.write_fetch_failed(ctx, op),
             Timer::RetryClient { attempt, request } => {
                 self.start_client_request(ctx, request, attempt)
             }

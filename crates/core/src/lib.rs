@@ -12,7 +12,8 @@
 //!   fails, stale marking with desired version numbers, and two-phase
 //!   commit;
 //! * the **read protocol**: shared-lock quorum, current-replica selection
-//!   honoring desired version numbers, and a single data fetch;
+//!   honoring desired version numbers, in one round trip (the grants
+//!   carry the data);
 //! * the **propagation protocol** (§4.2): asynchronous catch-up of stale
 //!   replicas by log shipping or snapshots, with the three-way offer
 //!   handshake;

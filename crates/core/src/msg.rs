@@ -166,6 +166,11 @@ pub enum Msg {
         granted: bool,
         /// The replica's state tuple.
         state: StateTuple,
+        /// The replica's object, as of `state.version`: present only on a
+        /// granted read answer from a non-stale replica, so a read takes
+        /// one round trip. `None` on refusals, stale answers, write grants
+        /// and epoch checks.
+        pages: Option<Vec<Bytes>>,
     },
     /// Release a lock held by `op` (abort or read completion).
     Release {
@@ -216,14 +221,16 @@ pub enum Msg {
         /// The in-doubt operation.
         op: OpId,
     },
-    /// Read phase 2: fetch the object from the chosen current replica.
+    /// Write-all-current reconciliation: fetch the object from a current
+    /// replica, as the base shipped to obsolete ones. Reads do not fetch;
+    /// their grants carry the object (see `StateResp`).
     FetchReq {
-        /// The reading operation.
+        /// The writing operation.
         op: OpId,
     },
     /// Reply to `FetchReq`.
     FetchResp {
-        /// The reading operation.
+        /// The writing operation.
         op: OpId,
         /// Version of the returned snapshot.
         version: u64,
@@ -334,7 +341,7 @@ pub enum MsgClass {
     Permission,
     /// Two-phase-commit traffic.
     Commit,
-    /// Read data fetches.
+    /// Write-all-current reconciliation fetches.
     Fetch,
     /// Update propagation traffic.
     Propagation,

@@ -32,7 +32,7 @@ pub enum Timer {
         /// The operation.
         op: OpId,
     },
-    /// Read fetch timeout.
+    /// Write-all-current reconciliation fetch timeout.
     Fetch {
         /// The operation.
         op: OpId,

@@ -1,8 +1,15 @@
 //! The read coordinator. "The read protocol is similar to the write
 //! protocol except it does not update any replicas" (§4): collect shared
 //! locks from a read quorum, identify a current replica (non-stale, maximum
-//! version, at or above every stale responder's desired version), fetch the
-//! object from it, release, and return.
+//! version, at or above every stale responder's desired version), release,
+//! and return that replica's object.
+//!
+//! One round trip: a granted, non-stale read answer carries the replica's
+//! object beside its state tuple (see [`Msg::StateResp`]), so the copy of
+//! a current replica is already in hand when classification finds one.
+//! The paper's second trip — fetching from the chosen replica while every
+//! shared lock is still held — would return exactly that copy, because the
+//! shared lock held since the grant is what keeps the replica from moving.
 
 use crate::classify::Classified;
 use crate::config::{COLLECT_TIMEOUT, MAX_RETRIES};
@@ -14,24 +21,6 @@ use coterie_base::TimerId;
 use coterie_quorum::{quorum_seed, NodeId, NodeSet, QuorumKind};
 use std::collections::BTreeMap;
 
-/// Phase of a coordinated read.
-#[derive(Clone, Debug)]
-pub enum RPhase {
-    /// Gathering permission responses.
-    Collect,
-    /// Fetching the data from a chosen current replica.
-    Fetch {
-        /// The chosen replica.
-        target: NodeId,
-        /// Other current candidates, in case the fetch fails.
-        alternates: Vec<NodeId>,
-        /// Minimum version the snapshot must carry.
-        min_version: u64,
-        /// Fetch timeout.
-        timer: TimerId,
-    },
-}
-
 /// Volatile state of one coordinated read.
 #[derive(Clone, Debug)]
 pub struct ReadCoordinator {
@@ -41,10 +30,12 @@ pub struct ReadCoordinator {
     pub client_id: u64,
     /// Retry attempt.
     pub attempt: u32,
-    /// Current phase.
-    pub phase: RPhase,
     /// Granted responses.
     pub granted: BTreeMap<NodeId, StateTuple>,
+    /// The object of the highest-version non-stale grant (ours on a tie),
+    /// with that version: the copy the read returns once classification
+    /// finds a current replica.
+    pub copy: Option<(u64, Vec<Bytes>)>,
     /// Busy refusals.
     pub refused: NodeSet,
     /// Failures.
@@ -93,8 +84,8 @@ impl ReplicaNode {
             op,
             client_id,
             attempt,
-            phase: RPhase::Collect,
             granted: BTreeMap::new(),
+            copy: None,
             refused: NodeSet::new(),
             failed: NodeSet::new(),
             polled: quorum,
@@ -107,19 +98,29 @@ impl ReplicaNode {
         self.vol.reads.insert(op, rc);
     }
 
-    /// A permission response for a read op.
+    /// A permission response for a read op. A granted, non-stale answer
+    /// carries the replica's object; the highest-version copy is kept (ours
+    /// on a tie), so it is the copy of a current replica whenever
+    /// classification finds one.
     pub(crate) fn read_state_resp(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         op: OpId,
         granted: bool,
         state: StateTuple,
+        pages: Option<Vec<Bytes>>,
     ) {
+        let me = self.me;
         let Some(rc) = self.vol.reads.get_mut(&op) else {
             return;
         };
-        if !matches!(rc.phase, RPhase::Collect) {
-            return;
+        if let Some(pages) = pages {
+            let newer = rc.copy.as_ref().is_none_or(|(version, _)| {
+                state.version > *version || (state.version == *version && state.node == me)
+            });
+            if newer {
+                rc.copy = Some((state.version, pages));
+            }
         }
         if granted {
             rc.granted.insert(state.node, state);
@@ -136,9 +137,6 @@ impl ReplicaNode {
         let Some(rc) = self.vol.reads.get_mut(&op) else {
             return;
         };
-        if !matches!(rc.phase, RPhase::Collect) {
-            return;
-        }
         rc.failed.insert(to);
         if rc.collect_done() {
             self.evaluate_read(ctx, op);
@@ -150,9 +148,6 @@ impl ReplicaNode {
         let Some(rc) = self.vol.reads.get_mut(&op) else {
             return;
         };
-        if !matches!(rc.phase, RPhase::Collect) {
-            return;
-        }
         rc.collect_timer = None;
         let silent = rc.polled.difference(rc.answered());
         rc.failed = rc.failed.union(silent);
@@ -172,34 +167,20 @@ impl ReplicaNode {
             &rc.granted,
             QuorumKind::Read,
         );
+        // A current replica answered: its copy, taken under the shared lock
+        // it still holds, is the read's result.
+        let current = classified
+            .as_ref()
+            .filter(|c| c.has_quorum && c.has_current_replica())
+            .and_then(|c| {
+                rc.copy
+                    .take_if(|(version, _)| Some(*version) == c.max_version)
+            });
+        if let Some((version, pages)) = current {
+            self.finish_read_ok(ctx, op, version, pages);
+            return;
+        }
         match classified {
-            Some(c) if c.has_quorum && c.has_current_replica() => {
-                // Fetch from a current replica; prefer ourselves (free).
-                let mut candidates = c.good.clone();
-                if let Some(pos) = candidates.iter().position(|&n| n == self.me) {
-                    candidates.swap(0, pos);
-                }
-                let target = candidates[0];
-                let alternates = candidates[1..].to_vec();
-                // lint:allow(panic): GOOD is nonempty on this path, so a max version exists
-                let min_version = c.max_version.expect("good nonempty");
-                if target == self.me {
-                    // Local fast path: we hold our own shared lock.
-                    let version = self.durable.version;
-                    let pages = self.durable.object.snapshot();
-                    self.finish_read_ok(ctx, op, version, pages);
-                    return;
-                }
-                let timeout = COLLECT_TIMEOUT;
-                let timer = ctx.set_timer(timeout, Timer::Fetch { op });
-                rc.phase = RPhase::Fetch {
-                    target,
-                    alternates,
-                    min_version,
-                    timer,
-                };
-                ctx.send(target, Msg::FetchReq { op });
-            }
             Some(c) if c.has_quorum => {
                 // Quorum but no current replica reachable.
                 if rc.heavy {
@@ -268,90 +249,6 @@ impl ReplicaNode {
         }
     }
 
-    /// A fetch response for a read op.
-    pub(crate) fn read_fetch_resp(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        op: OpId,
-        version: u64,
-        pages: Vec<Bytes>,
-    ) {
-        let Some(rc) = self.vol.reads.get_mut(&op) else {
-            return;
-        };
-        let RPhase::Fetch {
-            min_version, timer, ..
-        } = &rc.phase
-        else {
-            return;
-        };
-        // A lower version than promised means the target crashed and lost
-        // our shared lock (its state may have rolled forward only): reject
-        // and fall back.
-        if version < *min_version {
-            let timer = *timer;
-            ctx.cancel_timer(timer);
-            self.read_try_alternate(ctx, op);
-            return;
-        }
-        let timer = *timer;
-        ctx.cancel_timer(timer);
-        self.finish_read_ok(ctx, op, version, pages);
-    }
-
-    /// Fetch failed (target unreachable).
-    pub(crate) fn read_fetch_failed(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        if let Some(rc) = self.vol.reads.get_mut(&op) {
-            if let RPhase::Fetch { timer, .. } = &rc.phase {
-                let timer = *timer;
-                ctx.cancel_timer(timer);
-                self.read_try_alternate(ctx, op);
-            }
-        }
-    }
-
-    /// Fetch timeout.
-    pub(crate) fn read_fetch_timeout(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        if self
-            .vol
-            .reads
-            .get(&op)
-            .is_some_and(|rc| matches!(rc.phase, RPhase::Fetch { .. }))
-        {
-            self.read_try_alternate(ctx, op);
-        }
-    }
-
-    fn read_try_alternate(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        let Some(rc) = self.vol.reads.get_mut(&op) else {
-            return;
-        };
-        let RPhase::Fetch {
-            alternates,
-            min_version,
-            ..
-        } = &mut rc.phase
-        else {
-            return;
-        };
-        if alternates.is_empty() {
-            self.finish_read_fail(ctx, op, FailReason::CommitFailed);
-            return;
-        }
-        let target = alternates.remove(0);
-        let min_version = *min_version;
-        let alternates = alternates.clone();
-        let timeout = COLLECT_TIMEOUT;
-        let timer = ctx.set_timer(timeout, Timer::Fetch { op });
-        rc.phase = RPhase::Fetch {
-            target,
-            alternates,
-            min_version,
-            timer,
-        };
-        ctx.send(target, Msg::FetchReq { op });
-    }
-
     fn finish_read_ok(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, version: u64, pages: Vec<Bytes>) {
         let Some(rc) = self.vol.reads.remove(&op) else {
             return;
@@ -380,14 +277,10 @@ impl ReplicaNode {
         if let Some(t) = rc.collect_timer.take() {
             ctx.cancel_timer(t);
         }
-        if let RPhase::Fetch { timer, .. } = &rc.phase {
-            ctx.cancel_timer(*timer);
-        }
         for &n in rc.granted.keys() {
             ctx.send(n, Msg::Release { op });
         }
-        let retryable = matches!(reason, FailReason::Contention | FailReason::CommitFailed);
-        if retryable && rc.attempt < MAX_RETRIES {
+        if reason == FailReason::Contention && rc.attempt < MAX_RETRIES {
             let delay = self.backoff(ctx, rc.attempt + 1);
             ctx.set_timer(
                 delay,

@@ -90,11 +90,14 @@ impl ReplicaNode {
         // way. Dropping it is safe: if the coordinator committed, this
         // replica is repaired by propagation like any stale replica.
         self.take_prepared(ctx);
-        self.durable.stale = true;
         // Durable so that a crash during the handshake cannot orphan it:
         // the quarantined boot's own delta may heal the journal, making the
         // next replay *clean*, and a normal boot must still know the
-        // handshake never finished (see [`Durable::rejoin_pending`]).
+        // handshake never finished (see [`Durable::rejoin_pending`]). The
+        // interpreter's recovery already wrote both flags into the
+        // quarantine image; they are set here too so the engine keeps the
+        // contract on a host that boots it quarantined by other means.
+        self.durable.stale = true;
         self.durable.rejoin_pending = true;
         // Fence decision queries for every op id the lost suffix could
         // have coordinated, then move the counter past the fence so new

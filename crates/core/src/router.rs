@@ -1,6 +1,7 @@
 //! Dispatch of shared message/timer kinds to the owning coordinator: state
-//! responses, votes, fetches, and timeouts are keyed only by `OpId`, so the
-//! node looks the operation up in its coordinator tables.
+//! responses, votes, and timeouts are keyed only by `OpId`, so the node
+//! looks the operation up in its coordinator tables. Fetches need no
+//! routing: only write-all-current reconciliation sends them.
 
 use crate::msg::{Msg, OpId, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode};
@@ -19,11 +20,12 @@ impl ReplicaNode {
         op: OpId,
         granted: bool,
         state: StateTuple,
+        pages: Option<Vec<Bytes>>,
     ) {
         if self.vol.writes.contains_key(&op) {
             self.write_state_resp(ctx, op, granted, state);
         } else if self.vol.reads.contains_key(&op) {
-            self.read_state_resp(ctx, op, granted, state);
+            self.read_state_resp(ctx, op, granted, state, pages);
         } else if self.vol.epochs.contains_key(&op) {
             self.epoch_state_resp(ctx, op, state);
         } else if granted {
@@ -59,40 +61,6 @@ impl ReplicaNode {
             self.write_vote_timeout(ctx, op);
         } else if self.vol.epochs.contains_key(&op) {
             self.epoch_vote_timeout(ctx, op);
-        }
-    }
-
-    /// Routes a fetch response (reads and write-all-current reconciliation).
-    pub(crate) fn on_fetch_resp(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        _from: NodeId,
-        op: OpId,
-        version: u64,
-        pages: Vec<Bytes>,
-    ) {
-        if self.vol.reads.contains_key(&op) {
-            self.read_fetch_resp(ctx, op, version, pages);
-        } else if self.vol.writes.contains_key(&op) {
-            self.write_fetch_resp(ctx, op, version, pages);
-        }
-    }
-
-    /// Routes a fetch `RPC.CallFailed`.
-    pub(crate) fn on_fetch_failed(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, _to: NodeId) {
-        if self.vol.reads.contains_key(&op) {
-            self.read_fetch_failed(ctx, op);
-        } else if self.vol.writes.contains_key(&op) {
-            self.write_fetch_failed(ctx, op);
-        }
-    }
-
-    /// Routes a fetch timeout.
-    pub(crate) fn on_fetch_timeout(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        if self.vol.reads.contains_key(&op) {
-            self.read_fetch_timeout(ctx, op);
-        } else if self.vol.writes.contains_key(&op) {
-            self.write_fetch_failed(ctx, op);
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Replica-side (participant) handlers: permission requests, two-phase
-//! commit, decision recovery, and read fetches.
+//! commit, decision recovery, and reconciliation fetches.
 
 use crate::engine::trace::TraceEvent;
 use crate::msg::{Action, Msg, OpId, StateTuple};
@@ -54,10 +54,20 @@ impl ReplicaNode {
             self.arm_lock_lease(ctx, op);
         }
         let state = self.state_tuple();
-        ctx.send(from, Msg::StateResp { op, granted, state });
+        ctx.send(
+            from,
+            Msg::StateResp {
+                op,
+                granted,
+                state,
+                pages: None,
+            },
+        );
     }
 
-    /// Read permission: shared lock.
+    /// Read permission: shared lock. A grant from a non-stale replica
+    /// carries its object, so the coordinator never has to come back for
+    /// it (see [`crate::read`]).
     pub(crate) fn srv_read_req(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, op: OpId) {
         // Same limbo refusal as writes — reads are the sharper hazard:
         // they have no 2PC vote, so the vote-no fence never engages and a
@@ -75,8 +85,17 @@ impl ReplicaNode {
             });
             self.arm_lock_lease(ctx, op);
         }
+        let pages = (granted && !self.durable.stale).then(|| self.durable.object.snapshot());
         let state = self.state_tuple();
-        ctx.send(from, Msg::StateResp { op, granted, state });
+        ctx.send(
+            from,
+            Msg::StateResp {
+                op,
+                granted,
+                state,
+                pages,
+            },
+        );
     }
 
     /// `epoch-checking-request`: state response without locking (§4.3 —
@@ -99,6 +118,7 @@ impl ReplicaNode {
                 op,
                 granted: true,
                 state,
+                pages: None,
             },
         );
     }
@@ -356,9 +376,10 @@ impl ReplicaNode {
         self.arm_decision_retry(ctx, op);
     }
 
-    /// Read phase 2: return the object (the shared lock taken in the
-    /// permission phase guarantees it has not changed; after a crash the
-    /// returned version tells the coordinator the truth either way).
+    /// Write-all-current reconciliation: return the object and its version
+    /// as the base the coordinator ships to obsolete replicas (the
+    /// exclusive lock taken in the permission phase keeps it from moving).
+    /// Reads never fetch: their grant already carries the object.
     pub(crate) fn srv_fetch_req(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, op: OpId) {
         ctx.send(
             from,

@@ -1,0 +1,199 @@
+//! The one-round-trip read: a granted, non-stale read answer carries the
+//! replica's object, so a read completes from the copies its permission
+//! round collected and never sends a fetch.
+//!
+//! * cluster level ([`StepDriver`], 9-node grid): a read coordinated at a
+//!   replica that is not current returns the newest committed version and
+//!   object, sends no `MsgClass::Fetch` message, and leaves no shared lock
+//!   or lock lease behind;
+//! * replica level (a lone engine): which answers carry the object — only
+//!   a granted read from a non-stale replica does.
+
+use std::sync::Arc;
+
+use bytes::Bytes;
+use coterie_base::{SimDuration, SimTime};
+use coterie_core::{
+    ClientRequest, Effect, Input, Msg, MsgClass, OpId, PartialWrite, ProtocolConfig, ProtocolEvent,
+    ReplicaNode, StepDriver, Timer,
+};
+use coterie_quorum::{GridCoterie, NodeId};
+
+const N: usize = 9;
+
+/// Delivers pending messages until none is left, firing no timer: every
+/// protocol round trip completes, while the jittered propagation kicks
+/// that would repair stale replicas stay parked.
+fn drain_messages(driver: &mut StepDriver) {
+    while !driver.pending_messages().is_empty() {
+        driver.deliver(0);
+    }
+}
+
+/// [`StepDriver::run_for`]'s schedule, failing if a lock lease expires.
+fn run_without_lease_expiry(driver: &mut StepDriver, d: SimDuration) {
+    let deadline = driver.now() + d;
+    loop {
+        drain_messages(driver);
+        let next = driver
+            .pending_timers()
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, t)| (t.fire_at, t.node.0, t.id.0))
+            .filter(|(_, t)| t.fire_at <= deadline)
+            .map(|(i, t)| (i, t.timer.clone()));
+        let Some((i, timer)) = next else {
+            break;
+        };
+        assert!(
+            !matches!(timer, Timer::LockLease { .. }),
+            "a lock lease expired: some grant was never released ({timer:?})"
+        );
+        driver.fire(i);
+    }
+}
+
+fn fetch_messages(driver: &StepDriver) -> u64 {
+    (0..N as u32)
+        .map(|i| driver.node(NodeId(i)).stats.msgs_in(MsgClass::Fetch))
+        .sum()
+}
+
+#[test]
+fn read_at_a_replica_outside_the_good_set_commits_newest_without_a_fetch() {
+    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), N)
+        .pages(4)
+        .rng_seed(0x5EAD);
+    let mut driver = StepDriver::new(N, config);
+
+    // Writes from different coordinators lock different quorums, so later
+    // ones mark the members that missed earlier ones stale; with no timer
+    // fired, propagation never repairs them.
+    for (id, coordinator) in [(1u64, 0u32), (2, 4), (3, 8), (4, 2), (5, 6)] {
+        let page = (id % 4) as u16;
+        let text = Bytes::from(format!("write {id}"));
+        driver.inject(
+            NodeId(coordinator),
+            ClientRequest::Write {
+                id,
+                write: PartialWrite::new([(page, text)]),
+            },
+        );
+        drain_messages(&mut driver);
+        assert!(
+            driver
+                .outputs()
+                .iter()
+                .any(|(_, _, e)| matches!(e, ProtocolEvent::WriteOk { id: got, .. } if *got == id)),
+            "write {id} did not commit"
+        );
+    }
+    let durable = |i: u32| &driver.node(NodeId(i)).durable;
+    let newest = (0..N as u32).map(|i| durable(i).version).max().unwrap();
+    assert_eq!(newest, 5);
+    assert!(
+        (0..N as u32).any(|i| durable(i).stale),
+        "the writes left no replica stale"
+    );
+    let current = (0..N as u32)
+        .find(|&i| !durable(i).stale && durable(i).version == newest)
+        .unwrap();
+    let digest = durable(current).object.digest();
+    let reader = (0..N as u32)
+        .find(|&i| durable(i).stale || durable(i).version < newest)
+        .map(NodeId)
+        .unwrap();
+
+    driver.inject(reader, ClientRequest::Read { id: 99 });
+    drain_messages(&mut driver);
+    let read = driver.outputs().iter().find_map(|(_, node, e)| match e {
+        ProtocolEvent::ReadOk {
+            id: 99,
+            version,
+            digest,
+            ..
+        } => Some((*node, *version, *digest)),
+        _ => None,
+    });
+    assert_eq!(
+        read,
+        Some((reader, newest, digest)),
+        "the read missed the newest committed version"
+    );
+    assert_eq!(fetch_messages(&driver), 0, "a read sent a fetch");
+
+    run_without_lease_expiry(&mut driver, SimDuration::from_secs(2));
+    for i in 0..N as u32 {
+        let lock = &driver.node(NodeId(i)).vol.lock;
+        assert_eq!(
+            lock.shared_holders().count(),
+            0,
+            "n{i} still holds a shared lock"
+        );
+    }
+}
+
+fn deliver(node: &mut ReplicaNode, msg: Msg) -> Vec<Effect> {
+    let input = Input::Deliver {
+        from: NodeId(0),
+        msg,
+        lamport: 0,
+    };
+    node.step(SimTime::ZERO, input)
+}
+
+/// The `StateResp` a lone replica sends in answer to `msg`: whether it
+/// granted, and the object it attached.
+fn answer(node: &mut ReplicaNode, msg: Msg) -> (bool, Option<Vec<Bytes>>) {
+    deliver(node, msg)
+        .into_iter()
+        .find_map(|e| match e {
+            Effect::Send {
+                msg: Msg::StateResp { granted, pages, .. },
+                ..
+            } => Some((granted, pages)),
+            _ => None,
+        })
+        .expect("the replica answers with its state")
+}
+
+#[test]
+fn only_a_granted_read_from_a_non_stale_replica_carries_the_object() {
+    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), N).pages(2);
+    let mut node = ReplicaNode::new(NodeId(1), config);
+    node.durable
+        .object
+        .apply(&PartialWrite::new([(1, Bytes::from_static(b"payload"))]));
+    let op = |seq| OpId {
+        node: NodeId(0),
+        seq,
+    };
+
+    // A granted read from a current replica carries exactly its object.
+    let object = node.durable.object.snapshot();
+    assert_eq!(
+        answer(&mut node, Msg::ReadReq { op: op(1) }),
+        (true, Some(object))
+    );
+    // A write refused under that shared lock carries nothing.
+    assert_eq!(
+        answer(&mut node, Msg::WriteReq { op: op(2) }),
+        (false, None)
+    );
+    deliver(&mut node, Msg::Release { op: op(1) });
+
+    // A write grant carries nothing, and a read refused under it neither.
+    assert_eq!(answer(&mut node, Msg::WriteReq { op: op(3) }), (true, None));
+    assert_eq!(answer(&mut node, Msg::ReadReq { op: op(4) }), (false, None));
+    deliver(&mut node, Msg::Release { op: op(3) });
+
+    // An epoch-check answer carries nothing.
+    assert_eq!(
+        answer(&mut node, Msg::EpochCheckReq { op: op(5) }),
+        (true, None)
+    );
+
+    // A stale replica grants the shared lock but ships no object.
+    node.durable.stale = true;
+    assert_eq!(answer(&mut node, Msg::ReadReq { op: op(6) }), (true, None));
+}

@@ -45,25 +45,19 @@ fn write(driver: &mut StepDriver, coordinator: u32, id: u64, page: u16, text: &'
     );
 }
 
-/// The acceptance scenario: corrupt one replica's journal behind its back,
-/// crash it, and watch checked replay quarantine the journal, the boot
-/// take the stale-rejoin path, and propagation repair the replica to the
-/// cluster-current version.
-#[test]
-fn bit_flip_quarantines_then_rejoin_and_propagation_repair_to_current() {
-    let mut driver = cluster(0xC0FFEE);
-    let victim = NodeId(3);
-
+/// Commits real state, silently corrupts `victim`'s journal behind its
+/// back, and crashes it: its journal must now fail checked replay.
+fn corrupt_and_crash(driver: &mut StepDriver, victim: NodeId) {
     // Establish real committed state before the corruption.
-    write(&mut driver, 0, 1, 0, b"first");
-    write(&mut driver, 1, 2, 1, b"second");
+    write(driver, 0, 1, 0, b"first");
+    write(driver, 1, 2, 1, b"second");
 
     // The victim's next journal append silently flips one bit somewhere in
     // the journal, then more writes commit (the victim participates with
     // intact in-memory state; only its disk is damaged).
     driver.arm_storage_fault(victim, FaultKind::BitFlip);
-    write(&mut driver, 3, 3, 2, b"third");
-    write(&mut driver, 0, 4, 3, b"fourth");
+    write(driver, 3, 3, 2, b"third");
+    write(driver, 0, 4, 3, b"fourth");
     assert!(
         driver
             .fired_faults(victim)
@@ -72,7 +66,6 @@ fn bit_flip_quarantines_then_rejoin_and_propagation_repair_to_current() {
         "bit flip never fired; the victim persisted nothing"
     );
 
-    // Crash the victim. Its journal must now fail checked replay.
     driver.crash(victim);
     let replay = driver.replay_checked(victim);
     assert!(
@@ -80,6 +73,17 @@ fn bit_flip_quarantines_then_rejoin_and_propagation_repair_to_current() {
         "expected quarantine, got {:?}",
         replay.verdict
     );
+}
+
+/// The acceptance scenario: corrupt one replica's journal behind its back,
+/// crash it, and watch checked replay quarantine the journal, the boot
+/// take the stale-rejoin path, and propagation repair the replica to the
+/// cluster-current version.
+#[test]
+fn bit_flip_quarantines_then_rejoin_and_propagation_repair_to_current() {
+    let mut driver = cluster(0xC0FFEE);
+    let victim = NodeId(3);
+    corrupt_and_crash(&mut driver, victim);
 
     // Recovery goes through BootQuarantined: the replica re-enters the
     // cluster stale via the rejoin handshake instead of trusting its disk.
@@ -122,6 +126,44 @@ fn bit_flip_quarantines_then_rejoin_and_propagation_repair_to_current() {
         .outputs()
         .iter()
         .any(|(_, _, e)| matches!(e, ProtocolEvent::ReadOk { id: 99, .. })));
+}
+
+/// A quarantine is one journal write. The rewritten image already records
+/// "stale, rejoin owed", so when the quarantined boot's own append fails,
+/// the next boot replays that image clean and still comes up stale and
+/// rejoin-pending — not as a current replica that lost acknowledged writes.
+#[test]
+fn failed_append_after_quarantined_boot_still_boots_stale_and_rejoin_pending() {
+    let mut driver = cluster(0xC0FFEE);
+    let victim = NodeId(3);
+    corrupt_and_crash(&mut driver, victim);
+
+    driver.arm_storage_fault(victim, FaultKind::AppendFail);
+    driver.recover(victim);
+    assert!(
+        driver.is_down(victim),
+        "the quarantined boot's append should have failed"
+    );
+    assert!(matches!(
+        driver.replay_checked(victim).verdict,
+        ReplayVerdict::Clean
+    ));
+
+    driver.recover(victim);
+    let durable = &driver.node(victim).durable;
+    assert!(
+        durable.stale,
+        "the quarantine image boots a current replica"
+    );
+    assert!(
+        durable.rejoin_pending,
+        "the quarantine image forgot the rejoin handshake"
+    );
+    driver.run_for(SimDuration::from_secs(60));
+    assert!(driver
+        .outputs()
+        .iter()
+        .any(|(_, node, e)| *node == victim && matches!(e, ProtocolEvent::Rejoined { .. })));
 }
 
 /// A torn final append is a clean crash: the record was never

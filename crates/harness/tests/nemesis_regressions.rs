@@ -6,13 +6,14 @@
 //! mid-epoch-check (the PR-4 rejoin guards don't cover the
 //! recovery/epoch-install interaction). This test pins the lowest plain
 //! seed that hits it
-//! (`cargo run -p coterie-harness --bin nemesis -- 1 23 3000 majority`)
+//! (`cargo run -p coterie-harness --bin nemesis -- 1 1000 3000 majority`)
 //! so the bug has an executable spec, and captures its flight-recorder
-//! dump as a checked-in artifact (`tests/data/nemesis_seed23_trace.jsonl`)
+//! dump as a checked-in artifact (`tests/data/nemesis_seed1000_trace.jsonl`)
 //! — the causally ordered last-N trace records per node leading up to the
 //! first violation. DESIGN.md §14.4 walks the causal chain, reconstructed
-//! at majority seed 62 of the schedules before PR 16 re-pinned them (that
-//! seed now runs clean: the bug is no longer *hit* there, not fixed).
+//! at majority seed 62 of older schedules (that seed now runs clean: the
+//! bug is no longer *hit* there, not fixed). Plain seeds 0–399 no longer
+//! hit it at all, so the pin is the lowest above them.
 //!
 //! The run asserts the *presence* of the bug: it fails the moment the
 //! violation is fixed — or the moment a change moves the seeded schedules
@@ -31,22 +32,22 @@ use coterie_harness::nemesis::{run_nemesis, NemesisConfig};
 use coterie_quorum::MajorityCoterie;
 
 #[test]
-fn epoch_list_divergence_majority_seed_23_still_reproduces() {
+fn epoch_list_divergence_majority_seed_1000_still_reproduces() {
     let cfg = NemesisConfig {
         n_nodes: 5,
         steps: 3_000,
         ..NemesisConfig::default()
     };
-    let run = run_nemesis(Arc::new(MajorityCoterie::new()), 23, &cfg);
+    let run = run_nemesis(Arc::new(MajorityCoterie::new()), 1000, &cfg);
     assert!(
         !run.clean(),
-        "majority seed 23 ran clean: ROADMAP item 1 is fixed (invert this \
-         test into a clean-run gate, delete tests/data/nemesis_seed23_trace.jsonl) \
+        "majority seed 1000 ran clean: ROADMAP item 1 is fixed (invert this \
+         test into a clean-run gate, delete tests/data/nemesis_seed1000_trace.jsonl) \
          or the seeded schedules moved (re-pin: see the module docs)"
     );
     assert!(
         run.violations.iter().any(|v| v.contains("epoch safety")),
-        "seed 23 violated something other than epoch safety: {:?}",
+        "seed 1000 violated something other than epoch safety: {:?}",
         run.violations
     );
 
@@ -66,7 +67,8 @@ fn epoch_list_divergence_majority_seed_23_still_reproduces() {
     assert_eq!(dump.timeline.lines().count(), dump.records + 1);
 
     // The dump is a deterministic artifact: same seed, same bytes.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/nemesis_seed23_trace.jsonl");
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/nemesis_seed1000_trace.jsonl");
     if std::env::var_os("NEMESIS_TRACE_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &dump.jsonl).unwrap();
@@ -82,7 +84,7 @@ fn epoch_list_divergence_majority_seed_23_still_reproduces() {
     });
     assert!(
         expected == dump.jsonl,
-        "seed-23 flight-recorder dump drifted from the checked-in artifact.\n\
+        "seed-1000 flight-recorder dump drifted from the checked-in artifact.\n\
          If the schedule or trace taxonomy changed intentionally, regenerate \
          with NEMESIS_TRACE_REGEN=1; otherwise determinism broke."
     );

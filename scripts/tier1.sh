@@ -27,8 +27,10 @@ echo "==> traced write_leader: history flatness, and what a committed write leav
 # 1 368 when every committed write leaves its DecisionRetry chain armed).
 # storage.bytes_per_write <= 1500: a write journals the log entry it pushed
 # (946 B over its ~15 records; 7 226 when each apply re-ships the whole log).
-traced=$(cargo run --release --quiet -p coterie-bench --bin benchmark -- \
-  --workload write_leader --seed 1 --seconds 10 --trace 1 | tail -n 1)
+traced_run() { # workload
+  traced=$(cargo run --release --quiet -p coterie-bench --bin benchmark -- \
+    --workload "$1" --seed 1 --seconds 10 --trace 1 | tail -n 1)
+}
 metric() { sed -n "s/.*\"$1\": {\"value\": \([0-9.eE+-]*\).*/\1/p" <<<"$traced"; }
 at_most() { # name bound complaint
   local value
@@ -39,9 +41,19 @@ at_most() { # name bound complaint
     exit 1
   }
 }
+traced_run write_leader
 at_most core.step_growth 2.0 "step() cost grows with history"
 at_most driver.pending_timers_max 64 "decided operations leave timers armed"
 at_most storage.bytes_per_write 1500 "a committed write journals more than it touched"
+
+echo "==> traced read_mostly: a read is one round trip"
+# Both repeat exactly for a seed on the virtual clock.
+# core.msgs_per_op.fetch <= 0: a granted read carries its replica's object,
+# so no read fetches (1.53 when reads fetch from a current replica).
+# core.read_p50_us <= 250: one round trip (212; 414 with the fetch trip).
+traced_run read_mostly
+at_most core.msgs_per_op.fetch 0 "a read fetched the object in a second round trip"
+at_most core.read_p50_us 250 "the median read takes more than one round trip"
 
 echo "==> cargo test -q"
 cargo test -q --workspace
