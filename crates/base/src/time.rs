@@ -1,9 +1,6 @@
-//! Virtual time for the discrete-event simulator.
-//!
-//! Time is measured in integer microseconds, which keeps event ordering
-//! exact (no floating-point ties) and spans ~584k years of simulated time
-//! in a `u64` — ample for the availability experiments, which simulate
-//! years of failure/repair activity.
+//! Virtual time in integer microseconds: event ordering stays exact (no
+//! floating-point ties), and a `u64` spans ~584k years of simulated time —
+//! ample for availability experiments that simulate years of failures.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};

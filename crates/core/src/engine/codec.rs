@@ -9,6 +9,9 @@
 //! across processes. Decoding never panics: every malformed input maps to
 //! a [`DecodeError`] carrying the byte offset and a description, which the
 //! framed replay turns into a quarantine verdict.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use bytes::Bytes;
 use coterie_quorum::NodeId;
@@ -42,10 +45,10 @@ pub struct DecodeError {
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    let mut rounds = bytes.chunks_exact(8);
-    for c in &mut rounds {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+    let (rounds, tail) = bytes.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in rounds {
+        let lo = crc ^ u32::from_le_bytes([b0, b1, b2, b3]);
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
         crc = entry(&t[7], lo)
             ^ entry(&t[6], lo >> 8)
             ^ entry(&t[5], lo >> 16)
@@ -55,7 +58,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             ^ entry(&t[1], hi >> 16)
             ^ entry(&t[0], hi >> 24);
     }
-    for &b in rounds.remainder() {
+    for &b in tail {
         crc = (crc >> 8) ^ entry(&t[0], crc ^ u32::from(b));
     }
     !crc
@@ -64,8 +67,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// The entry of `table` selected by the low byte of `v` — the one place a
 /// CRC table is indexed.
 #[inline(always)]
+#[expect(clippy::indexing_slicing, reason = "the index is masked to 0..=255")]
 fn entry(table: &[u32; 256], v: u32) -> u32 {
-    // lint:allow(arith): the index is masked to 0..=255, always in bounds
     table[(v & 0xFF) as usize]
 }
 
@@ -82,6 +85,11 @@ static CRC32_TABLES: [[u32; 256]; 8] = [
     crc32_table(7),
 ];
 
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    reason = "compile-time table builder: i < 256 and bit < 64 by the loop conditions"
+)]
 const fn crc32_table(zero_bytes: u32) -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i: u32 = 0;
@@ -96,7 +104,6 @@ const fn crc32_table(zero_bytes: u32) -> [u32; 256] {
             };
             bit += 1;
         }
-        // lint:allow(arith): i is bounded by the loop condition (< 256)
         table[i as usize] = crc;
         i += 1;
     }
@@ -341,35 +348,33 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], DecodeError> {
+        let err = self.err(what);
+        self.take(N, what)?.first_chunk().copied().ok_or(err)
+    }
+
     fn u8(&mut self, what: &'static str) -> Result<u8, DecodeError> {
-        Ok(self.take(1, what)?[0])
+        self.array(what).map(|[b]| b)
     }
 
     fn u16(&mut self, what: &'static str) -> Result<u16, DecodeError> {
-        let s = self.take(2, what)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
+        Ok(u16::from_le_bytes(self.array(what)?))
     }
 
     fn u32(&mut self, what: &'static str) -> Result<u32, DecodeError> {
-        let s = self.take(4, what)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     fn u64(&mut self, what: &'static str) -> Result<u64, DecodeError> {
-        let s = self.take(8, what)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
     fn bool(&mut self, what: &'static str) -> Result<bool, DecodeError> {
+        let err = self.err(what);
         match self.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
-            _ => {
-                self.pos -= 1;
-                Err(self.err(what))
-            }
+            _ => Err(err),
         }
     }
 
@@ -383,10 +388,10 @@ impl<'a> Reader<'a> {
     }
 
     fn count(&mut self, what: &'static str) -> Result<u32, DecodeError> {
+        let err = self.err(what);
         let n = self.u32(what)?;
         if n > MAX_COUNT {
-            self.pos -= 4;
-            return Err(self.err(what));
+            return Err(err);
         }
         Ok(n)
     }
@@ -435,14 +440,12 @@ impl<'a> Reader<'a> {
     }
 
     fn log(&mut self) -> Result<LogDelta, DecodeError> {
+        let err = self.err("log tag");
         let cleared = match self.u8("log tag")? {
             0 => return Ok(LogDelta::default()),
             1 => false,
             2 => true,
-            _ => {
-                self.pos -= 1;
-                return Err(self.err("log tag"));
-            }
+            _ => return Err(err),
         };
         let n = self.count("log entry count")?;
         if n == 0 && !cleared {
@@ -464,6 +467,7 @@ impl<'a> Reader<'a> {
     }
 
     fn action(&mut self) -> Result<Action, DecodeError> {
+        let err = self.err("action tag");
         match self.u8("action tag")? {
             0 => {
                 let n = self.count("do-update write count")?;
@@ -508,10 +512,7 @@ impl<'a> Reader<'a> {
                     desired_version,
                 })
             }
-            _ => {
-                self.pos -= 1;
-                Err(self.err("action tag"))
-            }
+            _ => Err(err),
         }
     }
 }

@@ -116,7 +116,7 @@ impl<T> Pool<T> {
 
     /// Removes and returns element `i`, keeping the rest in order.
     fn remove(&mut self, i: usize) -> T {
-        // lint:allow(panic): an out-of-range index is a caller bug, as with `Vec::remove`
+        #[expect(clippy::expect_used, reason = "an out-of-range index is a caller bug")]
         self.0.remove(i).expect("pool index in range")
     }
 }

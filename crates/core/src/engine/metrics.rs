@@ -61,8 +61,6 @@ pub mod keys {
     pub const JOURNAL_FLUSH_US: &str = "journal_flush_us";
     /// Histogram: operation completion latency, microseconds.
     pub const OP_LATENCY_US: &str = "op_latency_us";
-    /// Histogram: write completion latency, microseconds.
-    pub const WRITE_LATENCY_US: &str = "write_latency_us";
 
     /// Per-class key for messages received.
     pub fn msgs_in(class: MsgClass) -> &'static str {

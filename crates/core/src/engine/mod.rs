@@ -6,7 +6,8 @@
 //! `Vec<`[`Effect`]`>`; it never touches a clock, an RNG source, a network
 //! socket, or a disk:
 //!
-//! * **time** is told to the engine with every [`ReplicaNode::step`] call;
+//! * **time** is told to the engine with every
+//!   [`ReplicaNode::step`](crate::node::ReplicaNode::step) call;
 //! * **randomness** (retry jitter, propagation staggering) comes from an
 //!   engine-owned [`Rng64`] seeded from
 //!   [`ProtocolConfig::seed`](crate::config::ProtocolConfig::seed), so it is
@@ -57,6 +58,3 @@ pub use trace::{
     causal_merge, render_jsonl, NoopSink, ReplayClass, TraceEvent, TraceRecord, TraceRing,
     TraceSink,
 };
-
-#[allow(unused_imports)] // doc links
-use crate::node::ReplicaNode;

@@ -27,6 +27,9 @@
 //!   survives in debug builds only, as the oracle every capture is asserted
 //!   equal to: a decision written past the entry point fails the first
 //!   debug test that steps over it instead of going silently un-journaled.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::ops::Range;
 
@@ -110,14 +113,13 @@ impl DurableDelta {
         debug_assert_eq!(old.object.n_pages(), new.object.n_pages());
         // A page nobody rewrote is still the shadow's own refcounted buffer:
         // same pointer and length, so equal without reading a byte of it.
-        let shared = |(o, n): (&Bytes, &Bytes)| o.as_ptr() == n.as_ptr() && o.len() == n.len();
-        for p in 0..new.object.n_pages() as PageId {
-            let (o, n) = (old.object.page(p), new.object.page(p));
-            // `n` is `new`'s own page `p < n_pages`, so it is always there;
-            // a page `old` lacks compares unequal and is captured.
-            debug_assert!(n.is_some(), "page {p} of {} in range", new.object.n_pages());
-            if !o.zip(n).is_some_and(shared) && o != n {
-                d.pages.extend(n.map(|n| (p, n.clone())));
+        let shared = |o: &Bytes, n: &Bytes| o.as_ptr() == n.as_ptr() && o.len() == n.len();
+        let pages = (0..=PageId::MAX).map_while(|p| Some((p, new.object.page(p)?)));
+        for (p, n) in pages {
+            // A page `old` lacks compares unequal and is captured.
+            let o = old.object.page(p);
+            if !o.is_some_and(|o| shared(o, n)) && o != Some(n) {
+                d.pages.push((p, n.clone()));
             }
         }
         (!d.is_empty()).then_some(d)
@@ -393,8 +395,8 @@ impl FramedJournal {
             return;
         }
         frame_into(&mut self.buf, deltas);
-        self.count += deltas.len() as u64;
-        self.appended_total += deltas.len() as u64;
+        self.count = self.count.saturating_add(deltas.len() as u64);
+        self.appended_total = self.appended_total.saturating_add(deltas.len() as u64);
         self.rewrite_header();
     }
 
@@ -418,7 +420,7 @@ impl FramedJournal {
         let framed = self.buf.len().saturating_sub(start);
         let keep = cut(framed).min(framed.saturating_sub(1));
         self.buf.truncate(start.saturating_add(keep));
-        self.appended_total += deltas.len() as u64;
+        self.appended_total = self.appended_total.saturating_add(deltas.len() as u64);
     }
 
     /// Flips one bit in place; returns false if `byte` is out of range.
@@ -531,15 +533,15 @@ impl FramedJournal {
     }
 
     fn rewrite_header(&mut self) {
-        if self.buf.len() < JOURNAL_HEADER_LEN {
-            // Adopted bytes shorter than a header (torn creation): nothing
-            // to rewrite in place; replay treats this as an empty journal.
-            return;
+        let count = self.count.to_le_bytes();
+        let crc = super::codec::crc32(&count).to_le_bytes();
+        // Adopted bytes shorter than a header (torn creation) have nothing
+        // to rewrite in place; replay treats them as an empty journal.
+        if let Some(header) = self.buf.get_mut(4..JOURNAL_HEADER_LEN) {
+            let (count_slot, crc_slot) = header.split_at_mut(count.len());
+            count_slot.copy_from_slice(&count);
+            crc_slot.copy_from_slice(&crc);
         }
-        let count_bytes = self.count.to_le_bytes();
-        let crc = super::codec::crc32(&count_bytes).to_le_bytes();
-        self.buf[4..12].copy_from_slice(&count_bytes);
-        self.buf[12..16].copy_from_slice(&crc);
     }
 }
 

@@ -52,9 +52,9 @@ pub enum ReplayClass {
 ///
 /// Variants are deliberately small and `Copy`: the emission path allocates
 /// nothing, so tracing can stay compiled into the engine with a no-op sink
-/// at zero marginal cost. The enum is registered in `coterie-lint`'s P1
-/// surface registry — every variant must be emitted by live protocol code
-/// and rendered by [`TraceEvent::kind`]'s exhaustive match.
+/// at zero marginal cost. Every variant is rendered by
+/// [`TraceEvent::kind`]'s exhaustive match: coterie-core denies wildcard
+/// arms over enums, so a new variant fails to compile until it is named.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A message left this node for `to`.
@@ -167,8 +167,8 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Stable snake_case tag for this event, used as the `ev` field of the
-    /// JSONL rendering. Exhaustive on purpose: this match is the lint-
-    /// designated consumer of the `TraceEvent` surface.
+    /// JSONL rendering. Exhaustive on purpose: a new variant is a compile
+    /// error here until it has a tag.
     pub fn kind(&self) -> &'static str {
         match self {
             TraceEvent::MsgSend { .. } => "msg_send",

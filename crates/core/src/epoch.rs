@@ -19,7 +19,7 @@ use crate::engine::metrics::keys;
 use crate::engine::trace::TraceEvent;
 use crate::msg::{Action, Msg, OpId, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
-use coterie_base::{SimDuration, TimerId};
+use coterie_base::TimerId;
 use coterie_quorum::{NodeId, NodeSet, QuorumKind};
 use std::collections::BTreeMap;
 
@@ -238,9 +238,8 @@ impl ReplicaNode {
         };
         let timeout = VOTE_TIMEOUT;
         let timer = ctx.set_timer(timeout, Timer::Votes { op });
-        // Re-borrow after set_timer ended the earlier borrow; nothing in
-        // between can remove the entry within this same step.
-        // lint:allow(panic): coordinator present at fn entry, step is atomic
+        // Re-borrow after set_timer ended the earlier borrow.
+        #[expect(clippy::expect_used, reason = "present at fn entry; step is atomic")]
         let ec = self.vol.epochs.get_mut(&op).expect("present");
         ec.phase = EPhase::Voting {
             participants: new_epoch.clone(),
@@ -360,14 +359,5 @@ impl ReplicaNode {
             }
         }
         self.vol.epoch_check_active = false;
-    }
-
-    /// Helper for tests and the harness: the period until the *first* tick
-    /// of the lowest-ranked node.
-    pub fn min_epoch_tick(&self) -> Option<SimDuration> {
-        match self.config.mode {
-            Mode::Dynamic { check_period } => Some(check_period),
-            Mode::Static => None,
-        }
     }
 }

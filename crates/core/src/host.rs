@@ -24,6 +24,11 @@
 //!   batch may wait for companions (`on_idle` flushes sooner when the
 //!   inbox drains), the [`SyncSink`] that charges each commit a real
 //!   `fdatasync`, and the wall-clock histogram of that cost.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the host performs the engine's effects: it owns the journal file and times commits"
+)]
 
 use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_quorum::NodeId;
@@ -332,7 +337,6 @@ impl Substrate for CtxHost<'_, '_> {
         // Host boundary: wall-clock timing of the whole commit — encode,
         // append and the (possibly fsync'd) mirror — measurement only,
         // never protocol-visible.
-        #[allow(clippy::disallowed_methods)]
         let started = std::time::Instant::now();
         write(journal);
         if let Some(sink) = self.sync {

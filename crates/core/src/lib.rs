@@ -54,6 +54,12 @@
 //!     .iter()
 //!     .any(|(_, _, e)| matches!(e, coterie_core::ProtocolEvent::WriteOk { .. })));
 //! ```
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::dbg_macro))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod classify;
 pub mod config;

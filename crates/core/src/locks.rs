@@ -82,7 +82,7 @@ impl ReplicaLock {
     /// §10). Returns false — leaving the lock untouched — unless `from` is
     /// the current exclusive holder, so a stale or reordered handoff can
     /// never steal a lock some other operation legitimately acquired.
-    pub fn transfer_exclusive(&mut self, from: OpId, to: OpId) -> bool {
+    pub(crate) fn transfer_exclusive(&mut self, from: OpId, to: OpId) -> bool {
         if self.exclusive == Some(from) {
             self.exclusive = Some(to);
             true

@@ -174,8 +174,8 @@ impl Durable {
 /// timer-expiry handlers and shutdown paths iterate them, and that
 /// iteration feeds `Effect` ordering and the explorer's state digests.
 /// The engine contract is *same inputs ⇒ byte-identical effects*, which a
-/// randomly seeded hash order would silently break (enforced by
-/// `coterie-lint`'s `determinism` rule).
+/// randomly seeded hash order would silently break (enforced by the
+/// `disallowed-types` entries of `crates/core/clippy.toml`).
 #[derive(Debug, Default)]
 pub struct Volatile {
     /// The replica lock.
@@ -480,6 +480,21 @@ impl ReplicaNode {
             ctx.cancel_timer(timer);
         }
         self.grant_pending_epoch_prepare(ctx);
+    }
+
+    /// Hands `from_op`'s exclusive lock, and its lease, to the chained round
+    /// `to_op`: a lock and its lease never change owner apart. False, with
+    /// nothing changed, unless `from_op` holds the lock exclusively.
+    pub fn hand_off_lock(&mut self, ctx: &mut NodeCtx<'_>, from_op: OpId, to_op: OpId) -> bool {
+        if !self.vol.lock.transfer_exclusive(from_op, to_op) {
+            return false;
+        }
+        ctx.trace(TraceEvent::LockHandoff { from_op, to_op });
+        if let Some(timer) = self.vol.lock_leases.remove(&from_op) {
+            ctx.cancel_timer(timer);
+        }
+        self.arm_lock_lease(ctx, to_op);
+        true
     }
 
     pub(crate) fn handle_lock_lease(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {

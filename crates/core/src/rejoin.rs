@@ -63,7 +63,7 @@ use crate::engine::trace::TraceEvent;
 use crate::msg::{Msg, OpId, ProtocolEvent, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
 
-#[allow(unused_imports)] // doc links
+#[expect(unused_imports, reason = "doc links")]
 use crate::node::Durable;
 
 /// How far the op counter jumps over ids the lost journal suffix could

@@ -224,7 +224,7 @@ impl ReplicaNode {
                     {
                         let old_enumber = match &old_action {
                             Action::NewEpoch { enumber, .. } => *enumber,
-                            _ => 0,
+                            Action::DoUpdate { .. } | Action::MarkStale { .. } => 0,
                         };
                         if old_enumber >= *enumber {
                             self.vol.pending_epoch_prepare = Some((old_op, old_from, old_action));
@@ -299,27 +299,13 @@ impl ReplicaNode {
                 self.apply_action(ctx, &action);
             }
         }
-        // Pipelined 2PC handoff: a committing decision may name the
-        // chained round whose prepare is right behind it; move the
-        // exclusive lock (and its lease) to that round instead of opening
-        // an unlocked window another operation could slip into. Only taken
-        // when this node actually applied `op` — a stale duplicate, or a
-        // node whose lock already moved on, falls through to the
-        // idempotent release.
-        if commit && applied {
-            if let Some(next) = chain {
-                if self.vol.lock.transfer_exclusive(op, next) {
-                    ctx.trace(TraceEvent::LockHandoff {
-                        from_op: op,
-                        to_op: next,
-                    });
-                    if let Some(timer) = self.vol.lock_leases.remove(&op) {
-                        ctx.cancel_timer(timer);
-                    }
-                    self.arm_lock_lease(ctx, next);
-                    return;
-                }
-            }
+        // Pipelined 2PC handoff: a committing decision may name the chained
+        // round whose prepare is right behind it; hand that round the lock
+        // instead of opening a window another operation could slip into.
+        // Only when this node applied `op`: a stale duplicate, or a lock that
+        // already moved on, falls through to the idempotent release.
+        if commit && applied && chain.is_some_and(|next| self.hand_off_lock(ctx, op, next)) {
+            return;
         }
         // Idempotent: also frees the lock of a participant that voted no
         // (which never prepared) instead of waiting out the lease.

@@ -392,7 +392,7 @@ impl ReplicaNode {
         let Some(wc) = self.vol.writes.get_mut(&op) else {
             return;
         };
-        // lint:allow(panic): caller verified has_current_replica, so a max version exists
+        #[expect(clippy::expect_used, reason = "caller checked has_current_replica")]
         let base_version = c.next_version().expect("has_current_replica checked") - 1;
         // A batch of k writes establishes k consecutive versions; the
         // round's version is the last of them.
@@ -476,7 +476,7 @@ impl ReplicaNode {
                 wc.granted.remove(&n);
                 ctx.send(n, Msg::Release { op });
             }
-            // lint:allow(panic): GOOD is nonempty on this path, so a max version exists
+            #[expect(clippy::expect_used, reason = "GOOD is nonempty on this path")]
             let base = c.next_version().expect("good nonempty");
             let new_version = base + wc.batch.len() as u64 - 1;
             let timeout = VOTE_TIMEOUT;
@@ -662,7 +662,7 @@ impl ReplicaNode {
                 timer,
                 ..
             } => (classified, targets, timer),
-            other => {
+            other @ (WPhase::Collect | WPhase::Voting { .. }) => {
                 wc.phase = other;
                 return;
             }
@@ -845,7 +845,7 @@ impl ReplicaNode {
     /// was lost (lease expiry, crash), the participant's duplicate-prepare
     /// and version checks make it vote no and the round degrades to a
     /// normal abort-and-retry.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "round k's outcome seeds k+1")]
     fn begin_chained_round(
         &mut self,
         ctx: &mut NodeCtx<'_>,

@@ -7,9 +7,9 @@
 //! between two runs in the *same* process — both runs see the same seed —
 //! while silently diverging between processes. That is exactly the bug
 //! class the `BTreeMap`/`BTreeSet` migration in `coterie-core` eliminates
-//! (and `coterie-lint`'s `determinism` rule now forbids reintroducing):
-//! ordered collections iterate in key order, which depends only on the
-//! data.
+//! (and the `disallowed-types` entries of `crates/core/clippy.toml` now
+//! forbid reintroducing): ordered collections iterate in key order, which
+//! depends only on the data.
 //!
 //! The in-process test (two fresh drivers, same seed) would pass even with
 //! hash maps; the cross-process test (this binary re-executed twice, via
@@ -156,6 +156,10 @@ fn child_emit_journal_digest() {
 fn same_seed_same_journal_across_processes() {
     let exe = std::env::current_exe().expect("test binary path");
     let run_child = || {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the test re-executes itself: a fresh process is a fresh hash seed"
+        )]
         let output = std::process::Command::new(&exe)
             .args(["--exact", "child_emit_journal_digest", "--nocapture"])
             .env(EMIT_ENV, "1")

@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
+use coterie_core::config::LOCK_LEASE;
 use coterie_core::{
     ClientRequest, Durable, DurableDelta, FaultKind, FramedJournal, LogEntry, OpId, PartialWrite,
     ProtocolConfig, ProtocolEvent, Rng64, StepDriver,
@@ -256,7 +257,9 @@ proptest! {
 
 /// Deterministic smoke for the batching + pipelining stats: a burst of
 /// writes at one coordinator commits them all, shares rounds, and chains
-/// at least one pipelined handoff.
+/// at least one pipelined handoff. Lock discipline rides along: once the
+/// burst drains, and before any lock lease could have expired, no replica
+/// holds a lock or a lease, so every grant and every handoff was released.
 #[test]
 fn write_burst_batches_and_chains_rounds() {
     let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
@@ -270,7 +273,22 @@ fn write_burst_batches_and_chains_rounds() {
             PartialWrite::new([((id % N_PAGES as u64) as u16, Bytes::from(vec![id as u8]))]);
         driver.inject(NodeId(0), ClientRequest::Write { id, write });
     }
-    driver.run_for(SimDuration::from_secs(5));
+    let drained = LOCK_LEASE / 2;
+    driver.run_for(drained);
+    for i in 0..3 {
+        let vol = &driver.node(NodeId(i)).vol;
+        let held = (
+            vol.lock.exclusive_holder(),
+            vol.lock.shared_holders().count(),
+        );
+        assert_eq!(held, (None, 0), "n{i} still holds a lock");
+        assert!(
+            vol.lock_leases.is_empty(),
+            "n{i} holds a lease: {:?}",
+            vol.lock_leases
+        );
+    }
+    driver.run_for(SimDuration::from_secs(5) - drained);
 
     let oks = driver
         .outputs()

@@ -64,7 +64,7 @@ pub fn exact_availability(rule: &dyn CoterieRule, view: &View, p: f64, kind: Quo
                 scope.spawn(move || sum_range(lo, hi))
             })
             .collect();
-        // lint:allow(panic): join only fails if a worker panicked; re-raise it here
+        #[expect(clippy::unwrap_used, reason = "join fails only if a worker panicked")]
         handles.into_iter().map(|h| h.join().unwrap()).sum()
     })
 }
@@ -169,7 +169,7 @@ pub fn best_static_grid(n_nodes: usize, p: f64) -> (GridShape, f64) {
             best = Some((shape, a));
         }
     }
-    // lint:allow(panic): the loop always visits the 1 x N shape, so best is Some
+    #[expect(clippy::expect_used, reason = "the loop visits the 1 x N shape")]
     best.expect("the 1 x N grid is always a candidate")
 }
 
@@ -194,7 +194,7 @@ pub fn best_grid_allowing_holes(n_nodes: usize, p: f64) -> (GridShape, f64) {
             }
         }
     }
-    // lint:allow(panic): the loop always visits the hole-free 1 x N shape
+    #[expect(clippy::expect_used, reason = "the loop visits the hole-free 1 x N")]
     best.expect("at least the 1 x N grid is always a candidate")
 }
 
@@ -258,9 +258,9 @@ pub fn minimal_quorums(rule: &dyn CoterieRule, view: &View, kind: QuorumKind) ->
                 scope.spawn(move || scan_range(lo, hi))
             })
             .collect();
+        #[expect(clippy::unwrap_used, reason = "join fails only if a worker panicked")]
         handles
             .into_iter()
-            // lint:allow(panic): join only fails if a worker panicked; re-raise it here
             .flat_map(|h| h.join().unwrap())
             .collect()
     })

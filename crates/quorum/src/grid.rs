@@ -228,7 +228,7 @@ impl GridCoterie {
         for i in 1..=shape.m {
             for j in 1..=shape.n {
                 let cell = match shape.ordered_number_at(i, j) {
-                    // lint:allow(panic): ordered numbers are < |view| by construction
+                    #[expect(clippy::unwrap_used, reason = "ordered numbers are < |view|")]
                     Some(k) => view.member_at(k).unwrap().to_string(),
                     None => "-".to_string(),
                 };
@@ -259,8 +259,7 @@ impl CoterieRule for GridCoterie {
         let mut covered = vec![false; shape.n + 1];
         let mut col_count = vec![0usize; shape.n + 1];
         for node in s.iter() {
-            // `ordered-number(V, s)` is total here because s ⊆ view.
-            // lint:allow(panic): s was intersected with the view two lines up
+            #[expect(clippy::expect_used, reason = "ordered-number(V, s) is total: s ⊆ V")]
             let k = view.ordered_number(node).expect("s ⊆ view");
             let (_, j) = shape.position(k);
             covered[j] = true;

@@ -17,8 +17,7 @@
 //! * [`GridCoterie`] — the paper's worked example (§5): nodes arranged in a
 //!   rectangular grid via `DefineGrid`; read quorums cover every column,
 //!   write quorums additionally contain a full (physical) column.
-//! * [`VotingCoterie`] / [`MajorityCoterie`] — Gifford-style voting with
-//!   unit votes.
+//! * [`VotingCoterie`] / [`MajorityCoterie`] — Gifford voting, unit votes.
 //! * [`WeightedCoterie`] — weighted voting.
 //! * [`TreeCoterie`] — hierarchical quorum consensus (Kumar).
 //! * [`RowaCoterie`] — read-one/write-all.
@@ -37,6 +36,10 @@
 //! assert!(rule.is_write_quorum(&epoch, quorum));
 //! assert_eq!(quorum.len(), 5); // 2 * sqrt(9) - 1
 //! ```
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 pub mod availability;
 pub mod grid;

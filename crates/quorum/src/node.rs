@@ -80,10 +80,9 @@ impl NodeSet {
         }
     }
 
-    /// Builds a set from an iterator of node ids (also available through
-    /// the `FromIterator` impl below; the inherent method reads better at
-    /// call sites that already have a `NodeSet` in scope).
-    #[allow(clippy::should_implement_trait)]
+    /// Builds a set from node ids: reads better than the `FromIterator` impl
+    /// below at call sites that already have a `NodeSet` in scope.
+    #[expect(clippy::should_implement_trait, reason = "FromIterator is there too")]
     pub fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
         let mut s = NodeSet::new();
         for n in iter {

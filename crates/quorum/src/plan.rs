@@ -261,13 +261,12 @@ impl QuorumPlan {
         })
     }
 
-    /// The compiled `coterie-rule(V, S)`. Panics on a fallback plan; use
-    /// [`includes_quorum_with`](QuorumPlan::includes_quorum_with) when the
-    /// rule may not have overridden [`CoterieRule::compile`].
+    /// The compiled `coterie-rule(V, S)`. Panics on a fallback plan (a rule
+    /// without its own [`CoterieRule::compile`]); use [`Self::includes_quorum_with`].
     #[inline]
     pub fn includes_quorum(&self, s: NodeSet, kind: QuorumKind) -> bool {
+        #[expect(clippy::expect_used, reason = "documented panic on a fallback plan")]
         self.evaluate(s, kind)
-            // lint:allow(panic): documented contract — callers with fallback plans use includes_quorum_with
             .expect("fallback quorum plan: evaluate via includes_quorum_with")
     }
 
@@ -283,9 +282,9 @@ impl QuorumPlan {
     ) -> bool {
         match self.evaluate(s, kind) {
             Some(v) => v,
+            #[expect(clippy::unreachable, reason = "evaluate is None only for fallbacks")]
             None => {
                 let PlanBody::Fallback { view } = &self.body else {
-                    // lint:allow(panic): evaluate returns None only for fallback bodies
                     unreachable!("evaluate returns None only for fallback plans");
                 };
                 rule.includes_quorum(view, s, kind)

@@ -45,6 +45,10 @@
 //! sim.run_for(SimDuration::from_secs(1));
 //! assert_eq!(sim.take_outputs().len(), 1);
 //! ```
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 pub mod app;
 pub mod network;

@@ -1,8 +1,6 @@
 //! The discrete-event simulator core.
 
-// Substrate-side bookkeeping (canceled-timer set): membership-only, never
-// iterated, so hash order cannot leak into the simulation.
-#![allow(clippy::disallowed_types)]
+#![expect(clippy::disallowed_types, reason = "membership-only, never iterated")]
 
 use crate::app::{Application, Ctx, Effect, TimerId};
 use crate::network::{NetConfig, NetCounters, Partition};

@@ -9,9 +9,11 @@
 //! except that time is real and scheduling is whatever the OS provides, so
 //! runs are *not* reproducible (use the simulator for experiments).
 
-// This runtime is the *real* host: wall clocks and OS bookkeeping are its
-// whole point (see the module docs — runs are intentionally irreproducible).
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "this runtime is the real host: wall clocks and OS bookkeeping are its whole point, and its runs are irreproducible by design"
+)]
 
 use crate::app::{Application, Ctx, Effect, TimerId};
 use crate::time::{SimDuration, SimTime};
@@ -155,7 +157,10 @@ where
             let now = Instant::now();
             match heap.peek().map(|p| p.at) {
                 Some(at) if at <= now => {
-                    // lint:allow(panic): peek returned Some under the same lock
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "peek returned Some under the same lock"
+                    )]
                     let p = heap.pop().expect("peeked");
                     drop(heap);
                     let canceled = timer_shared.timers.canceled.lock().remove(&(p.node, p.id));
@@ -182,26 +187,21 @@ where
         let mut node_handles = Vec::with_capacity(n);
         for (i, rx) in inbox_rxs.into_iter().enumerate() {
             let me = NodeId(i as u32);
-            let mut app = make_node(me);
+            let app = make_node(me);
             let shared = shared.clone();
             let out_tx = out_tx.clone();
             let handle = std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37));
-                let mut next_timer_id: u64 = 1;
-                let mut boot: u64 = 0;
-                let mut effects: Vec<Effect<A>> = Vec::new();
-                // Boot.
-                run_callback(
-                    &shared,
-                    &out_tx,
+                let mut node = NodeThread {
+                    shared,
+                    out_tx,
                     me,
-                    boot,
-                    &mut rng,
-                    &mut next_timer_id,
-                    &mut effects,
-                    |app, ctx| app.on_start(ctx),
-                    &mut app,
-                );
+                    boot: 0,
+                    rng: StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37)),
+                    next_timer_id: 1,
+                    effects: Vec::new(),
+                    app,
+                };
+                node.run(|app, ctx| app.on_start(ctx));
                 loop {
                     let input = match rx.try_recv() {
                         Ok(input) => input,
@@ -210,18 +210,8 @@ where
                             // Inbox drained and about to block: give the
                             // app its idle hook (group-commit hosts flush
                             // here instead of waiting out the deadline).
-                            if shared.up[me.index()].load(Ordering::Acquire) {
-                                run_callback(
-                                    &shared,
-                                    &out_tx,
-                                    me,
-                                    boot,
-                                    &mut rng,
-                                    &mut next_timer_id,
-                                    &mut effects,
-                                    |app, ctx| app.on_idle(ctx),
-                                    &mut app,
-                                );
+                            if node.up() {
+                                node.run(|app, ctx| app.on_idle(ctx));
                             }
                             match rx.recv() {
                                 Ok(input) => input,
@@ -229,100 +219,49 @@ where
                             }
                         }
                     };
-                    let up = shared.up[me.index()].load(Ordering::Acquire);
+                    let up = node.up();
                     match input {
                         Input::Stop => break,
                         Input::Crash => {
                             if up {
-                                shared.up[me.index()].store(false, Ordering::Release);
-                                boot += 1;
-                                app.on_crash();
+                                node.set_up(false);
+                                node.boot += 1;
+                                node.app.on_crash();
                             }
                         }
                         Input::Recover => {
                             if !up {
-                                shared.up[me.index()].store(true, Ordering::Release);
-                                run_callback(
-                                    &shared,
-                                    &out_tx,
-                                    me,
-                                    boot,
-                                    &mut rng,
-                                    &mut next_timer_id,
-                                    &mut effects,
-                                    |app, ctx| app.on_start(ctx),
-                                    &mut app,
-                                );
+                                node.set_up(true);
+                                node.run(|app, ctx| app.on_start(ctx));
                             }
                         }
                         Input::Msg { from, msg } => {
                             if up {
-                                run_callback(
-                                    &shared,
-                                    &out_tx,
-                                    me,
-                                    boot,
-                                    &mut rng,
-                                    &mut next_timer_id,
-                                    &mut effects,
-                                    |app, ctx| app.on_message(ctx, from, msg),
-                                    &mut app,
-                                );
+                                node.run(|app, ctx| app.on_message(ctx, from, msg));
                             } else {
                                 // The host bounces on behalf of the dead
                                 // node after the RPC notice delay.
-                                let shared2 = shared.clone();
-                                schedule_bounce(&shared2, from, me, msg);
+                                schedule_bounce(&node.shared, from, me, msg);
                             }
                         }
                         Input::CallFailed { to, msg } => {
                             if up {
-                                run_callback(
-                                    &shared,
-                                    &out_tx,
-                                    me,
-                                    boot,
-                                    &mut rng,
-                                    &mut next_timer_id,
-                                    &mut effects,
-                                    |app, ctx| app.on_call_failed(ctx, to, msg),
-                                    &mut app,
-                                );
+                                node.run(|app, ctx| app.on_call_failed(ctx, to, msg));
                             }
                         }
-                        Input::Timer { boot: tb, timer } => {
-                            if up && tb == boot {
-                                run_callback(
-                                    &shared,
-                                    &out_tx,
-                                    me,
-                                    boot,
-                                    &mut rng,
-                                    &mut next_timer_id,
-                                    &mut effects,
-                                    |app, ctx| app.on_timer(ctx, timer),
-                                    &mut app,
-                                );
+                        Input::Timer { boot, timer } => {
+                            if up && boot == node.boot {
+                                node.run(|app, ctx| app.on_timer(ctx, timer));
                             }
                         }
                         Input::External(ext) => {
                             if up {
-                                run_callback(
-                                    &shared,
-                                    &out_tx,
-                                    me,
-                                    boot,
-                                    &mut rng,
-                                    &mut next_timer_id,
-                                    &mut effects,
-                                    |app, ctx| app.on_external(ctx, ext),
-                                    &mut app,
-                                );
+                                node.run(|app, ctx| app.on_external(ctx, ext));
                             }
                         }
                     }
                 }
-                app
+                node.app
             });
             node_handles.push(handle);
         }
@@ -366,10 +305,10 @@ where
         for tx in &self.shared.inboxes {
             let _ = tx.send(Input::Stop);
         }
+        #[expect(clippy::expect_used, reason = "join fails only if the node panicked")]
         let apps: Vec<A> = self
             .node_handles
             .drain(..)
-            // lint:allow(panic): join only fails if the node thread panicked; re-raise
             .map(|h| h.join().expect("node thread panicked"))
             .collect();
         self.shared.timers.stopping.store(true, Ordering::Release);
@@ -407,69 +346,84 @@ fn schedule_bounce<A: Application + 'static>(
     });
 }
 
-/// Runs one application callback, then applies its effects: sends become
-/// channel deliveries (or bounces), timers go to the timer service, outputs
-/// go to the output channel.
-#[allow(clippy::too_many_arguments)]
-fn run_callback<A: Application + 'static>(
-    shared: &Arc<Shared<A>>,
-    out_tx: &Sender<(NodeId, A::Output)>,
+/// One node's thread: its application, and what a callback on it needs.
+struct NodeThread<A: Application> {
+    shared: Arc<Shared<A>>,
+    out_tx: Sender<(NodeId, A::Output)>,
     me: NodeId,
+    /// Incarnation: bumped by each crash, so a timer armed before it is
+    /// dropped when it fires.
     boot: u64,
-    rng: &mut StdRng,
-    next_timer_id: &mut u64,
-    effects: &mut Vec<Effect<A>>,
-    f: impl FnOnce(&mut A, &mut Ctx<'_, A>),
-    app: &mut A,
-) where
+    rng: StdRng,
+    next_timer_id: u64,
+    effects: Vec<Effect<A>>,
+    app: A,
+}
+
+impl<A: Application + 'static> NodeThread<A>
+where
     A::Msg: Send,
     A::Timer: Send,
     A::External: Send,
 {
-    let now = SimTime(shared.started.elapsed().as_micros() as u64);
-    {
-        let mut ctx = Ctx {
-            me,
-            now,
-            rng,
-            effects,
-            next_timer_id,
-        };
-        f(app, &mut ctx);
+    fn up(&self) -> bool {
+        self.shared.up[self.me.index()].load(Ordering::Acquire)
     }
-    for effect in effects.drain(..) {
-        match effect {
-            Effect::Send { to, msg } => {
-                if to.index() < shared.inboxes.len() {
-                    shared.send_input(to, Input::Msg { from: me, msg });
-                } else {
-                    schedule_bounce(shared, me, to, msg);
+
+    fn set_up(&self, up: bool) {
+        self.shared.up[self.me.index()].store(up, Ordering::Release);
+    }
+
+    /// Runs one application callback, then applies its effects: sends
+    /// become channel deliveries (or bounces), timers go to the timer
+    /// service, outputs go to the output channel.
+    fn run(&mut self, f: impl FnOnce(&mut A, &mut Ctx<'_, A>)) {
+        let (shared, me) = (&self.shared, self.me);
+        let now = SimTime(shared.started.elapsed().as_micros() as u64);
+        {
+            let mut ctx = Ctx {
+                me,
+                now,
+                rng: &mut self.rng,
+                effects: &mut self.effects,
+                next_timer_id: &mut self.next_timer_id,
+            };
+            f(&mut self.app, &mut ctx);
+        }
+        for effect in self.effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => {
+                    if to.index() < shared.inboxes.len() {
+                        shared.send_input(to, Input::Msg { from: me, msg });
+                    } else {
+                        schedule_bounce(shared, me, to, msg);
+                    }
                 }
-            }
-            Effect::SetTimer { id, delay, timer } => {
-                let at = Instant::now() + to_std(delay);
-                let mut heap = shared.timers.heap.lock();
-                // The timer thread sleeps until the head's deadline, so only
-                // a new earliest deadline changes what it is waiting for;
-                // behind the head there is nothing to re-discover.
-                let new_head = heap.peek().is_none_or(|head| at < head.at);
-                heap.push(Pending {
-                    at,
-                    node: me,
-                    boot,
-                    id,
-                    timer,
-                });
-                drop(heap);
-                if new_head {
-                    shared.timers.wake.notify_all();
+                Effect::SetTimer { id, delay, timer } => {
+                    let at = Instant::now() + to_std(delay);
+                    let mut heap = shared.timers.heap.lock();
+                    // The timer thread sleeps until the head's deadline, so
+                    // only a new earliest deadline changes what it is waiting
+                    // for; behind the head there is nothing to re-discover.
+                    let new_head = heap.peek().is_none_or(|head| at < head.at);
+                    heap.push(Pending {
+                        at,
+                        node: me,
+                        boot: self.boot,
+                        id,
+                        timer,
+                    });
+                    drop(heap);
+                    if new_head {
+                        shared.timers.wake.notify_all();
+                    }
                 }
-            }
-            Effect::CancelTimer { id } => {
-                shared.timers.canceled.lock().insert((me, id));
-            }
-            Effect::Output(out) => {
-                let _ = out_tx.send((me, out));
+                Effect::CancelTimer { id } => {
+                    shared.timers.canceled.lock().insert((me, id));
+                }
+                Effect::Output(out) => {
+                    let _ = self.out_tx.send((me, out));
+                }
             }
         }
     }
