@@ -17,11 +17,11 @@ fn bench_propagation_locking(c: &mut Criterion) {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                let mut sim = cluster(Arc::new(GridCoterie::new()), 9, seed, |mut c| {
+                let mut driver = cluster(Arc::new(GridCoterie::new()), 9, seed, |mut c| {
                     c.lock_propagation = locking;
                     c
                 });
-                black_box(drive_ops(&mut sim, 100, SimDuration::from_millis(10)))
+                black_box(drive_ops(&mut driver, 100, SimDuration::from_millis(10)))
             })
         });
     }
@@ -36,10 +36,10 @@ fn bench_log_capacity(c: &mut Criterion) {
             let mut seed = 100;
             b.iter(|| {
                 seed += 1;
-                let mut sim = cluster(Arc::new(GridCoterie::new()), 9, seed, |c| {
+                let mut driver = cluster(Arc::new(GridCoterie::new()), 9, seed, |c| {
                     c.log_capacity(cap)
                 });
-                black_box(drive_ops(&mut sim, 100, SimDuration::from_millis(10)))
+                black_box(drive_ops(&mut driver, 100, SimDuration::from_millis(10)))
             })
         });
     }
@@ -54,11 +54,11 @@ fn bench_check_period(c: &mut Criterion) {
             let mut seed = 200;
             b.iter(|| {
                 seed += 1;
-                let mut sim = cluster(Arc::new(GridCoterie::new()), 9, seed, |c| {
+                let mut driver = cluster(Arc::new(GridCoterie::new()), 9, seed, |c| {
                     c.check_period(SimDuration::from_millis(millis))
                 });
-                sim.crash_now(coterie_quorum::NodeId(7));
-                black_box(drive_ops(&mut sim, 60, SimDuration::from_millis(20)))
+                driver.crash(coterie_quorum::NodeId(7));
+                black_box(drive_ops(&mut driver, 60, SimDuration::from_millis(20)))
             })
         });
     }

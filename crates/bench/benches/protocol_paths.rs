@@ -22,8 +22,8 @@ fn bench_ops_per_rule(c: &mut Criterion) {
                 let mut seed = 0;
                 b.iter(|| {
                     seed += 1;
-                    let mut sim = cluster(rule.clone(), n, seed, |c| c);
-                    black_box(drive_ops(&mut sim, 100, SimDuration::from_millis(10)))
+                    let mut driver = cluster(rule.clone(), n, seed, |c| c);
+                    black_box(drive_ops(&mut driver, 100, SimDuration::from_millis(10)))
                 })
             });
         }
@@ -36,12 +36,12 @@ fn bench_epoch_change(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            let mut sim = cluster(Arc::new(GridCoterie::new()), 9, seed, |c| {
+            let mut driver = cluster(Arc::new(GridCoterie::new()), 9, seed, |c| {
                 c.check_period(SimDuration::from_millis(500))
             });
-            sim.crash_now(coterie_quorum::NodeId(8));
-            sim.run_for(SimDuration::from_secs(3));
-            black_box(sim.node(coterie_quorum::NodeId(0)).durable.elist.len())
+            driver.crash(coterie_quorum::NodeId(8));
+            driver.run_for(SimDuration::from_secs(3));
+            black_box(driver.node(coterie_quorum::NodeId(0)).durable.elist.len())
         })
     });
 }

@@ -17,35 +17,30 @@
 //!   log-shipping propagation, no-wait vs waiting epoch prepares
 //!   (via check-period extremes), write-log capacity.
 
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ReplicaNode};
+use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, StepDriver};
 use coterie_quorum::{CoterieRule, NodeId};
-use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
+use coterie_simnet::{SimDuration, SimTime};
 use std::sync::Arc;
 
-/// Builds an N-node cluster with the given rule for protocol benches.
+/// Builds an N-node cluster with the given rule for protocol benches, on
+/// the step driver's modelled network.
 pub fn cluster(
     rule: Arc<dyn CoterieRule>,
     n: usize,
     seed: u64,
     configure: impl Fn(ProtocolConfig) -> ProtocolConfig,
-) -> Sim<ReplicaNode> {
-    let config = configure(ProtocolConfig::new(rule, n));
-    Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, config.clone()),
-    )
+) -> StepDriver {
+    let config = configure(ProtocolConfig::new(rule, n)).rng_seed(seed);
+    StepDriver::with_latency(n, config)
 }
 
-/// Drives `ops` alternating writes and reads through the cluster and runs
-/// to completion; returns committed-op count (for throughput assertions).
-pub fn drive_ops(sim: &mut Sim<ReplicaNode>, ops: u64, gap: SimDuration) -> u64 {
-    let n = sim.len() as u32;
+/// Drives `ops` alternating writes and reads through the cluster, `gap`
+/// apart (one at a down coordinator is dropped), and runs to completion;
+/// returns the committed-op count (for throughput assertions).
+pub fn drive_ops(driver: &mut StepDriver, ops: u64, gap: SimDuration) -> u64 {
+    let n = driver.cluster_size() as u32;
     for i in 0..ops {
-        let at = SimTime(i * gap.micros());
+        driver.run_until(SimTime(i * gap.micros()));
         let node = NodeId((i % n as u64) as u32);
         let req = if i % 2 == 0 {
             ClientRequest::Write {
@@ -58,10 +53,13 @@ pub fn drive_ops(sim: &mut Sim<ReplicaNode>, ops: u64, gap: SimDuration) -> u64 
         } else {
             ClientRequest::Read { id: i }
         };
-        sim.schedule_external(at, node, req);
+        if !driver.is_down(node) {
+            driver.inject(node, req);
+        }
     }
-    sim.run_for(SimDuration::from_micros(ops * gap.micros()) + SimDuration::from_secs(2));
-    sim.take_outputs()
+    driver.run_until(SimTime(ops * gap.micros()) + SimDuration::from_secs(2));
+    driver
+        .outputs()
         .iter()
         .filter(|(_, _, e)| {
             matches!(
@@ -80,8 +78,8 @@ mod tests {
 
     #[test]
     fn fixtures_work() {
-        let mut sim = cluster(Arc::new(GridCoterie::new()), 9, 1, |c| c);
-        let done = drive_ops(&mut sim, 20, SimDuration::from_millis(50));
+        let mut driver = cluster(Arc::new(GridCoterie::new()), 9, 1, |c| c);
+        let done = drive_ops(&mut driver, 20, SimDuration::from_millis(50));
         assert_eq!(done, 20);
     }
 }

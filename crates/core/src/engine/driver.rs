@@ -19,6 +19,10 @@
 //! removal costs the distance to the nearer end, not the size of the pool:
 //! the oldest message or timer leaves from the front, and a timer that gets
 //! cancelled was armed moments ago at the back.
+//!
+//! A message falls due when sent under [`StepDriver::new`], after a modelled
+//! delay under [`StepDriver::with_latency`]; [`StepDriver::next_event`] is
+//! the one schedule rule both use.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -34,8 +38,21 @@ use super::failpoint::{sites, FaultKind, FiredFault};
 use super::interp::{EffectInterpreter, Replica, Substrate};
 use super::io::Input;
 use super::metrics::{keys, MetricsRegistry};
+use super::rng::Rng64;
 use super::storage::{FramedJournal, FramedReplay};
 use super::trace::{TraceRecord, TraceRing};
+
+/// The modelled network's one-way delay between two nodes is uniform in
+/// `[LINK_DELAY_MIN, LINK_DELAY_MAX]`.
+pub const LINK_DELAY_MIN: SimDuration = SimDuration::from_micros(500);
+/// Upper end of the modelled one-way delay.
+pub const LINK_DELAY_MAX: SimDuration = SimDuration::from_micros(2_000);
+/// The modelled delay of a message a node sends to itself.
+pub const SELF_DELAY: SimDuration = SimDuration::from_micros(10);
+/// Under the modelled network, a message to a node that is down or cut off
+/// when it is sent falls due this long after the send: the RPC timeout
+/// behind the paper's `RPC.CallFailed`.
+pub const BOUNCE_DELAY: SimDuration = SimDuration::from_millis(20);
 
 /// An in-flight protocol message.
 #[derive(Clone, Debug)]
@@ -48,6 +65,8 @@ pub struct Envelope {
     pub msg: Msg,
     /// The sender's Lamport stamp (trace metadata carried on the wire).
     pub lamport: u64,
+    /// When it falls due: it is delivered (or bounces) no earlier.
+    pub due: SimTime,
 }
 
 /// An armed (not yet fired) timer.
@@ -63,7 +82,7 @@ pub struct PendingTimer {
     pub timer: Timer,
 }
 
-/// One schedulable event, as chosen by an explorer.
+/// One schedulable event, as [`StepDriver::next_event`] or an explorer picks it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriverEvent {
     /// Deliver the `i`-th pending message.
@@ -136,11 +155,28 @@ pub struct StepDriver {
     /// Partition island id per node; nodes in different islands cannot
     /// exchange messages (deliveries bounce as `CallFailed`).
     partition: Vec<u8>,
+    /// The modelled network's delay draws; `None` sends with zero delay.
+    latency: Option<Rng64>,
 }
 
 impl StepDriver {
-    /// Builds and boots an `n`-node cluster.
+    /// Builds and boots an `n`-node cluster with zero message delay.
     pub fn new(n: usize, config: ProtocolConfig) -> Self {
+        Self::build(n, config, None)
+    }
+
+    /// Builds and boots an `n`-node cluster on a modelled network: a
+    /// message spends [`LINK_DELAY_MIN`]–[`LINK_DELAY_MAX`] in flight
+    /// ([`SELF_DELAY`] to its sender); one sent to a node that is down or
+    /// cut off falls due [`BOUNCE_DELAY`] later, and bounces unless the
+    /// node is back by then. Delays come from the driver's own stream,
+    /// seeded by `config.seed`, never from an engine's.
+    pub fn with_latency(n: usize, config: ProtocolConfig) -> Self {
+        let stream = Rng64::new(config.seed ^ 0x6E65_7477_6F72_6B21);
+        Self::build(n, config, Some(stream))
+    }
+
+    fn build(n: usize, config: ProtocolConfig, latency: Option<Rng64>) -> Self {
         let mut driver = StepDriver {
             nodes: (0..n as u32)
                 .map(|id| ReplicaNode::new(NodeId(id), config.clone()))
@@ -156,6 +192,7 @@ impl StepDriver {
             outputs: Vec::new(),
             journals: vec![FramedJournal::new(); n],
             partition: vec![0; n],
+            latency,
         };
         for id in 0..n as u32 {
             driver.step_node(NodeId(id), Input::Boot);
@@ -163,8 +200,7 @@ impl StepDriver {
         driver
     }
 
-    /// Current driver time (advances only when timers fire or the caller
-    /// calls [`advance`](StepDriver::advance)).
+    /// Current driver time.
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -262,12 +298,13 @@ impl StepDriver {
     /// notification of the paper's model); if the sender is down too, the
     /// bounce is dropped.
     ///
-    /// Each delivery advances time by 1 µs, so completion timestamps
-    /// strictly follow the injection timestamps of the requests that caused
-    /// them (the real-time order the 1SR checker's recency rule relies on).
+    /// Each delivery advances time by 1 µs, and at least to the message's
+    /// due time, so completion timestamps strictly follow the injection
+    /// timestamps of the requests that caused them (the real-time order the
+    /// 1SR checker's recency rule relies on).
     pub fn deliver(&mut self, i: usize) {
-        self.now += SimDuration::from_micros(1);
         let env = self.messages.remove(i);
+        self.now = (self.now + SimDuration::from_micros(1)).max(env.due);
         if self.down[env.to.0 as usize] || !self.connected(env.from, env.to) {
             if !self.down[env.from.0 as usize] {
                 self.step_node(
@@ -320,39 +357,59 @@ impl StepDriver {
         self.step_node(node, boot);
     }
 
-    /// Runs a fixed, deterministic schedule for `d` of driver time: pending
-    /// messages deliver immediately in send order; when none are pending,
-    /// the earliest timer due within the window fires (ties broken by node
-    /// then id). Returns once no message is in flight and no timer is due.
-    ///
-    /// This is the "zero-latency network, well-behaved clocks" schedule —
-    /// useful as a baseline; the interleaving explorer exists precisely to
-    /// try all the *other* schedules.
+    /// [`run_until`](StepDriver::run_until) `d` of driver time from now.
     pub fn run_for(&mut self, d: SimDuration) {
-        let deadline = self.now + d;
+        self.run_until(self.now + d);
+    }
+
+    /// Runs [`next_event`](StepDriver::next_event)'s schedule up to
+    /// `deadline`, then moves the clock there.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        while let Some(event) = self.next_event(deadline) {
+            self.perform(event);
+        }
+        self.now = self.now.max(deadline);
+    }
+
+    /// The fixed, deterministic schedule's next event, if one falls due by
+    /// `deadline`. Messages due now go first, earliest due then send order
+    /// (with zero delay: every pending message, in send order). Then the
+    /// group-commit buffers flush — a real host's flush deadline
+    /// (`GROUP_COMMIT_MAX_DELAY`, ~ms) expires before any protocol timer
+    /// (~tens of ms) — which can release messages. Then the earlier of the
+    /// next message and the earliest timer (ties: node, then id); a message
+    /// wins a tie with a timer.
+    ///
+    /// This is the "well-behaved network and clocks" schedule — useful as
+    /// a baseline; the interleaving explorer exists precisely to try all
+    /// the *other* schedules.
+    pub fn next_event(&mut self, deadline: SimTime) -> Option<DriverEvent> {
         loop {
-            if !self.pending_messages().is_empty() {
-                self.deliver(0);
-                continue;
-            }
-            // Message pool drained: a real host's flush deadline
-            // (`GROUP_COMMIT_MAX_DELAY`, ~ms) expires before any protocol
-            // timer (~tens of ms), so the buffers flush before timers fire.
-            if self.flush_group_commit() {
-                continue;
-            }
-            let next = self
-                .pending_timers()
+            let message = self
+                .pending_messages()
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, t)| (t.fire_at, t.node.0, t.id.0))
-                .map(|(i, t)| (i, t.fire_at));
-            match next {
-                Some((i, at)) if at <= deadline => self.fire(i),
-                _ => break,
+                .min_by_key(|(i, e)| (e.due, *i))
+                .map(|(i, e)| (e.due, DriverEvent::Deliver(i)));
+            if let Some((due, event)) = message {
+                if due <= self.now {
+                    return Some(event);
+                }
+            }
+            if !self.flush_group_commit() {
+                let timer = self
+                    .pending_timers()
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, t)| (t.fire_at, t.node.0, t.id.0))
+                    .map(|(i, t)| (t.fire_at, DriverEvent::Fire(i)));
+                let next = match (message, timer) {
+                    (Some(m), Some(t)) => Some(if t.0 < m.0 { t } else { m }),
+                    (m, t) => m.or(t),
+                };
+                return next.filter(|(at, _)| *at <= deadline).map(|(_, e)| e);
             }
         }
-        self.now = deadline;
     }
 
     /// Applies one schedulable event.
@@ -383,6 +440,9 @@ impl StepDriver {
                 messages: &mut self.messages,
                 timers: &mut self.timers,
                 outputs: &mut self.outputs,
+                latency: self.latency.as_mut(),
+                down: &self.down,
+                partition: &self.partition,
             },
         )
     }
@@ -523,15 +583,29 @@ struct Pools<'a> {
     messages: &'a mut Pool<Envelope>,
     timers: &'a mut Pool<PendingTimer>,
     outputs: &'a mut Vec<(SimTime, NodeId, ProtocolEvent)>,
+    latency: Option<&'a mut Rng64>,
+    down: &'a [bool],
+    partition: &'a [u8],
 }
 
 impl Substrate for Pools<'_> {
     fn send(&mut self, to: NodeId, msg: Msg, lamport: u64) {
+        let (from, t) = (self.node.0 as usize, to.0 as usize);
+        let delay = match self.latency.as_deref_mut() {
+            None => SimDuration::ZERO,
+            Some(_) if from == t => SELF_DELAY,
+            Some(_) if self.down[t] || self.partition[from] != self.partition[t] => BOUNCE_DELAY,
+            Some(rng) => {
+                let spread = (LINK_DELAY_MAX - LINK_DELAY_MIN).micros();
+                LINK_DELAY_MIN + SimDuration::from_micros(rng.below(spread + 1))
+            }
+        };
         self.messages.push(Envelope {
             from: self.node,
             to,
             msg,
             lamport,
+            due: self.now + delay,
         });
     }
 
@@ -656,6 +730,9 @@ mod tests {
             messages: &mut messages,
             timers: &mut timers,
             outputs: &mut outputs,
+            latency: None,
+            down: &[false; 4],
+            partition: &[0; 4],
         };
         let mut model: Vec<(NodeId, TimerId)> = Vec::new();
         let (mut next_id, mut wraps) = (0, 0);

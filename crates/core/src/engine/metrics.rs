@@ -15,7 +15,7 @@
 //! artifacts. It is exposed uniformly: per node via
 //! [`NodeStats`](crate::node::NodeStats), per cluster via
 //! [`StepDriver::metrics`](super::driver::StepDriver::metrics), and by the
-//! simnet/threaded hosts via `JournaledNode::metrics`.
+//! threaded host via `JournaledNode::metrics`.
 //!
 //! [`to_json`]: MetricsRegistry::to_json
 

@@ -13,9 +13,8 @@
 //!   [`ProtocolConfig::seed`](crate::config::ProtocolConfig::seed), so it is
 //!   part of the state machine, not an ambient source;
 //! * **transport, timers, durability** are requested as effects and applied
-//!   by whatever host embeds the engine — the discrete-event simulator, the
-//!   threaded runtime (both via the `simnet-host` feature), or the
-//!   substrate-free [`StepDriver`].
+//!   by whatever host embeds the engine — the threaded runtime (via the
+//!   `simnet-host` feature) or the substrate-free [`StepDriver`].
 //!
 //! **Determinism guarantee:** two `ReplicaNode`s constructed with the same
 //! `(NodeId, ProtocolConfig)` and fed the same sequence of `(now, Input)`

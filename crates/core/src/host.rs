@@ -1,29 +1,22 @@
-//! Host adapters binding the sans-I/O engine to the `coterie-simnet`
-//! substrate (feature `simnet-host`).
+//! The host adapter binding the sans-I/O engine to the `coterie-simnet`
+//! threaded runtime (feature `simnet-host`).
 //!
-//! The adapters are deliberately thin: each simulator callback is
-//! translated into one [`Input`] and the resulting effects land on the
-//! simulator's context. All protocol behaviour lives in the engine and
-//! all durability behaviour in the `EffectInterpreter`; nothing here
-//! makes decisions.
+//! The adapter is deliberately thin: each runtime callback is translated
+//! into one [`Input`] and the resulting effects land on the runtime's
+//! context. All protocol behaviour lives in the engine and all durability
+//! behaviour in the `EffectInterpreter`; nothing here makes decisions.
 //!
-//! Two hosts are provided:
-//!
-//! * [`ReplicaNode`] itself implements [`Application`] — durable state
-//!   simply lives in the engine struct (and survives simulated crashes
-//!   because the engine value survives them). `Persist` effects are
-//!   dropped: there is no storage to write to.
-//! * [`JournaledNode`] runs the engine behind an `EffectInterpreter`
-//!   over a framed, checksummed [`FramedJournal`]: every `Persist` delta
-//!   is committed before the effects it governs are released, and on
-//!   crash the engine's durable state is **discarded and reinstalled from
-//!   checked journal replay** — so a simulation run over `JournaledNode`s
-//!   proves the journal alone carries everything the protocol needs
-//!   across failures. What is the host's own: applying effects to the
-//!   [`Ctx`], the [`HOST_FLUSH_TIMER`] that bounds how long a group-commit
-//!   batch may wait for companions (`on_idle` flushes sooner when the
-//!   inbox drains), the [`SyncSink`] that charges each commit a real
-//!   `fdatasync`, and the wall-clock histogram of that cost.
+//! [`JournaledNode`] runs the engine behind an `EffectInterpreter` over a
+//! framed, checksummed [`FramedJournal`]: every `Persist` delta is
+//! committed before the effects it governs are released, and on crash the
+//! engine's durable state is **discarded and reinstalled from checked
+//! journal replay** — so a run over `JournaledNode`s proves the journal
+//! alone carries everything the protocol needs across failures. What is
+//! the host's own: applying effects to the [`Ctx`], the
+//! [`HOST_FLUSH_TIMER`] that bounds how long a group-commit batch may wait
+//! for companions (`on_idle` flushes sooner when the inbox drains), the
+//! [`SyncSink`] that charges each commit a real `fdatasync`, and the
+//! wall-clock histogram of that cost.
 #![expect(
     clippy::disallowed_types,
     clippy::disallowed_methods,
@@ -36,7 +29,7 @@ use coterie_simnet::{Application, Ctx};
 
 use crate::config::{ProtocolConfig, GROUP_COMMIT_MAX_DELAY};
 use crate::engine::interp::{EffectInterpreter, Replica, Substrate};
-use crate::engine::io::{Effect, Input};
+use crate::engine::io::Input;
 use crate::engine::metrics::{keys, MetricsRegistry};
 use crate::engine::storage::FramedJournal;
 use crate::engine::trace::TraceRing;
@@ -44,10 +37,11 @@ use crate::engine::{sites, FaultKind};
 use crate::msg::{ClientRequest, Msg, ProtocolEvent};
 use crate::node::{ReplicaNode, Timer};
 
-/// What travels over the simulated (or threaded) network: the protocol
+/// What travels over the threaded runtime's channels: the protocol
 /// message plus the sender's Lamport stamp. The stamp is trace metadata —
-/// hosts thread it from [`Effect::Send`] to [`Input::Deliver`] so causal
-/// ordering survives the substrate; the protocol itself never reads it.
+/// hosts thread it from [`Effect::Send`](crate::engine::Effect::Send) to
+/// [`Input::Deliver`] so causal ordering survives the substrate; the
+/// protocol itself never reads it.
 #[derive(Clone, Debug)]
 pub struct WireMsg {
     /// The sender's Lamport counter at send time.
@@ -107,76 +101,6 @@ impl SyncSink {
     }
 }
 
-/// Replays engine effects onto a simulator context for the journal-less
-/// host: `Persist` is dropped, there is no storage to write to.
-fn replay_effects<A>(ctx: &mut Ctx<'_, A>, effects: &[Effect])
-where
-    A: Application<Msg = WireMsg, Timer = Timer, Output = ProtocolEvent>,
-{
-    for effect in effects {
-        match effect {
-            Effect::Send { to, msg, lamport } => ctx.send(
-                *to,
-                WireMsg {
-                    lamport: *lamport,
-                    msg: msg.clone(),
-                },
-            ),
-            Effect::SetTimer { id, delay, timer } => {
-                ctx.set_timer_with_id(*id, *delay, timer.clone())
-            }
-            Effect::CancelTimer(id) => ctx.cancel_timer(*id),
-            Effect::Persist(_) => {}
-            Effect::Output(event) => ctx.output(event.clone()),
-        }
-    }
-}
-
-impl Application for ReplicaNode {
-    type Msg = WireMsg;
-    type Timer = Timer;
-    type External = ClientRequest;
-    type Output = ProtocolEvent;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let effects = self.step(ctx.now(), Input::Boot);
-        replay_effects(ctx, &effects);
-    }
-
-    fn on_crash(&mut self) {
-        // Crash produces no effects (it only wipes volatile state); the
-        // host drops this node's pending timers itself.
-        let _ = self.step(SimTime::ZERO, Input::Crash);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, wire: WireMsg) {
-        let effects = self.step(
-            ctx.now(),
-            Input::Deliver {
-                from,
-                msg: wire.msg,
-                lamport: wire.lamport,
-            },
-        );
-        replay_effects(ctx, &effects);
-    }
-
-    fn on_call_failed(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId, wire: WireMsg) {
-        let effects = self.step(ctx.now(), Input::CallFailed { to, msg: wire.msg });
-        replay_effects(ctx, &effects);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Timer) {
-        let effects = self.step(ctx.now(), Input::TimerFired(timer));
-        replay_effects(ctx, &effects);
-    }
-
-    fn on_external(&mut self, ctx: &mut Ctx<'_, Self>, request: ClientRequest) {
-        let effects = self.step(ctx.now(), Input::External(request));
-        replay_effects(ctx, &effects);
-    }
-}
-
 /// A replica host that treats the [`FramedJournal`] as its only stable
 /// storage: durable state is recovered from checked journal replay after
 /// every crash rather than trusted from memory (see the module docs).
@@ -190,7 +114,7 @@ pub struct JournaledNode {
     /// What the next start feeds the engine: [`Input::BootQuarantined`]
     /// when the last crash-replay quarantined the journal.
     boot: Input,
-    /// Set when a storage fault fail-stopped the node. The simulator still
+    /// Set when a storage fault fail-stopped the node. The runtime still
     /// counts it as up (a callback cannot crash its own node), so it stays
     /// silent — every input swallowed, leftover timers firing into nothing
     /// — until the substrate crashes and restarts it; see the contract on
@@ -307,7 +231,7 @@ impl JournaledNode {
     }
 }
 
-/// The simulator context plus the host-side durability work, as the
+/// The runtime context plus the host-side durability work, as the
 /// substrate a [`JournaledNode`]'s effects land in.
 struct CtxHost<'a, 'c> {
     ctx: &'a mut Ctx<'c, JournaledNode>,

@@ -30,8 +30,8 @@
 //!
 //! The engine consumes [`Input`]s and emits [`Effect`]s; hosts apply them
 //! to a substrate. The [`StepDriver`] below is the substrate-free host
-//! (the `simnet-host` feature adds adapters for the discrete-event
-//! simulator and the threaded runtime):
+//! and the simulator (the `simnet-host` feature adds `JournaledNode`, the
+//! adapter for the threaded runtime):
 //!
 //! ```
 //! use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, StepDriver};

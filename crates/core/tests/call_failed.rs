@@ -18,43 +18,21 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use coterie_base::SimDuration;
+use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
     ClientRequest, Msg, MsgClass, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver, Timer,
 };
 use coterie_quorum::{MajorityCoterie, NodeId};
 
-/// Performs the single next event exactly as [`StepDriver::run_for`]
-/// would (messages in FIFO order first, then the earliest timer), so a
-/// test can stop between events. Returns false when nothing is pending.
-fn step_once(driver: &mut StepDriver) -> bool {
-    if !driver.pending_messages().is_empty() {
-        driver.deliver(0);
-        return true;
-    }
-    let Some((i, _)) = driver
-        .pending_timers()
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, t)| (t.fire_at, t.node.0))
-    else {
-        return false;
-    };
-    driver.fire(i);
-    true
-}
-
-/// Steps the driver until `done` holds, failing the test if it doesn't
-/// within `bound` events.
-fn run_until(driver: &mut StepDriver, bound: usize, done: impl Fn(&StepDriver) -> bool) {
+/// Steps the driver through [`StepDriver::next_event`]'s schedule until
+/// `done` holds, failing the test if it doesn't within `bound` events.
+fn step_until(driver: &mut StepDriver, bound: usize, done: impl Fn(&StepDriver) -> bool) {
     for _ in 0..bound {
         if done(driver) {
             return;
         }
-        assert!(
-            step_once(driver),
-            "cluster went quiescent before condition held"
-        );
+        let event = driver.next_event(SimTime(u64::MAX));
+        driver.perform(event.expect("cluster went quiescent before condition held"));
     }
     panic!("condition did not hold within {bound} events");
 }
@@ -83,8 +61,8 @@ fn decision_retry_is_disarmed_by_the_decision_and_chases_a_lost_one() {
     // A committed write leaves nothing behind: every participant armed a
     // retry when it prepared, and none survives its decision.
     driver.inject(coordinator, write(1));
-    run_until(&mut driver, 500, |d| decision_retries(d).0 > 0);
-    run_until(&mut driver, 500, |d| d.pending_messages().is_empty());
+    step_until(&mut driver, 500, |d| decision_retries(d).0 > 0);
+    step_until(&mut driver, 500, |d| d.pending_messages().is_empty());
     let newest = |d: &StepDriver| (0..3).map(|n| d.node(NodeId(n)).durable.version).max();
     assert_eq!(newest(&driver), Some(1));
     assert_eq!(decision_retries(&driver), (0, false));
@@ -98,15 +76,15 @@ fn decision_retry_is_disarmed_by_the_decision_and_chases_a_lost_one() {
         };
         d.pending_messages().iter().find(to_peer).map(|e| e.to)
     };
-    run_until(&mut driver, 500, |d| decision_to(d).is_some());
-    let cut_off = decision_to(&driver).expect("checked by run_until");
+    step_until(&mut driver, 500, |d| decision_to(d).is_some());
+    let cut_off = decision_to(&driver).expect("checked by step_until");
     let mut islands = vec![0; 3];
     islands[cut_off.0 as usize] = 1;
     driver.set_partition(islands);
 
     // The chain does its job: it fires, asks, the query bounces, it re-arms.
     let bounced = |d: &StepDriver| d.node(cut_off).stats.msgs_bounced(MsgClass::Commit);
-    run_until(&mut driver, 500, |d| bounced(d) >= 2);
+    step_until(&mut driver, 500, |d| bounced(d) >= 2);
     let node = driver.node(cut_off);
     assert!(node.durable.prepared.is_some(), "still in doubt");
     assert_eq!(node.durable.version, 1);
@@ -145,7 +123,7 @@ fn bounced_propagation_offer_retries_until_target_recovers() {
     driver.crash(target);
     driver.advance(SimDuration::from_millis(1));
     driver.inject(NodeId(0), write(1, b"one"));
-    run_until(&mut driver, 500, |d| write_done(d, 1));
+    step_until(&mut driver, 500, |d| write_done(d, 1));
 
     // Node 2 comes back one version behind; the next write's permission
     // poll classifies it STALE, marks it, and the good replicas owe it a
@@ -153,7 +131,7 @@ fn bounced_propagation_offer_retries_until_target_recovers() {
     driver.recover(target);
     driver.advance(SimDuration::from_millis(1));
     driver.inject(NodeId(0), write(2, b"two"));
-    run_until(&mut driver, 500, |d| {
+    step_until(&mut driver, 500, |d| {
         write_done(d, 2)
             && d.node(target).durable.stale
             && (0..3).any(|n| !d.node(NodeId(n)).vol.propagator.remaining.is_empty())
@@ -162,13 +140,13 @@ fn bounced_propagation_offer_retries_until_target_recovers() {
     // Crash the stale target: the next PropOffer (or PropData) bounces.
     driver.crash(target);
     let bounced = |d: &StepDriver, n: NodeId| d.node(n).stats.msgs_bounced(MsgClass::Propagation);
-    run_until(&mut driver, 500, |d| {
+    step_until(&mut driver, 500, |d| {
         (0..3).any(|n| bounced(d, NodeId(n)) >= 1)
     });
     let source = (0..3)
         .map(NodeId)
         .find(|&n| bounced(&driver, n) >= 1)
-        .expect("checked by run_until");
+        .expect("checked by step_until");
 
     // The bounce must not abandon the target: the failure is counted and
     // the target stays on the work list for a later retry.

@@ -2,27 +2,23 @@
 //! the highest live node wins, epoch checks keep running, failover works,
 //! and a recovering higher node reclaims the role.
 
+mod common;
+
 use bytes::Bytes;
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode};
+use common::Cluster;
+use coterie_base::SimDuration;
+use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent};
 use coterie_quorum::{GridCoterie, NodeId};
-use coterie_simnet::{Sim, SimConfig, SimDuration};
 use std::sync::Arc;
 
-fn bully_cluster(n: usize, seed: u64) -> Sim<ReplicaNode> {
+fn bully_cluster(n: usize, seed: u64) -> Cluster {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2))
         .bully_election();
-    Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, config.clone()),
-    )
+    Cluster::new(n, config, seed)
 }
 
-fn leader_of(sim: &Sim<ReplicaNode>, id: u32) -> Option<NodeId> {
+fn leader_of(sim: &Cluster, id: u32) -> Option<NodeId> {
     sim.node(NodeId(id)).vol.election.leader
 }
 
@@ -47,7 +43,7 @@ fn highest_node_becomes_coordinator() {
 fn epoch_checks_adapt_under_bully_leadership() {
     let mut sim = bully_cluster(9, 2);
     sim.run_for(SimDuration::from_secs(12)); // settle leadership
-    sim.crash_now(NodeId(3));
+    sim.crash(NodeId(3));
     sim.run_for(SimDuration::from_secs(12));
     let evs: Vec<_> = sim.take_outputs();
     assert!(
@@ -58,8 +54,7 @@ fn epoch_checks_adapt_under_bully_leadership() {
         "epoch must shrink under bully coordination"
     );
     // Writes work.
-    sim.schedule_external(
-        sim.now(),
+    sim.inject(
         NodeId(0),
         ClientRequest::Write {
             id: 1,
@@ -78,7 +73,7 @@ fn leadership_fails_over_when_the_leader_dies() {
     let mut sim = bully_cluster(5, 3);
     sim.run_for(SimDuration::from_secs(15));
     assert_eq!(leader_of(&sim, 0), Some(NodeId(4)));
-    sim.crash_now(NodeId(4));
+    sim.crash(NodeId(4));
     // Silence triggers elections; node 3 should take over.
     sim.run_for(SimDuration::from_secs(25));
     for id in 0..4u32 {
@@ -96,10 +91,10 @@ fn leadership_fails_over_when_the_leader_dies() {
 fn recovered_higher_node_reclaims_leadership() {
     let mut sim = bully_cluster(5, 4);
     sim.run_for(SimDuration::from_secs(15));
-    sim.crash_now(NodeId(4));
+    sim.crash(NodeId(4));
     sim.run_for(SimDuration::from_secs(25));
     assert_eq!(leader_of(&sim, 0), Some(NodeId(3)));
-    sim.recover_now(NodeId(4));
+    sim.recover(NodeId(4));
     // The recovering node sees a lower coordinator and bullies the role
     // back (its own ticks start elections; node 3's Coordinator messages
     // provoke it).

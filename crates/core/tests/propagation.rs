@@ -2,24 +2,20 @@
 //! shipping, the snapshot fallback when the log has been trimmed, the
 //! three-way offer handshake, and the locking-mode ablation.
 
+mod common;
+
 use bytes::Bytes;
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode};
+use common::Cluster;
+use coterie_base::{SimDuration, SimTime};
+use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent};
 use coterie_quorum::{GridCoterie, NodeId};
-use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
 use std::sync::Arc;
 
-fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Sim<ReplicaNode> {
+fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Cluster {
     let n = config.n_replicas;
-    let mut sim = Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, config.clone()),
-    );
+    let mut sim = Cluster::new(n, config, seed);
     for i in 0..writes {
-        sim.schedule_external(
+        sim.inject_at(
             SimTime(i * 250_000),
             NodeId((i % n as u64) as u32),
             ClientRequest::Write {
@@ -28,7 +24,7 @@ fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Sim<Replic
             },
         );
     }
-    sim.run_for(SimDuration::from_secs(writes / 4 + 20));
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(writes / 4 + 20));
     sim
 }
 
@@ -36,7 +32,7 @@ fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Sim<Replic
 /// (replicas that were never marked may legitimately sit behind), at least
 /// a write quorum's worth of replicas hold the newest version, and all the
 /// newest-version holders agree on content.
-fn assert_propagation_converged(sim: &Sim<ReplicaNode>, n: usize, version: u64) {
+fn assert_propagation_converged(sim: &Cluster, n: usize, version: u64) {
     let versions: Vec<u64> = (0..n as u32)
         .map(|i| sim.node(NodeId(i)).durable.version)
         .collect();
@@ -90,17 +86,10 @@ fn paper_locking_mode_also_converges() {
 fn propagation_source_crash_does_not_leave_target_stuck() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9);
     let n = 9;
-    let mut sim = Sim::new(
-        n,
-        SimConfig {
-            seed: 4,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, config.clone()),
-    );
+    let mut sim = Cluster::new(n, config, 4);
     // A few writes to create stale marks and kick off propagation.
     for i in 0..6u64 {
-        sim.schedule_external(
+        sim.inject_at(
             SimTime(i * 200_000),
             NodeId(i as u32),
             ClientRequest::Write {
@@ -111,11 +100,15 @@ fn propagation_source_crash_does_not_leave_target_stuck() {
     }
     // Crash every node that could be an early propagation source shortly
     // after the last write, then recover them.
+    sim.run_until(SimTime(1_250_000));
     for v in 0..4u32 {
-        sim.schedule_crash(SimTime(1_250_000), NodeId(v));
-        sim.schedule_recover(SimTime(4_000_000), NodeId(v));
+        sim.crash(NodeId(v));
     }
-    sim.run_for(SimDuration::from_secs(40));
+    sim.run_until(SimTime(4_000_000));
+    for v in 0..4u32 {
+        sim.recover(NodeId(v));
+    }
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(40));
     // Everyone eventually converges; nobody is left holding a propagation
     // lock or an in-doubt incoming transfer.
     for i in 0..n as u32 {
@@ -125,8 +118,7 @@ fn propagation_source_crash_does_not_leave_target_stuck() {
     }
     // System still writable.
     sim.take_outputs();
-    sim.schedule_external(
-        sim.now(),
+    sim.inject(
         NodeId(5),
         ClientRequest::Write {
             id: 99,
@@ -144,25 +136,15 @@ fn propagation_source_crash_does_not_leave_target_stuck() {
 fn stale_replica_never_serves_reads() {
     // Force a replica stale, then point a read's fetch at the cluster: the
     // read must come back with the newest version, never the stale copy.
-    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9)
+    let mut config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9)
         // Disable propagation-by-delay so staleness persists during the test.
         .check_period(SimDuration::from_secs(600));
+    config.propagation_retry = SimDuration::from_secs(600);
+    config.propagation_jitter = SimDuration::from_secs(600);
     let n = 9;
-    let mut sim = Sim::new(
-        n,
-        SimConfig {
-            seed: 6,
-            ..Default::default()
-        },
-        |id| {
-            let mut cfg = config.clone();
-            cfg.propagation_retry = SimDuration::from_secs(600);
-            cfg.propagation_jitter = SimDuration::from_secs(600);
-            ReplicaNode::new(id, cfg)
-        },
-    );
+    let mut sim = Cluster::new(n, config, 6);
     for i in 0..8u64 {
-        sim.schedule_external(
+        sim.inject_at(
             SimTime(i * 200_000),
             NodeId((i % 9) as u32),
             ClientRequest::Write {
@@ -171,7 +153,7 @@ fn stale_replica_never_serves_reads() {
             },
         );
     }
-    sim.run_for(SimDuration::from_secs(5));
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
     // With propagation effectively disabled there must be stale replicas.
     let stale_count = (0..9u32)
         .filter(|&i| sim.node(NodeId(i)).durable.stale)
@@ -180,11 +162,7 @@ fn stale_replica_never_serves_reads() {
     sim.take_outputs();
     // Reads from every coordinator all see version 8.
     for (j, reader) in (0..9u32).enumerate() {
-        sim.schedule_external(
-            sim.now(),
-            NodeId(reader),
-            ClientRequest::Read { id: 100 + j as u64 },
-        );
+        sim.inject(NodeId(reader), ClientRequest::Read { id: 100 + j as u64 });
     }
     sim.run_for(SimDuration::from_secs(3));
     let evs = sim.take_outputs();

@@ -1,41 +1,26 @@
-//! End-to-end protocol tests over the discrete-event simulator: happy-path
+//! End-to-end protocol tests on the step driver's modelled network: happy-path
 //! reads and writes, stale marking and propagation, epoch changes under
 //! failures, partitions, crash recovery, and one-copy serializability.
 
-use bytes::Bytes;
-use coterie_core::{
-    ClientRequest, FailReason, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
-};
-use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId, RowaCoterie};
-use coterie_simnet::{Partition, Sim, SimConfig, SimDuration, SimTime};
-use std::sync::Arc;
+mod common;
 
-type Cluster = Sim<ReplicaNode>;
+use bytes::Bytes;
+use common::Cluster;
+use coterie_base::{SimDuration, SimTime};
+use coterie_core::{ClientRequest, FailReason, PartialWrite, ProtocolConfig, ProtocolEvent};
+use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId, RowaCoterie};
+use std::sync::Arc;
 
 fn grid_cluster(n: usize, seed: u64) -> Cluster {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
-    Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, config.clone()),
-    )
+    Cluster::new(n, config, seed)
 }
 
 fn majority_cluster(n: usize, seed: u64) -> Cluster {
     let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
-    Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, config.clone()),
-    )
+    Cluster::new(n, config, seed)
 }
 
 fn b(s: &str) -> Bytes {
@@ -87,9 +72,9 @@ fn failures(events: &[ProtocolEvent]) -> Vec<(u64, FailReason)> {
 #[test]
 fn single_write_commits_and_read_sees_it() {
     let mut sim = grid_cluster(9, 1);
-    sim.schedule_external(SimTime::ZERO, NodeId(0), write_req(1, 0, "hello"));
+    sim.inject(NodeId(0), write_req(1, 0, "hello"));
     sim.run_for(SimDuration::from_millis(500));
-    sim.schedule_external(sim.now(), NodeId(4), ClientRequest::Read { id: 2 });
+    sim.inject(NodeId(4), ClientRequest::Read { id: 2 });
     sim.run_for(SimDuration::from_millis(500));
     let evs = events(&mut sim);
     assert_eq!(write_oks(&evs), vec![(1, 1)]);
@@ -108,13 +93,13 @@ fn sequential_writes_get_increasing_contiguous_versions() {
     let mut sim = grid_cluster(9, 2);
     // Issue from different coordinators, spaced out to avoid contention.
     for i in 0..20u64 {
-        sim.schedule_external(
+        sim.inject_at(
             SimTime(i * 300_000),
             NodeId((i % 9) as u32),
             write_req(i, (i % 4) as u16, &format!("v{i}")),
         );
     }
-    sim.run_for(SimDuration::from_secs(30));
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
     let evs = events(&mut sim);
     let mut oks = write_oks(&evs);
     oks.sort_by_key(|&(_, v)| v);
@@ -134,13 +119,13 @@ fn different_quorums_cause_stale_marking_and_propagation_catches_up() {
     let mut sim = grid_cluster(9, 3);
     let mut marked = 0u64;
     for i in 0..12u64 {
-        sim.schedule_external(
+        sim.inject_at(
             SimTime(i * 400_000),
             NodeId((i % 9) as u32),
             write_req(i, 0, &format!("v{i}")),
         );
     }
-    sim.run_for(SimDuration::from_secs(20));
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(20));
     let evs = events(&mut sim);
     assert_eq!(write_oks(&evs).len(), 12);
     for e in &evs {
@@ -171,7 +156,7 @@ fn different_quorums_cause_stale_marking_and_propagation_catches_up() {
     // worth of replicas (>= 5 of 9) must be fully current.
     assert!(at_latest >= 5, "only {at_latest} replicas reached v12");
     // And a read still sees the latest data regardless.
-    sim.schedule_external(sim.now(), NodeId(8), ClientRequest::Read { id: 999 });
+    sim.inject(NodeId(8), ClientRequest::Read { id: 999 });
     sim.run_for(SimDuration::from_secs(1));
     let evs = events(&mut sim);
     assert_eq!(read_oks(&evs), vec![(999, 12)]);
@@ -182,15 +167,13 @@ fn reads_never_return_stale_data() {
     let mut sim = grid_cluster(9, 4);
     let mut expected_version = 0u64;
     for round in 0..10u64 {
-        sim.schedule_external(
-            sim.now(),
+        sim.inject(
             NodeId((round % 9) as u32),
             write_req(round, 0, &format!("r{round}")),
         );
         sim.run_for(SimDuration::from_millis(300));
         expected_version += 1;
-        sim.schedule_external(
-            sim.now(),
+        sim.inject(
             NodeId(((round + 3) % 9) as u32),
             ClientRequest::Read { id: 100 + round },
         );
@@ -209,14 +192,14 @@ fn reads_never_return_stale_data() {
 fn writes_survive_node_failures_via_epoch_change() {
     let mut sim = grid_cluster(9, 5);
     // Warm up with one write.
-    sim.schedule_external(SimTime::ZERO, NodeId(0), write_req(0, 0, "x"));
+    sim.inject(NodeId(0), write_req(0, 0, "x"));
     sim.run_for(SimDuration::from_secs(1));
     // Kill three nodes at once — but not a full column and not one node
     // from every column, either of which would (correctly!) destroy every
     // write quorum of the 9-epoch and freeze it. {3, 6, 7} leaves column 3
     // ({2, 5, 8}) fully alive.
     for &v in &[3u32, 6, 7] {
-        sim.crash_now(NodeId(v));
+        sim.crash(NodeId(v));
     }
     // Let epoch checking notice (period 2 s for rank 0 + jitter).
     sim.run_for(SimDuration::from_secs(10));
@@ -234,7 +217,7 @@ fn writes_survive_node_failures_via_epoch_change() {
     );
     // Writes now succeed even though a whole original column is dead
     // (the static grid protocol would be stuck: no full column available).
-    sim.schedule_external(sim.now(), NodeId(0), write_req(1, 1, "after"));
+    sim.inject(NodeId(0), write_req(1, 1, "after"));
     sim.run_for(SimDuration::from_secs(2));
     let evs = events(&mut sim);
     assert_eq!(write_oks(&evs).len(), 1, "failures: {:?}", failures(&evs));
@@ -243,18 +226,11 @@ fn writes_survive_node_failures_via_epoch_change() {
 #[test]
 fn static_mode_blocks_when_a_column_dies() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9).static_mode();
-    let mut sim = Sim::new(
-        9,
-        SimConfig {
-            seed: 6,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, config.clone()),
-    );
+    let mut sim = Cluster::new(9, config, 6);
     for &v in &[1u32, 4, 7] {
-        sim.crash_now(NodeId(v));
+        sim.crash(NodeId(v));
     }
-    sim.schedule_external(SimTime(1000), NodeId(0), write_req(1, 0, "w"));
+    sim.inject_at(SimTime(1000), NodeId(0), write_req(1, 0, "w"));
     sim.run_for(SimDuration::from_secs(5));
     let evs = events(&mut sim);
     assert!(write_oks(&evs).is_empty());
@@ -268,18 +244,14 @@ fn gradual_failures_leave_three_survivors_still_writable() {
     // The headline fault-tolerance claim: with epoch adjustment between
     // failures, the system stays available down to 3 nodes (grid).
     let mut sim = grid_cluster(9, 7);
-    sim.schedule_external(SimTime::ZERO, NodeId(0), write_req(0, 0, "start"));
+    sim.inject(NodeId(0), write_req(0, 0, "start"));
     sim.run_for(SimDuration::from_secs(1));
     let _ = events(&mut sim); // drain the warm-up write's event
     for (i, victim) in [8u32, 7, 6, 5, 4, 3].iter().enumerate() {
-        sim.crash_now(NodeId(*victim));
+        sim.crash(NodeId(*victim));
         // Give epoch checking time to adjust after each failure.
         sim.run_for(SimDuration::from_secs(12));
-        sim.schedule_external(
-            sim.now(),
-            NodeId(0),
-            write_req(10 + i as u64, 0, &format!("after{i}")),
-        );
+        sim.inject(NodeId(0), write_req(10 + i as u64, 0, &format!("after{i}")));
         sim.run_for(SimDuration::from_secs(2));
         let evs = events(&mut sim);
         assert_eq!(
@@ -298,14 +270,14 @@ fn gradual_failures_leave_three_survivors_still_writable() {
 #[test]
 fn minority_partition_cannot_write_majority_can() {
     let mut sim = majority_cluster(5, 8);
-    sim.schedule_external(SimTime::ZERO, NodeId(0), write_req(0, 0, "base"));
+    sim.inject(NodeId(0), write_req(0, 0, "base"));
     sim.run_for(SimDuration::from_secs(1));
     // Partition {3, 4} away.
-    sim.set_partition_now(Partition::split(5, &[NodeId(3), NodeId(4)]));
+    sim.set_partition(vec![0, 0, 0, 1, 1]);
     sim.run_for(SimDuration::from_secs(10)); // epoch shrinks to {0,1,2}
     let _ = events(&mut sim);
-    sim.schedule_external(sim.now(), NodeId(0), write_req(1, 0, "major"));
-    sim.schedule_external(sim.now(), NodeId(3), write_req(2, 0, "minor"));
+    sim.inject(NodeId(0), write_req(1, 0, "major"));
+    sim.inject(NodeId(3), write_req(2, 0, "minor"));
     sim.run_for(SimDuration::from_secs(3));
     let evs = events(&mut sim);
     let oks = write_oks(&evs);
@@ -315,7 +287,7 @@ fn minority_partition_cannot_write_majority_can() {
     assert!(fails.iter().any(|&(id, _)| id == 2), "minority write fails");
 
     // Heal: the partitioned nodes rejoin and catch up.
-    sim.set_partition_now(Partition::connected(5));
+    sim.heal_partition();
     sim.run_for(SimDuration::from_secs(30));
     let _ = events(&mut sim);
     for id in 0..5u32 {
@@ -329,14 +301,14 @@ fn minority_partition_cannot_write_majority_can() {
 #[test]
 fn crashed_node_recovers_and_is_reabsorbed() {
     let mut sim = grid_cluster(4, 9);
-    sim.schedule_external(SimTime::ZERO, NodeId(0), write_req(0, 0, "a"));
+    sim.inject(NodeId(0), write_req(0, 0, "a"));
     sim.run_for(SimDuration::from_secs(1));
-    sim.crash_now(NodeId(3));
+    sim.crash(NodeId(3));
     sim.run_for(SimDuration::from_secs(10));
-    sim.schedule_external(sim.now(), NodeId(0), write_req(1, 1, "b"));
+    sim.inject(NodeId(0), write_req(1, 1, "b"));
     sim.run_for(SimDuration::from_secs(2));
     assert_eq!(sim.node(NodeId(0)).durable.elist.len(), 3);
-    sim.recover_now(NodeId(3));
+    sim.recover(NodeId(3));
     sim.run_for(SimDuration::from_secs(20));
     let node3 = sim.node(NodeId(3));
     assert_eq!(node3.durable.elist.len(), 4, "recovered node rejoins");
@@ -348,15 +320,8 @@ fn crashed_node_recovers_and_is_reabsorbed() {
 fn rowa_reads_are_one_node_and_writes_touch_all() {
     let config = ProtocolConfig::new(Arc::new(RowaCoterie::new()), 4)
         .check_period(SimDuration::from_secs(2));
-    let mut sim = Sim::new(
-        4,
-        SimConfig {
-            seed: 10,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, config.clone()),
-    );
-    sim.schedule_external(SimTime::ZERO, NodeId(1), write_req(0, 0, "w"));
+    let mut sim = Cluster::new(4, config, 10);
+    sim.inject(NodeId(1), write_req(0, 0, "w"));
     sim.run_for(SimDuration::from_secs(1));
     let evs = events(&mut sim);
     let oks = write_oks(&evs);
@@ -369,7 +334,7 @@ fn rowa_reads_are_one_node_and_writes_touch_all() {
     {
         assert_eq!(*replicas_touched, 4);
     }
-    sim.schedule_external(sim.now(), NodeId(2), ClientRequest::Read { id: 1 });
+    sim.inject(NodeId(2), ClientRequest::Read { id: 1 });
     sim.run_for(SimDuration::from_secs(1));
     let evs = events(&mut sim);
     assert_eq!(read_oks(&evs), vec![(1, 1)]);
@@ -380,11 +345,7 @@ fn concurrent_writes_serialize() {
     let mut sim = grid_cluster(9, 11);
     // Fire 6 writes at the same instant from different coordinators.
     for i in 0..6u64 {
-        sim.schedule_external(
-            SimTime::ZERO,
-            NodeId(i as u32),
-            write_req(i, 0, &format!("c{i}")),
-        );
+        sim.inject(NodeId(i as u32), write_req(i, 0, &format!("c{i}")));
     }
     sim.run_for(SimDuration::from_secs(20));
     let evs = events(&mut sim);
@@ -406,14 +367,17 @@ fn deterministic_replay() {
     let run = |seed| {
         let mut sim = grid_cluster(9, seed);
         for i in 0..10u64 {
-            sim.schedule_external(
+            if i == 8 {
+                sim.run_until(SimTime(1_500_000));
+                sim.crash(NodeId(2));
+            }
+            sim.inject_at(
                 SimTime(i * 200_000),
                 NodeId((i % 9) as u32),
                 write_req(i, 0, &format!("d{i}")),
             );
         }
-        sim.schedule_crash(SimTime(1_500_000), NodeId(2));
-        sim.run_for(SimDuration::from_secs(10));
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(10));
         sim.take_outputs()
             .into_iter()
             .map(|(t, n, e)| format!("{t:?} {n:?} {e:?}"))
@@ -425,14 +389,14 @@ fn deterministic_replay() {
 #[test]
 fn write_failure_reported_when_too_few_nodes_up() {
     let mut sim = majority_cluster(5, 12);
-    sim.schedule_external(SimTime::ZERO, NodeId(0), write_req(0, 0, "x"));
+    sim.inject(NodeId(0), write_req(0, 0, "x"));
     sim.run_for(SimDuration::from_secs(1));
     // Kill 4 of 5 instantly: epoch cannot adjust fast enough (majority of
     // the 5-epoch is gone), so writes must fail.
     for v in 1..5u32 {
-        sim.crash_now(NodeId(v));
+        sim.crash(NodeId(v));
     }
-    sim.schedule_external(sim.now(), NodeId(0), write_req(1, 0, "y"));
+    sim.inject(NodeId(0), write_req(1, 0, "y"));
     sim.run_for(SimDuration::from_secs(5));
     let evs = events(&mut sim);
     let fails = failures(&evs);

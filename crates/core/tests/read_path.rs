@@ -14,8 +14,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
-    ClientRequest, Effect, Input, Msg, MsgClass, OpId, PartialWrite, ProtocolConfig, ProtocolEvent,
-    ReplicaNode, StepDriver, Timer,
+    ClientRequest, DriverEvent, Effect, Input, Msg, MsgClass, OpId, PartialWrite, ProtocolConfig,
+    ProtocolEvent, ReplicaNode, StepDriver, Timer,
 };
 use coterie_quorum::{GridCoterie, NodeId};
 
@@ -27,29 +27,6 @@ const N: usize = 9;
 fn drain_messages(driver: &mut StepDriver) {
     while !driver.pending_messages().is_empty() {
         driver.deliver(0);
-    }
-}
-
-/// [`StepDriver::run_for`]'s schedule, failing if a lock lease expires.
-fn run_without_lease_expiry(driver: &mut StepDriver, d: SimDuration) {
-    let deadline = driver.now() + d;
-    loop {
-        drain_messages(driver);
-        let next = driver
-            .pending_timers()
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| (t.fire_at, t.node.0, t.id.0))
-            .filter(|(_, t)| t.fire_at <= deadline)
-            .map(|(i, t)| (i, t.timer.clone()));
-        let Some((i, timer)) = next else {
-            break;
-        };
-        assert!(
-            !matches!(timer, Timer::LockLease { .. }),
-            "a lock lease expired: some grant was never released ({timer:?})"
-        );
-        driver.fire(i);
     }
 }
 
@@ -122,7 +99,19 @@ fn read_at_a_replica_outside_the_good_set_commits_newest_without_a_fetch() {
     );
     assert_eq!(fetch_messages(&driver), 0, "a read sent a fetch");
 
-    run_without_lease_expiry(&mut driver, SimDuration::from_secs(2));
+    // `run_for`'s schedule for 2 s, failing if a lock lease expires: some
+    // grant was never released.
+    let deadline = driver.now() + SimDuration::from_secs(2);
+    while let Some(event) = driver.next_event(deadline) {
+        if let DriverEvent::Fire(i) = event {
+            let timer = &driver.pending_timers()[i].timer;
+            assert!(
+                !matches!(timer, Timer::LockLease { .. }),
+                "a lock lease expired: {timer:?}"
+            );
+        }
+        driver.perform(event);
+    }
     for i in 0..N as u32 {
         let lock = &driver.node(NodeId(i)).vol.lock;
         assert_eq!(

@@ -4,26 +4,21 @@
 //! prepared actions, presumed abort, decision-log recovery, and the lock
 //! fencing of in-doubt transactions.
 
+mod common;
+
 use bytes::Bytes;
+use common::Cluster;
+use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
-    ClientRequest, FaultKind, JournaledNode, Mode, PartialWrite, ProtocolConfig, ProtocolEvent,
-    ReplicaNode, StepDriver,
+    ClientRequest, FaultKind, Mode, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
-use coterie_simnet::{NodeStatus, Sim, SimConfig, SimDuration, SimTime};
 use std::sync::Arc;
 
-fn cluster(n: usize, seed: u64, check_secs: u64) -> Sim<ReplicaNode> {
+fn cluster(n: usize, seed: u64, check_secs: u64) -> Cluster {
     let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), n)
         .check_period(SimDuration::from_secs(check_secs));
-    Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, config.clone()),
-    )
+    Cluster::new(n, config, seed)
 }
 
 fn w(id: u64, data: &str) -> ClientRequest {
@@ -39,12 +34,13 @@ fn coordinator_crash_before_decision_presumed_aborts() {
     // Let a write run its permission phase, then kill the coordinator
     // right as prepares go out (~3-5 ms in): participants may have
     // prepared but no decision was logged.
-    sim.schedule_external(SimTime::ZERO, NodeId(0), w(1, "doomed"));
-    sim.schedule_crash(SimTime(4_000), NodeId(0));
-    sim.run_for(SimDuration::from_secs(1));
+    sim.inject(NodeId(0), w(1, "doomed"));
+    sim.run_until(SimTime(4_000));
+    sim.crash(NodeId(0));
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
     // Recover the coordinator: participants (and the coordinator itself,
     // if it prepared) must resolve via the decision log — presumed abort.
-    sim.recover_now(NodeId(0));
+    sim.recover(NodeId(0));
     sim.run_for(SimDuration::from_secs(5));
     for id in 0..3u32 {
         let node = sim.node(NodeId(id));
@@ -59,7 +55,7 @@ fn coordinator_crash_before_decision_presumed_aborts() {
         assert!(sim.node(NodeId(id)).durable.version <= 1);
     }
     // A fresh write works afterwards.
-    sim.schedule_external(sim.now(), NodeId(1), w(2, "after"));
+    sim.inject(NodeId(1), w(2, "after"));
     sim.run_for(SimDuration::from_secs(2));
     let ok = sim
         .take_outputs()
@@ -71,7 +67,7 @@ fn coordinator_crash_before_decision_presumed_aborts() {
 #[test]
 fn participant_crash_after_prepare_recovers_the_outcome() {
     let mut sim = cluster(3, 2, 60);
-    sim.schedule_external(SimTime::ZERO, NodeId(0), w(1, "x"));
+    sim.inject(NodeId(0), w(1, "x"));
     sim.run_for(SimDuration::from_secs(1));
     let evs = sim.take_outputs();
     assert!(evs
@@ -80,92 +76,80 @@ fn participant_crash_after_prepare_recovers_the_outcome() {
     // Crash a participant and recover it: no in-doubt state, and its
     // durable replica state is intact.
     let v_before = sim.node(NodeId(1)).durable.version;
-    sim.crash_now(NodeId(1));
-    sim.recover_now(NodeId(1));
+    sim.crash(NodeId(1));
+    sim.recover(NodeId(1));
     sim.run_for(SimDuration::from_secs(1));
     assert_eq!(sim.node(NodeId(1)).durable.version, v_before);
     assert!(sim.node(NodeId(1)).durable.prepared.is_none());
 }
 
-/// The journaling host comes back from its journal alone. With group
-/// commit on (cap 8) the crash catches a non-empty buffer — the batch
-/// becomes a torn tail and the node recovers to the committed prefix;
-/// with it off (cap 1) the same schedule runs write-through. Then a torn
-/// commit injected at another node silences it until the substrate
-/// restarts it. Either way every journal ends up reproducing exactly what
-/// its node holds.
+/// A node comes back from its journal alone. With group commit on (cap 8)
+/// the crash catches a non-empty buffer — the batch becomes a torn tail and
+/// the node recovers to the committed prefix; with it off (cap 1) the same
+/// schedule runs write-through. Then a torn commit at another node
+/// fail-stops it until it is restarted. Either way every journal ends up
+/// reproducing exactly what its node holds. (On the threaded host, where a
+/// node cannot mark itself down, the torn commit silences it instead:
+/// `threaded.rs`.)
 #[test]
 fn journaled_host_recovers_exactly_what_its_journal_committed() {
     for cap in [1usize, 8] {
         let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
             .check_period(SimDuration::from_secs(60))
             .group_commit(cap);
-        let seed = SimConfig {
-            seed: 6,
-            ..Default::default()
-        };
-        let mut sim = Sim::new(3, seed, |id| JournaledNode::new(id, config.clone()));
-        let committed = |sim: &mut Sim<JournaledNode>, id: u64| {
+        let mut sim = Cluster::new(3, config, 6);
+        let committed = |sim: &mut Cluster, id: u64| {
             sim.take_outputs()
                 .iter()
                 .any(|(_, _, e)| matches!(e, ProtocolEvent::WriteOk { id: i, .. } if *i == id))
         };
-        sim.schedule_external(SimTime::ZERO, NodeId(0), w(1, "kept"));
+        sim.inject(NodeId(0), w(1, "kept"));
         sim.run_for(SimDuration::from_secs(1));
         assert!(committed(&mut sim, 1), "cap {cap}: first write");
 
-        // Crash the coordinator 0.5 ms into its next write: inside the
-        // flush deadline, so with group commit on the step's delta (and
-        // the requests deferred behind it) is still buffered.
-        sim.schedule_external(sim.now(), NodeId(0), w(2, "doomed"));
-        sim.run_for(SimDuration::from_micros(500));
-        let victim = sim.node(NodeId(0));
-        assert_eq!(victim.buffered() > 0, cap > 1, "cap {cap}: buffer at crash");
-        let on_disk = victim.journal.replay_checked(&config).durable;
-        sim.crash_now(NodeId(0));
-        assert_eq!(sim.node(NodeId(0)).node.durable, on_disk, "cap {cap}");
-        assert_eq!(sim.node(NodeId(0)).buffered(), 0);
-        sim.recover_now(NodeId(0));
+        // Crash the coordinator as its next write starts: with group
+        // commit on, the step's delta (and the requests deferred behind
+        // it) is still buffered.
+        sim.inject(NodeId(0), w(2, "doomed"));
+        assert_eq!(
+            sim.gc_buffered(NodeId(0)) > 0,
+            cap > 1,
+            "cap {cap}: buffer at crash"
+        );
+        let on_disk = sim.replay_journal(NodeId(0));
+        sim.crash(NodeId(0));
+        sim.recover(NodeId(0));
+        assert_eq!(sim.node(NodeId(0)).durable, on_disk, "cap {cap}");
+        assert_eq!(sim.gc_buffered(NodeId(0)), 0);
 
-        // A torn commit fail-stops node 2 from the inside; the other two
-        // still form a majority.
-        sim.node_mut(NodeId(2))
-            .arm_storage_fault(FaultKind::TornWrite);
-        sim.schedule_external(sim.now(), NodeId(1), w(3, "after"));
+        // A torn commit fail-stops node 2 from the inside: its next write
+        // starts with a journal commit (at the flush, with group commit
+        // on). The other two still form a majority.
+        sim.arm_storage_fault(NodeId(2), FaultKind::TornWrite);
+        sim.inject(NodeId(2), w(3, "swallowed"));
+        sim.flush_group_commit();
+        assert!(
+            sim.is_down(NodeId(2)),
+            "cap {cap}: a torn commit is fail-stop"
+        );
+        sim.inject(NodeId(1), w(4, "after"));
         sim.run_for(SimDuration::from_secs(5));
-        assert!(committed(&mut sim, 3), "cap {cap}: write after the faults");
-        // Unlike the step driver, this host cannot mark itself down: the
-        // simulator still counts node 2 as up, and it stays silent — the
-        // engine crashed, nothing buffered, no later step taken — until
-        // the substrate restarts it.
-        assert_eq!(sim.status(NodeId(2)), NodeStatus::Up, "cap {cap}");
-        let silenced = sim.node(NodeId(2));
-        assert_eq!(silenced.buffered(), 0, "cap {cap}");
+        assert!(committed(&mut sim, 4), "cap {cap}: write after the faults");
         assert!(
-            silenced.node.durable.version < sim.node(NodeId(1)).node.durable.version,
-            "cap {cap}: the silenced node cannot have applied the write"
+            sim.node(NodeId(2)).durable.version < sim.node(NodeId(1)).durable.version,
+            "cap {cap}: the stopped node cannot have applied the write"
         );
-        let frozen = silenced.node.durable.clone();
-        sim.schedule_external(sim.now(), NodeId(2), w(4, "swallowed"));
-        sim.run_for(SimDuration::from_secs(1));
-        assert!(
-            !committed(&mut sim, 4),
-            "cap {cap}: a silenced node answers nothing"
-        );
-        assert_eq!(sim.node(NodeId(2)).node.durable, frozen, "cap {cap}");
-        sim.crash_now(NodeId(2));
-        sim.recover_now(NodeId(2));
+        sim.recover(NodeId(2));
         sim.run_for(SimDuration::from_secs(5));
 
-        for id in 0..3u32 {
-            let host = sim.node(NodeId(id));
-            assert_eq!(host.buffered(), 0, "cap {cap}: node {id} still buffering");
+        for id in (0..3u32).map(NodeId) {
+            assert_eq!(sim.gc_buffered(id), 0, "cap {cap}: {id:?} still buffering");
             assert_eq!(
-                host.journal.replay_checked(&config).durable,
-                host.node.durable,
-                "cap {cap}: node {id} journal replay differs from live state"
+                sim.replay_journal(id),
+                sim.node(id).durable,
+                "cap {cap}: {id:?} journal replay differs from live state"
             );
-            assert!(!host.node.durable.stale, "cap {cap}: node {id} left stale");
+            assert!(!sim.node(id).durable.stale, "cap {cap}: {id:?} left stale");
         }
     }
 }
@@ -242,17 +226,37 @@ fn many_coordinator_crashes_never_wedge_the_system() {
     // Fuzz the vulnerable window: writes arrive steadily while the
     // coordinator of every third write crashes shortly after starting and
     // recovers a second later.
+    enum Step {
+        Write(u64),
+        Crash,
+        Recover,
+    }
     let mut sim = cluster(5, 3, 4);
+    let mut timeline = Vec::new();
     for i in 0..30u64 {
         let coord = NodeId((i % 5) as u32);
         let at = SimTime(i * 400_000);
-        sim.schedule_external(at, coord, w(i, &format!("v{i}")));
+        timeline.push((at, coord, Step::Write(i)));
         if i % 3 == 0 {
-            sim.schedule_crash(SimTime(at.micros() + 3_000), coord);
-            sim.schedule_recover(SimTime(at.micros() + 1_000_000), coord);
+            timeline.push((SimTime(at.micros() + 3_000), coord, Step::Crash));
+            timeline.push((SimTime(at.micros() + 1_000_000), coord, Step::Recover));
         }
     }
-    sim.run_for(SimDuration::from_secs(40));
+    timeline.sort_by_key(|(at, _, _)| *at);
+    for (at, node, step) in timeline {
+        match step {
+            Step::Write(i) => sim.inject_at(at, node, w(i, &format!("v{i}"))),
+            Step::Crash => {
+                sim.run_until(at);
+                sim.crash(node);
+            }
+            Step::Recover => {
+                sim.run_until(at);
+                sim.recover(node);
+            }
+        }
+    }
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(40));
     // No replica may be left in-doubt or locked out: a final write from
     // every node must succeed.
     for id in 0..5u32 {
@@ -262,7 +266,7 @@ fn many_coordinator_crashes_never_wedge_the_system() {
         );
     }
     sim.take_outputs();
-    sim.schedule_external(sim.now(), NodeId(2), w(1000, "final"));
+    sim.inject(NodeId(2), w(1000, "final"));
     sim.run_for(SimDuration::from_secs(3));
     assert!(sim
         .take_outputs()
@@ -283,15 +287,8 @@ fn many_coordinator_crashes_never_wedge_the_system() {
 fn static_mode_never_runs_epoch_checks() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 4).static_mode();
     assert!(matches!(config.mode, Mode::Static));
-    let mut sim = Sim::new(
-        4,
-        SimConfig {
-            seed: 4,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, config.clone()),
-    );
-    sim.crash_now(NodeId(3));
+    let mut sim = Cluster::new(4, config, 4);
+    sim.crash(NodeId(3));
     sim.run_for(SimDuration::from_secs(30));
     for id in 0..3u32 {
         assert_eq!(sim.node(NodeId(id)).durable.enumber, 0);
@@ -307,22 +304,15 @@ fn safety_threshold_extras_receive_the_update() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9)
         .check_period(SimDuration::from_secs(2))
         .safety(3);
-    let mut sim = Sim::new(
-        9,
-        SimConfig {
-            seed: 5,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, config.clone()),
-    );
+    let mut sim = Cluster::new(9, config, 5);
     for i in 0..15u64 {
-        sim.schedule_external(
+        sim.inject_at(
             SimTime(i * 300_000),
             NodeId((i % 9) as u32),
             w(i, &format!("d{i}")),
         );
     }
-    sim.run_for(SimDuration::from_secs(10));
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(10));
     let evs = sim.take_outputs();
     let oks: Vec<usize> = evs
         .iter()

@@ -1,16 +1,17 @@
-//! The same `ReplicaNode` program that runs on the deterministic simulator
-//! also runs on real OS threads (crossbeam channels, wall-clock timers):
-//! the protocol implementation is substrate-independent.
+//! The same `ReplicaNode` engine that runs on the deterministic step driver
+//! also runs on real OS threads (crossbeam channels, wall-clock timers),
+//! behind the journaling host: the protocol implementation is
+//! substrate-independent.
 
 // Deadline polling against the real-thread host needs the real clock.
 #![allow(clippy::disallowed_methods)]
 
 use bytes::Bytes;
 use coterie_core::{
-    ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, FaultKind, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
 };
-use coterie_quorum::{GridCoterie, NodeId};
-use coterie_simnet::{Application, SimDuration, ThreadedRuntime};
+use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
+use coterie_simnet::{SimDuration, ThreadedRuntime};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,23 +21,38 @@ fn config(n: usize, check_ms: u64) -> ProtocolConfig {
         .check_period(SimDuration::from_millis(check_ms))
 }
 
-fn spawn_cluster(n: usize) -> ThreadedRuntime<ReplicaNode> {
+fn spawn_cluster(n: usize) -> ThreadedRuntime<JournaledNode> {
     let config = config(n, 500);
     ThreadedRuntime::spawn(n, 42, Duration::from_millis(20), move |id| {
-        ReplicaNode::new(id, config.clone())
+        JournaledNode::new(id, config.clone())
     })
 }
 
-/// Five serial writes spread over a 9-node cluster of `make`'s hosts, then
-/// a read from a different node; returns the hosts once propagation has
-/// had a moment to settle.
-fn write_read_settle<A>(make: impl FnMut(NodeId) -> A) -> Vec<A>
-where
-    A: Application<External = ClientRequest, Output = ProtocolEvent> + Send + 'static,
-    A::Msg: Send,
-    A::Timer: Send,
-{
-    let rt = ThreadedRuntime::spawn(9, 42, Duration::from_millis(20), make);
+/// Waits up to `secs` of wall clock for an output `wanted` accepts.
+fn wait_for(
+    rt: &ThreadedRuntime<JournaledNode>,
+    secs: u64,
+    mut wanted: impl FnMut(&ProtocolEvent) -> bool,
+) -> bool {
+    let deadline = std::time::Instant::now() + Duration::from_secs(secs);
+    while std::time::Instant::now() < deadline {
+        if rt
+            .recv_output(Duration::from_millis(200))
+            .is_some_and(|(_, e)| wanted(&e))
+        {
+            return true;
+        }
+    }
+    false
+}
+
+/// Five serial writes spread over a 9-node cluster of `config`'s replicas,
+/// then a read from a different node; returns the hosts once propagation
+/// has had a moment to settle.
+fn write_read_settle(config: ProtocolConfig) -> Vec<JournaledNode> {
+    let rt = ThreadedRuntime::spawn(9, 42, Duration::from_millis(20), |id| {
+        JournaledNode::new(id, config.clone())
+    });
     for i in 0..5u64 {
         rt.inject(
             NodeId((i % 9) as u32),
@@ -92,8 +108,7 @@ where
 
 /// Convergence: at least the safety threshold's worth of replicas hold v5
 /// and nobody is left stale.
-fn assert_converged<'a>(nodes: impl Iterator<Item = &'a ReplicaNode>) {
-    let nodes: Vec<_> = nodes.collect();
+fn assert_converged(nodes: &[JournaledNode]) {
     let holders = nodes.iter().filter(|n| n.durable.version == 5).count();
     assert!(holders >= 2, "only {holders} replicas hold v5");
     assert!(nodes.iter().all(|n| !n.durable.stale), "stale replica left");
@@ -101,9 +116,8 @@ fn assert_converged<'a>(nodes: impl Iterator<Item = &'a ReplicaNode>) {
 
 #[test]
 fn writes_and_reads_commit_over_real_threads() {
-    let config = config(9, 500);
-    let nodes = write_read_settle(|id| ReplicaNode::new(id, config.clone()));
-    assert_converged(nodes.iter());
+    let nodes = write_read_settle(config(9, 500));
+    assert_converged(&nodes);
 }
 
 /// The same run on the journaling host with group commit on — the only
@@ -114,8 +128,8 @@ fn writes_and_reads_commit_over_real_threads() {
 #[test]
 fn group_commit_host_acks_after_flush_and_journals_what_it_holds() {
     let config = config(9, 60_000).group_commit(8);
-    let nodes = write_read_settle(|id| JournaledNode::new(id, config.clone()));
-    assert_converged(nodes.iter().map(|n| &n.node));
+    let nodes = write_read_settle(config.clone());
+    assert_converged(&nodes);
     for n in &nodes {
         assert!(n.flushes > 0, "node {:?} never committed", n.node.me);
         assert_eq!(
@@ -165,4 +179,77 @@ fn epoch_adapts_to_a_crash_over_real_threads() {
     }
     assert!(committed);
     rt.shutdown();
+}
+
+/// A torn commit fail-stops a `JournaledNode` from inside a callback, where
+/// it cannot mark itself down: the runtime still counts it as up, and it
+/// answers nothing until the runtime crashes and restarts it. The fault is
+/// armed before the node boots, so its first commit — the op counter its
+/// first write draws — tears.
+#[test]
+fn a_torn_commit_silences_the_node_until_the_runtime_restarts_it() {
+    let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
+        .check_period(SimDuration::from_secs(60));
+    let rt = ThreadedRuntime::spawn(3, 6, Duration::from_millis(20), |id| {
+        let mut node = JournaledNode::new(id, config.clone());
+        if id == NodeId(2) {
+            node.arm_storage_fault(FaultKind::TornWrite);
+        }
+        node
+    });
+    let write = |id: u64| ClientRequest::Write {
+        id,
+        write: PartialWrite::new([(0, Bytes::from(format!("w{id}")))]),
+    };
+    let answers = |e: &ProtocolEvent, want: u64| match e {
+        ProtocolEvent::WriteOk { id, .. }
+        | ProtocolEvent::ReadOk { id, .. }
+        | ProtocolEvent::Failed { id, .. } => *id == want,
+        _ => false,
+    };
+
+    // Node 2's first write tears its commit. The other two still form a
+    // majority and commit a write of their own; node 2 answers nothing,
+    // neither that write nor a later one.
+    rt.inject(NodeId(2), write(1));
+    rt.inject(NodeId(1), write(2));
+    let mut seen = Vec::new();
+    let mut record = |e: &ProtocolEvent| {
+        seen.push(e.clone());
+        matches!(e, ProtocolEvent::WriteOk { id: 2, .. })
+    };
+    assert!(
+        wait_for(&rt, 10, &mut record),
+        "the majority did not commit"
+    );
+    rt.inject(NodeId(2), write(3));
+    wait_for(&rt, 1, &mut record);
+    assert!(
+        !seen.iter().any(|e| answers(e, 1) || answers(e, 3)),
+        "a silenced node answered: {seen:?}"
+    );
+
+    // Restarted by the runtime, it recovers from its journal and answers.
+    rt.crash(NodeId(2));
+    rt.recover(NodeId(2));
+    rt.inject(NodeId(2), ClientRequest::Read { id: 4 });
+    assert!(
+        wait_for(&rt, 10, |e| answers(e, 4)),
+        "the restarted node stayed silent"
+    );
+
+    let nodes = rt.shutdown();
+    assert!(
+        nodes[2].durable.version < nodes[1].durable.version,
+        "the silenced node cannot have applied the majority's write"
+    );
+    for n in &nodes {
+        assert_eq!(n.buffered(), 0, "node {:?} still buffering", n.me);
+        assert_eq!(
+            n.journal.replay_checked(&config).durable,
+            n.node.durable,
+            "node {:?}: journal replay differs from live durable state",
+            n.me
+        );
+    }
 }

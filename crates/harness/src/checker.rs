@@ -82,8 +82,8 @@ impl CheckReport {
     }
 }
 
-/// Checks a run: `issued` comes from the workload generator, `events` from
-/// draining the simulator's outputs, `n_pages` must match the protocol
+/// Checks a run: `issued` comes from the workload generator, `events` are
+/// the driver's (or runtime's) outputs, `n_pages` must match the protocol
 /// configuration.
 pub fn check_run(
     issued: &HashMap<u64, IssuedOp>,

@@ -10,7 +10,7 @@ use crate::scenario::{run_scenario, Scenario, ScenarioResult};
 use crate::workload::{Workload, WorkloadConfig};
 use coterie_core::ProtocolConfig;
 use coterie_quorum::{CoterieRule, GridCoterie, MajorityCoterie, RowaCoterie};
-use coterie_simnet::{SimConfig, SimDuration};
+use coterie_simnet::SimDuration;
 use std::sync::Arc;
 
 /// One measured configuration.
@@ -48,10 +48,7 @@ pub fn compute(n: usize, duration_secs: u64, seed: u64) -> Vec<LoadRow> {
             );
             let scenario = Scenario {
                 protocol,
-                sim: SimConfig {
-                    seed,
-                    ..Default::default()
-                },
+                seed,
                 workload,
                 faults: FaultPlan::default(),
                 drain: SimDuration::from_secs(5),
@@ -89,8 +86,8 @@ pub fn render(n: usize, duration_secs: u64, seed: u64) -> String {
             format!("{:.1}", r.msgs_per_op),
             format!("{:.3}", r.load.cv()),
             format!("{:.2}", r.load.peak_to_mean()),
-            format!("{:.2}", r.write_latency.mean_ms()),
-            format!("{:.2}", r.read_latency.mean_ms()),
+            format!("{:.2}", r.write_latency.mean() / 1e3),
+            format!("{:.2}", r.read_latency.mean() / 1e3),
         ]);
     }
     t.render()

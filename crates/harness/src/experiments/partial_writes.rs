@@ -13,7 +13,7 @@ use crate::scenario::{run_scenario, Scenario, ScenarioResult};
 use crate::workload::{Workload, WorkloadConfig};
 use coterie_core::{ProtocolConfig, WriteMode};
 use coterie_quorum::GridCoterie;
-use coterie_simnet::{SimConfig, SimDuration};
+use coterie_simnet::SimDuration;
 use std::sync::Arc;
 
 /// One measured mode.
@@ -60,10 +60,7 @@ pub fn compute(n: usize, duration_secs: u64, seed: u64, churn: bool) -> Vec<Part
             };
             let scenario = Scenario {
                 protocol,
-                sim: SimConfig {
-                    seed,
-                    ..Default::default()
-                },
+                seed,
                 workload,
                 faults,
                 drain: SimDuration::from_secs(10),
@@ -101,8 +98,8 @@ pub fn render(n: usize, duration_secs: u64, seed: u64, churn: bool) -> String {
             format!("{:.2}", r.marked_stale_avg),
             r.sync_reconciliations.to_string(),
             format!("{:.1}", r.msgs_per_op),
-            format!("{:.2}", r.write_latency.mean_ms()),
-            format!("{:.2}", r.write_latency.quantile_ms(0.99)),
+            format!("{:.2}", r.write_latency.mean() / 1e3),
+            format!("{:.2}", r.write_latency.quantile(0.99) as f64 / 1e3),
         ]);
     }
     t.render()

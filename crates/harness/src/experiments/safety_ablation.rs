@@ -13,7 +13,7 @@ use crate::scenario::{run_scenario, Scenario, ScenarioResult};
 use crate::workload::{Workload, WorkloadConfig};
 use coterie_core::ProtocolConfig;
 use coterie_quorum::GridCoterie;
-use coterie_simnet::{SimConfig, SimDuration};
+use coterie_simnet::SimDuration;
 use std::sync::Arc;
 
 /// One threshold setting's results.
@@ -55,10 +55,7 @@ pub fn compute(n: usize, duration_secs: u64, seed: u64) -> Vec<SafetyRow> {
             );
             let scenario = Scenario {
                 protocol,
-                sim: SimConfig {
-                    seed,
-                    ..Default::default()
-                },
+                seed,
                 workload,
                 faults,
                 drain: SimDuration::from_secs(10),
@@ -91,7 +88,7 @@ pub fn render(n: usize, duration_secs: u64, seed: u64) -> String {
             format!("{:.1}", r.write_success_rate() * 100.0),
             format!("{:.2}", r.replicas_touched_avg),
             format!("{:.1}", r.msgs_per_op),
-            format!("{:.2}", r.write_latency.mean_ms()),
+            format!("{:.2}", r.write_latency.mean() / 1e3),
         ]);
     }
     t.render()
@@ -103,8 +100,10 @@ mod tests {
 
     #[test]
     fn thresholds_stay_consistent_and_help_availability() {
-        let rows = compute(9, 30, 41);
-        for row in &rows {
+        // Write success under churn swings by tens of points from one seed
+        // to the next (EXPERIMENTS.md, E13), so compare means over seeds.
+        let runs: Vec<SafetyRow> = (41..46).flat_map(|seed| compute(9, 30, seed)).collect();
+        for row in &runs {
             assert!(
                 row.result.check.consistent(),
                 "threshold {}: {:?}",
@@ -113,11 +112,10 @@ mod tests {
             );
         }
         let ok = |t: usize| {
-            rows.iter()
-                .find(|r| r.threshold == t)
-                .unwrap()
-                .result
-                .write_success_rate()
+            let rates: Vec<f64> = (runs.iter().filter(|r| r.threshold == t))
+                .map(|r| r.result.write_success_rate())
+                .collect();
+            rates.iter().sum::<f64>() / rates.len() as f64
         };
         // The mechanism must not hurt: threshold 3 at least matches
         // disabled within a small tolerance, and usually helps.

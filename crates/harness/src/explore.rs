@@ -1,6 +1,6 @@
 //! Bounded interleaving exploration over the sans-I/O engine.
 //!
-//! The simulator samples *one* schedule per seed; this module instead
+//! `StepDriver::run_for` samples *one* schedule per seed; this module instead
 //! walks the tree of schedules. From every reached cluster state it forks
 //! the [`StepDriver`] and tries each enabled event — every pending message
 //! delivery, every armed timer, and (under a budget) crashing or

@@ -1,9 +1,9 @@
 //! Fault-injection schedules: per-node Poisson crash/repair processes and
 //! scripted partition timelines, pre-generated so runs stay reproducible.
 
-use coterie_core::FaultKind;
+use coterie_core::{FaultKind, StepDriver};
 use coterie_quorum::NodeId;
-use coterie_simnet::{Partition, SimDuration, SimTime};
+use coterie_simnet::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,17 +44,31 @@ pub enum FaultEvent {
     Crash(NodeId),
     /// Recover `node`.
     Recover(NodeId),
-    /// Replace the partition.
-    Partition(Partition),
-    /// Arm a one-shot storage fault at `node`'s next journal append
-    /// (consumed by [`StepDriver`](coterie_core::StepDriver)-based
-    /// harnesses such as the nemesis soak; simnet scenarios ignore it).
+    /// Replace the partition: node `i` is in island `islands[i]`, and only
+    /// nodes in the same island can exchange messages (see
+    /// [`StepDriver::set_partition`](coterie_core::StepDriver::set_partition)).
+    Partition(Vec<u8>),
+    /// Arm a one-shot storage fault at `node`'s next journal append.
     StorageFault {
         /// The node whose journal misbehaves.
         node: NodeId,
         /// What the append does instead of succeeding.
         kind: FaultKind,
     },
+}
+
+impl FaultEvent {
+    /// Applies the fault to `driver` now. Crashing a node that is already
+    /// down, or recovering one that is up, does nothing.
+    pub fn apply(&self, driver: &mut StepDriver) {
+        match self {
+            FaultEvent::Crash(node) if !driver.is_down(*node) => driver.crash(*node),
+            FaultEvent::Recover(node) if driver.is_down(*node) => driver.recover(*node),
+            FaultEvent::Partition(islands) => driver.set_partition(islands.clone()),
+            FaultEvent::StorageFault { node, kind } => driver.arm_storage_fault(*node, *kind),
+            FaultEvent::Crash(_) | FaultEvent::Recover(_) => {}
+        }
+    }
 }
 
 /// A pre-generated, time-ordered fault schedule.
@@ -128,12 +142,13 @@ impl FaultPlan {
         from: SimTime,
         until: SimTime,
     ) -> FaultPlan {
-        self.events.push((
-            from,
-            FaultEvent::Partition(Partition::split(n_nodes, island)),
-        ));
+        let mut islands = vec![0; n_nodes];
+        for node in island {
+            islands[node.0 as usize] = 1;
+        }
+        self.events.push((from, FaultEvent::Partition(islands)));
         self.events
-            .push((until, FaultEvent::Partition(Partition::connected(n_nodes))));
+            .push((until, FaultEvent::Partition(vec![0; n_nodes])));
         self.events.sort_by_key(|(t, _)| *t);
         self
     }
@@ -301,7 +316,7 @@ mod tests {
             SimTime(10),
         );
         assert_eq!(plan.len(), 2);
-        assert!(matches!(plan.events[0].1, FaultEvent::Partition(_)));
+        assert_eq!(plan.events[0].1, FaultEvent::Partition(vec![0, 0, 0, 1]));
         assert!(plan.events[0].0 < plan.events[1].0);
     }
 }

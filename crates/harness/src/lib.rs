@@ -2,7 +2,7 @@
 //!
 //! Experiment infrastructure for the dynamic structured coterie
 //! reproduction: the §6 site-model Monte Carlo ([`sitemodel`]), a
-//! full-protocol scenario runner over the discrete-event simulator
+//! full-protocol scenario runner over the step driver's modelled network
 //! ([`scenario`]), Poisson workload and fault generators ([`workload`],
 //! [`faults`]), a one-copy-serializability checker ([`checker`]), metrics
 //! ([`metrics`]), report rendering ([`report`]), the nemesis storage-fault
@@ -25,7 +25,7 @@ pub mod workload;
 pub use checker::{check_run, CheckReport, Violation};
 pub use explore::{explore, ExploreReport, ExplorerConfig};
 pub use faults::{FaultConfig, FaultEvent, FaultPlan};
-pub use metrics::{LatencyStats, LoadStats};
+pub use metrics::LoadStats;
 pub use nemesis::{run_nemesis, soak, NemesisConfig, NemesisReport, NemesisRun};
 pub use report::{sci, to_json, Table};
 pub use scenario::{run_scenario, Scenario, ScenarioResult};

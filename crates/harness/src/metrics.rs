@@ -1,79 +1,7 @@
-//! Run metrics: operation outcomes, latency distribution, message traffic,
-//! and load-sharing statistics.
-//!
-//! Latency accounting is backed by the engine's unified
-//! [`Histogram`] (log-linear buckets, ~6%
-//! worst-case quantile error, exact mean/min/max), so the harness, the
-//! bench, and the engine all report percentiles from one implementation.
+//! Run metrics: load-sharing statistics over per-node counts. Latency
+//! distributions are the engine's [`Histogram`](coterie_core::Histogram).
 
-use coterie_core::Histogram;
-use coterie_simnet::SimDuration;
-use serde::{Serialize, Value};
-
-/// A fixed-memory latency accumulator over the engine's log-linear
-/// [`Histogram`]. Mean is exact (the histogram keeps the exact sum);
-/// quantiles are bucket upper bounds (≤ ~6.25% relative error, exact at
-/// the extremes).
-#[derive(Clone, Debug, Default)]
-pub struct LatencyStats {
-    hist: Histogram,
-}
-
-impl LatencyStats {
-    /// Records one latency sample.
-    pub fn record(&mut self, d: SimDuration) {
-        self.hist.record(d.micros());
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.hist.count() as usize
-    }
-
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.hist.is_empty()
-    }
-
-    /// Mean latency in milliseconds (exact).
-    pub fn mean_ms(&self) -> f64 {
-        if self.hist.is_empty() {
-            return 0.0;
-        }
-        self.hist.mean() / 1e3
-    }
-
-    /// The `q`-quantile (0..=1) in milliseconds (bucketed above, exact at
-    /// q = 0 and q = 1).
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        if self.hist.is_empty() {
-            return 0.0;
-        }
-        self.hist.quantile(q) as f64 / 1e3
-    }
-
-    /// The underlying microsecond histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-
-    /// Folds another accumulator into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.hist.merge(&other.hist);
-    }
-}
-
-impl Serialize for LatencyStats {
-    fn serialize_value(&self) -> Value {
-        Value::Object(vec![
-            ("count".to_string(), Value::UInt(self.hist.count() as u128)),
-            ("mean_ms".to_string(), Value::Float(self.mean_ms())),
-            ("p50_ms".to_string(), Value::Float(self.quantile_ms(0.5))),
-            ("p90_ms".to_string(), Value::Float(self.quantile_ms(0.9))),
-            ("p99_ms".to_string(), Value::Float(self.quantile_ms(0.99))),
-        ])
-    }
-}
+use serde::Serialize;
 
 /// Load-sharing statistics over per-node counts.
 #[derive(Clone, Debug, Default, Serialize)]
@@ -124,28 +52,6 @@ impl LoadStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_quantiles() {
-        let mut l = LatencyStats::default();
-        for i in 1..=100u64 {
-            l.record(SimDuration::from_micros(i * 1000));
-        }
-        assert_eq!(l.len(), 100);
-        assert!((l.mean_ms() - 50.5).abs() < 1e-9);
-        assert!((l.quantile_ms(0.0) - 1.0).abs() < 1e-9);
-        assert!((l.quantile_ms(1.0) - 100.0).abs() < 1e-9);
-        // Bucketed quantile: within the histogram's ~6.25% bound.
-        assert!((l.quantile_ms(0.5) - 50.0).abs() < 4.0);
-    }
-
-    #[test]
-    fn empty_latency_is_zero() {
-        let l = LatencyStats::default();
-        assert_eq!(l.mean_ms(), 0.0);
-        assert_eq!(l.quantile_ms(0.5), 0.0);
-        assert!(l.is_empty());
-    }
 
     #[test]
     fn load_balance_metrics() {

@@ -1,5 +1,5 @@
-//! The full-protocol scenario runner: builds a replica cluster on the
-//! discrete-event simulator, injects a workload and a fault plan, collects
+//! The full-protocol scenario runner: builds a replica cluster on the step
+//! driver's modelled network, injects a workload and a fault plan, collects
 //! the outputs, runs the consistency checker, and aggregates metrics.
 
 // Tool-side aggregation; hash maps never feed engine effects.
@@ -7,11 +7,11 @@
 
 use crate::checker::{check_run, CheckReport};
 use crate::faults::{FaultEvent, FaultPlan};
-use crate::metrics::{LatencyStats, LoadStats};
+use crate::metrics::LoadStats;
 use crate::workload::Workload;
-use coterie_core::{MsgClass, ProtocolConfig, ProtocolEvent, ReplicaNode};
+use coterie_core::{ClientRequest, Histogram, MsgClass, ProtocolConfig, ProtocolEvent, StepDriver};
 use coterie_quorum::NodeId;
-use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
+use coterie_simnet::{SimDuration, SimTime};
 use serde::Serialize;
 use std::collections::HashMap;
 
@@ -20,8 +20,8 @@ use std::collections::HashMap;
 pub struct Scenario {
     /// Protocol configuration shared by all replicas.
     pub protocol: ProtocolConfig,
-    /// Simulator configuration.
-    pub sim: SimConfig,
+    /// Run seed: the engines' jitter and the network's delays.
+    pub seed: u64,
     /// Pre-generated workload.
     pub workload: Workload,
     /// Pre-generated faults.
@@ -43,18 +43,18 @@ pub struct ScenarioResult {
     pub reads_ok: u64,
     /// Failed reads.
     pub reads_failed: u64,
-    /// Total messages put on the network.
+    /// Messages delivered or bounced back to their sender.
     pub msgs_sent: u64,
     /// Messages received, by class name.
     pub msgs_by_class: HashMap<String, u64>,
     /// Messages per *completed* operation.
     pub msgs_per_op: f64,
-    /// Write latency distribution.
+    /// Write latency distribution, µs.
     #[serde(skip)]
-    pub write_latency: LatencyStats,
-    /// Read latency distribution.
+    pub write_latency: Histogram,
+    /// Read latency distribution, µs.
     #[serde(skip)]
-    pub read_latency: LatencyStats,
+    pub read_latency: Histogram,
     /// Per-node received-message load.
     pub load: LoadStats,
     /// Client-level retries.
@@ -96,62 +96,65 @@ impl ScenarioResult {
     }
 }
 
-/// Runs a scenario to completion.
+/// One scheduled input of a scenario run.
+enum Scheduled<'a> {
+    Request(NodeId, &'a ClientRequest),
+    Fault(&'a FaultEvent),
+}
+
+/// Runs a scenario to completion. A request that reaches a down node is
+/// dropped (the client's connection attempt fails).
 pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
     let n = scenario.protocol.n_replicas;
     // Thread the run seed into the engine: protocol jitter is drawn from
     // the sans-I/O engine's own RNG, so distinct scenario seeds must reach
     // it for runs to decorrelate.
-    let protocol = scenario.protocol.clone().rng_seed(scenario.sim.seed);
-    let mut sim: Sim<ReplicaNode> = Sim::new(n, scenario.sim.clone(), |id| {
-        ReplicaNode::new(id, protocol.clone())
-    });
+    let protocol = scenario.protocol.clone().rng_seed(scenario.seed);
+    let mut driver = StepDriver::with_latency(n, protocol);
 
-    // Schedule the workload.
-    let mut last_event = SimTime::ZERO;
-    for (at, node, req) in &scenario.workload.ops {
-        sim.schedule_external(*at, *node, req.clone());
-        last_event = last_event.max(*at);
-    }
-    // Schedule the faults.
-    for (at, fault) in &scenario.faults.events {
-        match fault {
-            FaultEvent::Crash(node) => sim.schedule_crash(*at, *node),
-            FaultEvent::Recover(node) => sim.schedule_recover(*at, *node),
-            FaultEvent::Partition(p) => sim.schedule_partition(*at, p.clone()),
-            // Storage faults need a journaling host; the simnet scenario
-            // runs bare engines, so only the StepDriver-based nemesis
-            // harness honors these events.
-            FaultEvent::StorageFault { .. } => {}
+    // Workload and faults as one timeline; at equal times requests go first.
+    let requests =
+        (scenario.workload.ops.iter()).map(|(at, node, req)| (*at, Scheduled::Request(*node, req)));
+    let faults = (scenario.faults.events.iter()).map(|(at, fault)| (*at, Scheduled::Fault(fault)));
+    let mut timeline: Vec<_> = requests.chain(faults).collect();
+    timeline.sort_by_key(|(at, _)| *at);
+    let end = timeline.last().map_or(SimTime::ZERO, |(at, _)| *at) + scenario.drain;
+    for (at, input) in timeline {
+        driver.run_until(at);
+        match input {
+            Scheduled::Request(node, req) if !driver.is_down(node) => {
+                driver.inject(node, req.clone())
+            }
+            Scheduled::Request(..) => {}
+            Scheduled::Fault(fault) => fault.apply(&mut driver),
         }
-        last_event = last_event.max(*at);
     }
-
-    sim.run_until(last_event + scenario.drain);
-    let events = sim.take_outputs();
+    driver.run_until(end);
+    let events = driver.outputs();
 
     // Aggregate.
     let mut result = ScenarioResult {
         ops_issued: scenario.workload.len(),
         ..Default::default()
     };
-    for (t, _, e) in &events {
+    for (t, _, e) in events {
         match e {
             ProtocolEvent::WriteOk { id, .. } => {
                 if let Some(op) = scenario.workload.issued.get(id) {
-                    result.write_latency.record(t.since(op.at));
+                    result.write_latency.record(t.since(op.at).micros());
                 }
             }
             ProtocolEvent::ReadOk { id, .. } => {
                 if let Some(op) = scenario.workload.issued.get(id) {
-                    result.read_latency.record(t.since(op.at));
+                    result.read_latency.record(t.since(op.at).micros());
                 }
             }
             _ => {}
         }
     }
+    let mut received = vec![0; n];
     for id in 0..n as u32 {
-        let stats = &sim.node(NodeId(id)).stats;
+        let stats = &driver.node(NodeId(id)).stats;
         result.writes_ok += stats.writes_ok();
         result.writes_failed += stats.writes_failed();
         result.reads_ok += stats.reads_ok();
@@ -163,6 +166,8 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
         result.sync_reconciliations += stats.sync_reconciliations();
         for class in MsgClass::ALL {
             let count = stats.msgs_in(class);
+            received[id as usize] += count;
+            result.msgs_sent += count + stats.msgs_bounced(class);
             if count > 0 {
                 *result
                     .msgs_by_class
@@ -179,19 +184,14 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
         result.replicas_touched_avg /= result.writes_ok as f64;
         result.marked_stale_avg /= result.writes_ok as f64;
     }
-    result.msgs_sent = sim.counters().sent;
     let completed = result.writes_ok + result.reads_ok;
     result.msgs_per_op = if completed > 0 {
         result.msgs_sent as f64 / completed as f64
     } else {
         0.0
     };
-    result.load = LoadStats::new(sim.counters().received_by.clone());
-    result.check = check_run(
-        &scenario.workload.issued,
-        &events,
-        scenario.protocol.n_pages,
-    );
+    result.load = LoadStats::new(received);
+    result.check = check_run(&scenario.workload.issued, events, scenario.protocol.n_pages);
     result
 }
 
@@ -218,10 +218,7 @@ mod tests {
         );
         Scenario {
             protocol,
-            sim: SimConfig {
-                seed,
-                ..Default::default()
-            },
+            seed,
             workload,
             faults,
             drain: SimDuration::from_secs(10),

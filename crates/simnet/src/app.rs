@@ -1,4 +1,4 @@
-//! The application interface: event-driven nodes hosted by the simulator.
+//! The application interface: event-driven nodes hosted by the runtime.
 
 use crate::time::{SimDuration, SimTime};
 use coterie_quorum::NodeId;
@@ -8,7 +8,7 @@ use std::fmt;
 
 pub use coterie_base::TimerId;
 
-/// A node program hosted by the simulator.
+/// A node program hosted by the runtime.
 ///
 /// The model matches the paper's §3: fail-stop nodes communicating through
 /// RPC-style messages, where "the notification RPC.CallFailed is returned to
@@ -27,7 +27,7 @@ pub trait Application: Sized {
     /// Operations injected from outside the system (client requests,
     /// management commands).
     type External: fmt::Debug;
-    /// Observable outputs collected by the simulator (client responses,
+    /// Observable outputs collected by the runtime (client responses,
     /// protocol events of interest to the harness).
     type Output: fmt::Debug;
 
@@ -52,15 +52,13 @@ pub trait Application: Sized {
     fn on_external(&mut self, ctx: &mut Ctx<'_, Self>, ext: Self::External);
 
     /// The host observed an empty inbox: every queued input has been
-    /// processed and the node is about to block. Only hosts that can see
-    /// their inbox call this (the threaded runtime does; the
-    /// discrete-event simulator, which knows the future, does not).
+    /// processed and the node is about to block.
     /// Group-commit hosts use it to flush coalescing buffers immediately
     /// instead of paying the flush-deadline latency. Default: no-op.
     fn on_idle(&mut self, _ctx: &mut Ctx<'_, Self>) {}
 }
 
-/// Side effects a handler may request; applied by the simulator after the
+/// Side effects a handler may request; applied by the runtime after the
 /// handler returns (keeps handlers free of re-entrancy).
 pub(crate) enum Effect<A: Application> {
     Send {
@@ -140,12 +138,12 @@ impl<'a, A: Application> Ctx<'a, A> {
         self.effects.push(Effect::CancelTimer { id });
     }
 
-    /// Emits an observable output collected by the simulator.
+    /// Emits an observable output collected by the runtime.
     pub fn output(&mut self, out: A::Output) {
         self.effects.push(Effect::Output(out));
     }
 
-    /// Draws a uniform `u64` from the simulation's deterministic RNG.
+    /// Draws a uniform `u64` from the node's seeded RNG.
     pub fn rand_u64(&mut self) -> u64 {
         self.rng.gen()
     }

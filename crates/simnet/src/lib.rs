@@ -1,21 +1,22 @@
 //! # coterie-simnet
 //!
-//! A deterministic discrete-event simulator for fail-stop distributed
-//! systems, providing the substrate the paper assumes in §3:
+//! A real-thread runtime for fail-stop distributed systems, providing the
+//! substrate the paper assumes in §3 on OS threads and the wall clock:
 //!
 //! * RPC-style communication "in which the notification `RPC.CallFailed` is
 //!   returned to the sender if the message cannot be delivered";
 //! * fail-stop nodes (crash, no Byzantine behaviour) with durable state
 //!   surviving crashes and volatile state wiped;
-//! * network partitions;
-//! * timers, and a seeded RNG so every run is reproducible.
+//! * timers with cancellation.
 //!
-//! Nodes implement the [`Application`] trait; the harness schedules client
-//! operations, crashes, recoveries and partition changes on the [`Sim`].
+//! Nodes implement the [`Application`] trait; the caller injects client
+//! operations, crashes and recoveries through the [`ThreadedRuntime`]
+//! handle. Runs are not reproducible: the deterministic simulator is
+//! `coterie_core::StepDriver`.
 //!
 //! ```
-//! use coterie_simnet::{Application, Ctx, Sim, SimConfig, SimDuration};
-//! use coterie_quorum::NodeId;
+//! use coterie_simnet::{Application, Ctx, NodeId, ThreadedRuntime};
+//! use std::time::Duration;
 //!
 //! struct Echo;
 //! impl Application for Echo {
@@ -40,10 +41,11 @@
 //!     }
 //! }
 //!
-//! let mut sim = Sim::new(2, SimConfig::default(), |_| Echo);
-//! sim.schedule_external(coterie_simnet::SimTime::ZERO, NodeId(0), "1".into());
-//! sim.run_for(SimDuration::from_secs(1));
-//! assert_eq!(sim.take_outputs().len(), 1);
+//! let rt = ThreadedRuntime::spawn(2, 0, Duration::from_millis(20), |_| Echo);
+//! rt.inject(NodeId(0), "1".into());
+//! let (node, out) = rt.recv_output(Duration::from_secs(5)).unwrap();
+//! assert_eq!((node, out.starts_with("pong")), (NodeId(0), true));
+//! rt.shutdown();
 //! ```
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
@@ -51,14 +53,10 @@
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 pub mod app;
-pub mod network;
-pub mod sim;
 pub mod threaded;
 pub mod time;
 
 pub use app::{Application, Ctx, TimerId};
-pub use network::{NetConfig, NetCounters, Partition};
-pub use sim::{NodeStatus, Sim, SimConfig};
 pub use threaded::ThreadedRuntime;
 pub use time::{SimDuration, SimTime};
 

@@ -1,13 +1,13 @@
 //! A real-thread runtime for [`Application`] nodes.
 //!
-//! The discrete-event [`Sim`](crate::Sim) is the measurement substrate; this
-//! module hosts the *same unmodified node programs* on OS threads with
-//! crossbeam channels and wall-clock timers, demonstrating that the protocol
-//! implementation is not simulator-bound. Message delivery, the
-//! `RPC.CallFailed` bounce for down nodes, timers with cancellation, crash
-//! (volatile-state wipe) and recovery all behave like the simulator's —
-//! except that time is real and scheduling is whatever the OS provides, so
-//! runs are *not* reproducible (use the simulator for experiments).
+//! The deterministic `coterie_core::StepDriver` is the measurement
+//! substrate; this module hosts the protocol on OS threads with crossbeam
+//! channels and wall-clock timers, demonstrating that the implementation is
+//! not simulator-bound. Message delivery, the `RPC.CallFailed` bounce for
+//! down nodes, timers with cancellation, crash (volatile-state wipe) and
+//! recovery all behave like the driver's — except that time is real and
+//! scheduling is whatever the OS provides, so runs are *not* reproducible
+//! (use the driver for experiments).
 
 #![expect(
     clippy::disallowed_types,
@@ -68,9 +68,8 @@ impl<A: Application> Ord for Pending<A> {
 
 struct TimerService<A: Application> {
     heap: Mutex<BinaryHeap<Pending<A>>>,
-    /// Canceled timers, keyed by `(node, id)`: unlike the simulator, timer
-    /// ids here are allocated per node thread, so the bare id is not unique
-    /// across nodes.
+    /// Canceled timers, keyed by `(node, id)`: timer ids are allocated per
+    /// node thread, so the bare id is not unique across nodes.
     canceled: Mutex<HashSet<(NodeId, TimerId)>>,
     wake: Condvar,
     stopping: AtomicBool,

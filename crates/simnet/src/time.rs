@@ -1,7 +1,7 @@
-//! Virtual time for the discrete-event simulator.
+//! Time for the runtime, in the engine's units.
 //!
 //! The types themselves live in [`coterie_base`] so that the sans-I/O
 //! protocol engine can speak about time without depending on this
-//! simulator; this module re-exports them under their historical paths.
+//! runtime; this module re-exports them under their historical paths.
 
 pub use coterie_base::{SimDuration, SimTime};

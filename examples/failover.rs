@@ -10,16 +10,14 @@
 
 use bytes::Bytes;
 use dyncoterie::protocol::{
-    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
 };
 use dyncoterie::quorum::{GridCoterie, NodeId};
-use dyncoterie::simnet::{Partition, Sim, SimConfig, SimDuration, SimTime};
+use dyncoterie::simnet::SimDuration;
 use std::sync::Arc;
 
-fn write(sim: &mut Sim<ReplicaNode>, id: u64, node: u32) -> bool {
-    let at = sim.now();
-    sim.schedule_external(
-        at,
+fn write(sim: &mut StepDriver, id: u64, node: u32) -> bool {
+    sim.inject(
         NodeId(node),
         ClientRequest::Write {
             id,
@@ -27,7 +25,7 @@ fn write(sim: &mut Sim<ReplicaNode>, id: u64, node: u32) -> bool {
         },
     );
     sim.run_for(SimDuration::from_secs(2));
-    sim.take_outputs()
+    sim.outputs()
         .iter()
         .any(|(_, _, e)| matches!(e, ProtocolEvent::WriteOk { id: got, .. } if *got == id))
 }
@@ -36,11 +34,8 @@ fn main() {
     let n = 9;
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
-    let mut sim = Sim::new(n, SimConfig::default(), |id| {
-        ReplicaNode::new(id, config.clone())
-    });
-    sim.schedule_external(
-        SimTime::ZERO,
+    let mut sim = StepDriver::with_latency(n, config);
+    sim.inject(
         NodeId(0),
         ClientRequest::Write {
             id: 0,
@@ -48,13 +43,12 @@ fn main() {
         },
     );
     sim.run_for(SimDuration::from_secs(1));
-    sim.take_outputs();
 
     // Gradually kill six of nine nodes; after each failure the epoch
     // shrinks and a write from node 0 still succeeds.
     println!("killing nodes one at a time; epoch adapts between failures:");
     for (i, victim) in [8u32, 7, 6, 5, 4, 3].iter().enumerate() {
-        sim.crash_now(NodeId(*victim));
+        sim.crash(NodeId(*victim));
         sim.run_for(SimDuration::from_secs(10)); // epoch check adapts
         let ok = write(&mut sim, 10 + i as u64, 0);
         let epoch = sim.node(NodeId(0)).durable.elist.len();
@@ -69,9 +63,10 @@ fn main() {
     // write quorum of the 3-node epoch forever... but {1, 2} does (the 2x2
     // grid's short column rule), while the singleton {0} cannot write.
     println!("\npartitioning the survivors: {{0}} | {{1, 2}}");
-    sim.set_partition_now(Partition::split(n, &[NodeId(0)]));
+    let mut islands = vec![0; n];
+    islands[0] = 1;
+    sim.set_partition(islands);
     sim.run_for(SimDuration::from_secs(10));
-    sim.take_outputs();
     let minority_ok = write(&mut sim, 100, 0);
     let majority_ok = write(&mut sim, 101, 1);
     println!(
@@ -91,12 +86,11 @@ fn main() {
     // Heal and recover everyone: the epoch re-expands and all replicas
     // converge.
     println!("\nhealing the partition and recovering all nodes ...");
-    sim.set_partition_now(Partition::connected(n));
+    sim.heal_partition();
     for v in [3u32, 4, 5, 6, 7, 8] {
-        sim.recover_now(NodeId(v));
+        sim.recover(NodeId(v));
     }
     sim.run_for(SimDuration::from_secs(40));
-    sim.take_outputs();
     let epoch = sim.node(NodeId(0)).durable.elist.len();
     let versions: Vec<u64> = (0..n as u32)
         .map(|i| sim.node(NodeId(i)).durable.version)

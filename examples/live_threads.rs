@@ -1,10 +1,10 @@
 //! The dynamic grid protocol on real OS threads.
 //!
-//! The same `ReplicaNode` byte-for-byte that runs on the deterministic
-//! simulator here runs on nine OS threads with crossbeam channels and
-//! wall-clock timers — writes commit in real milliseconds, a crashed node
-//! is voted out of the epoch by the periodic epoch check, and writes keep
-//! flowing.
+//! The same `ReplicaNode` engine that runs on the deterministic step
+//! driver here runs on nine OS threads with crossbeam channels and
+//! wall-clock timers, each behind the journaling host — writes commit in
+//! real milliseconds, a crashed node is voted out of the epoch by the
+//! periodic epoch check, and writes keep flowing.
 //!
 //! Run with: `cargo run --release --example live_threads`
 
@@ -13,7 +13,7 @@
 
 use bytes::Bytes;
 use dyncoterie::protocol::{
-    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
 };
 use dyncoterie::quorum::{GridCoterie, NodeId};
 use dyncoterie::simnet::{SimDuration, ThreadedRuntime};
@@ -25,7 +25,7 @@ fn main() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_millis(400));
     let rt = ThreadedRuntime::spawn(n, 7, Duration::from_millis(20), move |id| {
-        ReplicaNode::new(id, config.clone())
+        JournaledNode::new(id, config.clone())
     });
 
     println!("nine replicas live on nine threads; writing...");

@@ -10,24 +10,22 @@
 
 use bytes::Bytes;
 use dyncoterie::protocol::{
-    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
 };
 use dyncoterie::quorum::{GridCoterie, NodeId};
-use dyncoterie::simnet::{Sim, SimConfig, SimDuration, SimTime};
+use dyncoterie::simnet::{SimDuration, SimTime};
 use std::sync::Arc;
 
 fn main() {
     let n = 9;
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n).pages(8);
-    let mut sim = Sim::new(n, SimConfig::default(), |id| {
-        ReplicaNode::new(id, config.clone())
-    });
+    let mut sim = StepDriver::with_latency(n, config);
 
     // Twelve partial writes from rotating coordinators, each touching a
     // different page — like appends to different blocks of a file.
     for i in 0..12u64 {
-        sim.schedule_external(
-            SimTime(i * 300_000),
+        sim.run_until(SimTime(i * 300_000));
+        sim.inject(
             NodeId((i % n as u64) as u32),
             ClientRequest::Write {
                 id: i,
@@ -38,11 +36,11 @@ fn main() {
             },
         );
     }
-    sim.run_for(SimDuration::from_secs(10));
+    sim.run_until(SimTime(10_000_000));
 
     let mut marked_total = 0usize;
     let mut propagations = 0usize;
-    for (t, node, event) in sim.take_outputs() {
+    for (t, node, event) in sim.outputs() {
         match event {
             ProtocolEvent::WriteOk {
                 id,
@@ -71,9 +69,10 @@ fn main() {
 
     // Every replica that was marked stale has been caught up in the
     // background; read the final state.
-    sim.schedule_external(sim.now(), NodeId(4), ClientRequest::Read { id: 100 });
+    let seen = sim.outputs().len();
+    sim.inject(NodeId(4), ClientRequest::Read { id: 100 });
     sim.run_for(SimDuration::from_millis(200));
-    for (_, _, event) in sim.take_outputs() {
+    for (_, _, event) in &sim.outputs()[seen..] {
         if let ProtocolEvent::ReadOk { version, pages, .. } = event {
             println!("\nfinal read: version {version}");
             for (i, page) in pages.iter().enumerate() {

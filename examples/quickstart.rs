@@ -1,18 +1,25 @@
 //! Quickstart: a 9-replica object under the dynamic grid protocol.
 //!
-//! Builds a simulated cluster, writes a value, reads it back from another
-//! node, kills a replica, lets the epoch-checking protocol adapt, and
-//! shows that writes keep working.
+//! Builds a simulated cluster (the step driver over a modelled network),
+//! writes a value, reads it back from another node, kills a replica, lets
+//! the epoch-checking protocol adapt, and shows that writes keep working.
 //!
 //! Run with: `cargo run --example quickstart`
 
 use bytes::Bytes;
 use dyncoterie::protocol::{
-    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
 };
 use dyncoterie::quorum::{GridCoterie, NodeId};
-use dyncoterie::simnet::{Sim, SimConfig, SimDuration, SimTime};
+use dyncoterie::simnet::{SimDuration, SimTime};
 use std::sync::Arc;
+
+/// The events `sim` emitted since the last call.
+fn new_events(sim: &StepDriver, seen: &mut usize) -> Vec<(SimTime, NodeId, ProtocolEvent)> {
+    let fresh = sim.outputs()[*seen..].to_vec();
+    *seen += fresh.len();
+    fresh
+}
 
 fn main() {
     // 1. Nine replicas arranged (logically) in a 3x3 grid; epochs are
@@ -20,13 +27,11 @@ fn main() {
     let n = 9;
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
-    let mut sim = Sim::new(n, SimConfig::default(), |id| {
-        ReplicaNode::new(id, config.clone())
-    });
+    let mut sim = StepDriver::with_latency(n, config);
+    let mut seen = 0;
 
     // 2. A client at node 0 writes page 0.
-    sim.schedule_external(
-        SimTime::ZERO,
+    sim.inject(
         NodeId(0),
         ClientRequest::Write {
             id: 1,
@@ -36,10 +41,10 @@ fn main() {
     sim.run_for(SimDuration::from_millis(200));
 
     // 3. A client at node 5 reads it back.
-    sim.schedule_external(sim.now(), NodeId(5), ClientRequest::Read { id: 2 });
+    sim.inject(NodeId(5), ClientRequest::Read { id: 2 });
     sim.run_for(SimDuration::from_millis(200));
 
-    for (t, node, event) in sim.take_outputs() {
+    for (t, node, event) in new_events(&sim, &mut seen) {
         match event {
             ProtocolEvent::WriteOk {
                 id,
@@ -62,9 +67,9 @@ fn main() {
     // 4. Kill a replica; epoch checking notices and shrinks the epoch so
     //    future quorums avoid the dead node.
     println!("\ncrashing node 8 ...");
-    sim.crash_now(NodeId(8));
+    sim.crash(NodeId(8));
     sim.run_for(SimDuration::from_secs(8));
-    for (t, node, event) in sim.take_outputs() {
+    for (t, node, event) in new_events(&sim, &mut seen) {
         if let ProtocolEvent::EpochInstalled { enumber, members } = event {
             println!(
                 "[{t}] {node:?} installed epoch #{enumber} with {} members",
@@ -75,8 +80,7 @@ fn main() {
 
     // 5. Writes still succeed — the static grid protocol could be stuck if
     //    the failure had landed badly; the dynamic protocol adapts.
-    sim.schedule_external(
-        sim.now(),
+    sim.inject(
         NodeId(3),
         ClientRequest::Write {
             id: 3,
@@ -84,7 +88,7 @@ fn main() {
         },
     );
     sim.run_for(SimDuration::from_millis(500));
-    for (t, _, event) in sim.take_outputs() {
+    for (t, _, event) in new_events(&sim, &mut seen) {
         if let ProtocolEvent::WriteOk { id, version, .. } = event {
             println!("[{t}] write #{id} committed at version {version} after the failure");
         }

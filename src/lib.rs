@@ -7,7 +7,8 @@
 //! Re-exports the workspace crates:
 //!
 //! * [`quorum`] — coterie rules (grid, majority, tree, weighted, ROWA).
-//! * [`simnet`] — deterministic discrete-event distributed-system simulator.
+//! * [`simnet`] — the real-thread runtime (the deterministic simulator is
+//!   [`protocol::StepDriver`]).
 //! * [`protocol`] — the dynamic epoch protocol with partial writes and the
 //!   static baselines.
 //! * [`markov`] — continuous-time Markov chains and the availability models.

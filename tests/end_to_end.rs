@@ -1,5 +1,5 @@
 //! Cross-crate integration tests: the full protocol stack (quorum rules +
-//! simulator + replica nodes + harness checker) exercised through the
+//! step driver + replica nodes + harness checker) exercised through the
 //! facade crate, including randomized fault schedules with safety
 //! invariants checked at every step.
 
@@ -10,17 +10,17 @@ use dyncoterie::harness::{
     check_run, run_scenario, FaultConfig, FaultPlan, Scenario, Workload, WorkloadConfig,
 };
 use dyncoterie::protocol::{
-    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
 };
 use dyncoterie::quorum::{GridCoterie, MajorityCoterie, NodeId, TreeCoterie, View};
-use dyncoterie::simnet::{NodeStatus, Partition, Sim, SimConfig, SimDuration, SimTime};
+use dyncoterie::simnet::{SimDuration, SimTime};
 use std::sync::Arc;
 
 /// Epoch safety: nodes sharing an epoch number must share the epoch list,
 /// and every node is a member of its own epoch list (§4.4's preliminary
 /// note, which the correctness proof relies on).
-fn assert_epoch_safety(sim: &Sim<ReplicaNode>) {
-    let n = sim.len();
+fn assert_epoch_safety(sim: &StepDriver) {
+    let n = sim.cluster_size();
     for a in 0..n as u32 {
         let node_a = sim.node(NodeId(a));
         assert!(
@@ -46,9 +46,9 @@ fn assert_epoch_safety(sim: &Sim<ReplicaNode>) {
 /// maximum `e` may have a write quorum over its epoch list among them.
 /// (Node up/down status is irrelevant to the lemma — it is a statement
 /// about the recorded states.)
-fn assert_unique_live_epoch(sim: &Sim<ReplicaNode>) {
+fn assert_unique_live_epoch(sim: &StepDriver) {
     let rule = GridCoterie::new();
-    let n = sim.len();
+    let n = sim.cluster_size();
     let mut by_epoch: std::collections::BTreeMap<u64, (Vec<NodeId>, Vec<NodeId>)> =
         std::collections::BTreeMap::new();
     for id in (0..n as u32).map(NodeId) {
@@ -78,10 +78,7 @@ fn grid_scenario(seed: u64, lambda: f64, secs: u64) -> Scenario {
         .check_period(SimDuration::from_secs(2));
     Scenario {
         protocol,
-        sim: SimConfig {
-            seed,
-            ..Default::default()
-        },
+        seed,
         workload: Workload::generate(
             &WorkloadConfig {
                 ops_per_sec: 25.0,
@@ -123,14 +120,7 @@ fn epoch_safety_holds_under_churn() {
     let n = 9;
     let protocol = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(1));
-    let mut sim = Sim::new(
-        n,
-        SimConfig {
-            seed: 77,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, protocol.clone()),
-    );
+    let mut sim = StepDriver::with_latency(n, protocol.clone().rng_seed(77));
     let faults = FaultPlan::generate(
         &FaultConfig {
             lambda_per_sec: 0.08,
@@ -141,33 +131,36 @@ fn epoch_safety_holds_under_churn() {
         },
         n,
     );
-    for (at, f) in &faults.events {
-        match f {
-            dyncoterie::harness::FaultEvent::Crash(node) => sim.schedule_crash(*at, *node),
-            dyncoterie::harness::FaultEvent::Recover(node) => sim.schedule_recover(*at, *node),
-            dyncoterie::harness::FaultEvent::Partition(p) => sim.schedule_partition(*at, p.clone()),
-            // Storage faults target journaling hosts; this simnet test
-            // runs bare engines (mirrors scenario.rs).
-            dyncoterie::harness::FaultEvent::StorageFault { .. } => {}
-        }
-    }
-    for i in 0..80u64 {
-        sim.schedule_external(
-            SimTime(i * 500_000),
-            NodeId((i % n as u64) as u32),
-            ClientRequest::Write {
-                id: i,
-                write: PartialWrite::new([bytes_of(i)]),
-            },
-        );
-    }
+    // Writes every half second, merged with the fault plan (writes first at
+    // equal times); a write at a down coordinator is dropped.
+    let writes = (0..80u64).map(|i| (SimTime(i * 500_000), None, i));
+    let plan = faults.events.iter().map(|(at, f)| (*at, Some(f), 0));
+    let mut timeline: Vec<_> = writes.chain(plan).collect();
+    timeline.sort_by_key(|(at, _, _)| *at);
+    let mut timeline = timeline.into_iter().peekable();
     // Step through the run, re-checking invariants every virtual second.
-    for _ in 0..55 {
-        sim.run_for(SimDuration::from_secs(1));
+    for second in 1..=55u64 {
+        let until = SimTime(second * 1_000_000);
+        while let Some((at, fault, i)) = timeline.next_if(|(at, _, _)| *at <= until) {
+            sim.run_until(at);
+            let coordinator = NodeId((i % n as u64) as u32);
+            match fault {
+                None if !sim.is_down(coordinator) => sim.inject(
+                    coordinator,
+                    ClientRequest::Write {
+                        id: i,
+                        write: PartialWrite::new([bytes_of(i)]),
+                    },
+                ),
+                None => {}
+                Some(fault) => fault.apply(&mut sim),
+            }
+        }
+        sim.run_until(until);
         assert_epoch_safety(&sim);
         assert_unique_live_epoch(&sim);
     }
-    let events = sim.take_outputs();
+    let events = sim.outputs();
     let issued: std::collections::HashMap<u64, dyncoterie::harness::IssuedOp> = (0..80u64)
         .map(|i| {
             (
@@ -181,7 +174,7 @@ fn epoch_safety_holds_under_churn() {
             )
         })
         .collect();
-    let report = check_run(&issued, &events, protocol.n_pages);
+    let report = check_run(&issued, events, protocol.n_pages);
     assert!(report.consistent(), "{:?}", report.violations);
 }
 
@@ -197,26 +190,17 @@ fn partition_heal_with_dueling_epoch_coordinators() {
     let n = 5;
     let protocol = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), n)
         .check_period(SimDuration::from_secs(1));
-    let mut sim = Sim::new(
-        n,
-        SimConfig {
-            seed: 1234,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, protocol.clone()),
-    );
+    let mut sim = StepDriver::with_latency(n, protocol.rng_seed(1234));
     // Partition {3,4} away, let the majority shrink its epoch.
-    sim.schedule_partition(
-        SimTime(500_000),
-        Partition::split(n, &[NodeId(3), NodeId(4)]),
-    );
-    sim.run_for(SimDuration::from_secs(8));
+    sim.run_until(SimTime(500_000));
+    sim.set_partition(vec![0, 0, 0, 1, 1]);
+    sim.run_until(SimTime(8_000_000));
     assert_eq!(sim.node(NodeId(0)).durable.elist.len(), 3);
     // The minority must still be on the old epoch.
     assert_eq!(sim.node(NodeId(3)).durable.elist.len(), 5);
     assert_epoch_safety(&sim);
     // Heal; multiple epoch ticks race.
-    sim.set_partition_now(Partition::connected(n));
+    sim.heal_partition();
     sim.run_for(SimDuration::from_secs(15));
     assert_epoch_safety(&sim);
     for id in 0..n as u32 {
@@ -227,8 +211,7 @@ fn partition_heal_with_dueling_epoch_coordinators() {
         );
     }
     // And the system still works.
-    sim.schedule_external(
-        sim.now(),
+    sim.inject(
         NodeId(4),
         ClientRequest::Write {
             id: 9,
@@ -237,7 +220,7 @@ fn partition_heal_with_dueling_epoch_coordinators() {
     );
     sim.run_for(SimDuration::from_secs(2));
     assert!(sim
-        .take_outputs()
+        .outputs()
         .iter()
         .any(|(_, _, e)| matches!(e, ProtocolEvent::WriteOk { id: 9, .. })));
 }
@@ -249,18 +232,12 @@ fn tree_coterie_runs_the_full_protocol() {
     let n = 9;
     let protocol = ProtocolConfig::new(Arc::new(TreeCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
-    let mut sim = Sim::new(
-        n,
-        SimConfig {
-            seed: 5,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, protocol.clone()),
-    );
+    let mut sim = StepDriver::with_latency(n, protocol.rng_seed(5));
+    sim.crash(NodeId(8));
     for i in 0..10u64 {
         // Coordinators rotate over the nodes that stay up (node 8 dies).
-        sim.schedule_external(
-            SimTime(i * 200_000),
+        sim.run_until(SimTime(i * 200_000));
+        sim.inject(
             NodeId((i % 8) as u32),
             ClientRequest::Write {
                 id: i,
@@ -268,15 +245,14 @@ fn tree_coterie_runs_the_full_protocol() {
             },
         );
     }
-    sim.crash_now(NodeId(8));
-    sim.run_for(SimDuration::from_secs(15));
+    sim.run_until(SimTime(15_000_000));
     let oks = sim
-        .take_outputs()
+        .outputs()
         .iter()
         .filter(|(_, _, e)| matches!(e, ProtocolEvent::WriteOk { .. }))
         .count();
     assert_eq!(oks, 10);
-    assert_eq!(sim.status(NodeId(8)), NodeStatus::Down);
+    assert!(sim.is_down(NodeId(8)));
     assert_eq!(sim.node(NodeId(0)).durable.elist.len(), 8);
 }
 
@@ -306,27 +282,18 @@ fn analytic_availability_predicts_protocol_behaviour() {
     let n = 9;
     let protocol = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(1));
-    let mut sim = Sim::new(
-        n,
-        SimConfig {
-            seed: 31,
-            ..Default::default()
-        },
-        |id| ReplicaNode::new(id, protocol.clone()),
-    );
+    let mut sim = StepDriver::with_latency(n, protocol.rng_seed(31));
     for victim in [8u32, 7, 6, 5, 4, 3] {
-        sim.crash_now(NodeId(victim));
+        sim.crash(NodeId(victim));
         sim.run_for(SimDuration::from_secs(6));
     }
     assert_eq!(sim.node(NodeId(0)).durable.elist.len(), 3);
     // One more failure: blocked (any single failure of a 3-epoch whose
     // survivors lack a write quorum blocks; node 1 is the singleton-column
     // member of the {0,1,2} grid, killing IT always blocks).
-    sim.crash_now(NodeId(1));
+    sim.crash(NodeId(1));
     sim.run_for(SimDuration::from_secs(6));
-    sim.take_outputs();
-    sim.schedule_external(
-        sim.now(),
+    sim.inject(
         NodeId(0),
         ClientRequest::Write {
             id: 1,
@@ -334,7 +301,7 @@ fn analytic_availability_predicts_protocol_behaviour() {
         },
     );
     sim.run_for(SimDuration::from_secs(3));
-    let events = sim.take_outputs();
+    let events = sim.outputs();
     assert!(
         events
             .iter()
