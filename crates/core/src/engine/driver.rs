@@ -522,7 +522,7 @@ impl StepDriver {
     pub fn metrics(&self) -> MetricsRegistry {
         let mut merged = MetricsRegistry::new();
         for node in &self.nodes {
-            merged.merge(&node.stats.registry);
+            merged.merge(&node.stats);
         }
         merged.add(
             keys::JOURNAL_FLUSHES,
@@ -669,10 +669,8 @@ fn canonical_node(out: &mut String, node: &ReplicaNode) {
     let _ = write!(out, "shared={shared:?};");
     let leases: Vec<_> = v.lock_leases.iter().map(|(op, id)| (*op, id.0)).collect();
     let _ = write!(out, "leases={leases:?};");
-    sorted_map(out, "writes", &v.writes);
+    sorted_map(out, "ops", &v.ops);
     let _ = write!(out, "write_queue={:?};", v.write_queue);
-    sorted_map(out, "reads", &v.reads);
-    sorted_map(out, "epochs", &v.epochs);
     let attempts: Vec<_> = v
         .propagator
         .attempts

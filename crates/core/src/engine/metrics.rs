@@ -1,8 +1,8 @@
 //! The unified metrics registry: `BTreeMap`-keyed counters plus
 //! fixed-bucket latency histograms, std-only and deterministic.
 //!
-//! Every counter the stack used to scatter across `NodeStats` fields and
-//! harness-side accumulators lives here, keyed by the `&'static str`
+//! Every counter the stack used to scatter across per-node stats fields
+//! and harness-side accumulators lives here, keyed by the `&'static str`
 //! constants in [`keys`]. Histograms use log-linear buckets (16 sub-buckets
 //! per octave, values below 16 exact), so quantiles carry at most ~6%
 //! relative error while the accumulator stays fixed-size — the same
@@ -12,8 +12,8 @@
 //! The registry is snapshot-serializable without serde: [`to_json`]
 //! hand-rolls a deterministic JSON object (BTreeMap iteration is key
 //! order), which serde-equipped crates re-parse for embedding in their own
-//! artifacts. It is exposed uniformly: per node via
-//! [`NodeStats`](crate::node::NodeStats), per cluster via
+//! artifacts. It is exposed uniformly: per node as
+//! [`ReplicaNode::stats`](crate::node::ReplicaNode::stats), per cluster via
 //! [`StepDriver::metrics`](super::driver::StepDriver::metrics), and by the
 //! threaded host via `JournaledNode::metrics`.
 //!

@@ -115,11 +115,11 @@ impl ReplicaNode {
 
     fn handle_message(&mut self, ctx: &mut NodeCtx<'_>, from: coterie_quorum::NodeId, msg: Msg) {
         let class = msg.class();
-        self.stats.registry.inc(keys::msgs_in(class));
+        self.stats.inc(keys::msgs_in(class));
         ctx.trace(TraceEvent::MsgRecv { from, class });
         match msg {
-            Msg::WriteReq { op } => self.srv_write_req(ctx, from, op),
-            Msg::ReadReq { op } => self.srv_read_req(ctx, from, op),
+            Msg::WriteReq { op } => self.srv_permission(ctx, from, op, true),
+            Msg::ReadReq { op } => self.srv_permission(ctx, from, op, false),
             Msg::EpochCheckReq { op } => self.srv_epoch_check_req(ctx, from, op),
             Msg::StateResp {
                 op,
@@ -153,12 +153,12 @@ impl ReplicaNode {
 
     fn handle_call_failed(&mut self, ctx: &mut NodeCtx<'_>, to: coterie_quorum::NodeId, msg: Msg) {
         let class = msg.class();
-        self.stats.registry.inc(keys::msgs_bounced(class));
+        self.stats.inc(keys::msgs_bounced(class));
         ctx.trace(TraceEvent::MsgBounce { to, class });
         match msg {
-            Msg::WriteReq { op } => self.on_write_peer_failed(ctx, op, to),
-            Msg::ReadReq { op } => self.on_read_peer_failed(ctx, op, to),
-            Msg::EpochCheckReq { op } => self.on_epoch_peer_failed(ctx, op, to),
+            Msg::WriteReq { op } | Msg::ReadReq { op } | Msg::EpochCheckReq { op } => {
+                self.on_request_failed(ctx, to, op, &msg)
+            }
             // An unreachable 2PC participant is an implicit "no" (it cannot
             // have prepared: it never received the Prepare).
             Msg::Prepare { op, .. } => self.on_vote(ctx, to, op, false),

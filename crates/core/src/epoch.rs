@@ -14,58 +14,21 @@
 //! literal bully election of \[7\].
 
 use crate::classify::Classified;
-use crate::config::{Mode, COLLECT_TIMEOUT, VOTE_TIMEOUT};
+use crate::config::{Mode, COLLECT_TIMEOUT};
+use crate::coord::{Ballot, InFlight, Poll};
 use crate::engine::metrics::keys;
 use crate::engine::trace::TraceEvent;
-use crate::msg::{Action, Msg, OpId, StateTuple};
+use crate::msg::{Action, Msg, OpId};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
-use coterie_base::TimerId;
 use coterie_quorum::{NodeId, NodeSet, QuorumKind};
-use std::collections::BTreeMap;
-
-/// Phase of a coordinated epoch check.
-#[derive(Clone, Debug)]
-pub enum EPhase {
-    /// Polling all replicas.
-    Collect,
-    /// Two-phase commit of the new epoch.
-    Voting {
-        /// New epoch members (the participants).
-        participants: Vec<NodeId>,
-        /// Yes votes so far.
-        yes: NodeSet,
-        /// The action being committed.
-        action: Action,
-        /// Vote timeout.
-        timer: TimerId,
-    },
-}
 
 /// Volatile state of one epoch check.
 #[derive(Clone, Debug)]
 pub struct EpochCoordinator {
-    /// Operation id.
-    pub op: OpId,
-    /// Phase.
-    pub phase: EPhase,
-    /// State responses by node.
-    pub responses: BTreeMap<NodeId, StateTuple>,
-    /// Unreachable nodes.
-    pub failed: NodeSet,
-    /// All nodes polled.
-    pub polled: NodeSet,
-    /// Collection timeout.
-    pub collect_timer: Option<TimerId>,
-}
-
-impl EpochCoordinator {
-    fn answered(&self) -> NodeSet {
-        NodeSet::from_iter(self.responses.keys().copied()).union(self.failed)
-    }
-
-    fn collect_done(&self) -> bool {
-        self.polled.is_subset_of(self.answered())
-    }
+    /// The lock-free poll of every replica.
+    pub poll: Poll,
+    /// The two-phase commit of the new epoch, once one is proposed.
+    pub ballot: Option<Ballot>,
 }
 
 impl ReplicaNode {
@@ -119,92 +82,37 @@ impl ReplicaNode {
         });
         self.vol.epoch_check_active = true;
         self.vol.last_epoch_check_seen = Some(ctx.now());
+        let mut poll = Poll::default();
         let all = NodeSet::from_iter(self.all_nodes());
-        let timeout = COLLECT_TIMEOUT;
-        let timer = ctx.set_timer(timeout, Timer::Collect { op });
-        let ec = EpochCoordinator {
-            op,
-            phase: EPhase::Collect,
-            responses: BTreeMap::new(),
-            failed: NodeSet::new(),
-            polled: all,
-            collect_timer: Some(timer),
-        };
-        for node in all.iter() {
-            ctx.send(node, Msg::EpochCheckReq { op });
-        }
-        self.vol.epochs.insert(op, ec);
-    }
-
-    /// A state response for an epoch check.
-    pub(crate) fn epoch_state_resp(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, state: StateTuple) {
-        let Some(ec) = self.vol.epochs.get_mut(&op) else {
-            return;
-        };
-        if !matches!(ec.phase, EPhase::Collect) {
-            return;
-        }
-        ec.responses.insert(state.node, state);
-        if ec.collect_done() {
-            self.evaluate_epoch_check(ctx, op);
-        }
-    }
-
-    /// `RPC.CallFailed` for an epoch-check poll.
-    pub(crate) fn on_epoch_peer_failed(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, to: NodeId) {
-        let Some(ec) = self.vol.epochs.get_mut(&op) else {
-            return;
-        };
-        if !matches!(ec.phase, EPhase::Collect) {
-            return;
-        }
-        ec.failed.insert(to);
-        if ec.collect_done() {
-            self.evaluate_epoch_check(ctx, op);
-        }
-    }
-
-    /// Poll timeout: treat silent nodes as failed.
-    pub(crate) fn epoch_collect_timeout(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        let Some(ec) = self.vol.epochs.get_mut(&op) else {
-            return;
-        };
-        if !matches!(ec.phase, EPhase::Collect) {
-            return;
-        }
-        ec.collect_timer = None;
-        let silent = ec.polled.difference(ec.answered());
-        ec.failed = ec.failed.union(silent);
-        self.evaluate_epoch_check(ctx, op);
+        poll.ask(ctx, op, all, Msg::EpochCheckReq { op });
+        let ec = EpochCoordinator { poll, ballot: None };
+        self.vol.ops.insert(op, InFlight::Epoch(ec));
     }
 
     /// The paper's `CheckEpoch` decision logic.
-    fn evaluate_epoch_check(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        let Some(ec) = self.vol.epochs.get_mut(&op) else {
+    pub(crate) fn evaluate_epoch_check(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
+        let Some(InFlight::Epoch(ec)) = self.vol.ops.get_mut(&op) else {
             return;
         };
-        if let Some(t) = ec.collect_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        ec.poll.close(ctx);
         let Some(c) = Classified::evaluate(
             &*self.config.rule,
             &mut self.vol.plans,
-            &ec.responses,
+            &ec.poll.granted,
             QuorumKind::Write,
         ) else {
-            self.finish_epoch_check(ctx, op);
+            self.finish_epoch_check(op);
             return;
         };
         // "if coterie-rule(elist_m, {node_1..node_k})":
         if !c.has_quorum {
-            self.finish_epoch_check(ctx, op);
+            self.finish_epoch_check(op);
             return;
         }
         // "NEW-EPOCH := {node_1..node_k}; if NEW-EPOCH != elist_m":
-        let mut new_epoch: Vec<NodeId> = ec.responses.keys().copied().collect();
-        new_epoch.sort_unstable();
+        let new_epoch: Vec<NodeId> = ec.poll.granted.keys().copied().collect();
         if new_epoch == c.view.members() {
-            self.finish_epoch_check(ctx, op);
+            self.finish_epoch_check(op);
             return;
         }
         // "if max-version >= max-dversion": a current replica must exist,
@@ -212,7 +120,7 @@ impl ReplicaNode {
         let desired_version = match c.max_version {
             Some(v) if c.has_current_replica() => v,
             _ => {
-                self.finish_epoch_check(ctx, op);
+                self.finish_epoch_check(op);
                 return;
             }
         };
@@ -236,108 +144,32 @@ impl ReplicaNode {
             stale,
             desired_version,
         };
-        let timeout = VOTE_TIMEOUT;
-        let timer = ctx.set_timer(timeout, Timer::Votes { op });
-        // Re-borrow after set_timer ended the earlier borrow.
-        #[expect(clippy::expect_used, reason = "present at fn entry; step is atomic")]
-        let ec = self.vol.epochs.get_mut(&op).expect("present");
-        ec.phase = EPhase::Voting {
-            participants: new_epoch.clone(),
-            yes: NodeSet::new(),
-            action: action.clone(),
-            timer,
-        };
-        ctx.trace(TraceEvent::PrepareIssued { op });
-        for &node in &new_epoch {
-            ctx.send(
-                node,
-                Msg::Prepare {
-                    op,
-                    action: action.clone(),
-                    // Epoch polls are lock-free; participants take the
-                    // replica lock at prepare time.
-                    extra: true,
-                },
-            );
-        }
+        // Epoch polls are lock-free; participants take the replica lock at
+        // prepare time.
+        let prepares = new_epoch.iter().map(|&n| (n, action.clone(), true));
+        ec.ballot = Some(Ballot::open(ctx, op, &[], prepares));
     }
 
-    /// A 2PC vote for an epoch change.
-    pub(crate) fn epoch_vote(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, from: NodeId, yes: bool) {
-        let Some(ec) = self.vol.epochs.get_mut(&op) else {
-            return;
-        };
-        let EPhase::Voting {
-            participants,
-            yes: yes_set,
-            timer,
-            ..
-        } = &mut ec.phase
-        else {
-            return;
-        };
-        if !yes {
-            let timer = *timer;
-            ctx.cancel_timer(timer);
-            self.abort_epoch_commit(ctx, op);
-            return;
+    /// The new epoch's ballot closed: the decision goes out, and an abort
+    /// arms a fast retry.
+    pub(crate) fn epoch_decided(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        op: OpId,
+        ec: EpochCoordinator,
+        commit: bool,
+    ) {
+        if let Some(ballot) = &ec.ballot {
+            self.decide(ctx, op, ballot, commit, None);
         }
-        yes_set.insert(from);
-        if !participants.iter().all(|p| yes_set.contains(*p)) {
-            return;
+        if commit {
+            self.stats.inc(keys::EPOCH_CHANGES);
         }
-        let (participants, timer) = (participants.clone(), *timer);
-        ctx.cancel_timer(timer);
-        self.record_decision(op, true);
-        for &p in &participants {
-            ctx.send(
-                p,
-                Msg::Decision {
-                    op,
-                    commit: true,
-                    chain: None,
-                },
-            );
-        }
-        self.stats.registry.inc(keys::EPOCH_CHANGES);
-        self.finish_epoch_check(ctx, op);
-    }
-
-    /// Vote timeout for an epoch change.
-    pub(crate) fn epoch_vote_timeout(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        if self
-            .vol
-            .epochs
-            .get(&op)
-            .is_some_and(|ec| matches!(ec.phase, EPhase::Voting { .. }))
-        {
-            self.abort_epoch_commit(ctx, op);
-        }
-    }
-
-    fn abort_epoch_commit(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        let Some(ec) = self.vol.epochs.get(&op) else {
-            return;
-        };
-        if let EPhase::Voting { participants, .. } = &ec.phase {
-            let participants = participants.clone();
-            self.record_decision(op, false);
-            for &p in &participants {
-                ctx.send(
-                    p,
-                    Msg::Decision {
-                        op,
-                        commit: false,
-                        chain: None,
-                    },
-                );
-            }
-        }
-        self.finish_epoch_check(ctx, op);
+        self.finish_epoch_check(op);
         // Retry soon: an aborted epoch change usually lost a lock race
         // with a client write, and the failure that motivated it is still
         // unrepaired. One-shot so retry timers never accumulate.
-        if !self.vol.epoch_retry_armed {
+        if !commit && !self.vol.epoch_retry_armed {
             self.vol.epoch_retry_armed = true;
             let delay = COLLECT_TIMEOUT * 8 + self.jitter(ctx, COLLECT_TIMEOUT * 8);
             ctx.set_timer(delay, Timer::EpochRetry);
@@ -352,12 +184,10 @@ impl ReplicaNode {
         }
     }
 
-    fn finish_epoch_check(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        if let Some(mut ec) = self.vol.epochs.remove(&op) {
-            if let Some(t) = ec.collect_timer.take() {
-                ctx.cancel_timer(t);
-            }
-        }
+    /// Ends the check; the evaluation or ballot that got here disarmed
+    /// its timers.
+    fn finish_epoch_check(&mut self, op: OpId) {
+        self.vol.ops.remove(&op);
         self.vol.epoch_check_active = false;
     }
 }

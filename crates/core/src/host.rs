@@ -165,7 +165,7 @@ impl JournaledNode {
     /// A unified snapshot of this node's metrics: the engine's registry
     /// merged with the host's journal counters and flush-latency histogram.
     pub fn metrics(&self) -> MetricsRegistry {
-        let mut merged = self.node.stats.registry.clone();
+        let mut merged = self.node.stats.clone();
         merged.merge(&self.host_metrics);
         merged.add(keys::JOURNAL_FLUSHES, self.flushes);
         merged

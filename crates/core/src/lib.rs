@@ -63,6 +63,7 @@
 
 pub mod classify;
 pub mod config;
+pub mod coord;
 pub mod election;
 pub mod engine;
 pub mod epoch;
@@ -74,7 +75,6 @@ pub mod node;
 pub mod propagate;
 pub mod read;
 pub mod rejoin;
-mod router;
 pub mod server;
 pub mod store;
 pub mod write;
@@ -96,6 +96,6 @@ pub use msg::{
     Action, ClientRequest, FailReason, Msg, MsgClass, OpId, PropPayload, PropReply, ProtocolEvent,
     StateTuple,
 };
-pub use node::{Durable, NodeStats, ReplicaNode, Timer, Volatile};
+pub use node::{Durable, ReplicaNode, Timer, Volatile};
 pub use rejoin::RejoinState;
 pub use store::{LogDelta, LogEntry, PageId, PagedObject, PartialWrite, WriteLog};

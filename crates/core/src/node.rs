@@ -4,17 +4,16 @@
 //! (see the `simnet-host` feature).
 
 use crate::config::{ProtocolConfig, DECISION_RETRY, LOCK_LEASE, RETRY_BACKOFF};
+use crate::coord::InFlight;
 use crate::election::ElectionState;
 use crate::engine::metrics::{keys, MetricsRegistry};
 use crate::engine::rng::Rng64;
 use crate::engine::trace::TraceEvent;
-use crate::epoch::EpochCoordinator;
 use crate::locks::ReplicaLock;
-use crate::msg::{Action, ClientRequest, MsgClass, OpId};
+use crate::msg::{Action, ClientRequest, OpId};
 use crate::propagate::{IncomingProp, Propagator};
-use crate::read::ReadCoordinator;
 use crate::store::{PagedObject, WriteLog};
-use crate::write::{BatchEntry, WriteCoordinator};
+use crate::write::BatchEntry;
 use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_quorum::{NodeId, PlanCache, View};
 use std::collections::{BTreeMap, VecDeque};
@@ -182,8 +181,8 @@ pub struct Volatile {
     pub lock: ReplicaLock,
     /// Lock-lease timers, by holder.
     pub lock_leases: BTreeMap<OpId, TimerId>,
-    /// Write operations this node is coordinating.
-    pub writes: BTreeMap<OpId, WriteCoordinator>,
+    /// The reads, write rounds and epoch checks this node is coordinating.
+    pub ops: BTreeMap<OpId, InFlight>,
     /// Client writes waiting to ride the next write round
     /// (coordinator-side batching, DESIGN.md §10). Volatile: a queued write
     /// was never acked, so losing the queue in a crash is a client-visible
@@ -195,10 +194,6 @@ pub struct Volatile {
     /// meanwhile) relaunches as one round instead of fragmenting into
     /// per-client retries.
     pub write_queue_held: bool,
-    /// Read operations this node is coordinating.
-    pub reads: BTreeMap<OpId, ReadCoordinator>,
-    /// Epoch checks this node is coordinating.
-    pub epochs: BTreeMap<OpId, EpochCoordinator>,
     /// Outgoing propagation state.
     pub propagator: Propagator,
     /// Incoming (target-side) propagation state.
@@ -234,11 +229,9 @@ impl Clone for Volatile {
         Volatile {
             lock: self.lock.clone(),
             lock_leases: self.lock_leases.clone(),
-            writes: self.writes.clone(),
+            ops: self.ops.clone(),
             write_queue: self.write_queue.clone(),
             write_queue_held: self.write_queue_held,
-            reads: self.reads.clone(),
-            epochs: self.epochs.clone(),
             propagator: self.propagator.clone(),
             incoming_prop: self.incoming_prop.clone(),
             pending_epoch_prepare: self.pending_epoch_prepare.clone(),
@@ -253,98 +246,6 @@ impl Clone for Volatile {
             // plans on demand.
             plans: PlanCache::default(),
         }
-    }
-}
-
-/// Cumulative per-node counters. Not protocol state: kept across crashes so
-/// the harness reads totals for the whole run.
-///
-/// Since the observability refactor this is a thin facade over the unified
-/// [`MetricsRegistry`] — every counter lives in the registry under the key
-/// constants in [`crate::engine::metrics::keys`], and the named accessors
-/// below exist so call sites read like the fields they replaced.
-#[derive(Clone, Debug, Default)]
-pub struct NodeStats {
-    /// The unified per-node registry (counters + histograms).
-    pub registry: MetricsRegistry,
-}
-
-impl NodeStats {
-    /// Committed writes coordinated by this node.
-    pub fn writes_ok(&self) -> u64 {
-        self.registry.counter(keys::WRITES_OK)
-    }
-
-    /// Failed writes coordinated by this node (after retries).
-    pub fn writes_failed(&self) -> u64 {
-        self.registry.counter(keys::WRITES_FAILED)
-    }
-
-    /// Completed reads coordinated by this node.
-    pub fn reads_ok(&self) -> u64 {
-        self.registry.counter(keys::READS_OK)
-    }
-
-    /// Failed reads coordinated by this node.
-    pub fn reads_failed(&self) -> u64 {
-        self.registry.counter(keys::READS_FAILED)
-    }
-
-    /// Client-level retries due to contention.
-    pub fn retries(&self) -> u64 {
-        self.registry.counter(keys::RETRIES)
-    }
-
-    /// Times the heavy procedure ran.
-    pub fn heavy_runs(&self) -> u64 {
-        self.registry.counter(keys::HEAVY_RUNS)
-    }
-
-    /// Write rounds opened directly in the voting phase by a pipelined
-    /// lock handoff (each one overlapped its predecessor's decision).
-    pub fn chained_rounds(&self) -> u64 {
-        self.registry.counter(keys::CHAINED_ROUNDS)
-    }
-
-    /// Client writes that committed while sharing a round with at least
-    /// one other write (coordinator-side batching).
-    pub fn batched_writes(&self) -> u64 {
-        self.registry.counter(keys::BATCHED_WRITES)
-    }
-
-    /// Replicas written or marked per committed write (sum, for averaging).
-    pub fn replicas_touched_sum(&self) -> u64 {
-        self.registry.counter(keys::REPLICAS_TOUCHED_SUM)
-    }
-
-    /// Replicas marked stale (sum over committed writes).
-    pub fn marked_stale_sum(&self) -> u64 {
-        self.registry.counter(keys::MARKED_STALE_SUM)
-    }
-
-    /// Synchronous reconciliations (write-all-current baseline only).
-    pub fn sync_reconciliations(&self) -> u64 {
-        self.registry.counter(keys::SYNC_RECONCILIATIONS)
-    }
-
-    /// Propagations completed with this node as the source.
-    pub fn propagations_done(&self) -> u64 {
-        self.registry.counter(keys::PROPAGATIONS_DONE)
-    }
-
-    /// Epoch changes committed with this node as the coordinator.
-    pub fn epoch_changes(&self) -> u64 {
-        self.registry.counter(keys::EPOCH_CHANGES)
-    }
-
-    /// Messages received in `class`.
-    pub fn msgs_in(&self, class: MsgClass) -> u64 {
-        self.registry.counter(keys::msgs_in(class))
-    }
-
-    /// `CallFailed` bounces whose undeliverable message was in `class`.
-    pub fn msgs_bounced(&self, class: MsgClass) -> u64 {
-        self.registry.counter(keys::msgs_bounced(class))
     }
 }
 
@@ -364,8 +265,10 @@ pub struct ReplicaNode {
     pub durable: Durable,
     /// Crash-wiped state.
     pub vol: Volatile,
-    /// Run-long counters (measurement only).
-    pub stats: NodeStats,
+    /// Run-long counters and histograms (measurement only, not protocol
+    /// state): kept across crashes so readers get totals for the whole
+    /// run, under the [`keys`] constants.
+    pub stats: MetricsRegistry,
     /// Engine-owned deterministic RNG (jitter): seeded from
     /// `config.seed ^ me`, advanced only by protocol draws.
     pub(crate) rng: Rng64,
@@ -404,7 +307,7 @@ impl ReplicaNode {
             decided: Vec::new(),
             durable,
             vol: Volatile::default(),
-            stats: NodeStats::default(),
+            stats: MetricsRegistry::new(),
             timer_seq: 0,
             lamport: 0,
             trace_seq: 0,
@@ -520,7 +423,7 @@ impl ReplicaNode {
         attempt: u32,
     ) {
         if attempt > 0 {
-            self.stats.registry.inc(keys::RETRIES);
+            self.stats.inc(keys::RETRIES);
         }
         match request {
             ClientRequest::Read { id } => self.start_read(ctx, id, attempt),

@@ -398,7 +398,7 @@ impl ReplicaNode {
             return;
         }
         if ok {
-            self.stats.registry.inc(keys::PROPAGATIONS_DONE);
+            self.stats.inc(keys::PROPAGATIONS_DONE);
             let version = self.durable.version;
             ctx.output(ProtocolEvent::Propagated {
                 target: from,

@@ -12,51 +12,43 @@
 //! shared lock held since the grant is what keeps the replica from moving.
 
 use crate::classify::Classified;
-use crate::config::{COLLECT_TIMEOUT, MAX_RETRIES};
+use crate::config::MAX_RETRIES;
+use crate::coord::{InFlight, Poll};
 use crate::engine::metrics::keys;
 use crate::msg::{ClientRequest, FailReason, Msg, OpId, ProtocolEvent, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
 use bytes::Bytes;
-use coterie_base::TimerId;
 use coterie_quorum::{quorum_seed, NodeId, NodeSet, QuorumKind};
-use std::collections::BTreeMap;
 
 /// Volatile state of one coordinated read.
 #[derive(Clone, Debug)]
 pub struct ReadCoordinator {
-    /// Operation id.
-    pub op: OpId,
     /// Client request id.
     pub client_id: u64,
     /// Retry attempt.
     pub attempt: u32,
-    /// Granted responses.
-    pub granted: BTreeMap<NodeId, StateTuple>,
     /// The object of the highest-version non-stale grant (ours on a tie),
     /// with that version: the copy the read returns once classification
     /// finds a current replica.
     pub copy: Option<(u64, Vec<Bytes>)>,
-    /// Busy refusals.
-    pub refused: NodeSet,
-    /// Failures.
-    pub failed: NodeSet,
-    /// Nodes polled.
-    pub polled: NodeSet,
-    /// Whether the heavy (poll-everyone) pass has run.
-    pub heavy: bool,
-    /// Collection timeout.
-    pub collect_timer: Option<TimerId>,
+    /// The shared-lock poll.
+    pub poll: Poll,
 }
 
 impl ReadCoordinator {
-    fn answered(&self) -> NodeSet {
-        NodeSet::from_iter(self.granted.keys().copied())
-            .union(self.refused)
-            .union(self.failed)
-    }
-
-    fn collect_done(&self) -> bool {
-        self.polled.is_subset_of(self.answered())
+    /// Keeps the object a granted, non-stale answer carried if it is the
+    /// newest so far (ours on a tie), so it is the copy of a current
+    /// replica whenever classification finds one.
+    pub(crate) fn keep_copy(&mut self, me: NodeId, state: &StateTuple, pages: Option<Vec<Bytes>>) {
+        let Some(pages) = pages else {
+            return;
+        };
+        let newer = self.copy.as_ref().is_none_or(|(version, _)| {
+            state.version > *version || (state.version == *version && state.node == me)
+        });
+        if newer {
+            self.copy = Some((state.version, pages));
+        }
     }
 }
 
@@ -71,100 +63,33 @@ impl ReplicaNode {
             .rule
             .pick_quorum(&view, view.set(), seed, QuorumKind::Read)
         else {
-            self.stats.registry.inc(keys::READS_FAILED);
+            self.stats.inc(keys::READS_FAILED);
             ctx.output(ProtocolEvent::Failed {
                 id: client_id,
                 reason: FailReason::NoQuorum,
             });
             return;
         };
-        let timeout = COLLECT_TIMEOUT;
-        let timer = ctx.set_timer(timeout, Timer::Collect { op });
+        let mut poll = Poll::default();
+        poll.ask(ctx, op, quorum, Msg::ReadReq { op });
         let rc = ReadCoordinator {
-            op,
             client_id,
             attempt,
-            granted: BTreeMap::new(),
             copy: None,
-            refused: NodeSet::new(),
-            failed: NodeSet::new(),
-            polled: quorum,
-            heavy: false,
-            collect_timer: Some(timer),
+            poll,
         };
-        for node in quorum.iter() {
-            ctx.send(node, Msg::ReadReq { op });
-        }
-        self.vol.reads.insert(op, rc);
+        self.vol.ops.insert(op, InFlight::Read(rc));
     }
 
-    /// A permission response for a read op. A granted, non-stale answer
-    /// carries the replica's object; the highest-version copy is kept (ours
-    /// on a tie), so it is the copy of a current replica whenever
-    /// classification finds one.
-    pub(crate) fn read_state_resp(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        op: OpId,
-        granted: bool,
-        state: StateTuple,
-        pages: Option<Vec<Bytes>>,
-    ) {
-        let me = self.me;
-        let Some(rc) = self.vol.reads.get_mut(&op) else {
+    pub(crate) fn evaluate_read(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
+        let Some(InFlight::Read(rc)) = self.vol.ops.get_mut(&op) else {
             return;
         };
-        if let Some(pages) = pages {
-            let newer = rc.copy.as_ref().is_none_or(|(version, _)| {
-                state.version > *version || (state.version == *version && state.node == me)
-            });
-            if newer {
-                rc.copy = Some((state.version, pages));
-            }
-        }
-        if granted {
-            rc.granted.insert(state.node, state);
-        } else {
-            rc.refused.insert(state.node);
-        }
-        if rc.collect_done() {
-            self.evaluate_read(ctx, op);
-        }
-    }
-
-    /// `RPC.CallFailed` for a read permission request.
-    pub(crate) fn on_read_peer_failed(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, to: NodeId) {
-        let Some(rc) = self.vol.reads.get_mut(&op) else {
-            return;
-        };
-        rc.failed.insert(to);
-        if rc.collect_done() {
-            self.evaluate_read(ctx, op);
-        }
-    }
-
-    /// Collection timeout for a read.
-    pub(crate) fn read_collect_timeout(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        let Some(rc) = self.vol.reads.get_mut(&op) else {
-            return;
-        };
-        rc.collect_timer = None;
-        let silent = rc.polled.difference(rc.answered());
-        rc.failed = rc.failed.union(silent);
-        self.evaluate_read(ctx, op);
-    }
-
-    fn evaluate_read(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        let Some(rc) = self.vol.reads.get_mut(&op) else {
-            return;
-        };
-        if let Some(t) = rc.collect_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        rc.poll.close(ctx);
         let classified = Classified::evaluate(
             &*self.config.rule,
             &mut self.vol.plans,
-            &rc.granted,
+            &rc.poll.granted,
             QuorumKind::Read,
         );
         // A current replica answered: its copy, taken under the shared lock
@@ -180,42 +105,43 @@ impl ReplicaNode {
             self.finish_read_ok(ctx, op, version, pages);
             return;
         }
+        let heavy = rc.poll.heavy;
         match classified {
             Some(c) if c.has_quorum => {
                 // Quorum but no current replica reachable.
-                if rc.heavy {
+                if heavy {
                     self.finish_read_fail(ctx, op, FailReason::NoCurrentReplica);
                 } else {
-                    self.go_heavy_read(ctx, op);
+                    self.heavy_procedure(ctx, op);
                 }
             }
             _ => {
-                if rc.heavy {
+                if heavy {
                     let reason = self.read_failure_reason(op);
                     self.finish_read_fail(ctx, op, reason);
                 } else if self.read_failure_reason(op) == FailReason::Contention {
                     // Contention, not failure: back off and retry light.
                     self.finish_read_fail(ctx, op, FailReason::Contention);
                 } else {
-                    self.go_heavy_read(ctx, op);
+                    self.heavy_procedure(ctx, op);
                 }
             }
         }
     }
 
     fn read_failure_reason(&mut self, op: OpId) -> FailReason {
-        let Some(rc) = self.vol.reads.get(&op) else {
+        let Some(InFlight::Read(ReadCoordinator { poll, .. })) = self.vol.ops.get(&op) else {
             return FailReason::NoQuorum;
         };
-        if rc.refused.is_empty() {
+        if poll.refused.is_empty() {
             return FailReason::NoQuorum;
         }
-        let optimistic = rc
+        let optimistic = poll
             .granted
             .keys()
             .copied()
             .collect::<NodeSet>()
-            .union(rc.refused);
+            .union(poll.refused);
         let view = self.durable.epoch_view();
         let rule = &*self.config.rule;
         if self.vol.plans.plan_for(rule, &view).includes_quorum_with(
@@ -229,34 +155,14 @@ impl ReplicaNode {
         }
     }
 
-    fn go_heavy_read(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        self.stats.registry.inc(keys::HEAVY_RUNS);
-        let all = NodeSet::from_iter(self.all_nodes());
-        let Some(rc) = self.vol.reads.get_mut(&op) else {
-            return;
-        };
-        rc.heavy = true;
-        let remaining = all.difference(rc.polled);
-        if remaining.is_empty() {
-            self.evaluate_read(ctx, op);
-            return;
-        }
-        rc.polled = all;
-        let timeout = COLLECT_TIMEOUT;
-        rc.collect_timer = Some(ctx.set_timer(timeout, Timer::Collect { op }));
-        for node in remaining.iter() {
-            ctx.send(node, Msg::ReadReq { op });
-        }
-    }
-
     fn finish_read_ok(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, version: u64, pages: Vec<Bytes>) {
-        let Some(rc) = self.vol.reads.remove(&op) else {
+        let Some(InFlight::Read(rc)) = self.vol.ops.remove(&op) else {
             return;
         };
-        for &n in rc.granted.keys() {
+        for &n in rc.poll.granted.keys() {
             ctx.send(n, Msg::Release { op });
         }
-        self.stats.registry.inc(keys::READS_OK);
+        self.stats.inc(keys::READS_OK);
         let digest = {
             let mut o = crate::store::PagedObject::new(pages.len());
             o.restore(pages.clone());
@@ -271,13 +177,11 @@ impl ReplicaNode {
     }
 
     fn finish_read_fail(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, reason: FailReason) {
-        let Some(mut rc) = self.vol.reads.remove(&op) else {
+        // The evaluation that got here closed the poll.
+        let Some(InFlight::Read(rc)) = self.vol.ops.remove(&op) else {
             return;
         };
-        if let Some(t) = rc.collect_timer.take() {
-            ctx.cancel_timer(t);
-        }
-        for &n in rc.granted.keys() {
+        for &n in rc.poll.granted.keys() {
             ctx.send(n, Msg::Release { op });
         }
         if reason == FailReason::Contention && rc.attempt < MAX_RETRIES {
@@ -291,7 +195,7 @@ impl ReplicaNode {
             );
             return;
         }
-        self.stats.registry.inc(keys::READS_FAILED);
+        self.stats.inc(keys::READS_FAILED);
         ctx.output(ProtocolEvent::Failed {
             id: rc.client_id,
             reason,

@@ -1,6 +1,7 @@
 //! Replica-side (participant) handlers: permission requests, two-phase
 //! commit, decision recovery, and reconciliation fetches.
 
+use crate::coord::InFlight;
 use crate::engine::trace::TraceEvent;
 use crate::msg::{Action, Msg, OpId, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode};
@@ -31,61 +32,41 @@ impl ReplicaNode {
         }
     }
 
-    /// `write-request`: "each node that receives the write-request obtains
-    /// the lock for its replica and responds with its state". No-wait: a
-    /// busy replica answers `granted: false` instead of queueing.
-    pub(crate) fn srv_write_req(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, op: OpId) {
+    /// `write-request` and `read-request`: "each node that receives the
+    /// write-request obtains the lock for its replica and responds with its
+    /// state" — exclusive for a write, shared for a read. No-wait: a busy
+    /// replica answers `granted: false` instead of queueing. A read grant
+    /// from a non-stale replica carries its object, so the coordinator
+    /// never has to come back for it (see [`crate::read`]).
+    pub(crate) fn srv_permission(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        from: NodeId,
+        op: OpId,
+        exclusive: bool,
+    ) {
         // Rejoin limbo: refuse so our amnesiac tuple never enters the
         // coordinator's classification (refused responders are excluded) —
         // a quorum whose only intersection with a lost write's quorum is
         // this replica would otherwise commit a duplicate version or serve
-        // a stale read. The coordinator retries around us like any busy
-        // replica.
-        let granted = !self.in_rejoin_limbo()
-            && matches!(
-                self.vol.lock.try_exclusive(op),
-                crate::locks::LockGrant::Granted
-            );
+        // a stale read. Reads are the sharper hazard: they have no 2PC
+        // vote, so the vote-no fence never engages. The coordinator retries
+        // around us like any busy replica.
+        let granted = !self.in_rejoin_limbo() && {
+            let lock = &mut self.vol.lock;
+            let grant = if exclusive {
+                lock.try_exclusive(op)
+            } else {
+                lock.try_shared(op)
+            };
+            matches!(grant, crate::locks::LockGrant::Granted)
+        };
         if granted {
-            ctx.trace(TraceEvent::LockAcquire {
-                op,
-                exclusive: true,
-            });
+            ctx.trace(TraceEvent::LockAcquire { op, exclusive });
             self.arm_lock_lease(ctx, op);
         }
-        let state = self.state_tuple();
-        ctx.send(
-            from,
-            Msg::StateResp {
-                op,
-                granted,
-                state,
-                pages: None,
-            },
-        );
-    }
-
-    /// Read permission: shared lock. A grant from a non-stale replica
-    /// carries its object, so the coordinator never has to come back for
-    /// it (see [`crate::read`]).
-    pub(crate) fn srv_read_req(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, op: OpId) {
-        // Same limbo refusal as writes — reads are the sharper hazard:
-        // they have no 2PC vote, so the vote-no fence never engages and a
-        // granted amnesiac tuple would flow straight into the freshness
-        // test.
-        let granted = !self.in_rejoin_limbo()
-            && matches!(
-                self.vol.lock.try_shared(op),
-                crate::locks::LockGrant::Granted
-            );
-        if granted {
-            ctx.trace(TraceEvent::LockAcquire {
-                op,
-                exclusive: false,
-            });
-            self.arm_lock_lease(ctx, op);
-        }
-        let pages = (granted && !self.durable.stale).then(|| self.durable.object.snapshot());
+        let carries = granted && !exclusive && !self.durable.stale;
+        let pages = carries.then(|| self.durable.object.snapshot());
         let state = self.state_tuple();
         ctx.send(
             from,
@@ -316,7 +297,10 @@ impl ReplicaNode {
     /// node coordinated. Presumed abort: if no commit decision is on disk
     /// and the op is not still in flight, it aborted.
     pub(crate) fn srv_decision_query(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, op: OpId) {
-        if self.vol.writes.contains_key(&op) || self.vol.epochs.contains_key(&op) {
+        if matches!(
+            self.vol.ops.get(&op),
+            Some(InFlight::Write(_) | InFlight::Epoch(_))
+        ) {
             return; // still deciding; the participant will re-query
         }
         // Quarantine amnesia fence: a decision record for an op behind the

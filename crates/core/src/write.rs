@@ -15,9 +15,9 @@
 //! quorum members must be synchronously reconciled first.
 
 use crate::classify::Classified;
-use crate::config::{WriteMode, COLLECT_TIMEOUT, MAX_RETRIES, VOTE_TIMEOUT};
+use crate::config::{WriteMode, COLLECT_TIMEOUT, MAX_RETRIES};
+use crate::coord::{Ballot, InFlight, Poll};
 use crate::engine::metrics::keys;
-use crate::engine::trace::TraceEvent;
 use crate::msg::{Action, ClientRequest, FailReason, Msg, OpId, ProtocolEvent, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
 use crate::store::PartialWrite;
@@ -45,21 +45,13 @@ pub enum WPhase {
     },
     /// Two-phase commit in progress.
     Voting {
-        /// Required participants (the quorum responders); all must vote yes.
-        participants: Vec<NodeId>,
-        /// Required participants that voted yes so far.
-        yes: NodeSet,
-        /// Best-effort extra current replicas (§4.1 safety threshold);
-        /// their no-votes and failures are ignored.
-        optional: Vec<NodeId>,
-        /// Optional participants that voted yes.
-        optional_yes: NodeSet,
+        /// The vote: the quorum responders are required, the §4.1
+        /// safety-threshold extras optional.
+        ballot: Ballot,
         /// The version this write produces.
         new_version: u64,
         /// Nodes being marked stale.
         stale: Vec<NodeId>,
-        /// Vote timeout.
-        timer: TimerId,
     },
 }
 
@@ -77,8 +69,6 @@ pub struct BatchEntry {
 /// Volatile state of one coordinated write round.
 #[derive(Clone, Debug)]
 pub struct WriteCoordinator {
-    /// The operation id.
-    pub op: OpId,
     /// The client writes committing in this round, in commit order: entry
     /// `i` produces version `new_version - batch.len() + 1 + i`. A single
     /// entry is the unbatched case; more is coordinator-side write
@@ -88,32 +78,10 @@ pub struct WriteCoordinator {
     /// permission phase; 0 means this round ran its own permission phase.
     /// Bounded by [`pipeline_window`](crate::config::ProtocolConfig::pipeline_window).
     pub chain_len: u32,
+    /// The permission poll (exclusive locks); empty for a chained round.
+    pub poll: Poll,
     /// Current phase.
     pub phase: WPhase,
-    /// Granted (locked) responses by node.
-    pub granted: BTreeMap<NodeId, StateTuple>,
-    /// Nodes that answered but refused the lock (busy).
-    pub refused: NodeSet,
-    /// Nodes that failed (`RPC.CallFailed` or collection timeout).
-    pub failed: NodeSet,
-    /// Nodes polled so far.
-    pub polled: NodeSet,
-    /// Whether `HeavyProcedure` has run.
-    pub heavy: bool,
-    /// Collection timeout, while in `Collect`.
-    pub collect_timer: Option<TimerId>,
-}
-
-impl WriteCoordinator {
-    fn answered(&self) -> NodeSet {
-        NodeSet::from_iter(self.granted.keys().copied())
-            .union(self.refused)
-            .union(self.failed)
-    }
-
-    fn collect_done(&self) -> bool {
-        self.polled.is_subset_of(self.answered())
-    }
 }
 
 impl ReplicaNode {
@@ -145,12 +113,16 @@ impl ReplicaNode {
         self.begin_write_round(ctx, vec![entry]);
     }
 
-    /// Launches the next queued batch if no round is in flight and the
-    /// queue is not held under contention backoff.
+    /// Launches the next queued batch if no write round is in flight and
+    /// the queue is not held under contention backoff.
     pub(crate) fn maybe_launch_queued(&mut self, ctx: &mut NodeCtx<'_>) {
         if self.vol.write_queue.is_empty()
             || self.vol.write_queue_held
-            || !self.vol.writes.is_empty()
+            || self
+                .vol
+                .ops
+                .values()
+                .any(|o| matches!(o, InFlight::Write(_)))
         {
             return;
         }
@@ -171,17 +143,17 @@ impl ReplicaNode {
         // The quorum function; under write-all-current the conventional
         // discipline polls everyone up front (§1: "the coordinator must
         // either perform the write on all accessible replicas ...").
-        let quorum = match self.config.write_mode {
-            WriteMode::StaleMarking => {
-                self.config
-                    .rule
-                    .pick_quorum(&view, view.set(), seed, QuorumKind::Write)
-            }
-            WriteMode::WriteAllCurrent => Some(NodeSet::from_iter(self.all_nodes())),
+        let wac = self.config.write_mode == WriteMode::WriteAllCurrent;
+        let quorum = if wac {
+            Some(NodeSet::from_iter(self.all_nodes()))
+        } else {
+            self.config
+                .rule
+                .pick_quorum(&view, view.set(), seed, QuorumKind::Write)
         };
         let Some(quorum) = quorum else {
             for entry in batch {
-                self.stats.registry.inc(keys::WRITES_FAILED);
+                self.stats.inc(keys::WRITES_FAILED);
                 ctx.output(ProtocolEvent::Failed {
                     id: entry.client_id,
                     reason: FailReason::NoQuorum,
@@ -193,90 +165,31 @@ impl ReplicaNode {
             self.maybe_launch_queued(ctx);
             return;
         };
-        let timeout = COLLECT_TIMEOUT;
-        let timer = ctx.set_timer(timeout, Timer::Collect { op });
+        let mut poll = Poll {
+            heavy: wac,
+            ..Poll::default()
+        };
+        poll.ask(ctx, op, quorum, Msg::WriteReq { op });
         let wc = WriteCoordinator {
-            op,
             batch,
             chain_len: 0,
+            poll,
             phase: WPhase::Collect,
-            granted: BTreeMap::new(),
-            refused: NodeSet::new(),
-            failed: NodeSet::new(),
-            polled: quorum,
-            heavy: matches!(self.config.write_mode, WriteMode::WriteAllCurrent),
-            collect_timer: Some(timer),
         };
-        for node in quorum.iter() {
-            ctx.send(node, Msg::WriteReq { op });
-        }
-        self.vol.writes.insert(op, wc);
-    }
-
-    /// A permission response for a write op.
-    pub(crate) fn write_state_resp(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        op: OpId,
-        granted: bool,
-        state: StateTuple,
-    ) {
-        let Some(wc) = self.vol.writes.get_mut(&op) else {
-            return;
-        };
-        if !matches!(wc.phase, WPhase::Collect) {
-            return; // late response; the lock lease will clean up
-        }
-        if granted {
-            wc.granted.insert(state.node, state);
-        } else {
-            wc.refused.insert(state.node);
-        }
-        if wc.collect_done() {
-            self.evaluate_write(ctx, op);
-        }
-    }
-
-    /// `RPC.CallFailed` for a write permission request.
-    pub(crate) fn on_write_peer_failed(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, to: NodeId) {
-        let Some(wc) = self.vol.writes.get_mut(&op) else {
-            return;
-        };
-        if !matches!(wc.phase, WPhase::Collect) {
-            return;
-        }
-        wc.failed.insert(to);
-        if wc.collect_done() {
-            self.evaluate_write(ctx, op);
-        }
-    }
-
-    /// Permission-phase timeout: treat silent nodes as failed.
-    pub(crate) fn write_collect_timeout(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        let Some(wc) = self.vol.writes.get_mut(&op) else {
-            return;
-        };
-        if !matches!(wc.phase, WPhase::Collect) {
-            return;
-        }
-        wc.collect_timer = None;
-        let silent = wc.polled.difference(wc.answered());
-        wc.failed = wc.failed.union(silent);
-        self.evaluate_write(ctx, op);
+        self.vol.ops.insert(op, InFlight::Write(wc));
     }
 
     /// The decision core: the paper's `Write` / `HeavyProcedure` branches.
-    fn evaluate_write(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        let Some(wc) = self.vol.writes.get_mut(&op) else {
+    pub(crate) fn evaluate_write(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
+        let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
             return;
         };
-        if let Some(t) = wc.collect_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        wc.poll.close(ctx);
+        let heavy = wc.poll.heavy;
         let classified = Classified::evaluate(
             &*self.config.rule,
             &mut self.vol.plans,
-            &wc.granted,
+            &wc.poll.granted,
             QuorumKind::Write,
         );
         match classified {
@@ -284,10 +197,10 @@ impl ReplicaNode {
                 if !c.has_current_replica() {
                     // "RESPONSES do not contain the response from a current
                     // replica": HeavyProcedure, or abort if already heavy.
-                    if wc.heavy {
+                    if heavy {
                         self.finish_write_fail(ctx, op, FailReason::NoCurrentReplica);
                     } else {
-                        self.go_heavy_write(ctx, op);
+                        self.heavy_procedure(ctx, op);
                     }
                     return;
                 }
@@ -297,7 +210,7 @@ impl ReplicaNode {
                 }
             }
             _ => {
-                if wc.heavy {
+                if heavy {
                     // Terminal: decide between a retryable contention
                     // failure and a hard quorum failure.
                     let reason = self.write_failure_reason(op);
@@ -309,7 +222,7 @@ impl ReplicaNode {
                     // the light path after backoff.
                     self.finish_write_fail(ctx, op, FailReason::Contention);
                 } else {
-                    self.go_heavy_write(ctx, op);
+                    self.heavy_procedure(ctx, op);
                 }
             }
         }
@@ -318,14 +231,14 @@ impl ReplicaNode {
     /// Would the refused (busy) nodes have completed a quorum? Then the
     /// failure is contention and worth retrying.
     fn write_failure_reason(&mut self, op: OpId) -> FailReason {
-        let Some(wc) = self.vol.writes.get(&op) else {
+        let Some(InFlight::Write(WriteCoordinator { poll, .. })) = self.vol.ops.get(&op) else {
             return FailReason::NoQuorum;
         };
-        let optimistic: BTreeMap<NodeId, StateTuple> = wc
+        let optimistic: BTreeMap<NodeId, StateTuple> = poll
             .granted
             .values()
             .cloned()
-            .chain(wc.refused.iter().map(|n| StateTuple {
+            .chain(poll.refused.iter().map(|n| StateTuple {
                 node: n,
                 version: 0,
                 dversion: 0,
@@ -344,30 +257,8 @@ impl ReplicaNode {
             &optimistic,
             QuorumKind::Write,
         ) {
-            Some(c) if c.has_quorum && !wc.refused.is_empty() => FailReason::Contention,
+            Some(c) if c.has_quorum && !poll.refused.is_empty() => FailReason::Contention,
             _ => FailReason::NoQuorum,
-        }
-    }
-
-    /// `HeavyProcedure`: poll every replica not yet polled and re-evaluate.
-    fn go_heavy_write(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        self.stats.registry.inc(keys::HEAVY_RUNS);
-        let all = NodeSet::from_iter(self.all_nodes());
-        let Some(wc) = self.vol.writes.get_mut(&op) else {
-            return;
-        };
-        wc.heavy = true;
-        let remaining = all.difference(wc.polled);
-        if remaining.is_empty() {
-            // Nothing new to ask: re-evaluate terminally.
-            self.evaluate_write(ctx, op);
-            return;
-        }
-        wc.polled = all;
-        let timeout = COLLECT_TIMEOUT;
-        wc.collect_timer = Some(ctx.set_timer(timeout, Timer::Collect { op }));
-        for node in remaining.iter() {
-            ctx.send(node, Msg::WriteReq { op });
         }
     }
 
@@ -389,7 +280,7 @@ impl ReplicaNode {
                 }
             }
         }
-        let Some(wc) = self.vol.writes.get_mut(&op) else {
+        let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
             return;
         };
         #[expect(clippy::expect_used, reason = "caller checked has_current_replica")]
@@ -397,58 +288,19 @@ impl ReplicaNode {
         // A batch of k writes establishes k consecutive versions; the
         // round's version is the last of them.
         let new_version = base_version + wc.batch.len() as u64;
-        let participants: Vec<NodeId> = c.good.iter().chain(c.stale.iter()).copied().collect();
-        // The recorded good list: the intended holders of the new version.
-        let mut good_list: Vec<NodeId> = c.good.iter().chain(optional.iter()).copied().collect();
-        good_list.sort_unstable();
-        let timeout = VOTE_TIMEOUT;
-        let timer = ctx.set_timer(timeout, Timer::Votes { op });
-        let writes: Vec<PartialWrite> = wc.batch.iter().map(|e| e.write.clone()).collect();
-        ctx.trace(TraceEvent::PrepareIssued { op });
-        for &node in c.good.iter().chain(optional.iter()) {
-            ctx.send(
-                node,
-                Msg::Prepare {
-                    op,
-                    action: Action::DoUpdate {
-                        writes: writes.clone(),
-                        new_version,
-                        stale: c.stale.clone(),
-                        good: good_list.clone(),
-                        base: None,
-                    },
-                    // Extras were never polled and lock at prepare time;
-                    // required participants must still hold the
-                    // permission-phase lock.
-                    extra: optional.contains(&node),
-                },
-            );
-        }
-        for &node in &c.stale {
-            ctx.send(
-                node,
-                Msg::Prepare {
-                    op,
-                    action: Action::MarkStale {
-                        // The desired version equals "the version number
-                        // that the up-to-date replicas will have after
-                        // performing the current write".
-                        desired_version: new_version,
-                    },
-                    extra: false,
-                },
-            );
-        }
-        // The fan-out above is done with these vectors: the phase takes
-        // them by move.
+        let ballot = stale_marking_ballot(
+            ctx,
+            op,
+            &wc.batch,
+            &c.good,
+            &optional,
+            &c.stale,
+            new_version,
+        );
         wc.phase = WPhase::Voting {
-            participants,
-            yes: NodeSet::new(),
-            optional,
-            optional_yes: NodeSet::new(),
+            ballot,
             new_version,
             stale: c.stale,
-            timer,
         };
     }
 
@@ -458,83 +310,36 @@ impl ReplicaNode {
     fn start_wac_commit(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, c: Classified) {
         let good_set = NodeSet::from_iter(c.good.iter().copied());
         let rule = self.config.rule.clone();
-        // One compiled plan covers all three quorum tests below; the clone
-        // out of the cache keeps `self.vol` free for the coordinator borrow.
+        // One compiled plan covers every quorum test below; the clone out
+        // of the cache keeps `self.vol` free for the coordinator borrow.
         let plan = self.vol.plans.plan_for(&*rule, &c.view).clone();
-        if plan.includes_quorum_with(&*rule, good_set, QuorumKind::Write) {
-            // Current replicas form a quorum: release the rest and commit.
-            let Some(wc) = self.vol.writes.get_mut(&op) else {
-                return;
-            };
-            let others: Vec<NodeId> = wc
-                .granted
-                .keys()
-                .copied()
-                .filter(|n| !good_set.contains(*n))
-                .collect();
-            for n in others {
-                wc.granted.remove(&n);
-                ctx.send(n, Msg::Release { op });
-            }
-            #[expect(clippy::expect_used, reason = "GOOD is nonempty on this path")]
-            let base = c.next_version().expect("good nonempty");
-            let new_version = base + wc.batch.len() as u64 - 1;
-            let timeout = VOTE_TIMEOUT;
-            let timer = ctx.set_timer(timeout, Timer::Votes { op });
-            let writes: Vec<PartialWrite> = wc.batch.iter().map(|e| e.write.clone()).collect();
-            ctx.trace(TraceEvent::PrepareIssued { op });
-            for &node in &c.good {
-                ctx.send(
-                    node,
-                    Msg::Prepare {
-                        op,
-                        action: Action::DoUpdate {
-                            writes: writes.clone(),
-                            new_version,
-                            stale: Vec::new(),
-                            good: c.good.clone(),
-                            base: None,
-                        },
-                        extra: false,
-                    },
-                );
-            }
-            wc.phase = WPhase::Voting {
-                participants: c.good,
-                yes: NodeSet::new(),
-                optional: Vec::new(),
-                optional_yes: NodeSet::new(),
-                new_version,
-                stale: Vec::new(),
-                timer,
-            };
+        let is_quorum = |nodes| plan.includes_quorum_with(&*rule, nodes, QuorumKind::Write);
+        let Some(InFlight::Write(wc)) = self.vol.ops.get(&op) else {
             return;
-        }
-        // Need reconciliation: choose obsolete granted members until
-        // good ∪ targets includes a quorum.
+        };
+        // Choose obsolete granted members, in name order, until good ∪
+        // targets includes a quorum: none when the current replicas
+        // already form one.
         let mut targets = Vec::new();
         let mut combined = good_set;
-        {
-            let Some(wc) = self.vol.writes.get(&op) else {
-                return;
-            };
-            let mut candidates: Vec<NodeId> = wc
-                .granted
-                .keys()
-                .copied()
-                .filter(|n| !good_set.contains(*n))
-                .collect();
-            candidates.sort_unstable();
-            for n in candidates {
-                if plan.includes_quorum_with(&*rule, combined, QuorumKind::Write) {
-                    break;
-                }
-                combined.insert(n);
-                targets.push(n);
+        for n in wc.poll.granted.keys().copied() {
+            if good_set.contains(n) {
+                continue;
             }
+            if is_quorum(combined) {
+                break;
+            }
+            combined.insert(n);
+            targets.push(n);
         }
-        if !plan.includes_quorum_with(&*rule, combined, QuorumKind::Write) {
+        if !is_quorum(combined) {
             self.finish_write_fail(ctx, op, FailReason::NoQuorum);
+            return;
+        }
+        if targets.is_empty() {
+            #[expect(clippy::expect_used, reason = "GOOD is nonempty on this path")]
+            let version = c.max_version.expect("good nonempty");
+            self.wac_commit_with_base(ctx, op, c, targets, Vec::new(), version);
             return;
         }
         // Fetch the snapshot from a current replica (prefer ourselves).
@@ -543,7 +348,7 @@ impl ReplicaNode {
         } else {
             c.good[0]
         };
-        self.stats.registry.inc(keys::SYNC_RECONCILIATIONS);
+        self.stats.inc(keys::SYNC_RECONCILIATIONS);
         ctx.output(ProtocolEvent::SyncReconciliation {
             targets: targets.len(),
         });
@@ -555,7 +360,7 @@ impl ReplicaNode {
         }
         let timeout = COLLECT_TIMEOUT;
         let timer = ctx.set_timer(timeout, Timer::Fetch { op });
-        let Some(wc) = self.vol.writes.get_mut(&op) else {
+        let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
             return;
         };
         wc.phase = WPhase::FetchBase {
@@ -567,7 +372,9 @@ impl ReplicaNode {
         ctx.send(source, Msg::FetchReq { op });
     }
 
-    /// Reconciliation snapshot in hand: run the combined 2PC.
+    /// Runs the write-all-current 2PC: the update to the current replicas,
+    /// and the update on top of the reconciliation base (`pages` at
+    /// `base_version`) to the obsolete `targets`, if any.
     pub(crate) fn wac_commit_with_base(
         &mut self,
         ctx: &mut NodeCtx<'_>,
@@ -577,69 +384,41 @@ impl ReplicaNode {
         pages: Vec<Bytes>,
         base_version: u64,
     ) {
-        let Some(wc) = self.vol.writes.get_mut(&op) else {
+        let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
             return;
         };
         let new_version = base_version + wc.batch.len() as u64;
-        let participants: Vec<NodeId> = c.good.iter().chain(targets.iter()).copied().collect();
-        let participant_set = NodeSet::from_iter(participants.iter().copied());
+        let good: Vec<NodeId> = c.good.iter().chain(targets.iter()).copied().collect();
         // Release granted members not participating.
+        let participants = NodeSet::from_iter(good.iter().copied());
         let others: Vec<NodeId> = wc
+            .poll
             .granted
             .keys()
             .copied()
-            .filter(|n| !participant_set.contains(*n))
+            .filter(|n| !participants.contains(*n))
             .collect();
         for n in others {
-            wc.granted.remove(&n);
+            wc.poll.granted.remove(&n);
             ctx.send(n, Msg::Release { op });
         }
-        let timeout = VOTE_TIMEOUT;
-        let timer = ctx.set_timer(timeout, Timer::Votes { op });
         let writes: Vec<PartialWrite> = wc.batch.iter().map(|e| e.write.clone()).collect();
-        let good_list: Vec<NodeId> = participants.clone();
-        wc.phase = WPhase::Voting {
-            participants,
-            yes: NodeSet::new(),
-            optional: Vec::new(),
-            optional_yes: NodeSet::new(),
+        let update = |base| Action::DoUpdate {
+            writes: writes.clone(),
             new_version,
             stale: Vec::new(),
-            timer,
+            good: good.clone(),
+            base,
         };
-        ctx.trace(TraceEvent::PrepareIssued { op });
-        for &node in &c.good {
-            ctx.send(
-                node,
-                Msg::Prepare {
-                    op,
-                    action: Action::DoUpdate {
-                        writes: writes.clone(),
-                        new_version,
-                        stale: Vec::new(),
-                        good: good_list.clone(),
-                        base: None,
-                    },
-                    extra: false,
-                },
-            );
-        }
-        for &node in &targets {
-            ctx.send(
-                node,
-                Msg::Prepare {
-                    op,
-                    action: Action::DoUpdate {
-                        writes: writes.clone(),
-                        new_version,
-                        stale: Vec::new(),
-                        good: good_list.clone(),
-                        base: Some((pages.clone(), base_version)),
-                    },
-                    extra: false,
-                },
-            );
-        }
+        let current = c.good.iter().map(|&n| (n, update(None), false));
+        let base = Some((pages, base_version));
+        let obsolete = targets.iter().map(|&n| (n, update(base.clone()), false));
+        let ballot = Ballot::open(ctx, op, &[], current.chain(obsolete));
+        wc.phase = WPhase::Voting {
+            ballot,
+            new_version,
+            stale: Vec::new(),
+        };
     }
 
     /// The reconciliation fetch returned.
@@ -650,7 +429,7 @@ impl ReplicaNode {
         version: u64,
         pages: Vec<Bytes>,
     ) {
-        let Some(wc) = self.vol.writes.get_mut(&op) else {
+        let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
             return;
         };
         // Stray responses (the phase already moved on) restore the phase
@@ -674,123 +453,64 @@ impl ReplicaNode {
 
     /// Reconciliation fetch failed or timed out.
     pub(crate) fn write_fetch_failed(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        if self
-            .vol
-            .writes
-            .get(&op)
-            .is_some_and(|wc| matches!(wc.phase, WPhase::FetchBase { .. }))
+        if let Some(InFlight::Write(WriteCoordinator {
+            phase: WPhase::FetchBase { .. },
+            ..
+        })) = self.vol.ops.get(&op)
         {
             self.finish_write_fail(ctx, op, FailReason::CommitFailed);
         }
     }
 
-    /// A 2PC vote arrived for a write op. Required participants must all
-    /// vote yes; optional (safety-threshold) participants are best-effort:
-    /// their no-votes and failures simply drop them.
-    pub(crate) fn write_vote(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, from: NodeId, yes: bool) {
-        let Some(wc) = self.vol.writes.get_mut(&op) else {
-            return;
-        };
+    /// The round's ballot closed: the decision goes out, granted nodes
+    /// outside the vote are released, and the batch is acked (and chained
+    /// on) or retried.
+    pub(crate) fn write_decided(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        op: OpId,
+        wc: WriteCoordinator,
+        commit: bool,
+    ) {
         let WPhase::Voting {
-            participants,
-            yes: yes_set,
-            optional,
-            optional_yes,
-            timer,
-            ..
-        } = &mut wc.phase
-        else {
-            return;
-        };
-        let is_optional = optional.contains(&from) || optional_yes.contains(from);
-        if !yes {
-            if is_optional {
-                optional.retain(|&n| n != from);
-                optional_yes.remove(from);
-                return;
-            }
-            let timer = *timer;
-            ctx.cancel_timer(timer);
-            self.abort_write_commit(ctx, op);
-            return;
-        }
-        if is_optional {
-            optional_yes.insert(from);
-        } else {
-            yes_set.insert(from);
-        }
-        let all_yes = participants.iter().all(|p| yes_set.contains(*p));
-        if !all_yes {
-            return;
-        }
-        // Commit point: log the decision durably, then notify the required
-        // participants plus every optional replica that managed to prepare.
-        // (Optional replicas whose yes-vote arrives after this moment learn
-        // the outcome through the decision-query path.)
-        // Own the coordinator outright: the op is finished either way, and
-        // removing it here avoids the replace-then-remove panic pattern.
-        let Some(wc) = self.vol.writes.remove(&op) else {
-            return;
-        };
-        let WPhase::Voting {
-            participants,
-            optional_yes: committed_optional,
+            ballot,
             new_version,
             stale,
-            timer,
-            ..
-        } = wc.phase.clone()
+        } = wc.phase
         else {
             return;
         };
-        ctx.cancel_timer(timer);
-        self.record_decision(op, true);
         // Pipelined 2PC: with more writes queued and chain budget left,
         // allocate the next round now and ride its lock handoff on this
         // decision. Participants move their exclusive lock from `op` to
         // `next` instead of unlocking, and the next round's prepare follows
         // the decision in the same effect batch — no fresh permission phase
         // and no race against the decision's delivery (same-sender FIFO).
-        let chain = self.plan_chain(&wc);
-        let next = chain.as_ref().map(|(next_op, _)| *next_op);
-        for p in participants
-            .iter()
-            .copied()
-            .chain(committed_optional.iter())
-        {
-            ctx.send(
-                p,
-                Msg::Decision {
-                    op,
-                    commit: true,
-                    chain: next,
-                },
-            );
-        }
+        // Optional replicas whose yes-vote arrives after this moment learn
+        // the outcome through the decision-query path.
+        let chain = commit.then(|| self.plan_chain(wc.chain_len)).flatten();
+        let next = chain.as_ref().map(|(next, _)| *next);
+        self.decide(ctx, op, &ballot, commit, next);
         // Release any granted nodes that were not participants (heavy polls
         // can grant more than the quorum used).
-        let participant_set = NodeSet::from_iter(participants.iter().copied());
-        for (&n, _) in wc
-            .granted
-            .iter()
-            .filter(|(n, _)| !participant_set.contains(**n))
-        {
+        let required = NodeSet::from_iter(ballot.required.iter().copied());
+        for &n in wc.poll.granted.keys().filter(|n| !required.contains(**n)) {
             ctx.send(n, Msg::Release { op });
         }
-        let touched = participants.len() + committed_optional.len();
-        self.stats
-            .registry
-            .add(keys::WRITES_OK, wc.batch.len() as u64);
-        if wc.batch.len() > 1 {
-            self.stats
-                .registry
-                .add(keys::BATCHED_WRITES, wc.batch.len() as u64);
+        if !commit {
+            self.retry_or_fail_write(ctx, wc.batch, FailReason::CommitFailed);
+            return;
         }
-        self.stats.registry.add(
+        let touched = ballot.required.len() + ballot.optional_yes.len();
+        self.stats.add(keys::WRITES_OK, wc.batch.len() as u64);
+        if wc.batch.len() > 1 {
+            self.stats.add(keys::BATCHED_WRITES, wc.batch.len() as u64);
+        }
+        self.stats.add(
             keys::REPLICAS_TOUCHED_SUM,
             (touched * wc.batch.len()) as u64,
         );
-        self.stats.registry.add(
+        self.stats.add(
             keys::MARKED_STALE_SUM,
             (stale.len() * wc.batch.len()) as u64,
         );
@@ -805,26 +525,20 @@ impl ReplicaNode {
             });
         }
         match chain {
-            Some((next_op, batch)) => self.begin_chained_round(
-                ctx,
-                next_op,
-                batch,
-                &participants,
-                committed_optional,
-                new_version,
-                stale,
-                wc.chain_len + 1,
-            ),
+            Some(next) => {
+                self.begin_chained_round(ctx, next, ballot, new_version, stale, wc.chain_len + 1)
+            }
             None => self.maybe_launch_queued(ctx),
         }
     }
 
-    /// Decides whether the committing round `wc` chains a successor, and if
-    /// so allocates its op id and drains its batch from the queue.
-    fn plan_chain(&mut self, wc: &WriteCoordinator) -> Option<(OpId, Vec<BatchEntry>)> {
+    /// Decides whether a committing round `chain_len` rounds into its chain
+    /// chains a successor, and if so allocates its op id and drains its
+    /// batch from the queue.
+    fn plan_chain(&mut self, chain_len: u32) -> Option<(OpId, Vec<BatchEntry>)> {
         if self.config.write_mode != WriteMode::StaleMarking
             || self.config.pipeline_window <= 1
-            || wc.chain_len + 1 >= self.config.pipeline_window
+            || chain_len + 1 >= self.config.pipeline_window
             || self.vol.write_queue.is_empty()
         {
             return None;
@@ -845,143 +559,54 @@ impl ReplicaNode {
     /// was lost (lease expiry, crash), the participant's duplicate-prepare
     /// and version checks make it vote no and the round degrades to a
     /// normal abort-and-retry.
-    #[expect(clippy::too_many_arguments, reason = "round k's outcome seeds k+1")]
     fn begin_chained_round(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        op: OpId,
-        batch: Vec<BatchEntry>,
-        participants: &[NodeId],
-        committed_optional: NodeSet,
+        (op, batch): (OpId, Vec<BatchEntry>),
+        prev: Ballot,
         base_version: u64,
         stale: Vec<NodeId>,
         chain_len: u32,
     ) {
-        self.stats.registry.inc(keys::CHAINED_ROUNDS);
+        self.stats.inc(keys::CHAINED_ROUNDS);
         let new_version = base_version + batch.len() as u64;
         let stale_set = NodeSet::from_iter(stale.iter().copied());
-        let good_required: Vec<NodeId> = participants
-            .iter()
-            .copied()
+        let good: Vec<NodeId> = prev
+            .required
+            .into_iter()
             .filter(|n| !stale_set.contains(*n))
             .collect();
-        let optional: Vec<NodeId> = committed_optional.iter().collect();
-        let mut good_list: Vec<NodeId> = good_required
-            .iter()
-            .chain(optional.iter())
-            .copied()
-            .collect();
-        good_list.sort_unstable();
-        let writes: Vec<PartialWrite> = batch.iter().map(|e| e.write.clone()).collect();
-        let timer = ctx.set_timer(VOTE_TIMEOUT, Timer::Votes { op });
-        ctx.trace(TraceEvent::PrepareIssued { op });
-        for &node in good_required.iter().chain(optional.iter()) {
-            ctx.send(
-                node,
-                Msg::Prepare {
-                    op,
-                    action: Action::DoUpdate {
-                        writes: writes.clone(),
-                        new_version,
-                        stale: stale.clone(),
-                        good: good_list.clone(),
-                        base: None,
-                    },
-                    extra: optional.contains(&node),
-                },
-            );
-        }
-        for &node in &stale {
-            ctx.send(
-                node,
-                Msg::Prepare {
-                    op,
-                    action: Action::MarkStale {
-                        desired_version: new_version,
-                    },
-                    extra: false,
-                },
-            );
-        }
-        self.vol.writes.insert(
-            op,
-            WriteCoordinator {
-                op,
-                batch,
-                chain_len,
-                phase: WPhase::Voting {
-                    participants: participants.to_vec(),
-                    yes: NodeSet::new(),
-                    optional,
-                    optional_yes: NodeSet::new(),
-                    new_version,
-                    stale,
-                    timer,
-                },
-                granted: BTreeMap::new(),
-                refused: NodeSet::new(),
-                failed: NodeSet::new(),
-                polled: NodeSet::from_iter(participants.iter().copied()),
-                heavy: false,
-                collect_timer: None,
-            },
-        );
-    }
-
-    /// Vote timeout for a write op.
-    pub(crate) fn write_vote_timeout(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        if self
-            .vol
-            .writes
-            .get(&op)
-            .is_some_and(|wc| matches!(wc.phase, WPhase::Voting { .. }))
-        {
-            self.abort_write_commit(ctx, op);
-        }
-    }
-
-    /// Aborts an in-flight write 2PC and retries or fails the client op.
-    fn abort_write_commit(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        let Some(wc) = self.vol.writes.remove(&op) else {
-            return;
+        let optional: Vec<NodeId> = prev.optional_yes.iter().collect();
+        let ballot = stale_marking_ballot(ctx, op, &batch, &good, &optional, &stale, new_version);
+        let phase = WPhase::Voting {
+            ballot,
+            new_version,
+            stale,
         };
-        self.record_decision(op, false);
-        if let WPhase::Voting { participants, .. } = &wc.phase {
-            for &p in participants {
-                ctx.send(
-                    p,
-                    Msg::Decision {
-                        op,
-                        commit: false,
-                        chain: None,
-                    },
-                );
-            }
-            let pset = NodeSet::from_iter(participants.iter().copied());
-            for &n in wc.granted.keys().filter(|n| !pset.contains(**n)) {
-                ctx.send(n, Msg::Release { op });
-            }
-        }
-        self.retry_or_fail_write(ctx, wc, FailReason::CommitFailed);
+        let wc = WriteCoordinator {
+            batch,
+            chain_len,
+            poll: Poll::default(),
+            phase,
+        };
+        self.vol.ops.insert(op, InFlight::Write(wc));
     }
 
     /// Releases all granted locks and fails (or retries) the operation.
     fn finish_write_fail(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, reason: FailReason) {
-        let Some(mut wc) = self.vol.writes.remove(&op) else {
+        let Some(InFlight::Write(wc)) = self.vol.ops.remove(&op) else {
             return;
         };
-        if let Some(t) = wc.collect_timer.take() {
-            ctx.cancel_timer(t);
+        // Only a reconciliation fetch still has a timer armed: evaluation
+        // closed the poll, and a round that reached its vote ends through
+        // its ballot.
+        if let WPhase::FetchBase { timer, .. } = wc.phase {
+            ctx.cancel_timer(timer);
         }
-        match &wc.phase {
-            WPhase::FetchBase { timer, .. } => ctx.cancel_timer(*timer),
-            WPhase::Voting { timer, .. } => ctx.cancel_timer(*timer),
-            WPhase::Collect => {}
-        }
-        for &n in wc.granted.keys() {
+        for &n in wc.poll.granted.keys() {
             ctx.send(n, Msg::Release { op });
         }
-        self.retry_or_fail_write(ctx, wc, reason);
+        self.retry_or_fail_write(ctx, wc.batch, reason);
     }
 
     /// Contention and commit races are retried with backoff; structural
@@ -990,7 +615,7 @@ impl ReplicaNode {
     fn retry_or_fail_write(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        wc: WriteCoordinator,
+        batch: Vec<BatchEntry>,
         reason: FailReason,
     ) {
         let retryable = matches!(reason, FailReason::Contention | FailReason::CommitFailed);
@@ -1005,7 +630,7 @@ impl ReplicaNode {
             // relaunches the batch — plus anything queued meanwhile — as
             // one round.
             let mut min_attempt = u32::MAX;
-            for entry in wc.batch.into_iter().rev() {
+            for entry in batch.into_iter().rev() {
                 if entry.attempt < MAX_RETRIES {
                     min_attempt = min_attempt.min(entry.attempt + 1);
                     self.vol.write_queue.push_front(BatchEntry {
@@ -1013,7 +638,7 @@ impl ReplicaNode {
                         ..entry
                     });
                 } else {
-                    self.stats.registry.inc(keys::WRITES_FAILED);
+                    self.stats.inc(keys::WRITES_FAILED);
                     ctx.output(ProtocolEvent::Failed {
                         id: entry.client_id,
                         reason,
@@ -1029,7 +654,7 @@ impl ReplicaNode {
             }
             return;
         }
-        for entry in wc.batch {
+        for entry in batch {
             if retryable && entry.attempt < MAX_RETRIES {
                 let delay = self.backoff(ctx, entry.attempt + 1);
                 ctx.set_timer(
@@ -1043,7 +668,7 @@ impl ReplicaNode {
                     },
                 );
             } else {
-                self.stats.registry.inc(keys::WRITES_FAILED);
+                self.stats.inc(keys::WRITES_FAILED);
                 ctx.output(ProtocolEvent::Failed {
                     id: entry.client_id,
                     reason,
@@ -1061,4 +686,40 @@ impl ReplicaNode {
         self.vol.write_queue_held = false;
         self.maybe_launch_queued(ctx);
     }
+}
+
+/// Opens a stale-marking round's ballot: `do-update` to the current
+/// replicas `good` and the best-effort `optional` extras, `mark-stale` to
+/// `stale`. Extras were never polled and lock at prepare time; required
+/// participants must still hold the permission-phase lock.
+fn stale_marking_ballot(
+    ctx: &mut NodeCtx<'_>,
+    op: OpId,
+    batch: &[BatchEntry],
+    good: &[NodeId],
+    optional: &[NodeId],
+    stale: &[NodeId],
+    new_version: u64,
+) -> Ballot {
+    // The recorded good list: the intended holders of the new version.
+    let mut good_list: Vec<NodeId> = good.iter().chain(optional).copied().collect();
+    good_list.sort_unstable();
+    let update = Action::DoUpdate {
+        writes: batch.iter().map(|e| e.write.clone()).collect(),
+        new_version,
+        stale: stale.to_vec(),
+        good: good_list,
+        base: None,
+    };
+    // The desired version equals "the version number that the up-to-date
+    // replicas will have after performing the current write".
+    let mark = Action::MarkStale {
+        desired_version: new_version,
+    };
+    let updates = good
+        .iter()
+        .chain(optional)
+        .map(|&n| (n, update.clone(), optional.contains(&n)));
+    let marks = stale.iter().map(|&n| (n, mark.clone(), false));
+    Ballot::open(ctx, op, optional, updates.chain(marks))
 }

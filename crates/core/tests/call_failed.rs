@@ -20,7 +20,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
-    ClientRequest, Msg, MsgClass, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver, Timer,
+    keys, ClientRequest, Msg, MsgClass, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
+    Timer,
 };
 use coterie_quorum::{MajorityCoterie, NodeId};
 
@@ -83,7 +84,11 @@ fn decision_retry_is_disarmed_by_the_decision_and_chases_a_lost_one() {
     driver.set_partition(islands);
 
     // The chain does its job: it fires, asks, the query bounces, it re-arms.
-    let bounced = |d: &StepDriver| d.node(cut_off).stats.msgs_bounced(MsgClass::Commit);
+    let bounced = |d: &StepDriver| {
+        d.node(cut_off)
+            .stats
+            .counter(keys::msgs_bounced(MsgClass::Commit))
+    };
     step_until(&mut driver, 500, |d| bounced(d) >= 2);
     let node = driver.node(cut_off);
     assert!(node.durable.prepared.is_some(), "still in doubt");
@@ -139,7 +144,11 @@ fn bounced_propagation_offer_retries_until_target_recovers() {
 
     // Crash the stale target: the next PropOffer (or PropData) bounces.
     driver.crash(target);
-    let bounced = |d: &StepDriver, n: NodeId| d.node(n).stats.msgs_bounced(MsgClass::Propagation);
+    let bounced = |d: &StepDriver, n: NodeId| {
+        d.node(n)
+            .stats
+            .counter(keys::msgs_bounced(MsgClass::Propagation))
+    };
     step_until(&mut driver, 500, |d| {
         (0..3).any(|n| bounced(d, NodeId(n)) >= 1)
     });
@@ -214,7 +223,9 @@ fn bounced_election_challenges_let_the_caller_win_by_timeout() {
     }
     let node0 = driver.node(NodeId(0));
     assert_eq!(
-        node0.stats.msgs_bounced(MsgClass::EpochCheck),
+        node0
+            .stats
+            .counter(keys::msgs_bounced(MsgClass::EpochCheck)),
         2,
         "both bounced challenges must be counted"
     );

@@ -11,7 +11,8 @@ use bytes::Bytes;
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::engine::driver::{BOUNCE_DELAY, LINK_DELAY_MAX, LINK_DELAY_MIN, SELF_DELAY};
 use coterie_core::{
-    ClientRequest, DriverEvent, MsgClass, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
+    keys, ClientRequest, DriverEvent, MsgClass, PartialWrite, ProtocolConfig, ProtocolEvent,
+    StepDriver,
 };
 use coterie_quorum::{GridCoterie, NodeId, RowaCoterie};
 
@@ -33,12 +34,18 @@ fn rowa(seed: u64) -> StepDriver {
 
 fn received(driver: &StepDriver, node: NodeId) -> u64 {
     let stats = &driver.node(node).stats;
-    MsgClass::ALL.iter().map(|&c| stats.msgs_in(c)).sum()
+    MsgClass::ALL
+        .iter()
+        .map(|&c| stats.counter(keys::msgs_in(c)))
+        .sum()
 }
 
 fn bounced(driver: &StepDriver, node: NodeId) -> u64 {
     let stats = &driver.node(node).stats;
-    MsgClass::ALL.iter().map(|&c| stats.msgs_bounced(c)).sum()
+    MsgClass::ALL
+        .iter()
+        .map(|&c| stats.counter(keys::msgs_bounced(c)))
+        .sum()
 }
 
 #[test]

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use coterie_core::config::LOCK_LEASE;
 use coterie_core::{
-    ClientRequest, Durable, DurableDelta, FaultKind, FramedJournal, LogEntry, OpId, PartialWrite,
-    ProtocolConfig, ProtocolEvent, Rng64, StepDriver,
+    keys, ClientRequest, Durable, DurableDelta, FaultKind, FramedJournal, LogEntry, OpId,
+    PartialWrite, ProtocolConfig, ProtocolEvent, Rng64, StepDriver,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 use coterie_simnet::SimDuration;
@@ -298,13 +298,13 @@ fn write_burst_batches_and_chains_rounds() {
     assert_eq!(oks, 8, "all writes must commit");
     let stats = &driver.node(NodeId(0)).stats;
     assert!(
-        stats.batched_writes() >= 2,
+        stats.counter(keys::BATCHED_WRITES) >= 2,
         "expected shared rounds, got batched_writes = {}",
-        stats.batched_writes()
+        stats.counter(keys::BATCHED_WRITES)
     );
     assert!(
-        stats.chained_rounds() >= 1,
+        stats.counter(keys::CHAINED_ROUNDS) >= 1,
         "expected a pipelined handoff, got chained_rounds = {}",
-        stats.chained_rounds()
+        stats.counter(keys::CHAINED_ROUNDS)
     );
 }

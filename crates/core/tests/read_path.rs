@@ -14,8 +14,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
-    ClientRequest, DriverEvent, Effect, Input, Msg, MsgClass, OpId, PartialWrite, ProtocolConfig,
-    ProtocolEvent, ReplicaNode, StepDriver, Timer,
+    keys, ClientRequest, DriverEvent, Effect, Input, Msg, MsgClass, OpId, PartialWrite,
+    ProtocolConfig, ProtocolEvent, ReplicaNode, StepDriver, Timer,
 };
 use coterie_quorum::{GridCoterie, NodeId};
 
@@ -32,7 +32,12 @@ fn drain_messages(driver: &mut StepDriver) {
 
 fn fetch_messages(driver: &StepDriver) -> u64 {
     (0..N as u32)
-        .map(|i| driver.node(NodeId(i)).stats.msgs_in(MsgClass::Fetch))
+        .map(|i| {
+            driver
+                .node(NodeId(i))
+                .stats
+                .counter(keys::msgs_in(MsgClass::Fetch))
+        })
         .sum()
 }
 

@@ -10,7 +10,7 @@ use bytes::Bytes;
 use common::Cluster;
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
-    ClientRequest, FaultKind, Mode, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
+    keys, ClientRequest, FaultKind, Mode, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 use std::sync::Arc;
@@ -292,7 +292,7 @@ fn static_mode_never_runs_epoch_checks() {
     sim.run_for(SimDuration::from_secs(30));
     for id in 0..3u32 {
         assert_eq!(sim.node(NodeId(id)).durable.enumber, 0);
-        assert_eq!(sim.node(NodeId(id)).stats.epoch_changes(), 0);
+        assert_eq!(sim.node(NodeId(id)).stats.counter(keys::EPOCH_CHANGES), 0);
     }
 }
 

@@ -13,7 +13,7 @@
 //! `target/nemesis-seed{seed}-{cell}-trace.jsonl` plus a human-readable
 //! `.txt` timeline.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
 use coterie_harness::nemesis::{soak, NemesisConfig, NemesisReport};
@@ -32,11 +32,16 @@ fn main() {
         ("majority", Arc::new(MajorityCoterie::new()), 5),
     ];
 
-    // Each cluster soaks twice: the plain write path, then with all three
-    // PR-6 write-path optimisations (coordinator batching, pipelined 2PC,
-    // group commit) enabled — the optimised path must survive the same
-    // fault schedule.
-    let variants: [(&str, usize, u32, usize); 2] = [("", 1, 1, 1), ("+batch+pipeline+gc", 4, 3, 8)];
+    // The plain write path, then each optimisation (batching, pipelined
+    // 2PC, group commit) alone and all together, so a dirty seed names its
+    // knob. Pipelining chains only writes the batching queue holds.
+    let variants: [(&str, usize, u32, usize); 5] = [
+        ("", 1, 1, 1),
+        ("+batch", 4, 1, 1),
+        ("+batch+pipeline", 4, 3, 1),
+        ("+gc", 1, 1, 8),
+        ("+batch+pipeline+gc", 4, 3, 8),
+    ];
 
     let mut failed = false;
     let mut schedules = 0u64;
@@ -53,22 +58,20 @@ fn main() {
                 group_commit,
                 ..Default::default()
             };
+            let cell = format!("{name}{suffix}");
             let report = soak(rule.clone(), base_seed, runs, &cfg);
-            print_report(&format!("{name}{suffix}"), n_nodes, runs, &report);
+            print_report(&cell, n_nodes, runs, &report);
             schedules += runs;
             if !report.clean() {
                 failed = true;
                 for run in &report.dirty {
-                    eprintln!("== seed {} ==", run.seed);
+                    eprintln!("== {cell} seed {} ==", run.seed);
                     for v in &run.violations {
                         eprintln!("  {v}");
                     }
                     if let Some(dump) = &run.trace {
-                        let prefix = PathBuf::from(format!(
-                            "target/nemesis-seed{}-{name}{suffix}-trace",
-                            run.seed
-                        ));
-                        match write_dump(dump, &prefix) {
+                        let prefix = format!("target/nemesis-seed{}-{cell}-trace", run.seed);
+                        match write_dump(dump, Path::new(&prefix)) {
                             Ok((jsonl, txt)) => eprintln!(
                                 "  flight recorder ({} records, {} evicted): {} / {}",
                                 dump.records,

@@ -9,6 +9,7 @@ use crate::checker::{check_run, CheckReport};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::metrics::LoadStats;
 use crate::workload::Workload;
+use coterie_core::keys;
 use coterie_core::{ClientRequest, Histogram, MsgClass, ProtocolConfig, ProtocolEvent, StepDriver};
 use coterie_quorum::NodeId;
 use coterie_simnet::{SimDuration, SimTime};
@@ -79,20 +80,19 @@ pub struct ScenarioResult {
 impl ScenarioResult {
     /// Fraction of issued writes that committed.
     pub fn write_success_rate(&self) -> f64 {
-        let total = self.writes_ok + self.writes_failed;
-        if total == 0 {
-            return 1.0;
-        }
-        self.writes_ok as f64 / total as f64
+        success_rate(self.writes_ok, self.writes_failed)
     }
 
     /// Fraction of issued reads that completed.
     pub fn read_success_rate(&self) -> f64 {
-        let total = self.reads_ok + self.reads_failed;
-        if total == 0 {
-            return 1.0;
-        }
-        self.reads_ok as f64 / total as f64
+        success_rate(self.reads_ok, self.reads_failed)
+    }
+}
+
+fn success_rate(ok: u64, failed: u64) -> f64 {
+    match ok + failed {
+        0 => 1.0,
+        total => ok as f64 / total as f64,
     }
 }
 
@@ -152,44 +152,41 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
             _ => {}
         }
     }
-    let mut received = vec![0; n];
-    for id in 0..n as u32 {
-        let stats = &driver.node(NodeId(id)).stats;
-        result.writes_ok += stats.writes_ok();
-        result.writes_failed += stats.writes_failed();
-        result.reads_ok += stats.reads_ok();
-        result.reads_failed += stats.reads_failed();
-        result.retries += stats.retries();
-        result.heavy_runs += stats.heavy_runs();
-        result.epoch_changes += stats.epoch_changes();
-        result.propagations += stats.propagations_done();
-        result.sync_reconciliations += stats.sync_reconciliations();
-        for class in MsgClass::ALL {
-            let count = stats.msgs_in(class);
-            received[id as usize] += count;
-            result.msgs_sent += count + stats.msgs_bounced(class);
-            if count > 0 {
-                *result
-                    .msgs_by_class
-                    .entry(format!("{class:?}"))
-                    .or_insert(0) += count;
-            }
-        }
-        if stats.writes_ok() > 0 {
-            result.replicas_touched_avg += stats.replicas_touched_sum() as f64;
-            result.marked_stale_avg += stats.marked_stale_sum() as f64;
+    let total = driver.metrics();
+    let count = |key| total.counter(key);
+    result.writes_ok = count(keys::WRITES_OK);
+    result.writes_failed = count(keys::WRITES_FAILED);
+    result.reads_ok = count(keys::READS_OK);
+    result.reads_failed = count(keys::READS_FAILED);
+    result.retries = count(keys::RETRIES);
+    result.heavy_runs = count(keys::HEAVY_RUNS);
+    result.epoch_changes = count(keys::EPOCH_CHANGES);
+    result.propagations = count(keys::PROPAGATIONS_DONE);
+    result.sync_reconciliations = count(keys::SYNC_RECONCILIATIONS);
+    for class in MsgClass::ALL {
+        let received = count(keys::msgs_in(class));
+        result.msgs_sent += received + count(keys::msgs_bounced(class));
+        if received > 0 {
+            result.msgs_by_class.insert(format!("{class:?}"), received);
         }
     }
-    if result.writes_ok > 0 {
-        result.replicas_touched_avg /= result.writes_ok as f64;
-        result.marked_stale_avg /= result.writes_ok as f64;
-    }
+    // Both sums grow only when a write commits.
+    let per_write = |key| count(key) as f64 / result.writes_ok.max(1) as f64;
+    result.replicas_touched_avg = per_write(keys::REPLICAS_TOUCHED_SUM);
+    result.marked_stale_avg = per_write(keys::MARKED_STALE_SUM);
     let completed = result.writes_ok + result.reads_ok;
     result.msgs_per_op = if completed > 0 {
         result.msgs_sent as f64 / completed as f64
     } else {
         0.0
     };
+    let mut received = vec![0; n];
+    for (id, load) in received.iter_mut().enumerate() {
+        let stats = &driver.node(NodeId(id as u32)).stats;
+        for class in MsgClass::ALL {
+            *load += stats.counter(keys::msgs_in(class));
+        }
+    }
     result.load = LoadStats::new(received);
     result.check = check_run(&scenario.workload.issued, events, scenario.protocol.n_pages);
     result

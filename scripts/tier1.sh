@@ -76,8 +76,9 @@ cargo run --release --example quickstart
 cargo run --release --example failover
 
 echo "==> nemesis smoke (bounded storage-fault soak)"
-# Fixed seeds, short schedules: 6 grid + 6 majority runs of crashes,
-# partitions, torn writes, and journal corruption; exits non-zero on any
+# Fixed seeds, short schedules: 6 runs per column (plain, +batch,
+# +batch+pipeline, +gc, +batch+pipeline+gc) on grid and on majority, of
+# crashes, partitions, torn writes, and journal corruption; exits non-zero on any
 # epoch-safety, coherence, or 1SR violation. Dirty runs dump their flight
 # recorder as causally-merged JSONL + timeline under target/.
 cargo run --release -p coterie-harness --bin nemesis -- 6 42 1500
