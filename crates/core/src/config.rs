@@ -30,10 +30,6 @@ pub const PROPAGATION_COALESCE: SimDuration = SimDuration::from_millis(5);
 /// How long a recovered participant waits between decision queries for an
 /// in-doubt transaction.
 pub const DECISION_RETRY: SimDuration = SimDuration::from_millis(100);
-/// Group commit: the longest a buffered delta may wait for companions
-/// before the host flushes anyway. Bounds the extra latency group commit
-/// can add to any single operation.
-pub const GROUP_COMMIT_MAX_DELAY: SimDuration = SimDuration::from_millis(2);
 
 /// Whether epochs adjust dynamically (the paper's contribution) or stay
 /// fixed at the full replica set (the conventional static protocols).
@@ -123,14 +119,6 @@ pub struct ProtocolConfig {
     /// reads and epoch prepares cannot starve behind an endless chain;
     /// `1` disables pipelining.
     pub pipeline_window: u32,
-    /// Group commit of journal appends (DESIGN.md §10): how many
-    /// `DurableDelta`s a journaling host may coalesce into one frame-flush
-    /// (one header rewrite, one fsync on real storage) before it must
-    /// flush. Effects that follow a buffered delta — client acks
-    /// included — are deferred until the covering flush commits
-    /// (ack-before-flush rule). `1` disables group commit (write-through,
-    /// the pre-PR-6 behavior).
-    pub group_commit_max_batch: usize,
     /// How the epoch-check initiator is chosen (§4.3 / \[7\]).
     pub initiator: InitiatorPolicy,
     /// Seed for the engine-owned deterministic RNG. Each node derives its
@@ -171,7 +159,6 @@ impl ProtocolConfig {
             safety_threshold: 2,
             max_write_batch: 1,
             pipeline_window: 1,
-            group_commit_max_batch: 1,
             initiator: InitiatorPolicy::RankStagger,
             seed: 0,
         }
@@ -236,12 +223,6 @@ impl ProtocolConfig {
     /// Sets the pipelined-2PC window (minimum 1; 1 disables pipelining).
     pub fn pipeline(mut self, window: u32) -> Self {
         self.pipeline_window = window.max(1);
-        self
-    }
-
-    /// Sets the group-commit batch cap (minimum 1; 1 disables).
-    pub fn group_commit(mut self, max_batch: usize) -> Self {
-        self.group_commit_max_batch = max_batch.max(1);
         self
     }
 }

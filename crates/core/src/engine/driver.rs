@@ -37,7 +37,7 @@ use crate::node::{Durable, ReplicaNode, Timer};
 use super::failpoint::{sites, FaultKind, FiredFault};
 use super::interp::{EffectInterpreter, Replica, Substrate};
 use super::io::Input;
-use super::metrics::{keys, MetricsRegistry};
+use super::metrics::MetricsRegistry;
 use super::rng::Rng64;
 use super::storage::{FramedJournal, FramedReplay};
 use super::trace::{TraceRecord, TraceRing};
@@ -336,9 +336,8 @@ impl StepDriver {
         self.step_node(t.node, Input::TimerFired(t.timer));
     }
 
-    /// Fail-stops `node`: volatile state and armed timers are lost (a batch
-    /// still coalescing becomes a torn tail); in-flight messages to it
-    /// will bounce on delivery.
+    /// Fail-stops `node`: volatile state and armed timers are lost;
+    /// in-flight messages to it will bounce on delivery.
     pub fn crash(&mut self, node: NodeId) {
         assert!(!self.down[node.0 as usize], "node already down");
         let (interp, mut replica, _) = self.parts(node);
@@ -374,42 +373,35 @@ impl StepDriver {
     /// The fixed, deterministic schedule's next event, if one falls due by
     /// `deadline`. Messages due now go first, earliest due then send order
     /// (with zero delay: every pending message, in send order). Then the
-    /// group-commit buffers flush — a real host's flush deadline
-    /// (`GROUP_COMMIT_MAX_DELAY`, ~ms) expires before any protocol timer
-    /// (~tens of ms) — which can release messages. Then the earlier of the
-    /// next message and the earliest timer (ties: node, then id); a message
-    /// wins a tie with a timer.
+    /// earlier of the next message and the earliest timer (ties: node, then
+    /// id); a message wins a tie with a timer.
     ///
     /// This is the "well-behaved network and clocks" schedule — useful as
     /// a baseline; the interleaving explorer exists precisely to try all
     /// the *other* schedules.
-    pub fn next_event(&mut self, deadline: SimTime) -> Option<DriverEvent> {
-        loop {
-            let message = self
-                .pending_messages()
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, e)| (e.due, *i))
-                .map(|(i, e)| (e.due, DriverEvent::Deliver(i)));
-            if let Some((due, event)) = message {
-                if due <= self.now {
-                    return Some(event);
-                }
-            }
-            if !self.flush_group_commit() {
-                let timer = self
-                    .pending_timers()
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, t)| (t.fire_at, t.node.0, t.id.0))
-                    .map(|(i, t)| (t.fire_at, DriverEvent::Fire(i)));
-                let next = match (message, timer) {
-                    (Some(m), Some(t)) => Some(if t.0 < m.0 { t } else { m }),
-                    (m, t) => m.or(t),
-                };
-                return next.filter(|(at, _)| *at <= deadline).map(|(_, e)| e);
+    pub fn next_event(&self, deadline: SimTime) -> Option<DriverEvent> {
+        let message = self
+            .pending_messages()
+            .iter()
+            .enumerate()
+            .min_by_key(|(i, e)| (e.due, *i))
+            .map(|(i, e)| (e.due, DriverEvent::Deliver(i)));
+        if let Some((due, event)) = message {
+            if due <= self.now {
+                return Some(event);
             }
         }
+        let timer = self
+            .pending_timers()
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, t)| (t.fire_at, t.node.0, t.id.0))
+            .map(|(i, t)| (t.fire_at, DriverEvent::Fire(i)));
+        let next = match (message, timer) {
+            (Some(m), Some(t)) => Some(if t.0 < m.0 { t } else { m }),
+            (m, t) => m.or(t),
+        };
+        next.filter(|(at, _)| *at <= deadline).map(|(_, e)| e)
     }
 
     /// Applies one schedulable event.
@@ -461,28 +453,18 @@ impl StepDriver {
         self.timers.retain(|t| t.node != node);
     }
 
-    /// Flushes every node's group-commit buffer; returns true if any node
-    /// had buffered deltas or deferred effects to release.
+    /// Always false: every commit is write-through, so nothing waits to be
+    /// flushed. Kept for callers written when journal commits could be
+    /// batched.
     pub fn flush_group_commit(&mut self) -> bool {
-        let mut any = false;
-        for id in 0..self.nodes.len() as u32 {
-            let node = NodeId(id);
-            if self.down[id as usize] || self.interps[id as usize].buffered() == 0 {
-                continue;
-            }
-            any = true;
-            let (interp, mut replica, mut pools) = self.parts(node);
-            if !interp.flush(&mut replica, &mut pools) {
-                self.mark_down(node);
-            }
-        }
-        any
+        false
     }
 
-    /// Group-commit flushes `node` performed so far (0 in write-through
-    /// mode; see `EffectInterpreter::flushes`).
-    pub fn flushes(&self, node: NodeId) -> u64 {
-        self.interps[node.0 as usize].flushes()
+    /// Always 0: batched journal flushes no longer exist (see
+    /// [`flush_group_commit`](StepDriver::flush_group_commit)); each node's
+    /// commits are [`FramedJournal::committed_records`].
+    pub fn flushes(&self, _node: NodeId) -> u64 {
+        0
     }
 
     /// Attaches a flight recorder of capacity `cap` to every node. Every
@@ -518,22 +500,13 @@ impl StepDriver {
     }
 
     /// A unified snapshot of the cluster's metrics: every node's registry
-    /// merged, plus the driver's own journal-flush counter.
+    /// merged.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut merged = MetricsRegistry::new();
         for node in &self.nodes {
             merged.merge(&node.stats);
         }
-        merged.add(
-            keys::JOURNAL_FLUSHES,
-            self.interps.iter().map(EffectInterpreter::flushes).sum(),
-        );
         merged
-    }
-
-    /// Deltas currently coalescing in `node`'s group-commit buffer.
-    pub fn gc_buffered(&self, node: NodeId) -> usize {
-        self.interps[node.0 as usize].buffered()
     }
 
     /// A deterministic digest of the cluster's logical state: engine states,
@@ -549,7 +522,6 @@ impl StepDriver {
                 "n{i};down={};isl={};",
                 self.down[i], self.partition[i]
             );
-            self.interps[i].write_digest(&mut repr);
             canonical_node(&mut repr, node);
         }
         let mut msgs: Vec<String> = self

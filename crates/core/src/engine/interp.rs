@@ -4,10 +4,10 @@
 //! The paper's durability story is one sentence — a replica's state tuple
 //! and its 2PC artifacts survive a crash, and nothing is acknowledged
 //! before it is stable — and [`EffectInterpreter`] is the only place that
-//! sentence is implemented: journal commit (with fault injection),
-//! ack-before-flush deferral, crash, and recovery. DESIGN.md §7 states the
-//! contract; the methods below carry the details. Hosts keep only what is
-//! genuinely theirs and hand it in as a [`Substrate`].
+//! sentence is implemented: write-through journal commit (with fault
+//! injection), crash, and recovery. DESIGN.md §7 states the contract; the
+//! methods below carry the details. Hosts keep only what is genuinely
+//! theirs and hand it in as a [`Substrate`].
 
 use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_quorum::NodeId;
@@ -53,23 +53,6 @@ pub struct Replica<'a> {
     pub now: SimTime,
 }
 
-/// An observable effect waiting for the commit that justifies it. Only
-/// `Send` and `Output` are ever deferred, so only they can be held.
-#[derive(Clone, Debug)]
-enum Deferred {
-    Send { to: NodeId, msg: Msg, lamport: u64 },
-    Output(ProtocolEvent),
-}
-
-impl Deferred {
-    fn release(self, host: &mut impl Substrate) {
-        match self {
-            Deferred::Send { to, msg, lamport } => host.send(to, msg, lamport),
-            Deferred::Output(event) => host.output(event),
-        }
-    }
-}
-
 /// Per-replica interpreter state (see the module docs).
 #[derive(Clone, Debug)]
 pub struct EffectInterpreter {
@@ -78,14 +61,6 @@ pub struct EffectInterpreter {
     pub failpoints: Failpoints,
     /// This replica's flight recorder, when tracing is enabled.
     pub tracing: Option<TraceRing>,
-    /// Deltas per commit (`group_commit_max_batch`; 1 = write-through).
-    cap: usize,
-    /// Deltas journaled by the engine but not yet committed.
-    pending: Vec<DurableDelta>,
-    /// Observable effects held back behind `pending`; empty whenever
-    /// `pending` is.
-    deferred: Vec<Deferred>,
-    flushes: u64,
 }
 
 impl EffectInterpreter {
@@ -94,14 +69,10 @@ impl EffectInterpreter {
         EffectInterpreter {
             failpoints: Failpoints::new(config.seed ^ (u64::from(me.0) << 32)),
             tracing: None,
-            cap: config.group_commit_max_batch,
-            pending: Vec::new(),
-            deferred: Vec::new(),
-            flushes: 0,
         }
     }
 
-    /// Stamps and records a host-level event (journal append/flush/replay,
+    /// Stamps and records a host-level event (journal append/replay,
     /// failpoint trip). No-op when tracing is disabled — host events,
     /// unlike engine events, do not consume sequence numbers in untraced
     /// runs, which is fine because nothing observes them there.
@@ -118,25 +89,11 @@ impl EffectInterpreter {
         }
     }
 
-    /// Deltas coalescing and not yet committed.
-    pub fn buffered(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Group-commit flushes performed: commits of a coalescing buffer.
-    /// Stays 0 in write-through mode, where every append is its own commit
-    /// and [`FramedJournal::committed_records`] already counts them.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Feeds `input` to the engine and interprets the effects it returns:
-    /// a `Persist` delta joins the buffer and commits once the buffer
-    /// holds `group_commit_max_batch` deltas (write-through is a batch of
-    /// one: it commits on the spot). While any delta is buffered, `Send`
-    /// and `Output` queue behind it (ack-before-flush); timer effects stay
-    /// immediate — they are local, leak nothing, and the engine's handlers
-    /// tolerate spurious firings.
+    /// Feeds `input` to the engine and interprets the effects it returns,
+    /// in order. A `Persist` delta commits on the spot (write-through), and
+    /// it is always first in a step (see `Effect::Persist`), so every send
+    /// and output of the step follows the commit that makes it safe to
+    /// reveal.
     ///
     /// Returns false if a storage fault fail-stopped the node mid-step:
     /// the write never became stable, so the effects that were to follow
@@ -155,70 +112,47 @@ impl EffectInterpreter {
         };
         for effect in effects {
             match effect {
-                // Always first in a step (see `Effect::Persist`), so the
-                // effects it governs either follow its commit or queue
-                // behind it.
                 Effect::Persist(delta) => {
-                    self.pending.push(*delta);
-                    if self.pending.len() >= self.cap && !self.flush(r, host) {
+                    if !self.commit(r, &delta, host) {
+                        self.crash(r);
                         return false;
                     }
                 }
                 Effect::SetTimer { id, delay, timer } => host.set_timer(id, delay, timer),
                 Effect::CancelTimer(id) => host.cancel_timer(id),
-                Effect::Send { to, msg, lamport } => {
-                    self.observable(Deferred::Send { to, msg, lamport }, host)
-                }
-                Effect::Output(event) => self.observable(Deferred::Output(event), host),
+                Effect::Send { to, msg, lamport } => host.send(to, msg, lamport),
+                Effect::Output(event) => host.output(event),
             }
-        }
-        true
-    }
-
-    /// Ack-before-flush: an observable effect goes out at once only when
-    /// no delta is waiting to commit; otherwise it queues behind the buffer.
-    fn observable(&mut self, effect: Deferred, host: &mut impl Substrate) {
-        if self.pending.is_empty() {
-            effect.release(host);
-        } else {
-            self.deferred.push(effect);
-        }
-    }
-
-    /// Commits the buffered deltas as one batch, then releases the effects
-    /// deferred behind them in their original order. Hosts call this when
-    /// their flush deadline fires or their inbox drains; [`step`] calls it
-    /// when the batch cap is reached. Returns false if the commit failed
-    /// and the node fail-stopped (as for [`step`]).
-    ///
-    /// [`step`]: EffectInterpreter::step
-    pub fn flush(&mut self, r: &mut Replica<'_>, host: &mut impl Substrate) -> bool {
-        if !self.pending.is_empty() && !self.commit(r, host) {
-            self.fail_stop(r);
-            return false;
-        }
-        for effect in self.deferred.drain(..) {
-            effect.release(host);
         }
         true
     }
 
     /// One journal commit: the failpoint registry is consulted once per
     /// *commit*, matching a real host's one-write-per-fsync fault surface.
-    /// Returns false if the batch did not become stable.
-    fn commit(&mut self, r: &mut Replica<'_>, host: &mut impl Substrate) -> bool {
+    /// Returns false if the delta did not become stable.
+    fn commit(
+        &mut self,
+        r: &mut Replica<'_>,
+        delta: &DurableDelta,
+        host: &mut impl Substrate,
+    ) -> bool {
+        let delta = std::slice::from_ref(delta);
         let fault = self.failpoints.check(sites::JOURNAL_APPEND);
         if let Some(kind) = fault {
             self.trace(r, TraceEvent::FailpointTrip { kind });
         }
-        let ok = match fault {
-            Some(FaultKind::AppendFail) => false,
+        match fault {
+            Some(FaultKind::AppendFail) => return false,
             Some(FaultKind::TornWrite) => {
-                self.tear(r.journal);
-                false
+                // A seeded prefix of the record reaches media, the count
+                // is never bumped: replay drops it as a torn tail.
+                let failpoints = &mut self.failpoints;
+                r.journal
+                    .append_batch_torn_at(delta, |total| failpoints.draw(total as u64) as usize);
+                return false;
             }
             None | Some(FaultKind::BitFlip) => {
-                host.commit(r.journal, |journal| journal.append_batch(&self.pending));
+                host.commit(r.journal, |journal| journal.append_batch(delta));
                 // A bit flip appends normally, then silently corrupts one
                 // journal bit — latent damage discovered at the next replay.
                 // Always three draws: a unit (the header or one committed
@@ -234,47 +168,18 @@ impl EffectInterpreter {
                     let bit = self.failpoints.draw(8) as u8;
                     r.journal.flip_bit(byte, bit);
                 }
-                true
-            }
-        };
-        if ok {
-            let records = self.pending.len() as u64;
-            if self.cap > 1 {
-                self.flushes += 1;
-                self.trace(r, TraceEvent::JournalFlush { records });
-            } else {
-                self.trace(r, TraceEvent::JournalAppend { records });
             }
         }
-        self.pending.clear();
-        ok
+        self.trace(r, TraceEvent::JournalAppend { records: 1 });
+        true
     }
 
-    /// Leaves a seeded prefix of the buffered batch on media, count never
-    /// bumped: what a crash mid-write looks like. Replay drops it.
-    fn tear(&mut self, journal: &mut FramedJournal) {
-        let failpoints = &mut self.failpoints;
-        journal.append_batch_torn_at(&self.pending, |total| {
-            failpoints.draw(total as u64) as usize
-        });
-    }
-
-    fn fail_stop(&mut self, r: &mut Replica<'_>) {
-        self.pending.clear();
-        self.deferred.clear();
+    /// Fail-stops the node: volatile state is lost, the journal keeps
+    /// exactly what was committed. The host drops the node's armed timers
+    /// itself.
+    pub fn crash(&mut self, r: &mut Replica<'_>) {
         // Crash produces no effects: it only wipes volatile state.
         let _ = r.node.step(r.now, Input::Crash);
-    }
-
-    /// Fail-stops the node. A crash mid-coalesce leaves the buffered batch
-    /// as a torn tail; replay drops it — correct, because every observable
-    /// effect behind it was still deferred, so nothing it covered was
-    /// promised. The host drops the node's armed timers itself.
-    pub fn crash(&mut self, r: &mut Replica<'_>) {
-        if !self.pending.is_empty() {
-            self.tear(r.journal);
-        }
-        self.fail_stop(r);
     }
 
     /// Restarts a crashed node from its journal alone, exactly as a real
@@ -311,10 +216,122 @@ impl EffectInterpreter {
         r.node.install_durable(replay.durable);
         boot
     }
+}
 
-    /// Appends the canonical form of the buffered state to a digest input.
-    pub(crate) fn write_digest(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(out, "gcp={:?};gcd={:?};", self.pending, self.deferred);
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+    use std::sync::Arc;
+
+    use bytes::Bytes;
+    use coterie_quorum::MajorityCoterie;
+
+    use super::*;
+    use crate::msg::ClientRequest;
+    use crate::store::PartialWrite;
+
+    /// A substrate that records what one step handed it, in order.
+    #[derive(Default)]
+    struct Recorder {
+        seen: Vec<&'static str>,
+        sends: Vec<(NodeId, Msg, u64)>,
+    }
+
+    impl Substrate for Recorder {
+        fn send(&mut self, to: NodeId, msg: Msg, lamport: u64) {
+            self.seen.push("send");
+            self.sends.push((to, msg, lamport));
+        }
+        fn set_timer(&mut self, _: TimerId, _: SimDuration, _: Timer) {}
+        fn cancel_timer(&mut self, _: TimerId) {}
+        fn output(&mut self, _: ProtocolEvent) {
+            self.seen.push("output");
+        }
+        fn commit(&mut self, journal: &mut FramedJournal, write: impl FnOnce(&mut FramedJournal)) {
+            self.seen.push("commit");
+            write(journal);
+        }
+    }
+
+    /// Three booted replicas, each behind its own interpreter.
+    fn cluster() -> Vec<(EffectInterpreter, ReplicaNode, FramedJournal)> {
+        let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3);
+        let mut nodes: Vec<_> = (0..3)
+            .map(|i| {
+                let me = NodeId(i);
+                let interp = EffectInterpreter::new(me, &config);
+                (
+                    interp,
+                    ReplicaNode::new(me, config.clone()),
+                    FramedJournal::new(),
+                )
+            })
+            .collect();
+        for i in 0..3 {
+            assert!(step(&mut nodes, NodeId(i), Input::Boot).0);
+        }
+        nodes
+    }
+
+    fn step(
+        nodes: &mut [(EffectInterpreter, ReplicaNode, FramedJournal)],
+        at: NodeId,
+        input: Input,
+    ) -> (bool, Recorder) {
+        let (interp, node, journal) = &mut nodes[at.0 as usize];
+        let mut replica = Replica {
+            node,
+            journal,
+            now: SimTime::ZERO,
+        };
+        let mut host = Recorder::default();
+        let ok = interp.step(&mut replica, input, &mut host);
+        (ok, host)
+    }
+
+    fn write(id: u64) -> Input {
+        let write = PartialWrite::new([(0, Bytes::from_static(b"x"))]);
+        Input::External(ClientRequest::Write { id, write })
+    }
+
+    /// Ack after stable: a step that persists commits before it sends or
+    /// outputs anything, so no peer or client hears of an unstable change.
+    #[test]
+    fn a_persisting_step_commits_before_its_sends_and_outputs() {
+        let mut nodes = cluster();
+        let (mut persisted_then_sent, mut persisted_then_output) = (false, false);
+        let mut inbox = VecDeque::from([(NodeId(0), write(1))]);
+        while let Some((to, input)) = inbox.pop_front() {
+            let (ok, host) = step(&mut nodes, to, input);
+            assert!(ok);
+            if let Some(at) = host.seen.iter().position(|&e| e == "commit") {
+                assert_eq!(at, 0, "effects before the commit: {:?}", host.seen);
+                assert_eq!(host.seen.iter().filter(|&&e| e == "commit").count(), 1);
+                persisted_then_sent |= host.seen.contains(&"send");
+                persisted_then_output |= host.seen.contains(&"output");
+            }
+            for (peer, msg, lamport) in host.sends {
+                let from = to;
+                inbox.push_back((peer, Input::Deliver { from, msg, lamport }));
+            }
+        }
+        assert!(persisted_then_sent, "no persisting step sent a message");
+        assert!(persisted_then_output, "no persisting step acknowledged");
+    }
+
+    /// A commit that fails or tears fail-stops the node mid-step: the step
+    /// reports it, and nothing it would have revealed goes out.
+    #[test]
+    fn a_failed_commit_emits_no_send_or_output() {
+        for kind in [FaultKind::AppendFail, FaultKind::TornWrite] {
+            let mut nodes = cluster();
+            nodes[0].0.failpoints.arm(sites::JOURNAL_APPEND, kind);
+            let on_disk = nodes[0].2.replay_checked(&nodes[0].1.config).durable;
+            let (ok, host) = step(&mut nodes, NodeId(0), write(1));
+            assert!(!ok, "{kind:?}: the step must report the fail-stop");
+            assert!(host.seen.is_empty(), "{kind:?}: emitted {:?}", host.seen);
+            let replay = nodes[0].2.replay_checked(&nodes[0].1.config).durable;
+            assert_eq!(replay, on_disk, "{kind:?}: the journal moved");
+        }
     }
 }

@@ -211,10 +211,6 @@ impl ReplicaNode {
             Timer::DecisionRetry { op } => self.on_decision_retry(ctx, op),
             Timer::RejoinRetry => self.on_rejoin_retry(ctx),
             Timer::ElectionTimeout { round } => self.on_election_timeout(ctx, round),
-            // Host-owned: journaling hosts intercept this before the engine
-            // ever sees it. Reaching here (e.g. a host without group
-            // commit replaying a recorded timer) is a harmless no-op.
-            Timer::HostFlush => {}
         }
     }
 }

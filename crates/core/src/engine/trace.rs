@@ -141,16 +141,9 @@ pub enum TraceEvent {
         /// The learned epoch number.
         enumber: u64,
     },
-    /// The host appended one persisted delta to the journal
-    /// (write-through path).
+    /// The host committed one persisted delta to the journal.
     JournalAppend {
-        /// Records in the append (1 for write-through).
-        records: u64,
-    },
-    /// The host flushed a group-commit batch (one header commit; on real
-    /// storage, one fsync).
-    JournalFlush {
-        /// Coalesced records covered by the flush.
+        /// Records in the append (always 1: every commit is one delta).
         records: u64,
     },
     /// The host replayed the journal during a recovery.
@@ -185,7 +178,6 @@ impl TraceEvent {
             TraceEvent::RejoinStart { .. } => "rejoin_start",
             TraceEvent::RejoinDone { .. } => "rejoin_done",
             TraceEvent::JournalAppend { .. } => "journal_append",
-            TraceEvent::JournalFlush { .. } => "journal_flush",
             TraceEvent::JournalReplay { .. } => "journal_replay",
             TraceEvent::FailpointTrip { .. } => "failpoint_trip",
         }
@@ -245,9 +237,6 @@ impl TraceEvent {
                 let _ = write!(out, ",\"dversion\":{dversion},\"enumber\":{enumber}");
             }
             TraceEvent::JournalAppend { records } => {
-                let _ = write!(out, ",\"records\":{records}");
-            }
-            TraceEvent::JournalFlush { records } => {
                 let _ = write!(out, ",\"records\":{records}");
             }
             TraceEvent::JournalReplay { class } => {

@@ -12,11 +12,9 @@
 //! engine's durable state is **discarded and reinstalled from checked
 //! journal replay** — so a run over `JournaledNode`s proves the journal
 //! alone carries everything the protocol needs across failures. What is
-//! the host's own: applying effects to the [`Ctx`], the
-//! [`HOST_FLUSH_TIMER`] that bounds how long a group-commit batch may wait
-//! for companions (`on_idle` flushes sooner when the inbox drains), the
-//! [`SyncSink`] that charges each commit a real `fdatasync`, and the
-//! wall-clock histogram of that cost.
+//! the host's own: applying effects to the [`Ctx`], the [`SyncSink`] that
+//! charges each commit a real `fdatasync`, and the wall-clock histogram of
+//! that cost.
 #![expect(
     clippy::disallowed_types,
     clippy::disallowed_methods,
@@ -27,7 +25,7 @@ use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_quorum::NodeId;
 use coterie_simnet::{Application, Ctx};
 
-use crate::config::{ProtocolConfig, GROUP_COMMIT_MAX_DELAY};
+use crate::config::ProtocolConfig;
 use crate::engine::interp::{EffectInterpreter, Replica, Substrate};
 use crate::engine::io::Input;
 use crate::engine::metrics::{keys, MetricsRegistry};
@@ -49,11 +47,6 @@ pub struct WireMsg {
     /// The protocol message.
     pub msg: Msg,
 }
-
-/// The reserved timer id for the host-owned group-commit flush deadline.
-/// The engine allocates ids from a counter starting at 0 and can never
-/// reach this value in any feasible run.
-pub const HOST_FLUSH_TIMER: TimerId = TimerId(u64::MAX);
 
 /// A best-effort on-disk mirror of the journal image, used by the
 /// benchmark's live host to charge each commit a real `fsync`. Errors are
@@ -120,8 +113,6 @@ pub struct JournaledNode {
     /// — until the substrate crashes and restarts it; see the contract on
     /// `EffectInterpreter::step`.
     failed: bool,
-    /// True while a [`HOST_FLUSH_TIMER`] is armed.
-    flush_armed: bool,
     /// Journal commits performed (each is one header rewrite; on real
     /// storage, one fsync).
     pub flushes: u64,
@@ -144,7 +135,6 @@ impl JournaledNode {
             journal: FramedJournal::new(),
             boot: Input::Boot,
             failed: false,
-            flush_armed: false,
             flushes: 0,
             sync: None,
             host_metrics: MetricsRegistry::new(),
@@ -182,19 +172,9 @@ impl JournaledNode {
         self.interp.failpoints.arm(sites::JOURNAL_APPEND, kind);
     }
 
-    /// Deltas buffered and not yet committed to the journal.
-    pub fn buffered(&self) -> usize {
-        self.interp.buffered()
-    }
-
-    /// Runs one interpreter call against this node's parts and the
-    /// context, then re-arms or cancels the flush deadline to match the
-    /// buffer: armed exactly while a delta waits for companions.
-    fn interpret(
-        &mut self,
-        ctx: &mut Ctx<'_, Self>,
-        call: impl FnOnce(&mut EffectInterpreter, &mut Replica<'_>, &mut CtxHost<'_, '_>) -> bool,
-    ) {
+    /// Feeds `input` to the interpreter against this node's parts and the
+    /// context.
+    fn run(&mut self, ctx: &mut Ctx<'_, Self>, input: Input) {
         if self.failed {
             return;
         }
@@ -210,24 +190,7 @@ impl JournaledNode {
             journal: &mut self.journal,
             now: self.now,
         };
-        self.failed = !call(&mut self.interp, &mut replica, &mut host);
-        let waiting = self.interp.buffered() > 0;
-        if waiting && !self.flush_armed {
-            ctx.set_timer_with_id(HOST_FLUSH_TIMER, GROUP_COMMIT_MAX_DELAY, Timer::HostFlush);
-        } else if !waiting && self.flush_armed {
-            ctx.cancel_timer(HOST_FLUSH_TIMER);
-        }
-        self.flush_armed = waiting;
-    }
-
-    fn run(&mut self, ctx: &mut Ctx<'_, Self>, input: Input) {
-        self.interpret(ctx, |interp, replica, host| {
-            interp.step(replica, input, host)
-        });
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx<'_, Self>) {
-        self.interpret(ctx, |interp, replica, host| interp.flush(replica, host));
+        self.failed = !self.interp.step(&mut replica, input, &mut host);
     }
 }
 
@@ -293,7 +256,7 @@ impl Application for JournaledNode {
 
     fn on_crash(&mut self) {
         // Lose the in-memory durable state and come back from "disk". The
-        // host drops our timers (the flush deadline included).
+        // host drops our timers.
         let mut replica = Replica {
             node: &mut self.node,
             journal: &mut self.journal,
@@ -302,7 +265,6 @@ impl Application for JournaledNode {
         self.interp.crash(&mut replica);
         self.boot = self.interp.recover(&mut replica);
         self.failed = false;
-        self.flush_armed = false;
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, wire: WireMsg) {
@@ -321,25 +283,10 @@ impl Application for JournaledNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Timer) {
-        // Intercept the host-owned flush deadline; it never reaches the
-        // engine.
-        if matches!(timer, Timer::HostFlush) {
-            self.flush_armed = false;
-            self.flush(ctx);
-            return;
-        }
         self.run(ctx, Input::TimerFired(timer));
     }
 
     fn on_external(&mut self, ctx: &mut Ctx<'_, Self>, request: ClientRequest) {
         self.run(ctx, Input::External(request));
-    }
-
-    fn on_idle(&mut self, ctx: &mut Ctx<'_, Self>) {
-        // The inbox is empty, so nothing else is coming to fill the
-        // batch; waiting out the flush deadline would be pure latency.
-        if self.interp.buffered() > 0 {
-            self.flush(ctx);
-        }
     }
 }

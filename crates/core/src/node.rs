@@ -81,12 +81,6 @@ pub enum Timer {
         /// The challenge round.
         round: OpId,
     },
-    /// Group-commit flush deadline. *Host-owned*: the engine never sets or
-    /// handles this timer — journaling hosts arm it (with a reserved
-    /// [`TimerId`]) when a delta starts waiting for companions and
-    /// intercept its expiry to flush. It lives in this enum only so hosts
-    /// can express it through the ordinary timer plumbing.
-    HostFlush,
 }
 
 /// State that survives crashes (the paper's per-node protocol state of

@@ -83,74 +83,55 @@ fn participant_crash_after_prepare_recovers_the_outcome() {
     assert!(sim.node(NodeId(1)).durable.prepared.is_none());
 }
 
-/// A node comes back from its journal alone. With group commit on (cap 8)
-/// the crash catches a non-empty buffer — the batch becomes a torn tail and
-/// the node recovers to the committed prefix; with it off (cap 1) the same
-/// schedule runs write-through. Then a torn commit at another node
-/// fail-stops it until it is restarted. Either way every journal ends up
-/// reproducing exactly what its node holds. (On the threaded host, where a
-/// node cannot mark itself down, the torn commit silences it instead:
-/// `threaded.rs`.)
+/// A node comes back from its journal alone: a crash as a write starts
+/// recovers the node to what its journal committed. Then a torn commit at
+/// another node fail-stops it until it is restarted, and every journal
+/// ends up reproducing exactly what its node holds. (On the threaded host,
+/// where a node cannot mark itself down, the torn commit silences it
+/// instead: `threaded.rs`.)
 #[test]
 fn journaled_host_recovers_exactly_what_its_journal_committed() {
-    for cap in [1usize, 8] {
-        let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
-            .check_period(SimDuration::from_secs(60))
-            .group_commit(cap);
-        let mut sim = Cluster::new(3, config, 6);
-        let committed = |sim: &mut Cluster, id: u64| {
-            sim.take_outputs()
-                .iter()
-                .any(|(_, _, e)| matches!(e, ProtocolEvent::WriteOk { id: i, .. } if *i == id))
-        };
-        sim.inject(NodeId(0), w(1, "kept"));
-        sim.run_for(SimDuration::from_secs(1));
-        assert!(committed(&mut sim, 1), "cap {cap}: first write");
+    let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
+        .check_period(SimDuration::from_secs(60));
+    let mut sim = Cluster::new(3, config, 6);
+    let committed = |sim: &mut Cluster, id: u64| {
+        sim.take_outputs()
+            .iter()
+            .any(|(_, _, e)| matches!(e, ProtocolEvent::WriteOk { id: i, .. } if *i == id))
+    };
+    sim.inject(NodeId(0), w(1, "kept"));
+    sim.run_for(SimDuration::from_secs(1));
+    assert!(committed(&mut sim, 1), "first write");
 
-        // Crash the coordinator as its next write starts: with group
-        // commit on, the step's delta (and the requests deferred behind
-        // it) is still buffered.
-        sim.inject(NodeId(0), w(2, "doomed"));
+    // Crash the coordinator as its next write starts.
+    sim.inject(NodeId(0), w(2, "doomed"));
+    let on_disk = sim.replay_journal(NodeId(0));
+    sim.crash(NodeId(0));
+    sim.recover(NodeId(0));
+    assert_eq!(sim.node(NodeId(0)).durable, on_disk);
+
+    // A torn commit fail-stops node 2 from the inside: its next write
+    // starts with a journal commit. The other two still form a majority.
+    sim.arm_storage_fault(NodeId(2), FaultKind::TornWrite);
+    sim.inject(NodeId(2), w(3, "swallowed"));
+    assert!(sim.is_down(NodeId(2)), "a torn commit is fail-stop");
+    sim.inject(NodeId(1), w(4, "after"));
+    sim.run_for(SimDuration::from_secs(5));
+    assert!(committed(&mut sim, 4), "write after the faults");
+    assert!(
+        sim.node(NodeId(2)).durable.version < sim.node(NodeId(1)).durable.version,
+        "the stopped node cannot have applied the write"
+    );
+    sim.recover(NodeId(2));
+    sim.run_for(SimDuration::from_secs(5));
+
+    for id in (0..3u32).map(NodeId) {
         assert_eq!(
-            sim.gc_buffered(NodeId(0)) > 0,
-            cap > 1,
-            "cap {cap}: buffer at crash"
+            sim.replay_journal(id),
+            sim.node(id).durable,
+            "{id:?} journal replay differs from live state"
         );
-        let on_disk = sim.replay_journal(NodeId(0));
-        sim.crash(NodeId(0));
-        sim.recover(NodeId(0));
-        assert_eq!(sim.node(NodeId(0)).durable, on_disk, "cap {cap}");
-        assert_eq!(sim.gc_buffered(NodeId(0)), 0);
-
-        // A torn commit fail-stops node 2 from the inside: its next write
-        // starts with a journal commit (at the flush, with group commit
-        // on). The other two still form a majority.
-        sim.arm_storage_fault(NodeId(2), FaultKind::TornWrite);
-        sim.inject(NodeId(2), w(3, "swallowed"));
-        sim.flush_group_commit();
-        assert!(
-            sim.is_down(NodeId(2)),
-            "cap {cap}: a torn commit is fail-stop"
-        );
-        sim.inject(NodeId(1), w(4, "after"));
-        sim.run_for(SimDuration::from_secs(5));
-        assert!(committed(&mut sim, 4), "cap {cap}: write after the faults");
-        assert!(
-            sim.node(NodeId(2)).durable.version < sim.node(NodeId(1)).durable.version,
-            "cap {cap}: the stopped node cannot have applied the write"
-        );
-        sim.recover(NodeId(2));
-        sim.run_for(SimDuration::from_secs(5));
-
-        for id in (0..3u32).map(NodeId) {
-            assert_eq!(sim.gc_buffered(id), 0, "cap {cap}: {id:?} still buffering");
-            assert_eq!(
-                sim.replay_journal(id),
-                sim.node(id).durable,
-                "cap {cap}: {id:?} journal replay differs from live state"
-            );
-            assert!(!sim.node(id).durable.stale, "cap {cap}: {id:?} left stale");
-        }
+        assert!(!sim.node(id).durable.stale, "{id:?} left stale");
     }
 }
 

@@ -32,16 +32,11 @@ fn main() {
         ("majority", Arc::new(MajorityCoterie::new()), 5),
     ];
 
-    // The plain write path, then each optimisation (batching, pipelined
-    // 2PC, group commit) alone and all together, so a dirty seed names its
-    // knob. Pipelining chains only writes the batching queue holds.
-    let variants: [(&str, usize, u32, usize); 5] = [
-        ("", 1, 1, 1),
-        ("+batch", 4, 1, 1),
-        ("+batch+pipeline", 4, 3, 1),
-        ("+gc", 1, 1, 8),
-        ("+batch+pipeline+gc", 4, 3, 8),
-    ];
+    // The plain write path, then batching, then batching with pipelined
+    // 2PC, so a dirty seed names its knob. Pipelining chains only writes
+    // the batching queue holds.
+    let variants: [(&str, usize, u32); 3] =
+        [("", 1, 1), ("+batch", 4, 1), ("+batch+pipeline", 4, 3)];
 
     let mut failed = false;
     let mut schedules = 0u64;
@@ -49,13 +44,12 @@ fn main() {
         if only_rule.as_deref().is_some_and(|r| r != name) {
             continue;
         }
-        for (suffix, write_batch, pipeline_window, group_commit) in variants {
+        for (suffix, write_batch, pipeline_window) in variants {
             let cfg = NemesisConfig {
                 n_nodes,
                 steps,
                 write_batch,
                 pipeline_window,
-                group_commit,
                 ..Default::default()
             };
             let cell = format!("{name}{suffix}");

@@ -67,10 +67,6 @@ pub struct NemesisConfig {
     pub write_batch: usize,
     /// Pipelined-2PC window (DESIGN.md §10); 1 disables.
     pub pipeline_window: u32,
-    /// Group-commit batch cap (DESIGN.md §10); 1 disables. When enabled,
-    /// the schedule models the host's flush deadline as a frequent
-    /// explicit-flush event.
-    pub group_commit: usize,
     /// Per-node flight-recorder capacity (trace records retained per
     /// node); 0 disables tracing entirely.
     pub trace_cap: usize,
@@ -90,7 +86,6 @@ impl Default for NemesisConfig {
             drain: SimDuration::from_secs(120),
             write_batch: 1,
             pipeline_window: 1,
-            group_commit: 1,
             trace_cap: 256,
         }
     }
@@ -171,7 +166,6 @@ pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -
         .pages(cfg.n_pages)
         .write_batch(cfg.write_batch)
         .pipeline(cfg.pipeline_window)
-        .group_commit(cfg.group_commit)
         .rng_seed(seed);
     let mut driver = StepDriver::new(n, protocol);
     if cfg.trace_cap > 0 {
@@ -398,17 +392,8 @@ fn inject_op(
 }
 
 /// One unit of ordinary progress: deliver a random in-flight message,
-/// else fire a random armed timer, else let time pass. When group commit
-/// is coalescing deltas somewhere, the host's flush deadline — the
-/// shortest clock in a real system — is modelled as a frequent flush
-/// event. (The RNG is only consulted when something is buffered, so
-/// group-commit-disabled schedules are byte-identical to before.)
+/// else fire a random armed timer, else let time pass.
 fn progress(driver: &mut StepDriver, rng: &mut Rng64) {
-    let buffering = (0..driver.cluster_size() as u32).any(|i| driver.gc_buffered(NodeId(i)) > 0);
-    if buffering && rng.below(4) == 0 {
-        driver.flush_group_commit();
-        return;
-    }
     let msgs = driver.pending_messages().len();
     if msgs > 0 {
         driver.deliver(rng.below(msgs as u64) as usize);

@@ -141,9 +141,6 @@ fn describe(event: &TraceEvent) -> String {
         TraceEvent::JournalAppend { records } => {
             format!("journal append ({records} record(s))")
         }
-        TraceEvent::JournalFlush { records } => {
-            format!("journal flush ({records} record(s))")
-        }
         TraceEvent::JournalReplay { class } => format!("journal replay: {class:?}"),
         TraceEvent::FailpointTrip { kind } => format!("storage fault fired: {kind:?}"),
     }

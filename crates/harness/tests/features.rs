@@ -120,7 +120,7 @@ fn pipelined_grid_interleavings_are_serializable() {
 }
 
 /// A bounded nemesis soak — crashes, partitions, torn writes, journal
-/// corruption — with batching, pipelining, *and* group commit enabled.
+/// corruption — with batching and pipelining enabled.
 #[test]
 fn feature_enabled_soak_is_clean() {
     let cfg = NemesisConfig {
@@ -128,7 +128,6 @@ fn feature_enabled_soak_is_clean() {
         client_ops: 10,
         write_batch: 4,
         pipeline_window: 3,
-        group_commit: 8,
         ..Default::default()
     };
     let report = soak(Arc::new(GridCoterie::new()), 0xFACE, 3, &cfg);

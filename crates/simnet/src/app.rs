@@ -50,12 +50,6 @@ pub trait Application: Sized {
 
     /// An external operation was injected at this node.
     fn on_external(&mut self, ctx: &mut Ctx<'_, Self>, ext: Self::External);
-
-    /// The host observed an empty inbox: every queued input has been
-    /// processed and the node is about to block.
-    /// Group-commit hosts use it to flush coalescing buffers immediately
-    /// instead of paying the flush-deadline latency. Default: no-op.
-    fn on_idle(&mut self, _ctx: &mut Ctx<'_, Self>) {}
 }
 
 /// Side effects a handler may request; applied by the runtime after the

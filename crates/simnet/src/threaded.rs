@@ -18,7 +18,7 @@
 use crate::app::{Application, Ctx, Effect, TimerId};
 use crate::time::{SimDuration, SimTime};
 use coterie_quorum::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -202,22 +202,7 @@ where
                 };
                 node.run(|app, ctx| app.on_start(ctx));
                 loop {
-                    let input = match rx.try_recv() {
-                        Ok(input) => input,
-                        Err(TryRecvError::Disconnected) => break,
-                        Err(TryRecvError::Empty) => {
-                            // Inbox drained and about to block: give the
-                            // app its idle hook (group-commit hosts flush
-                            // here instead of waiting out the deadline).
-                            if node.up() {
-                                node.run(|app, ctx| app.on_idle(ctx));
-                            }
-                            match rx.recv() {
-                                Ok(input) => input,
-                                Err(_) => break,
-                            }
-                        }
-                    };
+                    let Ok(input) = rx.recv() else { break };
                     let up = node.up();
                     match input {
                         Input::Stop => break,

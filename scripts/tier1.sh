@@ -77,11 +77,16 @@ cargo run --release --example failover
 
 echo "==> nemesis smoke (bounded storage-fault soak)"
 # Fixed seeds, short schedules: 6 runs per column (plain, +batch,
-# +batch+pipeline, +gc, +batch+pipeline+gc) on grid and on majority, of
+# +batch+pipeline) on grid and on majority, 36 schedules in all, of
 # crashes, partitions, torn writes, and journal corruption; exits non-zero on any
 # epoch-safety, coherence, or 1SR violation. Dirty runs dump their flight
 # recorder as causally-merged JSONL + timeline under target/.
 cargo run --release -p coterie-harness --bin nemesis -- 6 42 1500
+
+echo "==> nemesis grid sweep (seeds 0-399, every column)"
+# 1 200 full-length schedules (~5 s), all clean on grid (ROADMAP 1(c)).
+# Majority joins once its dirty seeds are fixed.
+cargo run --release -p coterie-harness --bin nemesis -- 400 0 3000 grid
 
 echo "==> trace determinism smoke"
 # Same-seed runs must produce byte-identical trace JSONL (in-process and
