@@ -1,5 +1,6 @@
 //! The same `ReplicaNode` engine that runs on the deterministic step driver
-//! also runs on real OS threads (crossbeam channels, wall-clock timers),
+//! also runs on real OS threads (one per node, `std::sync::mpsc` channels,
+//! node-local wall-clock timers),
 //! behind the journaling host: the protocol implementation is
 //! substrate-independent.
 

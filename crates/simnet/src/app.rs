@@ -45,7 +45,8 @@ pub trait Application: Sized {
     /// the undeliverable message (the paper's `RPC.CallFailed`).
     fn on_call_failed(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId, msg: Self::Msg);
 
-    /// A timer set via [`Ctx::set_timer`] fired.
+    /// A timer set via [`Ctx::set_timer`] fired. A due timer goes ahead of
+    /// the next message waiting in the node's inbox.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Self::Timer);
 
     /// An external operation was injected at this node.
@@ -120,8 +121,8 @@ impl<'a, A: Application> Ctx<'a, A> {
 
     /// Arms a timer under a caller-chosen id. Hosts use this to replay
     /// timer effects from sans-I/O engines that allocate their own ids;
-    /// the id must be unique among this node's live timers (cancellation
-    /// is keyed by `(node, id)`).
+    /// the id must be unique among this node's live timers (each node
+    /// keeps and cancels its own timers).
     pub fn set_timer_with_id(&mut self, id: TimerId, delay: SimDuration, timer: A::Timer) {
         self.effects.push(Effect::SetTimer { id, delay, timer });
     }

@@ -7,7 +7,8 @@
 //!   returned to the sender if the message cannot be delivered";
 //! * fail-stop nodes (crash, no Byzantine behaviour) with durable state
 //!   surviving crashes and volatile state wiped;
-//! * timers with cancellation.
+//! * timers with cancellation, kept by each node's own thread: a due timer
+//!   fires ahead of the node's next inbox message.
 //!
 //! Nodes implement the [`Application`] trait; the caller injects client
 //! operations, crashes and recoveries through the [`ThreadedRuntime`]

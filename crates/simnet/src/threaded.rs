@@ -1,29 +1,35 @@
 //! A real-thread runtime for [`Application`] nodes.
 //!
 //! The deterministic `coterie_core::StepDriver` is the measurement
-//! substrate; this module hosts the protocol on OS threads with crossbeam
-//! channels and wall-clock timers, demonstrating that the implementation is
-//! not simulator-bound. Message delivery, the `RPC.CallFailed` bounce for
-//! down nodes, timers with cancellation, crash (volatile-state wipe) and
+//! substrate; this module hosts the protocol on OS threads, one per node,
+//! joined by unbounded `std::sync::mpsc` channels (through the vendored
+//! `crossbeam` shim), demonstrating that the implementation is not
+//! simulator-bound. Message delivery, the `RPC.CallFailed` bounce for down
+//! nodes, timers with cancellation, crash (volatile-state wipe) and
 //! recovery all behave like the driver's — except that time is real and
 //! scheduling is whatever the OS provides, so runs are *not* reproducible
 //! (use the driver for experiments).
+//!
+//! Each node thread is its own event loop. It owns a deadline queue of its
+//! armed timers and the `CallFailed` bounces it owes, and waits on its
+//! inbox only until the earliest of them is due. Every due entry fires
+//! before the next inbox message is taken, so a busy inbox cannot starve a
+//! timer. Cancelling a timer removes its entry; a crash drops the node's
+//! timers but not the bounces it owes. A runtime of `n` nodes runs `n`
+//! threads and no others.
 
 #![expect(
-    clippy::disallowed_types,
     clippy::disallowed_methods,
-    reason = "this runtime is the real host: wall clocks and OS bookkeeping are its whole point, and its runs are irreproducible by design"
+    reason = "this runtime is the real host: wall clocks are its whole point, and its runs are irreproducible by design"
 )]
 
 use crate::app::{Application, Ctx, Effect, TimerId};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use coterie_quorum::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BinaryHeap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -32,54 +38,59 @@ use std::time::{Duration, Instant};
 enum Input<A: Application> {
     Msg { from: NodeId, msg: A::Msg },
     CallFailed { to: NodeId, msg: A::Msg },
-    Timer { boot: u64, timer: A::Timer },
     External(A::External),
     Crash,
     Recover,
     Stop,
 }
 
-/// A timer queue entry (min-heap by deadline).
-struct Pending<A: Application> {
-    at: Instant,
-    node: NodeId,
-    boot: u64,
-    id: TimerId,
-    timer: A::Timer,
+/// What a node's deadline queue holds.
+enum Due<A: Application> {
+    /// One of the node's own timers.
+    Timer { id: TimerId, timer: A::Timer },
+    /// A `CallFailed` this node owes `sender` for its `msg` to `to`.
+    Bounce {
+        sender: NodeId,
+        to: NodeId,
+        msg: A::Msg,
+    },
 }
 
-impl<A: Application> PartialEq for Pending<A> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.id == other.id
-    }
-}
-impl<A: Application> Eq for Pending<A> {}
-impl<A: Application> PartialOrd for Pending<A> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<A: Application> Ord for Pending<A> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse for a min-heap.
-        other.at.cmp(&self.at).then_with(|| other.id.cmp(&self.id))
-    }
+/// A queue position: the deadline, then arming order among equal deadlines.
+type Key = (Instant, u64);
+
+/// One node's deadline queue, with an index from timer id to queue key so
+/// that a cancel removes the entry instead of leaving it to come due.
+struct Deadlines<A: Application> {
+    queue: BTreeMap<Key, Due<A>>,
+    timers: BTreeMap<TimerId, Key>,
+    seq: u64,
 }
 
-struct TimerService<A: Application> {
-    heap: Mutex<BinaryHeap<Pending<A>>>,
-    /// Canceled timers, keyed by `(node, id)`: timer ids are allocated per
-    /// node thread, so the bare id is not unique across nodes.
-    canceled: Mutex<HashSet<(NodeId, TimerId)>>,
-    wake: Condvar,
-    stopping: AtomicBool,
+impl<A: Application> Deadlines<A> {
+    fn push(&mut self, at: Instant, due: Due<A>) -> Key {
+        self.seq += 1;
+        self.queue.insert((at, self.seq), due);
+        (at, self.seq)
+    }
+
+    /// Arms timer `id`, which must not be live already.
+    fn arm(&mut self, at: Instant, id: TimerId, timer: A::Timer) {
+        let key = self.push(at, Due::Timer { id, timer });
+        self.timers.insert(id, key);
+    }
+
+    /// Disarms timer `id`; an unknown or already-fired id is a no-op.
+    fn cancel(&mut self, id: TimerId) {
+        if let Some(key) = self.timers.remove(&id) {
+            self.queue.remove(&key);
+        }
+    }
 }
 
 /// Shared state between node threads and the runtime handle.
 struct Shared<A: Application> {
     inboxes: Vec<Sender<Input<A>>>,
-    up: Vec<AtomicBool>,
-    timers: TimerService<A>,
     fail_notice: Duration,
     started: Instant,
 }
@@ -93,8 +104,8 @@ impl<A: Application> Shared<A> {
 }
 
 /// The real-thread runtime. Create with [`ThreadedRuntime::spawn`], interact
-/// through the handle, and call [`shutdown`](ThreadedRuntime::shutdown) (or
-/// drop) to join all threads.
+/// through the handle, and call [`shutdown`](ThreadedRuntime::shutdown) to
+/// join every node thread.
 pub struct ThreadedRuntime<A: Application + Send + 'static>
 where
     A::Msg: Send,
@@ -104,8 +115,7 @@ where
 {
     shared: Arc<Shared<A>>,
     outputs: Receiver<(NodeId, A::Output)>,
-    node_handles: Vec<JoinHandle<A>>,
-    timer_handle: Option<JoinHandle<()>>,
+    node_handles: Vec<JoinHandle<NodeThread<A>>>,
 }
 
 impl<A: Application + Send + 'static> ThreadedRuntime<A>
@@ -115,9 +125,9 @@ where
     A::External: Send,
     A::Output: Send,
 {
-    /// Spawns `n` nodes built by `make_node`, each on its own thread, plus a
-    /// timer thread. `fail_notice` is the delay before a sender learns a
-    /// message to a down node could not be delivered.
+    /// Spawns `n` nodes built by `make_node`, each on its own thread.
+    /// `fail_notice` is the delay before a sender learns a message to a
+    /// down or nonexistent node could not be delivered.
     pub fn spawn(
         n: usize,
         seed: u64,
@@ -125,136 +135,39 @@ where
         mut make_node: impl FnMut(NodeId) -> A,
     ) -> Self {
         let (out_tx, out_rx) = unbounded();
-        let mut inbox_txs = Vec::with_capacity(n);
-        let mut inbox_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<Input<A>>();
-            inbox_txs.push(tx);
-            inbox_rxs.push(rx);
-        }
+        let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
         let shared = Arc::new(Shared {
             inboxes: inbox_txs,
-            up: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            timers: TimerService {
-                heap: Mutex::new(BinaryHeap::new()),
-                canceled: Mutex::new(HashSet::new()),
-                wake: Condvar::new(),
-                stopping: AtomicBool::new(false),
-            },
             fail_notice,
             started: Instant::now(),
         });
-
-        // Timer thread: sleeps until the earliest deadline, then routes the
-        // timer back to its node's inbox.
-        let timer_shared = shared.clone();
-        let timer_handle = std::thread::spawn(move || loop {
-            let mut heap = timer_shared.timers.heap.lock();
-            if timer_shared.timers.stopping.load(Ordering::Acquire) {
-                return;
-            }
-            let now = Instant::now();
-            match heap.peek().map(|p| p.at) {
-                Some(at) if at <= now => {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "peek returned Some under the same lock"
-                    )]
-                    let p = heap.pop().expect("peeked");
-                    drop(heap);
-                    let canceled = timer_shared.timers.canceled.lock().remove(&(p.node, p.id));
-                    if !canceled {
-                        timer_shared.send_input(
-                            p.node,
-                            Input::Timer {
-                                boot: p.boot,
-                                timer: p.timer,
-                            },
-                        );
-                    }
-                }
-                Some(at) => {
-                    timer_shared.timers.wake.wait_until(&mut heap, at);
-                }
-                None => {
-                    timer_shared.timers.wake.wait(&mut heap);
-                }
-            }
-        });
-
-        // Node threads.
-        let mut node_handles = Vec::with_capacity(n);
-        for (i, rx) in inbox_rxs.into_iter().enumerate() {
-            let me = NodeId(i as u32);
-            let app = make_node(me);
-            let shared = shared.clone();
-            let out_tx = out_tx.clone();
-            let handle = std::thread::spawn(move || {
-                let mut node = NodeThread {
-                    shared,
-                    out_tx,
+        let node_handles = inbox_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(i, inbox)| {
+                let me = NodeId(i as u32);
+                let node = NodeThread {
+                    shared: shared.clone(),
+                    out_tx: out_tx.clone(),
                     me,
-                    boot: 0,
+                    up: true,
                     rng: StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37)),
                     next_timer_id: 1,
                     effects: Vec::new(),
-                    app,
+                    deadlines: Deadlines {
+                        queue: BTreeMap::new(),
+                        timers: BTreeMap::new(),
+                        seq: 0,
+                    },
+                    app: make_node(me),
                 };
-                node.run(|app, ctx| app.on_start(ctx));
-                loop {
-                    let Ok(input) = rx.recv() else { break };
-                    let up = node.up();
-                    match input {
-                        Input::Stop => break,
-                        Input::Crash => {
-                            if up {
-                                node.set_up(false);
-                                node.boot += 1;
-                                node.app.on_crash();
-                            }
-                        }
-                        Input::Recover => {
-                            if !up {
-                                node.set_up(true);
-                                node.run(|app, ctx| app.on_start(ctx));
-                            }
-                        }
-                        Input::Msg { from, msg } => {
-                            if up {
-                                node.run(|app, ctx| app.on_message(ctx, from, msg));
-                            } else {
-                                // The host bounces on behalf of the dead
-                                // node after the RPC notice delay.
-                                schedule_bounce(&node.shared, from, me, msg);
-                            }
-                        }
-                        Input::CallFailed { to, msg } => {
-                            if up {
-                                node.run(|app, ctx| app.on_call_failed(ctx, to, msg));
-                            }
-                        }
-                        Input::Timer { boot, timer } => {
-                            if up && boot == node.boot {
-                                node.run(|app, ctx| app.on_timer(ctx, timer));
-                            }
-                        }
-                        Input::External(ext) => {
-                            if up {
-                                node.run(|app, ctx| app.on_external(ctx, ext));
-                            }
-                        }
-                    }
-                }
-                node.app
-            });
-            node_handles.push(handle);
-        }
-
+                std::thread::spawn(move || node.serve(inbox))
+            })
+            .collect();
         ThreadedRuntime {
             shared,
             outputs: out_rx,
             node_handles,
-            timer_handle: Some(timer_handle),
         }
     }
 
@@ -285,89 +198,112 @@ where
 
     /// Stops every node and joins all threads, returning the final node
     /// states in id order.
-    pub fn shutdown(mut self) -> Vec<A> {
+    pub fn shutdown(self) -> Vec<A> {
+        self.stop().into_iter().map(|node| node.app).collect()
+    }
+
+    #[expect(clippy::expect_used, reason = "join fails only if the node panicked")]
+    fn stop(self) -> Vec<NodeThread<A>> {
         for tx in &self.shared.inboxes {
             let _ = tx.send(Input::Stop);
         }
-        #[expect(clippy::expect_used, reason = "join fails only if the node panicked")]
-        let apps: Vec<A> = self
-            .node_handles
-            .drain(..)
+        self.node_handles
+            .into_iter()
             .map(|h| h.join().expect("node thread panicked"))
-            .collect();
-        self.shared.timers.stopping.store(true, Ordering::Release);
-        self.shared.timers.wake.notify_all();
-        if let Some(h) = self.timer_handle.take() {
-            let _ = h.join();
-        }
-        apps
+            .collect()
     }
 }
 
-/// Schedules a `CallFailed` bounce back to `sender` after the notice delay.
-fn schedule_bounce<A: Application + 'static>(
-    shared: &Arc<Shared<A>>,
-    sender: NodeId,
-    to: NodeId,
-    msg: A::Msg,
-) where
-    A::Msg: Send,
-    A::Timer: Send,
-    A::External: Send,
-{
-    // Reuse the timer heap with a synthetic timer id of 0 is not possible
-    // (payload type differs), so bounce on a helper thread-free path: a
-    // small sleep on the timer heap would need A::Timer. Instead, spawn the
-    // bounce through the channel after sleeping on a detached thread would
-    // cost a thread per bounce; in practice the notice delay is tens of
-    // milliseconds and bounces are rare, so a detached thread is acceptable
-    // and keeps the design simple.
-    let shared = shared.clone();
-    let delay = shared.fail_notice;
-    std::thread::spawn(move || {
-        std::thread::sleep(delay);
-        shared.send_input(sender, Input::CallFailed { to, msg });
-    });
-}
-
-/// One node's thread: its application, and what a callback on it needs.
+/// One node's thread: its application, its deadline queue, and what a
+/// callback on it needs.
 struct NodeThread<A: Application> {
     shared: Arc<Shared<A>>,
     out_tx: Sender<(NodeId, A::Output)>,
     me: NodeId,
-    /// Incarnation: bumped by each crash, so a timer armed before it is
-    /// dropped when it fires.
-    boot: u64,
+    up: bool,
     rng: StdRng,
     next_timer_id: u64,
     effects: Vec<Effect<A>>,
+    deadlines: Deadlines<A>,
     app: A,
 }
 
-impl<A: Application + 'static> NodeThread<A>
-where
-    A::Msg: Send,
-    A::Timer: Send,
-    A::External: Send,
-{
-    fn up(&self) -> bool {
-        self.shared.up[self.me.index()].load(Ordering::Acquire)
+impl<A: Application> NodeThread<A> {
+    /// The node's event loop, until `Stop` or a closed inbox.
+    fn serve(mut self, inbox: Receiver<Input<A>>) -> Self {
+        self.run(|app, ctx| app.on_start(ctx));
+        while let Some(input) = self.next_input(&inbox) {
+            match input {
+                Input::Stop => break,
+                Input::Crash if self.up => {
+                    self.up = false;
+                    self.deadlines.timers.clear();
+                    let queue = &mut self.deadlines.queue;
+                    queue.retain(|_, due| matches!(due, Due::Bounce { .. }));
+                    self.app.on_crash();
+                }
+                Input::Recover if !self.up => {
+                    self.up = true;
+                    self.run(|app, ctx| app.on_start(ctx));
+                }
+                Input::Msg { from, msg } if self.up => {
+                    self.run(|app, ctx| app.on_message(ctx, from, msg));
+                }
+                Input::Msg { from: sender, msg } => {
+                    // The host bounces on behalf of the dead node after
+                    // the RPC notice delay.
+                    let (at, to) = (Instant::now() + self.shared.fail_notice, self.me);
+                    self.deadlines.push(at, Due::Bounce { sender, to, msg });
+                }
+                Input::CallFailed { to, msg } if self.up => {
+                    self.run(|app, ctx| app.on_call_failed(ctx, to, msg));
+                }
+                Input::External(ext) if self.up => {
+                    self.run(|app, ctx| app.on_external(ctx, ext));
+                }
+                Input::Crash | Input::Recover | Input::CallFailed { .. } | Input::External(_) => {}
+            }
+        }
+        self
     }
 
-    fn set_up(&self, up: bool) {
-        self.shared.up[self.me.index()].store(up, Ordering::Release);
+    /// Fires every due queue entry, then waits for the next input until
+    /// the earliest deadline (or for good, when the queue is empty).
+    fn next_input(&mut self, inbox: &Receiver<Input<A>>) -> Option<Input<A>> {
+        loop {
+            let Some(head) = self.deadlines.queue.first_entry() else {
+                return inbox.recv().ok();
+            };
+            let (at, now) = (head.key().0, Instant::now());
+            if at > now {
+                match inbox.recv_timeout(at - now) {
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    received => return received.ok(),
+                }
+            }
+            match head.remove() {
+                Due::Timer { id, timer } => {
+                    self.deadlines.timers.remove(&id);
+                    self.run(|app, ctx| app.on_timer(ctx, timer));
+                }
+                Due::Bounce { sender, to, msg } => {
+                    self.shared
+                        .send_input(sender, Input::CallFailed { to, msg });
+                }
+            }
+        }
     }
 
     /// Runs one application callback, then applies its effects: sends
-    /// become channel deliveries (or bounces), timers go to the timer
-    /// service, outputs go to the output channel.
+    /// become channel deliveries (or bounces), timers enter the deadline
+    /// queue, outputs go to the output channel. One clock reading serves
+    /// the callback's `Ctx::now` and every deadline it arms.
     fn run(&mut self, f: impl FnOnce(&mut A, &mut Ctx<'_, A>)) {
-        let (shared, me) = (&self.shared, self.me);
-        let now = SimTime(shared.started.elapsed().as_micros() as u64);
+        let (shared, me, now) = (&self.shared, self.me, Instant::now());
         {
             let mut ctx = Ctx {
                 me,
-                now,
+                now: SimTime(now.duration_since(shared.started).as_micros() as u64),
                 rng: &mut self.rng,
                 effects: &mut self.effects,
                 next_timer_id: &mut self.next_timer_id,
@@ -376,35 +312,20 @@ where
         }
         for effect in self.effects.drain(..) {
             match effect {
-                Effect::Send { to, msg } => {
-                    if to.index() < shared.inboxes.len() {
-                        shared.send_input(to, Input::Msg { from: me, msg });
-                    } else {
-                        schedule_bounce(shared, me, to, msg);
+                Effect::Send { to, msg } => match shared.inboxes.get(to.index()) {
+                    Some(tx) => {
+                        let _ = tx.send(Input::Msg { from: me, msg });
                     }
-                }
+                    None => {
+                        let (at, sender) = (now + shared.fail_notice, me);
+                        self.deadlines.push(at, Due::Bounce { sender, to, msg });
+                    }
+                },
                 Effect::SetTimer { id, delay, timer } => {
-                    let at = Instant::now() + to_std(delay);
-                    let mut heap = shared.timers.heap.lock();
-                    // The timer thread sleeps until the head's deadline, so
-                    // only a new earliest deadline changes what it is waiting
-                    // for; behind the head there is nothing to re-discover.
-                    let new_head = heap.peek().is_none_or(|head| at < head.at);
-                    heap.push(Pending {
-                        at,
-                        node: me,
-                        boot: self.boot,
-                        id,
-                        timer,
-                    });
-                    drop(heap);
-                    if new_head {
-                        shared.timers.wake.notify_all();
-                    }
+                    let at = now + Duration::from_micros(delay.micros());
+                    self.deadlines.arm(at, id, timer);
                 }
-                Effect::CancelTimer { id } => {
-                    shared.timers.canceled.lock().insert((me, id));
-                }
+                Effect::CancelTimer { id } => self.deadlines.cancel(id),
                 Effect::Output(out) => {
                     let _ = self.out_tx.send((me, out));
                 }
@@ -413,16 +334,13 @@ where
     }
 }
 
-fn to_std(d: SimDuration) -> Duration {
-    Duration::from_micros(d.micros())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::Application;
+    use crate::time::SimDuration;
 
     /// Minimal ping-counting app.
+    #[derive(Default)]
     struct Counter {
         pings: u64,
         durable: u64,
@@ -463,101 +381,176 @@ mod tests {
         }
     }
 
-    /// Arms a timer of `External` milliseconds and reports it when it fires.
-    struct Alarm;
+    /// Arms timers on command and reports each one that fires. Its only
+    /// messages are to itself.
+    #[derive(Default)]
+    struct Alarm {
+        spins: u64,
+        fired: bool,
+    }
+
+    #[derive(Debug)]
+    enum Cmd {
+        /// Arm a timer of this many ms.
+        Arm(u64),
+        /// Arm this many timers of this many ms, cancelling each at once.
+        ArmCancel(u32, u64),
+        /// Keep a message to self in the inbox until a timer fires.
+        Spin,
+    }
 
     impl Application for Alarm {
         type Msg = ();
         type Timer = u64;
-        type External = u64;
+        type External = Cmd;
         type Output = u64; // 0 = armed, else the delay of the timer that fired
 
         fn on_start(&mut self, _ctx: &mut Ctx<'_, Self>) {}
         fn on_crash(&mut self) {}
-        fn on_message(&mut self, _ctx: &mut Ctx<'_, Self>, _from: NodeId, _msg: ()) {}
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _from: NodeId, _msg: ()) {
+            if !self.fired {
+                self.spins += 1;
+                ctx.send(ctx.me(), ());
+            }
+        }
         fn on_call_failed(&mut self, _ctx: &mut Ctx<'_, Self>, _to: NodeId, _msg: ()) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, ms: u64) {
+            self.fired = true;
             ctx.output(ms);
         }
-        fn on_external(&mut self, ctx: &mut Ctx<'_, Self>, ms: u64) {
-            ctx.set_timer(SimDuration::from_millis(ms), ms);
-            ctx.output(0);
+        fn on_external(&mut self, ctx: &mut Ctx<'_, Self>, cmd: Cmd) {
+            match cmd {
+                Cmd::Arm(ms) => {
+                    ctx.set_timer(SimDuration::from_millis(ms), ms);
+                    ctx.output(0);
+                }
+                Cmd::ArmCancel(n, ms) => {
+                    for _ in 0..n {
+                        let id = ctx.set_timer(SimDuration::from_millis(ms), ms);
+                        ctx.cancel_timer(id);
+                    }
+                }
+                Cmd::Spin => ctx.send(ctx.me(), ()),
+            }
         }
     }
 
+    fn alarm() -> ThreadedRuntime<Alarm> {
+        ThreadedRuntime::spawn(1, 4, Duration::from_millis(10), |_| Alarm::default())
+    }
+
+    fn next(rt: &ThreadedRuntime<Alarm>) -> Option<u64> {
+        rt.recv_output(Duration::from_secs(5)).map(|(_, out)| out)
+    }
+
+    /// This process's thread count (0 where procfs is missing).
+    fn threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+        let count = status.lines().find_map(|l| l.strip_prefix("Threads:"));
+        count.map_or(0, |c| c.trim().parse().expect("a thread count"))
+    }
+
     #[test]
-    fn earlier_timer_armed_later_still_wakes_the_timer_thread() {
-        let rt = ThreadedRuntime::spawn(1, 4, Duration::from_millis(10), |_| Alarm);
-        let next = || rt.recv_output(Duration::from_secs(5)).map(|(_, out)| out);
+    fn earlier_timer_armed_later_fires_first() {
+        let rt = alarm();
         let armed_long = Instant::now();
-        rt.inject(NodeId(0), 500);
-        assert_eq!(next(), Some(0), "long timer armed");
-        // Let the timer thread park on the 500 ms deadline, so the short
-        // timer takes the branch that must wake it. (If it has not parked
+        rt.inject(NodeId(0), Cmd::Arm(500));
+        assert_eq!(next(&rt), Some(0), "long timer armed");
+        // Let the node thread block on the 500 ms deadline, so the short
+        // timer's command arrives while it waits. (If it has not blocked
         // yet the assertions below still hold; the sleep only makes the
         // interesting interleaving the likely one.)
         std::thread::sleep(Duration::from_millis(50));
-        rt.inject(NodeId(0), 20);
-        assert_eq!(next(), Some(0), "short timer armed");
-        assert_eq!(next(), Some(20), "the earlier-due timer fires first");
-        // Un-woken, the timer thread sleeps out the long deadline and
-        // delivers both then, in this same order — so the proof of the wake
-        // is that the short one arrived clearly ahead of that deadline
-        // (~70 ms after the long timer was armed, never 500).
-        let waited = armed_long.elapsed();
-        assert!(
-            waited < Duration::from_millis(400),
-            "fired after {waited:?}"
-        );
-        assert_eq!(next(), Some(500));
+        rt.inject(NodeId(0), Cmd::Arm(20));
+        assert_eq!(next(&rt), Some(0), "short timer armed");
+        assert_eq!(next(&rt), Some(20), "the earlier-due timer fires first");
+        // A thread that kept waiting for the long deadline would deliver
+        // both then, in this same order — so the short one must arrive
+        // clearly ahead of it (~70 ms after the long timer was armed).
+        let waited = armed_long.elapsed().as_millis();
+        assert!(waited < 400, "fired after {waited} ms");
+        assert_eq!(next(&rt), Some(500));
         rt.shutdown();
     }
 
     #[test]
+    fn cancelled_timers_leave_the_queue_and_never_fire() {
+        let rt = alarm();
+        // 10 000 pairs: the 1 ms half would fire at once if left armed,
+        // the one-hour half would outlast the test in the queue.
+        rt.inject(NodeId(0), Cmd::ArmCancel(5_000, 1));
+        rt.inject(NodeId(0), Cmd::ArmCancel(5_000, 3_600_000));
+        rt.inject(NodeId(0), Cmd::Arm(20));
+        assert_eq!(next(&rt), Some(0));
+        assert_eq!(next(&rt), Some(20), "only the timer left armed fires");
+        let nodes = rt.stop();
+        let deadlines = &nodes[0].deadlines;
+        assert!(deadlines.queue.is_empty() && deadlines.timers.is_empty());
+    }
+
+    #[test]
+    fn a_timer_armed_before_a_crash_never_fires_after_recovery() {
+        let rt = alarm();
+        rt.inject(NodeId(0), Cmd::Arm(30));
+        rt.crash(NodeId(0));
+        rt.recover(NodeId(0));
+        rt.inject(NodeId(0), Cmd::Arm(100));
+        assert_eq!((next(&rt), next(&rt)), (Some(0), Some(0)));
+        assert_eq!(next(&rt), Some(100), "the 30 ms timer died with the crash");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_due_timer_fires_while_the_inbox_stays_busy() {
+        let rt = alarm();
+        rt.inject(NodeId(0), Cmd::Arm(20));
+        // From here until the timer fires, every message the node takes
+        // puts the next one in its inbox.
+        rt.inject(NodeId(0), Cmd::Spin);
+        assert_eq!((next(&rt), next(&rt)), (Some(0), Some(20)));
+        assert!(rt.shutdown()[0].spins > 0, "the inbox was busy meanwhile");
+    }
+
+    #[test]
     fn round_trips_over_real_threads() {
-        let rt = ThreadedRuntime::spawn(2, 1, Duration::from_millis(20), |_| Counter {
-            pings: 0,
-            durable: 0,
-        });
+        let rt = ThreadedRuntime::spawn(2, 1, Duration::from_millis(20), |_| Counter::default());
         for _ in 0..5 {
             rt.inject(NodeId(0), NodeId(1));
         }
-        let mut seen = 0;
-        while seen < 5 {
-            let (node, count) = rt
-                .recv_output(Duration::from_secs(5))
-                .expect("pong within 5s");
+        for _ in 0..5 {
+            let pong = rt.recv_output(Duration::from_secs(5));
+            let (node, count) = pong.expect("pong within 5s");
             assert_eq!(node, NodeId(0));
             assert!(count <= 5);
-            seen += 1;
         }
-        let apps = rt.shutdown();
-        assert_eq!(apps[0].durable, 5);
+        assert_eq!(rt.shutdown()[0].durable, 5);
     }
 
     #[test]
     fn down_nodes_bounce_call_failed() {
-        let rt = ThreadedRuntime::spawn(2, 2, Duration::from_millis(10), |_| Counter {
-            pings: 0,
-            durable: 0,
-        });
+        let notice = Duration::from_millis(200);
+        let rt = ThreadedRuntime::spawn(2, 2, notice, |_| Counter::default());
         rt.crash(NodeId(1));
-        std::thread::sleep(Duration::from_millis(50));
-        rt.inject(NodeId(0), NodeId(1));
-        let (node, marker) = rt
-            .recv_output(Duration::from_secs(5))
-            .expect("bounce within 5s");
-        assert_eq!(node, NodeId(0));
-        assert_eq!(marker, u64::MAX);
+        let (before, sent) = (threads(), Instant::now());
+        for _ in 0..200 {
+            rt.inject(NodeId(0), NodeId(1));
+        }
+        std::thread::sleep(notice / 2);
+        // Every bounce is owed now, in node 1's queue. Other tests may start
+        // a runtime meanwhile (a few threads); a thread per bounce adds 200.
+        let during = threads();
+        assert!(during < before + 50, "{before} threads, then {during}");
+        for _ in 0..200 {
+            let bounce = rt.recv_output(Duration::from_secs(5));
+            assert_eq!(bounce, Some((NodeId(0), u64::MAX)));
+            assert!(sent.elapsed() >= notice, "a bounce came before the notice");
+        }
         rt.shutdown();
     }
 
     #[test]
     fn crash_wipes_volatile_and_recover_restarts() {
-        let rt = ThreadedRuntime::spawn(2, 3, Duration::from_millis(10), |_| Counter {
-            pings: 0,
-            durable: 0,
-        });
+        let rt = ThreadedRuntime::spawn(2, 3, Duration::from_millis(10), |_| Counter::default());
         rt.inject(NodeId(0), NodeId(1));
         assert!(rt.recv_output(Duration::from_secs(5)).is_some());
         rt.crash(NodeId(0));
@@ -565,7 +558,10 @@ mod tests {
         rt.inject(NodeId(0), NodeId(1));
         let (_, count) = rt.recv_output(Duration::from_secs(5)).expect("pong");
         assert_eq!(count, 1, "volatile counter must restart at zero");
-        let apps = rt.shutdown();
-        assert_eq!(apps[0].durable, 2, "durable counter survives the crash");
+        assert_eq!(
+            rt.shutdown()[0].durable,
+            2,
+            "durable counter survives the crash"
+        );
     }
 }

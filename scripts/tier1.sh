@@ -74,6 +74,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> example smoke runs"
 cargo run --release --example quickstart
 cargo run --release --example failover
+# The one crash-plus-epoch-change run over real threads outside the tests.
+cargo run --release --example live_threads
 
 echo "==> nemesis smoke (bounded storage-fault soak)"
 # Fixed seeds, short schedules: 6 runs per column (plain, +batch,
