@@ -74,7 +74,7 @@ impl Classified {
         stale.sort_unstable();
         let has_quorum = plans
             .plan_for(rule, &view)
-            .includes_quorum_with(rule, responders, kind);
+            .includes_quorum(responders, kind);
         Some(Classified {
             view,
             enumber,

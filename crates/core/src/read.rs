@@ -143,12 +143,8 @@ impl ReplicaNode {
             .collect::<NodeSet>()
             .union(poll.refused);
         let view = self.durable.epoch_view();
-        let rule = &*self.config.rule;
-        if self.vol.plans.plan_for(rule, &view).includes_quorum_with(
-            rule,
-            optimistic,
-            QuorumKind::Read,
-        ) {
+        let plan = self.vol.plans.plan_for(&*self.config.rule, &view);
+        if plan.includes_quorum(optimistic, QuorumKind::Read) {
             FailReason::Contention
         } else {
             FailReason::NoQuorum

@@ -309,11 +309,10 @@ impl ReplicaNode {
     /// synchronously reconciled first (snapshot fetch + restore).
     fn start_wac_commit(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, c: Classified) {
         let good_set = NodeSet::from_iter(c.good.iter().copied());
-        let rule = self.config.rule.clone();
         // One compiled plan covers every quorum test below; the clone out
         // of the cache keeps `self.vol` free for the coordinator borrow.
-        let plan = self.vol.plans.plan_for(&*rule, &c.view).clone();
-        let is_quorum = |nodes| plan.includes_quorum_with(&*rule, nodes, QuorumKind::Write);
+        let plan = self.vol.plans.plan_for(&*self.config.rule, &c.view).clone();
+        let is_quorum = |nodes| plan.includes_quorum(nodes, QuorumKind::Write);
         let Some(InFlight::Write(wc)) = self.vol.ops.get(&op) else {
             return;
         };

@@ -78,7 +78,7 @@ pub fn mc_dynamic_read(n: usize, p: f64, horizon: f64, seed: u64) -> f64 {
         let total = up_count * 1.0 + down_count * mu;
         let dt = -rng.gen::<f64>().max(f64::MIN_POSITIVE).ln() / total;
         let plan = plans.plan_for_set(&*rule, epoch);
-        if !plan.includes_quorum_with(&*rule, up.intersection(epoch), QuorumKind::Read) {
+        if !plan.includes_quorum(up.intersection(epoch), QuorumKind::Read) {
             unavailable += dt;
         }
         t += dt;
@@ -93,9 +93,7 @@ pub fn mc_dynamic_read(n: usize, p: f64, horizon: f64, seed: u64) -> f64 {
         // Instantaneous epoch check (write-quorum reform rule, as in the
         // protocol: epochs change only with a write quorum of the old one).
         let plan = plans.plan_for_set(&*rule, epoch);
-        if epoch != up
-            && plan.includes_quorum_with(&*rule, up.intersection(epoch), QuorumKind::Write)
-        {
+        if epoch != up && plan.includes_quorum(up.intersection(epoch), QuorumKind::Write) {
             epoch = up;
         }
     }

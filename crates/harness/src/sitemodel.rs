@@ -110,7 +110,7 @@ pub fn simulate(config: &SiteModelConfig) -> AvailabilityEstimate {
             }
             EpochDynamics::Exact { rule } | EpochDynamics::Static { rule } => plans
                 .plan_for_set(&**rule, epoch)
-                .includes_quorum_with(&**rule, up.intersection(epoch), QuorumKind::Write),
+                .includes_quorum(up.intersection(epoch), QuorumKind::Write),
         }
     };
     let can_reform = |plans: &mut PlanCache, epoch: NodeSet, up: NodeSet| -> bool {
@@ -128,7 +128,7 @@ pub fn simulate(config: &SiteModelConfig) -> AvailabilityEstimate {
             }
             EpochDynamics::Exact { rule } => plans
                 .plan_for_set(&**rule, epoch)
-                .includes_quorum_with(&**rule, up.intersection(epoch), QuorumKind::Write),
+                .includes_quorum(up.intersection(epoch), QuorumKind::Write),
             EpochDynamics::Static { .. } => false,
         }
     };

@@ -85,8 +85,7 @@ pub fn exact_chain(rule: &dyn CoterieRule, n: usize, lambda: f64, mu: f64) -> Ct
                         // write quorum over the old epoch.
                         let mut survivors = up;
                         survivors.remove(v);
-                        let next = if plan.includes_quorum_with(rule, survivors, QuorumKind::Write)
-                        {
+                        let next = if plan.includes_quorum(survivors, QuorumKind::Write) {
                             ExactState::Available { up: survivors }
                         } else {
                             ExactState::Blocked {
@@ -131,17 +130,14 @@ pub fn exact_chain(rule: &dyn CoterieRule, n: usize, lambda: f64, mu: f64) -> Ct
                     } else {
                         let mut grown = up;
                         grown.insert(v);
-                        let next = if plan.includes_quorum_with(
-                            rule,
-                            grown.intersection(epoch),
-                            QuorumKind::Write,
-                        ) {
-                            // Epoch check succeeds and installs all up
-                            // nodes as the new epoch.
-                            ExactState::Available { up: grown }
-                        } else {
-                            ExactState::Blocked { epoch, up: grown }
-                        };
+                        let next =
+                            if plan.includes_quorum(grown.intersection(epoch), QuorumKind::Write) {
+                                // Epoch check succeeds and installs all up
+                                // nodes as the new epoch.
+                                ExactState::Available { up: grown }
+                            } else {
+                                ExactState::Blocked { epoch, up: grown }
+                            };
                         push(&mut b, &mut queue, &mut seen, state, next, mu);
                     }
                 }
@@ -182,7 +178,7 @@ pub fn exact_unavailability_kind(
         (ExactState::Blocked { epoch, up }, QuorumKind::Read) => {
             let mut plans = plans.borrow_mut();
             let plan = plans.plan_for_set(rule, *epoch);
-            !plan.includes_quorum_with(rule, up.intersection(*epoch), QuorumKind::Read)
+            !plan.includes_quorum(up.intersection(*epoch), QuorumKind::Read)
         }
     }))
 }

@@ -30,7 +30,7 @@ pub fn exact_availability(rule: &dyn CoterieRule, view: &View, p: f64, kind: Quo
         *w = p.powi(k as i32) * q.powi((n - k) as i32);
     }
     // Compile the rule once: the 2^N-iteration loop then runs on pure
-    // bitmask evaluation (or the legacy predicate for uncompiled rules).
+    // bitmask evaluation.
     let plan = rule.compile(view);
     let sum_range = |lo: u32, hi: u32| {
         let mut avail = 0.0;
@@ -42,7 +42,7 @@ pub fn exact_availability(rule: &dyn CoterieRule, view: &View, p: f64, kind: Quo
                 rest &= rest - 1;
                 up |= bits[i];
             }
-            if plan.includes_quorum_with(rule, NodeSet(up), kind) {
+            if plan.includes_quorum(NodeSet(up), kind) {
                 avail += weight[mask.count_ones() as usize];
             }
         }
@@ -228,13 +228,13 @@ pub fn minimal_quorums(rule: &dyn CoterieRule, view: &View, kind: QuorumKind) ->
                 up |= bits[i];
             }
             let s = NodeSet(up);
-            if !plan.includes_quorum_with(rule, s, kind) {
+            if !plan.includes_quorum(s, kind) {
                 continue;
             }
             for node in s.iter() {
                 let mut reduced = s;
                 reduced.remove(node);
-                if plan.includes_quorum_with(rule, reduced, kind) {
+                if plan.includes_quorum(reduced, kind) {
                     continue 'outer; // not minimal
                 }
             }

@@ -56,6 +56,6 @@ pub use majority::{MajorityCoterie, VotingCoterie, WriteSize};
 pub use node::{NodeId, NodeSet, View, MAX_NODES};
 pub use plan::{PlanCache, QuorumPlan};
 pub use rowa::RowaCoterie;
-pub use rule::{is_minimal_quorum, minimize_quorum, quorum_seed, CoterieRule, QuorumKind};
+pub use rule::{quorum_seed, CoterieRule, QuorumKind};
 pub use tree::TreeCoterie;
 pub use weighted::WeightedCoterie;

@@ -22,10 +22,9 @@
 //!   majority-of-children counters.
 //! * **ROWA** — raw mask emptiness / equality tests.
 //!
-//! Rules that do not override [`CoterieRule::compile`] get a *fallback*
-//! plan that retains the view and defers to the legacy predicate through
-//! [`QuorumPlan::includes_quorum_with`]; compiled and fallback plans are
-//! therefore interchangeable at every call site that still holds the rule.
+//! Every rule implements [`CoterieRule::compile`], so the plan is the one
+//! evaluator; the legacy [`CoterieRule::includes_quorum`] predicate is the
+//! oracle the equivalence tests check each plan against.
 //!
 //! A plan is valid only for the exact view it was compiled from — epoch
 //! changes must discard it (see `DESIGN.md`, "Quorum plan compilation").
@@ -98,8 +97,6 @@ enum PlanBody {
     Tree { groups: Vec<TreeGroup> },
     /// Read-one/write-all over the view mask.
     Rowa,
-    /// Uncompiled rule: defer to the legacy predicate against this view.
-    Fallback { view: View },
 }
 
 /// A quorum evaluator compiled for one specific view.
@@ -180,16 +177,6 @@ impl QuorumPlan {
         }
     }
 
-    /// The fallback plan produced by the default [`CoterieRule::compile`]:
-    /// retains the view and evaluates through the legacy predicate (see
-    /// [`includes_quorum_with`](QuorumPlan::includes_quorum_with)).
-    pub fn fallback(view: &View) -> Self {
-        QuorumPlan {
-            view_set: view.set(),
-            body: PlanBody::Fallback { view: view.clone() },
-        }
-    }
-
     /// The member set of the view this plan was compiled for. Useful as a
     /// cache key: a plan is valid exactly as long as the epoch list that
     /// produced it.
@@ -198,19 +185,19 @@ impl QuorumPlan {
         self.view_set
     }
 
-    /// True unless this is a fallback plan deferring to the legacy
-    /// predicate.
+    /// Always true: every rule compiles. Kept only for the frozen
+    /// benchmark's `quorum.compile_ns` probe, which calls it.
     pub fn is_compiled(&self) -> bool {
-        !matches!(self.body, PlanBody::Fallback { .. })
+        true
     }
 
-    /// Evaluates the compiled predicate, or `None` for a fallback plan
-    /// (which needs the rule; see
-    /// [`includes_quorum_with`](QuorumPlan::includes_quorum_with)).
+    /// The compiled `coterie-rule(V, S)`: equal to
+    /// `rule.includes_quorum(view, s, kind)` for the rule and view it was
+    /// compiled from.
     #[inline]
-    pub fn evaluate(&self, s: NodeSet, kind: QuorumKind) -> Option<bool> {
+    pub fn includes_quorum(&self, s: NodeSet, kind: QuorumKind) -> bool {
         let s = s.0 & self.view_set.0;
-        Some(match &self.body {
+        match &self.body {
             PlanBody::Never => false,
             PlanBody::Grid { columns } => {
                 if columns.iter().any(|&c| s & c == 0) {
@@ -257,38 +244,6 @@ impl QuorumPlan {
                 QuorumKind::Read => s != 0,
                 QuorumKind::Write => s == self.view_set.0,
             },
-            PlanBody::Fallback { .. } => return None,
-        })
-    }
-
-    /// The compiled `coterie-rule(V, S)`. Panics on a fallback plan (a rule
-    /// without its own [`CoterieRule::compile`]); use [`Self::includes_quorum_with`].
-    #[inline]
-    pub fn includes_quorum(&self, s: NodeSet, kind: QuorumKind) -> bool {
-        #[expect(clippy::expect_used, reason = "documented panic on a fallback plan")]
-        self.evaluate(s, kind)
-            .expect("fallback quorum plan: evaluate via includes_quorum_with")
-    }
-
-    /// `coterie-rule(V, S)` through the plan, falling back to the legacy
-    /// predicate of `rule` when the plan is uncompiled. Equivalent to
-    /// `rule.includes_quorum(view, s, kind)` for the compiled view.
-    #[inline]
-    pub fn includes_quorum_with(
-        &self,
-        rule: &dyn CoterieRule,
-        s: NodeSet,
-        kind: QuorumKind,
-    ) -> bool {
-        match self.evaluate(s, kind) {
-            Some(v) => v,
-            #[expect(clippy::unreachable, reason = "evaluate is None only for fallbacks")]
-            None => {
-                let PlanBody::Fallback { view } = &self.body else {
-                    unreachable!("evaluate returns None only for fallback plans");
-                };
-                rule.includes_quorum(view, s, kind)
-            }
         }
     }
 
@@ -375,7 +330,6 @@ mod tests {
     /// over every subset of the view (plus one stranger node).
     fn assert_equivalent(rule: &dyn CoterieRule, view: &View) {
         let plan = rule.compile(view);
-        assert!(plan.is_compiled(), "{} did not compile", rule.name());
         assert_eq!(plan.view_set(), view.set());
         let members = view.members();
         assert!(members.len() <= 16, "exhaustive check needs a small view");
@@ -395,10 +349,6 @@ mod tests {
                     rule.includes_quorum(view, s, kind),
                     "{} diverges: view={view:?} s={s:?} kind={kind:?}",
                     rule.name()
-                );
-                assert_eq!(
-                    plan.includes_quorum_with(rule, s, kind),
-                    rule.includes_quorum(view, s, kind),
                 );
             }
         }
@@ -477,49 +427,6 @@ mod tests {
             assert!(!plan.is_read_quorum(NodeSet::first_n(5)));
             assert!(!plan.is_write_quorum(NodeSet::first_n(5)));
         }
-    }
-
-    /// A rule that does not override `compile` exercises the fallback.
-    #[derive(Debug)]
-    struct Uncompiled;
-
-    impl CoterieRule for Uncompiled {
-        fn name(&self) -> &'static str {
-            "uncompiled"
-        }
-
-        fn includes_quorum(&self, view: &View, s: NodeSet, _kind: QuorumKind) -> bool {
-            s.intersection(view.set()).len() == view.len()
-        }
-
-        fn pick_quorum(
-            &self,
-            view: &View,
-            prefer: NodeSet,
-            _seed: u64,
-            _kind: QuorumKind,
-        ) -> Option<NodeSet> {
-            view.set().is_subset_of(prefer).then(|| view.set())
-        }
-    }
-
-    #[test]
-    fn fallback_plan_defers_to_rule() {
-        let rule = Uncompiled;
-        let view = View::first_n(3);
-        let plan = rule.compile(&view);
-        assert!(!plan.is_compiled());
-        assert_eq!(plan.view_set(), view.set());
-        assert!(plan.evaluate(view.set(), QuorumKind::Write).is_none());
-        assert!(plan.includes_quorum_with(&rule, view.set(), QuorumKind::Write));
-        assert!(!plan.includes_quorum_with(&rule, ids(&[0, 1]), QuorumKind::Write));
-    }
-
-    #[test]
-    #[should_panic(expected = "fallback quorum plan")]
-    fn fallback_plan_panics_on_direct_eval() {
-        let plan = Uncompiled.compile(&View::first_n(3));
-        plan.includes_quorum(NodeSet::first_n(3), QuorumKind::Read);
     }
 
     #[test]

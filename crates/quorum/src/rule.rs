@@ -65,18 +65,11 @@ pub trait CoterieRule: Send + Sync + std::fmt::Debug {
     /// availability models, quorum enumeration) should compile once per
     /// view and evaluate through the plan.
     ///
-    /// The default implementation returns a fallback plan that retains the
-    /// view and answers through the legacy
-    /// [`includes_quorum`](CoterieRule::includes_quorum) predicate (via
-    /// [`QuorumPlan::includes_quorum_with`]), so every rule is compilable;
-    /// the shipped rules all override this with genuinely compiled forms.
-    ///
     /// Implementations must be *observationally equivalent*: for every
     /// `S` and kind, the plan's answer must equal
-    /// `self.includes_quorum(view, s, kind)`.
-    fn compile(&self, view: &View) -> QuorumPlan {
-        QuorumPlan::fallback(view)
-    }
+    /// `self.includes_quorum(view, s, kind)`, which the equivalence tests
+    /// use as their oracle.
+    fn compile(&self, view: &View) -> QuorumPlan;
 
     /// Convenience: `coterie-rule` restricted to read quorums.
     fn is_read_quorum(&self, view: &View, s: NodeSet) -> bool {
@@ -102,56 +95,9 @@ pub fn quorum_seed(coordinator: NodeId, op_seq: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Checks whether `quorum` is a *minimal* quorum: removing any member
-/// destroys the quorum property. Useful for tests and enumeration.
-pub fn is_minimal_quorum(
-    rule: &dyn CoterieRule,
-    view: &View,
-    quorum: NodeSet,
-    kind: QuorumKind,
-) -> bool {
-    if !rule.includes_quorum(view, quorum, kind) {
-        return false;
-    }
-    for node in quorum.iter() {
-        let mut reduced = quorum;
-        reduced.remove(node);
-        if rule.includes_quorum(view, reduced, kind) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Shrinks `s` to a minimal quorum by greedily dropping members (highest
-/// names first) while the quorum property is preserved. Returns `None` if `s`
-/// does not include a quorum to begin with.
-pub fn minimize_quorum(
-    rule: &dyn CoterieRule,
-    view: &View,
-    s: NodeSet,
-    kind: QuorumKind,
-) -> Option<NodeSet> {
-    if !rule.includes_quorum(view, s, kind) {
-        return None;
-    }
-    let mut q = s;
-    let mut members = q.to_vec();
-    members.reverse();
-    for node in members {
-        let mut reduced = q;
-        reduced.remove(node);
-        if rule.includes_quorum(view, reduced, kind) {
-            q = reduced;
-        }
-    }
-    Some(q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::majority::MajorityCoterie;
 
     #[test]
     fn quorum_seed_spreads() {
@@ -163,24 +109,5 @@ mod tests {
         assert_ne!(b, c);
         // Deterministic.
         assert_eq!(a, quorum_seed(NodeId(0), 0));
-    }
-
-    #[test]
-    fn minimize_yields_minimal() {
-        let rule = MajorityCoterie::new();
-        let view = View::first_n(5);
-        let all = view.set();
-        let q = minimize_quorum(&rule, &view, all, QuorumKind::Write).unwrap();
-        assert_eq!(q.len(), 3);
-        assert!(is_minimal_quorum(&rule, &view, q, QuorumKind::Write));
-        assert!(!is_minimal_quorum(&rule, &view, all, QuorumKind::Write));
-    }
-
-    #[test]
-    fn minimize_rejects_non_quorum() {
-        let rule = MajorityCoterie::new();
-        let view = View::first_n(5);
-        let s = NodeSet::from_iter([NodeId(0), NodeId(1)]);
-        assert!(minimize_quorum(&rule, &view, s, QuorumKind::Write).is_none());
     }
 }

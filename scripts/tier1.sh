@@ -58,9 +58,6 @@ at_most core.read_p50_us 250 "the median read takes more than one round trip"
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run --workspace
-
 echo "==> cargo clippy -- -D warnings"
 # Carries the repo's own rules (DESIGN.md §8): the determinism and I/O bans
 # of crates/core/clippy.toml, the panic, print and wildcard-arm denies in the
