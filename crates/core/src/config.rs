@@ -83,14 +83,6 @@ pub struct ProtocolConfig {
     /// target; actual retries back off exponentially in the per-target
     /// failed-attempt count (capped at 2⁶×) plus jitter.
     pub propagation_retry: SimDuration,
-    /// If true, propagation locks both replicas for the transfer, exactly
-    /// as the paper's §4.2 pseudo-code does — and, as the paper admits,
-    /// "the propagation can interfere with write operations". The default
-    /// (false) is the optimization the paper sketches ("various logging
-    /// techniques can be employed to avoid using the same lock"): log
-    /// shipping without replica locks, fenced by version-contiguity checks
-    /// and refused while a two-phase commit is touching the target.
-    pub lock_propagation: bool,
     /// §4.1's safety threshold: when a committing write has fewer good
     /// (current) participants than this, the coordinator best-effort
     /// includes additional current replicas from the previous write's
@@ -155,7 +147,6 @@ impl ProtocolConfig {
             write_mode: WriteMode::StaleMarking,
             propagation_jitter: SimDuration::from_millis(20),
             propagation_retry: SimDuration::from_millis(200),
-            lock_propagation: false,
             safety_threshold: 2,
             max_write_batch: 1,
             pipeline_window: 1,
@@ -193,12 +184,6 @@ impl ProtocolConfig {
     /// Sets the write-log retention.
     pub fn log_capacity(mut self, cap: usize) -> Self {
         self.log_cap = cap;
-        self
-    }
-
-    /// Uses the paper's literal locking propagation (ablation baseline).
-    pub fn locking_propagation(mut self) -> Self {
-        self.lock_propagation = true;
         self
     }
 

@@ -337,7 +337,7 @@ impl ReplicaNode {
         commit: bool,
         chain: Option<OpId>,
     ) {
-        self.record_decision(op, commit);
+        self.durable.record_decision(op, commit);
         let optional = ballot.optional_yes.iter().filter(|_| commit);
         for p in ballot.required.iter().copied().chain(optional) {
             ctx.send(p, Msg::Decision { op, commit, chain });
@@ -348,6 +348,7 @@ impl ReplicaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::Durable;
     use crate::engine::{Effect, Input};
     use crate::msg::ClientRequest;
     use crate::store::PartialWrite;
@@ -479,7 +480,9 @@ mod tests {
         for &q in &quorum {
             // The peer's permission server answers, naming everyone good.
             let mut peer = ReplicaNode::new(q, config());
-            peer.durable.last_good = (0..5).map(NodeId).collect();
+            let mut state = Durable::pristine(&peer.config);
+            state.last_good = (0..5).map(NodeId).collect();
+            peer.install_durable(state);
             for effect in deliver(&mut peer, NodeId(0), Msg::WriteReq { op }) {
                 if let Effect::Send { msg, .. } = effect {
                     prepared = deliver(&mut node, q, msg);

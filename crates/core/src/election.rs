@@ -78,7 +78,7 @@ impl ReplicaNode {
             .into_iter()
             .filter(|n| n.0 > self.me.0)
             .collect();
-        let round = self.next_op();
+        let round = self.durable.next_op(self.me);
         if higher.is_empty() {
             // Highest name: win immediately.
             self.become_leader(ctx);

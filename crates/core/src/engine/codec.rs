@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use crate::store::{LogDelta, LogEntry, PageId, PartialWrite};
 
-use super::storage::DurableDelta;
+use crate::durable::DurableDelta;
 
 /// A malformed journal payload: where decoding stopped and why.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -525,9 +525,31 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// A delta with every field set.
     fn rich_delta() -> DurableDelta {
-        let (old, new) = super::super::storage::tests::rich_states();
-        DurableDelta::diff(&old, &new).expect("changed")
+        let op = |seq| OpId {
+            node: NodeId(0),
+            seq,
+        };
+        let write = PartialWrite::new([(0, b("aa"))]);
+        let action = Action::MarkStale { desired_version: 8 };
+        DurableDelta {
+            version: Some(7),
+            stale: Some(true),
+            dversion: Some(9),
+            epoch: Some((3, vec![NodeId(0), NodeId(2), NodeId(3)])),
+            pages: vec![(0, b("aa"))],
+            log: LogDelta {
+                cleared: false,
+                pushed: vec![Arc::new(LogEntry { version: 7, write })],
+            },
+            prepared: Some(Some((op(40), action))),
+            decisions: vec![(op(1), true), (op(2), false)],
+            op_counter: Some(12),
+            last_good: Some(vec![NodeId(0), NodeId(2)]),
+            quarantine_fence: Some(1_000_000),
+            rejoin_pending: Some(true),
+        }
     }
 
     #[test]

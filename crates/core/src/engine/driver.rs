@@ -31,8 +31,9 @@ use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_quorum::NodeId;
 
 use crate::config::ProtocolConfig;
+use crate::durable::Durable;
 use crate::msg::{ClientRequest, Msg, ProtocolEvent};
-use crate::node::{Durable, ReplicaNode, Timer};
+use crate::node::{ReplicaNode, Timer};
 
 use super::failpoint::{sites, FaultKind, FiredFault};
 use super::interp::{EffectInterpreter, Replica, Substrate};

@@ -18,8 +18,9 @@ use crate::node::{ReplicaNode, Timer};
 
 use super::failpoint::{sites, Failpoints, FaultKind};
 use super::io::{Effect, Input};
-use super::storage::{DurableDelta, FramedJournal, ReplayVerdict};
+use super::storage::{FramedJournal, ReplayVerdict};
 use super::trace::{ReplayClass, TraceEvent, TraceRecord, TraceRing, TraceSink};
+use crate::durable::DurableDelta;
 
 /// What the interpreter leaves to its host: the four substrate effects,
 /// and the moment a commit must become stable. A new [`Effect`] variant
@@ -208,8 +209,7 @@ impl EffectInterpreter {
             r.journal.truncate_tail();
             Input::Boot
         } else {
-            replay.durable.stale = true;
-            replay.durable.rejoin_pending = true;
+            replay.durable.quarantine();
             r.journal.reset_to(&replay.durable, &r.node.config);
             Input::BootQuarantined
         };

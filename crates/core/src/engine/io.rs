@@ -11,7 +11,7 @@ use coterie_quorum::NodeId;
 use crate::msg::{ClientRequest, Msg, ProtocolEvent};
 use crate::node::Timer;
 
-use super::storage::DurableDelta;
+use crate::durable::DurableDelta;
 
 /// An event delivered to the replica state machine.
 #[derive(Clone, Debug)]

@@ -23,9 +23,9 @@
 //!
 //! Durable state (the paper's §4 per-node tuple plus the 2PC artifacts)
 //! additionally travels through [`Effect::Persist`]: whenever a step
-//! changes [`Durable`](crate::node::Durable), the engine prepends a
-//! [`DurableDelta`] describing exactly what changed — epoch installation is
-//! a single atomic delta, mirroring the paper's atomic epoch commit.
+//! changes [`Durable`](crate::durable::Durable), the engine prepends the
+//! [`DurableDelta`](crate::durable::DurableDelta) its named transitions
+//! recorded — an epoch installation is one atomic delta, as in the paper.
 //! Journaling hosts run the engine behind the one effect interpreter
 //! (`interp.rs`, crate-private), which commits deltas to a
 //! [`FramedJournal`] before releasing the effects they govern and
@@ -52,7 +52,7 @@ pub use failpoint::{sites, Failpoints, FaultKind, FiredFault};
 pub use io::{Effect, Input};
 pub use metrics::{keys, Histogram, MetricsRegistry};
 pub use rng::Rng64;
-pub use storage::{DurableDelta, FramedJournal, FramedReplay, QuarantineReason, ReplayVerdict};
+pub use storage::{FramedJournal, FramedReplay, QuarantineReason, ReplayVerdict};
 pub use trace::{
     causal_merge, render_jsonl, NoopSink, ReplayClass, TraceEvent, TraceRecord, TraceRing,
     TraceSink,

@@ -14,7 +14,6 @@ use crate::node::{ReplicaNode, Timer, Volatile};
 use super::ctx::NodeCtx;
 use super::io::{Effect, Input};
 use super::metrics::keys;
-use super::storage::DurableDelta;
 use super::trace::{NoopSink, TraceEvent, TraceSink};
 
 impl ReplicaNode {
@@ -65,13 +64,7 @@ impl ReplicaNode {
         self.lamport = lamport;
         self.trace_seq = trace_seq;
 
-        let decided = std::mem::take(&mut self.decided);
-        if let Some(delta) = DurableDelta::capture(&self.shadow, &self.durable, decided) {
-            delta.apply(&mut self.shadow);
-            debug_assert_eq!(
-                self.shadow, self.durable,
-                "delta must capture the full change"
-            );
+        if let Some(delta) = self.durable.take_delta() {
             effects.insert(0, Effect::Persist(Box::new(delta)));
         }
         effects
@@ -207,7 +200,7 @@ impl ReplicaNode {
             Timer::PropKick => self.on_prop_kick(ctx),
             Timer::WriteQueueKick => self.on_write_queue_kick(ctx),
             Timer::PropTimeout { prop } => self.on_prop_timeout(ctx, prop),
-            Timer::PropLease { prop } => self.on_prop_lease(ctx, prop),
+            Timer::PropLease { prop } => self.on_prop_lease(prop),
             Timer::DecisionRetry { op } => self.on_decision_retry(ctx, op),
             Timer::RejoinRetry => self.on_rejoin_retry(ctx),
             Timer::ElectionTimeout { round } => self.on_election_timeout(ctx, round),

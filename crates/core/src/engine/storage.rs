@@ -1,11 +1,11 @@
-//! Durability: per-step deltas and the framed journal they are written to.
+//! The framed journal that durable-state deltas are written to.
 //!
-//! The engine never writes to disk; it *describes* what must become
-//! durable. After every [`step`](crate::node::ReplicaNode::step) that
-//! changes [`Durable`], the engine emits exactly one
-//! [`Effect::Persist`](super::io::Effect::Persist) carrying a
-//! [`DurableDelta`] — the precise set of fields that changed. Three
-//! properties matter:
+//! The engine never writes to disk. A [`step`](crate::node::ReplicaNode::step)
+//! that changes [`Durable`] emits one
+//! [`Effect::Persist`](super::io::Effect::Persist) carrying the
+//! [`DurableDelta`] its named transitions recorded (see
+//! [`crate::durable`]); this module appends such deltas and replays them.
+//! Three properties matter:
 //!
 //! * **Atomicity of epoch installation.** The paper requires the epoch
 //!   tuple `(enumber, elist)` to change atomically; the delta carries the
@@ -14,178 +14,17 @@
 //! * **Write-ahead ordering.** The `Persist` effect is always the *first*
 //!   effect of a step: a host that journals before sending guarantees the
 //!   2PC prepare record is stable before the vote that promises it.
-//! * **Capture costs O(change), not O(history) or O(state).** The scalar
-//!   fields and the pages are *compared* against a shadow copy of the last
-//!   persisted state. The write log is not: a delta says what happened to it
-//!   — the entries this step pushed, found by identity against the shadow
-//!   (`WriteLog::delta_since`) — so a committed write journals its one
-//!   entry, not the log. The one field that grows with uptime — the
-//!   coordinator's append-only decision map — is never compared either:
-//!   every decision enters it through `ReplicaNode::record_decision`, which
-//!   also *records* the pair for the step to drain into its delta. The
-//!   map-scanning `DurableDelta::diff`
-//!   survives in debug builds only, as the oracle every capture is asserted
-//!   equal to: a decision written past the entry point fails the first
-//!   debug test that steps over it instead of going silently un-journaled.
+//! * **Replay is the oracle.** A transition that changed a field without
+//!   recording it shows as a replay that differs from the live state, which
+//!   `crash_replay` checks at every persist boundary.
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::ops::Range;
 
-use bytes::Bytes;
-use coterie_quorum::NodeId;
-
 use crate::config::ProtocolConfig;
-use crate::msg::{Action, OpId};
-use crate::node::Durable;
-use crate::store::{LogDelta, PageId};
-
-/// The durable-state change produced by one engine step.
-///
-/// `None` / empty fields mean "unchanged". [`DurableDelta::apply`] replays
-/// the change onto a [`Durable`]; `DurableDelta::capture` computes it.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DurableDelta {
-    /// New replica version number.
-    pub version: Option<u64>,
-    /// New stale flag.
-    pub stale: Option<bool>,
-    /// New desired version.
-    pub dversion: Option<u64>,
-    /// New epoch `(enumber, elist)` — one field so the pair is atomic.
-    pub epoch: Option<(u64, Vec<NodeId>)>,
-    /// Rewritten pages of the object.
-    pub pages: Vec<(PageId, Bytes)>,
-    /// What happened to the write log: cleared, then these entries pushed.
-    /// Never the log itself — trimming follows from the configured cap.
-    pub log: LogDelta,
-    /// New prepared-transaction slot (outer `Some` = changed; inner
-    /// `Option` is the slot's new value).
-    pub prepared: Option<Option<(OpId, Action)>>,
-    /// Coordinator decisions recorded by this step. The decision map is
-    /// append-only, so a delta only ever adds entries.
-    pub decisions: Vec<(OpId, bool)>,
-    /// New durable operation counter.
-    pub op_counter: Option<u64>,
-    /// New good list from the most recent write.
-    pub last_good: Option<Vec<NodeId>>,
-    /// New quarantine fence (see [`Durable::quarantine_fence`]).
-    pub quarantine_fence: Option<u64>,
-    /// New rejoin-pending flag (see [`Durable::rejoin_pending`]).
-    pub rejoin_pending: Option<bool>,
-}
-
-impl DurableDelta {
-    /// The delta carrying `old` to `new`, or `None` if nothing changed;
-    /// `decided` holds the decisions recorded since `old`, in any order.
-    ///
-    /// [`step`](crate::node::ReplicaNode::step) runs this after every
-    /// input, so it costs O(change): scalars compare as integers, pages per
-    /// slot (by content, unless both are one shared buffer), the log walks
-    /// back over the entries pushed since `old`, and the decision map is not
-    /// read: `decided`, sorted by op id as the map and so the journal always
-    /// ordered it, *is* the addition.
-    pub(crate) fn capture(
-        old: &Durable,
-        new: &Durable,
-        mut decided: Vec<(OpId, bool)>,
-    ) -> Option<DurableDelta> {
-        decided.sort_unstable_by_key(|&(op, _)| op);
-        #[cfg(debug_assertions)]
-        assert_eq!(decided, added_decisions(old, new), "unrecorded decision");
-        let mut d = DurableDelta {
-            version: changed(&old.version, &new.version),
-            stale: changed(&old.stale, &new.stale),
-            dversion: changed(&old.dversion, &new.dversion),
-            log: new.log.delta_since(&old.log),
-            prepared: changed(&old.prepared, &new.prepared),
-            decisions: decided,
-            op_counter: changed(&old.op_counter, &new.op_counter),
-            last_good: changed(&old.last_good, &new.last_good),
-            quarantine_fence: changed(&old.quarantine_fence, &new.quarantine_fence),
-            rejoin_pending: changed(&old.rejoin_pending, &new.rejoin_pending),
-            ..DurableDelta::default()
-        };
-        if new.enumber != old.enumber || new.elist != old.elist {
-            d.epoch = Some((new.enumber, new.elist.clone()));
-        }
-        debug_assert_eq!(old.object.n_pages(), new.object.n_pages());
-        // A page nobody rewrote is still the shadow's own refcounted buffer:
-        // same pointer and length, so equal without reading a byte of it.
-        let shared = |o: &Bytes, n: &Bytes| o.as_ptr() == n.as_ptr() && o.len() == n.len();
-        let pages = (0..=PageId::MAX).map_while(|p| Some((p, new.object.page(p)?)));
-        for (p, n) in pages {
-            // A page `old` lacks compares unequal and is captured.
-            let o = old.object.page(p);
-            if !o.is_some_and(|o| shared(o, n)) && o != Some(n) {
-                d.pages.push((p, n.clone()));
-            }
-        }
-        (!d.is_empty()).then_some(d)
-    }
-
-    /// The delta carrying `old` to `new`, decisions found by scanning `new`'s
-    /// whole map against `old`'s: O(decisions ever made). Debug and test
-    /// builds only — it is the reference the engine's recorded capture is
-    /// asserted against, and what tests holding two bare [`Durable`]s call.
-    #[cfg(any(test, debug_assertions))]
-    pub fn diff(old: &Durable, new: &Durable) -> Option<DurableDelta> {
-        DurableDelta::capture(old, new, added_decisions(old, new))
-    }
-
-    /// True if no field is set.
-    fn is_empty(&self) -> bool {
-        *self == DurableDelta::default()
-    }
-
-    /// Applies this delta to `durable`.
-    pub fn apply(&self, durable: &mut Durable) {
-        set(&mut durable.version, &self.version);
-        set(&mut durable.stale, &self.stale);
-        set(&mut durable.dversion, &self.dversion);
-        if let Some((enumber, elist)) = &self.epoch {
-            durable.enumber = *enumber;
-            durable.elist = elist.clone();
-        }
-        for (p, contents) in &self.pages {
-            durable.object.write_page(*p, contents.clone());
-        }
-        durable.log.apply(&self.log);
-        set(&mut durable.prepared, &self.prepared);
-        for (op, commit) in &self.decisions {
-            durable.decisions.insert(*op, *commit);
-        }
-        set(&mut durable.op_counter, &self.op_counter);
-        set(&mut durable.last_good, &self.last_good);
-        set(&mut durable.quarantine_fence, &self.quarantine_fence);
-        set(&mut durable.rejoin_pending, &self.rejoin_pending);
-    }
-}
-
-/// One `Option` field of a capture: `new`, if it differs from `old`.
-fn changed<T: PartialEq + Clone>(old: &T, new: &T) -> Option<T> {
-    (old != new).then(|| new.clone())
-}
-
-/// One `Option` field of an apply: overwrites `slot` if the delta has a value.
-fn set<T: Clone>(slot: &mut T, value: &Option<T>) {
-    if let Some(value) = value {
-        slot.clone_from(value);
-    }
-}
-
-/// The reference scan: entries of `new`'s decision map absent from `old`'s,
-/// in op-id order (the map's own). Sound as "the additions" because the map
-/// is append-only, which `ReplicaNode::record_decision` asserts.
-#[cfg(any(test, debug_assertions))]
-fn added_decisions(old: &Durable, new: &Durable) -> Vec<(OpId, bool)> {
-    new.decisions
-        .iter()
-        .filter(|(op, _)| !old.decisions.contains_key(op))
-        .map(|(op, commit)| (*op, *commit))
-        .collect()
-}
+use crate::durable::{Durable, DurableDelta};
 
 /// Journal format v2 magic bytes (`"CTJ2"`).
 pub const JOURNAL_MAGIC: [u8; 4] = *b"CTJ2";
@@ -468,8 +307,7 @@ impl FramedJournal {
     /// rejoined with.
     pub fn reset_to(&mut self, durable: &Durable, config: &ProtocolConfig) {
         let mut fresh = FramedJournal::new();
-        let decided = durable.decisions.iter().map(|(op, c)| (*op, *c)).collect();
-        if let Some(delta) = DurableDelta::capture(&Durable::pristine(config), durable, decided) {
+        if let Some(delta) = DurableDelta::image(durable, config) {
             fresh.append_delta(&delta);
         }
         fresh.appended_total = self.appended_total.saturating_add(fresh.count);
@@ -620,10 +458,13 @@ fn quarantined(durable: Durable, records_applied: u64, reason: QuarantineReason)
 }
 
 #[cfg(test)]
-pub(super) mod tests {
+mod tests {
     use super::*;
-    use crate::store::{LogEntry, PartialWrite};
-    use coterie_quorum::GridCoterie;
+    use crate::durable::DurableCell;
+    use crate::msg::OpId;
+    use crate::store::{LogDelta, LogEntry, PageId, PartialWrite};
+    use bytes::Bytes;
+    use coterie_quorum::{GridCoterie, NodeId};
     use std::sync::Arc;
 
     fn cfg() -> ProtocolConfig {
@@ -634,116 +475,9 @@ pub(super) mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
-    #[test]
-    fn diff_of_identical_states_is_none() {
-        let d = Durable::pristine(&cfg());
-        let mut same = d.clone();
-        same.log.clear(); // clearing an empty log is no change either
-        assert!(DurableDelta::diff(&d, &same).is_none());
-    }
-
-    /// A pristine state and one that differs from it in every field (the
-    /// codec tests encode the delta between them).
-    pub(in crate::engine) fn rich_states() -> (Durable, Durable) {
-        let old = Durable::pristine(&cfg());
-        let mut new = old.clone();
-        new.version = 7;
-        new.stale = true;
-        new.dversion = 9;
-        new.enumber = 3;
-        new.elist = vec![NodeId(0), NodeId(2), NodeId(3)];
-        new.object
-            .apply(&PartialWrite::new([(0, b("aa")), (2, b(""))]));
-        new.log.push(LogEntry {
-            version: 7,
-            write: PartialWrite::new([(0, b("aa"))]),
-        });
-        let action = Action::NewEpoch {
-            list: vec![NodeId(0), NodeId(1)],
-            enumber: 4,
-            good: vec![NodeId(0)],
-            stale: vec![NodeId(1)],
-            desired_version: 8,
-        };
-        new.prepared = Some((op(40), action));
-        new.decisions.extend([(op(1), true), (op(2), false)]);
-        new.op_counter = 12;
-        new.last_good = vec![NodeId(0), NodeId(2)];
-        new.quarantine_fence = 1_000_000;
-        new.rejoin_pending = true;
-        (old, new)
-    }
-
-    /// `apply(capture(old, new))(old) == new`, and the delta survives the
-    /// codec; returns what it says about the log.
-    fn round_trip(old: &Durable, new: &Durable) -> LogDelta {
-        let delta = DurableDelta::diff(old, new).expect("changed");
-        let mut rebuilt = old.clone();
-        delta.apply(&mut rebuilt);
-        assert_eq!(&rebuilt, new);
-        let decoded = super::super::codec::decode_delta(&super::super::codec::encode_delta(&delta));
-        assert_eq!(decoded.as_ref(), Ok(&delta));
-        delta.log
-    }
-
-    #[test]
-    fn diff_then_apply_round_trips() {
-        let (old, new) = rich_states();
-        assert_eq!(round_trip(&old, &new).pushed.len(), 1);
-    }
-
-    /// A coordinator holding 3 000 decisions (even seqs), restored the way
-    /// recovery restores it.
-    fn long_lived_coordinator() -> (crate::node::ReplicaNode, Durable) {
-        let config = cfg();
-        let mut held = Durable::pristine(&config);
-        for seq in 1..=3_000u64 {
-            held.decisions.insert(op(2 * seq), seq % 3 == 0);
-        }
-        let mut node = crate::node::ReplicaNode::new(NodeId(0), config);
-        node.install_durable(held.clone());
-        (node, held)
-    }
-
     fn op(seq: u64) -> OpId {
         let node = NodeId(0);
         OpId { node, seq }
-    }
-
-    /// What one step persists (`Crash` touches no durable field itself, so
-    /// the delta is exactly what was recorded before it).
-    fn persisted_by_step(node: &mut crate::node::ReplicaNode) -> Option<DurableDelta> {
-        use super::super::io::{Effect, Input};
-        let effects = node.step(coterie_base::SimTime::ZERO, Input::Crash);
-        effects.into_iter().find_map(|e| match e {
-            Effect::Persist(delta) => Some(*delta),
-            _ => None,
-        })
-    }
-
-    #[test]
-    fn recorded_decisions_come_out_in_op_order_and_match_the_scan() {
-        let (mut node, held) = long_lived_coordinator();
-        // Recorded out of op order; one sorts into the middle of the map.
-        node.record_decision(op(6_001), true);
-        node.record_decision(op(7), false);
-        let scanned = DurableDelta::diff(&held, &node.durable).expect("changed");
-        let delta = persisted_by_step(&mut node).expect("two decisions to persist");
-        assert_eq!(delta.decisions, vec![(op(7), false), (op(6_001), true)]);
-        assert_eq!(delta, scanned);
-        assert_eq!(persisted_by_step(&mut node), None, "drained by the step");
-        // Nor does a recorded decision outlive the state it was made in.
-        node.record_decision(op(9), true);
-        node.install_durable(held);
-        assert_eq!(persisted_by_step(&mut node), None, "cleared by install");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "re-decided")]
-    fn redeciding_an_op_differently_is_caught_at_the_entry_point() {
-        let (mut node, _) = long_lived_coordinator();
-        node.record_decision(op(2), true); // op(2): seq 1, 1 % 3 != 0 => held as abort
     }
 
     fn entry(version: u64) -> LogEntry {
@@ -753,17 +487,12 @@ pub(super) mod tests {
 
     /// The deltas of `n` simple committed writes plus the final state.
     fn build_deltas(config: &ProtocolConfig, n: u64) -> (Vec<DurableDelta>, Durable) {
-        let mut state = Durable::pristine(config);
-        let mut deltas = Vec::new();
-        for v in 1..=n {
-            let mut next = state.clone();
-            next.version = v;
-            next.object.apply(&entry(v).write);
-            next.log.push(entry(v));
-            deltas.push(DurableDelta::diff(&state, &next).expect("changed"));
-            state = next;
-        }
-        (deltas, state)
+        let mut state = DurableCell::new(Durable::pristine(config));
+        let deltas = (1..=n).map(|v| {
+            state.apply_update(&[entry(v).write], v, None, &[]);
+            state.take_delta().expect("changed")
+        });
+        (deltas.collect(), (*state).clone())
     }
 
     /// A journal those deltas were appended to one at a time.
@@ -937,44 +666,6 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn log_delta_is_what_the_step_pushed_not_the_log() {
-        let config = cfg().log_capacity(8);
-        let pristine = Durable::pristine(&config);
-        let mut old = pristine.clone();
-        (1..=5).for_each(|v| old.log.push(entry(v)));
-        // One push: exactly that entry, the very one the live log holds.
-        let mut new = old.clone();
-        new.log.push(entry(6));
-        let log = round_trip(&old, &new);
-        assert_eq!((log.cleared, log.pushed.len()), (false, 1));
-        let newest = new.log.iter().last().expect("just pushed");
-        assert!(std::ptr::eq(&*log.pushed[0], newest));
-        // Several pushes in one step (propagation catch-up), running past
-        // the cap: the pushes alone; replaying them re-trims.
-        (7..=11).for_each(|v| new.log.push(entry(v)));
-        let log = round_trip(&old, &new);
-        assert_eq!((log.cleared, log.pushed.len()), (false, 6));
-        assert_eq!(new.log.len(), 8);
-        // More pushes than the cap holds: nothing of `old` is left to
-        // continue from, so the delta is the whole (cap-sized) log — which
-        // is also what `reset_to` writes, onto a pristine state.
-        (12..=20).for_each(|v| new.log.push(entry(v)));
-        let log = round_trip(&old, &new);
-        assert_eq!((log.cleared, log.pushed.len()), (true, 8));
-        assert_eq!(log.pushed, round_trip(&pristine, &new).pushed);
-        let mut journal = FramedJournal::new();
-        journal.reset_to(&new, &config);
-        assert_eq!(journal.replay_checked(&config).durable, new);
-        // A snapshot restore: cleared; cleared and then pushed.
-        let mut restored = new.clone();
-        restored.log.clear();
-        assert_eq!(round_trip(&new, &restored).pushed.len(), 0);
-        restored.log.push(entry(31));
-        let log = round_trip(&new, &restored);
-        assert_eq!((log.cleared, log.pushed.len()), (true, 1));
-    }
-
-    #[test]
     fn apply_is_total_over_records_of_other_histories() {
         // The benchmark's journal probe replays several nodes' record
         // suffixes onto one pristine state: a pushed entry need not extend
@@ -1010,24 +701,5 @@ pub(super) mod tests {
         journal.buf.truncate(spans[2].end - 1);
         assert_eq!(journal.unit_span(2), Some(spans[1].clone()));
         assert_eq!(journal.unit_span(3), None);
-    }
-
-    #[test]
-    fn epoch_changes_atomically() {
-        let config = cfg();
-        let old = Durable::pristine(&config);
-        let mut new = old.clone();
-        new.enumber = 4;
-        new.elist = vec![NodeId(1), NodeId(3)];
-        let delta = DurableDelta::diff(&old, &new).unwrap();
-        assert_eq!(delta.epoch, Some((4, vec![NodeId(1), NodeId(3)])));
-        // The rest of the delta is empty: nothing else is touched.
-        assert_eq!(
-            DurableDelta {
-                epoch: None,
-                ..delta
-            },
-            DurableDelta::default()
-        );
     }
 }

@@ -75,7 +75,7 @@ impl ReplicaNode {
 
     /// `CheckEpoch`: poll every replica.
     pub(crate) fn start_epoch_check(&mut self, ctx: &mut NodeCtx<'_>) {
-        let op = self.next_op();
+        let op = self.durable.next_op(self.me);
         ctx.trace(TraceEvent::EpochCheckStart {
             op,
             enumber: self.durable.enumber,

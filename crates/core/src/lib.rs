@@ -64,6 +64,7 @@
 pub mod classify;
 pub mod config;
 pub mod coord;
+pub mod durable;
 pub mod election;
 pub mod engine;
 pub mod epoch;
@@ -81,11 +82,12 @@ pub mod write;
 
 pub use classify::Classified;
 pub use config::{Mode, ProtocolConfig, WriteMode};
+pub use durable::{Durable, DurableCell, DurableDelta};
 pub use election::InitiatorPolicy;
 pub use engine::driver::{Envelope, PendingTimer};
 pub use engine::{
-    causal_merge, keys, render_jsonl, DriverEvent, DurableDelta, Effect, Failpoints, FaultKind,
-    FiredFault, FramedJournal, FramedReplay, Histogram, Input, MetricsRegistry, NodeCtx, NoopSink,
+    causal_merge, keys, render_jsonl, DriverEvent, Effect, Failpoints, FaultKind, FiredFault,
+    FramedJournal, FramedReplay, Histogram, Input, MetricsRegistry, NodeCtx, NoopSink,
     QuarantineReason, ReplayClass, ReplayVerdict, Rng64, StepDriver, TraceEvent, TraceRecord,
     TraceRing, TraceSink,
 };
@@ -96,6 +98,6 @@ pub use msg::{
     Action, ClientRequest, FailReason, Msg, MsgClass, OpId, PropPayload, PropReply, ProtocolEvent,
     StateTuple,
 };
-pub use node::{Durable, ReplicaNode, Timer, Volatile};
+pub use node::{ReplicaNode, Timer, Volatile};
 pub use rejoin::RejoinState;
 pub use store::{LogDelta, LogEntry, PageId, PagedObject, PartialWrite, WriteLog};

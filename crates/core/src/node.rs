@@ -5,6 +5,7 @@
 
 use crate::config::{ProtocolConfig, DECISION_RETRY, LOCK_LEASE, RETRY_BACKOFF};
 use crate::coord::InFlight;
+use crate::durable::{Durable, DurableCell};
 use crate::election::ElectionState;
 use crate::engine::metrics::{keys, MetricsRegistry};
 use crate::engine::rng::Rng64;
@@ -12,10 +13,9 @@ use crate::engine::trace::TraceEvent;
 use crate::locks::ReplicaLock;
 use crate::msg::{Action, ClientRequest, OpId};
 use crate::propagate::{IncomingProp, Propagator};
-use crate::store::{PagedObject, WriteLog};
 use crate::write::BatchEntry;
 use coterie_base::{SimDuration, SimTime, TimerId};
-use coterie_quorum::{NodeId, PlanCache, View};
+use coterie_quorum::{NodeId, PlanCache};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Timers used by the protocol.
@@ -81,84 +81,6 @@ pub enum Timer {
         /// The challenge round.
         round: OpId,
     },
-}
-
-/// State that survives crashes (the paper's per-node protocol state of
-/// §4 — version number, epoch number, stale flag, desired version, epoch
-/// list — plus the object, the propagation log, and the 2PC artifacts that
-/// textbook atomic commit requires to be durable).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Durable {
-    /// Replica version number.
-    pub version: u64,
-    /// Stale-data flag.
-    pub stale: bool,
-    /// Desired version number (meaningful only when `stale`).
-    pub dversion: u64,
-    /// Epoch number.
-    pub enumber: u64,
-    /// The epoch list (current epoch members, name-ordered).
-    pub elist: Vec<NodeId>,
-    /// The data item.
-    pub object: PagedObject,
-    /// Recent writes, for incremental propagation.
-    pub log: WriteLog,
-    /// A prepared-but-undecided 2PC action, if any. At most one can exist
-    /// because preparing requires the exclusive replica lock.
-    pub prepared: Option<(OpId, Action)>,
-    /// Commit/abort decisions this node made as a 2PC coordinator.
-    pub decisions: BTreeMap<OpId, bool>,
-    /// Monotonic operation counter (durable so op ids stay unique).
-    pub op_counter: u64,
-    /// Good list recorded by the most recent write this replica
-    /// participated in (safety-threshold extension, §4.1).
-    pub last_good: Vec<NodeId>,
-    /// Amnesia fence after a journal quarantine: 2PC decision records for
-    /// ops this node coordinated with `seq <= quarantine_fence` may have
-    /// been lost with the corrupt journal suffix, so decision queries for
-    /// such ops (absent from [`decisions`](Durable::decisions)) must stay
-    /// *silent* rather than presume abort — a lost commit record presumed
-    /// aborted would let a later read miss an acknowledged write. Zero
-    /// means the journal has never been quarantined.
-    pub quarantine_fence: u64,
-    /// True from a quarantined boot until the stale-rejoin handshake
-    /// completes. Durable because the handshake itself is not: a crash
-    /// during rejoin limbo can replay *clean* (the quarantined boot's own
-    /// delta healed the journal), and a normal boot would otherwise resume
-    /// as an ordinary stale node whose desired version never received the
-    /// rejoin safety bound — the one replica that knows about a lost write
-    /// would silently stop looking for it. While set, every boot re-enters
-    /// the rejoin poll, and the replica stays in limbo (refusing
-    /// permission requests, propagation offers, and 2PC prepares) until
-    /// [`finish_rejoin`](crate::rejoin) clears it.
-    pub rejoin_pending: bool,
-}
-
-impl Durable {
-    /// The pristine durable state a node has before its first write: the
-    /// base state journal replay starts from.
-    pub fn pristine(config: &ProtocolConfig) -> Self {
-        Durable {
-            version: 0,
-            stale: false,
-            dversion: 0,
-            enumber: 0,
-            elist: (0..config.n_replicas as u32).map(NodeId).collect(),
-            object: PagedObject::new(config.n_pages),
-            log: WriteLog::new(config.log_cap),
-            prepared: None,
-            decisions: BTreeMap::new(),
-            op_counter: 0,
-            last_good: Vec::new(),
-            quarantine_fence: 0,
-            rejoin_pending: false,
-        }
-    }
-
-    /// The epoch list as a [`View`].
-    pub fn epoch_view(&self) -> View {
-        View::new(self.elist.iter().copied())
-    }
 }
 
 /// State wiped by a crash.
@@ -255,8 +177,8 @@ pub struct ReplicaNode {
     pub me: NodeId,
     /// Shared configuration.
     pub config: ProtocolConfig,
-    /// Crash-surviving state.
-    pub durable: Durable,
+    /// Crash-surviving state, changed only by its named transitions.
+    pub durable: DurableCell,
     /// Crash-wiped state.
     pub vol: Volatile,
     /// Run-long counters and histograms (measurement only, not protocol
@@ -277,13 +199,6 @@ pub struct ReplicaNode {
     /// Per-node monotonic trace sequence counter (survives crashes, like
     /// the stats — it is measurement state, not protocol state).
     pub(crate) trace_seq: u64,
-    /// Shadow copy of [`durable`](ReplicaNode::durable) as of the last
-    /// emitted `Persist`, used to diff out per-step deltas.
-    pub(crate) shadow: Durable,
-    /// Decisions [`record_decision`](ReplicaNode::record_decision) added to
-    /// the durable map during the current step; `step` drains it into the
-    /// step's delta, so it is empty between steps.
-    pub(crate) decided: Vec<(OpId, bool)>,
 }
 
 /// Context threaded through all protocol handlers (engine-owned).
@@ -292,14 +207,11 @@ pub use crate::engine::ctx::NodeCtx;
 impl ReplicaNode {
     /// Creates a node with pristine durable state.
     pub fn new(me: NodeId, config: ProtocolConfig) -> Self {
-        let durable = Durable::pristine(&config);
         ReplicaNode {
             me,
             rng: Rng64::new(config.seed ^ u64::from(me.0)),
+            durable: DurableCell::new(Durable::pristine(&config)),
             config,
-            shadow: durable.clone(),
-            decided: Vec::new(),
-            durable,
             vol: Volatile::default(),
             stats: MetricsRegistry::new(),
             timer_seq: 0,
@@ -321,39 +233,11 @@ impl ReplicaNode {
     /// Replaces the durable state wholesale — the recovery path for hosts
     /// that reconstruct it from stable storage (see
     /// [`FramedJournal::replay_checked`](crate::engine::FramedJournal::replay_checked))
-    /// instead of trusting the in-memory copy. Resets the persistence
-    /// shadow and the recorded decisions so the next step captures its
-    /// change against the installed state alone.
+    /// instead of trusting the in-memory copy, and how tests set a node up.
+    /// The installed state counts as already durable: the next step
+    /// journals only what it changes.
     pub fn install_durable(&mut self, durable: Durable) {
-        self.shadow = durable.clone();
-        self.durable = durable;
-        self.decided.clear();
-    }
-
-    /// Records this coordinator's 2PC outcome for `op` — the only way a
-    /// decision enters [`Durable::decisions`]. The pair is also noted for
-    /// the step's [`DurableDelta`](crate::engine::DurableDelta), which is
-    /// what lets the capture skip the ever-growing map; that shortcut rests
-    /// on the map being append-only, so an op is never re-decided
-    /// differently (an overwrite would never reach the journal).
-    pub(crate) fn record_decision(&mut self, op: OpId, commit: bool) {
-        let previous = self.durable.decisions.insert(op, commit);
-        debug_assert!(
-            previous.is_none_or(|p| p == commit),
-            "{op:?} re-decided: {previous:?} -> {commit}"
-        );
-        if previous.is_none() {
-            self.decided.push((op, commit));
-        }
-    }
-
-    /// Allocates a fresh operation id.
-    pub fn next_op(&mut self) -> OpId {
-        self.durable.op_counter += 1;
-        OpId {
-            node: self.me,
-            seq: self.durable.op_counter,
-        }
+        self.durable = DurableCell::new(durable);
     }
 
     /// All replica names.
@@ -442,7 +326,7 @@ impl ReplicaNode {
     /// the retry chain that was chasing its outcome: an op that is no longer
     /// in doubt holds no timer.
     pub(crate) fn take_prepared(&mut self, ctx: &mut NodeCtx<'_>) -> Option<(OpId, Action)> {
-        let slot = self.durable.prepared.take();
+        let slot = self.durable.take_prepared();
         let armed = |(op, _): &(OpId, Action)| self.vol.decision_retry_armed.remove(op);
         if let Some(timer) = slot.as_ref().and_then(armed) {
             ctx.cancel_timer(timer);

@@ -5,10 +5,14 @@
 //! list and bring those replicas up to date in the background. Many good
 //! replicas may try; the target serializes them with the three-way offer
 //! reply (`already-recovering` / `i-am-current` / `propagation-permitted`).
-//! Both ends lock their replicas for the duration of the transfer — the
-//! paper notes this simple discipline can interfere with foreground writes
-//! and suggests logging as an optimization; we keep the simple locking and
-//! stagger sources with jitter instead.
+//! The paper's pseudo-code locks both replicas for the transfer and admits
+//! that "the propagation can interfere with write operations", suggesting
+//! logging techniques instead. This is that design, and the only one:
+//! the source ships a log suffix (an immutable snapshot, so it takes no
+//! lock), and the target refuses the offer and the transfer while a
+//! two-phase commit holds its lock or has prepared on it, and applies only
+//! a suffix that continues its own version. Competing sources are
+//! staggered with jitter.
 
 use crate::config::{COLLECT_TIMEOUT, LOCK_LEASE, MAX_PROP_ATTEMPTS, PROPAGATION_COALESCE};
 use crate::engine::metrics::keys;
@@ -44,26 +48,18 @@ pub struct PropFlight {
     pub prop: OpId,
     /// The stale target.
     pub target: NodeId,
-    /// True once the data transfer has been sent.
-    pub sending: bool,
-    /// True while we hold our own replica lock for the transfer.
-    pub holds_lock: bool,
     /// Attempt timeout.
     pub timer: TimerId,
 }
 
 /// Target-side state of an accepted propagation (the paper's
-/// `locked-for-propagation` bit, with the source recorded).
+/// `locked-for-propagation` bit).
 #[derive(Clone, Debug)]
 pub struct IncomingProp {
     /// Attempt id.
     pub prop: OpId,
-    /// The source replica.
-    pub source: NodeId,
-    /// Guard timer releasing the lock if the source vanishes.
+    /// Guard timer freeing the slot if the source vanishes.
     pub lease: TimerId,
-    /// Whether the replica lock was taken (paper's locking mode).
-    pub locked: bool,
 }
 
 impl ReplicaNode {
@@ -141,14 +137,12 @@ impl ReplicaNode {
             return;
         }
         self.vol.propagator.cooldown.remove(&target);
-        let prop = self.next_op();
+        let prop = self.durable.next_op(self.me);
         let timeout = COLLECT_TIMEOUT * 4;
         let timer = ctx.set_timer(timeout, Timer::PropTimeout { prop });
         self.vol.propagator.in_flight = Some(PropFlight {
             prop,
             target,
-            sending: false,
-            holds_lock: false,
             timer,
         });
         ctx.send(
@@ -168,78 +162,26 @@ impl ReplicaNode {
         prop: OpId,
         source_version: u64,
     ) {
-        // Rejoin limbo: the desired version is not known yet, so a safe
-        // source cannot be told from an obsolete one — defer the offer.
-        // "if locked-for-propagation = 1 then reply already-recovering".
-        if self.vol.incoming_prop.is_some() || self.in_rejoin_limbo() {
-            ctx.send(
-                from,
-                Msg::PropResp {
-                    prop,
-                    reply: PropReply::AlreadyRecovering,
-                },
-            );
-            return;
-        }
-        // "if stale-data = 1 and desired-version-number <= v".
-        if !(self.durable.stale && self.durable.dversion <= source_version) {
-            ctx.send(
-                from,
-                Msg::PropResp {
-                    prop,
-                    reply: PropReply::IAmCurrent,
-                },
-            );
-            return;
-        }
-        // Locking mode: take the replica lock (no-wait — a busy replica
-        // defers the recovery). Lock-free mode: refuse only while a
-        // two-phase commit is actively touching this replica, which keeps
+        // "if locked-for-propagation = 1 then reply already-recovering";
+        // rejoin limbo defers the offer too, since the desired version is not
+        // known yet and a safe source cannot be told from an obsolete one.
+        let busy = self.vol.incoming_prop.is_some() || self.in_rejoin_limbo();
+        // "if stale-data = 1 and desired-version-number <= v" ...
+        let wanted = self.durable.stale && self.durable.dversion <= source_version;
+        // ... unless a two-phase commit is touching this replica: that keeps
         // propagation from racing a prepared update.
-        let locked = if self.config.lock_propagation {
-            if !matches!(
-                self.vol.lock.try_exclusive(prop),
-                crate::locks::LockGrant::Granted
-            ) {
-                ctx.send(
-                    from,
-                    Msg::PropResp {
-                        prop,
-                        reply: PropReply::AlreadyRecovering,
-                    },
-                );
-                return;
-            }
-            true
+        let in_2pc = self.vol.lock.exclusive_holder().is_some() || self.durable.prepared.is_some();
+        let reply = if busy || (wanted && in_2pc) {
+            PropReply::AlreadyRecovering
+        } else if !wanted {
+            PropReply::IAmCurrent
         } else {
-            if self.vol.lock.exclusive_holder().is_some() || self.durable.prepared.is_some() {
-                ctx.send(
-                    from,
-                    Msg::PropResp {
-                        prop,
-                        reply: PropReply::AlreadyRecovering,
-                    },
-                );
-                return;
-            }
-            false
+            let lease = ctx.set_timer(LOCK_LEASE, Timer::PropLease { prop });
+            self.vol.incoming_prop = Some(IncomingProp { prop, lease });
+            let target_version = self.durable.version;
+            PropReply::Permitted { target_version }
         };
-        let lease = ctx.set_timer(LOCK_LEASE, Timer::PropLease { prop });
-        self.vol.incoming_prop = Some(IncomingProp {
-            prop,
-            source: from,
-            lease,
-            locked,
-        });
-        ctx.send(
-            from,
-            Msg::PropResp {
-                prop,
-                reply: PropReply::Permitted {
-                    target_version: self.durable.version,
-                },
-            },
-        );
+        ctx.send(from, Msg::PropResp { prop, reply });
     }
 
     /// Source side: the target answered our offer.
@@ -269,24 +211,11 @@ impl ReplicaNode {
                 self.kick_propagation(ctx, false);
             }
             PropReply::Permitted { target_version } => {
-                // Locking mode: "On receiving permission, the coordinator
-                // locks its replica and propagates missing updates".
-                // Lock-free mode: the log suffix is an atomic snapshot, so
-                // no source lock is needed.
-                let source_locked = if self.config.lock_propagation {
-                    matches!(
-                        self.vol.lock.try_exclusive(prop),
-                        crate::locks::LockGrant::Granted
-                    )
-                } else {
-                    false
-                };
-                if self.durable.stale || (self.config.lock_propagation && !source_locked) {
-                    // Our replica is busy (or we were marked stale since):
-                    // abandon this attempt, let the target unlock.
-                    if source_locked {
-                        self.release_lock(ctx, prop);
-                    }
+                // The log suffix is an atomic snapshot, so no source lock
+                // is needed.
+                if self.durable.stale {
+                    // We were marked stale since the offer: abandon this
+                    // attempt and free the target.
                     ctx.send(from, Msg::PropCancel { prop });
                     self.clear_flight(ctx, false);
                     self.bump_attempts(from);
@@ -301,10 +230,6 @@ impl ReplicaNode {
                     },
                 };
                 let source_version = self.durable.version;
-                if let Some(flight) = &mut self.vol.propagator.in_flight {
-                    flight.sending = true;
-                    flight.holds_lock = source_locked;
-                }
                 ctx.send(
                     from,
                     Msg::PropData {
@@ -338,48 +263,13 @@ impl ReplicaNode {
         };
         // Lock-free fence: a two-phase commit grabbed the replica between
         // the offer and the transfer — back off, retry later.
-        if !inc.locked
-            && (self
-                .vol
-                .lock
-                .exclusive_holder()
-                .is_some_and(|holder| holder != prop)
-                || self.durable.prepared.is_some())
-        {
+        if self.vol.lock.exclusive_holder().is_some() || self.durable.prepared.is_some() {
             ctx.cancel_timer(inc.lease);
             ctx.send(from, Msg::PropAck { prop, ok: false });
             return;
         }
-        let ok = match payload {
-            PropPayload::Updates { entries } => {
-                let mut applied = true;
-                for entry in entries {
-                    if entry.version != self.durable.version + 1 {
-                        applied = false;
-                        break;
-                    }
-                    self.durable.object.apply(&entry.write);
-                    self.durable.version = entry.version;
-                    self.durable.log.push(entry);
-                }
-                applied && self.durable.version == source_version
-            }
-            PropPayload::Snapshot { pages, version } => {
-                self.durable.object.restore(pages);
-                self.durable.version = version;
-                self.durable.log.clear();
-                version == source_version
-            }
-        };
-        if ok && self.durable.version >= self.durable.dversion {
-            // Caught up past the desired version: current again.
-            self.durable.stale = false;
-            self.durable.dversion = 0;
-        }
+        let ok = self.durable.apply_propagation(payload, source_version);
         ctx.cancel_timer(inc.lease);
-        if inc.locked {
-            self.release_lock(ctx, prop);
-        }
         ctx.send(from, Msg::PropAck { prop, ok });
     }
 
@@ -416,12 +306,7 @@ impl ReplicaNode {
     /// Target side: the source abandoned a permitted transfer.
     pub(crate) fn srv_prop_cancel(&mut self, ctx: &mut NodeCtx<'_>, _from: NodeId, prop: OpId) {
         match self.vol.incoming_prop.take() {
-            Some(inc) if inc.prop == prop => {
-                ctx.cancel_timer(inc.lease);
-                if inc.locked {
-                    self.release_lock(ctx, prop);
-                }
-            }
+            Some(inc) if inc.prop == prop => ctx.cancel_timer(inc.lease),
             other => self.vol.incoming_prop = other,
         }
     }
@@ -454,24 +339,12 @@ impl ReplicaNode {
         self.kick_propagation(ctx, false);
     }
 
-    /// Target side: a permitted propagation never completed; release the
-    /// lock so foreground work can proceed.
-    pub(crate) fn on_prop_lease(&mut self, ctx: &mut NodeCtx<'_>, prop: OpId) {
-        let matches_incoming = self
-            .vol
-            .incoming_prop
-            .as_ref()
-            .is_some_and(|inc| inc.prop == prop);
-        if matches_incoming {
-            let locked = self
-                .vol
-                .incoming_prop
-                .take()
-                .map(|i| i.locked)
-                .unwrap_or(false);
-            if locked {
-                self.release_lock(ctx, prop);
-            }
+    /// Target side: a permitted propagation never completed; free the
+    /// slot so another source can offer.
+    pub(crate) fn on_prop_lease(&mut self, prop: OpId) {
+        let incoming = &mut self.vol.incoming_prop;
+        if incoming.as_ref().is_some_and(|inc| inc.prop == prop) {
+            *incoming = None;
         }
     }
 
@@ -480,9 +353,6 @@ impl ReplicaNode {
     fn clear_flight(&mut self, ctx: &mut NodeCtx<'_>, done: bool) {
         if let Some(flight) = self.vol.propagator.in_flight.take() {
             ctx.cancel_timer(flight.timer);
-            if flight.holds_lock {
-                self.release_lock(ctx, flight.prop);
-            }
             if done {
                 self.vol.propagator.remaining.remove(flight.target);
                 self.vol.propagator.attempts.remove(&flight.target);

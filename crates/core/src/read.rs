@@ -55,7 +55,7 @@ impl ReadCoordinator {
 impl ReplicaNode {
     /// Starts coordinating a client read.
     pub(crate) fn start_read(&mut self, ctx: &mut NodeCtx<'_>, client_id: u64, attempt: u32) {
-        let op = self.next_op();
+        let op = self.durable.next_op(self.me);
         let view = self.durable.epoch_view();
         let seed = quorum_seed(self.me, op.seq);
         let Some(quorum) = self

@@ -64,7 +64,7 @@ use crate::msg::{Msg, OpId, ProtocolEvent, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
 
 #[expect(unused_imports, reason = "doc links")]
-use crate::node::Durable;
+use crate::durable::Durable;
 
 /// How far the op counter jumps over ids the lost journal suffix could
 /// have allocated. The suffix length is bounded by the journal's record
@@ -97,13 +97,10 @@ impl ReplicaNode {
         // interpreter's recovery already wrote both flags into the
         // quarantine image; they are set here too so the engine keeps the
         // contract on a host that boots it quarantined by other means.
-        self.durable.stale = true;
-        self.durable.rejoin_pending = true;
-        // Fence decision queries for every op id the lost suffix could
-        // have coordinated, then move the counter past the fence so new
-        // ops are never confused with amnesiac ones.
-        self.durable.quarantine_fence = self.durable.op_counter + OP_COUNTER_SKIP;
-        self.durable.op_counter = self.durable.quarantine_fence;
+        // The quarantine also fences decision queries for every op id the
+        // lost suffix could have coordinated, and moves the counter past
+        // the fence so new ops are never confused with amnesiac ones.
+        self.durable.quarantine(OP_COUNTER_SKIP);
         if matches!(self.config.mode, Mode::Dynamic { .. }) {
             self.arm_epoch_tick(ctx);
         }
@@ -114,7 +111,7 @@ impl ReplicaNode {
     /// boot when [`Durable::rejoin_pending`] shows an earlier handshake
     /// was interrupted by a crash.
     pub(crate) fn start_rejoin(&mut self, ctx: &mut NodeCtx<'_>) {
-        let op = self.next_op();
+        let op = self.durable.next_op(self.me);
         ctx.trace(TraceEvent::RejoinStart { op });
         self.vol.rejoin = Some(RejoinState {
             op,
@@ -191,14 +188,6 @@ impl ReplicaNode {
         responses: &BTreeMap<NodeId, StateTuple>,
     ) {
         self.vol.rejoin = None;
-        self.durable.rejoin_pending = false;
-        // Adopt the maximum-epoch (enumber, elist) pair verbatim from a
-        // responder: copying an existing pair preserves the epoch-safety
-        // invariant (equal numbers ⇒ equal lists).
-        if classified.enumber > self.durable.enumber {
-            self.durable.enumber = classified.enumber;
-            self.durable.elist = classified.view.members().to_vec();
-        }
         // Safe desired version, in two parts.
         //
         // (a) Committed writes: every committed write's quorum intersects
@@ -230,7 +219,11 @@ impl ReplicaNode {
             .values()
             .any(|s| s.wlocked && s.prepared_version.is_none());
         let target = committed.max(prepared) + u64::from(lock_hazard);
-        self.durable.dversion = self.durable.dversion.max(target);
+        // Adopt the maximum-epoch (enumber, elist) pair verbatim from a
+        // responder: copying an existing pair preserves the epoch-safety
+        // invariant (equal numbers ⇒ equal lists).
+        let list = classified.view.members();
+        self.durable.end_rejoin(classified.enumber, list, target);
         ctx.trace(TraceEvent::RejoinDone {
             dversion: self.durable.dversion,
             enumber: self.durable.enumber,

@@ -137,7 +137,7 @@ impl ReplicaNode {
 
     /// Opens a write round (permission phase) for `batch`.
     fn begin_write_round(&mut self, ctx: &mut NodeCtx<'_>, batch: Vec<BatchEntry>) {
-        let op = self.next_op();
+        let op = self.durable.next_op(self.me);
         let view = self.durable.epoch_view();
         let seed = quorum_seed(self.me, op.seq);
         // The quorum function; under write-all-current the conventional
@@ -548,7 +548,7 @@ impl ReplicaNode {
             .max(1)
             .min(self.vol.write_queue.len());
         let batch: Vec<BatchEntry> = self.vol.write_queue.drain(..take).collect();
-        Some((self.next_op(), batch))
+        Some((self.durable.next_op(self.me), batch))
     }
 
     /// Opens round k+1 directly in the voting phase: its participants are

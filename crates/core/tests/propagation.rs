@@ -76,13 +76,6 @@ fn trimmed_log_falls_back_to_snapshots() {
 }
 
 #[test]
-fn paper_locking_mode_also_converges() {
-    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9).locking_propagation();
-    let sim = run_with_config(config, 3, 24);
-    assert_propagation_converged(&sim, 9, 24);
-}
-
-#[test]
 fn propagation_source_crash_does_not_leave_target_stuck() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9);
     let n = 9;

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
-    keys, ClientRequest, DriverEvent, Effect, Input, Msg, MsgClass, OpId, PartialWrite,
+    keys, ClientRequest, DriverEvent, Durable, Effect, Input, Msg, MsgClass, OpId, PartialWrite,
     ProtocolConfig, ProtocolEvent, ReplicaNode, StepDriver, Timer,
 };
 use coterie_quorum::{GridCoterie, NodeId};
@@ -154,10 +154,12 @@ fn answer(node: &mut ReplicaNode, msg: Msg) -> (bool, Option<Vec<Bytes>>) {
 #[test]
 fn only_a_granted_read_from_a_non_stale_replica_carries_the_object() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), N).pages(2);
-    let mut node = ReplicaNode::new(NodeId(1), config);
-    node.durable
+    let mut durable = Durable::pristine(&config);
+    durable
         .object
         .apply(&PartialWrite::new([(1, Bytes::from_static(b"payload"))]));
+    let mut node = ReplicaNode::new(NodeId(1), config);
+    node.install_durable(durable.clone());
     let op = |seq| OpId {
         node: NodeId(0),
         seq,
@@ -188,6 +190,7 @@ fn only_a_granted_read_from_a_non_stale_replica_carries_the_object() {
     );
 
     // A stale replica grants the shared lock but ships no object.
-    node.durable.stale = true;
+    durable.stale = true;
+    node.install_durable(durable);
     assert_eq!(answer(&mut node, Msg::ReadReq { op: op(6) }), (true, None));
 }

@@ -30,8 +30,6 @@ fn config() -> ProtocolConfig {
 
 /// One random change — drawn from the kinds the protocol actually makes —
 /// as the delta a step journals for it; `state` tracks where it leads.
-/// Built by hand so the suite runs in every profile; where the scanning
-/// capture exists (debug builds) it must agree.
 fn mutate(state: &mut Durable, rng: &mut Rng64) -> DurableDelta {
     let old = state.clone();
     let mut delta = DurableDelta::default();
@@ -71,8 +69,6 @@ fn mutate(state: &mut Durable, rng: &mut Rng64) -> DurableDelta {
         }
     }
     delta.apply(state);
-    #[cfg(debug_assertions)]
-    assert_eq!(DurableDelta::diff(&old, state).as_ref(), Some(&delta));
     delta
 }
 

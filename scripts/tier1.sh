@@ -21,8 +21,9 @@ echo "==> traced write_leader: history flatness, and what a committed write leav
 # One ratio inside one run, so machine speed cancels, and two counts that
 # repeat exactly for a seed.
 # core.step_growth <= 2.0: one step() must cost at the end of a 6 000-write
-# history what it costs at the start (3.8 if the durable capture rescans the
-# decision table, ~1.0 when it records what changed).
+# history what it costs at the start (3.8 when a step's delta came from
+# rescanning the decision table; ~1.0 now that each durable transition
+# records its own change, so a step reads nothing it did not touch).
 # driver.pending_timers_max <= 64: a decided participant holds no timer (37;
 # 1 368 when every committed write leaves its DecisionRetry chain armed).
 # storage.bytes_per_write <= 1500: a write journals the log entry it pushed
