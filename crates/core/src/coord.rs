@@ -16,7 +16,6 @@ use crate::msg::{Action, Msg, OpId, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
 use crate::read::ReadCoordinator;
 use crate::write::{WPhase, WriteCoordinator};
-use bytes::Bytes;
 use coterie_base::TimerId;
 use coterie_quorum::{NodeId, NodeSet};
 use std::collections::BTreeMap;
@@ -217,7 +216,7 @@ impl ReplicaNode {
         op: OpId,
         granted: bool,
         state: StateTuple,
-        pages: Option<Vec<Bytes>>,
+        pages: Option<crate::store::Pages>,
     ) {
         let me = self.me;
         let Some(entry) = self.vol.ops.get_mut(&op) else {
@@ -470,7 +469,7 @@ mod tests {
     /// extra.
     fn voting_write() -> (ReplicaNode, OpId, Vec<NodeId>, NodeId) {
         let mut node = ReplicaNode::new(NodeId(0), config().safety(5));
-        let write = PartialWrite::new([(0, Bytes::from_static(b"x"))]);
+        let write = PartialWrite::new([(0, bytes::Bytes::from_static(b"x"))]);
         let input = Input::External(ClientRequest::Write { id: 1, write });
         let quorum = sent(&node.step(SimTime::ZERO, input), |m| {
             matches!(m, Msg::WriteReq { .. })

@@ -19,7 +19,7 @@ use coterie_quorum::{NodeId, View};
 
 use crate::config::ProtocolConfig;
 use crate::msg::{Action, OpId, PropPayload};
-use crate::store::{LogDelta, LogEntry, PageId, PagedObject, PartialWrite, WriteLog};
+use crate::store::{LogDelta, LogEntry, PageId, PagedObject, Pages, PartialWrite, WriteLog};
 
 /// State that survives crashes (the paper's per-node protocol state of
 /// §4 — version number, epoch number, stale flag, desired version, epoch
@@ -284,7 +284,7 @@ impl DurableCell {
         &mut self,
         writes: &[PartialWrite],
         new_version: u64,
-        base: Option<&(Vec<Bytes>, u64)>,
+        base: Option<&(Pages, u64)>,
         good: &[NodeId],
     ) {
         put!(self, last_good, good.to_vec());
@@ -372,9 +372,9 @@ impl DurableCell {
     }
 
     /// Replaces the object and its version wholesale; the log restarts.
-    fn restore(&mut self, pages: Vec<Bytes>, version: u64) {
+    fn restore(&mut self, pages: Pages, version: u64) {
         let (s, d) = (&mut self.state, &mut self.delta);
-        for (id, page) in (0..=PageId::MAX).zip(&pages) {
+        for (id, page) in (0..=PageId::MAX).zip(pages.iter()) {
             if s.object.page(id) != Some(page) {
                 note_page(&mut d.pages, id, page.clone());
             }

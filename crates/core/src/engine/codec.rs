@@ -19,7 +19,7 @@ use coterie_quorum::NodeId;
 use crate::msg::{Action, OpId};
 use std::sync::Arc;
 
-use crate::store::{LogDelta, LogEntry, PageId, PartialWrite};
+use crate::store::{LogDelta, LogEntry, PageId, Pages, PartialWrite};
 
 use crate::durable::DurableDelta;
 
@@ -292,7 +292,7 @@ fn put_action(out: &mut Vec<u8>, action: &Action) {
             put_nodes(out, good);
             put_opt(out, base.as_ref(), |out, (pages, version)| {
                 put_len(out, pages.len());
-                for p in pages {
+                for p in pages.iter() {
                     put_bytes(out, p);
                 }
                 put_u64(out, *version);
@@ -480,11 +480,8 @@ impl<'a> Reader<'a> {
                 let good = self.nodes()?;
                 let base = self.opt("base option tag", |r| {
                     let n = r.count("base page count")?;
-                    let mut pages = Vec::with_capacity(n as usize);
-                    for _ in 0..n {
-                        pages.push(r.bytes("base page")?);
-                    }
-                    Ok((pages, r.u64("base version")?))
+                    let pages = (0..n).map(|_| r.bytes("base page"));
+                    Ok((pages.collect::<Result<Pages, _>>()?, r.u64("base version")?))
                 })?;
                 Ok(Action::DoUpdate {
                     writes,
@@ -578,7 +575,7 @@ mod tests {
                 new_version: 3,
                 stale: vec![NodeId(3)],
                 good: vec![NodeId(0), NodeId(1)],
-                base: Some((vec![b("p0"), b("p1")], 1)),
+                base: Some((vec![b("p0"), b("p1")].into(), 1)),
             },
             Action::MarkStale { desired_version: 5 },
             Action::NewEpoch {

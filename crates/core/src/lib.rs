@@ -100,4 +100,4 @@ pub use msg::{
 };
 pub use node::{ReplicaNode, Timer, Volatile};
 pub use rejoin::RejoinState;
-pub use store::{LogDelta, LogEntry, PageId, PagedObject, PartialWrite, WriteLog};
+pub use store::{LogDelta, LogEntry, PageId, PagedObject, Pages, PartialWrite, WriteLog};

@@ -1,7 +1,6 @@
 //! Protocol messages, operation identifiers, and client-facing types.
 
-use crate::store::{LogEntry, PartialWrite};
-use bytes::Bytes;
+use crate::store::{LogEntry, Pages, PartialWrite};
 use coterie_quorum::NodeId;
 
 /// Globally unique operation identifier: the coordinating node plus a
@@ -82,7 +81,7 @@ pub enum Action {
         /// Only the write-all-current baseline uses this — it is exactly
         /// the "synchronously bringing the obsolete replicas up-to-date"
         /// cost the paper's stale-marking design avoids.
-        base: Option<(Vec<Bytes>, u64)>,
+        base: Option<(Pages, u64)>,
     },
     /// Become stale with the given desired version number.
     MarkStale {
@@ -132,7 +131,7 @@ pub enum PropPayload {
     /// Replace the object wholesale.
     Snapshot {
         /// Page contents.
-        pages: Vec<Bytes>,
+        pages: Pages,
         /// Version of the snapshot.
         version: u64,
     },
@@ -170,7 +169,7 @@ pub enum Msg {
         /// granted read answer from a non-stale replica, so a read takes
         /// one round trip. `None` on refusals, stale answers, write grants
         /// and epoch checks.
-        pages: Option<Vec<Bytes>>,
+        pages: Option<Pages>,
     },
     /// Release a lock held by `op` (abort or read completion).
     Release {
@@ -235,7 +234,7 @@ pub enum Msg {
         /// Version of the returned snapshot.
         version: u64,
         /// Page contents.
-        pages: Vec<Bytes>,
+        pages: Pages,
     },
     /// Propagation offer from a good replica (the paper's
     /// `propagation-offer` with the source's version number).
@@ -403,7 +402,7 @@ pub enum ProtocolEvent {
         /// Digest of the returned object (for the consistency checker).
         digest: u64,
         /// The page contents.
-        pages: Vec<Bytes>,
+        pages: Pages,
     },
     /// A write committed.
     WriteOk {

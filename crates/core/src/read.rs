@@ -17,7 +17,7 @@ use crate::coord::{InFlight, Poll};
 use crate::engine::metrics::keys;
 use crate::msg::{ClientRequest, FailReason, Msg, OpId, ProtocolEvent, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
-use bytes::Bytes;
+use crate::store::Pages;
 use coterie_quorum::{quorum_seed, NodeId, NodeSet, QuorumKind};
 
 /// Volatile state of one coordinated read.
@@ -30,7 +30,7 @@ pub struct ReadCoordinator {
     /// The object of the highest-version non-stale grant (ours on a tie),
     /// with that version: the copy the read returns once classification
     /// finds a current replica.
-    pub copy: Option<(u64, Vec<Bytes>)>,
+    pub copy: Option<(u64, Pages)>,
     /// The shared-lock poll.
     pub poll: Poll,
 }
@@ -39,7 +39,7 @@ impl ReadCoordinator {
     /// Keeps the object a granted, non-stale answer carried if it is the
     /// newest so far (ours on a tie), so it is the copy of a current
     /// replica whenever classification finds one.
-    pub(crate) fn keep_copy(&mut self, me: NodeId, state: &StateTuple, pages: Option<Vec<Bytes>>) {
+    pub(crate) fn keep_copy(&mut self, me: NodeId, state: &StateTuple, pages: Option<Pages>) {
         let Some(pages) = pages else {
             return;
         };
@@ -151,7 +151,7 @@ impl ReplicaNode {
         }
     }
 
-    fn finish_read_ok(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, version: u64, pages: Vec<Bytes>) {
+    fn finish_read_ok(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, version: u64, pages: Pages) {
         let Some(InFlight::Read(rc)) = self.vol.ops.remove(&op) else {
             return;
         };
@@ -159,15 +159,10 @@ impl ReplicaNode {
             ctx.send(n, Msg::Release { op });
         }
         self.stats.inc(keys::READS_OK);
-        let digest = {
-            let mut o = crate::store::PagedObject::new(pages.len());
-            o.restore(pages.clone());
-            o.digest()
-        };
         ctx.output(ProtocolEvent::ReadOk {
             id: rc.client_id,
             version,
-            digest,
+            digest: crate::store::digest(&pages),
             pages,
         });
     }

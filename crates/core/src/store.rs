@@ -63,17 +63,20 @@ impl PartialWrite {
     }
 }
 
+/// An immutable image of the whole object, shared by all who hold its version.
+pub type Pages = Arc<[Bytes]>;
+
 /// The materialized data item at one replica.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PagedObject {
-    pages: Vec<Bytes>,
+    pages: Pages,
 }
 
 impl PagedObject {
     /// An object of `n_pages` empty pages.
     pub fn new(n_pages: usize) -> Self {
         PagedObject {
-            pages: vec![Bytes::new(); n_pages],
+            pages: vec![Bytes::new(); n_pages].into(),
         }
     }
 
@@ -91,37 +94,39 @@ impl PagedObject {
     /// (validated at the client boundary; defensive here).
     pub fn apply(&mut self, write: &PartialWrite) {
         for (p, contents) in &write.pages {
-            if let Some(slot) = self.pages.get_mut(*p as usize) {
-                *slot = contents.clone();
-            }
+            self.write_page(*p, contents.clone());
         }
     }
 
-    /// Full snapshot of the pages (cheap: `Bytes` clones are refcounted).
-    pub fn snapshot(&self) -> Vec<Bytes> {
+    /// The object's image, shared rather than copied: later writes leave it as is.
+    pub fn snapshot(&self) -> Pages {
         self.pages.clone()
     }
 
     /// Replaces the whole object from a snapshot.
-    pub fn restore(&mut self, snapshot: Vec<Bytes>) {
+    pub fn restore(&mut self, snapshot: Pages) {
         self.pages = snapshot;
     }
 
-    /// Overwrites one page in place (journal replay). Out-of-range pages
-    /// are ignored, mirroring [`apply`](PagedObject::apply).
+    /// Overwrites one page, copying the image first if a snapshot holds
+    /// it. Out-of-range pages are ignored, mirroring [`apply`](PagedObject::apply).
     pub fn write_page(&mut self, p: PageId, contents: Bytes) {
-        if let Some(slot) = self.pages.get_mut(p as usize) {
-            *slot = contents;
+        if (p as usize) < self.pages.len() {
+            Arc::make_mut(&mut self.pages)[p as usize] = contents;
         }
     }
 
     /// An order-sensitive FNV-1a digest over all pages, used by the
     /// consistency checker to compare replica contents cheaply.
     pub fn digest(&self) -> u64 {
-        self.pages.iter().fold(FNV1A_SEED, |h, page| {
-            fnv1a(fnv1a(h, &(page.len() as u32).to_le_bytes()), page)
-        })
+        digest(&self.pages)
     }
+}
+
+/// The [`PagedObject::digest`] of an object holding `pages`.
+pub(crate) fn digest(pages: &[Bytes]) -> u64 {
+    let fold = |h, page: &Bytes| fnv1a(fnv1a(h, &(page.len() as u32).to_le_bytes()), page);
+    pages.iter().fold(FNV1A_SEED, fold)
 }
 
 /// The FNV-1a offset basis: the hash of no bytes.
@@ -321,14 +326,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trip() {
+    fn a_snapshot_shares_the_image_until_a_write_lands() {
         let mut o = PagedObject::new(3);
-        o.apply(&PartialWrite::new([(1, b("data"))]));
+        o.apply(&PartialWrite::new([(1, b("v1"))]));
         let snap = o.snapshot();
-        let mut other = PagedObject::new(3);
-        other.restore(snap);
-        assert_eq!(o, other);
-        assert_eq!(o.digest(), other.digest());
+        assert!(Arc::ptr_eq(&snap, &o.snapshot()), "unchanged: one image");
+        let (mut applied, mut written, mut restored) = (o.clone(), o.clone(), PagedObject::new(3));
+        applied.apply(&PartialWrite::new([(1, b("v2"))]));
+        written.write_page(0, b("w"));
+        restored.restore(snap.clone());
+        assert_eq!((&restored, restored.digest()), (&o, o.digest()));
+        restored.restore(PagedObject::new(3).snapshot());
+        for changed in [applied, written, restored] {
+            assert!(!Arc::ptr_eq(&snap, &changed.snapshot()));
+        }
+        assert_eq!(snap[..], [Bytes::new(), b("v1"), Bytes::new()]);
     }
 
     #[test]

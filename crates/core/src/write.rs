@@ -20,8 +20,7 @@ use crate::coord::{Ballot, InFlight, Poll};
 use crate::engine::metrics::keys;
 use crate::msg::{Action, ClientRequest, FailReason, Msg, OpId, ProtocolEvent, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
-use crate::store::PartialWrite;
-use bytes::Bytes;
+use crate::store::{Pages, PartialWrite};
 use coterie_base::TimerId;
 use coterie_quorum::{quorum_seed, NodeId, NodeSet, QuorumKind};
 use std::collections::BTreeMap;
@@ -338,7 +337,7 @@ impl ReplicaNode {
         if targets.is_empty() {
             #[expect(clippy::expect_used, reason = "GOOD is nonempty on this path")]
             let version = c.max_version.expect("good nonempty");
-            self.wac_commit_with_base(ctx, op, c, targets, Vec::new(), version);
+            self.wac_commit_with_base(ctx, op, c, targets, Pages::default(), version);
             return;
         }
         // Fetch the snapshot from a current replica (prefer ourselves).
@@ -352,8 +351,7 @@ impl ReplicaNode {
             targets: targets.len(),
         });
         if source == self.me {
-            let pages = self.durable.object.snapshot();
-            let version = self.durable.version;
+            let (pages, version) = (self.durable.object.snapshot(), self.durable.version);
             self.wac_commit_with_base(ctx, op, c, targets, pages, version);
             return;
         }
@@ -380,7 +378,7 @@ impl ReplicaNode {
         op: OpId,
         c: Classified,
         targets: Vec<NodeId>,
-        pages: Vec<Bytes>,
+        pages: Pages,
         base_version: u64,
     ) {
         let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
@@ -426,7 +424,7 @@ impl ReplicaNode {
         ctx: &mut NodeCtx<'_>,
         op: OpId,
         version: u64,
-        pages: Vec<Bytes>,
+        pages: Pages,
     ) {
         let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
             return;

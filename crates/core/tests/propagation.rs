@@ -127,8 +127,9 @@ fn propagation_source_crash_does_not_leave_target_stuck() {
 
 #[test]
 fn stale_replica_never_serves_reads() {
-    // Force a replica stale, then point a read's fetch at the cluster: the
-    // read must come back with the newest version, never the stale copy.
+    // Force replicas stale, then read from every coordinator: a stale
+    // replica's grant carries no object, so each read must come back with
+    // the newest version, never a stale copy.
     let mut config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9)
         // Disable propagation-by-delay so staleness persists during the test.
         .check_period(SimDuration::from_secs(600));

@@ -7,15 +7,17 @@
 //!   object, sends no `MsgClass::Fetch` message, and leaves no shared lock
 //!   or lock lease behind;
 //! * replica level (a lone engine): which answers carry the object — only
-//!   a granted read from a non-stale replica does.
+//!   a granted read from a non-stale replica does;
+//! * sharing: consecutive reads of an unchanged object return one image,
+//!   not a copy each.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
-    keys, ClientRequest, DriverEvent, Durable, Effect, Input, Msg, MsgClass, OpId, PartialWrite,
-    ProtocolConfig, ProtocolEvent, ReplicaNode, StepDriver, Timer,
+    keys, ClientRequest, DriverEvent, Durable, Effect, Input, Msg, MsgClass, OpId, Pages,
+    PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode, StepDriver, Timer,
 };
 use coterie_quorum::{GridCoterie, NodeId};
 
@@ -138,7 +140,7 @@ fn deliver(node: &mut ReplicaNode, msg: Msg) -> Vec<Effect> {
 
 /// The `StateResp` a lone replica sends in answer to `msg`: whether it
 /// granted, and the object it attached.
-fn answer(node: &mut ReplicaNode, msg: Msg) -> (bool, Option<Vec<Bytes>>) {
+fn answer(node: &mut ReplicaNode, msg: Msg) -> (bool, Option<Pages>) {
     deliver(node, msg)
         .into_iter()
         .find_map(|e| match e {
@@ -193,4 +195,32 @@ fn only_a_granted_read_from_a_non_stale_replica_carries_the_object() {
     durable.stale = true;
     node.install_durable(durable);
     assert_eq!(answer(&mut node, Msg::ReadReq { op: op(6) }), (true, None));
+}
+
+#[test]
+fn consecutive_reads_of_an_unchanged_object_share_one_image() {
+    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), N).pages(16);
+    let mut driver = StepDriver::new(N, config);
+    let write = PartialWrite::new([(3, Bytes::from_static(b"v1"))]);
+    driver.inject(NodeId(0), ClientRequest::Write { id: 1, write });
+    drain_messages(&mut driver);
+    // More reads than replicas: two of them come from one replica, and so
+    // (below) return one allocation.
+    for id in 2..=N as u64 + 2 {
+        driver.inject(NodeId(0), ClientRequest::Read { id });
+        drain_messages(&mut driver);
+    }
+    let image = |i: u32| driver.node(NodeId(i)).durable.object.snapshot();
+    let mut reads = 0;
+    for (_, _, event) in driver.outputs() {
+        if let ProtocolEvent::ReadOk { version, pages, .. } = event {
+            assert_eq!(*version, 1);
+            // The result is the live image of the replica that answered:
+            // its grant and the result each took a refcount, no page copy.
+            let shared = (0..N as u32).any(|i| Arc::ptr_eq(pages, &image(i)));
+            assert!(shared, "a read result copied its image");
+            reads += 1;
+        }
+    }
+    assert_eq!(reads, N + 1);
 }

@@ -226,7 +226,7 @@ mod tests {
                 id,
                 version,
                 digest,
-                pages: vec![],
+                pages: Default::default(),
             },
         )
     }
