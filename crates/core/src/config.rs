@@ -21,6 +21,9 @@ pub const MAX_RETRIES: u32 = 6;
 /// Failed propagation attempts per target before the source gives up on it
 /// (the epoch-checking protocol owns long-term repair).
 pub const MAX_PROP_ATTEMPTS: u32 = 10;
+/// Write-log retention (entries) for incremental propagation: a replica
+/// further behind than this is brought current by a snapshot.
+pub const LOG_CAP: usize = 64;
 /// Re-offer coalescing window (DESIGN.md §10): after a peer is brought
 /// current, a re-offer to it (the peer was re-marked stale by newer writes)
 /// waits out this window so one offer — carrying every delta committed
@@ -70,8 +73,6 @@ pub struct ProtocolConfig {
     pub n_replicas: usize,
     /// Pages per data item.
     pub n_pages: usize,
-    /// Write-log retention (entries) for incremental propagation.
-    pub log_cap: usize,
     /// Dynamic or static epoch handling.
     pub mode: Mode,
     /// Stale-marking (paper) or write-all-current (baseline).
@@ -140,7 +141,6 @@ impl ProtocolConfig {
             rule,
             n_replicas,
             n_pages: 16,
-            log_cap: 64,
             mode: Mode::Dynamic {
                 check_period: SimDuration::from_secs(10),
             },
@@ -178,12 +178,6 @@ impl ProtocolConfig {
     /// Sets the number of pages per object.
     pub fn pages(mut self, n: usize) -> Self {
         self.n_pages = n;
-        self
-    }
-
-    /// Sets the write-log retention.
-    pub fn log_capacity(mut self, cap: usize) -> Self {
-        self.log_cap = cap;
         self
     }
 

@@ -17,7 +17,7 @@ use std::ops::Deref;
 use bytes::Bytes;
 use coterie_quorum::{NodeId, View};
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, LOG_CAP};
 use crate::msg::{Action, OpId, PropPayload};
 use crate::store::{LogDelta, LogEntry, PageId, PagedObject, Pages, PartialWrite, WriteLog};
 
@@ -74,7 +74,7 @@ impl Durable {
             enumber: 0,
             elist: (0..config.n_replicas as u32).map(NodeId).collect(),
             object: PagedObject::new(config.n_pages),
-            log: WriteLog::new(config.log_cap),
+            log: WriteLog::new(LOG_CAP),
             prepared: None,
             decisions: BTreeMap::new(),
             op_counter: 0,
@@ -504,7 +504,7 @@ mod tests {
 
     #[test]
     fn a_log_delta_is_what_the_step_pushed_not_the_log() {
-        let config = cfg().log_capacity(8);
+        let config = cfg();
         // `k` writes as one update batch.
         let batch = |k: u64| {
             move |c: &mut DurableCell| {
@@ -520,14 +520,16 @@ mod tests {
             let d = persisted(start, f).expect("changed");
             (d.log.cleared, d.log.pushed.len())
         };
+        let cap = LOG_CAP as u64;
         // Pushes alone while an entry held at the start survives; replay
         // re-trims. A cap's worth or more is "cleared, then the last cap".
         assert_eq!(log(&five, &batch(1)), (false, 1));
-        assert_eq!(log(&five, &batch(7)), (false, 7));
-        assert_eq!(log(&five, &batch(8)), (true, 8));
-        assert_eq!(log(&five, &batch(15)), (true, 8));
+        assert_eq!(log(&five, &batch(cap - 1)), (false, LOG_CAP - 1));
+        assert_eq!(log(&five, &batch(cap)), (true, LOG_CAP));
+        assert_eq!(log(&five, &batch(cap + 7)), (true, LOG_CAP));
         // From an empty log nothing is cleared.
-        assert_eq!(log(&Durable::pristine(&config), &batch(15)), (false, 8));
+        let pristine = Durable::pristine(&config);
+        assert_eq!(log(&pristine, &batch(cap + 7)), (false, LOG_CAP));
         // A snapshot restore: cleared; cleared and then pushed.
         let base = (five.object.snapshot(), 9);
         let restore = |c: &mut DurableCell| {
@@ -540,7 +542,7 @@ mod tests {
         assert_eq!(log(&five, &then_push), (true, 1));
         // The pushed entries are the live log's own.
         let mut cell = DurableCell::new(five);
-        batch(15)(&mut cell);
+        batch(cap + 7)(&mut cell);
         let pushed = cell.take_delta().expect("changed").log.pushed;
         assert!(pushed
             .iter()

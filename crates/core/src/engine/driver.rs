@@ -35,7 +35,7 @@ use crate::durable::Durable;
 use crate::msg::{ClientRequest, Msg, ProtocolEvent};
 use crate::node::{ReplicaNode, Timer};
 
-use super::failpoint::{sites, FaultKind, FiredFault};
+use super::failpoint::{FaultKind, FiredFault};
 use super::interp::{EffectInterpreter, Replica, Substrate};
 use super::io::Input;
 use super::metrics::MetricsRegistry;
@@ -265,9 +265,7 @@ impl StepDriver {
 
     /// Arms a one-shot storage fault at `node`'s next journal append.
     pub fn arm_storage_fault(&mut self, node: NodeId, kind: FaultKind) {
-        self.interps[node.0 as usize]
-            .failpoints
-            .arm(sites::JOURNAL_APPEND, kind);
+        self.interps[node.0 as usize].failpoints.arm(kind);
     }
 
     /// Storage faults that actually fired at `node`, in order.

@@ -1,10 +1,10 @@
 //! Deterministic, seeded storage-fault injection.
 //!
 //! A [`Failpoints`] registry is owned by each replica's effect interpreter
-//! (so both hosts share one fault surface) and consulted at named sites —
-//! e.g. just before a journal commit. Faults fire as one-shot armed events,
-//! and every auxiliary draw (a torn write's cut point, a flipped bit's
-//! position) comes from a private [`Rng64`] stream, so a given
+//! (so both hosts share one fault surface) and consulted once per journal
+//! commit, the one place storage can fail. Faults fire as one-shot armed
+//! events, and every auxiliary draw (a torn write's cut point, a flipped
+//! bit's position) comes from a private [`Rng64`] stream, so a given
 //! `(seed, schedule)` pair injects exactly the same faults on every run.
 //! The registry keeps a log of fired faults so harnesses can report *which*
 //! injections a failing seed performed.
@@ -13,11 +13,11 @@
 //! effect boundary, preserving the sans-I/O contract that `step` is a pure
 //! function of its inputs.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use super::rng::Rng64;
 
-/// The storage faults a host can inject at a persist site.
+/// The storage faults a host can inject at a journal commit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The append fails wholesale: no bytes reach the journal and the
@@ -34,26 +34,18 @@ pub enum FaultKind {
 /// One injected fault, for post-hoc reporting.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FiredFault {
-    /// The site that fired.
-    pub site: String,
     /// The fault injected.
     pub kind: FaultKind,
     /// 0-based global sequence number of the firing.
     pub seq: u64,
 }
 
-/// Well-known failpoint site names shared by hosts and harnesses.
-pub mod sites {
-    /// Consulted once per journal append (the `Persist` effect).
-    pub const JOURNAL_APPEND: &str = "journal.append";
-}
-
 /// A deterministic failpoint registry (see module docs).
 #[derive(Clone, Debug)]
 pub struct Failpoints {
     rng: Rng64,
-    /// One-shot faults, consumed front-first per site.
-    armed: BTreeMap<String, VecDeque<FaultKind>>,
+    /// One-shot faults, consumed front-first.
+    armed: VecDeque<FaultKind>,
     fired: Vec<FiredFault>,
 }
 
@@ -63,29 +55,25 @@ impl Failpoints {
         Failpoints {
             // Decorrelate from engine RNGs, which seed with `seed ^ node`.
             rng: Rng64::new(seed ^ 0xFA11_0000_0000_0001),
-            armed: BTreeMap::new(),
+            armed: VecDeque::new(),
             fired: Vec::new(),
         }
     }
 
-    /// Arms a one-shot fault at `site`; multiple arms queue in order.
-    pub fn arm(&mut self, site: &str, kind: FaultKind) {
-        self.armed
-            .entry(site.to_string())
-            .or_default()
-            .push_back(kind);
+    /// Arms a one-shot fault at the next commit; multiple arms queue in
+    /// order.
+    pub fn arm(&mut self, kind: FaultKind) {
+        self.armed.push_back(kind);
     }
 
-    /// Consults the registry at `site`: the oldest fault armed there fires,
-    /// once. A site with nothing armed never fires and consumes no RNG
-    /// draw, so the injection schedule depends only on what was armed.
-    pub fn check(&mut self, site: &str) -> Option<FaultKind> {
-        let queue = self.armed.get_mut(site)?;
-        let kind = queue.pop_front();
-        if queue.is_empty() {
-            self.armed.remove(site);
-        }
-        kind.map(|kind| self.record(site, kind))
+    /// Consults the registry at a commit: the oldest armed fault fires,
+    /// once. With nothing armed nothing fires and no RNG draw is consumed,
+    /// so the injection schedule depends only on what was armed.
+    pub fn check(&mut self) -> Option<FaultKind> {
+        let kind = self.armed.pop_front()?;
+        let seq = self.fired.len() as u64;
+        self.fired.push(FiredFault { kind, seq });
+        Some(kind)
     }
 
     /// A deterministic auxiliary draw in `0..n` — hosts use this to pick
@@ -101,16 +89,6 @@ impl Failpoints {
     pub fn fired(&self) -> &[FiredFault] {
         &self.fired
     }
-
-    fn record(&mut self, site: &str, kind: FaultKind) -> FaultKind {
-        let seq = self.fired.len() as u64;
-        self.fired.push(FiredFault {
-            site: site.to_string(),
-            kind,
-            seq,
-        });
-        kind
-    }
 }
 
 #[cfg(test)]
@@ -120,26 +98,26 @@ mod tests {
     #[test]
     fn armed_faults_fire_once_in_order() {
         let mut fp = Failpoints::new(1);
-        fp.arm(sites::JOURNAL_APPEND, FaultKind::TornWrite);
-        fp.arm(sites::JOURNAL_APPEND, FaultKind::AppendFail);
-        assert_eq!(fp.check(sites::JOURNAL_APPEND), Some(FaultKind::TornWrite));
-        assert_eq!(fp.check(sites::JOURNAL_APPEND), Some(FaultKind::AppendFail));
-        assert_eq!(fp.check(sites::JOURNAL_APPEND), None);
+        fp.arm(FaultKind::TornWrite);
+        fp.arm(FaultKind::AppendFail);
+        assert_eq!(fp.check(), Some(FaultKind::TornWrite));
+        assert_eq!(fp.check(), Some(FaultKind::AppendFail));
+        assert_eq!(fp.check(), None);
         assert_eq!(fp.fired().len(), 2);
         assert_eq!(fp.fired()[0].kind, FaultKind::TornWrite);
     }
 
     #[test]
-    fn unknown_sites_never_fire_and_consume_no_draws() {
+    fn quiet_checks_never_fire_and_consume_no_draws() {
         let mut a = Failpoints::new(9);
         let mut b = Failpoints::new(9);
-        // `a` first checks a site with nothing armed 50 times.
+        // `a` first checks 50 times with nothing armed.
         for _ in 0..50 {
-            assert_eq!(a.check("nothing.here"), None);
+            assert_eq!(a.check(), None);
         }
         let draws = |fp: &mut Failpoints| {
-            fp.arm("s", FaultKind::TornWrite);
-            (fp.check("s"), [(); 20].map(|()| fp.draw(1000)))
+            fp.arm(FaultKind::TornWrite);
+            (fp.check(), [(); 20].map(|()| fp.draw(1000)))
         };
         assert_eq!(draws(&mut a), draws(&mut b), "quiet checks drew nothing");
     }

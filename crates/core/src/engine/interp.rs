@@ -16,7 +16,7 @@ use crate::config::ProtocolConfig;
 use crate::msg::{Msg, ProtocolEvent};
 use crate::node::{ReplicaNode, Timer};
 
-use super::failpoint::{sites, Failpoints, FaultKind};
+use super::failpoint::{Failpoints, FaultKind};
 use super::io::{Effect, Input};
 use super::storage::{FramedJournal, ReplayVerdict};
 use super::trace::{ReplayClass, TraceEvent, TraceRecord, TraceRing, TraceSink};
@@ -57,8 +57,8 @@ pub struct Replica<'a> {
 /// Per-replica interpreter state (see the module docs).
 #[derive(Clone, Debug)]
 pub struct EffectInterpreter {
-    /// Storage faults injected at this replica's journal boundary; hosts
-    /// arm it at [`sites::JOURNAL_APPEND`], consulted once per commit.
+    /// Storage faults injected at this replica's journal boundary,
+    /// consulted once per commit.
     pub failpoints: Failpoints,
     /// This replica's flight recorder, when tracing is enabled.
     pub tracing: Option<TraceRing>,
@@ -102,8 +102,8 @@ impl EffectInterpreter {
     /// the acks it would have covered. The host must then stop feeding the
     /// node until it has recovered it. A host that owns liveness (the step
     /// driver) also marks it down, so its timers drop and deliveries
-    /// bounce; one that cannot crash itself from inside a substrate
-    /// callback (`JournaledNode`) may keep it *silent until the substrate
+    /// bounce; one that cannot crash itself from inside a runtime step
+    /// (`JournaledNode`) may keep it *silent until the substrate
     /// restarts it* — peers see an unresponsive replica instead of a
     /// bounced call, both within the paper's failure model.
     pub fn step(&mut self, r: &mut Replica<'_>, input: Input, host: &mut impl Substrate) -> bool {
@@ -138,7 +138,7 @@ impl EffectInterpreter {
         host: &mut impl Substrate,
     ) -> bool {
         let delta = std::slice::from_ref(delta);
-        let fault = self.failpoints.check(sites::JOURNAL_APPEND);
+        let fault = self.failpoints.check();
         if let Some(kind) = fault {
             self.trace(r, TraceEvent::FailpointTrip { kind });
         }
@@ -325,7 +325,7 @@ mod tests {
     fn a_failed_commit_emits_no_send_or_output() {
         for kind in [FaultKind::AppendFail, FaultKind::TornWrite] {
             let mut nodes = cluster();
-            nodes[0].0.failpoints.arm(sites::JOURNAL_APPEND, kind);
+            nodes[0].0.failpoints.arm(kind);
             let on_disk = nodes[0].2.replay_checked(&nodes[0].1.config).durable;
             let (ok, host) = step(&mut nodes, NodeId(0), write(1));
             assert!(!ok, "{kind:?}: the step must report the fail-stop");

@@ -48,7 +48,7 @@ pub use codec::{crc32, decode_delta, encode_delta, DecodeError};
 pub use coterie_base::{SimDuration, SimTime, TimerId};
 pub use ctx::NodeCtx;
 pub use driver::{DriverEvent, StepDriver};
-pub use failpoint::{sites, Failpoints, FaultKind, FiredFault};
+pub use failpoint::{Failpoints, FaultKind, FiredFault};
 pub use io::{Effect, Input};
 pub use metrics::{keys, Histogram, MetricsRegistry};
 pub use rng::Rng64;

@@ -1,10 +1,11 @@
 //! The host adapter binding the sans-I/O engine to the `coterie-simnet`
 //! threaded runtime (feature `simnet-host`).
 //!
-//! The adapter is deliberately thin: each runtime callback is translated
-//! into one [`Input`] and the resulting effects land on the runtime's
-//! context. All protocol behaviour lives in the engine and all durability
-//! behaviour in the `EffectInterpreter`; nothing here makes decisions.
+//! The adapter is deliberately thin: [`JournaledNode`] is a runtime
+//! [`Node`] whose step translates each [`Event`] into one [`Input`] and
+//! returns the resulting effects in the runtime's vocabulary. All protocol
+//! behaviour lives in the engine and all durability behaviour in the
+//! `EffectInterpreter`; nothing here makes decisions.
 //!
 //! [`JournaledNode`] runs the engine behind an `EffectInterpreter` over a
 //! framed, checksummed [`FramedJournal`]: every `Persist` delta is
@@ -12,9 +13,9 @@
 //! engine's durable state is **discarded and reinstalled from checked
 //! journal replay** — so a run over `JournaledNode`s proves the journal
 //! alone carries everything the protocol needs across failures. What is
-//! the host's own: applying effects to the [`Ctx`], the [`SyncSink`] that
-//! charges each commit a real `fdatasync`, and the wall-clock histogram of
-//! that cost.
+//! the host's own: translating effects for the runtime, the [`SyncSink`]
+//! that charges each commit a real `fdatasync`, and the wall-clock
+//! histogram of that cost.
 #![expect(
     clippy::disallowed_types,
     clippy::disallowed_methods,
@@ -23,7 +24,7 @@
 
 use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_quorum::NodeId;
-use coterie_simnet::{Application, Ctx};
+use coterie_simnet::{Effect, Event, Node};
 
 use crate::config::ProtocolConfig;
 use crate::engine::interp::{EffectInterpreter, Replica, Substrate};
@@ -31,7 +32,7 @@ use crate::engine::io::Input;
 use crate::engine::metrics::{keys, MetricsRegistry};
 use crate::engine::storage::FramedJournal;
 use crate::engine::trace::TraceRing;
-use crate::engine::{sites, FaultKind};
+use crate::engine::FaultKind;
 use crate::msg::{ClientRequest, Msg, ProtocolEvent};
 use crate::node::{ReplicaNode, Timer};
 
@@ -108,7 +109,7 @@ pub struct JournaledNode {
     /// when the last crash-replay quarantined the journal.
     boot: Input,
     /// Set when a storage fault fail-stopped the node. The runtime still
-    /// counts it as up (a callback cannot crash its own node), so it stays
+    /// counts it as up (a step cannot crash its own node), so it stays
     /// silent — every input swallowed, leftover timers firing into nothing
     /// — until the substrate crashes and restarts it; see the contract on
     /// `EffectInterpreter::step`.
@@ -121,9 +122,6 @@ pub struct JournaledNode {
     sync: Option<SyncSink>,
     /// Host-level metrics: the commit-latency histogram.
     host_metrics: MetricsRegistry,
-    /// The time of the last callback that carried one; `on_crash` has no
-    /// `Ctx`, so its trace records are stamped with this.
-    now: SimTime,
 }
 
 impl JournaledNode {
@@ -138,7 +136,6 @@ impl JournaledNode {
             flushes: 0,
             sync: None,
             host_metrics: MetricsRegistry::new(),
-            now: SimTime::ZERO,
         }
     }
 
@@ -169,55 +166,35 @@ impl JournaledNode {
 
     /// Arms a one-shot storage fault at this node's next journal commit.
     pub fn arm_storage_fault(&mut self, kind: FaultKind) {
-        self.interp.failpoints.arm(sites::JOURNAL_APPEND, kind);
-    }
-
-    /// Feeds `input` to the interpreter against this node's parts and the
-    /// context.
-    fn run(&mut self, ctx: &mut Ctx<'_, Self>, input: Input) {
-        if self.failed {
-            return;
-        }
-        self.now = ctx.now();
-        let mut host = CtxHost {
-            ctx,
-            sync: &mut self.sync,
-            flushes: &mut self.flushes,
-            metrics: &mut self.host_metrics,
-        };
-        let mut replica = Replica {
-            node: &mut self.node,
-            journal: &mut self.journal,
-            now: self.now,
-        };
-        self.failed = !self.interp.step(&mut replica, input, &mut host);
+        self.interp.failpoints.arm(kind);
     }
 }
 
-/// The runtime context plus the host-side durability work, as the
-/// substrate a [`JournaledNode`]'s effects land in.
-struct CtxHost<'a, 'c> {
-    ctx: &'a mut Ctx<'c, JournaledNode>,
+/// The host-side durability work, as the substrate a [`JournaledNode`]'s
+/// effects land in: everything else goes into the step's returned effects.
+struct Outbox<'a> {
+    effects: Vec<Effect<JournaledNode>>,
     sync: &'a mut Option<SyncSink>,
     flushes: &'a mut u64,
     metrics: &'a mut MetricsRegistry,
 }
 
-impl Substrate for CtxHost<'_, '_> {
+impl Substrate for Outbox<'_> {
     fn send(&mut self, to: NodeId, msg: Msg, lamport: u64) {
-        self.ctx.send(to, WireMsg { lamport, msg });
+        let msg = WireMsg { lamport, msg };
+        self.effects.push(Effect::Send { to, msg });
     }
 
     fn set_timer(&mut self, id: TimerId, delay: SimDuration, timer: Timer) {
-        self.ctx.set_timer_with_id(id, delay, timer);
+        self.effects.push(Effect::SetTimer { id, delay, timer });
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
-        self.ctx.cancel_timer(id);
+        self.effects.push(Effect::CancelTimer(id));
     }
 
     fn output(&mut self, event: ProtocolEvent) {
-        self.ctx.output(event);
+        self.effects.push(Effect::Output(event));
     }
 
     fn commit(&mut self, journal: &mut FramedJournal, write: impl FnOnce(&mut FramedJournal)) {
@@ -243,50 +220,46 @@ impl std::ops::Deref for JournaledNode {
     }
 }
 
-impl Application for JournaledNode {
+impl Node for JournaledNode {
     type Msg = WireMsg;
     type Timer = Timer;
     type External = ClientRequest;
     type Output = ProtocolEvent;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let boot = std::mem::replace(&mut self.boot, Input::Boot);
-        self.run(ctx, boot);
-    }
-
-    fn on_crash(&mut self) {
-        // Lose the in-memory durable state and come back from "disk". The
-        // host drops our timers.
+    fn step(&mut self, now: SimTime, event: Event<Self>) -> Vec<Effect<Self>> {
         let mut replica = Replica {
             node: &mut self.node,
             journal: &mut self.journal,
-            now: self.now,
+            now,
         };
-        self.interp.crash(&mut replica);
-        self.boot = self.interp.recover(&mut replica);
-        self.failed = false;
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, wire: WireMsg) {
-        self.run(
-            ctx,
-            Input::Deliver {
+        let input = match event {
+            Event::Start => std::mem::replace(&mut self.boot, Input::Boot),
+            Event::Crash => {
+                // Lose the in-memory durable state and come back from
+                // "disk". The runtime drops our timers.
+                self.interp.crash(&mut replica);
+                self.boot = self.interp.recover(&mut replica);
+                self.failed = false;
+                return Vec::new();
+            }
+            Event::Message { from, msg } => Input::Deliver {
                 from,
-                msg: wire.msg,
-                lamport: wire.lamport,
+                msg: msg.msg,
+                lamport: msg.lamport,
             },
-        );
-    }
-
-    fn on_call_failed(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId, wire: WireMsg) {
-        self.run(ctx, Input::CallFailed { to, msg: wire.msg });
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Timer) {
-        self.run(ctx, Input::TimerFired(timer));
-    }
-
-    fn on_external(&mut self, ctx: &mut Ctx<'_, Self>, request: ClientRequest) {
-        self.run(ctx, Input::External(request));
+            Event::CallFailed { to, msg } => Input::CallFailed { to, msg: msg.msg },
+            Event::Timer(timer) => Input::TimerFired(timer),
+            Event::External(request) => Input::External(request),
+        };
+        let mut host = Outbox {
+            effects: Vec::new(),
+            sync: &mut self.sync,
+            flushes: &mut self.flushes,
+            metrics: &mut self.host_metrics,
+        };
+        if !self.failed {
+            self.failed = !self.interp.step(&mut replica, input, &mut host);
+        }
+        host.effects
     }
 }

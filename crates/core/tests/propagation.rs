@@ -1,15 +1,23 @@
 //! Targeted tests of the §4.2 propagation protocol: incremental log
-//! shipping, the snapshot fallback when the log has been trimmed, the
-//! three-way offer handshake, and the locking-mode ablation.
+//! shipping, the snapshot fallback when the log has been trimmed, a
+//! propagation source crashing mid-transfer, and stale replicas never
+//! serving reads.
 
 mod common;
 
 use bytes::Bytes;
 use common::Cluster;
 use coterie_base::{SimDuration, SimTime};
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent};
+use coterie_core::{config::LOG_CAP, ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent};
 use coterie_quorum::{GridCoterie, NodeId};
 use std::sync::Arc;
+
+fn write(id: u64) -> ClientRequest {
+    ClientRequest::Write {
+        id,
+        write: PartialWrite::new([((id % 4) as u16, Bytes::from(format!("payload-{id}")))]),
+    }
+}
 
 fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Cluster {
     let n = config.n_replicas;
@@ -18,10 +26,7 @@ fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Cluster {
         sim.inject_at(
             SimTime(i * 250_000),
             NodeId((i % n as u64) as u32),
-            ClientRequest::Write {
-                id: i,
-                write: PartialWrite::new([((i % 4) as u16, Bytes::from(format!("payload-{i}")))]),
-            },
+            write(i),
         );
     }
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(writes / 4 + 20));
@@ -61,18 +66,40 @@ fn assert_propagation_converged(sim: &Cluster, n: usize, version: u64) {
 
 #[test]
 fn incremental_log_shipping_converges_everyone() {
-    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9).log_capacity(64);
+    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9);
     let sim = run_with_config(config, 1, 24);
     assert_propagation_converged(&sim, 9, 24);
 }
 
 #[test]
 fn trimmed_log_falls_back_to_snapshots() {
-    // log_capacity(1) guarantees any replica more than one write behind
-    // needs the snapshot path; convergence must still happen.
-    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9).log_capacity(1);
-    let sim = run_with_config(config, 2, 24);
-    assert_propagation_converged(&sim, 9, 24);
+    // Replica 8 misses more than `LOG_CAP` writes while down, so no log
+    // still holds what it lacks: only a snapshot can bring it current.
+    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9);
+    let (n, victim) = (9, NodeId(8));
+    let mut sim = Cluster::new(n, config, 2);
+    sim.inject_at(SimTime::ZERO, NodeId(0), write(0));
+    sim.run_until(SimTime(1_000_000));
+    let before = sim.node(victim).durable.version;
+    sim.crash(victim);
+    for i in 1..=LOG_CAP as u64 + 8 {
+        let at = SimTime(1_000_000 + i * 250_000);
+        sim.inject_at(at, NodeId((i % 8) as u32), write(i));
+    }
+    sim.recover(victim);
+    sim.run_for(SimDuration::from_secs(40));
+    let newest = (0..n as u32)
+        .map(|i| sim.node(NodeId(i)).durable.version)
+        .max()
+        .unwrap_or(0);
+    assert!(newest - before > LOG_CAP as u64, "only {newest} writes");
+    assert_propagation_converged(&sim, n, newest);
+    let caught_up = &sim.node(victim).durable;
+    assert_eq!(caught_up.version, newest, "replica 8 was not repaired");
+    assert!(
+        caught_up.log.is_empty(),
+        "replica 8 was repaired from a log"
+    );
 }
 
 #[test]

@@ -2,19 +2,98 @@
 //! also runs on real OS threads (one per node, `std::sync::mpsc` channels,
 //! node-local wall-clock timers),
 //! behind the journaling host: the protocol implementation is
-//! substrate-independent.
+//! substrate-independent. The host is a plain runtime `Node`, so the first
+//! test drives it by hand, with no runtime at all.
 
 // Deadline polling against the real-thread host needs the real clock.
 #![allow(clippy::disallowed_methods)]
 
 use bytes::Bytes;
 use coterie_core::{
-    ClientRequest, FaultKind, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
+    ClientRequest, FaultKind, JournaledNode, Msg, PartialWrite, ProtocolConfig, ProtocolEvent,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
-use coterie_simnet::{SimDuration, ThreadedRuntime};
+use coterie_simnet::{Effect, Event, Node, SimDuration, SimTime, ThreadedRuntime};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
+
+fn write(id: u64) -> ClientRequest {
+    ClientRequest::Write {
+        id,
+        write: PartialWrite::new([(0, Bytes::from(format!("w{id}")))]),
+    }
+}
+
+/// Steps `nodes[at]` through `event`, then delivers every message sent
+/// since, in FIFO order, until none is left. Timers never fire. Returns
+/// the outputs, and the first step's messages.
+fn settle(
+    nodes: &mut [JournaledNode],
+    at: NodeId,
+    event: Event<JournaledNode>,
+) -> (Vec<ProtocolEvent>, Vec<Msg>) {
+    let (mut outputs, mut first_sends) = (Vec::new(), None);
+    let mut inbox = VecDeque::from([(at, event)]);
+    while let Some((at, event)) = inbox.pop_front() {
+        let mut sent = Vec::new();
+        for effect in nodes[at.index()].step(SimTime::ZERO, event) {
+            match effect {
+                Effect::Send { to, msg } => {
+                    sent.push(msg.msg.clone());
+                    inbox.push_back((to, Event::Message { from: at, msg }));
+                }
+                Effect::Output(out) => outputs.push(out),
+                Effect::SetTimer { .. } | Effect::CancelTimer(_) => {}
+            }
+        }
+        first_sends.get_or_insert(sent);
+    }
+    (outputs, first_sends.unwrap_or_default())
+}
+
+/// The host without its runtime: three `JournaledNode`s stepped by hand
+/// commit a write, restart from their journals, and a journal with a
+/// flipped bit restarts into stale rejoin.
+#[test]
+fn journaled_nodes_step_by_hand_without_a_runtime() {
+    let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3);
+    let mut nodes: Vec<_> = (0..3)
+        .map(|i| JournaledNode::new(NodeId(i), config.clone()))
+        .collect();
+    for i in 0..3 {
+        settle(&mut nodes, NodeId(i), Event::Start);
+    }
+    let (outputs, _) = settle(&mut nodes, NodeId(0), Event::External(write(1)));
+    let committed = |outputs: &[ProtocolEvent], want: u64| {
+        let ok = |e: &ProtocolEvent| matches!(e, ProtocolEvent::WriteOk { id, .. } if *id == want);
+        outputs.iter().any(ok)
+    };
+    assert!(
+        committed(&outputs, 1),
+        "write 1 did not commit: {outputs:?}"
+    );
+
+    // A crash asks for nothing; the restart boots from the journal alone.
+    assert!(nodes[1].step(SimTime::ZERO, Event::Crash).is_empty());
+    settle(&mut nodes, NodeId(1), Event::Start);
+    let node = &nodes[1];
+    assert_eq!(
+        node.journal.replay_checked(&config).durable,
+        node.node.durable
+    );
+    assert_eq!(node.durable.version, 1);
+
+    // A bit flipped by the next commit (the op id write 2 draws) and not
+    // overwritten by a later one quarantines the journal: the restart
+    // polls its peers for stale rejoin instead of booting current.
+    nodes[0].arm_storage_fault(FaultKind::BitFlip);
+    let _lost_with_the_crash = nodes[0].step(SimTime::ZERO, Event::External(write(2)));
+    assert!(nodes[0].step(SimTime::ZERO, Event::Crash).is_empty());
+    let (_, sent) = settle(&mut nodes, NodeId(0), Event::Start);
+    let queries = sent.iter().filter(|m| matches!(m, Msg::RejoinQuery { .. }));
+    assert_eq!(queries.count(), 2, "the restart sent {sent:?}");
+}
 
 /// Epoch checks every `check_ms` of *wall clock*; timeouts as configured.
 fn config(n: usize, check_ms: u64) -> ProtocolConfig {
@@ -55,13 +134,7 @@ fn write_read_settle(config: ProtocolConfig) -> Vec<JournaledNode> {
         JournaledNode::new(id, config.clone())
     });
     for i in 0..5u64 {
-        rt.inject(
-            NodeId((i % 9) as u32),
-            ClientRequest::Write {
-                id: i,
-                write: PartialWrite::new([(0, Bytes::from(format!("w{i}")))]),
-            },
-        );
+        rt.inject(NodeId((i % 9) as u32), write(i));
         // Wait for this write's commit before issuing the next (real time,
         // so ordering is not deterministic otherwise).
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -161,7 +234,7 @@ fn epoch_adapts_to_a_crash_over_real_threads() {
     rt.shutdown();
 }
 
-/// A torn commit fail-stops a `JournaledNode` from inside a callback, where
+/// A torn commit fail-stops a `JournaledNode` from inside a step, where
 /// it cannot mark itself down: the runtime still counts it as up, and it
 /// answers nothing until the runtime crashes and restarts it. The fault is
 /// armed before the node boots, so its first commit — the op counter its
@@ -177,10 +250,6 @@ fn a_torn_commit_silences_the_node_until_the_runtime_restarts_it() {
         }
         node
     });
-    let write = |id: u64| ClientRequest::Write {
-        id,
-        write: PartialWrite::new([(0, Bytes::from(format!("w{id}")))]),
-    };
     let answers = |e: &ProtocolEvent, want: u64| match e {
         ProtocolEvent::WriteOk { id, .. }
         | ProtocolEvent::ReadOk { id, .. }

@@ -10,40 +10,37 @@
 //! * timers with cancellation, kept by each node's own thread: a due timer
 //!   fires ahead of the node's next inbox message.
 //!
-//! Nodes implement the [`Application`] trait; the caller injects client
+//! Nodes implement [`Node`]: the runtime feeds each node [`Event`]s and
+//! applies the [`Effect`]s it returns. The caller injects client
 //! operations, crashes and recoveries through the [`ThreadedRuntime`]
 //! handle. Runs are not reproducible: the deterministic simulator is
 //! `coterie_core::StepDriver`.
 //!
 //! ```
-//! use coterie_simnet::{Application, Ctx, NodeId, ThreadedRuntime};
+//! use coterie_simnet::{Effect, Event, Node, NodeId, SimTime, ThreadedRuntime};
 //! use std::time::Duration;
 //!
-//! struct Echo;
-//! impl Application for Echo {
+//! struct Echo(NodeId);
+//! impl Node for Echo {
 //!     type Msg = String;
 //!     type Timer = ();
-//!     type External = String;
+//!     type External = NodeId;
 //!     type Output = String;
-//!     fn on_start(&mut self, _ctx: &mut Ctx<'_, Self>) {}
-//!     fn on_crash(&mut self) {}
-//!     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: String) {
-//!         if msg.starts_with("ping") {
-//!             ctx.send(from, format!("pong from {}", ctx.me()));
-//!         } else {
-//!             ctx.output(msg);
+//!     fn step(&mut self, _now: SimTime, event: Event<Self>) -> Vec<Effect<Self>> {
+//!         match event {
+//!             Event::External(to) => vec![Effect::Send { to, msg: "ping".into() }],
+//!             Event::Message { from, msg } if msg == "ping" => {
+//!                 let msg = format!("pong from {}", self.0);
+//!                 vec![Effect::Send { to: from, msg }]
+//!             }
+//!             Event::Message { msg, .. } => vec![Effect::Output(msg)],
+//!             _ => Vec::new(),
 //!         }
-//!     }
-//!     fn on_call_failed(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: String) {}
-//!     fn on_timer(&mut self, _: &mut Ctx<'_, Self>, _: ()) {}
-//!     fn on_external(&mut self, ctx: &mut Ctx<'_, Self>, target: String) {
-//!         let to = NodeId(target.parse().unwrap());
-//!         ctx.send(to, "ping".into());
 //!     }
 //! }
 //!
-//! let rt = ThreadedRuntime::spawn(2, 0, Duration::from_millis(20), |_| Echo);
-//! rt.inject(NodeId(0), "1".into());
+//! let rt = ThreadedRuntime::spawn(2, 0, Duration::from_millis(20), Echo);
+//! rt.inject(NodeId(0), NodeId(1));
 //! let (node, out) = rt.recv_output(Duration::from_secs(5)).unwrap();
 //! assert_eq!((node, out.starts_with("pong")), (NodeId(0), true));
 //! rt.shutdown();
@@ -53,13 +50,12 @@
 #![cfg_attr(not(test), deny(clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
-pub mod app;
+pub mod node;
 pub mod threaded;
-pub mod time;
 
-pub use app::{Application, Ctx, TimerId};
+pub use coterie_base::{SimDuration, SimTime, TimerId};
+pub use node::{Effect, Event, Node};
 pub use threaded::ThreadedRuntime;
-pub use time::{SimDuration, SimTime};
 
 // Re-export the node identifier type for convenience.
 pub use coterie_quorum::NodeId;

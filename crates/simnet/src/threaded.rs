@@ -1,4 +1,4 @@
-//! A real-thread runtime for [`Application`] nodes.
+//! A real-thread runtime for [`Node`]s.
 //!
 //! The deterministic `coterie_core::StepDriver` is the measurement
 //! substrate; this module hosts the protocol on OS threads, one per node,
@@ -10,49 +10,42 @@
 //! scheduling is whatever the OS provides, so runs are *not* reproducible
 //! (use the driver for experiments).
 //!
-//! Each node thread is its own event loop. It owns a deadline queue of its
-//! armed timers and the `CallFailed` bounces it owes, and waits on its
-//! inbox only until the earliest of them is due. Every due entry fires
-//! before the next inbox message is taken, so a busy inbox cannot starve a
-//! timer. Cancelling a timer removes its entry; a crash drops the node's
-//! timers but not the bounces it owes. A runtime of `n` nodes runs `n`
-//! threads and no others.
+//! Each node thread is its own event loop. It feeds its node one [`Event`]
+//! at a time and applies the returned [`Effect`]s. It owns a deadline
+//! queue of its node's armed timers and the `CallFailed` bounces it owes,
+//! and waits on its inbox only until the earliest of them is due. Every
+//! due entry fires before the next inbox message is taken, so a busy inbox
+//! cannot starve a timer. Cancelling a timer removes its entry; a crash
+//! drops the node's timers but not the bounces it owes. A runtime of `n`
+//! nodes runs `n` threads and no others.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "this runtime is the real host: wall clocks are its whole point, and its runs are irreproducible by design"
 )]
 
-use crate::app::{Application, Ctx, Effect, TimerId};
-use crate::time::SimTime;
+use crate::node::{Effect, Event, Node};
+use coterie_base::{SimTime, TimerId};
 use coterie_quorum::NodeId;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Inputs delivered to a node thread.
-enum Input<A: Application> {
-    Msg { from: NodeId, msg: A::Msg },
-    CallFailed { to: NodeId, msg: A::Msg },
-    External(A::External),
-    Crash,
-    Recover,
-    Stop,
-}
+/// What a node thread's inbox carries: an event for its node, or `None`,
+/// which stops the thread. A recovery arrives as [`Event::Start`].
+type Inbox<N> = Option<Event<N>>;
 
 /// What a node's deadline queue holds.
-enum Due<A: Application> {
+enum Due<N: Node> {
     /// One of the node's own timers.
-    Timer { id: TimerId, timer: A::Timer },
+    Timer { id: TimerId, timer: N::Timer },
     /// A `CallFailed` this node owes `sender` for its `msg` to `to`.
     Bounce {
         sender: NodeId,
         to: NodeId,
-        msg: A::Msg,
+        msg: N::Msg,
     },
 }
 
@@ -61,21 +54,21 @@ type Key = (Instant, u64);
 
 /// One node's deadline queue, with an index from timer id to queue key so
 /// that a cancel removes the entry instead of leaving it to come due.
-struct Deadlines<A: Application> {
-    queue: BTreeMap<Key, Due<A>>,
+struct Deadlines<N: Node> {
+    queue: BTreeMap<Key, Due<N>>,
     timers: BTreeMap<TimerId, Key>,
     seq: u64,
 }
 
-impl<A: Application> Deadlines<A> {
-    fn push(&mut self, at: Instant, due: Due<A>) -> Key {
+impl<N: Node> Deadlines<N> {
+    fn push(&mut self, at: Instant, due: Due<N>) -> Key {
         self.seq += 1;
         self.queue.insert((at, self.seq), due);
         (at, self.seq)
     }
 
     /// Arms timer `id`, which must not be live already.
-    fn arm(&mut self, at: Instant, id: TimerId, timer: A::Timer) {
+    fn arm(&mut self, at: Instant, id: TimerId, timer: N::Timer) {
         let key = self.push(at, Due::Timer { id, timer });
         self.timers.insert(id, key);
     }
@@ -89,16 +82,16 @@ impl<A: Application> Deadlines<A> {
 }
 
 /// Shared state between node threads and the runtime handle.
-struct Shared<A: Application> {
-    inboxes: Vec<Sender<Input<A>>>,
+struct Shared<N: Node> {
+    inboxes: Vec<Sender<Inbox<N>>>,
     fail_notice: Duration,
     started: Instant,
 }
 
-impl<A: Application> Shared<A> {
-    fn send_input(&self, to: NodeId, input: Input<A>) {
+impl<N: Node> Shared<N> {
+    fn send_event(&self, to: NodeId, event: Event<N>) {
         if let Some(tx) = self.inboxes.get(to.index()) {
-            let _ = tx.send(input);
+            let _ = tx.send(Some(event));
         }
     }
 }
@@ -106,33 +99,34 @@ impl<A: Application> Shared<A> {
 /// The real-thread runtime. Create with [`ThreadedRuntime::spawn`], interact
 /// through the handle, and call [`shutdown`](ThreadedRuntime::shutdown) to
 /// join every node thread.
-pub struct ThreadedRuntime<A: Application + Send + 'static>
+pub struct ThreadedRuntime<N: Node + Send + 'static>
 where
-    A::Msg: Send,
-    A::Timer: Send,
-    A::External: Send,
-    A::Output: Send,
+    N::Msg: Send,
+    N::Timer: Send,
+    N::External: Send,
+    N::Output: Send,
 {
-    shared: Arc<Shared<A>>,
-    outputs: Receiver<(NodeId, A::Output)>,
-    node_handles: Vec<JoinHandle<NodeThread<A>>>,
+    shared: Arc<Shared<N>>,
+    outputs: Receiver<(NodeId, N::Output)>,
+    node_handles: Vec<JoinHandle<NodeThread<N>>>,
 }
 
-impl<A: Application + Send + 'static> ThreadedRuntime<A>
+impl<N: Node + Send + 'static> ThreadedRuntime<N>
 where
-    A::Msg: Send,
-    A::Timer: Send,
-    A::External: Send,
-    A::Output: Send,
+    N::Msg: Send,
+    N::Timer: Send,
+    N::External: Send,
+    N::Output: Send,
 {
     /// Spawns `n` nodes built by `make_node`, each on its own thread.
     /// `fail_notice` is the delay before a sender learns a message to a
-    /// down or nonexistent node could not be delivered.
+    /// down or nonexistent node could not be delivered. The runtime draws
+    /// no randomness, so `_seed` is unused.
     pub fn spawn(
         n: usize,
-        seed: u64,
+        _seed: u64,
         fail_notice: Duration,
-        mut make_node: impl FnMut(NodeId) -> A,
+        mut make_node: impl FnMut(NodeId) -> N,
     ) -> Self {
         let (out_tx, out_rx) = unbounded();
         let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
@@ -151,15 +145,12 @@ where
                     out_tx: out_tx.clone(),
                     me,
                     up: true,
-                    rng: StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37)),
-                    next_timer_id: 1,
-                    effects: Vec::new(),
                     deadlines: Deadlines {
                         queue: BTreeMap::new(),
                         timers: BTreeMap::new(),
                         seq: 0,
                     },
-                    app: make_node(me),
+                    node: make_node(me),
                 };
                 std::thread::spawn(move || node.serve(inbox))
             })
@@ -172,40 +163,40 @@ where
     }
 
     /// Injects an external operation at `node`.
-    pub fn inject(&self, node: NodeId, ext: A::External) {
-        self.shared.send_input(node, Input::External(ext));
+    pub fn inject(&self, node: NodeId, ext: N::External) {
+        self.shared.send_event(node, Event::External(ext));
     }
 
     /// Crashes `node` (volatile state wiped, messages bounce).
     pub fn crash(&self, node: NodeId) {
-        self.shared.send_input(node, Input::Crash);
+        self.shared.send_event(node, Event::Crash);
     }
 
     /// Recovers `node`.
     pub fn recover(&self, node: NodeId) {
-        self.shared.send_input(node, Input::Recover);
+        self.shared.send_event(node, Event::Start);
     }
 
     /// Receives the next output, waiting up to `timeout`.
-    pub fn recv_output(&self, timeout: Duration) -> Option<(NodeId, A::Output)> {
+    pub fn recv_output(&self, timeout: Duration) -> Option<(NodeId, N::Output)> {
         self.outputs.recv_timeout(timeout).ok()
     }
 
     /// Drains all currently available outputs.
-    pub fn drain_outputs(&self) -> Vec<(NodeId, A::Output)> {
+    pub fn drain_outputs(&self) -> Vec<(NodeId, N::Output)> {
         self.outputs.try_iter().collect()
     }
 
     /// Stops every node and joins all threads, returning the final node
     /// states in id order.
-    pub fn shutdown(self) -> Vec<A> {
-        self.stop().into_iter().map(|node| node.app).collect()
+    pub fn shutdown(self) -> Vec<N> {
+        self.stop().into_iter().map(|thread| thread.node).collect()
     }
 
     #[expect(clippy::expect_used, reason = "join fails only if the node panicked")]
-    fn stop(self) -> Vec<NodeThread<A>> {
+    fn stop(self) -> Vec<NodeThread<N>> {
         for tx in &self.shared.inboxes {
-            let _ = tx.send(Input::Stop);
+            let _ = tx.send(None);
         }
         self.node_handles
             .into_iter()
@@ -214,110 +205,96 @@ where
     }
 }
 
-/// One node's thread: its application, its deadline queue, and what a
-/// callback on it needs.
-struct NodeThread<A: Application> {
-    shared: Arc<Shared<A>>,
-    out_tx: Sender<(NodeId, A::Output)>,
+/// One node's thread: its node, its deadline queue, and where its effects
+/// go.
+struct NodeThread<N: Node> {
+    shared: Arc<Shared<N>>,
+    out_tx: Sender<(NodeId, N::Output)>,
     me: NodeId,
     up: bool,
-    rng: StdRng,
-    next_timer_id: u64,
-    effects: Vec<Effect<A>>,
-    deadlines: Deadlines<A>,
-    app: A,
+    deadlines: Deadlines<N>,
+    node: N,
 }
 
-impl<A: Application> NodeThread<A> {
-    /// The node's event loop, until `Stop` or a closed inbox.
-    fn serve(mut self, inbox: Receiver<Input<A>>) -> Self {
-        self.run(|app, ctx| app.on_start(ctx));
-        while let Some(input) = self.next_input(&inbox) {
-            match input {
-                Input::Stop => break,
-                Input::Crash if self.up => {
+impl<N: Node> NodeThread<N> {
+    /// The node's event loop, until it is stopped or its inbox closes.
+    fn serve(mut self, inbox: Receiver<Inbox<N>>) -> Self {
+        self.run(Event::Start);
+        while let Some(event) = self.next_event(&inbox) {
+            match event {
+                Event::Start if !self.up => {
+                    self.up = true;
+                    self.run(Event::Start);
+                }
+                Event::Crash if self.up => {
                     self.up = false;
                     self.deadlines.timers.clear();
                     let queue = &mut self.deadlines.queue;
                     queue.retain(|_, due| matches!(due, Due::Bounce { .. }));
-                    self.app.on_crash();
+                    // A down node does nothing: what its crash step asks
+                    // for is dropped with its timers.
+                    let _ = self.node.step(self.sim_time(Instant::now()), Event::Crash);
                 }
-                Input::Recover if !self.up => {
-                    self.up = true;
-                    self.run(|app, ctx| app.on_start(ctx));
-                }
-                Input::Msg { from, msg } if self.up => {
-                    self.run(|app, ctx| app.on_message(ctx, from, msg));
-                }
-                Input::Msg { from: sender, msg } => {
+                Event::Message { from: sender, msg } if !self.up => {
                     // The host bounces on behalf of the dead node after
                     // the RPC notice delay.
                     let (at, to) = (Instant::now() + self.shared.fail_notice, self.me);
                     self.deadlines.push(at, Due::Bounce { sender, to, msg });
                 }
-                Input::CallFailed { to, msg } if self.up => {
-                    self.run(|app, ctx| app.on_call_failed(ctx, to, msg));
-                }
-                Input::External(ext) if self.up => {
-                    self.run(|app, ctx| app.on_external(ctx, ext));
-                }
-                Input::Crash | Input::Recover | Input::CallFailed { .. } | Input::External(_) => {}
+                Event::Start | Event::Crash => {} // already up, already down
+                event if self.up => self.run(event),
+                _ => {} // a down node takes nothing else
             }
         }
         self
     }
 
-    /// Fires every due queue entry, then waits for the next input until
+    /// Fires every due queue entry, then waits for the next event until
     /// the earliest deadline (or for good, when the queue is empty).
-    fn next_input(&mut self, inbox: &Receiver<Input<A>>) -> Option<Input<A>> {
+    fn next_event(&mut self, inbox: &Receiver<Inbox<N>>) -> Option<Event<N>> {
         loop {
             let Some(head) = self.deadlines.queue.first_entry() else {
-                return inbox.recv().ok();
+                return inbox.recv().ok().flatten();
             };
             let (at, now) = (head.key().0, Instant::now());
             if at > now {
                 match inbox.recv_timeout(at - now) {
                     Err(RecvTimeoutError::Timeout) => continue,
-                    received => return received.ok(),
+                    received => return received.ok().flatten(),
                 }
             }
             match head.remove() {
                 Due::Timer { id, timer } => {
                     self.deadlines.timers.remove(&id);
-                    self.run(|app, ctx| app.on_timer(ctx, timer));
+                    self.run(Event::Timer(timer));
                 }
                 Due::Bounce { sender, to, msg } => {
                     self.shared
-                        .send_input(sender, Input::CallFailed { to, msg });
+                        .send_event(sender, Event::CallFailed { to, msg });
                 }
             }
         }
     }
 
-    /// Runs one application callback, then applies its effects: sends
-    /// become channel deliveries (or bounces), timers enter the deadline
-    /// queue, outputs go to the output channel. One clock reading serves
-    /// the callback's `Ctx::now` and every deadline it arms.
-    fn run(&mut self, f: impl FnOnce(&mut A, &mut Ctx<'_, A>)) {
-        let (shared, me, now) = (&self.shared, self.me, Instant::now());
-        {
-            let mut ctx = Ctx {
-                me,
-                now: SimTime(now.duration_since(shared.started).as_micros() as u64),
-                rng: &mut self.rng,
-                effects: &mut self.effects,
-                next_timer_id: &mut self.next_timer_id,
-            };
-            f(&mut self.app, &mut ctx);
-        }
-        for effect in self.effects.drain(..) {
+    /// `at` on the runtime's clock.
+    fn sim_time(&self, at: Instant) -> SimTime {
+        SimTime(at.duration_since(self.shared.started).as_micros() as u64)
+    }
+
+    /// Feeds the node one event, then applies the effects it returns:
+    /// sends become channel deliveries (or bounces), timers enter the
+    /// deadline queue, outputs go to the output channel. One clock reading
+    /// serves the step's `now` and every deadline it arms.
+    fn run(&mut self, event: Event<N>) {
+        let (me, now) = (self.me, Instant::now());
+        for effect in self.node.step(self.sim_time(now), event) {
             match effect {
-                Effect::Send { to, msg } => match shared.inboxes.get(to.index()) {
+                Effect::Send { to, msg } => match self.shared.inboxes.get(to.index()) {
                     Some(tx) => {
-                        let _ = tx.send(Input::Msg { from: me, msg });
+                        let _ = tx.send(Some(Event::Message { from: me, msg }));
                     }
                     None => {
-                        let (at, sender) = (now + shared.fail_notice, me);
+                        let (at, sender) = (now + self.shared.fail_notice, me);
                         self.deadlines.push(at, Due::Bounce { sender, to, msg });
                     }
                 },
@@ -325,7 +302,7 @@ impl<A: Application> NodeThread<A> {
                     let at = now + Duration::from_micros(delay.micros());
                     self.deadlines.arm(at, id, timer);
                 }
-                Effect::CancelTimer { id } => self.deadlines.cancel(id),
+                Effect::CancelTimer(id) => self.deadlines.cancel(id),
                 Effect::Output(out) => {
                     let _ = self.out_tx.send((me, out));
                 }
@@ -337,47 +314,45 @@ impl<A: Application> NodeThread<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+    use coterie_base::SimDuration;
 
-    /// Minimal ping-counting app.
+    /// Minimal ping-counting node.
     #[derive(Default)]
     struct Counter {
         pings: u64,
         durable: u64,
     }
 
-    #[derive(Clone, Debug)]
     enum M {
         Ping,
         Pong,
     }
 
-    impl Application for Counter {
+    impl Node for Counter {
         type Msg = M;
         type Timer = ();
         type External = NodeId; // "ping this node"
         type Output = u64;
 
-        fn on_start(&mut self, _ctx: &mut Ctx<'_, Self>) {}
-        fn on_crash(&mut self) {
-            self.pings = 0; // volatile
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: M) {
-            match msg {
-                M::Ping => ctx.send(from, M::Pong),
-                M::Pong => {
+        fn step(&mut self, _now: SimTime, event: Event<Self>) -> Vec<Effect<Self>> {
+            match event {
+                Event::External(to) => vec![Effect::Send { to, msg: M::Ping }],
+                Event::Message { from, msg: M::Ping } => vec![Effect::Send {
+                    to: from,
+                    msg: M::Pong,
+                }],
+                Event::Message { msg: M::Pong, .. } => {
                     self.pings += 1;
                     self.durable += 1;
-                    ctx.output(self.pings);
+                    vec![Effect::Output(self.pings)]
                 }
+                Event::CallFailed { .. } => vec![Effect::Output(u64::MAX)], // bounce marker
+                Event::Crash => {
+                    self.pings = 0; // volatile
+                    Vec::new()
+                }
+                Event::Start | Event::Timer(()) => Vec::new(),
             }
-        }
-        fn on_call_failed(&mut self, ctx: &mut Ctx<'_, Self>, _to: NodeId, _msg: M) {
-            ctx.output(u64::MAX); // bounce marker
-        }
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _t: ()) {}
-        fn on_external(&mut self, ctx: &mut Ctx<'_, Self>, target: NodeId) {
-            ctx.send(target, M::Ping);
         }
     }
 
@@ -387,9 +362,9 @@ mod tests {
     struct Alarm {
         spins: u64,
         fired: bool,
+        last_timer: u64,
     }
 
-    #[derive(Debug)]
     enum Cmd {
         /// Arm a timer of this many ms.
         Arm(u64),
@@ -399,38 +374,44 @@ mod tests {
         Spin,
     }
 
-    impl Application for Alarm {
+    impl Alarm {
+        fn arm(&mut self, ms: u64) -> Effect<Self> {
+            self.last_timer += 1;
+            let (id, delay) = (TimerId(self.last_timer), SimDuration::from_millis(ms));
+            Effect::SetTimer {
+                id,
+                delay,
+                timer: ms,
+            }
+        }
+    }
+
+    impl Node for Alarm {
         type Msg = ();
         type Timer = u64;
         type External = Cmd;
         type Output = u64; // 0 = armed, else the delay of the timer that fired
 
-        fn on_start(&mut self, _ctx: &mut Ctx<'_, Self>) {}
-        fn on_crash(&mut self) {}
-        fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _from: NodeId, _msg: ()) {
-            if !self.fired {
-                self.spins += 1;
-                ctx.send(ctx.me(), ());
-            }
-        }
-        fn on_call_failed(&mut self, _ctx: &mut Ctx<'_, Self>, _to: NodeId, _msg: ()) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, ms: u64) {
-            self.fired = true;
-            ctx.output(ms);
-        }
-        fn on_external(&mut self, ctx: &mut Ctx<'_, Self>, cmd: Cmd) {
-            match cmd {
-                Cmd::Arm(ms) => {
-                    ctx.set_timer(SimDuration::from_millis(ms), ms);
-                    ctx.output(0);
+        fn step(&mut self, _now: SimTime, event: Event<Self>) -> Vec<Effect<Self>> {
+            let to_self = Effect::Send {
+                to: NodeId(0),
+                msg: (),
+            };
+            match event {
+                Event::Message { .. } if !self.fired => {
+                    self.spins += 1;
+                    vec![to_self]
                 }
-                Cmd::ArmCancel(n, ms) => {
-                    for _ in 0..n {
-                        let id = ctx.set_timer(SimDuration::from_millis(ms), ms);
-                        ctx.cancel_timer(id);
-                    }
+                Event::Timer(ms) => {
+                    self.fired = true;
+                    vec![Effect::Output(ms)]
                 }
-                Cmd::Spin => ctx.send(ctx.me(), ()),
+                Event::External(Cmd::Arm(ms)) => vec![self.arm(ms), Effect::Output(0)],
+                Event::External(Cmd::ArmCancel(n, ms)) => (0..n)
+                    .flat_map(|_| [self.arm(ms), Effect::CancelTimer(TimerId(self.last_timer))])
+                    .collect(),
+                Event::External(Cmd::Spin) => vec![to_self],
+                _ => Vec::new(),
             }
         }
     }

@@ -14,6 +14,14 @@ for p in "${PACKAGES[@]}"; do FMT_ARGS+=(-p "$p"); done
 echo "==> cargo fmt --check"
 cargo fmt "${FMT_ARGS[@]}" -- --check
 
+echo "==> the frozen benchmark's lockfile still resolves"
+# BENCHMARK.json builds crates/bench/src/bin/benchmark/ from its own
+# manifest and Cargo.lock, which pin the workspace crates' dependency
+# lists. A manifest edit that would rewrite that lockfile (dropping
+# simnet's unused `rand`, say) fails here instead of in the benchmark.
+cargo metadata --offline --locked --format-version 1 \
+  --manifest-path crates/bench/src/bin/benchmark/Cargo.toml >/dev/null
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
