@@ -1,6 +1,5 @@
 //! Protocol configuration.
 
-use crate::election::InitiatorPolicy;
 use coterie_base::SimDuration;
 use coterie_quorum::CoterieRule;
 use std::sync::Arc;
@@ -112,8 +111,6 @@ pub struct ProtocolConfig {
     /// reads and epoch prepares cannot starve behind an endless chain;
     /// `1` disables pipelining.
     pub pipeline_window: u32,
-    /// How the epoch-check initiator is chosen (§4.3 / \[7\]).
-    pub initiator: InitiatorPolicy,
     /// Seed for the engine-owned deterministic RNG. Each node derives its
     /// stream as `seed ^ node_id`, so a cluster built from one config is
     /// fully determined by `(seed, input schedule)`.
@@ -150,7 +147,6 @@ impl ProtocolConfig {
             safety_threshold: 2,
             max_write_batch: 1,
             pipeline_window: 1,
-            initiator: InitiatorPolicy::RankStagger,
             seed: 0,
         }
     }
@@ -184,12 +180,6 @@ impl ProtocolConfig {
     /// Sets the §4.1 safety threshold (0 disables).
     pub fn safety(mut self, threshold: usize) -> Self {
         self.safety_threshold = threshold;
-        self
-    }
-
-    /// Uses the bully election \[7\] to choose the epoch-check initiator.
-    pub fn bully_election(mut self) -> Self {
-        self.initiator = InitiatorPolicy::Bully;
         self
     }
 

@@ -660,12 +660,11 @@ fn canonical_node(out: &mut String, node: &ReplicaNode) {
     let retry: Vec<_> = v.decision_retry_armed.keys().copied().collect();
     let _ = write!(
         out,
-        "eck=({:?},{},{});dra={retry:?};rej={:?};elec={:?};seq={};rng={:?};",
+        "eck=({:?},{},{});dra={retry:?};rej={:?};seq={};rng={:?};",
         v.last_epoch_check_seen,
         v.epoch_check_active,
         v.epoch_retry_armed,
         v.rejoin,
-        v.election,
         node.timer_seq,
         node.rng,
     );

@@ -1,17 +1,25 @@
-//! The epoch checking protocol (§4.3) and the initiator policy.
+//! The epoch checking protocol (§4.3) and who initiates it.
 //!
 //! Epoch checking polls *all* replicas, and — if the responders include a
 //! write quorum over the newest epoch and the response set differs from
 //! that epoch — atomically installs the responder set as the new epoch,
 //! marking out-of-date members stale and triggering propagation.
 //!
-//! **Initiator selection.** The paper suggests electing a site responsible
-//! for initiating epoch checks, deferring to Garcia-Molina's election
-//! protocols \[7\]. Both options are implemented (see
-//! [`crate::election::InitiatorPolicy`]): the default election-free
-//! rank-stagger scheme — every node ticks with a period growing with its
-//! rank and initiates only when no recent check was observed — and the
-//! literal bully election of \[7\].
+//! **Initiator selection.** §4.3: "A simple solution is to elect a site
+//! responsible for initiating all epoch checkings. A new election would be
+//! started by any node noticing that epoch checking has not run for a
+//! while. (See \[7\] for election protocols.)" We elect no one: every node
+//! ticks with a period growing with its rank in its epoch list, and a tick
+//! starts a check only when no check was seen within the last period. The
+//! rank-0 member therefore starts most checks (a slower tick can still land
+//! in the jitter gap between two of them). When it falls silent, the first
+//! live member whose tick finds a full period of silence starts a check;
+//! the shrunk epoch makes the next-ranked member rank 0.
+//!
+//! Nothing here needs a *unique* initiator: installing an epoch is a 2PC
+//! over a write quorum of the current epoch, so two concurrent installs
+//! meet at some replica, whose lock (taken at prepare) serialises them the
+//! way it serialises two writes.
 
 use crate::classify::Classified;
 use crate::config::{Mode, COLLECT_TIMEOUT};
@@ -52,9 +60,9 @@ impl ReplicaNode {
         ctx.set_timer(delay, Timer::EpochTick);
     }
 
-    /// Periodic tick: initiate an epoch check unless someone else has
-    /// recently. Under the bully policy, only the elected coordinator
-    /// initiates; silence triggers an election instead.
+    /// Periodic tick: no check seen within the last period and none of our
+    /// own in flight ⇒ start one. The rank-staggered cadence of
+    /// [`arm_epoch_tick`](Self::arm_epoch_tick) decides who gets there first.
     pub(crate) fn on_epoch_tick(&mut self, ctx: &mut NodeCtx<'_>) {
         let Mode::Dynamic { check_period } = self.config.mode else {
             return;
@@ -64,11 +72,7 @@ impl ReplicaNode {
             .last_epoch_check_seen
             .is_some_and(|t| ctx.now().since(t) < check_period);
         if !recent && !self.vol.epoch_check_active {
-            if self.should_initiate_check() {
-                self.start_epoch_check(ctx);
-            } else {
-                self.maybe_start_election(ctx);
-            }
+            self.start_epoch_check(ctx);
         }
         self.arm_epoch_tick(ctx);
     }

@@ -65,7 +65,6 @@ pub mod classify;
 pub mod config;
 pub mod coord;
 pub mod durable;
-pub mod election;
 pub mod engine;
 pub mod epoch;
 #[cfg(feature = "simnet-host")]
@@ -83,7 +82,6 @@ pub mod write;
 pub use classify::Classified;
 pub use config::{Mode, ProtocolConfig, WriteMode};
 pub use durable::{Durable, DurableCell, DurableDelta};
-pub use election::InitiatorPolicy;
 pub use engine::driver::{Envelope, PendingTimer};
 pub use engine::{
     causal_merge, keys, render_jsonl, DriverEvent, Effect, Failpoints, FaultKind, FiredFault,

@@ -6,7 +6,6 @@
 use crate::config::{ProtocolConfig, DECISION_RETRY, LOCK_LEASE, RETRY_BACKOFF};
 use crate::coord::InFlight;
 use crate::durable::{Durable, DurableCell};
-use crate::election::ElectionState;
 use crate::engine::metrics::{keys, MetricsRegistry};
 use crate::engine::rng::Rng64;
 use crate::engine::trace::TraceEvent;
@@ -76,9 +75,11 @@ pub enum Timer {
     /// A quarantined replica re-polls peers that have not answered its
     /// rejoin query (see [`crate::rejoin`]).
     RejoinRetry,
-    /// Bully election: answer/announcement window elapsed.
+    /// Never armed. Kept only because the frozen benchmark's span
+    /// attribution (`crates/bench/src/bin/benchmark/spans.rs`) names it;
+    /// it goes when that directory is next unfrozen.
     ElectionTimeout {
-        /// The challenge round.
+        /// Unused.
         round: OpId,
     },
 }
@@ -128,8 +129,6 @@ pub struct Volatile {
     /// The pending decision-retry timer of each in-doubt op: at most one
     /// chain per op, and the handle that disarms it once the op is decided.
     pub decision_retry_armed: BTreeMap<OpId, TimerId>,
-    /// Bully-election state (used when `initiator` is `Bully`).
-    pub election: ElectionState,
     /// In-progress stale-rejoin after a quarantined boot (see
     /// [`crate::rejoin`]). While set, this replica refuses propagation
     /// offers and 2PC prepares — its desired version is not yet known.
@@ -155,7 +154,6 @@ impl Clone for Volatile {
             epoch_check_active: self.epoch_check_active,
             epoch_retry_armed: self.epoch_retry_armed,
             decision_retry_armed: self.decision_retry_armed.clone(),
-            election: self.election.clone(),
             rejoin: self.rejoin.clone(),
             // A pure cache: cloning an empty one is always correct, and the
             // clone (driver forks in the interleaving explorer) rebuilds

@@ -3,7 +3,7 @@
 //! (delivering a message to a down node steps the *sender* with
 //! [`Input::CallFailed`]).
 //!
-//! Three paths with non-trivial bounce semantics are covered here:
+//! Two paths with non-trivial bounce semantics are covered here:
 //!
 //! * **Decision recovery** — a prepared participant's `DecisionRetry` chain
 //!   is disarmed the moment the decision arrives, and keeps re-querying
@@ -11,9 +11,6 @@
 //! * **Propagation** — a bounced `PropOffer`/`PropData` clears the
 //!   in-flight attempt, bumps the per-target failure count, and re-arms
 //!   the kick timer; once the target recovers, propagation completes.
-//! * **Election (bully)** — bounced `Election` challenges are absorbed
-//!   (an unreachable higher node simply never answers) and the challenge
-//!   timeout then elects the caller.
 
 use std::sync::Arc;
 
@@ -187,66 +184,4 @@ fn bounced_propagation_offer_retries_until_target_recovers() {
         driver.node(source).durable.object.digest(),
         "propagated contents must match the source"
     );
-}
-
-#[test]
-fn bounced_election_challenges_let_the_caller_win_by_timeout() {
-    let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3).bully_election();
-    let mut driver = StepDriver::new(3, config);
-
-    // Both higher-named nodes are down; node 0 notices epoch-check
-    // silence at its next tick and challenges them.
-    driver.crash(NodeId(1));
-    driver.crash(NodeId(2));
-    let tick = driver
-        .pending_timers()
-        .iter()
-        .position(|t| t.node == NodeId(0) && matches!(t.timer, Timer::EpochTick))
-        .expect("node 0 armed its epoch tick at boot");
-    driver.fire(tick);
-
-    let challenges = driver
-        .pending_messages()
-        .iter()
-        .filter(|env| matches!(env.msg, coterie_core::Msg::Election { .. }))
-        .count();
-    assert_eq!(
-        challenges, 2,
-        "bully must challenge every higher-named node"
-    );
-
-    // Deliver both challenges: the peers are down, so each delivery steps
-    // node 0 with CallFailed instead. The bounces are counted and
-    // absorbed — the round stays open, awaiting its timeout.
-    while !driver.pending_messages().is_empty() {
-        driver.deliver(0);
-    }
-    let node0 = driver.node(NodeId(0));
-    assert_eq!(
-        node0
-            .stats
-            .counter(keys::msgs_bounced(MsgClass::EpochCheck)),
-        2,
-        "both bounced challenges must be counted"
-    );
-    assert!(
-        node0.vol.election.in_flight.is_some(),
-        "a bounced challenge must not abort the round"
-    );
-    assert_eq!(node0.vol.election.leader, None);
-
-    // The answer window elapses with no Alive: node 0 wins.
-    let timeout = driver
-        .pending_timers()
-        .iter()
-        .position(|t| t.node == NodeId(0) && matches!(t.timer, Timer::ElectionTimeout { .. }))
-        .expect("the challenge round armed a timeout");
-    driver.fire(timeout);
-    let node0 = driver.node(NodeId(0));
-    assert_eq!(
-        node0.vol.election.leader,
-        Some(NodeId(0)),
-        "with every higher node unreachable, the caller becomes leader"
-    );
-    assert!(node0.vol.election.in_flight.is_none());
 }

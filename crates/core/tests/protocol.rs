@@ -7,8 +7,11 @@ mod common;
 use bytes::Bytes;
 use common::Cluster;
 use coterie_base::{SimDuration, SimTime};
-use coterie_core::{ClientRequest, FailReason, PartialWrite, ProtocolConfig, ProtocolEvent};
+use coterie_core::{
+    ClientRequest, FailReason, PartialWrite, ProtocolConfig, ProtocolEvent, TraceEvent,
+};
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId, RowaCoterie};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn grid_cluster(n: usize, seed: u64) -> Cluster {
@@ -406,4 +409,86 @@ fn write_failure_reported_when_too_few_nodes_up() {
             .any(|&(id, r)| id == 1 && r == FailReason::NoQuorum),
         "write must fail with NoQuorum: {evs:?}"
     );
+}
+
+/// How many epoch checks each node started over the next `window`, read
+/// from the `EpochCheckStart` records of the nodes' flight recorders.
+fn checks_started_over(sim: &mut Cluster, window: SimDuration) -> BTreeMap<NodeId, usize> {
+    let since = sim.now();
+    sim.run_for(window);
+    let mut started = BTreeMap::new();
+    for id in 0..sim.cluster_size() as u32 {
+        let ring = sim.trace_ring(NodeId(id)).expect("tracing is on");
+        let n = ring
+            .records()
+            .filter(|r| r.at >= since && matches!(r.event, TraceEvent::EpochCheckStart { .. }))
+            .count();
+        started.insert(NodeId(id), n);
+    }
+    started
+}
+
+/// Asserts the rank-stagger pattern over a window of `periods` check
+/// periods: `node` started more checks than any other node, and a check
+/// started at most once a period (plus one for two ticks that land within
+/// a message delay of each other).
+fn assert_leads(started: &BTreeMap<NodeId, usize>, node: NodeId, periods: usize, when: &str) {
+    assert!(
+        started
+            .iter()
+            .all(|(&other, &n)| other == node || n < started[&node]),
+        "{when}: {node:?} must start the most checks: {started:?}"
+    );
+    let total: usize = started.values().sum();
+    assert!(
+        total <= periods + 1,
+        "{when}: {total} checks in {periods} periods: {started:?}"
+    );
+}
+
+#[test]
+fn the_lowest_ranked_live_member_initiates_epoch_checks() {
+    // Rank-stagger (epoch.rs): a node ticks every `check_period * (1 +
+    // rank)` plus jitter and starts a check only after a full period of
+    // silence. So the rank-0 member starts most checks; a slower tick can
+    // still land in the jitter gap between two of its checks.
+    let mut sim = grid_cluster(5, 13);
+    sim.enable_tracing(1 << 16);
+    let period = SimDuration::from_secs(2);
+    let settle = period * 5;
+    let periods = 10;
+    let window = period * periods as u64;
+
+    sim.run_for(settle);
+    let full = sim.node(NodeId(0)).durable.elist.clone();
+    let (first, next) = (full[0], full[1]);
+    let started = checks_started_over(&mut sim, window);
+    assert_leads(&started, first, periods, "steady state");
+
+    // The rank-0 member dies: whoever's tick first finds the silence
+    // starts a check, the epoch shrinks to the four live members, and the
+    // next-ranked member is rank 0 of the new epoch.
+    sim.crash(first);
+    sim.run_for(settle);
+    let shrunk = sim.node(next).durable.elist.clone();
+    assert_eq!(
+        shrunk,
+        full[1..],
+        "the epoch must shrink to the live members"
+    );
+    let started = checks_started_over(&mut sim, window);
+    assert_eq!(started[&first], 0);
+    assert_leads(&started, next, periods, "after the crash");
+
+    // Recovered, the node is re-included at its old rank and takes the
+    // checks back.
+    sim.recover(first);
+    sim.run_for(settle);
+    assert_eq!(
+        sim.node(next).durable.elist,
+        full,
+        "the epoch must re-include the node"
+    );
+    let started = checks_started_over(&mut sim, window);
+    assert_leads(&started, first, periods, "after recovery");
 }

@@ -93,8 +93,14 @@ cargo run --release -p coterie-harness --bin nemesis -- 6 42 1500
 
 echo "==> nemesis grid sweep (seeds 0-399, every column)"
 # 1 200 full-length schedules (~5 s), all clean on grid (ROADMAP 1(c)).
-# Majority joins once its dirty seeds are fixed.
+# Majority has known-dirty seeds, so it runs under the ratchet below.
 cargo run --release -p coterie-harness --bin nemesis -- 400 0 3000 grid
+
+echo "==> nemesis majority ratchet (seeds 0-1199, every column)"
+# 3 600 schedules (~20 s). Fails on any dirty run missing from
+# scripts/nemesis_known_dirty.txt and on any listed run that came back
+# clean, so the list only shrinks (ROADMAP 1(c)).
+scripts/nemesis_ratchet.sh
 
 echo "==> trace determinism smoke"
 # Same-seed runs must produce byte-identical trace JSONL (in-process and
