@@ -32,6 +32,13 @@ pub const PROPAGATION_COALESCE: SimDuration = SimDuration::from_millis(5);
 /// How long a recovered participant waits between decision queries for an
 /// in-doubt transaction.
 pub const DECISION_RETRY: SimDuration = SimDuration::from_millis(100);
+/// Maximum random delay a good replica waits before starting to propagate
+/// (staggers the duplicate offers the paper's design allows).
+pub const PROPAGATION_JITTER: SimDuration = SimDuration::from_millis(20);
+/// Base delay between propagation attempts to an unreachable or busy
+/// target; actual retries back off exponentially in the per-target
+/// failed-attempt count (capped at 2⁶×) plus jitter.
+pub const PROPAGATION_RETRY: SimDuration = SimDuration::from_millis(200);
 
 /// Whether epochs adjust dynamically (the paper's contribution) or stay
 /// fixed at the full replica set (the conventional static protocols).
@@ -76,13 +83,6 @@ pub struct ProtocolConfig {
     pub mode: Mode,
     /// Stale-marking (paper) or write-all-current (baseline).
     pub write_mode: WriteMode,
-    /// Maximum random delay a good replica waits before starting to
-    /// propagate (staggers the duplicate offers the paper's design allows).
-    pub propagation_jitter: SimDuration,
-    /// Base delay between propagation attempts to an unreachable or busy
-    /// target; actual retries back off exponentially in the per-target
-    /// failed-attempt count (capped at 2⁶×) plus jitter.
-    pub propagation_retry: SimDuration,
     /// §4.1's safety threshold: when a committing write has fewer good
     /// (current) participants than this, the coordinator best-effort
     /// includes additional current replicas from the previous write's
@@ -109,7 +109,9 @@ pub struct ProtocolConfig {
     /// k's commit decisions still are, instead of paying a fresh
     /// permission round-trip and racing the decision delivery. Bounded so
     /// reads and epoch prepares cannot starve behind an endless chain;
-    /// `1` disables pipelining.
+    /// `1` disables pipelining. Pipelining needs batching: a chained round
+    /// drains the write queue, and only `max_write_batch > 1` fills it, so
+    /// with a batch cap of 1 no round ever chains, whatever the window.
     pub pipeline_window: u32,
     /// Seed for the engine-owned deterministic RNG. Each node derives its
     /// stream as `seed ^ node_id`, so a cluster built from one config is
@@ -142,8 +144,6 @@ impl ProtocolConfig {
                 check_period: SimDuration::from_secs(10),
             },
             write_mode: WriteMode::StaleMarking,
-            propagation_jitter: SimDuration::from_millis(20),
-            propagation_retry: SimDuration::from_millis(200),
             safety_threshold: 2,
             max_write_batch: 1,
             pipeline_window: 1,
@@ -190,6 +190,8 @@ impl ProtocolConfig {
     }
 
     /// Sets the pipelined-2PC window (minimum 1; 1 disables pipelining).
+    /// Has no effect unless [`write_batch`](Self::write_batch) is above 1:
+    /// rounds chain only from the write queue that batching fills.
     pub fn pipeline(mut self, window: u32) -> Self {
         self.pipeline_window = window.max(1);
         self

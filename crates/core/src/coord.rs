@@ -15,7 +15,8 @@ use crate::epoch::EpochCoordinator;
 use crate::msg::{Action, Msg, OpId, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
 use crate::read::ReadCoordinator;
-use crate::write::{WPhase, WriteCoordinator};
+use crate::store::Pages;
+use crate::write::{Voting, WriteCoordinator};
 use coterie_base::TimerId;
 use coterie_quorum::{NodeId, NodeSet};
 use std::collections::BTreeMap;
@@ -27,6 +28,12 @@ use std::collections::BTreeMap;
 pub struct Poll {
     /// Granted answers by node (locked, for reads and writes).
     pub(crate) granted: BTreeMap<NodeId, StateTuple>,
+    /// The object of the highest-version grant that carried one (ours on a
+    /// tie), with that version. Only non-stale grants carry an object, so
+    /// once classification finds a current replica this is its copy: the
+    /// result of a read, and the base a write-all-current write ships to
+    /// obsolete replicas.
+    pub(crate) copy: Option<(u64, Pages)>,
     /// Nodes that answered but refused the lock.
     pub(crate) refused: NodeSet,
     /// Nodes that failed (`RPC.CallFailed` or silent at the timeout).
@@ -56,17 +63,40 @@ impl Poll {
         self.polled.is_subset_of(self.answered())
     }
 
-    /// Records an answer; true when it completes the poll.
-    pub(crate) fn answer(&mut self, state: StateTuple, granted: bool) -> bool {
+    /// Records an answer and the object it carried; true when it completes
+    /// the poll.
+    pub(crate) fn answer(
+        &mut self,
+        me: NodeId,
+        state: StateTuple,
+        granted: bool,
+        pages: Option<Pages>,
+    ) -> bool {
         if self.timer.is_none() {
             return false;
         }
         if granted {
+            self.keep_copy(me, &state, pages);
             self.granted.insert(state.node, state);
         } else {
             self.refused.insert(state.node);
         }
         self.done()
+    }
+
+    /// Keeps the object a grant carried if it is the newest so far (ours
+    /// on a tie), so it is the copy of a current replica whenever
+    /// classification finds one.
+    fn keep_copy(&mut self, me: NodeId, state: &StateTuple, pages: Option<Pages>) {
+        let Some(pages) = pages else {
+            return;
+        };
+        let newer = self.copy.as_ref().is_none_or(|(version, _)| {
+            state.version > *version || (state.version == *version && state.node == me)
+        });
+        if newer {
+            self.copy = Some((state.version, pages));
+        }
     }
 
     /// Records an unreachable node; true when that completes the poll.
@@ -185,7 +215,7 @@ impl InFlight {
     fn ballot(&mut self) -> Option<&mut Ballot> {
         match self {
             InFlight::Write(WriteCoordinator {
-                phase: WPhase::Voting { ballot, .. },
+                voting: Some(Voting { ballot, .. }),
                 ..
             }) => Some(ballot),
             InFlight::Epoch(ec) => ec.ballot.as_mut(),
@@ -216,25 +246,17 @@ impl ReplicaNode {
         op: OpId,
         granted: bool,
         state: StateTuple,
-        pages: Option<crate::store::Pages>,
+        pages: Option<Pages>,
     ) {
-        let me = self.me;
         let Some(entry) = self.vol.ops.get_mut(&op) else {
             if granted {
                 ctx.send(from, Msg::Release { op });
             }
             return;
         };
-        let granted = match entry {
-            InFlight::Read(rc) => {
-                rc.keep_copy(me, &state, pages);
-                granted
-            }
-            InFlight::Write(_) => granted,
-            // An epoch poll takes no lock: every answer counts.
-            InFlight::Epoch(_) => true,
-        };
-        if entry.poll().answer(state, granted) {
+        // An epoch poll takes no lock: every answer counts.
+        let granted = granted || matches!(entry, InFlight::Epoch(_));
+        if entry.poll().answer(self.me, state, granted, pages) {
             self.evaluate(ctx, op);
         }
     }
@@ -394,18 +416,21 @@ mod tests {
     #[test]
     fn a_closed_poll_records_nothing() {
         let mut poll = open_poll(&[0, 1, 2]);
-        assert!(!poll.answer(tuple(0), true));
+        assert!(!poll.answer(NodeId(9), tuple(0), true, None));
         assert!(poll.expire());
-        assert!(!poll.answer(tuple(1), true) && !poll.fail(NodeId(2)));
+        let late = Some(Pages::default());
+        assert!(!poll.answer(NodeId(9), tuple(1), true, late) && !poll.fail(NodeId(2)));
         assert!(!poll.expire(), "an expired poll stays closed");
         assert_eq!(poll.granted.keys().copied().collect::<NodeSet>(), set(&[0]));
+        assert!(poll.copy.is_none(), "a late grant's object was kept");
         assert_eq!(poll.failed, set(&[1, 2]));
     }
 
     #[test]
     fn a_collect_timeout_fails_only_the_silent() {
         let mut poll = open_poll(&[0, 1, 2, 3]);
-        assert!(!poll.answer(tuple(0), true) && !poll.answer(tuple(1), false));
+        assert!(!poll.answer(NodeId(9), tuple(0), true, None));
+        assert!(!poll.answer(NodeId(9), tuple(1), false, None));
         assert!(!poll.fail(NodeId(2)));
         assert!(poll.expire());
         assert_eq!((poll.refused, poll.failed), (set(&[1]), set(&[2, 3])));

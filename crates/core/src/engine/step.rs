@@ -125,8 +125,6 @@ impl ReplicaNode {
             Msg::Vote { op, yes } => self.on_vote(ctx, from, op, yes),
             Msg::Decision { op, commit, chain } => self.srv_decision(ctx, from, op, commit, chain),
             Msg::DecisionQuery { op } => self.srv_decision_query(ctx, from, op),
-            Msg::FetchReq { op } => self.srv_fetch_req(ctx, from, op),
-            Msg::FetchResp { op, version, pages } => self.write_fetch_resp(ctx, op, version, pages),
             Msg::PropOffer { prop, version } => self.srv_prop_offer(ctx, from, prop, version),
             Msg::PropResp { prop, reply } => self.on_prop_resp(ctx, from, prop, reply),
             Msg::PropData {
@@ -137,7 +135,10 @@ impl ReplicaNode {
             Msg::PropAck { prop, ok } => self.on_prop_ack(ctx, from, prop, ok),
             Msg::PropCancel { prop } => self.srv_prop_cancel(ctx, from, prop),
             // Never sent: stubs the frozen benchmark's spans.rs names.
-            Msg::Election { .. } | Msg::ElectionAlive { .. } => {}
+            Msg::Election { .. }
+            | Msg::ElectionAlive { .. }
+            | Msg::FetchReq { .. }
+            | Msg::FetchResp { .. } => {}
             Msg::RejoinQuery { op } => self.srv_rejoin_query(ctx, from, op),
             Msg::RejoinInfo { op, state } => self.on_rejoin_info(ctx, from, op, state),
         }
@@ -154,7 +155,6 @@ impl ReplicaNode {
             // An unreachable 2PC participant is an implicit "no" (it cannot
             // have prepared: it never received the Prepare).
             Msg::Prepare { op, .. } => self.on_vote(ctx, to, op, false),
-            Msg::FetchReq { op } => self.write_fetch_failed(ctx, op),
             Msg::PropOffer { prop, .. } | Msg::PropData { prop, .. } => {
                 self.on_prop_peer_failed(ctx, prop, to)
             }
@@ -175,6 +175,7 @@ impl ReplicaNode {
             | Msg::Vote { .. }
             | Msg::Decision { .. }
             | Msg::Release { .. }
+            | Msg::FetchReq { .. }
             | Msg::FetchResp { .. }
             | Msg::PropResp { .. }
             | Msg::PropAck { .. }
@@ -188,7 +189,6 @@ impl ReplicaNode {
         match timer {
             Timer::Collect { op } => self.on_collect_timeout(ctx, op),
             Timer::Votes { op } => self.on_vote_timeout(ctx, op),
-            Timer::Fetch { op } => self.write_fetch_failed(ctx, op),
             Timer::RetryClient { attempt, request } => {
                 self.start_client_request(ctx, request, attempt)
             }
@@ -201,8 +201,8 @@ impl ReplicaNode {
             Timer::PropLease { prop } => self.on_prop_lease(prop),
             Timer::DecisionRetry { op } => self.on_decision_retry(ctx, op),
             Timer::RejoinRetry => self.on_rejoin_retry(ctx),
-            // Never armed: a stub the frozen benchmark's spans.rs names.
-            Timer::ElectionTimeout { .. } => {}
+            // Never armed: stubs the frozen benchmark's spans.rs names.
+            Timer::ElectionTimeout { .. } | Timer::Fetch { .. } => {}
         }
     }
 }

@@ -172,8 +172,10 @@ pub enum Msg {
         state: StateTuple,
         /// The replica's object, as of `state.version`: present only on a
         /// granted read answer from a non-stale replica, so a read takes
-        /// one round trip. `None` on refusals, stale answers, write grants
-        /// and epoch checks.
+        /// one round trip, and on a non-stale write grant under
+        /// write-all-current, the base reconciliation ships. `None` on
+        /// refusals, stale answers, stale-marking write grants and epoch
+        /// checks.
         pages: Option<Pages>,
     },
     /// Release a lock held by `op` (abort or read completion).
@@ -225,21 +227,19 @@ pub enum Msg {
         /// The in-doubt operation.
         op: OpId,
     },
-    /// Write-all-current reconciliation: fetch the object from a current
-    /// replica, as the base shipped to obsolete ones. Reads do not fetch;
-    /// their grants carry the object (see `StateResp`).
+    /// Never sent. Kept only because the frozen benchmark's span
+    /// attribution (`crates/bench/src/bin/benchmark/spans.rs`) names it;
+    /// it goes when that directory is next unfrozen.
     FetchReq {
-        /// The writing operation.
+        /// Unused.
         op: OpId,
     },
-    /// Reply to `FetchReq`.
+    /// Never sent. Kept only because the frozen benchmark's span
+    /// attribution (`crates/bench/src/bin/benchmark/spans.rs`) names it;
+    /// it goes when that directory is next unfrozen.
     FetchResp {
-        /// The writing operation.
+        /// Unused.
         op: OpId,
-        /// Version of the returned snapshot.
-        version: u64,
-        /// Page contents.
-        pages: Pages,
     },
     /// Propagation offer from a good replica (the paper's
     /// `propagation-offer` with the source's version number).
@@ -345,7 +345,9 @@ pub enum MsgClass {
     Permission,
     /// Two-phase-commit traffic.
     Commit,
-    /// Write-all-current reconciliation fetches.
+    /// Never counted: no message is of this class (`FetchReq` and
+    /// `FetchResp` are never sent). Kept only because the frozen
+    /// benchmark's span attribution (`spans.rs`) names it.
     Fetch,
     /// Update propagation traffic.
     Propagation,

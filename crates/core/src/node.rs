@@ -30,9 +30,11 @@ pub enum Timer {
         /// The operation.
         op: OpId,
     },
-    /// Write-all-current reconciliation fetch timeout.
+    /// Never armed. Kept only because the frozen benchmark's span
+    /// attribution (`crates/bench/src/bin/benchmark/spans.rs`) names it;
+    /// it goes when that directory is next unfrozen.
     Fetch {
-        /// The operation.
+        /// Unused.
         op: OpId,
     },
     /// Retry a failed client request after contention backoff.

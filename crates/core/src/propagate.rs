@@ -14,7 +14,10 @@
 //! a suffix that continues its own version. Competing sources are
 //! staggered with jitter.
 
-use crate::config::{COLLECT_TIMEOUT, LOCK_LEASE, MAX_PROP_ATTEMPTS, PROPAGATION_COALESCE};
+use crate::config::{
+    COLLECT_TIMEOUT, LOCK_LEASE, MAX_PROP_ATTEMPTS, PROPAGATION_COALESCE, PROPAGATION_JITTER,
+    PROPAGATION_RETRY,
+};
 use crate::engine::metrics::keys;
 use crate::msg::{Msg, OpId, PropPayload, PropReply, ProtocolEvent};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
@@ -88,7 +91,7 @@ impl ReplicaNode {
             return;
         };
         let mut delay = if jittered {
-            self.jitter(ctx, self.config.propagation_jitter)
+            self.jitter(ctx, PROPAGATION_JITTER)
         } else {
             let attempts = self
                 .vol
@@ -97,8 +100,8 @@ impl ReplicaNode {
                 .get(&next)
                 .copied()
                 .unwrap_or(0);
-            let base = self.config.propagation_retry * (1u64 << attempts.min(6));
-            base + self.jitter(ctx, self.config.propagation_jitter)
+            let base = PROPAGATION_RETRY * (1u64 << attempts.min(6));
+            base + self.jitter(ctx, PROPAGATION_JITTER)
         };
         // Re-offer coalescing: a target we just brought current waits out
         // its cooldown, so the next offer carries the whole burst.

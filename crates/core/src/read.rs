@@ -15,10 +15,10 @@ use crate::classify::Classified;
 use crate::config::MAX_RETRIES;
 use crate::coord::{InFlight, Poll};
 use crate::engine::metrics::keys;
-use crate::msg::{ClientRequest, FailReason, Msg, OpId, ProtocolEvent, StateTuple};
+use crate::msg::{ClientRequest, FailReason, Msg, OpId, ProtocolEvent};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
 use crate::store::Pages;
-use coterie_quorum::{quorum_seed, NodeId, NodeSet, QuorumKind};
+use coterie_quorum::{quorum_seed, NodeSet, QuorumKind};
 
 /// Volatile state of one coordinated read.
 #[derive(Clone, Debug)]
@@ -27,29 +27,9 @@ pub struct ReadCoordinator {
     pub client_id: u64,
     /// Retry attempt.
     pub attempt: u32,
-    /// The object of the highest-version non-stale grant (ours on a tie),
-    /// with that version: the copy the read returns once classification
-    /// finds a current replica.
-    pub copy: Option<(u64, Pages)>,
-    /// The shared-lock poll.
+    /// The shared-lock poll, with the copy the read returns once
+    /// classification finds a current replica.
     pub poll: Poll,
-}
-
-impl ReadCoordinator {
-    /// Keeps the object a granted, non-stale answer carried if it is the
-    /// newest so far (ours on a tie), so it is the copy of a current
-    /// replica whenever classification finds one.
-    pub(crate) fn keep_copy(&mut self, me: NodeId, state: &StateTuple, pages: Option<Pages>) {
-        let Some(pages) = pages else {
-            return;
-        };
-        let newer = self.copy.as_ref().is_none_or(|(version, _)| {
-            state.version > *version || (state.version == *version && state.node == me)
-        });
-        if newer {
-            self.copy = Some((state.version, pages));
-        }
-    }
 }
 
 impl ReplicaNode {
@@ -75,7 +55,6 @@ impl ReplicaNode {
         let rc = ReadCoordinator {
             client_id,
             attempt,
-            copy: None,
             poll,
         };
         self.vol.ops.insert(op, InFlight::Read(rc));
@@ -98,7 +77,8 @@ impl ReplicaNode {
             .as_ref()
             .filter(|c| c.has_quorum && c.has_current_replica())
             .and_then(|c| {
-                rc.copy
+                rc.poll
+                    .copy
                     .take_if(|(version, _)| Some(*version) == c.max_version)
             });
         if let Some((version, pages)) = current {

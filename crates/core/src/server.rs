@@ -1,6 +1,7 @@
 //! Replica-side (participant) handlers: permission requests, two-phase
-//! commit, decision recovery, and reconciliation fetches.
+//! commit and decision recovery.
 
+use crate::config::WriteMode;
 use crate::coord::InFlight;
 use crate::engine::trace::TraceEvent;
 use crate::msg::{Action, Msg, OpId, StateTuple};
@@ -36,7 +37,9 @@ impl ReplicaNode {
     /// state" — exclusive for a write, shared for a read. No-wait: a busy
     /// replica answers `granted: false` instead of queueing. A read grant
     /// from a non-stale replica carries its object, so the coordinator
-    /// never has to come back for it (see [`crate::read`]).
+    /// never has to come back for it (see [`crate::read`]); so does a
+    /// write grant under write-all-current, whose coordinator ships a
+    /// current replica's object to obsolete ones (see [`crate::write`]).
     pub(crate) fn srv_permission(
         &mut self,
         ctx: &mut NodeCtx<'_>,
@@ -64,7 +67,8 @@ impl ReplicaNode {
             ctx.trace(TraceEvent::LockAcquire { op, exclusive });
             self.arm_lock_lease(ctx, op);
         }
-        let carries = granted && !exclusive && !self.durable.stale;
+        let wac = self.config.write_mode == WriteMode::WriteAllCurrent;
+        let carries = granted && (!exclusive || wac) && !self.durable.stale;
         let pages = carries.then(|| self.durable.object.snapshot());
         let state = self.state_tuple();
         ctx.send(
@@ -343,21 +347,6 @@ impl ReplicaNode {
         }
         ctx.send(op.node, Msg::DecisionQuery { op });
         self.arm_decision_retry(ctx, op);
-    }
-
-    /// Write-all-current reconciliation: return the object and its version
-    /// as the base the coordinator ships to obsolete replicas (the
-    /// exclusive lock taken in the permission phase keeps it from moving).
-    /// Reads never fetch: their grant already carries the object.
-    pub(crate) fn srv_fetch_req(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, op: OpId) {
-        ctx.send(
-            from,
-            Msg::FetchResp {
-                op,
-                version: self.durable.version,
-                pages: self.durable.object.snapshot(),
-            },
-        );
     }
 
     /// Applies a committed 2PC action to the durable state and triggers

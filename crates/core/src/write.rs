@@ -15,43 +15,25 @@
 //! quorum members must be synchronously reconciled first.
 
 use crate::classify::Classified;
-use crate::config::{WriteMode, COLLECT_TIMEOUT, MAX_RETRIES};
+use crate::config::{WriteMode, MAX_RETRIES};
 use crate::coord::{Ballot, InFlight, Poll};
 use crate::engine::metrics::keys;
 use crate::msg::{Action, ClientRequest, FailReason, Msg, OpId, ProtocolEvent, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
-use crate::store::{Pages, PartialWrite};
-use coterie_base::TimerId;
+use crate::store::PartialWrite;
 use coterie_quorum::{quorum_seed, NodeId, NodeSet, QuorumKind};
 use std::collections::BTreeMap;
 
-/// Phase of a coordinated write.
+/// The two-phase commit of a write round.
 #[derive(Clone, Debug)]
-pub enum WPhase {
-    /// Gathering permission-phase responses.
-    Collect,
-    /// Write-all-current baseline: fetching a reconciliation snapshot from
-    /// a current replica before committing.
-    FetchBase {
-        /// Evaluated responses that triggered the reconciliation.
-        classified: Classified,
-        /// Obsolete quorum members to reconcile.
-        targets: Vec<NodeId>,
-        /// The snapshot source.
-        source: NodeId,
-        /// Fetch timeout.
-        timer: TimerId,
-    },
-    /// Two-phase commit in progress.
-    Voting {
-        /// The vote: the quorum responders are required, the §4.1
-        /// safety-threshold extras optional.
-        ballot: Ballot,
-        /// The version this write produces.
-        new_version: u64,
-        /// Nodes being marked stale.
-        stale: Vec<NodeId>,
-    },
+pub struct Voting {
+    /// The vote: the quorum responders are required, the §4.1
+    /// safety-threshold extras optional.
+    pub ballot: Ballot,
+    /// The version this write produces.
+    pub new_version: u64,
+    /// Nodes being marked stale.
+    pub stale: Vec<NodeId>,
 }
 
 /// One client write riding in a (possibly batched) write round.
@@ -79,8 +61,8 @@ pub struct WriteCoordinator {
     pub chain_len: u32,
     /// The permission poll (exclusive locks); empty for a chained round.
     pub poll: Poll,
-    /// Current phase.
-    pub phase: WPhase,
+    /// The two-phase commit; `None` while permission is being gathered.
+    pub voting: Option<Voting>,
 }
 
 impl ReplicaNode {
@@ -173,7 +155,7 @@ impl ReplicaNode {
             batch,
             chain_len: 0,
             poll,
-            phase: WPhase::Collect,
+            voting: None,
         };
         self.vol.ops.insert(op, InFlight::Write(wc));
     }
@@ -296,23 +278,25 @@ impl ReplicaNode {
             &c.stale,
             new_version,
         );
-        wc.phase = WPhase::Voting {
+        wc.voting = Some(Voting {
             ballot,
             new_version,
             stale: c.stale,
-        };
+        });
     }
 
     /// Write-all-current commit: the write goes only to current replicas;
     /// if they alone do not form a write quorum, obsolete members must be
-    /// synchronously reconciled first (snapshot fetch + restore).
+    /// synchronously reconciled first. Each is shipped the object a current
+    /// replica granted with, as the base it applies the write on top of:
+    /// the exclusive lock held since that grant keeps the copy current.
     fn start_wac_commit(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, c: Classified) {
         let good_set = NodeSet::from_iter(c.good.iter().copied());
         // One compiled plan covers every quorum test below; the clone out
         // of the cache keeps `self.vol` free for the coordinator borrow.
         let plan = self.vol.plans.plan_for(&*self.config.rule, &c.view).clone();
         let is_quorum = |nodes| plan.includes_quorum(nodes, QuorumKind::Write);
-        let Some(InFlight::Write(wc)) = self.vol.ops.get(&op) else {
+        let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
             return;
         };
         // Choose obsolete granted members, in name order, until good ∪
@@ -334,56 +318,19 @@ impl ReplicaNode {
             self.finish_write_fail(ctx, op, FailReason::NoQuorum);
             return;
         }
-        if targets.is_empty() {
-            #[expect(clippy::expect_used, reason = "GOOD is nonempty on this path")]
-            let version = c.max_version.expect("good nonempty");
-            self.wac_commit_with_base(ctx, op, c, targets, Pages::default(), version);
-            return;
+        // Every non-stale grant carried its object, so the poll's copy is
+        // one of GOOD's, at `max-version`.
+        #[expect(
+            clippy::expect_used,
+            reason = "GOOD is nonempty on this path, and each of its grants carried the object"
+        )]
+        let (base_version, pages) = wc.poll.copy.take().expect("a current replica granted");
+        if !targets.is_empty() {
+            self.stats.inc(keys::SYNC_RECONCILIATIONS);
+            ctx.output(ProtocolEvent::SyncReconciliation {
+                targets: targets.len(),
+            });
         }
-        // Fetch the snapshot from a current replica (prefer ourselves).
-        let source = if c.good.contains(&self.me) {
-            self.me
-        } else {
-            c.good[0]
-        };
-        self.stats.inc(keys::SYNC_RECONCILIATIONS);
-        ctx.output(ProtocolEvent::SyncReconciliation {
-            targets: targets.len(),
-        });
-        if source == self.me {
-            let (pages, version) = (self.durable.object.snapshot(), self.durable.version);
-            self.wac_commit_with_base(ctx, op, c, targets, pages, version);
-            return;
-        }
-        let timeout = COLLECT_TIMEOUT;
-        let timer = ctx.set_timer(timeout, Timer::Fetch { op });
-        let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
-            return;
-        };
-        wc.phase = WPhase::FetchBase {
-            classified: c,
-            targets,
-            source,
-            timer,
-        };
-        ctx.send(source, Msg::FetchReq { op });
-    }
-
-    /// Runs the write-all-current 2PC: the update to the current replicas,
-    /// and the update on top of the reconciliation base (`pages` at
-    /// `base_version`) to the obsolete `targets`, if any.
-    pub(crate) fn wac_commit_with_base(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        op: OpId,
-        c: Classified,
-        targets: Vec<NodeId>,
-        pages: Pages,
-        base_version: u64,
-    ) {
-        let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
-            return;
-        };
         let new_version = base_version + wc.batch.len() as u64;
         let good: Vec<NodeId> = c.good.iter().chain(targets.iter()).copied().collect();
         // Release granted members not participating.
@@ -411,52 +358,11 @@ impl ReplicaNode {
         let base = Some((pages, base_version));
         let obsolete = targets.iter().map(|&n| (n, update(base.clone()), false));
         let ballot = Ballot::open(ctx, op, &[], current.chain(obsolete));
-        wc.phase = WPhase::Voting {
+        wc.voting = Some(Voting {
             ballot,
             new_version,
             stale: Vec::new(),
-        };
-    }
-
-    /// The reconciliation fetch returned.
-    pub(crate) fn write_fetch_resp(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        op: OpId,
-        version: u64,
-        pages: Pages,
-    ) {
-        let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
-            return;
-        };
-        // Stray responses (the phase already moved on) restore the phase
-        // untouched — no check-then-replace panic window.
-        let (classified, targets, timer) = match std::mem::replace(&mut wc.phase, WPhase::Collect) {
-            WPhase::FetchBase {
-                classified,
-                targets,
-                timer,
-                ..
-            } => (classified, targets, timer),
-            other @ (WPhase::Collect | WPhase::Voting { .. }) => {
-                wc.phase = other;
-                return;
-            }
-        };
-        ctx.cancel_timer(timer);
-        // The source's version can only have grown; it remains current.
-        self.wac_commit_with_base(ctx, op, classified, targets, pages, version);
-    }
-
-    /// Reconciliation fetch failed or timed out.
-    pub(crate) fn write_fetch_failed(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        if let Some(InFlight::Write(WriteCoordinator {
-            phase: WPhase::FetchBase { .. },
-            ..
-        })) = self.vol.ops.get(&op)
-        {
-            self.finish_write_fail(ctx, op, FailReason::CommitFailed);
-        }
+        });
     }
 
     /// The round's ballot closed: the decision goes out, granted nodes
@@ -469,11 +375,11 @@ impl ReplicaNode {
         wc: WriteCoordinator,
         commit: bool,
     ) {
-        let WPhase::Voting {
+        let Some(Voting {
             ballot,
             new_version,
             stale,
-        } = wc.phase
+        }) = wc.voting
         else {
             return;
         };
@@ -575,16 +481,16 @@ impl ReplicaNode {
             .collect();
         let optional: Vec<NodeId> = prev.optional_yes.iter().collect();
         let ballot = stale_marking_ballot(ctx, op, &batch, &good, &optional, &stale, new_version);
-        let phase = WPhase::Voting {
+        let voting = Some(Voting {
             ballot,
             new_version,
             stale,
-        };
+        });
         let wc = WriteCoordinator {
             batch,
             chain_len,
             poll: Poll::default(),
-            phase,
+            voting,
         };
         self.vol.ops.insert(op, InFlight::Write(wc));
     }
@@ -594,12 +500,6 @@ impl ReplicaNode {
         let Some(InFlight::Write(wc)) = self.vol.ops.remove(&op) else {
             return;
         };
-        // Only a reconciliation fetch still has a timer armed: evaluation
-        // closed the poll, and a round that reached its vote ends through
-        // its ballot.
-        if let WPhase::FetchBase { timer, .. } = wc.phase {
-            ctx.cancel_timer(timer);
-        }
         for &n in wc.poll.granted.keys() {
             ctx.send(n, Msg::Release { op });
         }

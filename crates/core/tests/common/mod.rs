@@ -43,6 +43,16 @@ impl Cluster {
     }
 }
 
+/// Delivers pending messages until none is left, firing no timer: every
+/// protocol round trip completes, while timer-driven work — the jittered
+/// propagation kicks that would repair stale replicas, retries, epoch
+/// checks — stays parked.
+pub fn drain_messages(driver: &mut StepDriver) {
+    while !driver.pending_messages().is_empty() {
+        driver.deliver(0);
+    }
+}
+
 impl Deref for Cluster {
     type Target = StepDriver;
 

@@ -6,7 +6,7 @@
 mod common;
 
 use bytes::Bytes;
-use common::Cluster;
+use common::{drain_messages, Cluster};
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::{config::LOG_CAP, ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent};
 use coterie_quorum::{GridCoterie, NodeId};
@@ -156,26 +156,22 @@ fn propagation_source_crash_does_not_leave_target_stuck() {
 fn stale_replica_never_serves_reads() {
     // Force replicas stale, then read from every coordinator: a stale
     // replica's grant carries no object, so each read must come back with
-    // the newest version, never a stale copy.
-    let mut config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9)
-        // Disable propagation-by-delay so staleness persists during the test.
-        .check_period(SimDuration::from_secs(600));
-    config.propagation_retry = SimDuration::from_secs(600);
-    config.propagation_jitter = SimDuration::from_secs(600);
+    // the newest version, never a stale copy. Messages are delivered but no
+    // timer fires, so propagation stays parked and staleness persists.
+    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9);
     let n = 9;
     let mut sim = Cluster::new(n, config, 6);
     for i in 0..8u64 {
-        sim.inject_at(
-            SimTime(i * 200_000),
+        sim.inject(
             NodeId((i % 9) as u32),
             ClientRequest::Write {
                 id: i,
                 write: PartialWrite::new([(0, Bytes::from(format!("w{i}")))]),
             },
         );
+        drain_messages(&mut sim);
     }
-    sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-    // With propagation effectively disabled there must be stale replicas.
+    // With propagation parked there must be stale replicas.
     let stale_count = (0..9u32)
         .filter(|&i| sim.node(NodeId(i)).durable.stale)
         .count();
@@ -185,7 +181,7 @@ fn stale_replica_never_serves_reads() {
     for (j, reader) in (0..9u32).enumerate() {
         sim.inject(NodeId(reader), ClientRequest::Read { id: 100 + j as u64 });
     }
-    sim.run_for(SimDuration::from_secs(3));
+    drain_messages(&mut sim);
     let evs = sim.take_outputs();
     let mut reads = 0;
     for (_, _, e) in &evs {

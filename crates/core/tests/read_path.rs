@@ -7,30 +7,25 @@
 //!   object, sends no `MsgClass::Fetch` message, and leaves no shared lock
 //!   or lock lease behind;
 //! * replica level (a lone engine): which answers carry the object — only
-//!   a granted read from a non-stale replica does;
+//!   a granted read from a non-stale replica does, and, under
+//!   write-all-current, a non-stale write grant;
 //! * sharing: consecutive reads of an unchanged object return one image,
 //!   not a copy each.
+
+mod common;
 
 use std::sync::Arc;
 
 use bytes::Bytes;
+use common::drain_messages;
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
     keys, ClientRequest, DriverEvent, Durable, Effect, Input, Msg, MsgClass, OpId, Pages,
-    PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode, StepDriver, Timer,
+    PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode, StepDriver, Timer, WriteMode,
 };
 use coterie_quorum::{GridCoterie, NodeId};
 
 const N: usize = 9;
-
-/// Delivers pending messages until none is left, firing no timer: every
-/// protocol round trip completes, while the jittered propagation kicks
-/// that would repair stale replicas stay parked.
-fn drain_messages(driver: &mut StepDriver) {
-    while !driver.pending_messages().is_empty() {
-        driver.deliver(0);
-    }
-}
 
 fn fetch_messages(driver: &StepDriver) -> u64 {
     (0..N as u32)
@@ -160,7 +155,7 @@ fn only_a_granted_read_from_a_non_stale_replica_carries_the_object() {
     durable
         .object
         .apply(&PartialWrite::new([(1, Bytes::from_static(b"payload"))]));
-    let mut node = ReplicaNode::new(NodeId(1), config);
+    let mut node = ReplicaNode::new(NodeId(1), config.clone());
     node.install_durable(durable.clone());
     let op = |seq| OpId {
         node: NodeId(0),
@@ -191,10 +186,25 @@ fn only_a_granted_read_from_a_non_stale_replica_carries_the_object() {
         (true, None)
     );
 
+    // Under write-all-current a write grant from a current replica carries
+    // the object too: it is the base reconciliation ships to obsolete
+    // replicas.
+    let wac = ProtocolConfig {
+        write_mode: WriteMode::WriteAllCurrent,
+        ..config
+    };
+    let mut wac_node = ReplicaNode::new(NodeId(1), wac);
+    wac_node.install_durable(durable.clone());
+    let object = wac_node.durable.object.snapshot();
+    assert_eq!(
+        answer(&mut wac_node, Msg::WriteReq { op: op(6) }),
+        (true, Some(object))
+    );
+
     // A stale replica grants the shared lock but ships no object.
     durable.stale = true;
     node.install_durable(durable);
-    assert_eq!(answer(&mut node, Msg::ReadReq { op: op(6) }), (true, None));
+    assert_eq!(answer(&mut node, Msg::ReadReq { op: op(7) }), (true, None));
 }
 
 #[test]

@@ -9,14 +9,20 @@
 //!    writes in play, a crash loses nothing the journal committed and
 //!    resurrects nothing it did not. The recovered replica equals the
 //!    committed journal prefix as it stood before the crash.
+//! 3. *Write-all-current reconciliation*: when the current replicas alone
+//!    do not form a write quorum, the write ships the object a current
+//!    replica granted with to obsolete members, and sends no fetch.
+
+mod common;
 
 use std::sync::Arc;
 
 use bytes::Bytes;
+use common::drain_messages;
 use coterie_core::config::LOCK_LEASE;
 use coterie_core::{
-    keys, ClientRequest, Durable, DurableDelta, FaultKind, FramedJournal, LogEntry, OpId,
-    PartialWrite, ProtocolConfig, ProtocolEvent, Rng64, StepDriver,
+    keys, ClientRequest, Durable, DurableDelta, FaultKind, FramedJournal, LogEntry, MsgClass, OpId,
+    PartialWrite, ProtocolConfig, ProtocolEvent, Rng64, StepDriver, WriteMode,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 use coterie_simnet::SimDuration;
@@ -291,4 +297,85 @@ fn write_burst_batches_and_chains_rounds() {
         "expected a pipelined handoff, got chained_rounds = {}",
         stats.counter(keys::CHAINED_ROUNDS)
     );
+}
+
+/// Write-all-current on the 9-node grid (row-major: columns {0,3,6},
+/// {1,4,7}, {2,5,8}; a write quorum is a full column plus one node of
+/// every column). Write 1 commits at {0,1,2,3,6} while {4,5,7,8} are down.
+/// They recover and 0 and 3 crash, so the live current replicas {1,2,6}
+/// hold no full column: obsolete members must be reconciled. Write 2,
+/// coordinated at the obsolete replica 4, takes its base from a current
+/// replica's grant, with no fetch round.
+#[test]
+fn write_all_current_reconciles_from_the_grant_without_a_fetch() {
+    let config = ProtocolConfig {
+        write_mode: WriteMode::WriteAllCurrent,
+        ..ProtocolConfig::new(Arc::new(GridCoterie::new()), 9)
+            .static_mode()
+            .pages(N_PAGES)
+    };
+    let mut driver = StepDriver::new(9, config);
+    let write = |id: u64, text: &'static [u8]| ClientRequest::Write {
+        id,
+        write: PartialWrite::new([(id as u16, Bytes::from_static(text))]),
+    };
+    for n in [4, 5, 7, 8] {
+        driver.crash(NodeId(n));
+    }
+    driver.inject(NodeId(0), write(1, b"first"));
+    drain_messages(&mut driver);
+    for n in [4, 5, 7, 8] {
+        driver.recover(NodeId(n));
+    }
+    for n in [0, 3] {
+        driver.crash(NodeId(n));
+    }
+    drain_messages(&mut driver);
+    let obsolete: Vec<u32> = (0..9)
+        .filter(|&n| !driver.is_down(NodeId(n)) && driver.node(NodeId(n)).durable.version == 0)
+        .collect();
+    assert_eq!(obsolete, [4, 5, 7, 8]);
+
+    let coordinator = NodeId(4);
+    driver.inject(coordinator, write(2, b"second"));
+    drain_messages(&mut driver);
+    let outputs = driver.outputs();
+    let ok = |e: &ProtocolEvent| {
+        matches!(
+            e,
+            ProtocolEvent::WriteOk {
+                id: 2,
+                version: 2,
+                ..
+            }
+        )
+    };
+    assert!(outputs.iter().any(|(_, _, e)| ok(e)), "{outputs:?}");
+    let reconciled = outputs.iter().find_map(|(_, node, e)| match e {
+        ProtocolEvent::SyncReconciliation { targets } if *node == coordinator => Some(*targets),
+        _ => None,
+    });
+    let targets = reconciled.expect("the write reconciled no obsolete member");
+    // Every reconciled member is at the new version, holding the
+    // coordinator's object: the first write's page under the second's.
+    let digest = driver.node(coordinator).durable.object.digest();
+    let caught_up = obsolete
+        .iter()
+        .map(|&n| &driver.node(NodeId(n)).durable)
+        .filter(|d| d.version == 2)
+        .inspect(|d| assert_eq!(d.object.digest(), digest))
+        .count();
+    assert!(
+        targets > 0 && caught_up == targets,
+        "{targets} targets, {caught_up} caught up"
+    );
+    for n in [1, 2, 6] {
+        assert_eq!(driver.node(NodeId(n)).durable.object.digest(), digest);
+    }
+    for n in 0..9 {
+        let node = driver.node(NodeId(n));
+        assert!(node.vol.ops.is_empty(), "n{n} has an op in flight");
+        let fetches = node.stats.counter(keys::msgs_in(MsgClass::Fetch));
+        assert_eq!(fetches, 0, "n{n} received a fetch");
+    }
 }

@@ -71,6 +71,11 @@ fn grid_write_write_read_interleavings_are_serializable() {
         ..ExplorerConfig::default()
     };
     let report = explore(&driver, &issued, &explorer);
+    // scripts/parity.sh diffs these counts between two builds.
+    println!(
+        "explore: grid_write_write_read_interleavings_are_serializable: {} distinct states, {} schedules, {} checked",
+        report.distinct_states, report.schedules, report.schedules_checked
+    );
 
     assert!(
         report.violations.is_empty(),
@@ -112,6 +117,11 @@ fn majority_write_under_crash_recovery_stays_safe() {
         ..ExplorerConfig::default()
     };
     let report = explore(&driver, &issued, &explorer);
+    // scripts/parity.sh diffs these counts between two builds.
+    println!(
+        "explore: majority_write_under_crash_recovery_stays_safe: {} distinct states, {} schedules, {} checked",
+        report.distinct_states, report.schedules, report.schedules_checked
+    );
 
     assert!(
         report.violations.is_empty(),

@@ -102,6 +102,11 @@ fn pipelined_grid_interleavings_are_serializable() {
         ..ExplorerConfig::default()
     };
     let report = explore(&driver, &issued, &explorer);
+    // scripts/parity.sh diffs these counts between two builds.
+    println!(
+        "explore: pipelined_grid_interleavings_are_serializable: {} distinct states, {} schedules, {} checked",
+        report.distinct_states, report.schedules, report.schedules_checked
+    );
 
     assert!(
         report.violations.is_empty(),
