@@ -43,13 +43,13 @@ pub trait CoterieRule: Send + Sync + std::fmt::Debug {
     /// help form a quorum.
     fn includes_quorum(&self, view: &View, s: NodeSet, kind: QuorumKind) -> bool;
 
-    /// The paper's *quorum function*: yields some quorum over `view`,
-    /// preferring members of `prefer` (believed-up nodes) and varying the
-    /// choice with `seed` for load sharing ("it is desirable ... that the
-    /// quorum function yield different quorums for different node names").
-    ///
-    /// Returns `None` if no quorum can be drawn from `prefer ∩ view`; callers
-    /// may retry with `prefer = view.set()` to get an optimistic quorum.
+    /// The paper's *quorum function*: yields some quorum over `view` drawn
+    /// from `prefer` (believed-up nodes; `None` if `prefer ∩ view` holds none,
+    /// and `prefer = view.set()` gives an optimistic one), varying the choice
+    /// with `seed` for load sharing ("different quorums for different node
+    /// names"). It knows nothing of currency: coordinators ask the first
+    /// quorum for `seed`, `seed + 1`, … that holds a replica they last saw
+    /// current, so a rotation should reach every member within `|view|` seeds.
     fn pick_quorum(
         &self,
         view: &View,

@@ -35,7 +35,11 @@ echo "==> traced write_leader: history flatness, and what a committed write leav
 # driver.pending_timers_max <= 64: a decided participant holds no timer (37;
 # 1 368 when every committed write leaves its DecisionRetry chain armed).
 # storage.bytes_per_write <= 1500: a write journals the log entry it pushed
-# (946 B over its ~15 records; 7 226 when each apply re-ships the whole log).
+# (683 B over its ~12 records, 946 B before current-first quorums; 7 226 when
+# each apply re-ships the whole log).
+# core.heavy_per_op <= 0.05: a coordinator asks a quorum holding a replica it
+# last saw current, so its own serial writes never poll all nine (0.00; 0.34
+# with the seeded rotation alone, which ignores which replicas are current).
 traced_run() { # workload
   traced=$(cargo run --release --quiet -p coterie-bench --bin benchmark -- \
     --workload "$1" --seed 1 --seconds 10 --trace 1 | tail -n 1)
@@ -54,15 +58,19 @@ traced_run write_leader
 at_most core.step_growth 2.0 "step() cost grows with history"
 at_most driver.pending_timers_max 64 "decided operations leave timers armed"
 at_most storage.bytes_per_write 1500 "a committed write journals more than it touched"
+at_most core.heavy_per_op 0.05 "write quorums miss the current replicas and go heavy"
 
-echo "==> traced read_mostly: a read is one round trip"
-# Both repeat exactly for a seed on the virtual clock.
+echo "==> traced read_mostly: a read is one round trip to a current replica"
+# All three repeat exactly for a seed on the virtual clock.
 # core.msgs_per_op.fetch <= 0: a granted read carries its replica's object,
 # so no read fetches (1.53 when reads fetch from a current replica).
-# core.read_p50_us <= 250: one round trip (212; 414 with the fetch trip).
+# core.read_p50_us <= 250: one round trip (207; 414 with the fetch trip).
+# core.heavy_per_op <= 0.05: reads ask a quorum holding a replica their
+# coordinator last saw current (0.00; 0.42 with the seeded rotation alone).
 traced_run read_mostly
 at_most core.msgs_per_op.fetch 0 "a read fetched the object in a second round trip"
 at_most core.read_p50_us 250 "the median read takes more than one round trip"
+at_most core.heavy_per_op 0.05 "read quorums miss the current replicas and go heavy"
 
 echo "==> cargo test -q"
 cargo test -q --workspace
