@@ -51,7 +51,6 @@ pub fn compute(n: usize, duration_secs: u64, seed: u64, churn: bool) -> Vec<Part
                         mu_per_sec: 0.3,
                         duration: SimDuration::from_secs(duration_secs),
                         seed: seed ^ 0xFA17,
-                        ..Default::default()
                     },
                     n,
                 )

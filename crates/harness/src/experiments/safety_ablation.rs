@@ -49,7 +49,6 @@ pub fn compute(n: usize, duration_secs: u64, seed: u64) -> Vec<SafetyRow> {
                     mu_per_sec: 0.3,
                     duration: SimDuration::from_secs(duration_secs),
                     seed: seed ^ 0x5AFE,
-                    ..Default::default()
                 },
                 n,
             );

@@ -1,7 +1,7 @@
-//! Fault-injection schedules: per-node Poisson crash/repair processes and
-//! scripted partition timelines, pre-generated so runs stay reproducible.
+//! Fault-injection schedules: per-node Poisson crash/repair processes,
+//! pre-generated so runs stay reproducible.
 
-use coterie_core::{FaultKind, StepDriver};
+use coterie_core::StepDriver;
 use coterie_quorum::NodeId;
 use coterie_simnet::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -21,8 +21,6 @@ pub struct FaultConfig {
     pub duration: SimDuration,
     /// RNG seed.
     pub seed: u64,
-    /// Nodes exempt from crashes (e.g. keep the measured coordinator up).
-    pub immune: Vec<NodeId>,
 }
 
 impl Default for FaultConfig {
@@ -32,7 +30,6 @@ impl Default for FaultConfig {
             mu_per_sec: 1.0,
             duration: SimDuration::from_secs(60),
             seed: 0xDEAD,
-            immune: Vec::new(),
         }
     }
 }
@@ -44,17 +41,6 @@ pub enum FaultEvent {
     Crash(NodeId),
     /// Recover `node`.
     Recover(NodeId),
-    /// Replace the partition: node `i` is in island `islands[i]`, and only
-    /// nodes in the same island can exchange messages (see
-    /// [`StepDriver::set_partition`](coterie_core::StepDriver::set_partition)).
-    Partition(Vec<u8>),
-    /// Arm a one-shot storage fault at `node`'s next journal append.
-    StorageFault {
-        /// The node whose journal misbehaves.
-        node: NodeId,
-        /// What the append does instead of succeeding.
-        kind: FaultKind,
-    },
 }
 
 impl FaultEvent {
@@ -64,8 +50,6 @@ impl FaultEvent {
         match self {
             FaultEvent::Crash(node) if !driver.is_down(*node) => driver.crash(*node),
             FaultEvent::Recover(node) if driver.is_down(*node) => driver.recover(*node),
-            FaultEvent::Partition(islands) => driver.set_partition(islands.clone()),
-            FaultEvent::StorageFault { node, kind } => driver.arm_storage_fault(*node, *kind),
             FaultEvent::Crash(_) | FaultEvent::Recover(_) => {}
         }
     }
@@ -80,7 +64,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Generates independent alternating crash/repair processes for each
-    /// (non-immune) node.
+    /// node.
     pub fn generate(config: &FaultConfig, n_nodes: usize) -> FaultPlan {
         let mut plan = FaultPlan::default();
         if !config.lambda_per_sec.is_finite() || config.lambda_per_sec <= 0.0 {
@@ -89,9 +73,6 @@ impl FaultPlan {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let horizon = config.duration.as_secs_f64();
         for node in (0..n_nodes as u32).map(NodeId) {
-            if config.immune.contains(&node) {
-                continue;
-            }
             let mut t = 0.0f64;
             let mut up = true;
             loop {
@@ -125,41 +106,6 @@ impl FaultPlan {
         }
         plan.events.sort_by_key(|(t, _)| *t);
         plan
-    }
-
-    /// A scripted plan: explicit events.
-    pub fn scripted(events: Vec<(SimTime, FaultEvent)>) -> FaultPlan {
-        let mut plan = FaultPlan { events };
-        plan.events.sort_by_key(|(t, _)| *t);
-        plan
-    }
-
-    /// Adds a partition episode `[from, until)` isolating `island`.
-    pub fn with_partition_episode(
-        mut self,
-        n_nodes: usize,
-        island: &[NodeId],
-        from: SimTime,
-        until: SimTime,
-    ) -> FaultPlan {
-        let mut islands = vec![0; n_nodes];
-        for node in island {
-            islands[node.0 as usize] = 1;
-        }
-        self.events.push((from, FaultEvent::Partition(islands)));
-        self.events
-            .push((until, FaultEvent::Partition(vec![0; n_nodes])));
-        self.events.sort_by_key(|(t, _)| *t);
-        self
-    }
-
-    /// Adds a one-shot storage fault at `node`'s next journal append
-    /// after `at`.
-    pub fn with_storage_fault(mut self, node: NodeId, at: SimTime, kind: FaultKind) -> FaultPlan {
-        self.events
-            .push((at, FaultEvent::StorageFault { node, kind }));
-        self.events.sort_by_key(|(t, _)| *t);
-        self
     }
 
     /// Number of events.
@@ -210,7 +156,6 @@ mod tests {
                         assert!(!expect_crash);
                         expect_crash = true;
                     }
-                    FaultEvent::Partition(_) | FaultEvent::StorageFault { .. } => unreachable!(),
                 }
             }
         }
@@ -218,22 +163,6 @@ mod tests {
         for pair in plan.events.windows(2) {
             assert!(pair[0].0 <= pair[1].0);
         }
-    }
-
-    #[test]
-    fn immune_nodes_never_crash() {
-        let cfg = FaultConfig {
-            lambda_per_sec: 2.0,
-            mu_per_sec: 2.0,
-            duration: SimDuration::from_secs(50),
-            immune: vec![NodeId(0)],
-            ..Default::default()
-        };
-        let plan = FaultPlan::generate(&cfg, 3);
-        assert!(plan.events.iter().all(|(_, e)| !matches!(
-            e,
-            FaultEvent::Crash(n) if *n == NodeId(0)
-        )));
     }
 
     #[test]
@@ -279,44 +208,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn storage_fault_builder_inserts_in_time_order() {
-        let plan = FaultPlan::scripted(vec![(SimTime(8), FaultEvent::Crash(NodeId(1)))])
-            .with_storage_fault(NodeId(2), SimTime(3), FaultKind::TornWrite)
-            .with_storage_fault(NodeId(0), SimTime(12), FaultKind::BitFlip);
-        assert_eq!(plan.len(), 3);
-        assert_eq!(
-            plan.events[0].1,
-            FaultEvent::StorageFault {
-                node: NodeId(2),
-                kind: FaultKind::TornWrite
-            }
-        );
-        assert!(matches!(plan.events[1].1, FaultEvent::Crash(_)));
-        assert_eq!(
-            plan.events[2].1,
-            FaultEvent::StorageFault {
-                node: NodeId(0),
-                kind: FaultKind::BitFlip
-            }
-        );
-        for pair in plan.events.windows(2) {
-            assert!(pair[0].0 <= pair[1].0);
-        }
-    }
-
-    #[test]
-    fn partition_episode_brackets() {
-        let plan = FaultPlan::scripted(vec![]).with_partition_episode(
-            4,
-            &[NodeId(3)],
-            SimTime(5),
-            SimTime(10),
-        );
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan.events[0].1, FaultEvent::Partition(vec![0, 0, 0, 1]));
-        assert!(plan.events[0].0 < plan.events[1].0);
     }
 }

@@ -39,9 +39,25 @@ use crate::explore::cluster_invariant_violations;
 use crate::recorder::{capture, TraceDump};
 use crate::workload::IssuedOp;
 
-/// Nemesis schedule parameters. The per-mille weights are per schedule
-/// step; the remaining probability mass goes to ordinary progress
-/// (deliveries, timer firings, client operations).
+/// Pages per object: the protocol's object size and the range that
+/// injected writes draw their page from.
+const N_PAGES: usize = 8;
+
+// Per-step chances (‰) of each fault. The remaining probability mass goes
+// to ordinary progress (deliveries, timer firings, client operations).
+/// Fail-stopping a node.
+const CRASH_PER_MILLE: u16 = 12;
+/// Recovering a downed node.
+const RECOVER_PER_MILLE: u16 = 30;
+/// Arming a one-shot storage fault.
+const STORAGE_FAULT_PER_MILLE: u16 = 10;
+/// Toggling a single-node partition.
+const PARTITION_PER_MILLE: u16 = 6;
+
+/// Per-node flight-recorder capacity (trace records retained per node).
+const TRACE_CAP: usize = 256;
+
+/// Nemesis schedule parameters.
 #[derive(Clone, Debug)]
 pub struct NemesisConfig {
     /// Cluster size.
@@ -50,16 +66,6 @@ pub struct NemesisConfig {
     pub steps: usize,
     /// Client operations injected over the schedule.
     pub client_ops: usize,
-    /// Pages per object.
-    pub n_pages: usize,
-    /// Per-step chance (‰) of fail-stopping a node.
-    pub crash_per_mille: u16,
-    /// Per-step chance (‰) of recovering a downed node.
-    pub recover_per_mille: u16,
-    /// Per-step chance (‰) of arming a one-shot storage fault.
-    pub storage_fault_per_mille: u16,
-    /// Per-step chance (‰) of toggling a single-node partition.
-    pub partition_per_mille: u16,
     /// Driver time simulated after the schedule to let the cluster
     /// converge before the final checks.
     pub drain: SimDuration,
@@ -67,9 +73,6 @@ pub struct NemesisConfig {
     pub write_batch: usize,
     /// Pipelined-2PC window (DESIGN.md §10); 1 disables.
     pub pipeline_window: u32,
-    /// Per-node flight-recorder capacity (trace records retained per
-    /// node); 0 disables tracing entirely.
-    pub trace_cap: usize,
 }
 
 impl Default for NemesisConfig {
@@ -78,15 +81,9 @@ impl Default for NemesisConfig {
             n_nodes: 4,
             steps: 3_000,
             client_ops: 30,
-            n_pages: 8,
-            crash_per_mille: 12,
-            recover_per_mille: 30,
-            storage_fault_per_mille: 10,
-            partition_per_mille: 6,
             drain: SimDuration::from_secs(120),
             write_batch: 1,
             pipeline_window: 1,
-            trace_cap: 256,
         }
     }
 }
@@ -115,7 +112,7 @@ pub struct NemesisRun {
     /// Reads the checker verified.
     pub reads_checked: usize,
     /// Flight-recorder dump captured at the first violation (None for
-    /// clean runs or when [`NemesisConfig::trace_cap`] is 0).
+    /// clean runs).
     pub trace: Option<TraceDump>,
 }
 
@@ -163,14 +160,12 @@ pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -
     let n = cfg.n_nodes;
     assert!(n >= 3, "nemesis needs at least 3 nodes");
     let protocol = ProtocolConfig::new(rule, n)
-        .pages(cfg.n_pages)
+        .pages(N_PAGES)
         .write_batch(cfg.write_batch)
         .pipeline(cfg.pipeline_window)
         .rng_seed(seed);
     let mut driver = StepDriver::new(n, protocol);
-    if cfg.trace_cap > 0 {
-        driver.enable_tracing(cfg.trace_cap);
-    }
+    driver.enable_tracing(TRACE_CAP);
     // The schedule RNG is independent of the engines' (different stream).
     let mut rng = Rng64::new(seed ^ 0x4E45_4D45_5349_5321);
     // Silent corruption is confined to one victim per run (see module docs).
@@ -185,10 +180,10 @@ pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -
     let mut partitioned = false;
     let inject_gap = (cfg.steps / cfg.client_ops.max(1)).max(1) as u64;
 
-    let crash_cut = cfg.crash_per_mille;
-    let recover_cut = crash_cut + cfg.recover_per_mille;
-    let fault_cut = recover_cut + cfg.storage_fault_per_mille;
-    let partition_cut = fault_cut + cfg.partition_per_mille;
+    let crash_cut = CRASH_PER_MILLE;
+    let recover_cut = crash_cut + RECOVER_PER_MILLE;
+    let fault_cut = recover_cut + STORAGE_FAULT_PER_MILLE;
+    let partition_cut = fault_cut + PARTITION_PER_MILLE;
 
     for step in 0..cfg.steps {
         let roll = rng.below(1000) as u16;
@@ -231,7 +226,7 @@ pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -
     for v in cluster_invariant_violations(&driver) {
         run.violations.push(format!("seed {seed} final state: {v}"));
     }
-    let check = check_run(&issued, driver.outputs(), cfg.n_pages);
+    let check = check_run(&issued, driver.outputs(), N_PAGES);
     run.writes_committed = check.writes_committed;
     run.reads_checked = check.reads_checked;
     for v in check.violations {
@@ -376,7 +371,7 @@ fn inject_op(
         );
         driver.inject(coordinator, ClientRequest::Read { id });
     } else {
-        let page = rng.below(8) as u16;
+        let page = rng.below(N_PAGES as u64) as u16;
         let write = PartialWrite::new([(page, Bytes::from(rng.next_u64().to_le_bytes().to_vec()))]);
         issued.insert(
             id,

@@ -242,7 +242,6 @@ mod tests {
                 mu_per_sec: 0.5,
                 duration: SimDuration::from_secs(20),
                 seed: 99,
-                ..Default::default()
             },
             n,
         );

@@ -12,6 +12,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
+/// Maximum pages touched by one partial write.
+const MAX_PAGES_PER_WRITE: usize = 3;
+/// Payload bytes per page write.
+const PAGE_BYTES: usize = 64;
+
 /// Workload parameters.
 #[derive(Clone, Debug)]
 pub struct WorkloadConfig {
@@ -21,10 +26,6 @@ pub struct WorkloadConfig {
     pub read_fraction: f64,
     /// Pages the object has (writes target a random subset).
     pub n_pages: usize,
-    /// Maximum pages touched by one partial write.
-    pub max_pages_per_write: usize,
-    /// Payload bytes per page write.
-    pub page_bytes: usize,
     /// Total workload duration.
     pub duration: SimDuration,
     /// RNG seed (independent of the simulator's).
@@ -37,8 +38,6 @@ impl Default for WorkloadConfig {
             ops_per_sec: 50.0,
             read_fraction: 0.5,
             n_pages: 16,
-            max_pages_per_write: 3,
-            page_bytes: 64,
             duration: SimDuration::from_secs(60),
             seed: 0xF00D,
         }
@@ -100,11 +99,11 @@ impl Workload {
                 );
                 ClientRequest::Read { id }
             } else {
-                let k = rng.gen_range(1..=config.max_pages_per_write.min(config.n_pages));
+                let k = rng.gen_range(1..=MAX_PAGES_PER_WRITE.min(config.n_pages));
                 let mut pages = Vec::with_capacity(k);
                 for _ in 0..k {
                     let page = rng.gen_range(0..config.n_pages as u16) as PageId;
-                    let mut body = vec![0u8; config.page_bytes];
+                    let mut body = vec![0u8; PAGE_BYTES];
                     rng.fill(&mut body[..]);
                     pages.push((page, Bytes::from(body)));
                 }

@@ -17,8 +17,7 @@
 //! * [`GridCoterie`] — the paper's worked example (§5): nodes arranged in a
 //!   rectangular grid via `DefineGrid`; read quorums cover every column,
 //!   write quorums additionally contain a full (physical) column.
-//! * [`VotingCoterie`] / [`MajorityCoterie`] — Gifford voting, unit votes.
-//! * [`WeightedCoterie`] — weighted voting.
+//! * [`MajorityCoterie`] — Gifford voting, unit votes, majority quorums.
 //! * [`TreeCoterie`] — hierarchical quorum consensus (Kumar).
 //! * [`RowaCoterie`] — read-one/write-all.
 //!
@@ -49,13 +48,11 @@ pub mod plan;
 pub mod rowa;
 pub mod rule;
 pub mod tree;
-pub mod weighted;
 
 pub use grid::{GridCoterie, GridOrientation, GridShape};
-pub use majority::{MajorityCoterie, VotingCoterie, WriteSize};
+pub use majority::MajorityCoterie;
 pub use node::{NodeId, NodeSet, View, MAX_NODES};
 pub use plan::{PlanCache, QuorumPlan};
 pub use rowa::RowaCoterie;
 pub use rule::{quorum_seed, CoterieRule, QuorumKind};
 pub use tree::TreeCoterie;
-pub use weighted::WeightedCoterie;

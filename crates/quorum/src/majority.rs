@@ -1,58 +1,29 @@
-//! Voting coteries with unit votes (Gifford \[6\]): majority quorums and
-//! general read/write threshold pairs with `r + w > N` and `2w > N`.
+//! Majority voting with unit votes (Gifford \[6\]): read and write
+//! quorums are any `⌊N/2⌋ + 1` and `N + 1 - w` members of the view.
 
 use crate::node::{NodeSet, View};
 use crate::plan::QuorumPlan;
 use crate::rule::{CoterieRule, QuorumKind};
 
-/// How the write quorum size is derived from the view size `N`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WriteSize {
-    /// `⌊N/2⌋ + 1` — plain majority.
-    Majority,
-    /// `max(⌊N/2⌋ + 1, ⌈pct·N/100⌉)` — a biased write quorum; the read
-    /// quorum shrinks correspondingly (`r = N + 1 - w`).
-    Percent(u8),
-    /// `max(⌊N/2⌋ + 1, min(k, N))` — a fixed target size, clamped to stay a
-    /// legal write quorum.
-    AtLeast(usize),
-}
-
-/// A voting coterie with one vote per node.
+/// A majority-voting coterie with one vote per node.
 ///
-/// Write quorums are any `w` nodes and read quorums any `r = N + 1 - w`
-/// nodes, which guarantees both intersection properties. This is the
-/// protocol the paper contrasts with structured coteries: "the voting
-/// protocol \[6\], where the quorum size in the simplest case is ⌊(N+1)/2⌋".
-#[derive(Clone, Copy, Debug)]
-pub struct VotingCoterie {
-    write_size: WriteSize,
-}
+/// Write quorums are any `w = ⌊N/2⌋ + 1` nodes and read quorums any
+/// `r = N + 1 - w` nodes, which guarantees both intersection properties.
+/// This is the protocol the paper contrasts with structured coteries: "the
+/// voting protocol \[6\], where the quorum size in the simplest case is
+/// ⌊(N+1)/2⌋".
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MajorityCoterie;
 
-impl VotingCoterie {
-    /// Majority read and write quorums.
-    pub fn majority() -> Self {
-        VotingCoterie {
-            write_size: WriteSize::Majority,
-        }
+impl MajorityCoterie {
+    /// The majority coterie.
+    pub fn new() -> Self {
+        MajorityCoterie
     }
 
-    /// A voting coterie with the given write-size policy.
-    pub fn with_write_size(write_size: WriteSize) -> Self {
-        VotingCoterie { write_size }
-    }
-
-    /// Write quorum size for a view of `n` nodes.
+    /// Write quorum size for a view of `n` nodes: `⌊N/2⌋ + 1`.
     pub fn write_quorum_size(&self, n: usize) -> usize {
-        let majority = n / 2 + 1;
-        match self.write_size {
-            WriteSize::Majority => majority,
-            WriteSize::Percent(pct) => {
-                let target = (n * pct as usize).div_ceil(100);
-                target.clamp(majority, n)
-            }
-            WriteSize::AtLeast(k) => k.clamp(majority, n),
-        }
+        n / 2 + 1
     }
 
     /// Read quorum size for a view of `n` nodes: `N + 1 - w`.
@@ -68,28 +39,9 @@ impl VotingCoterie {
     }
 }
 
-/// The common case: majority voting.
-pub type MajorityCoterie = VotingCoterie;
-
-impl MajorityCoterie {
-    /// Alias for [`VotingCoterie::majority`].
-    pub fn new() -> Self {
-        VotingCoterie::majority()
-    }
-}
-
-impl Default for VotingCoterie {
-    fn default() -> Self {
-        VotingCoterie::majority()
-    }
-}
-
-impl CoterieRule for VotingCoterie {
+impl CoterieRule for MajorityCoterie {
     fn name(&self) -> &'static str {
-        match self.write_size {
-            WriteSize::Majority => "majority",
-            _ => "voting",
-        }
+        "majority"
     }
 
     fn includes_quorum(&self, view: &View, s: NodeSet, kind: QuorumKind) -> bool {
@@ -147,27 +99,6 @@ mod tests {
         assert_eq!(m.write_quorum_size(6), 4);
         assert_eq!(m.read_quorum_size(6), 3);
         assert_eq!(m.write_quorum_size(1), 1);
-    }
-
-    #[test]
-    fn thresholds_respect_invariants() {
-        for pct in [0u8, 30, 50, 75, 100] {
-            let c = VotingCoterie::with_write_size(WriteSize::Percent(pct));
-            for n in 1..=40 {
-                let w = c.write_quorum_size(n);
-                let r = c.read_quorum_size(n);
-                assert!(2 * w > n, "2w > N violated: n={n} pct={pct}");
-                assert!(r + w > n, "r+w > N violated: n={n} pct={pct}");
-                assert!(w <= n && r >= 1 && r <= n);
-            }
-        }
-        for k in [0usize, 2, 7, 100] {
-            let c = VotingCoterie::with_write_size(WriteSize::AtLeast(k));
-            for n in 1..=40 {
-                let w = c.write_quorum_size(n);
-                assert!(2 * w > n && w <= n);
-            }
-        }
     }
 
     #[test]

@@ -8,16 +8,13 @@
 //! classification, every availability-model transition, and every
 //! enumeration step over candidate sets — always against the *same* view
 //! (the current epoch list) while `S` varies. A [`QuorumPlan`] hoists all
-//! the view-dependent work (grid layout, thresholds, vote totals, tree
-//! grouping) out of the loop:
+//! the view-dependent work (grid layout, thresholds, tree grouping) out
+//! of the loop:
 //!
 //! * **Grid** — one occupancy mask per column. `S` includes a read quorum
 //!   iff it intersects every column mask; a write quorum additionally
 //!   requires some column mask to be entirely inside `S`.
-//! * **Voting / majority** — a popcount against precomputed read/write
-//!   sizes.
-//! * **Weighted voting** — per-member `(bit, weight)` pairs summed against
-//!   precomputed thresholds.
+//! * **Majority** — a popcount against precomputed read/write sizes.
 //! * **Tree** — the hierarchy flattened into leaf masks and
 //!   majority-of-children counters.
 //! * **ROWA** — raw mask emptiness / equality tests.
@@ -81,18 +78,12 @@ fn tree_satisfied(groups: &[TreeGroup], idx: usize, s: u128) -> bool {
 /// through the typed [`QuorumPlan`] constructors.
 #[derive(Clone, Debug)]
 enum PlanBody {
-    /// Degenerate view (empty, or zero total weight): nothing is a quorum.
+    /// Empty view: nothing is a quorum.
     Never,
     /// Grid rule: one occupancy mask per column.
     Grid { columns: Vec<u128> },
     /// Unit-vote thresholds: popcount against per-kind sizes.
     Threshold { read_need: u32, write_need: u32 },
-    /// Weighted votes: `(member bit, weight)` pairs against thresholds.
-    Weighted {
-        weights: Vec<(u128, u64)>,
-        read_need: u64,
-        write_need: u64,
-    },
     /// Flattened tree hierarchy; read and write quorums coincide.
     Tree { groups: Vec<TreeGroup> },
     /// Read-one/write-all over the view mask.
@@ -110,8 +101,7 @@ pub struct QuorumPlan {
 }
 
 impl QuorumPlan {
-    /// A plan under which no set is ever a quorum (empty or otherwise
-    /// degenerate views).
+    /// A plan under which no set is ever a quorum (the empty view).
     pub fn never(view: &View) -> Self {
         QuorumPlan {
             view_set: view.set(),
@@ -137,24 +127,6 @@ impl QuorumPlan {
             body: PlanBody::Threshold {
                 read_need: read_need as u32,
                 write_need: write_need as u32,
-            },
-        }
-    }
-
-    /// A compiled weighted-vote plan over `(member bit mask, weight)`
-    /// pairs and per-kind vote thresholds.
-    pub fn weighted(
-        view: &View,
-        weights: Vec<(u128, u64)>,
-        read_need: u64,
-        write_need: u64,
-    ) -> Self {
-        QuorumPlan {
-            view_set: view.set(),
-            body: PlanBody::Weighted {
-                weights,
-                read_need,
-                write_need,
             },
         }
     }
@@ -218,26 +190,6 @@ impl QuorumPlan {
                     QuorumKind::Read => have >= *read_need,
                     QuorumKind::Write => have >= *write_need,
                 }
-            }
-            PlanBody::Weighted {
-                weights,
-                read_need,
-                write_need,
-            } => {
-                let need = match kind {
-                    QuorumKind::Read => *read_need,
-                    QuorumKind::Write => *write_need,
-                };
-                let mut votes = 0u64;
-                for &(mask, w) in weights {
-                    if s & mask != 0 {
-                        votes += w;
-                        if votes >= need {
-                            break;
-                        }
-                    }
-                }
-                votes >= need
             }
             PlanBody::Tree { groups } => tree_satisfied(groups, groups.len() - 1, s),
             PlanBody::Rowa => match kind {
@@ -320,7 +272,6 @@ mod tests {
     use crate::node::NodeId;
     use crate::rowa::RowaCoterie;
     use crate::tree::TreeCoterie;
-    use crate::weighted::WeightedCoterie;
 
     fn ids(v: &[u32]) -> NodeSet {
         NodeSet::from_iter(v.iter().map(|&x| NodeId(x)))
@@ -368,39 +319,15 @@ mod tests {
 
     #[test]
     fn threshold_plan_matches_legacy() {
-        use crate::majority::{VotingCoterie, WriteSize};
         for n in 1..=12 {
             assert_equivalent(&MajorityCoterie::new(), &View::first_n(n));
-            assert_equivalent(
-                &VotingCoterie::with_write_size(WriteSize::Percent(75)),
-                &View::first_n(n),
-            );
-            assert_equivalent(
-                &VotingCoterie::with_write_size(WriteSize::AtLeast(4)),
-                &View::first_n(n),
-            );
         }
-    }
-
-    #[test]
-    fn weighted_plan_matches_legacy() {
-        let rule = WeightedCoterie::new([(NodeId(0), 3), (NodeId(4), 0), (NodeId(7), 5)]);
-        for n in 1..=10 {
-            assert_equivalent(&rule, &View::first_n(n));
-        }
-        // All-zero weights: nothing is a quorum.
-        let zero = WeightedCoterie::new([]).with_default_weight(0);
-        let view = View::first_n(3);
-        let plan = zero.compile(&view);
-        assert!(!plan.is_write_quorum(view.set()));
-        assert!(!plan.is_read_quorum(view.set()));
     }
 
     #[test]
     fn tree_plan_matches_legacy() {
         for n in 1..=14 {
             assert_equivalent(&TreeCoterie::new(), &View::first_n(n));
-            assert_equivalent(&TreeCoterie::with_branching(2), &View::first_n(n));
         }
         let view = View::new([NodeId(2), NodeId(30), NodeId(31), NodeId(64), NodeId(90)]);
         assert_equivalent(&TreeCoterie::new(), &view);
@@ -419,7 +346,6 @@ mod tests {
         for rule in [
             Box::new(GridCoterie::new()) as Box<dyn CoterieRule>,
             Box::new(MajorityCoterie::new()),
-            Box::new(WeightedCoterie::new([])),
             Box::new(TreeCoterie::new()),
             Box::new(RowaCoterie::new()),
         ] {

@@ -10,27 +10,22 @@ use crate::node::{NodeSet, View};
 use crate::plan::{QuorumPlan, TreeGroup};
 use crate::rule::{CoterieRule, QuorumKind};
 
-/// Hierarchical (tree) quorum coterie with a configurable branching factor.
+/// Children per internal group of the hierarchy (Kumar's classic 3).
+const BRANCHING: usize = 3;
+
+/// Hierarchical (tree) quorum coterie with a branching factor of 3.
 ///
 /// Read and write quorums coincide (majority-of-majorities at every level),
 /// which satisfies both intersection properties: two quorums each satisfy
 /// strict majorities of the same group's children and therefore share a
 /// child, recursively down to a shared leaf.
-#[derive(Clone, Copy, Debug)]
-pub struct TreeCoterie {
-    branching: usize,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TreeCoterie;
 
 impl TreeCoterie {
-    /// Creates a tree coterie with the classic branching factor of 3.
+    /// The tree coterie.
     pub fn new() -> Self {
-        TreeCoterie { branching: 3 }
-    }
-
-    /// Creates a tree coterie with the given branching factor (≥ 2).
-    pub fn with_branching(branching: usize) -> Self {
-        assert!(branching >= 2, "branching factor must be at least 2");
-        TreeCoterie { branching }
+        TreeCoterie
     }
 
     /// Recursively checks whether the members of `present` (given as
@@ -42,14 +37,14 @@ impl TreeCoterie {
             let node = view.members()[lo];
             return present.contains(node);
         }
-        if len <= self.branching {
+        if len <= BRANCHING {
             // Leaf group: strict majority of its members.
             let have = (lo..hi)
                 .filter(|&i| present.contains(view.members()[i]))
                 .count();
             return have > len / 2;
         }
-        // Internal group: split into `branching` nearly equal children and
+        // Internal group: split into `BRANCHING` nearly equal children and
         // require a strict majority of satisfied children.
         let children = self.split(lo, hi);
         let satisfied = children
@@ -59,11 +54,11 @@ impl TreeCoterie {
         satisfied > children.len() / 2
     }
 
-    /// Splits positions `lo..hi` into `branching` contiguous, nearly equal,
+    /// Splits positions `lo..hi` into `BRANCHING` contiguous, nearly equal,
     /// non-empty ranges.
     fn split(&self, lo: usize, hi: usize) -> Vec<(usize, usize)> {
         let len = hi - lo;
-        let k = self.branching.min(len);
+        let k = BRANCHING.min(len);
         let base = len / k;
         let extra = len % k;
         let mut out = Vec::with_capacity(k);
@@ -82,7 +77,7 @@ impl TreeCoterie {
     fn flatten(&self, view: &View, lo: usize, hi: usize, out: &mut Vec<TreeGroup>) -> usize {
         let len = hi - lo;
         debug_assert!(len >= 1);
-        if len <= self.branching {
+        if len <= BRANCHING {
             let mut mask = 0u128;
             for i in lo..hi {
                 mask |= 1u128 << view.members()[i].index();
@@ -118,7 +113,7 @@ impl TreeCoterie {
             let node = view.members()[lo];
             return prefer.contains(node).then(|| NodeSet::singleton(node));
         }
-        if len <= self.branching {
+        if len <= BRANCHING {
             let need = len / 2 + 1;
             let mut picked = NodeSet::new();
             let mut have = 0;
@@ -150,12 +145,6 @@ impl TreeCoterie {
             }
         }
         None
-    }
-}
-
-impl Default for TreeCoterie {
-    fn default() -> Self {
-        TreeCoterie::new()
     }
 }
 
@@ -287,25 +276,5 @@ mod tests {
             dead2.remove(NodeId(id));
         }
         assert!(t.pick_quorum(&view, dead2, 0, QuorumKind::Write).is_none());
-    }
-
-    #[test]
-    fn branching_factor_two_still_intersects() {
-        let t = TreeCoterie::with_branching(2);
-        for n in 1..=8usize {
-            let view = View::first_n(n);
-            let mut quorums = Vec::new();
-            for mask in 0u32..(1 << n) {
-                let s = NodeSet(mask as u128);
-                if t.is_write_quorum(&view, s) {
-                    quorums.push(s);
-                }
-            }
-            for &a in &quorums {
-                for &b in &quorums {
-                    assert!(a.intersects(b), "disjoint at n={n}");
-                }
-            }
-        }
     }
 }

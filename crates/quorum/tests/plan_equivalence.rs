@@ -5,27 +5,11 @@
 //! the view. This is the contract that lets the protocol core swap
 //! `includes_quorum` for plan evaluation without behavioral change.
 
-use coterie_quorum::{
-    CoterieRule, GridCoterie, MajorityCoterie, NodeId, NodeSet, PlanCache, QuorumKind, RowaCoterie,
-    TreeCoterie, View, VotingCoterie, WeightedCoterie, WriteSize,
-};
-use proptest::prelude::*;
+mod common;
 
-fn rules() -> Vec<Box<dyn CoterieRule>> {
-    vec![
-        Box::new(GridCoterie::new()),
-        Box::new(GridCoterie::tall()),
-        Box::new(MajorityCoterie::new()),
-        Box::new(VotingCoterie::with_write_size(WriteSize::Percent(70))),
-        Box::new(TreeCoterie::new()),
-        Box::new(RowaCoterie::new()),
-        Box::new(WeightedCoterie::new([
-            (NodeId(0), 3),
-            (NodeId(7), 2),
-            (NodeId(33), 5),
-        ])),
-    ]
-}
+use common::rules;
+use coterie_quorum::{NodeId, NodeSet, PlanCache, QuorumKind, View};
+use proptest::prelude::*;
 
 /// A view of 1..=20 nodes with names drawn sparsely from 0..60.
 fn view_strategy() -> impl Strategy<Value = View> {

@@ -3,23 +3,13 @@
 //! (§4.4) relies on, for arbitrary views — including views with sparse,
 //! non-contiguous node names, as arise after epoch changes.
 
+mod common;
+
+use common::rules;
 use coterie_quorum::{
-    CoterieRule, GridCoterie, GridShape, MajorityCoterie, NodeId, NodeSet, QuorumKind, RowaCoterie,
-    TreeCoterie, View, VotingCoterie, WeightedCoterie, WriteSize,
+    CoterieRule, GridCoterie, GridShape, MajorityCoterie, NodeId, NodeSet, QuorumKind, View,
 };
 use proptest::prelude::*;
-
-fn rules() -> Vec<Box<dyn CoterieRule>> {
-    vec![
-        Box::new(GridCoterie::new()),
-        Box::new(GridCoterie::tall()),
-        Box::new(MajorityCoterie::new()),
-        Box::new(VotingCoterie::with_write_size(WriteSize::Percent(70))),
-        Box::new(TreeCoterie::new()),
-        Box::new(RowaCoterie::new()),
-        Box::new(WeightedCoterie::new([(NodeId(0), 3), (NodeId(5), 2)])),
-    ]
-}
 
 /// Strategy: a view of 1..=12 nodes with names drawn from 0..40.
 fn view_strategy() -> impl Strategy<Value = View> {

@@ -9,7 +9,9 @@
 #     wall-clock ones (WALL_CLOCK below);
 #   - the explorer tests' distinct-state, schedule and checked-schedule
 #     counts (`explore:` lines; a tree whose tests print none has nothing
-#     to compare there, and the script says so).
+#     to compare there, and the script says so);
+#   - every `experiments all` table: exit status, stdout and stderr (~5 s
+#     a tree).
 # <rev> is exported with `git archive` into target/parity/base, so no git
 # metadata comes along; each tree builds in its own target directory under
 # target/parity/. Outputs land in target/parity/out/{base,head}.
@@ -44,7 +46,7 @@ build() { # name tree
   echo "==> building $1"
   export CARGO_TARGET_DIR=$work/target-$1
   cargo build --release --offline --locked --quiet --manifest-path "$2/Cargo.toml" \
-    -p coterie-harness --bin nemesis
+    -p coterie-harness --bin nemesis --bin experiments
   cargo build --release --offline --locked --quiet \
     --manifest-path "$2/crates/bench/src/bin/benchmark/Cargo.toml"
   cargo test --release --offline --locked --quiet --no-run --manifest-path "$2/Cargo.toml" \
@@ -72,6 +74,10 @@ run() { # name tree
     # One JSON field per line, wall-clock cells dropped.
     tr ',' '\n' <"$raw/$w.json" | grep -Ev "$WALL_CLOCK" >"$out/bench-$w.cells" || true
   done
+  echo "==> $1: experiments all"
+  local status=0
+  "$bin/experiments" all >"$out/experiments.stdout" 2>"$out/experiments.stderr" || status=$?
+  echo "$status" >"$out/experiments.status"
   echo "==> $1: explorer tests"
   CARGO_TARGET_DIR=$work/target-$1 cargo test --release --offline --locked --quiet \
     --manifest-path "$2/Cargo.toml" -p coterie-harness --test explore --test features \

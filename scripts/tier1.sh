@@ -90,6 +90,8 @@ cargo run --release --example quickstart
 cargo run --release --example failover
 # The one crash-plus-epoch-change run over real threads outside the tests.
 cargo run --release --example live_threads
+# Every experiment through the `experiments` binary's own dispatch (~1 s).
+cargo run --release -p coterie-harness --bin experiments -- all --quick >/dev/null
 
 echo "==> nemesis smoke (bounded storage-fault soak)"
 # Fixed seeds, short schedules: 6 runs per column (plain, +batch,

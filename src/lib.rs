@@ -6,7 +6,7 @@
 //!
 //! Re-exports the workspace crates:
 //!
-//! * [`quorum`] — coterie rules (grid, majority, tree, weighted, ROWA).
+//! * [`quorum`] — coterie rules (grid, majority, tree, ROWA).
 //! * [`simnet`] — the real-thread runtime (the deterministic simulator is
 //!   [`protocol::StepDriver`]).
 //! * [`protocol`] — the dynamic epoch protocol with partial writes and the

@@ -94,7 +94,6 @@ fn grid_scenario(seed: u64, lambda: f64, secs: u64) -> Scenario {
                 mu_per_sec: 0.5,
                 duration: SimDuration::from_secs(secs),
                 seed: seed ^ 0x5EED,
-                ..Default::default()
             },
             n,
         ),
@@ -127,7 +126,6 @@ fn epoch_safety_holds_under_churn() {
             mu_per_sec: 0.6,
             duration: SimDuration::from_secs(40),
             seed: 99,
-            ..Default::default()
         },
         n,
     );
