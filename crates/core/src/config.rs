@@ -92,27 +92,15 @@ pub struct ProtocolConfig {
     /// simultaneous node failures less than the safety threshold". Zero
     /// disables the mechanism.
     pub safety_threshold: usize,
-    /// Coordinator-side write batching (DESIGN.md §10): the maximum number
-    /// of client writes coalesced into one lock/2PC round. While a write
-    /// round is in flight at a coordinator, further client writes queue
-    /// and commit together in the next round — one permission phase, one
-    /// prepare/vote exchange, and one `DurableDelta` per batch instead of
-    /// per write. `1` disables batching (every write runs its own round).
-    /// Only the stale-marking write mode batches; the write-all-current
-    /// baseline keeps its one-write rounds.
+    /// Coordinator-side write batching and pipelined 2PC (DESIGN.md §10):
+    /// the most client writes one lock/2PC round carries. Writes arriving
+    /// while a round is in flight queue and share the next round, with one
+    /// permission phase, one vote and one `DurableDelta` per batch. A round
+    /// that commits with writes queued chains the next one on its decision,
+    /// with no permission phase, until a voter reports that someone else
+    /// wants its replica. Defaults to 4; `1` is the plain path (one write
+    /// per round, no chain). Only stale marking batches.
     pub max_write_batch: usize,
-    /// Pipelined 2PC (DESIGN.md §10): the number of consecutive write
-    /// rounds a coordinator may run under a single permission phase. After
-    /// a round commits with more writes queued, the coordinator sends the
-    /// decision with a lock-handoff (`chain`) and the next round's prepare
-    /// in the same breath — round k+1's prepare is in flight while round
-    /// k's commit decisions still are, instead of paying a fresh
-    /// permission round-trip and racing the decision delivery. Bounded so
-    /// reads and epoch prepares cannot starve behind an endless chain;
-    /// `1` disables pipelining. Pipelining needs batching: a chained round
-    /// drains the write queue, and only `max_write_batch > 1` fills it, so
-    /// with a batch cap of 1 no round ever chains, whatever the window.
-    pub pipeline_window: u32,
     /// Seed for the engine-owned deterministic RNG. Each node derives its
     /// stream as `seed ^ node_id`, so a cluster built from one config is
     /// fully determined by `(seed, input schedule)`.
@@ -145,8 +133,7 @@ impl ProtocolConfig {
             },
             write_mode: WriteMode::StaleMarking,
             safety_threshold: 2,
-            max_write_batch: 1,
-            pipeline_window: 1,
+            max_write_batch: 4,
             seed: 0,
         }
     }
@@ -183,17 +170,10 @@ impl ProtocolConfig {
         self
     }
 
-    /// Sets the write-batching cap (minimum 1; 1 disables batching).
+    /// Sets the write-batching cap (minimum 1; 1 is the plain path, with
+    /// neither batching nor pipelining).
     pub fn write_batch(mut self, n: usize) -> Self {
         self.max_write_batch = n.max(1);
-        self
-    }
-
-    /// Sets the pipelined-2PC window (minimum 1; 1 disables pipelining).
-    /// Has no effect unless [`write_batch`](Self::write_batch) is above 1:
-    /// rounds chain only from the write queue that batching fills.
-    pub fn pipeline(mut self, window: u32) -> Self {
-        self.pipeline_window = window.max(1);
         self
     }
 }

@@ -138,6 +138,9 @@ pub struct Ballot {
     pub(crate) optional: Vec<NodeId>,
     /// Optional participants that voted yes.
     pub(crate) optional_yes: NodeSet,
+    /// Some voter's lock refused another operation since it was freshly
+    /// granted: a write round's chain ends at this decision.
+    pub(crate) contended: bool,
     /// The `Votes` timer.
     pub(crate) timer: TimerId,
 }
@@ -166,6 +169,7 @@ impl Ballot {
             yes: NodeSet::new(),
             optional: optional.to_vec(),
             optional_yes: NodeSet::new(),
+            contended: false,
             timer,
         }
     }
@@ -342,10 +346,18 @@ impl ReplicaNode {
     /// A 2PC vote. With no open ballot for `op` the coordinator already
     /// decided; the participant learns the outcome by `Decision` or
     /// `DecisionQuery`.
-    pub(crate) fn on_vote(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, op: OpId, yes: bool) {
+    pub(crate) fn on_vote(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        from: NodeId,
+        op: OpId,
+        yes: bool,
+        contended: bool,
+    ) {
         let Some(ballot) = self.vol.ops.get_mut(&op).and_then(InFlight::ballot) else {
             return;
         };
+        ballot.contended |= contended;
         if let Some(commit) = ballot.vote(from, yes) {
             ctx.cancel_timer(ballot.timer);
             self.close_ballot(ctx, op, commit);
@@ -537,6 +549,7 @@ mod tests {
             yes,
             optional,
             optional_yes: yes,
+            contended: false,
             timer,
         };
         assert_eq!(ballot.vote(NodeId(2), false), None);
@@ -582,13 +595,18 @@ mod tests {
     #[test]
     fn a_required_no_or_a_vote_timeout_aborts_to_the_required_only() {
         let aborts = |m: &Msg| matches!(m, Msg::Decision { commit: false, .. });
+        let vote = |op, yes| Msg::Vote {
+            op,
+            yes,
+            contended: false,
+        };
         let (mut node, op, quorum, extra) = voting_write();
-        deliver(&mut node, extra, Msg::Vote { op, yes: true });
-        let effects = deliver(&mut node, quorum[0], Msg::Vote { op, yes: false });
+        deliver(&mut node, extra, vote(op, true));
+        let effects = deliver(&mut node, quorum[0], vote(op, false));
         assert_eq!(sent(&effects, aborts), quorum);
 
         let (mut node, op, quorum, extra) = voting_write();
-        deliver(&mut node, extra, Msg::Vote { op, yes: true });
+        deliver(&mut node, extra, vote(op, true));
         let effects = node.step(SimTime::ZERO, Input::TimerFired(Timer::Votes { op }));
         assert_eq!(sent(&effects, aborts), quorum);
         assert!(node.vol.ops.is_empty());

@@ -122,7 +122,7 @@ impl ReplicaNode {
             } => self.on_state_resp(ctx, from, op, granted, state, pages),
             Msg::Release { op } => self.release_lock(ctx, op),
             Msg::Prepare { op, action, extra } => self.srv_prepare(ctx, from, op, action, extra),
-            Msg::Vote { op, yes } => self.on_vote(ctx, from, op, yes),
+            Msg::Vote { op, yes, contended } => self.on_vote(ctx, from, op, yes, contended),
             Msg::Decision { op, commit, chain } => self.srv_decision(ctx, from, op, commit, chain),
             Msg::DecisionQuery { op } => self.srv_decision_query(ctx, from, op),
             Msg::PropOffer { prop, version } => self.srv_prop_offer(ctx, from, prop, version),
@@ -154,7 +154,7 @@ impl ReplicaNode {
             }
             // An unreachable 2PC participant is an implicit "no" (it cannot
             // have prepared: it never received the Prepare).
-            Msg::Prepare { op, .. } => self.on_vote(ctx, to, op, false),
+            Msg::Prepare { op, .. } => self.on_vote(ctx, to, op, false, false),
             Msg::PropOffer { prop, .. } | Msg::PropData { prop, .. } => {
                 self.on_prop_peer_failed(ctx, prop, to)
             }

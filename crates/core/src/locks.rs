@@ -16,6 +16,11 @@ use std::collections::BTreeSet;
 pub struct ReplicaLock {
     exclusive: Option<OpId>,
     shared: BTreeSet<OpId>,
+    /// Someone was refused here since the last fresh exclusive grant: the
+    /// signal a chain of pipelined write rounds yields on (DESIGN.md §10).
+    contended: bool,
+    /// The exclusive holder got the lock by a handoff: a chained round.
+    handed_off: bool,
 }
 
 /// Result of a lock attempt.
@@ -33,20 +38,25 @@ impl ReplicaLock {
         ReplicaLock::default()
     }
 
-    /// Attempts to take the exclusive lock for `op`.
+    /// Attempts to take the exclusive lock for `op`. A fresh grant clears
+    /// the contention bit and a refusal sets it.
     pub fn try_exclusive(&mut self, op: OpId) -> LockGrant {
         if self.exclusive == Some(op) {
             return LockGrant::Granted;
         }
         if self.exclusive.is_none() && self.shared.is_empty() {
             self.exclusive = Some(op);
+            self.contended = false;
+            self.handed_off = false;
             LockGrant::Granted
         } else {
+            self.contended = true;
             LockGrant::Busy
         }
     }
 
-    /// Attempts to take a shared lock for `op`.
+    /// Attempts to take a shared lock for `op`; a refusal sets the
+    /// contention bit.
     pub fn try_shared(&mut self, op: OpId) -> LockGrant {
         if self.shared.contains(&op) {
             return LockGrant::Granted;
@@ -55,6 +65,7 @@ impl ReplicaLock {
             self.shared.insert(op);
             LockGrant::Granted
         } else {
+            self.contended = true;
             LockGrant::Busy
         }
     }
@@ -73,18 +84,21 @@ impl ReplicaLock {
     pub fn release(&mut self, op: OpId) {
         if self.exclusive == Some(op) {
             self.exclusive = None;
+            self.handed_off = false;
         }
         self.shared.remove(&op);
     }
 
     /// Hands the exclusive lock from `from` to `to` without an unlocked
     /// window in between (pipelined 2PC's decision-time chain, DESIGN.md
-    /// §10). Returns false — leaving the lock untouched — unless `from` is
-    /// the current exclusive holder, so a stale or reordered handoff can
-    /// never steal a lock some other operation legitimately acquired.
+    /// §10), keeping the contention bit. Returns false — leaving the lock
+    /// untouched — unless `from` is the current exclusive holder, so a
+    /// stale or reordered handoff can never steal a lock some other
+    /// operation legitimately acquired.
     pub(crate) fn transfer_exclusive(&mut self, from: OpId, to: OpId) -> bool {
         if self.exclusive == Some(from) {
             self.exclusive = Some(to);
+            self.handed_off = true;
             true
         } else {
             false
@@ -116,10 +130,21 @@ impl ReplicaLock {
         self.exclusive
     }
 
+    /// Whether someone was refused here since the last fresh exclusive grant.
+    pub fn contended(&self) -> bool {
+        self.contended
+    }
+
+    /// Whether the holder is a chained round, which got the lock by a
+    /// handoff; an epoch prepare waiting behind it sets the contention bit.
+    pub(crate) fn wait_behind_chain(&mut self) -> bool {
+        self.contended |= self.handed_off;
+        self.handed_off
+    }
+
     /// Clears all lock state (volatile; called on crash).
     pub fn clear(&mut self) {
-        self.exclusive = None;
-        self.shared.clear();
+        *self = ReplicaLock::default();
     }
 }
 

@@ -205,6 +205,10 @@ pub enum Msg {
         op: OpId,
         /// True to commit.
         yes: bool,
+        /// The voter's lock refused someone since its last fresh exclusive
+        /// grant ([`crate::ReplicaLock::contended`]): a chain of write
+        /// rounds through this replica must yield (DESIGN.md §10).
+        contended: bool,
     },
     /// Two-phase commit: coordinator decision.
     Decision {

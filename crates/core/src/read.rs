@@ -39,11 +39,9 @@ impl ReplicaNode {
         let view = self.durable.epoch_view();
         let seed = quorum_seed(self.me, op.seq);
         let Some(quorum) = self.choose_quorum(&view, seed, QuorumKind::Read) else {
+            let (id, reason) = (client_id, FailReason::NoQuorum);
             self.stats.inc(keys::READS_FAILED);
-            ctx.output(ProtocolEvent::Failed {
-                id: client_id,
-                reason: FailReason::NoQuorum,
-            });
+            ctx.output(ProtocolEvent::Failed { id, reason });
             return;
         };
         let mut poll = Poll::default();
@@ -120,21 +118,15 @@ impl ReplicaNode {
         for &n in rc.poll.granted.keys() {
             ctx.send(n, Msg::Release { op });
         }
+        let id = rc.client_id;
         if reason == FailReason::Contention && rc.attempt < MAX_RETRIES {
-            let delay = self.backoff(ctx, rc.attempt + 1);
-            ctx.set_timer(
-                delay,
-                Timer::RetryClient {
-                    attempt: rc.attempt + 1,
-                    request: ClientRequest::Read { id: rc.client_id },
-                },
-            );
+            let attempt = rc.attempt + 1;
+            let delay = self.backoff(ctx, attempt);
+            let request = ClientRequest::Read { id };
+            ctx.set_timer(delay, Timer::RetryClient { attempt, request });
             return;
         }
         self.stats.inc(keys::READS_FAILED);
-        ctx.output(ProtocolEvent::Failed {
-            id: rc.client_id,
-            reason,
-        });
+        ctx.output(ProtocolEvent::Failed { id, reason });
     }
 }

@@ -118,11 +118,17 @@ impl ReplicaNode {
         action: Action,
         extra: bool,
     ) {
-        // Duplicate Prepare for an already-prepared op: re-vote yes.
+        // Duplicate Prepare for an already-prepared op: re-vote yes. A fresh
+        // epoch prepare for another op queues behind a chained round as
+        // behind a busy lock: a chain refills the slot at every handoff, so
+        // a refusal would starve the epoch change.
         if let Some((prep_op, _)) = &self.durable.prepared {
             let yes = *prep_op == op;
-            ctx.trace(TraceEvent::VoteCast { op, yes });
-            ctx.send(from, Msg::Vote { op, yes });
+            if !yes && self.epoch_prepare_may_wait(&action) && self.vol.lock.wait_behind_chain() {
+                self.queue_epoch(ctx, from, op, action);
+            } else {
+                self.send_vote(ctx, from, op, yes);
+            }
             return;
         }
         // Rejoin limbo after a quarantined journal: this replica's state
@@ -130,8 +136,7 @@ impl ReplicaNode {
         // known (in particular, a write-all-current base shipment would
         // clear the stale flag and skip the rejoin safety net).
         if self.in_rejoin_limbo() {
-            ctx.trace(TraceEvent::VoteCast { op, yes: false });
-            ctx.send(from, Msg::Vote { op, yes: false });
+            self.send_vote(ctx, from, op, false);
             return;
         }
         let yes = match &action {
@@ -183,12 +188,11 @@ impl ReplicaNode {
                 locked && version_ok
             }
             Action::MarkStale { .. } => self.vol.lock.held_exclusively_by(op),
-            Action::NewEpoch { enumber, list, .. } => {
+            Action::NewEpoch { .. } => {
                 // Stale-numbered or misdirected epoch changes are refused
                 // outright.
-                if *enumber <= self.durable.enumber || !list.contains(&self.me) {
-                    ctx.trace(TraceEvent::VoteCast { op, yes: false });
-                    ctx.send(from, Msg::Vote { op, yes: false });
+                if !self.epoch_prepare_may_wait(&action) {
+                    self.send_vote(ctx, from, op, false);
                     return;
                 }
                 // Epoch checks do not lock during the poll; the lock is
@@ -201,34 +205,7 @@ impl ReplicaNode {
                     crate::locks::LockGrant::Granted
                 );
                 if !lockable {
-                    // Queue (keeping only the newest epoch number); the
-                    // displaced prepare is answered "no".
-                    if let Some((old_op, old_from, old_action)) =
-                        self.vol.pending_epoch_prepare.take()
-                    {
-                        let old_enumber = match &old_action {
-                            Action::NewEpoch { enumber, .. } => *enumber,
-                            Action::DoUpdate { .. } | Action::MarkStale { .. } => 0,
-                        };
-                        if old_enumber >= *enumber {
-                            self.vol.pending_epoch_prepare = Some((old_op, old_from, old_action));
-                            ctx.trace(TraceEvent::VoteCast { op, yes: false });
-                            ctx.send(from, Msg::Vote { op, yes: false });
-                            return;
-                        }
-                        ctx.trace(TraceEvent::VoteCast {
-                            op: old_op,
-                            yes: false,
-                        });
-                        ctx.send(
-                            old_from,
-                            Msg::Vote {
-                                op: old_op,
-                                yes: false,
-                            },
-                        );
-                    }
-                    self.vol.pending_epoch_prepare = Some((op, from, action));
+                    self.queue_epoch(ctx, from, op, action);
                     return;
                 }
                 ctx.trace(TraceEvent::LockAcquire {
@@ -252,8 +229,41 @@ impl ReplicaNode {
             // validation; don't leave the replica locked until the lease.
             self.release_lock(ctx, op);
         }
+        self.send_vote(ctx, from, op, yes);
+    }
+
+    /// Whether `action` is a newer epoch that lists this replica: one it
+    /// may vote yes on once its lock and prepared slot are free.
+    fn epoch_prepare_may_wait(&self, action: &Action) -> bool {
+        matches!(action, Action::NewEpoch { enumber, list, .. }
+            if *enumber > self.durable.enumber && list.contains(&self.me))
+    }
+
+    /// Queues an epoch prepare until the lock and the prepared slot free up
+    /// (the lock's contention bit is already set, so a chain of write rounds
+    /// through it yields at its next vote). Only the newer of two queued
+    /// epoch numbers waits; the other is answered "no".
+    fn queue_epoch(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, op: OpId, action: Action) {
+        let enumber = |a: &Action| match a {
+            Action::NewEpoch { enumber, .. } => *enumber,
+            Action::DoUpdate { .. } | Action::MarkStale { .. } => 0,
+        };
+        let mut queued = (op, from, action);
+        if let Some(mut old) = self.vol.pending_epoch_prepare.take() {
+            if enumber(&old.2) >= enumber(&queued.2) {
+                std::mem::swap(&mut old, &mut queued);
+            }
+            self.send_vote(ctx, old.1, old.0, false);
+        }
+        self.vol.pending_epoch_prepare = Some(queued);
+    }
+
+    /// Casts this replica's vote on `op`, with its lock's contention bit
+    /// (a chain of write rounds through it yields on it, DESIGN.md §10).
+    fn send_vote(&self, ctx: &mut NodeCtx<'_>, to: NodeId, op: OpId, yes: bool) {
         ctx.trace(TraceEvent::VoteCast { op, yes });
-        ctx.send(from, Msg::Vote { op, yes });
+        let contended = self.vol.lock.contended();
+        ctx.send(to, Msg::Vote { op, yes, contended });
     }
 
     /// 2PC decision from the coordinator.
@@ -318,14 +328,8 @@ impl ReplicaNode {
         let commit = self.durable.decisions.get(&op).copied().unwrap_or(false);
         // No chain on the recovery path: whatever round was chained at
         // decision time has long since prepared or aborted on its own.
-        ctx.send(
-            from,
-            Msg::Decision {
-                op,
-                commit,
-                chain: None,
-            },
-        );
+        let chain = None;
+        ctx.send(from, Msg::Decision { op, commit, chain });
     }
 
     /// Periodic re-query for an in-doubt prepared transaction. Exactly one

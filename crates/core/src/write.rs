@@ -54,10 +54,6 @@ pub struct WriteCoordinator {
     /// entry is the unbatched case; more is coordinator-side write
     /// batching (DESIGN.md §10).
     pub batch: Vec<BatchEntry>,
-    /// How many consecutive rounds (this one included) have run under one
-    /// permission phase; 0 means this round ran its own permission phase.
-    /// Bounded by [`pipeline_window`](crate::config::ProtocolConfig::pipeline_window).
-    pub chain_len: u32,
     /// The permission poll (exclusive locks); empty for a chained round.
     pub poll: Poll,
     /// The two-phase commit; `None` while permission is being gathered.
@@ -82,7 +78,7 @@ impl ReplicaNode {
             write,
             attempt,
         };
-        if self.config.max_write_batch > 1 && self.config.write_mode == WriteMode::StaleMarking {
+        if self.batching() {
             // Batched mode: every write goes through the queue, so an
             // arrival coalesces with an in-flight round's successors and
             // with a requeued batch waiting out its backoff.
@@ -110,10 +106,15 @@ impl ReplicaNode {
         self.begin_write_round(ctx, batch);
     }
 
+    /// Whether writes queue, batch and chain here: only stale marking with
+    /// a batch cap above 1 does (DESIGN.md §10).
+    fn batching(&self) -> bool {
+        self.config.max_write_batch > 1 && self.config.write_mode == WriteMode::StaleMarking
+    }
+
     /// Drains the next batch, up to `max_write_batch` writes, off the queue.
     fn next_batch(&mut self) -> Vec<BatchEntry> {
-        let take = self.config.max_write_batch.max(1);
-        let take = take.min(self.vol.write_queue.len());
+        let take = self.config.max_write_batch.min(self.vol.write_queue.len());
         self.vol.write_queue.drain(..take).collect()
     }
 
@@ -133,11 +134,7 @@ impl ReplicaNode {
         };
         let Some(quorum) = quorum else {
             for entry in batch {
-                self.stats.inc(keys::WRITES_FAILED);
-                ctx.output(ProtocolEvent::Failed {
-                    id: entry.client_id,
-                    reason: FailReason::NoQuorum,
-                });
+                self.fail_write(ctx, entry.client_id, FailReason::NoQuorum);
             }
             // No round went in flight, so nothing will complete later to
             // drain the queue; give queued writes their own (terminal)
@@ -152,7 +149,6 @@ impl ReplicaNode {
         poll.ask(ctx, op, quorum, Msg::WriteReq { op });
         let wc = WriteCoordinator {
             batch,
-            chain_len: 0,
             poll,
             voting: None,
         };
@@ -333,7 +329,7 @@ impl ReplicaNode {
         else {
             return;
         };
-        // Pipelined 2PC: with more writes queued and chain budget left,
+        // Pipelined 2PC: with more writes queued and no voter contended,
         // allocate the next round now and ride its lock handoff on this
         // decision. Participants move their exclusive lock from `op` to
         // `next` instead of unlocking, and the next round's prepare follows
@@ -341,7 +337,7 @@ impl ReplicaNode {
         // and no race against the decision's delivery (same-sender FIFO).
         // Optional replicas whose yes-vote arrives after this moment learn
         // the outcome through the decision-query path.
-        let chain = commit.then(|| self.plan_chain(wc.chain_len)).flatten();
+        let chain = commit.then(|| self.plan_chain(ballot.contended)).flatten();
         let next = chain.as_ref().map(|(next, _)| *next);
         self.decide(ctx, op, &ballot, commit, next);
         // Release any granted nodes that were not participants (heavy polls
@@ -358,20 +354,17 @@ impl ReplicaNode {
         let marked = NodeSet::from_iter(stale.iter().copied());
         self.vol.current = required.difference(marked).union(ballot.optional_yes);
         let touched = ballot.required.len() + ballot.optional_yes.len();
-        self.stats.add(keys::WRITES_OK, wc.batch.len() as u64);
-        if wc.batch.len() > 1 {
-            self.stats.add(keys::BATCHED_WRITES, wc.batch.len() as u64);
+        let writes = wc.batch.len() as u64;
+        self.stats.add(keys::WRITES_OK, writes);
+        if writes > 1 {
+            self.stats.add(keys::BATCHED_WRITES, writes);
         }
-        self.stats.add(
-            keys::REPLICAS_TOUCHED_SUM,
-            (touched * wc.batch.len()) as u64,
-        );
-        self.stats.add(
-            keys::MARKED_STALE_SUM,
-            (stale.len() * wc.batch.len()) as u64,
-        );
+        self.stats
+            .add(keys::REPLICAS_TOUCHED_SUM, touched as u64 * writes);
+        self.stats
+            .add(keys::MARKED_STALE_SUM, stale.len() as u64 * writes);
         // One ack per batched client write, at its own version.
-        let first_version = new_version + 1 - wc.batch.len() as u64;
+        let first_version = new_version + 1 - writes;
         for (i, entry) in wc.batch.iter().enumerate() {
             ctx.output(ProtocolEvent::WriteOk {
                 id: entry.client_id,
@@ -381,22 +374,17 @@ impl ReplicaNode {
             });
         }
         match chain {
-            Some(next) => {
-                self.begin_chained_round(ctx, next, ballot, new_version, stale, wc.chain_len + 1)
-            }
+            Some(next) => self.begin_chained_round(ctx, next, ballot, new_version, stale),
             None => self.maybe_launch_queued(ctx),
         }
     }
 
-    /// Decides whether a committing round `chain_len` rounds into its chain
-    /// chains a successor, and if so allocates its op id and drains its
-    /// batch from the queue.
-    fn plan_chain(&mut self, chain_len: u32) -> Option<(OpId, Vec<BatchEntry>)> {
-        if self.config.write_mode != WriteMode::StaleMarking
-            || self.config.pipeline_window <= 1
-            || chain_len + 1 >= self.config.pipeline_window
-            || self.vol.write_queue.is_empty()
-        {
+    /// Chains a successor to a committing round, unless its ballot was
+    /// `contended` (someone else wants its replicas, so the chain yields
+    /// and they wait at most this one round) or no write is queued:
+    /// allocates the successor's op id and drains its batch.
+    fn plan_chain(&mut self, contended: bool) -> Option<(OpId, Vec<BatchEntry>)> {
+        if contended || !self.batching() || self.vol.write_queue.is_empty() {
             return None;
         }
         let batch = self.next_batch();
@@ -417,7 +405,6 @@ impl ReplicaNode {
         prev: Ballot,
         base_version: u64,
         stale: Vec<NodeId>,
-        chain_len: u32,
     ) {
         self.stats.inc(keys::CHAINED_ROUNDS);
         let new_version = base_version + batch.len() as u64;
@@ -436,7 +423,6 @@ impl ReplicaNode {
         });
         let wc = WriteCoordinator {
             batch,
-            chain_len,
             poll: Poll::default(),
             voting,
         };
@@ -464,30 +450,23 @@ impl ReplicaNode {
         reason: FailReason,
     ) {
         let retryable = matches!(reason, FailReason::Contention | FailReason::CommitFailed);
-        if retryable
-            && self.config.max_write_batch > 1
-            && self.config.write_mode == WriteMode::StaleMarking
-        {
-            // Requeue the refused batch whole: disbanding it into
-            // per-entry retry timers would relaunch that many competing
-            // single-write rounds against the same replicas. One kick
-            // timer (shortest surviving backoff) holds the queue, then
-            // relaunches the batch — plus anything queued meanwhile — as
-            // one round.
+        if retryable && self.batching() {
+            // Requeue the refused batch whole: disbanding it into per-entry
+            // retry timers would relaunch that many competing single-write
+            // rounds against the same replicas. One kick timer (shortest
+            // surviving backoff) holds the queue, then relaunches the batch,
+            // plus anything queued meanwhile, as one round.
             let mut min_attempt = u32::MAX;
             for entry in batch.into_iter().rev() {
                 if entry.attempt < MAX_RETRIES {
+                    self.stats.inc(keys::RETRIES);
                     min_attempt = min_attempt.min(entry.attempt + 1);
                     self.vol.write_queue.push_front(BatchEntry {
                         attempt: entry.attempt + 1,
                         ..entry
                     });
                 } else {
-                    self.stats.inc(keys::WRITES_FAILED);
-                    ctx.output(ProtocolEvent::Failed {
-                        id: entry.client_id,
-                        reason,
-                    });
+                    self.fail_write(ctx, entry.client_id, reason);
                 }
             }
             if min_attempt != u32::MAX {
@@ -501,28 +480,26 @@ impl ReplicaNode {
         }
         for entry in batch {
             if retryable && entry.attempt < MAX_RETRIES {
-                let delay = self.backoff(ctx, entry.attempt + 1);
-                ctx.set_timer(
-                    delay,
-                    Timer::RetryClient {
-                        attempt: entry.attempt + 1,
-                        request: ClientRequest::Write {
-                            id: entry.client_id,
-                            write: entry.write,
-                        },
-                    },
-                );
-            } else {
-                self.stats.inc(keys::WRITES_FAILED);
-                ctx.output(ProtocolEvent::Failed {
+                let attempt = entry.attempt + 1;
+                let delay = self.backoff(ctx, attempt);
+                let request = ClientRequest::Write {
                     id: entry.client_id,
-                    reason,
-                });
+                    write: entry.write,
+                };
+                ctx.set_timer(delay, Timer::RetryClient { attempt, request });
+            } else {
+                self.fail_write(ctx, entry.client_id, reason);
             }
         }
         // The failed round is gone; if writes queued behind it, give them
         // their own round now rather than stranding them.
         self.maybe_launch_queued(ctx);
+    }
+
+    /// Fails client write `id` for good.
+    fn fail_write(&mut self, ctx: &mut NodeCtx<'_>, id: u64, reason: FailReason) {
+        self.stats.inc(keys::WRITES_FAILED);
+        ctx.output(ProtocolEvent::Failed { id, reason });
     }
 
     /// The contention backoff for a requeued batch expired: release the

@@ -215,7 +215,7 @@ proptest! {
     /// quiesced state.
     #[test]
     fn crash_preserves_exactly_the_committed_prefix(seed in any::<u64>()) {
-        let config = config().write_batch(4).pipeline(3).rng_seed(seed);
+        let config = config().write_batch(4).rng_seed(seed);
         let mut driver = StepDriver::new(4, config);
         let mut rng = Rng64::new(seed ^ 0xD1CE_CAFE);
         let acked = random_schedule(&mut driver, &mut rng, 400);
@@ -255,7 +255,6 @@ fn write_burst_batches_and_chains_rounds() {
     let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
         .pages(N_PAGES)
         .write_batch(4)
-        .pipeline(4)
         .rng_seed(7);
     let mut driver = StepDriver::new(3, config);
     for id in 1..=8u64 {

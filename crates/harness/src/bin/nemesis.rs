@@ -32,11 +32,9 @@ fn main() {
         ("majority", Arc::new(MajorityCoterie::new()), 5),
     ];
 
-    // The plain write path, then batching, then batching with pipelined
-    // 2PC, so a dirty seed names its knob. Pipelining chains only writes
-    // the batching queue holds.
-    let variants: [(&str, usize, u32); 3] =
-        [("", 1, 1), ("+batch", 4, 1), ("+batch+pipeline", 4, 3)];
+    // The plain write path, then batching with pipelined 2PC (the
+    // default), so a dirty seed names its path.
+    let variants: [(&str, usize); 2] = [("", 1), ("+batch", 4)];
 
     let mut failed = false;
     let mut schedules = 0u64;
@@ -44,12 +42,11 @@ fn main() {
         if only_rule.as_deref().is_some_and(|r| r != name) {
             continue;
         }
-        for (suffix, write_batch, pipeline_window) in variants {
+        for (suffix, write_batch) in variants {
             let cfg = NemesisConfig {
                 n_nodes,
                 steps,
                 write_batch,
-                pipeline_window,
                 ..Default::default()
             };
             let cell = format!("{name}{suffix}");

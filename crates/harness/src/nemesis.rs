@@ -69,10 +69,9 @@ pub struct NemesisConfig {
     /// Driver time simulated after the schedule to let the cluster
     /// converge before the final checks.
     pub drain: SimDuration,
-    /// Coordinator-side write-batching cap (DESIGN.md §10); 1 disables.
+    /// Coordinator-side write-batching cap, which also turns on pipelined
+    /// 2PC (DESIGN.md §10); 1 is the plain path.
     pub write_batch: usize,
-    /// Pipelined-2PC window (DESIGN.md §10); 1 disables.
-    pub pipeline_window: u32,
 }
 
 impl Default for NemesisConfig {
@@ -83,7 +82,6 @@ impl Default for NemesisConfig {
             client_ops: 30,
             drain: SimDuration::from_secs(120),
             write_batch: 1,
-            pipeline_window: 1,
         }
     }
 }
@@ -162,7 +160,6 @@ pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -
     let protocol = ProtocolConfig::new(rule, n)
         .pages(N_PAGES)
         .write_batch(cfg.write_batch)
-        .pipeline(cfg.pipeline_window)
         .rng_seed(seed);
     let mut driver = StepDriver::new(n, protocol);
     driver.enable_tracing(TRACE_CAP);

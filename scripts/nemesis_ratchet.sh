@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 export LC_ALL=C
 
 known_file=scripts/nemesis_known_dirty.txt
-columns=(majority majority+batch majority+batch+pipeline)
+columns=(majority majority+batch)
 out=$(mktemp)
 err=$(mktemp)
 trap 'rm -f "$out" "$err"' EXIT

@@ -26,20 +26,26 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> traced write_leader: history flatness, and what a committed write leaves behind"
-# One ratio inside one run, so machine speed cancels, and two counts that
-# repeat exactly for a seed.
+# One ratio inside one run, so machine speed cancels, and counts that repeat
+# exactly for a seed.
 # core.step_growth <= 2.0: one step() must cost at the end of a 6 000-write
 # history what it costs at the start (3.8 when a step's delta came from
 # rescanning the decision table; ~1.0 now that each durable transition
 # records its own change, so a step reads nothing it did not touch).
-# driver.pending_timers_max <= 64: a decided participant holds no timer (37;
+# driver.pending_timers_max <= 64: a decided participant holds no timer (20;
 # 1 368 when every committed write leaves its DecisionRetry chain armed).
 # storage.bytes_per_write <= 1500: a write journals the log entry it pushed
-# (683 B over its ~12 records, 946 B before current-first quorums; 7 226 when
-# each apply re-ships the whole log).
+# (794 B over its 2.75 records now that four writes share a round's 2PC;
+# 683 B over 12.0 on the plain path; 7 226 when each apply re-ships the
+# whole log).
 # core.heavy_per_op <= 0.05: a coordinator asks a quorum holding a replica it
 # last saw current, so its own serial writes never poll all nine (0.00; 0.34
 # with the seeded rotation alone, which ignores which replicas are current).
+# core.msgs_per_op.commit <= 5: writes queued at one coordinator share rounds
+# and chain them, so a write's share of 2PC traffic falls (3.75; 15.0 with
+# one write per round).
+# core.client_skew <= 2: no client starves behind another's lock window at
+# the shared coordinator (1.0; 4 021 with one write per round).
 traced_run() { # workload
   traced=$(cargo run --release --quiet -p coterie-bench --bin benchmark -- \
     --workload "$1" --seed 1 --seconds 10 --trace 1 | tail -n 1)
@@ -59,6 +65,8 @@ at_most core.step_growth 2.0 "step() cost grows with history"
 at_most driver.pending_timers_max 64 "decided operations leave timers armed"
 at_most storage.bytes_per_write 1500 "a committed write journals more than it touched"
 at_most core.heavy_per_op 0.05 "write quorums miss the current replicas and go heavy"
+at_most core.msgs_per_op.commit 5 "writes at one coordinator stopped sharing 2PC rounds"
+at_most core.client_skew 2 "one client's writes starve the others at a shared coordinator"
 
 echo "==> traced read_mostly: a read is one round trip to a current replica"
 # All three repeat exactly for a seed on the virtual clock.
@@ -94,20 +102,20 @@ cargo run --release --example live_threads
 cargo run --release -p coterie-harness --bin experiments -- all --quick >/dev/null
 
 echo "==> nemesis smoke (bounded storage-fault soak)"
-# Fixed seeds, short schedules: 6 runs per column (plain, +batch,
-# +batch+pipeline) on grid and on majority, 36 schedules in all, of
+# Fixed seeds, short schedules: 6 runs per column (plain, and +batch with
+# pipelined 2PC) on grid and on majority, 24 schedules in all, of
 # crashes, partitions, torn writes, and journal corruption; exits non-zero on any
 # epoch-safety, coherence, or 1SR violation. Dirty runs dump their flight
 # recorder as causally-merged JSONL + timeline under target/.
 cargo run --release -p coterie-harness --bin nemesis -- 6 42 1500
 
 echo "==> nemesis grid sweep (seeds 0-399, every column)"
-# 1 200 full-length schedules (~5 s), all clean on grid (ROADMAP 1(c)).
+# 800 full-length schedules (~3 s), all clean on grid (ROADMAP 1(c)).
 # Majority has known-dirty seeds, so it runs under the ratchet below.
 cargo run --release -p coterie-harness --bin nemesis -- 400 0 3000 grid
 
 echo "==> nemesis majority ratchet (seeds 0-1199, every column)"
-# 3 600 schedules (~20 s). Fails on any dirty run missing from
+# 2 400 schedules (~13 s). Fails on any dirty run missing from
 # scripts/nemesis_known_dirty.txt and on any listed run that came back
 # clean, so the list only shrinks (ROADMAP 1(c)).
 scripts/nemesis_ratchet.sh
