@@ -39,6 +39,14 @@ pub const PROPAGATION_JITTER: SimDuration = SimDuration::from_millis(20);
 /// target; actual retries back off exponentially in the per-target
 /// failed-attempt count (capped at 2⁶×) plus jitter.
 pub const PROPAGATION_RETRY: SimDuration = SimDuration::from_millis(200);
+/// The most client writes one lock/2PC round carries (DESIGN.md §10).
+/// Every write queues at its coordinator; writes arriving while a round is
+/// in flight share the next round, with one permission phase, one vote and
+/// one `DurableDelta` per batch. Under stale marking, a round that commits
+/// with writes queued chains the next one on its decision, with no
+/// permission phase, until a voter reports that someone else wants its
+/// replica.
+pub const MAX_WRITE_BATCH: usize = 4;
 
 /// Whether epochs adjust dynamically (the paper's contribution) or stay
 /// fixed at the full replica set (the conventional static protocols).
@@ -92,15 +100,6 @@ pub struct ProtocolConfig {
     /// simultaneous node failures less than the safety threshold". Zero
     /// disables the mechanism.
     pub safety_threshold: usize,
-    /// Coordinator-side write batching and pipelined 2PC (DESIGN.md §10):
-    /// the most client writes one lock/2PC round carries. Writes arriving
-    /// while a round is in flight queue and share the next round, with one
-    /// permission phase, one vote and one `DurableDelta` per batch. A round
-    /// that commits with writes queued chains the next one on its decision,
-    /// with no permission phase, until a voter reports that someone else
-    /// wants its replica. Defaults to 4; `1` is the plain path (one write
-    /// per round, no chain). Only stale marking batches.
-    pub max_write_batch: usize,
     /// Seed for the engine-owned deterministic RNG. Each node derives its
     /// stream as `seed ^ node_id`, so a cluster built from one config is
     /// fully determined by `(seed, input schedule)`.
@@ -133,7 +132,6 @@ impl ProtocolConfig {
             },
             write_mode: WriteMode::StaleMarking,
             safety_threshold: 2,
-            max_write_batch: 4,
             seed: 0,
         }
     }
@@ -167,13 +165,6 @@ impl ProtocolConfig {
     /// Sets the §4.1 safety threshold (0 disables).
     pub fn safety(mut self, threshold: usize) -> Self {
         self.safety_threshold = threshold;
-        self
-    }
-
-    /// Sets the write-batching cap (minimum 1; 1 is the plain path, with
-    /// neither batching nor pipelining).
-    pub fn write_batch(mut self, n: usize) -> Self {
-        self.max_write_batch = n.max(1);
         self
     }
 }

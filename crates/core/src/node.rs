@@ -37,7 +37,11 @@ pub enum Timer {
         /// Unused.
         op: OpId,
     },
-    /// Retry a failed client request after contention backoff.
+    /// Retry a read refused under contention, after backoff. Only reads arm
+    /// it: a refused write batch requeues behind [`Timer::WriteQueueKick`].
+    /// The variant keeps its general shape because the frozen benchmark's
+    /// span attribution (`crates/bench/src/bin/benchmark/spans.rs`) matches
+    /// it.
     RetryClient {
         /// Attempt number (1-based for the first retry).
         attempt: u32,
@@ -311,7 +315,7 @@ impl ReplicaNode {
         }
         match request {
             ClientRequest::Read { id } => self.start_read(ctx, id, attempt),
-            ClientRequest::Write { id, write } => self.start_write(ctx, id, write, attempt),
+            ClientRequest::Write { id, write } => self.start_write(ctx, id, write),
         }
     }
 

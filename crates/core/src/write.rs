@@ -15,10 +15,10 @@
 //! quorum members must be synchronously reconciled first.
 
 use crate::classify::Classified;
-use crate::config::{WriteMode, MAX_RETRIES};
+use crate::config::{WriteMode, MAX_RETRIES, MAX_WRITE_BATCH};
 use crate::coord::{Ballot, InFlight, Poll};
 use crate::engine::metrics::keys;
-use crate::msg::{Action, ClientRequest, FailReason, Msg, OpId, ProtocolEvent};
+use crate::msg::{Action, FailReason, Msg, OpId, ProtocolEvent};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
 use crate::store::PartialWrite;
 use coterie_quorum::{quorum_seed, NodeId, NodeSet, QuorumKind};
@@ -42,7 +42,8 @@ pub struct BatchEntry {
     pub client_id: u64,
     /// The write payload.
     pub write: PartialWrite,
-    /// Retry attempt (0 for the first try).
+    /// Retry attempt: 0 for the first try, raised each time a refused
+    /// batch requeues.
     pub attempt: u32,
 }
 
@@ -50,9 +51,8 @@ pub struct BatchEntry {
 #[derive(Clone, Debug)]
 pub struct WriteCoordinator {
     /// The client writes committing in this round, in commit order: entry
-    /// `i` produces version `new_version - batch.len() + 1 + i`. A single
-    /// entry is the unbatched case; more is coordinator-side write
-    /// batching (DESIGN.md §10).
+    /// `i` produces version `new_version - batch.len() + 1 + i`; at most
+    /// [`MAX_WRITE_BATCH`] entries (DESIGN.md §10).
     pub batch: Vec<BatchEntry>,
     /// The permission poll (exclusive locks); empty for a chained round.
     pub poll: Poll,
@@ -61,9 +61,10 @@ pub struct WriteCoordinator {
 }
 
 impl ReplicaNode {
-    /// Starts coordinating a client write. With batching enabled, a write
-    /// arriving while another round is in flight queues instead of opening
-    /// a competing round against the same replicas; the queue drains into
+    /// Starts coordinating a client write. Every write goes through the
+    /// queue: a write arriving while another round is in flight (or while a
+    /// requeued batch waits out its backoff) queues instead of opening a
+    /// competing round against the same replicas, and the queue drains into
     /// the next round (one permission phase and one 2PC for the whole
     /// batch) when the in-flight round finishes.
     pub(crate) fn start_write(
@@ -71,22 +72,13 @@ impl ReplicaNode {
         ctx: &mut NodeCtx<'_>,
         client_id: u64,
         write: PartialWrite,
-        attempt: u32,
     ) {
-        let entry = BatchEntry {
+        self.vol.write_queue.push_back(BatchEntry {
             client_id,
             write,
-            attempt,
-        };
-        if self.batching() {
-            // Batched mode: every write goes through the queue, so an
-            // arrival coalesces with an in-flight round's successors and
-            // with a requeued batch waiting out its backoff.
-            self.vol.write_queue.push_back(entry);
-            self.maybe_launch_queued(ctx);
-            return;
-        }
-        self.begin_write_round(ctx, vec![entry]);
+            attempt: 0,
+        });
+        self.maybe_launch_queued(ctx);
     }
 
     /// Launches the next queued batch if no write round is in flight and
@@ -106,15 +98,10 @@ impl ReplicaNode {
         self.begin_write_round(ctx, batch);
     }
 
-    /// Whether writes queue, batch and chain here: only stale marking with
-    /// a batch cap above 1 does (DESIGN.md §10).
-    fn batching(&self) -> bool {
-        self.config.max_write_batch > 1 && self.config.write_mode == WriteMode::StaleMarking
-    }
-
-    /// Drains the next batch, up to `max_write_batch` writes, off the queue.
+    /// Drains the next batch, up to [`MAX_WRITE_BATCH`] writes, off the
+    /// queue.
     fn next_batch(&mut self) -> Vec<BatchEntry> {
-        let take = self.config.max_write_batch.min(self.vol.write_queue.len());
+        let take = MAX_WRITE_BATCH.min(self.vol.write_queue.len());
         self.vol.write_queue.drain(..take).collect()
     }
 
@@ -382,9 +369,13 @@ impl ReplicaNode {
     /// Chains a successor to a committing round, unless its ballot was
     /// `contended` (someone else wants its replicas, so the chain yields
     /// and they wait at most this one round) or no write is queued:
-    /// allocates the successor's op id and drains its batch.
+    /// allocates the successor's op id and drains its batch. Only stale
+    /// marking chains: a chained round skips the permission poll, and
+    /// write-all-current takes its reconciliation base from that poll's
+    /// copy.
     fn plan_chain(&mut self, contended: bool) -> Option<(OpId, Vec<BatchEntry>)> {
-        if contended || !self.batching() || self.vol.write_queue.is_empty() {
+        let stale_marking = self.config.write_mode == WriteMode::StaleMarking;
+        if contended || !stale_marking || self.vol.write_queue.is_empty() {
             return None;
         }
         let batch = self.next_batch();
@@ -443,57 +434,47 @@ impl ReplicaNode {
     /// Contention and commit races are retried with backoff; structural
     /// failures (no quorum, no current replica) are reported immediately,
     /// as the paper prescribes.
+    ///
+    /// A retryable batch requeues whole: disbanding it into per-entry
+    /// retries would relaunch that many competing single-write rounds
+    /// against the same replicas. One kick timer (shortest surviving
+    /// backoff) holds the queue, then relaunches the batch, plus anything
+    /// queued meanwhile, as one round.
     fn retry_or_fail_write(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         batch: Vec<BatchEntry>,
         reason: FailReason,
     ) {
-        let retryable = matches!(reason, FailReason::Contention | FailReason::CommitFailed);
-        if retryable && self.batching() {
-            // Requeue the refused batch whole: disbanding it into per-entry
-            // retry timers would relaunch that many competing single-write
-            // rounds against the same replicas. One kick timer (shortest
-            // surviving backoff) holds the queue, then relaunches the batch,
-            // plus anything queued meanwhile, as one round.
-            let mut min_attempt = u32::MAX;
-            for entry in batch.into_iter().rev() {
-                if entry.attempt < MAX_RETRIES {
-                    self.stats.inc(keys::RETRIES);
-                    min_attempt = min_attempt.min(entry.attempt + 1);
-                    self.vol.write_queue.push_front(BatchEntry {
-                        attempt: entry.attempt + 1,
-                        ..entry
-                    });
-                } else {
-                    self.fail_write(ctx, entry.client_id, reason);
-                }
+        if !matches!(reason, FailReason::Contention | FailReason::CommitFailed) {
+            for entry in batch {
+                self.fail_write(ctx, entry.client_id, reason);
             }
-            if min_attempt != u32::MAX {
-                let delay = self.backoff(ctx, min_attempt);
-                self.vol.write_queue_held = true;
-                ctx.set_timer(delay, Timer::WriteQueueKick);
-            } else {
-                self.maybe_launch_queued(ctx);
-            }
+            // The failed round is gone; if writes queued behind it, give
+            // them their own round now rather than stranding them.
+            self.maybe_launch_queued(ctx);
             return;
         }
-        for entry in batch {
-            if retryable && entry.attempt < MAX_RETRIES {
-                let attempt = entry.attempt + 1;
-                let delay = self.backoff(ctx, attempt);
-                let request = ClientRequest::Write {
-                    id: entry.client_id,
-                    write: entry.write,
-                };
-                ctx.set_timer(delay, Timer::RetryClient { attempt, request });
+        let mut min_attempt = u32::MAX;
+        for entry in batch.into_iter().rev() {
+            if entry.attempt < MAX_RETRIES {
+                self.stats.inc(keys::RETRIES);
+                min_attempt = min_attempt.min(entry.attempt + 1);
+                self.vol.write_queue.push_front(BatchEntry {
+                    attempt: entry.attempt + 1,
+                    ..entry
+                });
             } else {
                 self.fail_write(ctx, entry.client_id, reason);
             }
         }
-        // The failed round is gone; if writes queued behind it, give them
-        // their own round now rather than stranding them.
-        self.maybe_launch_queued(ctx);
+        if min_attempt != u32::MAX {
+            let delay = self.backoff(ctx, min_attempt);
+            self.vol.write_queue_held = true;
+            ctx.set_timer(delay, Timer::WriteQueueKick);
+        } else {
+            self.maybe_launch_queued(ctx);
+        }
     }
 
     /// Fails client write `id` for good.

@@ -19,7 +19,8 @@ use coterie_core::{
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 use coterie_simnet::SimDuration;
 
-/// Three replicas under majority, at the default batch cap.
+/// Three replicas under majority; rounds carry up to `MAX_WRITE_BATCH`
+/// writes.
 fn majority3() -> ProtocolConfig {
     ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
 }

@@ -11,7 +11,9 @@
 //!    committed journal prefix as it stood before the crash.
 //! 3. *Write-all-current reconciliation*: when the current replicas alone
 //!    do not form a write quorum, the write ships the object a current
-//!    replica granted with to obsolete members, and sends no fetch.
+//!    replica granted with to obsolete members, and sends no fetch. Writes
+//!    queued at one coordinator share that round, and the reconciled
+//!    members apply the whole batch on the shipped base.
 
 mod common;
 
@@ -22,7 +24,7 @@ use common::drain_messages;
 use coterie_core::config::LOCK_LEASE;
 use coterie_core::{
     keys, ClientRequest, Durable, DurableDelta, FaultKind, FramedJournal, LogEntry, MsgClass, OpId,
-    PartialWrite, ProtocolConfig, ProtocolEvent, Rng64, StepDriver, WriteMode,
+    PagedObject, PartialWrite, ProtocolConfig, ProtocolEvent, Rng64, StepDriver, Timer, WriteMode,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 use coterie_simnet::SimDuration;
@@ -215,7 +217,7 @@ proptest! {
     /// quiesced state.
     #[test]
     fn crash_preserves_exactly_the_committed_prefix(seed in any::<u64>()) {
-        let config = config().write_batch(4).rng_seed(seed);
+        let config = config().rng_seed(seed);
         let mut driver = StepDriver::new(4, config);
         let mut rng = Rng64::new(seed ^ 0xD1CE_CAFE);
         let acked = random_schedule(&mut driver, &mut rng, 400);
@@ -254,7 +256,6 @@ proptest! {
 fn write_burst_batches_and_chains_rounds() {
     let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
         .pages(N_PAGES)
-        .write_batch(4)
         .rng_seed(7);
     let mut driver = StepDriver::new(3, config);
     for id in 1..=8u64 {
@@ -298,15 +299,13 @@ fn write_burst_batches_and_chains_rounds() {
     );
 }
 
-/// Write-all-current on the 9-node grid (row-major: columns {0,3,6},
-/// {1,4,7}, {2,5,8}; a write quorum is a full column plus one node of
-/// every column). Write 1 commits at {0,1,2,3,6} while {4,5,7,8} are down.
-/// They recover and 0 and 3 crash, so the live current replicas {1,2,6}
-/// hold no full column: obsolete members must be reconciled. Write 2,
-/// coordinated at the obsolete replica 4, takes its base from a current
-/// replica's grant, with no fetch round.
-#[test]
-fn write_all_current_reconciles_from_the_grant_without_a_fetch() {
+/// The write-all-current cluster of the tests below: the 9-node grid
+/// (row-major: columns {0,3,6}, {1,4,7}, {2,5,8}; a write quorum is a full
+/// column plus one node of every column), static epochs. Write 1 commits at
+/// {0,1,2,3,6} while {4,5,7,8} are down. They recover and 0 and 3 crash,
+/// so the live current replicas {1,2,6} hold no full column: a write must
+/// reconcile obsolete members. Returns the driver at that point.
+fn obsolete_quorum_grid() -> StepDriver {
     let config = ProtocolConfig {
         write_mode: WriteMode::WriteAllCurrent,
         ..ProtocolConfig::new(Arc::new(GridCoterie::new()), 9)
@@ -314,14 +313,10 @@ fn write_all_current_reconciles_from_the_grant_without_a_fetch() {
             .pages(N_PAGES)
     };
     let mut driver = StepDriver::new(9, config);
-    let write = |id: u64, text: &'static [u8]| ClientRequest::Write {
-        id,
-        write: PartialWrite::new([(id as u16, Bytes::from_static(text))]),
-    };
     for n in [4, 5, 7, 8] {
         driver.crash(NodeId(n));
     }
-    driver.inject(NodeId(0), write(1, b"first"));
+    driver.inject(NodeId(0), wac_write(1, b"first"));
     drain_messages(&mut driver);
     for n in [4, 5, 7, 8] {
         driver.recover(NodeId(n));
@@ -333,10 +328,40 @@ fn write_all_current_reconciles_from_the_grant_without_a_fetch() {
     let obsolete: Vec<u32> = (0..9)
         .filter(|&n| !driver.is_down(NodeId(n)) && driver.node(NodeId(n)).durable.version == 0)
         .collect();
-    assert_eq!(obsolete, [4, 5, 7, 8]);
+    assert_eq!(obsolete, OBSOLETE);
+    driver
+}
 
+/// The live replicas [`obsolete_quorum_grid`] leaves at version 0.
+const OBSOLETE: [u32; 4] = [4, 5, 7, 8];
+
+/// Client write `id` of the write-all-current tests: `text` on page `id`.
+fn wac_write(id: u64, text: &'static [u8]) -> ClientRequest {
+    ClientRequest::Write {
+        id,
+        write: PartialWrite::new([(id as u16, Bytes::from_static(text))]),
+    }
+}
+
+/// How many replicas the coordinator reconciled, from its
+/// `SyncReconciliation` event.
+fn reconciled(driver: &StepDriver, coordinator: NodeId) -> usize {
+    let outputs = driver.outputs();
+    let reconciled = outputs.iter().find_map(|(_, node, e)| match e {
+        ProtocolEvent::SyncReconciliation { targets } if *node == coordinator => Some(*targets),
+        _ => None,
+    });
+    reconciled.expect("the write reconciled no obsolete member")
+}
+
+/// Write 2, coordinated at the obsolete replica 4 of
+/// [`obsolete_quorum_grid`], takes its base from a current replica's
+/// grant, with no fetch round.
+#[test]
+fn write_all_current_reconciles_from_the_grant_without_a_fetch() {
+    let mut driver = obsolete_quorum_grid();
     let coordinator = NodeId(4);
-    driver.inject(coordinator, write(2, b"second"));
+    driver.inject(coordinator, wac_write(2, b"second"));
     drain_messages(&mut driver);
     let outputs = driver.outputs();
     let ok = |e: &ProtocolEvent| {
@@ -350,15 +375,11 @@ fn write_all_current_reconciles_from_the_grant_without_a_fetch() {
         )
     };
     assert!(outputs.iter().any(|(_, _, e)| ok(e)), "{outputs:?}");
-    let reconciled = outputs.iter().find_map(|(_, node, e)| match e {
-        ProtocolEvent::SyncReconciliation { targets } if *node == coordinator => Some(*targets),
-        _ => None,
-    });
-    let targets = reconciled.expect("the write reconciled no obsolete member");
+    let targets = reconciled(&driver, coordinator);
     // Every reconciled member is at the new version, holding the
     // coordinator's object: the first write's page under the second's.
     let digest = driver.node(coordinator).durable.object.digest();
-    let caught_up = obsolete
+    let caught_up = OBSOLETE
         .iter()
         .map(|&n| &driver.node(NodeId(n)).durable)
         .filter(|d| d.version == 2)
@@ -377,4 +398,66 @@ fn write_all_current_reconciles_from_the_grant_without_a_fetch() {
         let fetches = node.stats.counter(keys::msgs_in(MsgClass::Fetch));
         assert_eq!(fetches, 0, "n{n} received a fetch");
     }
+}
+
+/// Write-all-current batches like stale marking. Writes 2 and 3 reach the
+/// obsolete replica 4 of [`obsolete_quorum_grid`] in the same instant,
+/// while a read at node 1 polls one replica of every column. Write 2's
+/// round opens alone and write 3 queues behind it. The read and the round
+/// refuse each other, so the round requeues whole and both back off. The
+/// queue's backoff fires (the read's retry stays parked), and writes 2
+/// and 3 share one round at consecutive versions. Every
+/// reconciled member applies both writes on the base the round shipped.
+#[test]
+fn write_all_current_batches_queued_writes_into_one_reconciling_round() {
+    let mut driver = obsolete_quorum_grid();
+    let coordinator = NodeId(4);
+    driver.inject(NodeId(1), ClientRequest::Read { id: 10 });
+    driver.inject(coordinator, wac_write(2, b"second"));
+    driver.inject(coordinator, wac_write(3, b"third"));
+    drain_messages(&mut driver);
+    let kick = driver
+        .pending_timers()
+        .iter()
+        .position(|t| t.node == coordinator && matches!(t.timer, Timer::WriteQueueKick))
+        .expect("the refused write did not requeue");
+    driver.fire(kick);
+    drain_messages(&mut driver);
+
+    let acks: Vec<(u64, u64)> = driver
+        .outputs()
+        .iter()
+        .filter_map(|(_, node, e)| match e {
+            ProtocolEvent::WriteOk { id, version, .. } if *node == coordinator => {
+                Some((*id, *version))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(acks, [(2, 2), (3, 3)]);
+    let stats = &driver.node(coordinator).stats;
+    assert_eq!(
+        stats.counter(keys::BATCHED_WRITES),
+        2,
+        "the writes shared no round"
+    );
+
+    let mut expected = PagedObject::new(N_PAGES);
+    for (page, text) in [(1, "first"), (2, "second"), (3, "third")] {
+        expected.apply(&PartialWrite::new([(
+            page,
+            Bytes::from_static(text.as_bytes()),
+        )]));
+    }
+    let targets = reconciled(&driver, coordinator);
+    let caught_up = OBSOLETE
+        .iter()
+        .map(|&n| &driver.node(NodeId(n)).durable)
+        .filter(|d| d.version == 3)
+        .inspect(|d| assert_eq!(d.object.digest(), expected.digest()))
+        .count();
+    assert!(
+        targets > 0 && caught_up == targets,
+        "{targets} targets, {caught_up} caught up"
+    );
 }

@@ -10,7 +10,7 @@
 //!
 //! Exits non-zero if any run found a violation. Dirty runs dump their
 //! flight recorder (the causally merged last-N trace records per node) to
-//! `target/nemesis-seed{seed}-{cell}-trace.jsonl` plus a human-readable
+//! `target/nemesis-seed{seed}-{rule}-trace.jsonl` plus a human-readable
 //! `.txt` timeline.
 
 use std::path::Path;
@@ -32,46 +32,38 @@ fn main() {
         ("majority", Arc::new(MajorityCoterie::new()), 5),
     ];
 
-    // The plain write path, then batching with pipelined 2PC (the
-    // default), so a dirty seed names its path.
-    let variants: [(&str, usize); 2] = [("", 1), ("+batch", 4)];
-
     let mut failed = false;
     let mut schedules = 0u64;
     for (name, rule, n_nodes) in setups {
         if only_rule.as_deref().is_some_and(|r| r != name) {
             continue;
         }
-        for (suffix, write_batch) in variants {
-            let cfg = NemesisConfig {
-                n_nodes,
-                steps,
-                write_batch,
-                ..Default::default()
-            };
-            let cell = format!("{name}{suffix}");
-            let report = soak(rule.clone(), base_seed, runs, &cfg);
-            print_report(&cell, n_nodes, runs, &report);
-            schedules += runs;
-            if !report.clean() {
-                failed = true;
-                for run in &report.dirty {
-                    eprintln!("== {cell} seed {} ==", run.seed);
-                    for v in &run.violations {
-                        eprintln!("  {v}");
-                    }
-                    if let Some(dump) = &run.trace {
-                        let prefix = format!("target/nemesis-seed{}-{cell}-trace", run.seed);
-                        match write_dump(dump, Path::new(&prefix)) {
-                            Ok((jsonl, txt)) => eprintln!(
-                                "  flight recorder ({} records, {} evicted): {} / {}",
-                                dump.records,
-                                dump.dropped,
-                                jsonl.display(),
-                                txt.display()
-                            ),
-                            Err(e) => eprintln!("  flight recorder dump failed: {e}"),
-                        }
+        let cfg = NemesisConfig {
+            n_nodes,
+            steps,
+            ..Default::default()
+        };
+        let report = soak(rule, base_seed, runs, &cfg);
+        print_report(name, n_nodes, runs, &report);
+        schedules += runs;
+        if !report.clean() {
+            failed = true;
+            for run in &report.dirty {
+                eprintln!("== {name} seed {} ==", run.seed);
+                for v in &run.violations {
+                    eprintln!("  {v}");
+                }
+                if let Some(dump) = &run.trace {
+                    let prefix = format!("target/nemesis-seed{}-{name}-trace", run.seed);
+                    match write_dump(dump, Path::new(&prefix)) {
+                        Ok((jsonl, txt)) => eprintln!(
+                            "  flight recorder ({} records, {} evicted): {} / {}",
+                            dump.records,
+                            dump.dropped,
+                            jsonl.display(),
+                            txt.display()
+                        ),
+                        Err(e) => eprintln!("  flight recorder dump failed: {e}"),
                     }
                 }
             }

@@ -28,6 +28,10 @@ use coterie_simnet::SimDuration;
 use crate::checker::check_run;
 use crate::workload::IssuedOp;
 
+/// How much driver time the deterministic drain at the end of each
+/// schedule simulates before the 1SR check runs.
+const DRAIN: SimDuration = SimDuration::from_secs(30);
+
 /// Exploration bounds and fault options.
 #[derive(Clone, Debug)]
 pub struct ExplorerConfig {
@@ -40,12 +44,6 @@ pub struct ExplorerConfig {
     pub crash_budget: usize,
     /// Nodes the explorer may crash (and later recover).
     pub crashable: Vec<NodeId>,
-    /// Pages per object (must match the protocol config; the checker
-    /// replays writes against a fresh object of this size).
-    pub n_pages: usize,
-    /// How much driver time the deterministic drain at the end of each
-    /// schedule simulates before the 1SR check runs.
-    pub drain: SimDuration,
 }
 
 impl Default for ExplorerConfig {
@@ -55,8 +53,6 @@ impl Default for ExplorerConfig {
             max_states: 50_000,
             crash_budget: 0,
             crashable: Vec::new(),
-            n_pages: 16,
-            drain: SimDuration::from_secs(30),
         }
     }
 }
@@ -195,9 +191,12 @@ fn finish_schedule(
             fin.recover(node);
         }
     }
-    fin.run_for(config.drain);
+    fin.run_for(DRAIN);
     check_invariants(&fin, report);
-    let check = check_run(issued, fin.outputs(), config.n_pages);
+    // The checker replays writes against a fresh object of the protocol's
+    // page count.
+    let n_pages = fin.node(NodeId(0)).config.n_pages;
+    let check = check_run(issued, fin.outputs(), n_pages);
     report.schedules_checked += 1;
     for v in check.violations {
         if report.violations.len() < MAX_VIOLATIONS {

@@ -57,6 +57,10 @@ const PARTITION_PER_MILLE: u16 = 6;
 /// Per-node flight-recorder capacity (trace records retained per node).
 const TRACE_CAP: usize = 256;
 
+/// Driver time simulated after the schedule to let the cluster converge
+/// before the final checks.
+const DRAIN: SimDuration = SimDuration::from_secs(120);
+
 /// Nemesis schedule parameters.
 #[derive(Clone, Debug)]
 pub struct NemesisConfig {
@@ -66,12 +70,6 @@ pub struct NemesisConfig {
     pub steps: usize,
     /// Client operations injected over the schedule.
     pub client_ops: usize,
-    /// Driver time simulated after the schedule to let the cluster
-    /// converge before the final checks.
-    pub drain: SimDuration,
-    /// Coordinator-side write-batching cap, which also turns on pipelined
-    /// 2PC (DESIGN.md §10); 1 is the plain path.
-    pub write_batch: usize,
 }
 
 impl Default for NemesisConfig {
@@ -80,8 +78,6 @@ impl Default for NemesisConfig {
             n_nodes: 4,
             steps: 3_000,
             client_ops: 30,
-            drain: SimDuration::from_secs(120),
-            write_batch: 1,
         }
     }
 }
@@ -157,10 +153,7 @@ impl NemesisReport {
 pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -> NemesisRun {
     let n = cfg.n_nodes;
     assert!(n >= 3, "nemesis needs at least 3 nodes");
-    let protocol = ProtocolConfig::new(rule, n)
-        .pages(N_PAGES)
-        .write_batch(cfg.write_batch)
-        .rng_seed(seed);
+    let protocol = ProtocolConfig::new(rule, n).pages(N_PAGES).rng_seed(seed);
     let mut driver = StepDriver::new(n, protocol);
     driver.enable_tracing(TRACE_CAP);
     // The schedule RNG is independent of the engines' (different stream).
@@ -218,7 +211,7 @@ pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -
             run.recoveries += 1;
         }
     }
-    driver.run_for(cfg.drain);
+    driver.run_for(DRAIN);
 
     for v in cluster_invariant_violations(&driver) {
         run.violations.push(format!("seed {seed} final state: {v}"));
@@ -422,7 +415,6 @@ mod tests {
             n_nodes: 5,
             steps: 800,
             client_ops: 10,
-            ..Default::default()
         };
         let report = soak(Arc::new(MajorityCoterie::new()), 0xFEED, 3, &cfg);
         assert!(report.clean(), "violations: {:#?}", report.dirty);

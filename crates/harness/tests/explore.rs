@@ -67,7 +67,6 @@ fn grid_write_write_read_interleavings_are_serializable() {
     let explorer = ExplorerConfig {
         max_depth: 14,
         max_states: 60_000,
-        n_pages: 4,
         ..ExplorerConfig::default()
     };
     let report = explore(&driver, &issued, &explorer);
@@ -113,8 +112,6 @@ fn majority_write_under_crash_recovery_stays_safe() {
         max_states: 40_000,
         crash_budget: 1,
         crashable: vec![NodeId(1)],
-        n_pages: 4,
-        ..ExplorerConfig::default()
     };
     let report = explore(&driver, &issued, &explorer);
     // scripts/parity.sh diffs these counts between two builds.

@@ -1,6 +1,6 @@
-//! Safety of the write-path optimisations (DESIGN.md §10) under
-//! adversarial schedules: interleaving exploration with batching and
-//! pipelining enabled, and a bounded nemesis soak with them on.
+//! Safety of the write-path optimisations (DESIGN.md §10), which every
+//! write runs, under adversarial schedules: interleaving exploration of
+//! shared and chained rounds, and a bounded nemesis soak.
 
 // Test-side issued-op bookkeeping; hash order never feeds the engine.
 #![allow(clippy::disallowed_types)]
@@ -22,12 +22,10 @@ fn b(s: &str) -> Bytes {
     Bytes::copy_from_slice(s.as_bytes())
 }
 
-/// A 3-node grid with batching and pipelining on, with each op injected
-/// 1 ms after the last as `(id, coordinator, write or read)`.
+/// A 3-node grid (writes batch and chain by default), with each op
+/// injected 1 ms after the last as `(id, coordinator, write or read)`.
 fn grid3(ops: &[(u64, u32, Option<PartialWrite>)]) -> (StepDriver, HashMap<u64, IssuedOp>) {
-    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 3)
-        .pages(4)
-        .write_batch(2);
+    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 3).pages(4);
     let mut driver = StepDriver::new(3, config);
     let mut issued = HashMap::new();
     for (id, node, write) in ops.iter().cloned() {
@@ -133,7 +131,6 @@ fn pipelined_grid_interleavings_are_serializable() {
     let explorer = ExplorerConfig {
         max_depth: 14,
         max_states: 60_000,
-        n_pages: 4,
         ..ExplorerConfig::default()
     };
     let schedules = [("", pipelined_grid()), (" (burst)", grid3(&burst()))];
@@ -180,13 +177,12 @@ fn the_explored_burst_reaches_a_lock_handoff() {
 }
 
 /// A bounded nemesis soak — crashes, partitions, torn writes, journal
-/// corruption — with batching and pipelining enabled.
+/// corruption — on the grid, where writes share and chain rounds.
 #[test]
 fn feature_enabled_soak_is_clean() {
     let cfg = NemesisConfig {
         steps: 800,
         client_ops: 10,
-        write_batch: 4,
         ..Default::default()
     };
     let report = soak(Arc::new(GridCoterie::new()), 0xFACE, 3, &cfg);

@@ -4,26 +4,26 @@
 //! already present at the seed commit — nodes diverge on the epoch *member
 //! list* while agreeing on the epoch number, after a node recovers
 //! mid-epoch-check (the PR-4 rejoin guards don't cover the
-//! recovery/epoch-install interaction). This test pins the lowest plain
-//! seed that hits it
-//! (`cargo run -p coterie-harness --bin nemesis -- 1 1000 3000 majority`)
+//! recovery/epoch-install interaction). This test pins the lowest seed of
+//! the default majority sweep that hits it
+//! (`cargo run -p coterie-harness --bin nemesis -- 1 178 3000 majority`)
 //! so the bug has an executable spec, and captures its flight-recorder
-//! dump as a checked-in artifact (`tests/data/nemesis_seed1000_trace.jsonl`)
+//! dump as a checked-in artifact (`tests/data/nemesis_seed178_trace.jsonl`)
 //! — the causally ordered last-N trace records per node leading up to the
 //! first violation. DESIGN.md §14.4 walks the causal chain, reconstructed
 //! at majority seed 62 of older schedules (that seed now runs clean: the
-//! bug is no longer *hit* there, not fixed). Plain seeds 0–399 no longer
-//! hit it at all, so the pin is the lowest above them.
+//! bug is no longer *hit* there, not fixed).
 //!
 //! The run asserts the *presence* of the bug: it fails the moment the
 //! violation is fixed — or the moment a change moves the seeded schedules
-//! again, in which case re-pin it the same way (sweep the plain config,
-//! take the lowest seed whose violations contain `epoch safety`). Whoever
-//! fixes ROADMAP item 1 should watch it fail, invert the assertions into a
-//! permanent clean-run regression test, and delete the artifact. Until
-//! then, the checked-in dump also pins trace determinism end-to-end: the
-//! same seed must reproduce the same causal history byte-for-byte
-//! (regenerate with `NEMESIS_TRACE_REGEN=1`).
+//! again, in which case re-pin it the same way (sweep the default config
+//! with `nemesis 1200 0 3000 majority`, take the lowest seed whose
+//! violations contain `epoch safety`). Whoever fixes ROADMAP item 1 should
+//! watch it fail, invert the assertions into a permanent clean-run
+//! regression test, and delete the artifact. Until then, the checked-in
+//! dump also pins trace determinism end-to-end: the same seed must
+//! reproduce the same causal history byte-for-byte (regenerate with
+//! `NEMESIS_TRACE_REGEN=1`).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -32,22 +32,22 @@ use coterie_harness::nemesis::{run_nemesis, NemesisConfig};
 use coterie_quorum::MajorityCoterie;
 
 #[test]
-fn epoch_list_divergence_majority_seed_1000_still_reproduces() {
+fn epoch_list_divergence_majority_seed_178_still_reproduces() {
     let cfg = NemesisConfig {
         n_nodes: 5,
         steps: 3_000,
         ..NemesisConfig::default()
     };
-    let run = run_nemesis(Arc::new(MajorityCoterie::new()), 1000, &cfg);
+    let run = run_nemesis(Arc::new(MajorityCoterie::new()), 178, &cfg);
     assert!(
         !run.clean(),
-        "majority seed 1000 ran clean: ROADMAP item 1 is fixed (invert this \
-         test into a clean-run gate, delete tests/data/nemesis_seed1000_trace.jsonl) \
+        "majority seed 178 ran clean: ROADMAP item 1 is fixed (invert this \
+         test into a clean-run gate, delete tests/data/nemesis_seed178_trace.jsonl) \
          or the seeded schedules moved (re-pin: see the module docs)"
     );
     assert!(
         run.violations.iter().any(|v| v.contains("epoch safety")),
-        "seed 1000 violated something other than epoch safety: {:?}",
+        "seed 178 violated something other than epoch safety: {:?}",
         run.violations
     );
 
@@ -67,8 +67,7 @@ fn epoch_list_divergence_majority_seed_1000_still_reproduces() {
     assert_eq!(dump.timeline.lines().count(), dump.records + 1);
 
     // The dump is a deterministic artifact: same seed, same bytes.
-    let path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/nemesis_seed1000_trace.jsonl");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/nemesis_seed178_trace.jsonl");
     if std::env::var_os("NEMESIS_TRACE_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &dump.jsonl).unwrap();
@@ -84,7 +83,7 @@ fn epoch_list_divergence_majority_seed_1000_still_reproduces() {
     });
     assert!(
         expected == dump.jsonl,
-        "seed-1000 flight-recorder dump drifted from the checked-in artifact.\n\
+        "seed-178 flight-recorder dump drifted from the checked-in artifact.\n\
          If the schedule or trace taxonomy changed intentionally, regenerate \
          with NEMESIS_TRACE_REGEN=1; otherwise determinism broke."
     );

@@ -36,7 +36,7 @@ echo "==> traced write_leader: history flatness, and what a committed write leav
 # 1 368 when every committed write leaves its DecisionRetry chain armed).
 # storage.bytes_per_write <= 1500: a write journals the log entry it pushed
 # (794 B over its 2.75 records now that four writes share a round's 2PC;
-# 683 B over 12.0 on the plain path; 7 226 when each apply re-ships the
+# 683 B over 12.0 with one write per round; 7 226 when each apply re-ships the
 # whole log).
 # core.heavy_per_op <= 0.05: a coordinator asks a quorum holding a replica it
 # last saw current, so its own serial writes never poll all nine (0.00; 0.34
@@ -102,20 +102,20 @@ cargo run --release --example live_threads
 cargo run --release -p coterie-harness --bin experiments -- all --quick >/dev/null
 
 echo "==> nemesis smoke (bounded storage-fault soak)"
-# Fixed seeds, short schedules: 6 runs per column (plain, and +batch with
-# pipelined 2PC) on grid and on majority, 24 schedules in all, of
+# Fixed seeds, short schedules: 6 runs on grid and 6 on majority, 12
+# schedules in all, of
 # crashes, partitions, torn writes, and journal corruption; exits non-zero on any
 # epoch-safety, coherence, or 1SR violation. Dirty runs dump their flight
 # recorder as causally-merged JSONL + timeline under target/.
 cargo run --release -p coterie-harness --bin nemesis -- 6 42 1500
 
-echo "==> nemesis grid sweep (seeds 0-399, every column)"
-# 800 full-length schedules (~3 s), all clean on grid (ROADMAP 1(c)).
+echo "==> nemesis grid sweep (seeds 0-399)"
+# 400 full-length schedules (~1.5 s), all clean on grid (ROADMAP 1(c)).
 # Majority has known-dirty seeds, so it runs under the ratchet below.
 cargo run --release -p coterie-harness --bin nemesis -- 400 0 3000 grid
 
-echo "==> nemesis majority ratchet (seeds 0-1199, every column)"
-# 2 400 schedules (~13 s). Fails on any dirty run missing from
+echo "==> nemesis majority ratchet (seeds 0-1199)"
+# 1 200 schedules (~7 s). Fails on any dirty run missing from
 # scripts/nemesis_known_dirty.txt and on any listed run that came back
 # clean, so the list only shrinks (ROADMAP 1(c)).
 scripts/nemesis_ratchet.sh
