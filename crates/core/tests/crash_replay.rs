@@ -10,6 +10,8 @@
 //! replayed state), so the equality is checked across real fail-stop
 //! cycles, not just quiet runs.
 
+mod common;
+
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -73,27 +75,7 @@ proptest! {
         assert_replay_matches(&driver, 0);
 
         for step in 0..steps {
-            let msgs = driver.pending_messages().len();
-            let timers = driver.pending_timers().len();
-            // Weight the event space: deliveries and timer firings move the
-            // protocol; a small tail of the choice range injects crashes
-            // and recoveries.
-            let fault_slots = 4;
-            let total = msgs + timers + fault_slots;
-            let pick = schedule.below(total as u64) as usize;
-            if pick < msgs {
-                driver.deliver(pick);
-            } else if pick < msgs + timers {
-                driver.fire(pick - msgs);
-            } else {
-                // Fault slot: toggle the liveness of one of two nodes.
-                let node = NodeId(((pick - msgs - timers) % 2) as u32);
-                if driver.is_down(node) {
-                    driver.recover(node);
-                } else {
-                    driver.crash(node);
-                }
-            }
+            common::weighted_step(&mut driver, &mut schedule);
             assert_replay_matches(&driver, step + 1);
         }
 

@@ -16,100 +16,22 @@
 //! `COTERIE_DETERMINISM_EMIT`) is the one that catches per-process seed
 //! leaks, so both are asserted.
 
-use std::sync::Arc;
+mod common;
 
-use bytes::Bytes;
-use coterie_base::SimDuration;
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, Rng64, StepDriver};
-use coterie_quorum::{GridCoterie, NodeId};
-
-const N: usize = 4;
-const SEED: u64 = 0xC07E41E;
-const SCHEDULE_SEED: u64 = 42;
-const STEPS: usize = 140;
 const EMIT_ENV: &str = "COTERIE_DETERMINISM_EMIT";
 const MARKER: &str = "JOURNAL-FNV1A=";
 
-/// Runs a fixed seeded workload (writes, a read, crashes, recoveries) and
+/// Runs the pinned workload (writes, a read, crashes, recoveries) and
 /// serializes every node's journal + final state + merged trace into one
 /// canonical string. Tracing is enabled with an unbounded-in-practice ring
 /// so the trace JSONL is part of the cross-process determinism contract:
 /// Lamport stamps, per-node sequence numbers, and merge order must all
 /// reproduce byte-for-byte.
 fn run_and_serialize() -> String {
-    let rule: Arc<dyn coterie_quorum::CoterieRule> = Arc::new(GridCoterie::new());
-    let config = ProtocolConfig::new(rule, N).pages(4).rng_seed(SEED);
-    let mut driver = StepDriver::new(N, config);
-    driver.enable_tracing(1 << 16);
-    for (id, node, page) in [(1u64, 0u32, 0u16), (2, 1, 1), (3, 2, 0), (4, 0, 2)] {
-        driver.inject(
-            NodeId(node),
-            ClientRequest::Write {
-                id,
-                write: PartialWrite::new([(page, Bytes::copy_from_slice(b"payload"))]),
-            },
-        );
-    }
-    driver.inject(NodeId(3), ClientRequest::Read { id: 5 });
-
-    // The same weighted event schedule as the crash-replay property, but
-    // with pinned seeds: deliveries and timers interleaved with fail-stop
-    // cycles on two nodes.
-    let mut schedule = Rng64::new(SCHEDULE_SEED);
-    for _ in 0..STEPS {
-        let msgs = driver.pending_messages().len();
-        let timers = driver.pending_timers().len();
-        let fault_slots = 4;
-        let total = msgs + timers + fault_slots;
-        let pick = schedule.below(total as u64) as usize;
-        if pick < msgs {
-            driver.deliver(pick);
-        } else if pick < msgs + timers {
-            driver.fire(pick - msgs);
-        } else {
-            let node = NodeId(((pick - msgs - timers) % 2) as u32);
-            if driver.is_down(node) {
-                driver.recover(node);
-            } else {
-                driver.crash(node);
-            }
-        }
-    }
-    for id in 0..N as u32 {
-        if driver.is_down(NodeId(id)) {
-            driver.recover(NodeId(id));
-        }
-    }
-    driver.run_for(SimDuration::from_secs(30));
-
-    // Canonical rendering: per-node journal *bytes* (the framed v2 format,
-    // hex-encoded, so framing and checksums are part of the contract), the
-    // checked-replay verdict, the replayed durable state, the cluster
-    // digest, and every output event.
-    let mut out = String::new();
-    for id in 0..N as u32 {
-        let node = NodeId(id);
-        let journal = driver.journal(node);
-        let replay = driver.replay_checked(node);
-        out.push_str(&format!(
-            "node={id};appended={};bytes={};verdict={:?};replayed={:?};\n",
-            journal.appended_total(),
-            hex(journal.bytes()),
-            replay.verdict,
-            driver.replay_journal(node),
-        ));
-    }
-    out.push_str(&format!(
-        "digest={:016x};outputs={:?};\n",
-        driver.state_digest(),
-        driver.outputs(),
-    ));
+    let driver = common::pinned_run(true);
+    let mut out = common::render_protocol(&driver);
     out.push_str(&coterie_core::render_jsonl(&driver.merged_trace()));
     out
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -8,85 +8,14 @@
 //! state and every "debug with the flight recorder" session becomes a
 //! heisenbug hunt.
 
-use std::sync::Arc;
+mod common;
 
-use bytes::Bytes;
-use coterie_base::SimDuration;
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, Rng64, StepDriver};
-use coterie_quorum::{GridCoterie, NodeId};
-
-const N: usize = 4;
-const SEED: u64 = 0xC07E41E;
-const SCHEDULE_SEED: u64 = 42;
-const STEPS: usize = 140;
-
-/// The same seeded workload as `determinism.rs`, parameterized on whether
-/// a trace ring is attached. Returns the canonical *protocol* rendering
-/// only — journal bytes, replay verdicts, digest, outputs — deliberately
-/// excluding the trace itself (that side is covered by `determinism.rs`).
+/// The pinned workload of `determinism.rs`, with or without a trace ring.
+/// Returns the canonical *protocol* rendering only — journal bytes, replay
+/// verdicts, digest, outputs — deliberately excluding the trace itself
+/// (that side is covered by `determinism.rs`).
 fn run_protocol_canonical(traced: bool) -> String {
-    let rule: Arc<dyn coterie_quorum::CoterieRule> = Arc::new(GridCoterie::new());
-    let config = ProtocolConfig::new(rule, N).pages(4).rng_seed(SEED);
-    let mut driver = StepDriver::new(N, config);
-    if traced {
-        driver.enable_tracing(1 << 16);
-    }
-    for (id, node, page) in [(1u64, 0u32, 0u16), (2, 1, 1), (3, 2, 0), (4, 0, 2)] {
-        driver.inject(
-            NodeId(node),
-            ClientRequest::Write {
-                id,
-                write: PartialWrite::new([(page, Bytes::copy_from_slice(b"payload"))]),
-            },
-        );
-    }
-    driver.inject(NodeId(3), ClientRequest::Read { id: 5 });
-
-    let mut schedule = Rng64::new(SCHEDULE_SEED);
-    for _ in 0..STEPS {
-        let msgs = driver.pending_messages().len();
-        let timers = driver.pending_timers().len();
-        let fault_slots = 4;
-        let total = msgs + timers + fault_slots;
-        let pick = schedule.below(total as u64) as usize;
-        if pick < msgs {
-            driver.deliver(pick);
-        } else if pick < msgs + timers {
-            driver.fire(pick - msgs);
-        } else {
-            let node = NodeId(((pick - msgs - timers) % 2) as u32);
-            if driver.is_down(node) {
-                driver.recover(node);
-            } else {
-                driver.crash(node);
-            }
-        }
-    }
-    for id in 0..N as u32 {
-        if driver.is_down(NodeId(id)) {
-            driver.recover(NodeId(id));
-        }
-    }
-    driver.run_for(SimDuration::from_secs(30));
-
-    let mut out = String::new();
-    for id in 0..N as u32 {
-        let node = NodeId(id);
-        let journal = driver.journal(node);
-        let replay = driver.replay_checked(node);
-        out.push_str(&format!(
-            "node={id};appended={};bytes={};verdict={:?};replayed={:?};\n",
-            journal.appended_total(),
-            hex(journal.bytes()),
-            replay.verdict,
-            driver.replay_journal(node),
-        ));
-    }
-    out.push_str(&format!(
-        "digest={:016x};outputs={:?};\n",
-        driver.state_digest(),
-        driver.outputs(),
-    ));
+    let driver = common::pinned_run(traced);
     if traced {
         // Sanity that the traced arm actually recorded something — a
         // pass where tracing silently failed to attach would prove
@@ -99,11 +28,7 @@ fn run_protocol_canonical(traced: bool) -> String {
         let jsonl = coterie_core::render_jsonl(&merged);
         assert_eq!(jsonl.lines().count(), merged.len());
     }
-    out
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+    common::render_protocol(&driver)
 }
 
 #[test]

@@ -177,32 +177,17 @@ pub fn check_run(
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use coterie_core::ClientRequest;
 
     fn issued_write(id: u64, at: u64, data: &str) -> (u64, IssuedOp) {
-        (
-            id,
-            IssuedOp {
-                id,
-                at: SimTime(at),
-                coordinator: NodeId(0),
-                write: Some(PartialWrite::new([(
-                    0,
-                    Bytes::copy_from_slice(data.as_bytes()),
-                )])),
-            },
-        )
+        let write = PartialWrite::new([(0, Bytes::copy_from_slice(data.as_bytes()))]);
+        let request = ClientRequest::Write { id, write };
+        (id, IssuedOp::new(SimTime(at), NodeId(0), &request))
     }
 
     fn issued_read(id: u64, at: u64) -> (u64, IssuedOp) {
-        (
-            id,
-            IssuedOp {
-                id,
-                at: SimTime(at),
-                coordinator: NodeId(0),
-                write: None,
-            },
-        )
+        let request = ClientRequest::Read { id };
+        (id, IssuedOp::new(SimTime(at), NodeId(0), &request))
     }
 
     fn write_ok(t: u64, id: u64, version: u64) -> (SimTime, NodeId, ProtocolEvent) {

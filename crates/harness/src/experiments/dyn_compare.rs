@@ -9,10 +9,9 @@ use crate::report::{sci, Table};
 use coterie_markov::DynamicModel;
 use coterie_quorum::availability::{grid_write_availability, majority_write_availability};
 use coterie_quorum::GridShape;
-use serde::Serialize;
 
 /// One (N, p) comparison.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct DynCompareRow {
     /// Replica count.
     pub n: usize,

@@ -10,11 +10,10 @@
 use crate::report::{sci, Table};
 use crate::sitemodel::{replicated_unavailability, EpochDynamics, SiteModelConfig};
 use coterie_quorum::{CoterieRule, GridCoterie};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// One point of the sweep.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct EpochRateRow {
     /// Check rate relative to the per-node failure rate (`None` =
     /// instantaneous, the paper's assumption).

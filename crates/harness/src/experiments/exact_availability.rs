@@ -12,11 +12,10 @@ use crate::report::{sci, Table};
 use crate::sitemodel::{replicated_unavailability, EpochDynamics, SiteModelConfig};
 use coterie_markov::{exact_unavailability, DynamicModel};
 use coterie_quorum::{CoterieRule, GridCoterie};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// One comparison row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ExactRow {
     /// Replica count.
     pub n: usize,

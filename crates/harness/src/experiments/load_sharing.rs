@@ -42,9 +42,8 @@ pub fn compute(n: usize, duration_secs: u64, seed: u64) -> Vec<LoadRow> {
                     read_fraction: 0.6,
                     duration: SimDuration::from_secs(duration_secs),
                     seed,
-                    ..Default::default()
                 },
-                n,
+                &protocol,
             );
             let scenario = Scenario {
                 protocol,
@@ -101,6 +100,7 @@ mod tests {
     fn all_rules_complete_the_workload_consistently() {
         for row in compute(9, 15, 21) {
             let r = &row.result;
+            assert!(r.invariants.is_empty(), "{}: {:?}", row.rule, r.invariants);
             assert!(
                 r.check.consistent(),
                 "{}: {:?}",

@@ -40,9 +40,8 @@ pub fn compute(n: usize, duration_secs: u64, seed: u64, churn: bool) -> Vec<Part
                     read_fraction: 0.3,
                     duration: SimDuration::from_secs(duration_secs),
                     seed,
-                    ..Default::default()
                 },
-                n,
+                &protocol,
             );
             let faults = if churn {
                 FaultPlan::generate(
@@ -111,6 +110,8 @@ mod tests {
     #[test]
     fn both_modes_are_consistent_under_churn() {
         for row in compute(9, 30, 31, true) {
+            let invariants = &row.result.invariants;
+            assert!(invariants.is_empty(), "{}: {invariants:?}", row.mode);
             assert!(
                 row.result.check.consistent(),
                 "{}: {:?}",

@@ -8,10 +8,9 @@ use coterie_quorum::{
     CoterieRule, GridCoterie, GridShape, MajorityCoterie, QuorumKind, RowaCoterie, TreeCoterie,
     View,
 };
-use serde::Serialize;
 
 /// One row of the quorum-size table.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct QuorumSizeRow {
     /// Replica count.
     pub n: usize,

@@ -11,11 +11,10 @@ use coterie_quorum::availability::{grid_read_availability, grid_write_availabili
 use coterie_quorum::{CoterieRule, GridCoterie, GridShape, NodeSet, PlanCache, QuorumKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// One row of the read-availability analysis.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ReadAvailRow {
     /// Replica count.
     pub n: usize,

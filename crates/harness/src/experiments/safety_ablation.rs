@@ -39,9 +39,8 @@ pub fn compute(n: usize, duration_secs: u64, seed: u64) -> Vec<SafetyRow> {
                     read_fraction: 0.2,
                     duration: SimDuration::from_secs(duration_secs),
                     seed,
-                    ..Default::default()
                 },
-                n,
+                &protocol,
             );
             let faults = FaultPlan::generate(
                 &FaultConfig {
@@ -103,6 +102,8 @@ mod tests {
         // to the next (EXPERIMENTS.md, E13), so compare means over seeds.
         let runs: Vec<SafetyRow> = (41..46).flat_map(|seed| compute(9, 30, seed)).collect();
         for row in &runs {
+            let invariants = &row.result.invariants;
+            assert!(invariants.is_empty(), "{}: {invariants:?}", row.threshold);
             assert!(
                 row.result.check.consistent(),
                 "threshold {}: {:?}",

@@ -11,11 +11,10 @@ use crate::sitemodel::{replicated_unavailability, EpochDynamics, SiteModelConfig
 use coterie_markov::DynamicModel;
 use coterie_quorum::availability::grid_write_availability;
 use coterie_quorum::{GridCoterie, GridShape};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// One validation row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SiteSimRow {
     /// Replica count.
     pub n: usize,

@@ -10,7 +10,6 @@
 use crate::report::Table;
 use coterie_markov::DynamicModel;
 use coterie_quorum::availability::best_static_grid;
-use serde::Serialize;
 
 /// The replica counts Table 1 covers.
 pub const TABLE1_N: [usize; 7] = [9, 12, 15, 16, 20, 24, 30];
@@ -33,7 +32,7 @@ pub const PAPER_DYNAMIC: [Option<f64>; 7] = [
 ];
 
 /// One row of the regenerated table.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Row {
     /// Number of replicas.
     pub n: usize,

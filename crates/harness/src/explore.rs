@@ -21,11 +21,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use coterie_core::{DriverEvent, StepDriver};
+use coterie_core::{DriverEvent, ReplayVerdict, StepDriver};
 use coterie_quorum::NodeId;
 use coterie_simnet::SimDuration;
 
-use crate::checker::check_run;
+use crate::checker::{check_run, CheckReport};
 use crate::workload::IssuedOp;
 
 /// How much driver time the deterministic drain at the end of each
@@ -117,7 +117,7 @@ fn dfs(
 
     let events = enabled_events(driver, crashes_used, config);
     if events.is_empty() || depth >= config.max_depth {
-        finish_schedule(driver, issued, config, report);
+        finish_schedule(driver, issued, report);
         return;
     }
 
@@ -175,33 +175,23 @@ fn enabled_events(
     events
 }
 
-/// Ends a schedule: deterministically drain the cluster (recovering any
-/// downed nodes first, so blocked operations can resolve), then run the
-/// 1SR checker over the complete output history.
+/// Ends a schedule: settle the cluster, then audit the complete output
+/// history.
 fn finish_schedule(
     driver: &StepDriver,
     issued: &HashMap<u64, IssuedOp>,
-    config: &ExplorerConfig,
     report: &mut ExploreReport,
 ) {
     report.schedules += 1;
     let mut fin = driver.clone();
-    for &node in &config.crashable {
-        if fin.is_down(node) {
-            fin.recover(node);
-        }
+    settle(&mut fin, DRAIN);
+    let (invariants, check) = audit(&fin, issued);
+    for v in invariants {
+        push_violation(report, v);
     }
-    fin.run_for(DRAIN);
-    check_invariants(&fin, report);
-    // The checker replays writes against a fresh object of the protocol's
-    // page count.
-    let n_pages = fin.node(NodeId(0)).config.n_pages;
-    let check = check_run(issued, fin.outputs(), n_pages);
     report.schedules_checked += 1;
     for v in check.violations {
-        if report.violations.len() < MAX_VIOLATIONS {
-            report.violations.push(format!("1SR violation: {v:?}"));
-        }
+        push_violation(report, format!("1SR violation: {v:?}"));
     }
 }
 
@@ -213,9 +203,9 @@ fn finish_schedule(
 /// 2. *Current-replica coherence*: two non-stale replicas at the same
 ///    version hold byte-identical objects — versions name object states.
 ///
-/// Returns a description of every violated pair. Shared by the explorer
-/// (checked at every distinct state) and the nemesis soak harness
-/// (checked after every recovery and at the end of every schedule).
+/// Returns a description of every violated pair. Checked by the explorer
+/// at every distinct state, by the nemesis soak harness after every
+/// recovery, and by [`audit`] at the end of every harness run.
 pub fn cluster_invariant_violations(driver: &StepDriver) -> Vec<String> {
     let mut violations = Vec::new();
     let n = driver.cluster_size();
@@ -245,6 +235,34 @@ pub fn cluster_invariant_violations(driver: &StepDriver) -> Vec<String> {
         }
     }
     violations
+}
+
+/// Ends a run the one way every harness runner does: heal all partitions,
+/// recover each down node in node order (checked journal replay first,
+/// then the boot), and let the cluster run for `drain` so blocked
+/// operations resolve. Returns the replay verdicts, in node order.
+pub fn settle(driver: &mut StepDriver, drain: SimDuration) -> Vec<ReplayVerdict> {
+    driver.heal_partition();
+    let mut verdicts = Vec::new();
+    for node in (0..driver.cluster_size() as u32).map(NodeId) {
+        if driver.is_down(node) {
+            verdicts.push(driver.replay_checked(node).verdict);
+            driver.recover(node);
+        }
+    }
+    driver.run_for(drain);
+    verdicts
+}
+
+/// Judges a run the one way every harness runner does: the
+/// [`cluster_invariant_violations`] of its final state, then the 1SR
+/// checker over its output history at the cluster's own page count.
+pub fn audit(driver: &StepDriver, issued: &HashMap<u64, IssuedOp>) -> (Vec<String>, CheckReport) {
+    let n_pages = driver.node(NodeId(0)).config.n_pages;
+    (
+        cluster_invariant_violations(driver),
+        check_run(issued, driver.outputs(), n_pages),
+    )
 }
 
 fn check_invariants(driver: &StepDriver, report: &mut ExploreReport) {

@@ -27,7 +27,7 @@ pub use explore::{explore, ExploreReport, ExplorerConfig};
 pub use faults::{FaultConfig, FaultEvent, FaultPlan};
 pub use metrics::LoadStats;
 pub use nemesis::{run_nemesis, soak, NemesisConfig, NemesisReport, NemesisRun};
-pub use report::{sci, to_json, Table};
+pub use report::{sci, Table};
 pub use scenario::{run_scenario, Scenario, ScenarioResult};
 pub use sitemodel::{
     replicated_unavailability, simulate, AvailabilityEstimate, EpochDynamics, SiteModelConfig,

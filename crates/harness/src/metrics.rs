@@ -1,10 +1,8 @@
 //! Run metrics: load-sharing statistics over per-node counts. Latency
 //! distributions are the engine's [`Histogram`](coterie_core::Histogram).
 
-use serde::Serialize;
-
 /// Load-sharing statistics over per-node counts.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LoadStats {
     /// Per-node counts (e.g. messages received).
     pub per_node: Vec<u64>,

@@ -34,8 +34,7 @@ use coterie_core::{
 use coterie_quorum::{CoterieRule, NodeId};
 use coterie_simnet::SimDuration;
 
-use crate::checker::check_run;
-use crate::explore::cluster_invariant_violations;
+use crate::explore::{audit, cluster_invariant_violations, settle};
 use crate::recorder::{capture, TraceDump};
 use crate::workload::IssuedOp;
 
@@ -201,22 +200,15 @@ pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -
         }
     }
 
-    // Wind down: heal, recover everyone (through the checked replay), and
-    // let the cluster converge before the final audit.
-    driver.heal_partition();
-    for node in (0..n as u32).map(NodeId) {
-        if driver.is_down(node) {
-            classify_recovery(&driver, node, &mut run);
-            driver.recover(node);
-            run.recoveries += 1;
-        }
+    // Wind down through the checked replay, then audit the converged
+    // cluster.
+    for verdict in settle(&mut driver, DRAIN) {
+        count_recovery(&verdict, &mut run);
     }
-    driver.run_for(DRAIN);
-
-    for v in cluster_invariant_violations(&driver) {
+    let (invariants, check) = audit(&driver, &issued);
+    for v in invariants {
         run.violations.push(format!("seed {seed} final state: {v}"));
     }
-    let check = check_run(&issued, driver.outputs(), N_PAGES);
     run.writes_committed = check.writes_committed;
     run.reads_checked = check.reads_checked;
     for v in check.violations {
@@ -294,8 +286,8 @@ fn maybe_crash(driver: &mut StepDriver, rng: &mut Rng64, victim: NodeId, run: &m
     }
 }
 
-/// Recovers a random downed node, classifying its replay verdict first
-/// and re-checking the cluster invariants right after the boot.
+/// Recovers a random downed node, counting its replay verdict and
+/// re-checking the cluster invariants right after the boot.
 fn maybe_recover(driver: &mut StepDriver, rng: &mut Rng64, step: usize, run: &mut NemesisRun) {
     let downed: Vec<NodeId> = (0..driver.cluster_size() as u32)
         .map(NodeId)
@@ -305,9 +297,9 @@ fn maybe_recover(driver: &mut StepDriver, rng: &mut Rng64, step: usize, run: &mu
         return;
     }
     let node = downed[rng.below(downed.len() as u64) as usize];
-    classify_recovery(driver, node, run);
+    let verdict = driver.replay_checked(node).verdict;
     driver.recover(node);
-    run.recoveries += 1;
+    count_recovery(&verdict, run);
     let seed = run.seed;
     for v in cluster_invariant_violations(driver) {
         run.violations.push(format!(
@@ -316,8 +308,10 @@ fn maybe_recover(driver: &mut StepDriver, rng: &mut Rng64, step: usize, run: &mu
     }
 }
 
-fn classify_recovery(driver: &StepDriver, node: NodeId, run: &mut NemesisRun) {
-    match driver.replay_checked(node).verdict {
+/// Counts one recovery by the verdict of the replay it booted from.
+fn count_recovery(verdict: &ReplayVerdict, run: &mut NemesisRun) {
+    run.recoveries += 1;
+    match verdict {
         ReplayVerdict::Clean => {}
         ReplayVerdict::TornTail { .. } => run.torn_tails += 1,
         ReplayVerdict::Quarantined { .. } => run.quarantines += 1,
@@ -348,32 +342,15 @@ fn inject_op(
     };
     *next_id += 1;
     let id = *next_id;
-    let at = driver.now();
-    if rng.below(2) == 0 {
-        issued.insert(
-            id,
-            IssuedOp {
-                id,
-                at,
-                coordinator,
-                write: None,
-            },
-        );
-        driver.inject(coordinator, ClientRequest::Read { id });
+    let request = if rng.below(2) == 0 {
+        ClientRequest::Read { id }
     } else {
         let page = rng.below(N_PAGES as u64) as u16;
         let write = PartialWrite::new([(page, Bytes::from(rng.next_u64().to_le_bytes().to_vec()))]);
-        issued.insert(
-            id,
-            IssuedOp {
-                id,
-                at,
-                coordinator,
-                write: Some(write.clone()),
-            },
-        );
-        driver.inject(coordinator, ClientRequest::Write { id, write });
-    }
+        ClientRequest::Write { id, write }
+    };
+    issued.insert(id, IssuedOp::new(driver.now(), coordinator, &request));
+    driver.inject(coordinator, request);
 }
 
 /// One unit of ordinary progress: deliver a random in-flight message,

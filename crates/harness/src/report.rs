@@ -1,6 +1,4 @@
-//! Plain-text table rendering and JSON export for experiment reports.
-
-use serde::Serialize;
+//! Plain-text table rendering for experiment reports.
 
 /// A simple right-aligned text table.
 #[derive(Clone, Debug, Default)]
@@ -82,11 +80,6 @@ pub fn sci(x: f64) -> String {
     }
 }
 
-/// Serializes any experiment record to pretty JSON.
-pub fn to_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("experiment records are serializable")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,14 +108,5 @@ mod tests {
         assert_eq!(sci(0.0), "0");
         assert!(sci(3268.59e-6).contains("0.003269"));
         assert!(sci(1.8e-7).contains('e'));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        #[derive(Serialize)]
-        struct R {
-            n: u32,
-        }
-        assert!(to_json(&R { n: 5 }).contains("\"n\": 5"));
     }
 }

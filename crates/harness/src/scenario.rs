@@ -1,11 +1,12 @@
 //! The full-protocol scenario runner: builds a replica cluster on the step
 //! driver's modelled network, injects a workload and a fault plan, collects
-//! the outputs, runs the consistency checker, and aggregates metrics.
+//! the outputs, audits the run, and aggregates metrics.
 
 // Tool-side aggregation; hash maps never feed engine effects.
 #![allow(clippy::disallowed_types)]
 
-use crate::checker::{check_run, CheckReport};
+use crate::checker::CheckReport;
+use crate::explore::audit;
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::metrics::LoadStats;
 use crate::workload::Workload;
@@ -13,7 +14,6 @@ use coterie_core::keys;
 use coterie_core::{ClientRequest, Histogram, MsgClass, ProtocolConfig, ProtocolEvent, StepDriver};
 use coterie_quorum::NodeId;
 use coterie_simnet::{SimDuration, SimTime};
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Everything a scenario needs.
@@ -32,7 +32,7 @@ pub struct Scenario {
 }
 
 /// Aggregated results of one scenario run.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ScenarioResult {
     /// Operations issued.
     pub ops_issued: usize,
@@ -51,10 +51,8 @@ pub struct ScenarioResult {
     /// Messages per *completed* operation.
     pub msgs_per_op: f64,
     /// Write latency distribution, µs.
-    #[serde(skip)]
     pub write_latency: Histogram,
     /// Read latency distribution, µs.
-    #[serde(skip)]
     pub read_latency: Histogram,
     /// Per-node received-message load.
     pub load: LoadStats,
@@ -72,8 +70,9 @@ pub struct ScenarioResult {
     pub replicas_touched_avg: f64,
     /// Mean replicas marked stale per committed write.
     pub marked_stale_avg: f64,
+    /// Cluster invariant violations in the final state (empty = none).
+    pub invariants: Vec<String>,
     /// Consistency verdict.
-    #[serde(skip)]
     pub check: CheckReport,
 }
 
@@ -130,14 +129,13 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
         }
     }
     driver.run_until(end);
-    let events = driver.outputs();
 
     // Aggregate.
     let mut result = ScenarioResult {
         ops_issued: scenario.workload.len(),
         ..Default::default()
     };
-    for (t, _, e) in events {
+    for (t, _, e) in driver.outputs() {
         match e {
             ProtocolEvent::WriteOk { id, .. } => {
                 if let Some(op) = scenario.workload.issued.get(id) {
@@ -188,7 +186,7 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
         }
     }
     result.load = LoadStats::new(received);
-    result.check = check_run(&scenario.workload.issued, events, scenario.protocol.n_pages);
+    (result.invariants, result.check) = audit(&driver, &scenario.workload.issued);
     result
 }
 
@@ -211,7 +209,7 @@ mod tests {
                 seed,
                 ..Default::default()
             },
-            n,
+            &protocol,
         );
         Scenario {
             protocol,
@@ -226,6 +224,7 @@ mod tests {
     fn fault_free_run_is_consistent_and_complete() {
         let s = base_scenario(1, FaultPlan::default());
         let r = run_scenario(&s);
+        assert!(r.invariants.is_empty(), "{:?}", r.invariants);
         assert!(r.check.consistent(), "{:?}", r.check.violations);
         assert!(r.write_success_rate() > 0.99, "{r:?}");
         assert!(r.read_success_rate() > 0.99);
@@ -247,6 +246,7 @@ mod tests {
         );
         let s = base_scenario(2, faults);
         let r = run_scenario(&s);
+        assert!(r.invariants.is_empty(), "{:?}", r.invariants);
         assert!(
             r.check.consistent(),
             "consistency violated under faults: {:?}",
@@ -263,5 +263,6 @@ mod tests {
         assert_eq!(a.writes_ok, b.writes_ok);
         assert_eq!(a.msgs_sent, b.msgs_sent);
         assert_eq!(a.reads_ok, b.reads_ok);
+        assert!(a.invariants.is_empty(), "{:?}", a.invariants);
     }
 }

@@ -5,7 +5,7 @@
 #![allow(clippy::disallowed_types)]
 
 use bytes::Bytes;
-use coterie_core::{ClientRequest, PageId, PartialWrite};
+use coterie_core::{ClientRequest, PageId, PartialWrite, ProtocolConfig};
 use coterie_quorum::NodeId;
 use coterie_simnet::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -24,8 +24,6 @@ pub struct WorkloadConfig {
     pub ops_per_sec: f64,
     /// Fraction of operations that are reads.
     pub read_fraction: f64,
-    /// Pages the object has (writes target a random subset).
-    pub n_pages: usize,
     /// Total workload duration.
     pub duration: SimDuration,
     /// RNG seed (independent of the simulator's).
@@ -37,7 +35,6 @@ impl Default for WorkloadConfig {
         WorkloadConfig {
             ops_per_sec: 50.0,
             read_fraction: 0.5,
-            n_pages: 16,
             duration: SimDuration::from_secs(60),
             seed: 0xF00D,
         }
@@ -58,6 +55,22 @@ pub struct IssuedOp {
     pub write: Option<PartialWrite>,
 }
 
+impl IssuedOp {
+    /// The record of `request`, issued at `coordinator` at time `at`.
+    pub fn new(at: SimTime, coordinator: NodeId, request: &ClientRequest) -> IssuedOp {
+        let (id, write) = match request {
+            ClientRequest::Read { id } => (*id, None),
+            ClientRequest::Write { id, write } => (*id, Some(write.clone())),
+        };
+        IssuedOp {
+            id,
+            at,
+            coordinator,
+            write,
+        }
+    }
+}
+
 /// A generated workload: a time-ordered schedule of client requests.
 #[derive(Clone, Debug, Default)]
 pub struct Workload {
@@ -68,8 +81,10 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Generates a workload over `n_nodes` coordinators.
-    pub fn generate(config: &WorkloadConfig, n_nodes: usize) -> Workload {
+    /// Generates a workload for a cluster running `protocol`: its replicas
+    /// coordinate, and writes target pages of its object.
+    pub fn generate(config: &WorkloadConfig, protocol: &ProtocolConfig) -> Workload {
+        let (n_nodes, n_pages) = (protocol.n_replicas, protocol.n_pages);
         assert!(n_nodes >= 1);
         assert!((0.0..=1.0).contains(&config.read_fraction));
         assert!(config.ops_per_sec > 0.0);
@@ -88,37 +103,23 @@ impl Workload {
             let at = SimTime((t * 1e6) as u64);
             let coordinator = NodeId(rng.gen_range(0..n_nodes as u32));
             let request = if rng.gen::<f64>() < config.read_fraction {
-                out.issued.insert(
-                    id,
-                    IssuedOp {
-                        id,
-                        at,
-                        coordinator,
-                        write: None,
-                    },
-                );
                 ClientRequest::Read { id }
             } else {
-                let k = rng.gen_range(1..=MAX_PAGES_PER_WRITE.min(config.n_pages));
+                let k = rng.gen_range(1..=MAX_PAGES_PER_WRITE.min(n_pages));
                 let mut pages = Vec::with_capacity(k);
                 for _ in 0..k {
-                    let page = rng.gen_range(0..config.n_pages as u16) as PageId;
+                    let page = rng.gen_range(0..n_pages as u16) as PageId;
                     let mut body = vec![0u8; PAGE_BYTES];
                     rng.fill(&mut body[..]);
                     pages.push((page, Bytes::from(body)));
                 }
-                let write = PartialWrite::new(pages);
-                out.issued.insert(
+                ClientRequest::Write {
                     id,
-                    IssuedOp {
-                        id,
-                        at,
-                        coordinator,
-                        write: Some(write.clone()),
-                    },
-                );
-                ClientRequest::Write { id, write }
+                    write: PartialWrite::new(pages),
+                }
             };
+            out.issued
+                .insert(id, IssuedOp::new(at, coordinator, &request));
             out.ops.push((at, coordinator, request));
         }
         out
@@ -148,6 +149,12 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coterie_quorum::GridCoterie;
+    use std::sync::Arc;
+
+    fn grid(n: usize) -> ProtocolConfig {
+        ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
+    }
 
     #[test]
     fn generates_poisson_schedule() {
@@ -156,7 +163,7 @@ mod tests {
             duration: SimDuration::from_secs(10),
             ..Default::default()
         };
-        let w = Workload::generate(&cfg, 5);
+        let w = Workload::generate(&cfg, &grid(5));
         // ~1000 ops expected; allow wide slack.
         assert!(w.len() > 700 && w.len() < 1300, "got {}", w.len());
         // Sorted by time, ids unique.
@@ -174,8 +181,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let cfg = WorkloadConfig::default();
-        let a = Workload::generate(&cfg, 3);
-        let b = Workload::generate(&cfg, 3);
+        let a = Workload::generate(&cfg, &grid(3));
+        let b = Workload::generate(&cfg, &grid(3));
         assert_eq!(a.len(), b.len());
         assert_eq!(
             a.ops
@@ -195,13 +202,13 @@ mod tests {
             read_fraction: 1.0,
             ..Default::default()
         };
-        let w = Workload::generate(&all_reads, 2);
+        let w = Workload::generate(&all_reads, &grid(2));
         assert_eq!(w.writes(), 0);
         let all_writes = WorkloadConfig {
             read_fraction: 0.0,
             ..Default::default()
         };
-        let w = Workload::generate(&all_writes, 2);
+        let w = Workload::generate(&all_writes, &grid(2));
         assert_eq!(w.reads(), 0);
         assert!(w.issued.values().all(|o| o.write.is_some()));
     }

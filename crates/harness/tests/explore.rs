@@ -5,48 +5,20 @@
 // Test-side issued-op bookkeeping; hash order never feeds the engine.
 #![allow(clippy::disallowed_types)]
 
-use std::collections::HashMap;
+mod common;
+
 use std::sync::Arc;
 
 use bytes::Bytes;
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, StepDriver};
-use coterie_harness::explore::{explore, ExplorerConfig};
-use coterie_harness::workload::IssuedOp;
+use coterie_core::{PartialWrite, ProtocolConfig, ProtocolEvent, ReplayVerdict, StepDriver};
+use coterie_harness::explore::{explore, settle, ExplorerConfig};
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 use coterie_simnet::SimDuration;
 
+use common::inject;
+
 fn b(s: &str) -> Bytes {
     Bytes::copy_from_slice(s.as_bytes())
-}
-
-/// Injects `ops` (id, coordinator, Some(write) | None for a read) into the
-/// driver 1 ms apart and returns the checker's issued-op map.
-fn inject(
-    driver: &mut StepDriver,
-    ops: &[(u64, u32, Option<PartialWrite>)],
-) -> HashMap<u64, IssuedOp> {
-    let mut issued = HashMap::new();
-    for (id, node, write) in ops {
-        driver.advance(SimDuration::from_millis(1));
-        let request = match write {
-            Some(w) => ClientRequest::Write {
-                id: *id,
-                write: w.clone(),
-            },
-            None => ClientRequest::Read { id: *id },
-        };
-        driver.inject(NodeId(*node), request);
-        issued.insert(
-            *id,
-            IssuedOp {
-                id: *id,
-                at: driver.now(),
-                coordinator: NodeId(*node),
-                write: write.clone(),
-            },
-        );
-    }
-    issued
 }
 
 /// Two concurrent writes plus a read on a 4-node grid: the bread-and-butter
@@ -131,4 +103,38 @@ fn majority_write_under_crash_recovery_stays_safe() {
         report.distinct_states
     );
     assert!(report.schedules_checked > 0);
+}
+
+/// `settle` ends every harness run the same way. On a 4-node grid with
+/// node 3 crashed and node 2 partitioned away, it heals the partition,
+/// recovers node 3 through one checked replay, and drains, so a write
+/// injected beforehand commits.
+#[test]
+fn settle_heals_recovers_and_drains() {
+    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 4).pages(4);
+    let mut driver = StepDriver::new(4, config);
+    driver.crash(NodeId(3));
+    driver.set_partition(vec![0, 0, 1, 0]);
+    inject(
+        &mut driver,
+        &[(1, 0, Some(PartialWrite::new([(0, b("settled"))])))],
+    );
+
+    let verdicts = settle(&mut driver, SimDuration::from_secs(30));
+
+    assert_eq!(verdicts, [ReplayVerdict::Clean]);
+    let nodes = || (0..4).map(NodeId);
+    assert!(nodes().all(|a| !driver.is_down(a)), "a node is still down");
+    for a in nodes() {
+        for b in nodes() {
+            assert!(driver.connected(a, b), "{a:?} and {b:?} are cut off");
+        }
+    }
+    let outputs = driver.outputs();
+    assert!(
+        outputs
+            .iter()
+            .any(|(_, _, e)| matches!(e, ProtocolEvent::WriteOk { id: 1, .. })),
+        "the write injected before settle did not commit"
+    );
 }

@@ -5,18 +5,20 @@
 // Test-side issued-op bookkeeping; hash order never feeds the engine.
 #![allow(clippy::disallowed_types)]
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use coterie_core::{
-    keys, ClientRequest, Msg, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
-};
+use coterie_core::{keys, Msg, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver};
 use coterie_harness::explore::{explore, ExplorerConfig};
 use coterie_harness::nemesis::{soak, NemesisConfig};
 use coterie_harness::workload::IssuedOp;
 use coterie_quorum::{GridCoterie, NodeId};
 use coterie_simnet::SimDuration;
+
+use common::inject;
 
 fn b(s: &str) -> Bytes {
     Bytes::copy_from_slice(s.as_bytes())
@@ -27,27 +29,7 @@ fn b(s: &str) -> Bytes {
 fn grid3(ops: &[(u64, u32, Option<PartialWrite>)]) -> (StepDriver, HashMap<u64, IssuedOp>) {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 3).pages(4);
     let mut driver = StepDriver::new(3, config);
-    let mut issued = HashMap::new();
-    for (id, node, write) in ops.iter().cloned() {
-        driver.advance(SimDuration::from_millis(1));
-        let request = match &write {
-            Some(w) => ClientRequest::Write {
-                id,
-                write: w.clone(),
-            },
-            None => ClientRequest::Read { id },
-        };
-        driver.inject(NodeId(node), request);
-        issued.insert(
-            id,
-            IssuedOp {
-                id,
-                at: driver.now(),
-                coordinator: NodeId(node),
-                write,
-            },
-        );
-    }
+    let issued = inject(&mut driver, ops);
     (driver, issued)
 }
 

@@ -11,7 +11,11 @@
 #     counts (`explore:` lines; a tree whose tests print none has nothing
 #     to compare there, and the script says so);
 #   - every `experiments all` table: exit status, stdout and stderr (~5 s
-#     a tree).
+#     a tree);
+#   - the seed ranges EXPERIMENTS.md reports beyond `all`: E8 churn seeds
+#     31-50 (`experiments partial_writes 9 30 s`) and E13 seeds 41-60
+#     (`experiments safety_ablation 9 40 s`): output and exit status per
+#     seed.
 # <rev> is exported with `git archive` into target/parity/base, so no git
 # metadata comes along; each tree builds in its own target directory under
 # target/parity/. Outputs land in target/parity/out/{base,head}.
@@ -37,6 +41,8 @@ WALL_CLOCK+='|events_per_cpu_s|check_ms_per_kop|cpu_us_per_op|peak_rss_mb'
 WALL_CLOCK+='|setup_s|"host\.'
 WORKLOADS=(read_mostly write_contended write_leader failover)
 SWEEPS=("400 0 3000 grid" "1200 0 3000 majority")
+# Reported seed ranges: experiment, its leading arguments, first and last seed.
+SEED_RANGES=("partial_writes 9 30 31 50" "safety_ablation 9 40 41 60")
 
 rm -rf "$base" "$work/out" "$work/raw"
 mkdir -p "$base"
@@ -78,6 +84,15 @@ run() { # name tree
   local status=0
   "$bin/experiments" all >"$out/experiments.stdout" 2>"$out/experiments.stderr" || status=$?
   echo "$status" >"$out/experiments.status"
+  for range in "${SEED_RANGES[@]}"; do
+    read -r name n secs first last <<<"$range"
+    echo "==> $1: $name $n $secs, seeds $first-$last"
+    for ((seed = first; seed <= last; seed++)); do
+      status=0
+      "$bin/experiments" "$name" "$n" "$secs" "$seed" || status=$?
+      echo "seed $seed status $status"
+    done >"$out/$name-seeds.stdout" 2>&1
+  done
   echo "==> $1: explorer tests"
   CARGO_TARGET_DIR=$work/target-$1 cargo test --release --offline --locked --quiet \
     --manifest-path "$2/Cargo.toml" -p coterie-harness --test explore --test features \

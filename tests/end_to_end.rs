@@ -6,8 +6,9 @@
 // Test-side bookkeeping; hash maps never feed engine effects.
 #![allow(clippy::disallowed_types)]
 
+use dyncoterie::harness::explore::audit;
 use dyncoterie::harness::{
-    check_run, run_scenario, FaultConfig, FaultPlan, Scenario, Workload, WorkloadConfig,
+    run_scenario, FaultConfig, FaultPlan, IssuedOp, Scenario, Workload, WorkloadConfig,
 };
 use dyncoterie::protocol::{
     ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
@@ -76,18 +77,19 @@ fn grid_scenario(seed: u64, lambda: f64, secs: u64) -> Scenario {
     let n = 9;
     let protocol = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
+    let workload = Workload::generate(
+        &WorkloadConfig {
+            ops_per_sec: 25.0,
+            duration: SimDuration::from_secs(secs),
+            seed: seed ^ 0xABCD,
+            ..Default::default()
+        },
+        &protocol,
+    );
     Scenario {
         protocol,
         seed,
-        workload: Workload::generate(
-            &WorkloadConfig {
-                ops_per_sec: 25.0,
-                duration: SimDuration::from_secs(secs),
-                seed: seed ^ 0xABCD,
-                ..Default::default()
-            },
-            n,
-        ),
+        workload,
         faults: FaultPlan::generate(
             &FaultConfig {
                 lambda_per_sec: lambda,
@@ -106,6 +108,11 @@ fn randomized_fault_schedules_stay_serializable() {
     for seed in [1u64, 2, 3, 4, 5] {
         let result = run_scenario(&grid_scenario(seed, 0.04, 25));
         assert!(
+            result.invariants.is_empty(),
+            "seed {seed}: {:?}",
+            result.invariants
+        );
+        assert!(
             result.check.consistent(),
             "seed {seed}: {:?}",
             result.check.violations
@@ -119,7 +126,7 @@ fn epoch_safety_holds_under_churn() {
     let n = 9;
     let protocol = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(1));
-    let mut sim = StepDriver::with_latency(n, protocol.clone().rng_seed(77));
+    let mut sim = StepDriver::with_latency(n, protocol.rng_seed(77));
     let faults = FaultPlan::generate(
         &FaultConfig {
             lambda_per_sec: 0.08,
@@ -158,21 +165,18 @@ fn epoch_safety_holds_under_churn() {
         assert_epoch_safety(&sim);
         assert_unique_live_epoch(&sim);
     }
-    let events = sim.outputs();
-    let issued: std::collections::HashMap<u64, dyncoterie::harness::IssuedOp> = (0..80u64)
+    let issued: std::collections::HashMap<u64, IssuedOp> = (0..80u64)
         .map(|i| {
-            (
-                i,
-                dyncoterie::harness::IssuedOp {
-                    id: i,
-                    at: SimTime(i * 500_000),
-                    coordinator: NodeId((i % n as u64) as u32),
-                    write: Some(PartialWrite::new([bytes_of(i)])),
-                },
-            )
+            let request = ClientRequest::Write {
+                id: i,
+                write: PartialWrite::new([bytes_of(i)]),
+            };
+            let (at, coordinator) = (SimTime(i * 500_000), NodeId((i % n as u64) as u32));
+            (i, IssuedOp::new(at, coordinator, &request))
         })
         .collect();
-    let report = check_run(&issued, events, protocol.n_pages);
+    let (invariants, report) = audit(&sim, &issued);
+    assert!(invariants.is_empty(), "{invariants:?}");
     assert!(report.consistent(), "{:?}", report.violations);
 }
 
