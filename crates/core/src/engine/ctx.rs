@@ -8,9 +8,9 @@
 //!
 //! The context also carries the tracing state (see
 //! [`trace`](super::trace)): a per-node sequence counter, the Lamport
-//! causal counter, and the step's [`TraceSink`]. Both counters advance
-//! identically whether the sink records or discards, so attaching a real
-//! sink never changes a protocol-visible byte.
+//! causal counter, and the step's [`TraceRing`], if one is attached. Both
+//! counters advance identically whether a ring records or none is
+//! attached, so attaching one never changes a protocol-visible byte.
 
 use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_quorum::NodeId;
@@ -20,7 +20,7 @@ use crate::node::Timer;
 
 use super::io::Effect;
 use super::rng::Rng64;
-use super::trace::{TraceEvent, TraceRecord, TraceSink};
+use super::trace::{TraceEvent, TraceRecord, TraceRing};
 
 /// The context threaded through every protocol handler during one
 /// [`ReplicaNode::step`](crate::node::ReplicaNode::step).
@@ -32,7 +32,7 @@ pub struct NodeCtx<'a> {
     pub(crate) timer_seq: &'a mut u64,
     pub(crate) lamport: &'a mut u64,
     pub(crate) trace_seq: &'a mut u64,
-    pub(crate) sink: &'a mut dyn TraceSink,
+    pub(crate) ring: Option<&'a mut TraceRing>,
 }
 
 impl<'a> NodeCtx<'a> {
@@ -103,16 +103,18 @@ impl<'a> NodeCtx<'a> {
 
     /// Records a trace event, stamped with the step time, the per-node
     /// sequence counter (ticked here), and the current Lamport value. The
-    /// counters advance even under a [`NoopSink`](super::trace::NoopSink),
-    /// keeping enabled and disabled runs byte-identical.
+    /// counters advance with no ring attached too, keeping enabled and
+    /// disabled runs byte-identical.
     pub(crate) fn trace(&mut self, event: TraceEvent) {
         *self.trace_seq += 1;
-        self.sink.record(TraceRecord {
-            at: self.now,
-            node: self.me,
-            seq: *self.trace_seq,
-            lamport: *self.lamport,
-            event,
-        });
+        if let Some(ring) = &mut self.ring {
+            ring.record(TraceRecord {
+                at: self.now,
+                node: self.me,
+                seq: *self.trace_seq,
+                lamport: *self.lamport,
+                event,
+            });
+        }
     }
 }

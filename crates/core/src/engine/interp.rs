@@ -19,7 +19,7 @@ use crate::node::{ReplicaNode, Timer};
 use super::failpoint::{Failpoints, FaultKind};
 use super::io::{Effect, Input};
 use super::storage::{FramedJournal, ReplayVerdict};
-use super::trace::{ReplayClass, TraceEvent, TraceRecord, TraceRing, TraceSink};
+use super::trace::{ReplayClass, TraceEvent, TraceRecord, TraceRing};
 use crate::durable::DurableDelta;
 
 /// What the interpreter leaves to its host: the four substrate effects,
@@ -107,10 +107,7 @@ impl EffectInterpreter {
     /// restarts it* — peers see an unresponsive replica instead of a
     /// bounced call, both within the paper's failure model.
     pub fn step(&mut self, r: &mut Replica<'_>, input: Input, host: &mut impl Substrate) -> bool {
-        let effects = match &mut self.tracing {
-            Some(ring) => r.node.step_traced(r.now, input, ring),
-            None => r.node.step(r.now, input),
-        };
+        let effects = r.node.step_traced(r.now, input, self.tracing.as_mut());
         for effect in effects {
             match effect {
                 Effect::Persist(delta) => {

@@ -53,7 +53,4 @@ pub use io::{Effect, Input};
 pub use metrics::{keys, Histogram, MetricsRegistry};
 pub use rng::Rng64;
 pub use storage::{FramedJournal, FramedReplay, QuarantineReason, ReplayVerdict};
-pub use trace::{
-    causal_merge, render_jsonl, NoopSink, ReplayClass, TraceEvent, TraceRecord, TraceRing,
-    TraceSink,
-};
+pub use trace::{causal_merge, render_jsonl, ReplayClass, TraceEvent, TraceRecord, TraceRing};

@@ -14,7 +14,7 @@ use crate::node::{ReplicaNode, Timer, Volatile};
 use super::ctx::NodeCtx;
 use super::io::{Effect, Input};
 use super::metrics::keys;
-use super::trace::{NoopSink, TraceEvent, TraceSink};
+use super::trace::{TraceEvent, TraceRing};
 
 impl ReplicaNode {
     /// Advances the state machine by one input at time `now`, returning the
@@ -24,20 +24,19 @@ impl ReplicaNode {
     /// [`Effect::Persist`] describing the change; hosts that journal must
     /// make it stable before acting on the effects after it.
     pub fn step(&mut self, now: SimTime, input: Input) -> Vec<Effect> {
-        let mut sink = NoopSink;
-        self.step_traced(now, input, &mut sink)
+        self.step_traced(now, input, None)
     }
 
-    /// [`step`](ReplicaNode::step) with an attached [`TraceSink`]: every
-    /// protocol transition the step performs is reported to `sink` as a
-    /// stamped [`TraceEvent`]. Tracing is purely
+    /// [`step`](ReplicaNode::step) with a flight recorder: when `ring` is
+    /// attached, every protocol transition the step performs is recorded in
+    /// it as a stamped [`TraceEvent`]. Tracing is purely
     /// observational — the returned effects, durable deltas, and digests
     /// are byte-identical to an untraced step.
     pub fn step_traced(
         &mut self,
         now: SimTime,
         input: Input,
-        sink: &mut dyn TraceSink,
+        ring: Option<&mut TraceRing>,
     ) -> Vec<Effect> {
         let mut effects = Vec::new();
         // Move the engine-owned substrate state into locals so the context
@@ -55,7 +54,7 @@ impl ReplicaNode {
                 timer_seq: &mut timer_seq,
                 lamport: &mut lamport,
                 trace_seq: &mut trace_seq,
-                sink,
+                ring,
             };
             self.dispatch(&mut ctx, input);
         }

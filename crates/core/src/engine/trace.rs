@@ -1,20 +1,18 @@
-//! Deterministic protocol tracing: structured [`TraceEvent`]s, the
-//! [`TraceSink`] observer contract, and the bounded [`TraceRing`] flight
-//! recorder.
+//! Deterministic protocol tracing: structured [`TraceEvent`]s and the
+//! bounded [`TraceRing`] flight recorder.
 //!
 //! Observation must never perturb the protocol, so the layer is built from
 //! the same material as the engine itself:
 //!
 //! * Events are plain `Copy` data — no allocation happens on the emission
-//!   path, and a disabled sink ([`NoopSink`]) costs one virtual call that
-//!   discards a small struct.
+//!   path, and with no ring attached a step only ticks its counters.
 //! * Every record carries three clocks: the host-provided [`SimTime`], a
 //!   per-node monotonic **sequence number** (total order of one node's
 //!   events), and a **Lamport counter** carried on the wire with every
 //!   message (`Effect::Send` / `Input::Deliver`), so records from
 //!   different nodes merge into a causally consistent history.
 //! * The Lamport counter ticks on sends and merges on deliveries whether
-//!   or not any sink is attached, so an enabled run and a disabled run are
+//!   or not a ring is attached, so an enabled run and a disabled run are
 //!   byte-identical in every protocol-visible artifact (journals, effects,
 //!   digests) — the counter is engine state, the *records* are not.
 //!
@@ -51,8 +49,8 @@ pub enum ReplayClass {
 /// One structured protocol transition.
 ///
 /// Variants are deliberately small and `Copy`: the emission path allocates
-/// nothing, so tracing can stay compiled into the engine with a no-op sink
-/// at zero marginal cost. Every variant is rendered by
+/// nothing, so tracing can stay compiled into the engine with no ring
+/// attached at zero marginal cost. Every variant is rendered by
 /// [`TraceEvent::kind`]'s exhaustive match: coterie-core denies wildcard
 /// arms over enums, so a new variant fails to compile until it is named.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -291,24 +289,6 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Where the engine reports trace records. Implementations must be cheap
-/// and must not fail: the engine calls [`record`](TraceSink::record)
-/// mid-step and ignores nothing it returns (there is nothing to return).
-pub trait TraceSink {
-    /// Accepts one stamped record.
-    fn record(&mut self, rec: TraceRecord);
-}
-
-/// The default sink: discards everything. Stamping still happens (the
-/// clocks are engine state), so enabling a real sink later changes no
-/// protocol-visible byte.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _rec: TraceRecord) {}
-}
-
 /// A bounded per-node flight recorder: keeps the last `cap` records,
 /// counting what it had to drop. `Clone` so forked drivers (the
 /// interleaving explorer) carry their history with them.
@@ -349,10 +329,9 @@ impl TraceRing {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-}
 
-impl TraceSink for TraceRing {
-    fn record(&mut self, rec: TraceRecord) {
+    /// Keeps one stamped record, evicting the oldest at the bound.
+    pub fn record(&mut self, rec: TraceRecord) {
         if self.events.len() >= self.cap {
             self.events.pop_front();
             self.dropped = self.dropped.saturating_add(1);

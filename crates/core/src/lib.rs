@@ -85,9 +85,8 @@ pub use durable::{Durable, DurableCell, DurableDelta};
 pub use engine::driver::{Envelope, PendingTimer};
 pub use engine::{
     causal_merge, keys, render_jsonl, DriverEvent, Effect, Failpoints, FaultKind, FiredFault,
-    FramedJournal, FramedReplay, Histogram, Input, MetricsRegistry, NodeCtx, NoopSink,
-    QuarantineReason, ReplayClass, ReplayVerdict, Rng64, StepDriver, TraceEvent, TraceRecord,
-    TraceRing, TraceSink,
+    FramedJournal, FramedReplay, Histogram, Input, MetricsRegistry, NodeCtx, QuarantineReason,
+    ReplayClass, ReplayVerdict, Rng64, StepDriver, TraceEvent, TraceRecord, TraceRing,
 };
 #[cfg(feature = "simnet-host")]
 pub use host::{JournaledNode, WireMsg};

@@ -204,7 +204,7 @@ pub struct ReplicaNode {
     /// delivery. Carried on the wire (see
     /// [`Effect::Send`](crate::engine::Effect::Send)) so trace records
     /// from different nodes order causally. Advances identically whether
-    /// or not a trace sink is attached.
+    /// or not a trace ring is attached.
     pub(crate) lamport: u64,
     /// Per-node monotonic trace sequence counter (survives crashes, like
     /// the stats — it is measurement state, not protocol state).

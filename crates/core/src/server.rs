@@ -107,9 +107,10 @@ impl ReplicaNode {
         );
     }
 
-    /// 2PC prepare. Votes yes only when the action is applicable and the
-    /// replica lock is held by the requesting operation; the prepared
-    /// action is recorded durably (textbook atomic commit).
+    /// 2PC prepare. Votes yes only when no action is prepared here yet, the
+    /// action is applicable and the replica lock is held by the requesting
+    /// operation; the prepared action is recorded durably (textbook atomic
+    /// commit).
     pub(crate) fn srv_prepare(
         &mut self,
         ctx: &mut NodeCtx<'_>,
@@ -118,16 +119,15 @@ impl ReplicaNode {
         action: Action,
         extra: bool,
     ) {
-        // Duplicate Prepare for an already-prepared op: re-vote yes. A fresh
-        // epoch prepare for another op queues behind a chained round as
-        // behind a busy lock: a chain refills the slot at every handoff, so
-        // a refusal would starve the epoch change.
-        if let Some((prep_op, _)) = &self.durable.prepared {
-            let yes = *prep_op == op;
-            if !yes && self.epoch_prepare_may_wait(&action) && self.vol.lock.wait_behind_chain() {
+        // A held prepared slot has had its one vote: every other Prepare is
+        // refused, whatever its op and action. A fresh epoch prepare queues
+        // behind a chained round as behind a busy lock: a chain refills the
+        // slot at every handoff, so a refusal would starve the epoch change.
+        if self.durable.prepared.is_some() {
+            if self.epoch_prepare_may_wait(&action) && self.vol.lock.wait_behind_chain() {
                 self.queue_epoch(ctx, from, op, action);
             } else {
-                self.send_vote(ctx, from, op, yes);
+                self.send_vote(ctx, from, op, false);
             }
             return;
         }

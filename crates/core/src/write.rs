@@ -386,9 +386,9 @@ impl ReplicaNode {
     /// round k's (they committed, so they hold handed-off locks and are at
     /// exactly `base_version`), and its prepares are already behind round
     /// k's decisions in the network. No permission phase runs. If a handoff
-    /// was lost (lease expiry, crash), the participant's duplicate-prepare
-    /// and version checks make it vote no and the round degrades to a
-    /// normal abort-and-retry.
+    /// was lost (lease expiry, crash), the participant meets the prepare
+    /// without the lock, or with another op's slot held, and votes no, so
+    /// the round degrades to a normal abort-and-retry.
     fn begin_chained_round(
         &mut self,
         ctx: &mut NodeCtx<'_>,

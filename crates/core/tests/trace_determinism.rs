@@ -1,7 +1,7 @@
-//! Tracing must be *observationally free*: enabling a sink may not change
+//! Tracing must be *observationally free*: attaching a ring may not change
 //! a single protocol-visible byte. The Lamport counter ticks on sends and
 //! the per-node trace sequence ticks on every `ctx.trace()` call whether
-//! the sink is a ring or the no-op — both are excluded from journals and
+//! or not a ring is attached — both are excluded from journals and
 //! digests — so a traced run and an untraced run of the same seed must
 //! produce byte-identical journals, replay verdicts, state digests, and
 //! output streams. If this test fails, tracing has leaked into protocol
@@ -19,7 +19,7 @@ fn run_protocol_canonical(traced: bool) -> String {
     if traced {
         // Sanity that the traced arm actually recorded something — a
         // pass where tracing silently failed to attach would prove
-        // nothing about sink-freedom.
+        // nothing about ring-freedom.
         let merged = driver.merged_trace();
         assert!(
             !merged.is_empty(),
@@ -40,6 +40,6 @@ fn enabled_and_disabled_sinks_produce_identical_journals() {
         untraced, traced,
         "attaching a trace ring changed protocol-visible bytes — tracing \
          is supposed to be observationally free (journals, digests, and \
-         outputs must not depend on whether a sink is installed)"
+         outputs must not depend on whether a ring is attached)"
     );
 }

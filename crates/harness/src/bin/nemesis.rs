@@ -1,70 +1,93 @@
 //! Nemesis soak: long randomized crash / partition / storage-fault
-//! schedules over grid and majority clusters, asserting zero epoch-safety,
+//! schedules over the sweep columns below, asserting zero epoch-safety,
 //! coherence, or one-copy-serializability violations after every recovery
 //! and at the end of every schedule.
 //!
-//! Usage: `nemesis [runs_per_rule] [base_seed] [steps] [rule]`
+//! Usage: `nemesis [runs] [first_seed] [steps] [column]`
 //!
-//! `rule` restricts the sweep to one coterie family (`grid` or
-//! `majority`); omitted, both are soaked.
+//! With no arguments, every column of [`COLUMNS`] runs its own seeds
+//! (`0..seeds`) at 3 000 steps: the full sweep, which
+//! `scripts/nemesis_ratchet.sh` gates. `runs` replaces every column's seed
+//! count, `first_seed` (default 0) and `steps` set the rest, and `column`
+//! restricts the sweep to one column, so `nemesis 1 1009 3000 majority`
+//! re-runs one schedule.
 //!
-//! Exits non-zero if any run found a violation. Dirty runs dump their
-//! flight recorder (the causally merged last-N trace records per node) to
-//! `target/nemesis-seed{seed}-{rule}-trace.jsonl` plus a human-readable
-//! `.txt` timeline.
+//! Exits 1 if any run found a violation and 2 on an unknown column. Dirty
+//! runs dump their flight recorder (the causally merged last-N trace
+//! records per node) to `target/nemesis-seed{seed}-{column}-trace.jsonl`
+//! plus a human-readable `.txt` timeline.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use coterie_harness::nemesis::{soak, NemesisConfig, NemesisReport};
+use coterie_harness::nemesis::{soak, NemesisConfig, NemesisRun};
 use coterie_harness::recorder::write_dump;
 use coterie_quorum::{CoterieRule, GridCoterie, MajorityCoterie};
 
+/// The sweep, one column a row: name, coterie rule, nodes, client
+/// operations per schedule, and seeds (`0..seeds`). The 4-node grid stays
+/// so its seeds remain comparable; the paper's grid has 9 nodes; a
+/// `-heavy` column injects enough client operations for the 1SR oracle to
+/// see writes in flight together.
+type Rule = fn() -> Arc<dyn CoterieRule>;
+type Column = (&'static str, Rule, usize, usize, u64);
+const GRID: Rule = || Arc::new(GridCoterie::new());
+const MAJORITY: Rule = || Arc::new(MajorityCoterie::new());
+const COLUMNS: [Column; 6] = [
+    ("grid", GRID, 4, 30, 400),
+    ("majority", MAJORITY, 5, 30, 1_200),
+    ("grid9", GRID, 9, 30, 400),
+    ("grid-heavy", GRID, 4, 300, 400),
+    ("grid9-heavy", GRID, 9, 300, 400),
+    ("majority-heavy", MAJORITY, 5, 300, 400),
+];
+
 fn main() {
     let mut args = std::env::args().skip(1);
-    let runs: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(25);
-    let base_seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0x5EED);
+    let runs: Option<u64> = args.next().and_then(|s| s.parse().ok());
+    let first_seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0);
     let steps: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(3_000);
-    let only_rule = args.next();
-
-    let setups: [(&str, Arc<dyn CoterieRule>, usize); 2] = [
-        ("grid", Arc::new(GridCoterie::new()), 4),
-        ("majority", Arc::new(MajorityCoterie::new()), 5),
-    ];
+    let only = args.next();
+    if only
+        .as_deref()
+        .is_some_and(|n| COLUMNS.iter().all(|c| c.0 != n))
+    {
+        eprintln!("nemesis: no column {only:?}");
+        std::process::exit(2);
+    }
 
     let mut failed = false;
     let mut schedules = 0u64;
-    for (name, rule, n_nodes) in setups {
-        if only_rule.as_deref().is_some_and(|r| r != name) {
+    for (name, rule, n_nodes, client_ops, seeds) in COLUMNS {
+        if only.as_deref().is_some_and(|n| n != name) {
             continue;
         }
+        let runs = runs.unwrap_or(seeds);
         let cfg = NemesisConfig {
             n_nodes,
             steps,
-            ..Default::default()
+            client_ops,
         };
-        let report = soak(rule, base_seed, runs, &cfg);
-        print_report(name, n_nodes, runs, &report);
+        let report = soak(rule(), first_seed, runs, &cfg);
+        print_report(name, n_nodes, &report);
         schedules += runs;
-        if !report.clean() {
+        for run in report.iter().filter(|r| !r.clean()) {
             failed = true;
-            for run in &report.dirty {
-                eprintln!("== {name} seed {} ==", run.seed);
-                for v in &run.violations {
-                    eprintln!("  {v}");
-                }
-                if let Some(dump) = &run.trace {
-                    let prefix = format!("target/nemesis-seed{}-{name}-trace", run.seed);
-                    match write_dump(dump, Path::new(&prefix)) {
-                        Ok((jsonl, txt)) => eprintln!(
-                            "  flight recorder ({} records, {} evicted): {} / {}",
-                            dump.records,
-                            dump.dropped,
-                            jsonl.display(),
-                            txt.display()
-                        ),
-                        Err(e) => eprintln!("  flight recorder dump failed: {e}"),
-                    }
+            eprintln!("== {name} seed {} ==", run.seed);
+            for v in &run.violations {
+                eprintln!("  {v}");
+            }
+            if let Some(dump) = &run.trace {
+                let prefix = format!("target/nemesis-seed{}-{name}-trace", run.seed);
+                match write_dump(dump, Path::new(&prefix)) {
+                    Ok((jsonl, txt)) => eprintln!(
+                        "  flight recorder ({} records, {} evicted): {} / {}",
+                        dump.records,
+                        dump.dropped,
+                        jsonl.display(),
+                        txt.display()
+                    ),
+                    Err(e) => eprintln!("  flight recorder dump failed: {e}"),
                 }
             }
         }
@@ -76,20 +99,22 @@ fn main() {
     println!("nemesis: all {schedules} schedules clean");
 }
 
-fn print_report(name: &str, n_nodes: usize, runs: u64, r: &NemesisReport) {
+fn print_report(name: &str, n_nodes: usize, runs: &[NemesisRun]) {
+    let sum = |count: fn(&NemesisRun) -> usize| runs.iter().map(count).sum::<usize>();
     println!(
-        "{name} ({n_nodes} nodes, {runs} seeds): \
+        "{name} ({n_nodes} nodes, {} seeds): \
          {} crashes, {} recoveries ({} torn tails, {} quarantined), \
          {} storage faults fired, {} rejoins, \
          {} writes + {} reads checked, {} dirty runs",
-        r.crashes,
-        r.recoveries,
-        r.torn_tails,
-        r.quarantines,
-        r.faults_fired,
-        r.rejoined,
-        r.writes_committed,
-        r.reads_checked,
-        r.dirty.len()
+        runs.len(),
+        sum(|r| r.crashes),
+        sum(|r| r.recoveries),
+        sum(|r| r.torn_tails),
+        sum(|r| r.quarantines),
+        sum(|r| r.faults_fired),
+        sum(|r| r.rejoined),
+        sum(|r| r.writes_committed),
+        sum(|r| r.reads_checked),
+        runs.iter().filter(|r| !r.clean()).count()
     );
 }

@@ -26,7 +26,7 @@ pub use checker::{check_run, CheckReport, Violation};
 pub use explore::{explore, ExploreReport, ExplorerConfig};
 pub use faults::{FaultConfig, FaultEvent, FaultPlan};
 pub use metrics::LoadStats;
-pub use nemesis::{run_nemesis, soak, NemesisConfig, NemesisReport, NemesisRun};
+pub use nemesis::{run_nemesis, soak, NemesisConfig, NemesisRun};
 pub use report::{sci, Table};
 pub use scenario::{run_scenario, Scenario, ScenarioResult};
 pub use sitemodel::{

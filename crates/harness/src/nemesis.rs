@@ -116,38 +116,6 @@ impl NemesisRun {
     }
 }
 
-/// Aggregate over a sweep of seeds.
-#[derive(Clone, Debug, Default)]
-pub struct NemesisReport {
-    /// Runs executed.
-    pub runs: usize,
-    /// Per-run results (violating runs keep their full description).
-    pub dirty: Vec<NemesisRun>,
-    /// Totals across all runs.
-    pub crashes: usize,
-    /// Total recoveries.
-    pub recoveries: usize,
-    /// Total torn-tail recoveries.
-    pub torn_tails: usize,
-    /// Total quarantined recoveries.
-    pub quarantines: usize,
-    /// Total completed stale-rejoins.
-    pub rejoined: usize,
-    /// Total storage faults fired.
-    pub faults_fired: usize,
-    /// Total committed writes audited.
-    pub writes_committed: usize,
-    /// Total reads verified.
-    pub reads_checked: usize,
-}
-
-impl NemesisReport {
-    /// True when every run was clean.
-    pub fn clean(&self) -> bool {
-        self.dirty.is_empty()
-    }
-}
-
 /// Runs one seeded nemesis schedule and returns what it saw.
 pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -> NemesisRun {
     let n = cfg.n_nodes;
@@ -234,30 +202,16 @@ fn snapshot_on_violation(driver: &StepDriver, run: &mut NemesisRun) {
     }
 }
 
-/// Sweeps `count` consecutive seeds starting at `base_seed`.
+/// Runs `count` consecutive seeds starting at `base_seed`, in order.
 pub fn soak(
     rule: Arc<dyn CoterieRule>,
     base_seed: u64,
     count: u64,
     cfg: &NemesisConfig,
-) -> NemesisReport {
-    let mut report = NemesisReport::default();
-    for seed in base_seed..base_seed + count {
-        let run = run_nemesis(rule.clone(), seed, cfg);
-        report.runs += 1;
-        report.crashes += run.crashes;
-        report.recoveries += run.recoveries;
-        report.torn_tails += run.torn_tails;
-        report.quarantines += run.quarantines;
-        report.rejoined += run.rejoined;
-        report.faults_fired += run.faults_fired;
-        report.writes_committed += run.writes_committed;
-        report.reads_checked += run.reads_checked;
-        if !run.clean() {
-            report.dirty.push(run);
-        }
-    }
-    report
+) -> Vec<NemesisRun> {
+    (base_seed..base_seed + count)
+        .map(|seed| run_nemesis(rule.clone(), seed, cfg))
+        .collect()
 }
 
 fn up_count(driver: &StepDriver) -> usize {
@@ -381,9 +335,9 @@ mod tests {
             client_ops: 10,
             ..Default::default()
         };
-        let report = soak(Arc::new(GridCoterie::new()), 0xBEEF, 3, &cfg);
-        assert!(report.clean(), "violations: {:#?}", report.dirty);
-        assert!(report.crashes > 0 && report.recoveries > 0);
+        let runs = soak(Arc::new(GridCoterie::new()), 0xBEEF, 3, &cfg);
+        assert!(runs.iter().all(NemesisRun::clean), "{runs:#?}");
+        assert!(runs.iter().any(|r| r.crashes > 0 && r.recoveries > 0));
     }
 
     #[test]
@@ -393,8 +347,8 @@ mod tests {
             steps: 800,
             client_ops: 10,
         };
-        let report = soak(Arc::new(MajorityCoterie::new()), 0xFEED, 3, &cfg);
-        assert!(report.clean(), "violations: {:#?}", report.dirty);
+        let runs = soak(Arc::new(MajorityCoterie::new()), 0xFEED, 3, &cfg);
+        assert!(runs.iter().all(NemesisRun::clean), "{runs:#?}");
     }
 
     /// Regression: majority/5 at seed 9 with a long schedule once produced

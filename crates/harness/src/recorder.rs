@@ -1,9 +1,10 @@
 //! Flight-recorder forensics: turns a [`StepDriver`]'s per-node trace
 //! rings into a causally merged JSONL dump plus a human-readable timeline.
 //!
-//! The engine's [`TraceRing`]s are bounded (last-N per node), so a capture
-//! is cheap no matter how long the schedule ran; what it loses to the
-//! bound it reports honestly via [`TraceDump::dropped`]. The nemesis
+//! The engine's trace rings ([`coterie_core::TraceRing`]) are bounded
+//! (last-N per node), so a capture is cheap no matter how long the
+//! schedule ran; what it loses to the bound it reports honestly via
+//! [`TraceDump::dropped`]. The nemesis
 //! harness captures a dump at the *first* invariant violation of a run —
 //! the rings then hold the events leading up to the violation, which is
 //! exactly the window a post-mortem needs.
@@ -12,7 +13,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use coterie_core::{causal_merge, render_jsonl, StepDriver, TraceEvent, TraceRecord, TraceRing};
+use coterie_core::{render_jsonl, StepDriver, TraceEvent, TraceRecord};
 use coterie_quorum::NodeId;
 
 /// One captured flight-recorder dump.
@@ -35,11 +36,11 @@ pub fn capture(driver: &StepDriver) -> Option<TraceDump> {
     if !driver.tracing_enabled() {
         return None;
     }
-    let rings: Vec<&TraceRing> = (0..driver.cluster_size() as u32)
+    let dropped = (0..driver.cluster_size() as u32)
         .filter_map(|i| driver.trace_ring(NodeId(i)))
-        .collect();
-    let dropped = rings.iter().map(|r| r.dropped()).sum();
-    let merged = causal_merge(&rings);
+        .map(|r| r.dropped())
+        .sum();
+    let merged = driver.merged_trace();
     Some(TraceDump {
         jsonl: render_jsonl(&merged),
         timeline: render_timeline(&merged, dropped),

@@ -1,53 +1,77 @@
-//! Pinned reproductions of known-latent nemesis violations.
+//! Pinned nemesis seeds: fixed bugs that must stay fixed, and one known
+//! bug that must stay visible until it is fixed (ROADMAP item 1).
 //!
-//! ROADMAP open item 1: an extended-seed sweep finds dirty runs that were
-//! already present at the seed commit — nodes diverge on the epoch *member
-//! list* while agreeing on the epoch number, after a node recovers
-//! mid-epoch-check (the PR-4 rejoin guards don't cover the
-//! recovery/epoch-install interaction). This test pins the lowest seed of
-//! the default majority sweep that hits it
-//! (`cargo run -p coterie-harness --bin nemesis -- 1 178 3000 majority`)
-//! so the bug has an executable spec, and captures its flight-recorder
-//! dump as a checked-in artifact (`tests/data/nemesis_seed178_trace.jsonl`)
-//! — the causally ordered last-N trace records per node leading up to the
-//! first violation. DESIGN.md §14.4 walks the causal chain, reconstructed
-//! at majority seed 62 of older schedules (that seed now runs clean: the
-//! bug is no longer *hit* there, not fixed).
+//! *Absence tests.* Default-majority seeds 178 and 797 split the epoch
+//! list (two nodes in one epoch with different members), and client-heavy
+//! seed 310 of the 9-node grid lost a committed write (a later read found
+//! the version before it). All three came from a participant re-voting YES
+//! on a prepared slot for an op id reused after a quarantine, so a COMMIT
+//! applied the old slot's action (ROADMAP 1(a)(i)). A held slot now
+//! refuses every other Prepare, and each seed runs clean.
 //!
-//! The run asserts the *presence* of the bug: it fails the moment the
-//! violation is fixed — or the moment a change moves the seeded schedules
-//! again, in which case re-pin it the same way (sweep the default config
-//! with `nemesis 1200 0 3000 majority`, take the lowest seed whose
-//! violations contain `epoch safety`). Whoever fixes ROADMAP item 1 should
-//! watch it fail, invert the assertions into a permanent clean-run
-//! regression test, and delete the artifact. Until then, the checked-in
-//! dump also pins trace determinism end-to-end: the same seed must
-//! reproduce the same causal history byte-for-byte (regenerate with
-//! `NEMESIS_TRACE_REGEN=1`).
+//! *Presence test.* Default-majority seed 1009 still splits the epoch list
+//! (`cargo run -p coterie-harness --bin nemesis -- 1 1009 3000 majority`):
+//! a COMMIT for a reused op id applies whatever slot the participant holds
+//! (ROADMAP 1(a)(ii); DESIGN.md §14.4 walks the chain). The test asserts
+//! that the bug is hit and that its flight-recorder dump holds the window
+//! before it. It fails the moment the bug is fixed, or the moment a change
+//! moves the seeded schedules. If it was fixed, turn it into an absence
+//! test. If the schedules moved, re-pin it: run `nemesis 1200 0 3000
+//! majority`, take the lowest seed whose violations contain `epoch
+//! safety`, and move the absence seeds to whatever the new schedules make
+//! of them. Same-seed byte stability of the dump itself is covered by
+//! `recorder.rs`'s `same_seed_captures_are_byte_identical` and by
+//! coterie-core's determinism tests.
 
-use std::path::Path;
 use std::sync::Arc;
 
-use coterie_harness::nemesis::{run_nemesis, NemesisConfig};
-use coterie_quorum::MajorityCoterie;
+use coterie_harness::nemesis::{run_nemesis, NemesisConfig, NemesisRun};
+use coterie_quorum::{CoterieRule, GridCoterie, MajorityCoterie};
+
+/// One seeded 3 000-step schedule of `client_ops` client operations.
+fn run(rule: Arc<dyn CoterieRule>, n_nodes: usize, client_ops: usize, seed: u64) -> NemesisRun {
+    let cfg = NemesisConfig {
+        n_nodes,
+        steps: 3_000,
+        client_ops,
+    };
+    run_nemesis(rule, seed, &cfg)
+}
 
 #[test]
-fn epoch_list_divergence_majority_seed_178_still_reproduces() {
-    let cfg = NemesisConfig {
-        n_nodes: 5,
-        steps: 3_000,
-        ..NemesisConfig::default()
-    };
-    let run = run_nemesis(Arc::new(MajorityCoterie::new()), 178, &cfg);
+fn epoch_lists_agree_on_default_majority_seeds_178_and_797() {
+    for seed in [178, 797] {
+        let run = run(Arc::new(MajorityCoterie::new()), 5, 30, seed);
+        assert!(
+            run.clean(),
+            "majority seed {seed} is dirty again: {:?}",
+            run.violations
+        );
+    }
+}
+
+#[test]
+fn a_committed_write_survives_on_client_heavy_grid9_seed_310() {
+    let run = run(Arc::new(GridCoterie::new()), 9, 300, 310);
+    assert!(
+        run.clean(),
+        "client-heavy grid9 seed 310 is dirty again: {:?}",
+        run.violations
+    );
+}
+
+#[test]
+fn epoch_list_divergence_majority_seed_1009_still_reproduces() {
+    let run = run(Arc::new(MajorityCoterie::new()), 5, 30, 1009);
     assert!(
         !run.clean(),
-        "majority seed 178 ran clean: ROADMAP item 1 is fixed (invert this \
-         test into a clean-run gate, delete tests/data/nemesis_seed178_trace.jsonl) \
-         or the seeded schedules moved (re-pin: see the module docs)"
+        "majority seed 1009 ran clean: ROADMAP 1(a)(ii) is fixed (invert this \
+         test into a clean-run gate) or the seeded schedules moved (re-pin: \
+         see the module docs)"
     );
     assert!(
         run.violations.iter().any(|v| v.contains("epoch safety")),
-        "seed 178 violated something other than epoch safety: {:?}",
+        "seed 1009 violated something other than epoch safety: {:?}",
         run.violations
     );
 
@@ -65,26 +89,4 @@ fn epoch_list_divergence_majority_seed_178_still_reproduces() {
     );
     assert_eq!(dump.jsonl.lines().count(), dump.records);
     assert_eq!(dump.timeline.lines().count(), dump.records + 1);
-
-    // The dump is a deterministic artifact: same seed, same bytes.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/nemesis_seed178_trace.jsonl");
-    if std::env::var_os("NEMESIS_TRACE_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &dump.jsonl).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing trace artifact {} ({e}); regenerate with \
-             NEMESIS_TRACE_REGEN=1 cargo test -p coterie-harness --test nemesis_regressions",
-            path.display()
-        )
-    });
-    assert!(
-        expected == dump.jsonl,
-        "seed-178 flight-recorder dump drifted from the checked-in artifact.\n\
-         If the schedule or trace taxonomy changed intentionally, regenerate \
-         with NEMESIS_TRACE_REGEN=1; otherwise determinism broke."
-    );
 }

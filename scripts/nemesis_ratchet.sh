@@ -1,20 +1,21 @@
 #!/usr/bin/env bash
-# Majority nemesis ratchet (ROADMAP 1(c)): runs `nemesis 1200 0 3000
-# majority` and compares its dirty runs, each as `column seed signature`,
+# Nemesis ratchet (ROADMAP 1(c)): runs the full sweep, `nemesis` with no
+# arguments (every column of bin/nemesis.rs's COLUMNS table over its own
+# seeds), and compares its dirty runs, each as `column seed signature`,
 # with scripts/nemesis_known_dirty.txt. A signature is the run's violation
 # classes, sorted and joined with `+` (`StaleRead`, `epoch-safety`, ...).
 #
 # Fails on a dirty run the list does not hold; on a listed run that came
 # back clean or with another signature (delete or re-derive its row, so the
-# list only shrinks); and when the sweep crashes or a column prints no
-# summary.
+# list only shrinks); and when the sweep crashes, a summary line's dirty
+# count disagrees with the runs parsed for it, or a column the list names
+# printed no summary.
 # Usage: scripts/nemesis_ratchet.sh   (run from anywhere inside the repo)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export LC_ALL=C
 
 known_file=scripts/nemesis_known_dirty.txt
-columns=(majority)
 out=$(mktemp)
 err=$(mktemp)
 trap 'rm -f "$out" "$err"' EXIT
@@ -25,8 +26,7 @@ fail() {
 }
 
 status=0
-cargo run --release --quiet -p coterie-harness --bin nemesis -- 1200 0 3000 majority \
-  >"$out" 2>"$err" || status=$?
+cargo run --release --quiet -p coterie-harness --bin nemesis >"$out" 2>"$err" || status=$?
 cat "$out"
 # The bin exits 0 when every schedule is clean and 1 when it found
 # violations; anything else is a crash.
@@ -54,16 +54,19 @@ observed=$(awk '
   { sig = sig "+" $3 }
   END { if (prev != "") print prev, sig }' | sort)
 
-for column in "${columns[@]}"; do
-  summary=$(grep "^$column (5 nodes, 1200 seeds): .* dirty runs$" "$out") ||
-    fail "no summary line for column $column"
-  reported=$(sed 's/.* \([0-9]*\) dirty runs$/\1/' <<<"$summary")
+# One `column reported` line per summary the sweep printed.
+summaries=$(sed -n 's/^\([a-z0-9-]*\) ([0-9]* nodes, [0-9]* seeds): .* \([0-9]*\) dirty runs$/\1 \2/p' "$out")
+[[ -n $summaries ]] || fail "the sweep printed no summary line"
+known=$(grep -v -e '^#' -e '^[[:space:]]*$' "$known_file" | tr -s ' \t' ' ' | sort)
+for column in $(cut -d' ' -f1 <<<"$known" | sort -u); do
+  grep -q "^$column " <<<"$summaries" || fail "no summary line for column $column"
+done
+while read -r column reported; do
   parsed=$(grep -c "^$column " <<<"$observed" || true)
   ((reported == parsed)) ||
     fail "$column reports $reported dirty runs but $parsed were parsed"
-done
+done <<<"$summaries"
 
-known=$(grep -v -e '^#' -e '^[[:space:]]*$' "$known_file" | tr -s ' \t' ' ' | sort)
 unlisted=$(comm -13 <(echo "$known") <(echo "$observed") | grep . || true)
 recovered=$(comm -23 <(echo "$known") <(echo "$observed") | grep . || true)
 if [[ -n $unlisted ]]; then

@@ -2,8 +2,10 @@
 # Byte-identity against an earlier revision, for changes that must not move
 # a seeded schedule. Builds <rev> and the working tree side by side and
 # diffs what such a change has to leave untouched:
-#   - `nemesis 400 0 3000 grid` and `nemesis 1200 0 3000 majority`: exit
-#     status, stdout, stderr and every flight-recorder file;
+#   - every column of the nemesis sweep (bin/nemesis.rs's COLUMNS, each
+#     run alone as `nemesis <seeds> 0 3000 <column>`): exit status, stdout,
+#     stderr and every flight-recorder file. A column <rev> lacks exits 2
+#     there (0 with "all 0 schedules clean" before the table existed);
 #   - the benchmark at `--seed 7 --seconds 10 --trace 1` on read_mostly,
 #     write_contended, write_leader and failover: every cell except the
 #     wall-clock ones (WALL_CLOCK below);
@@ -40,7 +42,9 @@ WALL_CLOCK='_ns|step_share|step_growth|request_self_share|overhead_pct'
 WALL_CLOCK+='|events_per_cpu_s|check_ms_per_kop|cpu_us_per_op|peak_rss_mb'
 WALL_CLOCK+='|setup_s|"host\.'
 WORKLOADS=(read_mostly write_contended write_leader failover)
-SWEEPS=("400 0 3000 grid" "1200 0 3000 majority")
+# The nemesis columns with their seed counts, as in bin/nemesis.rs.
+SWEEPS=("400 0 3000 grid" "1200 0 3000 majority" "400 0 3000 grid9"
+  "400 0 3000 grid-heavy" "400 0 3000 grid9-heavy" "400 0 3000 majority-heavy")
 # Reported seed ranges: experiment, its leading arguments, first and last seed.
 SEED_RANGES=("partial_writes 9 30 31 50" "safety_ablation 9 40 41 60")
 

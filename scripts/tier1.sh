@@ -102,22 +102,18 @@ cargo run --release --example live_threads
 cargo run --release -p coterie-harness --bin experiments -- all --quick >/dev/null
 
 echo "==> nemesis smoke (bounded storage-fault soak)"
-# Fixed seeds, short schedules: 6 runs on grid and 6 on majority, 12
-# schedules in all, of
-# crashes, partitions, torn writes, and journal corruption; exits non-zero on any
-# epoch-safety, coherence, or 1SR violation. Dirty runs dump their flight
-# recorder as causally-merged JSONL + timeline under target/.
+# Fixed seeds, short schedules: 6 runs on each of the sweep's six columns,
+# 36 schedules in all, of crashes, partitions, torn writes, and journal
+# corruption; exits non-zero on any epoch-safety, coherence, or 1SR
+# violation. Dirty runs dump their flight recorder as causally-merged
+# JSONL + timeline under target/.
 cargo run --release -p coterie-harness --bin nemesis -- 6 42 1500
 
-echo "==> nemesis grid sweep (seeds 0-399)"
-# 400 full-length schedules (~1.5 s), all clean on grid (ROADMAP 1(c)).
-# Majority has known-dirty seeds, so it runs under the ratchet below.
-cargo run --release -p coterie-harness --bin nemesis -- 400 0 3000 grid
-
-echo "==> nemesis majority ratchet (seeds 0-1199)"
-# 1 200 schedules (~7 s). Fails on any dirty run missing from
-# scripts/nemesis_known_dirty.txt and on any listed run that came back
-# clean, so the list only shrinks (ROADMAP 1(c)).
+echo "==> nemesis ratchet (every column over its own seeds)"
+# The full sweep (~16 s, 3 200 schedules): the grid at 4 and 9 nodes and
+# majority at 5, each at 30 and at 300 client operations a schedule. Fails
+# on any dirty run missing from scripts/nemesis_known_dirty.txt and on any
+# listed run that came back clean, so the list only shrinks (ROADMAP 1(c)).
 scripts/nemesis_ratchet.sh
 
 echo "==> trace determinism smoke"
