@@ -21,6 +21,11 @@ use crate::config::{ProtocolConfig, LOG_CAP};
 use crate::msg::{Action, OpId, PropPayload};
 use crate::store::{LogDelta, LogEntry, PageId, PagedObject, Pages, PartialWrite, WriteLog};
 
+/// How far a quarantine moves the op counter past ids the lost journal
+/// suffix could have allocated. The suffix length is bounded by the
+/// journal's record count, which is far below this for any conceivable run.
+const OP_COUNTER_SKIP: u64 = 1_000_000;
+
 /// State that survives crashes (the paper's per-node protocol state of
 /// §4 — version number, epoch number, stale flag, desired version, epoch
 /// list — plus the object, the propagation log, and the 2PC artifacts that
@@ -57,9 +62,9 @@ pub struct Durable {
     /// abort, since their commit record may have been lost with the corrupt
     /// suffix. Zero means the journal has never been quarantined.
     pub quarantine_fence: u64,
-    /// True from a quarantined boot until the stale-rejoin handshake
-    /// completes (`DurableCell::end_rejoin`); durable so that a crash
-    /// during the handshake re-enters it at the next boot ([`crate::rejoin`]).
+    /// True from a journal quarantine until the stale-rejoin handshake
+    /// completes (`DurableCell::end_rejoin`); every boot that finds it set
+    /// enters the handshake ([`crate::rejoin`]).
     pub rejoin_pending: bool,
 }
 
@@ -89,12 +94,19 @@ impl Durable {
         View::new(self.elist.iter().copied())
     }
 
-    /// The flags of a quarantine: stale, with the rejoin handshake owed.
-    /// The host writes them into the image a quarantined journal restarts
-    /// from; [`DurableCell::quarantine`] sets them at the boot that follows.
-    pub(crate) fn quarantine(&mut self) {
+    /// Journal quarantine: stale, with the rejoin handshake owed; the
+    /// prepared slot dropped (its vote may be part of the lost suffix, so
+    /// the promise can be kept neither way); and the amnesia fence
+    /// `OP_COUNTER_SKIP` ids past the replayed op counter, which moves
+    /// onto it so no new op reuses an id the lost suffix could have
+    /// issued. The host writes the result as the one image a quarantined
+    /// journal restarts from, so no later append can tear it in half.
+    pub fn quarantine(&mut self) {
         self.stale = true;
         self.rejoin_pending = true;
+        self.prepared = None;
+        self.quarantine_fence = self.op_counter + OP_COUNTER_SKIP;
+        self.op_counter = self.quarantine_fence;
     }
 }
 
@@ -344,17 +356,6 @@ impl DurableCell {
         ok
     }
 
-    /// Journal quarantine at boot: the quarantine flags (those of
-    /// [`Durable::quarantine`]), and the amnesia fence `skip` ids past the
-    /// replayed op counter, which moves onto it.
-    pub(crate) fn quarantine(&mut self, skip: u64) {
-        put!(self, stale, true);
-        put!(self, rejoin_pending, true);
-        let fence = self.op_counter + skip;
-        put!(self, quarantine_fence, fence);
-        put!(self, op_counter, fence);
-    }
-
     /// The rejoin handshake completed: out of limbo, the reported epoch
     /// adopted if newer, the desired version raised to the rejoin bound.
     pub(crate) fn end_rejoin(&mut self, enumber: u64, list: &[NodeId], dversion: u64) {
@@ -551,10 +552,12 @@ mod tests {
         // The trimmed log beside every other field: `reset_to` writes it
         // as the one record that replays to it.
         cell.record_decision(op(3), true);
-        cell.vote(op(4), Action::MarkStale { desired_version: 2 });
         cell.install_epoch(1, &[NodeId(1), NodeId(2)]);
         cell.apply_update(&[write(1, "y")], cell.version + 1, None, &[NodeId(1)]);
-        cell.quarantine(100);
+        let mut quarantined = cell.state;
+        quarantined.quarantine();
+        let mut cell = DurableCell::new(quarantined);
+        cell.vote(op(4), Action::MarkStale { desired_version: 2 });
         cell.mark_stale(40);
         let mut journal = FramedJournal::new();
         journal.reset_to(&cell, &config);

@@ -345,14 +345,14 @@ impl StepDriver {
     }
 
     /// Restarts a crashed node from its journal alone (see
-    /// `EffectInterpreter::recover`): a clean or torn-tail journal boots
-    /// normally, a quarantined one boots into the stale-rejoin protocol.
+    /// `EffectInterpreter::recover`) and boots it: a quarantined journal
+    /// boots into the stale-rejoin protocol.
     pub fn recover(&mut self, node: NodeId) {
         assert!(self.down[node.0 as usize], "node not down");
         self.down[node.0 as usize] = false;
         let (interp, mut replica, _) = self.parts(node);
-        let boot = interp.recover(&mut replica);
-        self.step_node(node, boot);
+        interp.recover(&mut replica);
+        self.step_node(node, Input::Boot);
     }
 
     /// [`run_until`](StepDriver::run_until) `d` of driver time from now.

@@ -182,19 +182,18 @@ impl EffectInterpreter {
 
     /// Restarts a crashed node from its journal alone, exactly as a real
     /// host would: the engine's in-memory durable state is discarded and
-    /// the checked replay decides how to boot. Returns the input the host
-    /// must feed the node when it starts: [`Input::Boot`] after a clean or
-    /// torn-tail replay, [`Input::BootQuarantined`] after damage inside
-    /// the acknowledged prefix (the longest intact prefix is installed,
-    /// the damaged history is discarded, and the node re-enters the
-    /// cluster stale).
+    /// the checked replay decides what it boots from. A clean or torn-tail
+    /// replay boots as it stands. Damage inside the acknowledged prefix
+    /// quarantines the journal: the longest intact prefix, put through
+    /// [`Durable::quarantine`](crate::durable::Durable::quarantine), is
+    /// rewritten as the one image the node restarts from, and the node
+    /// re-enters the cluster stale. The host then feeds [`Input::Boot`].
     ///
-    /// A quarantine is one journal write: the rewritten image already says
-    /// "stale, rejoin handshake owed". Were the flags left to the boot
-    /// step's own delta, a failed append of that delta would leave an image
-    /// that replays clean and boots as a current replica, though it lost
-    /// acknowledged writes.
-    pub fn recover(&mut self, r: &mut Replica<'_>) -> Input {
+    /// A quarantine is one journal write: the image already holds the
+    /// stale and rejoin flags, the dropped prepared slot, the decision
+    /// fence and the skipped op counter. Were any of them left to the boot
+    /// step's own delta, a failed append of that delta would lose them.
+    pub fn recover(&mut self, r: &mut Replica<'_>) {
         let mut replay = r.journal.replay_checked(&r.node.config);
         let class = match replay.verdict {
             ReplayVerdict::Clean => ReplayClass::Clean,
@@ -202,16 +201,13 @@ impl EffectInterpreter {
             ReplayVerdict::Quarantined { .. } => ReplayClass::Quarantined,
         };
         self.trace(r, TraceEvent::JournalReplay { class });
-        let boot = if replay.verdict.is_bootable() {
+        if replay.verdict.is_bootable() {
             r.journal.truncate_tail();
-            Input::Boot
         } else {
             replay.durable.quarantine();
             r.journal.reset_to(&replay.durable, &r.node.config);
-            Input::BootQuarantined
-        };
+        }
         r.node.install_durable(replay.durable);
-        boot
     }
 }
 

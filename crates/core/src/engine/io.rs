@@ -18,16 +18,11 @@ use crate::durable::DurableDelta;
 pub enum Input {
     /// The node (re)starts: recover from durable state, arm background
     /// timers. Fired once before any other input, and again after `Crash`
-    /// when the node comes back up.
+    /// when the node comes back up. A node whose host quarantined its
+    /// journal boots the same way: the installed state is already stale
+    /// and rejoin-pending, so the boot starts the stale-rejoin poll
+    /// ([`crate::rejoin`]).
     Boot,
-    /// The node restarts after its host *quarantined* the journal: replay
-    /// found damage inside the acknowledged record prefix (see
-    /// [`ReplayVerdict::Quarantined`](super::storage::ReplayVerdict)).
-    /// The installed durable state is the longest intact prefix and must
-    /// not be trusted as current: the engine marks itself stale, fences
-    /// possibly-lost 2PC decisions, and runs the stale-rejoin protocol
-    /// ([`crate::rejoin`]) instead of booting normally.
-    BootQuarantined,
     /// The node fail-stops: all volatile state is lost; durable state (and
     /// only durable state) survives into the next `Boot`.
     Crash,

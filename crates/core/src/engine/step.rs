@@ -72,7 +72,6 @@ impl ReplicaNode {
     fn dispatch(&mut self, ctx: &mut NodeCtx<'_>, input: Input) {
         match input {
             Input::Boot => self.handle_boot(ctx),
-            Input::BootQuarantined => self.handle_boot_quarantined(ctx),
             Input::Crash => self.vol = Volatile::default(),
             Input::Deliver { from, msg, lamport } => {
                 ctx.observe_lamport(lamport);
@@ -94,12 +93,10 @@ impl ReplicaNode {
         if matches!(self.config.mode, Mode::Dynamic { .. }) {
             self.arm_epoch_tick(ctx);
         }
-        // A crash during the stale-rejoin handshake can replay clean (the
-        // quarantined boot's own delta healed the journal), landing here
-        // instead of in `handle_boot_quarantined`. The durable flag keeps
-        // the interruption visible: re-enter the poll, because until it
-        // completes this replica's desired version lacks the rejoin bound
-        // and must not be trusted.
+        // A quarantined journal, or a crash during the stale-rejoin
+        // handshake, leaves the durable flag set: enter the poll, because
+        // until it completes this replica's desired version lacks the
+        // rejoin bound and must not be trusted.
         if self.durable.rejoin_pending {
             self.start_rejoin(ctx);
         }

@@ -78,7 +78,7 @@ pub enum ReplayVerdict {
     /// A record *inside* the committed prefix is damaged. Acknowledged
     /// durable state has been lost; the replica must not trust the
     /// replayed prefix as current and instead rejoins the cluster stale
-    /// (see `handle_boot_quarantined`).
+    /// (see [`crate::rejoin`]).
     Quarantined {
         /// What was damaged.
         reason: QuarantineReason,

@@ -105,9 +105,6 @@ pub struct JournaledNode {
     /// The framed journal of persisted deltas.
     pub journal: FramedJournal,
     interp: EffectInterpreter,
-    /// What the next start feeds the engine: [`Input::BootQuarantined`]
-    /// when the last crash-replay quarantined the journal.
-    boot: Input,
     /// Set when a storage fault fail-stopped the node. The runtime still
     /// counts it as up (a step cannot crash its own node), so it stays
     /// silent — every input swallowed, leftover timers firing into nothing
@@ -131,7 +128,6 @@ impl JournaledNode {
             interp: EffectInterpreter::new(me, &config),
             node: ReplicaNode::new(me, config),
             journal: FramedJournal::new(),
-            boot: Input::Boot,
             failed: false,
             flushes: 0,
             sync: None,
@@ -233,12 +229,12 @@ impl Node for JournaledNode {
             now,
         };
         let input = match event {
-            Event::Start => std::mem::replace(&mut self.boot, Input::Boot),
+            Event::Start => Input::Boot,
             Event::Crash => {
                 // Lose the in-memory durable state and come back from
                 // "disk". The runtime drops our timers.
                 self.interp.crash(&mut replica);
-                self.boot = self.interp.recover(&mut replica);
+                self.interp.recover(&mut replica);
                 self.failed = false;
                 return Vec::new();
             }

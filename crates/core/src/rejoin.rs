@@ -9,18 +9,21 @@
 //! worse, trusting the truncated state — the replica turns the damage into
 //! the one failure mode the paper already handles: **being stale**.
 //!
-//! On [`Input::BootQuarantined`](crate::engine::Input) the replica:
+//! A quarantine and the boot after it:
 //!
-//! 1. marks itself stale, drops any replayed prepared-transaction slot
-//!    (its vote may or may not have reached the coordinator; either way it
-//!    can no longer honor it), fences possibly-lost coordinator decisions
-//!    (see [`Durable::quarantine_fence`]), and skips its op counter far
-//!    past any id the lost suffix could have allocated;
-//! 2. polls all peers with [`Msg::RejoinQuery`] and collects
-//!    [`Msg::RejoinInfo`] state tuples until the responders include a
-//!    **write quorum** of the newest epoch seen — the same quorum test the
-//!    write protocol uses, so every committed write intersects the
-//!    responses;
+//! 1. [`Durable::quarantine`], written by the host as the one image the
+//!    journal restarts from, marks the replica stale and rejoin-pending,
+//!    drops any replayed prepared-transaction slot (its vote may or may
+//!    not have reached the coordinator; either way it can no longer honor
+//!    it), fences possibly-lost coordinator decisions (see
+//!    [`Durable::quarantine_fence`]), and skips its op counter far past
+//!    any id the lost suffix could have allocated;
+//! 2. at its next [`Input::Boot`](crate::engine::Input), which finds
+//!    [`Durable::rejoin_pending`] set, the replica polls all peers with
+//!    [`Msg::RejoinQuery`] and collects [`Msg::RejoinInfo`] state tuples
+//!    until the responders include a **write quorum** of the newest epoch
+//!    seen — the same quorum test the write protocol uses, so every
+//!    committed write intersects the responses;
 //! 3. adopts the newest epoch among the answers and a *desired version*
 //!    high enough that propagation can only repair it from a replica that
 //!    has seen every write the lost suffix might have acknowledged —
@@ -46,30 +49,26 @@
 //! write's quorum is this amnesiac replica would commit duplicate versions
 //! or serve stale reads.
 //!
-//! The handshake itself must survive crashes: a crash during limbo can
-//! replay *clean* (the quarantined boot's own persisted delta healed the
-//! journal), and a normal boot knows nothing about the interrupted poll —
-//! the volatile [`RejoinState`] is gone. [`Durable::rejoin_pending`] closes
-//! that hole: set by the quarantined boot, cleared only when the handshake
-//! completes, and every boot that sees it re-enters the poll.
+//! The handshake itself must survive crashes: a crash during limbo loses
+//! the volatile [`RejoinState`], and the next replay may be clean. Since
+//! every field of the quarantine is in the image, the boot after such a
+//! crash (or after a failed append of the boot step's own record) replays
+//! the same fence, counter and flags: [`Durable::rejoin_pending`] stays
+//! set until the handshake completes, and every boot that sees it
+//! re-enters the poll with an id past the fence.
 
 use std::collections::BTreeMap;
 
 use coterie_quorum::{NodeId, QuorumKind};
 
 use crate::classify::Classified;
-use crate::config::{Mode, COLLECT_TIMEOUT};
+use crate::config::COLLECT_TIMEOUT;
 use crate::engine::trace::TraceEvent;
 use crate::msg::{Msg, OpId, ProtocolEvent, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode, Timer};
 
 #[expect(unused_imports, reason = "doc links")]
 use crate::durable::Durable;
-
-/// How far the op counter jumps over ids the lost journal suffix could
-/// have allocated. The suffix length is bounded by the journal's record
-/// count, which is far below this for any conceivable run.
-const OP_COUNTER_SKIP: u64 = 1_000_000;
 
 /// In-flight rejoin handshake state (volatile; restarting it after a
 /// crash is always safe).
@@ -82,34 +81,8 @@ pub struct RejoinState {
 }
 
 impl ReplicaNode {
-    /// Boot after the host quarantined the journal: enter stale-rejoin
-    /// (see the module docs for the full contract).
-    pub(crate) fn handle_boot_quarantined(&mut self, ctx: &mut NodeCtx<'_>) {
-        // The replayed prefix may hold a prepared slot whose vote is part
-        // of the lost suffix; we can no longer keep the promise either
-        // way. Dropping it is safe: if the coordinator committed, this
-        // replica is repaired by propagation like any stale replica.
-        self.take_prepared(ctx);
-        // Durable so that a crash during the handshake cannot orphan it:
-        // the quarantined boot's own delta may heal the journal, making the
-        // next replay *clean*, and a normal boot must still know the
-        // handshake never finished (see [`Durable::rejoin_pending`]). The
-        // interpreter's recovery already wrote both flags into the
-        // quarantine image; they are set here too so the engine keeps the
-        // contract on a host that boots it quarantined by other means.
-        // The quarantine also fences decision queries for every op id the
-        // lost suffix could have coordinated, and moves the counter past
-        // the fence so new ops are never confused with amnesiac ones.
-        self.durable.quarantine(OP_COUNTER_SKIP);
-        if matches!(self.config.mode, Mode::Dynamic { .. }) {
-            self.arm_epoch_tick(ctx);
-        }
-        self.start_rejoin(ctx);
-    }
-
-    /// Starts (or restarts) the rejoin poll. Also called from a *clean*
-    /// boot when [`Durable::rejoin_pending`] shows an earlier handshake
-    /// was interrupted by a crash.
+    /// Starts (or restarts) the rejoin poll: called from every boot that
+    /// finds [`Durable::rejoin_pending`] set.
     pub(crate) fn start_rejoin(&mut self, ctx: &mut NodeCtx<'_>) {
         let op = self.durable.next_op(self.me);
         ctx.trace(TraceEvent::RejoinStart { op });
@@ -259,10 +232,10 @@ impl ReplicaNode {
     /// requests, propagation offers, and 2PC prepares must be refused, and
     /// epoch checks and peer rejoin polls go unanswered — the replica's
     /// tuple must not enter anyone's classification until its desired
-    /// version carries the rejoin bound. The durable flag is checked too
-    /// so no window exists between replay and the boot step re-arming the
-    /// volatile handshake state.
+    /// version carries the rejoin bound. The durable flag alone decides:
+    /// every boot that finds it set starts the poll, and the step that
+    /// ends the poll clears it.
     pub(crate) fn in_rejoin_limbo(&self) -> bool {
-        self.vol.rejoin.is_some() || self.durable.rejoin_pending
+        self.durable.rejoin_pending
     }
 }

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
-    ClientRequest, Effect, FaultKind, Input, Msg, PartialWrite, ProtocolConfig, ProtocolEvent,
-    ReplayVerdict, ReplicaNode, StateTuple, StepDriver,
+    ClientRequest, Durable, Effect, FaultKind, Input, Msg, PartialWrite, ProtocolConfig,
+    ProtocolEvent, ReplayVerdict, ReplicaNode, StateTuple, StepDriver,
 };
 use coterie_quorum::{GridCoterie, NodeId};
 
@@ -85,7 +85,7 @@ fn bit_flip_quarantines_then_rejoin_and_propagation_repair_to_current() {
     let victim = NodeId(3);
     corrupt_and_crash(&mut driver, victim);
 
-    // Recovery goes through BootQuarantined: the replica re-enters the
+    // Recovery installs the quarantine image: the replica re-enters the
     // cluster stale via the rejoin handshake instead of trusting its disk.
     driver.recover(victim);
     driver.run_for(SimDuration::from_secs(60));
@@ -129,14 +129,17 @@ fn bit_flip_quarantines_then_rejoin_and_propagation_repair_to_current() {
 }
 
 /// A quarantine is one journal write. The rewritten image already records
-/// "stale, rejoin owed", so when the quarantined boot's own append fails,
-/// the next boot replays that image clean and still comes up stale and
-/// rejoin-pending — not as a current replica that lost acknowledged writes.
+/// "stale, rejoin owed" with the decision fence and the skipped op counter,
+/// so when the quarantined boot's own append fails, the next boot replays
+/// that image clean and still comes up stale and rejoin-pending — not as a
+/// current replica that lost acknowledged writes — and its next op id is
+/// above every id it issued before the crash.
 #[test]
 fn failed_append_after_quarantined_boot_still_boots_stale_and_rejoin_pending() {
     let mut driver = cluster(0xC0FFEE);
     let victim = NodeId(3);
     corrupt_and_crash(&mut driver, victim);
+    let issued = driver.node(victim).durable.op_counter;
 
     driver.arm_storage_fault(victim, FaultKind::AppendFail);
     driver.recover(victim);
@@ -158,6 +161,13 @@ fn failed_append_after_quarantined_boot_still_boots_stale_and_rejoin_pending() {
     assert!(
         durable.rejoin_pending,
         "the quarantine image forgot the rejoin handshake"
+    );
+    let fence = durable.quarantine_fence;
+    assert!(fence >= issued, "fence {fence} below issued {issued}");
+    assert!(
+        durable.op_counter > issued,
+        "op counter {} would reuse an id up to {issued}",
+        durable.op_counter
     );
     driver.run_for(SimDuration::from_secs(60));
     assert!(driver
@@ -229,9 +239,12 @@ fn append_failure_is_fail_stop_with_clean_journal() {
 /// peer answers, returning the desired version it adopts.
 fn rejoin_dversion_with(answers: Vec<StateTuple>) -> u64 {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), N).pages(2);
+    let mut quarantined = Durable::pristine(&config);
+    quarantined.quarantine();
     let mut node = ReplicaNode::new(NodeId(3), config);
+    node.install_durable(quarantined);
     let now = SimTime::ZERO;
-    let effects = node.step(now, Input::BootQuarantined);
+    let effects = node.step(now, Input::Boot);
     let op = effects
         .iter()
         .find_map(|e| match e {

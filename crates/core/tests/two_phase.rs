@@ -116,9 +116,10 @@ fn a_quarantined_coordinator_is_silent_on_fenced_ops_it_has_no_record_of() {
     let (lost, kept) = (op(0, 3), op(0, 4));
     durable.decisions.insert(kept, true);
     durable.op_counter = 5;
+    durable.quarantine();
     let mut node = ReplicaNode::new(NodeId(0), config);
     node.install_durable(durable);
-    node.step(SimTime::ZERO, Input::BootQuarantined);
+    node.step(SimTime::ZERO, Input::Boot);
     let fence = node.durable.quarantine_fence;
     assert!(fence > kept.seq, "the fence {fence} is below the replay");
     let query = |node: &mut ReplicaNode, op| deliver(node, NodeId(1), Msg::DecisionQuery { op });

@@ -28,7 +28,7 @@ use coterie_quorum::{CoterieRule, GridCoterie, MajorityCoterie};
 /// operations per schedule, and seeds (`0..seeds`). The 4-node grid stays
 /// so its seeds remain comparable; the paper's grid has 9 nodes; a
 /// `-heavy` column injects enough client operations for the 1SR oracle to
-/// see writes in flight together.
+/// see writes in flight together (1 000 seeds on 4 and 5 nodes: ROADMAP 1(b)).
 type Rule = fn() -> Arc<dyn CoterieRule>;
 type Column = (&'static str, Rule, usize, usize, u64);
 const GRID: Rule = || Arc::new(GridCoterie::new());
@@ -37,9 +37,9 @@ const COLUMNS: [Column; 6] = [
     ("grid", GRID, 4, 30, 400),
     ("majority", MAJORITY, 5, 30, 1_200),
     ("grid9", GRID, 9, 30, 400),
-    ("grid-heavy", GRID, 4, 300, 400),
+    ("grid-heavy", GRID, 4, 300, 1_000),
     ("grid9-heavy", GRID, 9, 300, 400),
-    ("majority-heavy", MAJORITY, 5, 300, 400),
+    ("majority-heavy", MAJORITY, 5, 300, 1_000),
 ];
 
 fn main() {

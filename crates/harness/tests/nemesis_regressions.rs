@@ -12,9 +12,13 @@
 //! *Presence test.* Default-majority seed 1009 still splits the epoch list
 //! (`cargo run -p coterie-harness --bin nemesis -- 1 1009 3000 majority`):
 //! a COMMIT for a reused op id applies whatever slot the participant holds
-//! (ROADMAP 1(a)(ii); DESIGN.md §14.4 walks the chain). The test asserts
-//! that the bug is hit and that its flight-recorder dump holds the window
-//! before it. It fails the moment the bug is fixed, or the moment a change
+//! (ROADMAP 1(a)(ii); DESIGN.md §14.4 walks the chain). The id is reused
+//! after a second, deeper quarantine: n0 issues `n0#1000003`, is
+//! quarantined again from a prefix whose op counter is 0, rejoins as
+//! `n0#1000001` and issues `n0#1000003` a second time. The other route, a
+//! torn boot step, is closed, and this seed never took it.
+//! The test asserts that the bug is hit and that its flight-recorder dump
+//! holds the window before it. It fails the moment the bug is fixed, or the moment a change
 //! moves the seeded schedules. If it was fixed, turn it into an absence
 //! test. If the schedules moved, re-pin it: run `nemesis 1200 0 3000
 //! majority`, take the lowest seed whose violations contain `epoch

@@ -2,10 +2,9 @@
 # Byte-identity against an earlier revision, for changes that must not move
 # a seeded schedule. Builds <rev> and the working tree side by side and
 # diffs what such a change has to leave untouched:
-#   - every column of the nemesis sweep (bin/nemesis.rs's COLUMNS, each
-#     run alone as `nemesis <seeds> 0 3000 <column>`): exit status, stdout,
-#     stderr and every flight-recorder file. A column <rev> lacks exits 2
-#     there (0 with "all 0 schedules clean" before the table existed);
+#   - the full nemesis sweep, `nemesis` with no arguments (every column of
+#     each tree's own bin/nemesis.rs COLUMNS over its own seeds): exit
+#     status, stdout, stderr and every flight-recorder file;
 #   - the benchmark at `--seed 7 --seconds 10 --trace 1` on read_mostly,
 #     write_contended, write_leader and failover: every cell except the
 #     wall-clock ones (WALL_CLOCK below);
@@ -42,9 +41,6 @@ WALL_CLOCK='_ns|step_share|step_growth|request_self_share|overhead_pct'
 WALL_CLOCK+='|events_per_cpu_s|check_ms_per_kop|cpu_us_per_op|peak_rss_mb'
 WALL_CLOCK+='|setup_s|"host\.'
 WORKLOADS=(read_mostly write_contended write_leader failover)
-# The nemesis columns with their seed counts, as in bin/nemesis.rs.
-SWEEPS=("400 0 3000 grid" "1200 0 3000 majority" "400 0 3000 grid9"
-  "400 0 3000 grid-heavy" "400 0 3000 grid9-heavy" "400 0 3000 majority-heavy")
 # Reported seed ranges: experiment, its leading arguments, first and last seed.
 SEED_RANGES=("partial_writes 9 30 31 50" "safety_ablation 9 40 41 60")
 
@@ -67,16 +63,12 @@ build() { # name tree
 run() { # name tree
   local bin=$work/target-$1/release out=$work/out/$1 raw=$work/raw/$1
   mkdir -p "$out" "$raw"
-  for sweep in "${SWEEPS[@]}"; do
-    echo "==> $1: nemesis $sweep"
-    # Flight-recorder dumps go to target/ under the working directory.
-    local dir=$out/nemesis-${sweep// /-}
-    mkdir -p "$dir/target"
-    local status=0
-    # shellcheck disable=SC2086 # the sweep is four separate arguments
-    (cd "$dir" && "$bin/nemesis" $sweep >stdout 2>stderr) || status=$?
-    echo "$status" >"$dir/status"
-  done
+  echo "==> $1: nemesis (the full sweep)"
+  # Flight-recorder dumps go to target/ under the working directory.
+  local dir=$out/nemesis status=0
+  mkdir -p "$dir/target"
+  (cd "$dir" && "$bin/nemesis" >stdout 2>stderr) || status=$?
+  echo "$status" >"$dir/status"
   for w in "${WORKLOADS[@]}"; do
     echo "==> $1: benchmark $w"
     (cd "$raw" && "$bin/benchmark" --workload "$w" --seed 7 --seconds 10 --trace 1 \
@@ -85,7 +77,7 @@ run() { # name tree
     tr ',' '\n' <"$raw/$w.json" | grep -Ev "$WALL_CLOCK" >"$out/bench-$w.cells" || true
   done
   echo "==> $1: experiments all"
-  local status=0
+  status=0
   "$bin/experiments" all >"$out/experiments.stdout" 2>"$out/experiments.stderr" || status=$?
   echo "$status" >"$out/experiments.status"
   for range in "${SEED_RANGES[@]}"; do

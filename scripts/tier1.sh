@@ -110,7 +110,7 @@ echo "==> nemesis smoke (bounded storage-fault soak)"
 cargo run --release -p coterie-harness --bin nemesis -- 6 42 1500
 
 echo "==> nemesis ratchet (every column over its own seeds)"
-# The full sweep (~16 s, 3 200 schedules): the grid at 4 and 9 nodes and
+# The full sweep (~20 s, 4 400 schedules): the grid at 4 and 9 nodes and
 # majority at 5, each at 30 and at 300 client operations a schedule. Fails
 # on any dirty run missing from scripts/nemesis_known_dirty.txt and on any
 # listed run that came back clean, so the list only shrinks (ROADMAP 1(c)).
