@@ -12,16 +12,14 @@
 //! restricts the sweep to one column, so `nemesis 1 1009 3000 majority`
 //! re-runs one schedule.
 //!
-//! Exits 1 if any run found a violation and 2 on an unknown column. Dirty
-//! runs dump their flight recorder (the causally merged last-N trace
-//! records per node) to `target/nemesis-seed{seed}-{column}-trace.jsonl`
-//! plus a human-readable `.txt` timeline.
+//! Exits 1 if any run found a violation and 2 on an unknown column. A
+//! dirty run writes its complete trace up to its first violation, every
+//! node's records causally merged, one JSON object a line, to
+//! `target/nemesis-seed{seed}-{column}-trace.jsonl`.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use coterie_harness::nemesis::{soak, NemesisConfig, NemesisRun};
-use coterie_harness::recorder::write_dump;
 use coterie_quorum::{CoterieRule, GridCoterie, MajorityCoterie};
 
 /// The sweep, one column a row: name, coterie rule, nodes, client
@@ -77,17 +75,13 @@ fn main() {
             for v in &run.violations {
                 eprintln!("  {v}");
             }
-            if let Some(dump) = &run.trace {
-                let prefix = format!("target/nemesis-seed{}-{name}-trace", run.seed);
-                match write_dump(dump, Path::new(&prefix)) {
-                    Ok((jsonl, txt)) => eprintln!(
-                        "  flight recorder ({} records, {} evicted): {} / {}",
-                        dump.records,
-                        dump.dropped,
-                        jsonl.display(),
-                        txt.display()
-                    ),
-                    Err(e) => eprintln!("  flight recorder dump failed: {e}"),
+            if let Some(trace) = &run.trace {
+                let path = format!("target/nemesis-seed{}-{name}-trace.jsonl", run.seed);
+                let written =
+                    std::fs::create_dir_all("target").and_then(|()| std::fs::write(&path, trace));
+                match written {
+                    Ok(()) => eprintln!("  trace ({} records): {path}", trace.lines().count()),
+                    Err(e) => eprintln!("  trace dump failed: {e}"),
                 }
             }
         }

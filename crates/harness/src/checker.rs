@@ -129,7 +129,7 @@ pub fn check_run(
     }
 
     // Verify reads.
-    for (t, _, e) in events {
+    for (_, _, e) in events {
         if let ProtocolEvent::ReadOk {
             id,
             version,
@@ -167,7 +167,6 @@ pub fn check_run(
                     needed,
                 });
             }
-            let _ = t;
         }
     }
     report

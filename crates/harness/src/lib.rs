@@ -16,7 +16,6 @@ pub mod explore;
 pub mod faults;
 pub mod metrics;
 pub mod nemesis;
-pub mod recorder;
 pub mod report;
 pub mod scenario;
 pub mod sitemodel;

@@ -28,14 +28,13 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use coterie_core::{
-    ClientRequest, FaultKind, PartialWrite, ProtocolConfig, ProtocolEvent, ReplayVerdict, Rng64,
-    StepDriver,
+    render_jsonl, ClientRequest, FaultKind, PartialWrite, ProtocolConfig, ProtocolEvent,
+    ReplayVerdict, Rng64, StepDriver,
 };
 use coterie_quorum::{CoterieRule, NodeId};
 use coterie_simnet::SimDuration;
 
 use crate::explore::{audit, cluster_invariant_violations, settle};
-use crate::recorder::{capture, TraceDump};
 use crate::workload::IssuedOp;
 
 /// Pages per object: the protocol's object size and the range that
@@ -52,9 +51,6 @@ const RECOVER_PER_MILLE: u16 = 30;
 const STORAGE_FAULT_PER_MILLE: u16 = 10;
 /// Toggling a single-node partition.
 const PARTITION_PER_MILLE: u16 = 6;
-
-/// Per-node flight-recorder capacity (trace records retained per node).
-const TRACE_CAP: usize = 256;
 
 /// Driver time simulated after the schedule to let the cluster converge
 /// before the final checks.
@@ -104,9 +100,9 @@ pub struct NemesisRun {
     pub writes_committed: usize,
     /// Reads the checker verified.
     pub reads_checked: usize,
-    /// Flight-recorder dump captured at the first violation (None for
-    /// clean runs).
-    pub trace: Option<TraceDump>,
+    /// The complete trace up to the first violation, causally merged and
+    /// rendered as JSONL, one record a line (None for clean runs).
+    pub trace: Option<String>,
 }
 
 impl NemesisRun {
@@ -122,7 +118,7 @@ pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -
     assert!(n >= 3, "nemesis needs at least 3 nodes");
     let protocol = ProtocolConfig::new(rule, n).pages(N_PAGES).rng_seed(seed);
     let mut driver = StepDriver::new(n, protocol);
-    driver.enable_tracing(TRACE_CAP);
+    driver.enable_tracing(usize::MAX);
     // The schedule RNG is independent of the engines' (different stream).
     let mut rng = Rng64::new(seed ^ 0x4E45_4D45_5349_5321);
     // Silent corruption is confined to one victim per run (see module docs).
@@ -194,11 +190,11 @@ pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -
     run
 }
 
-/// Captures the flight recorder the first time a run turns dirty, so the
-/// dump reflects the window leading up to the *first* violation.
+/// Renders the trace the first time a run turns dirty, so it ends at the
+/// *first* violation.
 fn snapshot_on_violation(driver: &StepDriver, run: &mut NemesisRun) {
     if run.trace.is_none() && !run.violations.is_empty() {
-        run.trace = capture(driver);
+        run.trace = Some(render_jsonl(&driver.merged_trace()));
     }
 }
 

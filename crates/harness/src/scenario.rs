@@ -2,9 +2,6 @@
 //! driver's modelled network, injects a workload and a fault plan, collects
 //! the outputs, audits the run, and aggregates metrics.
 
-// Tool-side aggregation; hash maps never feed engine effects.
-#![allow(clippy::disallowed_types)]
-
 use crate::checker::CheckReport;
 use crate::explore::audit;
 use crate::faults::{FaultEvent, FaultPlan};
@@ -14,7 +11,6 @@ use coterie_core::keys;
 use coterie_core::{ClientRequest, Histogram, MsgClass, ProtocolConfig, ProtocolEvent, StepDriver};
 use coterie_quorum::NodeId;
 use coterie_simnet::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Everything a scenario needs.
 #[derive(Clone)]
@@ -34,8 +30,6 @@ pub struct Scenario {
 /// Aggregated results of one scenario run.
 #[derive(Clone, Debug, Default)]
 pub struct ScenarioResult {
-    /// Operations issued.
-    pub ops_issued: usize,
     /// Committed writes.
     pub writes_ok: u64,
     /// Failed writes.
@@ -46,8 +40,6 @@ pub struct ScenarioResult {
     pub reads_failed: u64,
     /// Messages delivered or bounced back to their sender.
     pub msgs_sent: u64,
-    /// Messages received, by class name.
-    pub msgs_by_class: HashMap<String, u64>,
     /// Messages per *completed* operation.
     pub msgs_per_op: f64,
     /// Write latency distribution, µs.
@@ -58,8 +50,6 @@ pub struct ScenarioResult {
     pub load: LoadStats,
     /// Client-level retries.
     pub retries: u64,
-    /// Heavy-procedure invocations.
-    pub heavy_runs: u64,
     /// Epoch changes committed.
     pub epoch_changes: u64,
     /// Propagations completed.
@@ -131,10 +121,7 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
     driver.run_until(end);
 
     // Aggregate.
-    let mut result = ScenarioResult {
-        ops_issued: scenario.workload.len(),
-        ..Default::default()
-    };
+    let mut result = ScenarioResult::default();
     for (t, _, e) in driver.outputs() {
         match e {
             ProtocolEvent::WriteOk { id, .. } => {
@@ -157,16 +144,11 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
     result.reads_ok = count(keys::READS_OK);
     result.reads_failed = count(keys::READS_FAILED);
     result.retries = count(keys::RETRIES);
-    result.heavy_runs = count(keys::HEAVY_RUNS);
     result.epoch_changes = count(keys::EPOCH_CHANGES);
     result.propagations = count(keys::PROPAGATIONS_DONE);
     result.sync_reconciliations = count(keys::SYNC_RECONCILIATIONS);
     for class in MsgClass::ALL {
-        let received = count(keys::msgs_in(class));
-        result.msgs_sent += received + count(keys::msgs_bounced(class));
-        if received > 0 {
-            result.msgs_by_class.insert(format!("{class:?}"), received);
-        }
+        result.msgs_sent += count(keys::msgs_in(class)) + count(keys::msgs_bounced(class));
     }
     // Both sums grow only when a write commits.
     let per_write = |key| count(key) as f64 / result.writes_ok.max(1) as f64;

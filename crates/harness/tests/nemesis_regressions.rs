@@ -17,15 +17,16 @@
 //! quarantined again from a prefix whose op counter is 0, rejoins as
 //! `n0#1000001` and issues `n0#1000003` a second time. The other route, a
 //! torn boot step, is closed, and this seed never took it.
-//! The test asserts that the bug is hit and that its flight-recorder dump
-//! holds the window before it. It fails the moment the bug is fixed, or the moment a change
+//! The test asserts that the bug is hit and that its trace, complete up
+//! to the first violation, holds that chain: both prepares of
+//! `n0#1000003`, both quarantines of n0, and its rejoin ids going
+//! backwards. It fails the moment the bug is fixed, or the moment a change
 //! moves the seeded schedules. If it was fixed, turn it into an absence
 //! test. If the schedules moved, re-pin it: run `nemesis 1200 0 3000
 //! majority`, take the lowest seed whose violations contain `epoch
 //! safety`, and move the absence seeds to whatever the new schedules make
-//! of them. Same-seed byte stability of the dump itself is covered by
-//! `recorder.rs`'s `same_seed_captures_are_byte_identical` and by
-//! coterie-core's determinism tests.
+//! of them. Same-seed byte stability of the trace itself is covered by
+//! coterie-core's `tests/determinism.rs` and `tests/trace_determinism.rs`.
 
 use std::sync::Arc;
 
@@ -79,18 +80,46 @@ fn epoch_list_divergence_majority_seed_1009_still_reproduces() {
         run.violations
     );
 
-    // The flight recorder captured the window leading up to the first
-    // violation: a causally merged, non-empty dump naming real nodes,
-    // epochs, and message sequence.
-    let dump = run
-        .trace
-        .as_ref()
-        .expect("dirty run must carry a flight-recorder dump");
-    assert!(dump.records > 0, "flight recorder captured nothing");
-    assert!(
-        dump.jsonl.contains("\"ev\":\"epoch_installed\""),
-        "dump never shows an epoch install — wrong window?"
+    // The dump is the complete trace up to the first violation, so it
+    // holds the whole chain: n0 prepares `n0#1000003`, is quarantined,
+    // rejoins as `n0#1000002`, is quarantined again from a deeper prefix,
+    // rejoins as `n0#1000001` (the fence went backwards) and prepares
+    // `n0#1000003` a second time.
+    let trace = run.trace.as_ref().expect("dirty run must carry its trace");
+    let node0: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.contains("\"node\":0,"))
+        .collect();
+    let count = |needle: &str| node0.iter().filter(|l| l.contains(needle)).count();
+    assert_eq!(
+        count("\"ev\":\"prepare_issued\",\"op\":\"n0#1000003\""),
+        2,
+        "n0 should prepare the reused id twice"
     );
-    assert_eq!(dump.jsonl.lines().count(), dump.records);
-    assert_eq!(dump.timeline.lines().count(), dump.records + 1);
+    assert_eq!(
+        count("\"replay\":\"quarantined\""),
+        2,
+        "n0 should be quarantined twice"
+    );
+    let rejoins: Vec<&str> = node0
+        .iter()
+        .filter(|l| l.contains("\"ev\":\"rejoin_start\""))
+        .filter_map(|l| l.split("\"op\":\"").nth(1)?.split('"').next())
+        .collect();
+    assert_eq!(rejoins, ["n0#1000002", "n0#1000001"], "n0's rejoin ids");
+    // The causal merge never lets a Lamport stamp go backwards.
+    let lamports: Vec<u64> = trace
+        .lines()
+        .map(|l| {
+            let tail = l
+                .split("\"lamport\":")
+                .nth(1)
+                .expect("every record has a stamp");
+            tail.split(|c: char| !c.is_ascii_digit())
+                .next()
+                .and_then(|d| d.parse().ok())
+                .expect("a numeric stamp")
+        })
+        .collect();
+    assert!(lamports.windows(2).all(|w| w[0] <= w[1]));
 }

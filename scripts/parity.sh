@@ -4,7 +4,7 @@
 # diffs what such a change has to leave untouched:
 #   - the full nemesis sweep, `nemesis` with no arguments (every column of
 #     each tree's own bin/nemesis.rs COLUMNS over its own seeds): exit
-#     status, stdout, stderr and every flight-recorder file;
+#     status, stdout, stderr and every trace dump (.jsonl) it wrote;
 #   - the benchmark at `--seed 7 --seconds 10 --trace 1` on read_mostly,
 #     write_contended, write_leader and failover: every cell except the
 #     wall-clock ones (WALL_CLOCK below);
@@ -64,7 +64,7 @@ run() { # name tree
   local bin=$work/target-$1/release out=$work/out/$1 raw=$work/raw/$1
   mkdir -p "$out" "$raw"
   echo "==> $1: nemesis (the full sweep)"
-  # Flight-recorder dumps go to target/ under the working directory.
+  # Trace dumps go to target/ under the working directory.
   local dir=$out/nemesis status=0
   mkdir -p "$dir/target"
   (cd "$dir" && "$bin/nemesis" >stdout 2>stderr) || status=$?

@@ -105,8 +105,8 @@ echo "==> nemesis smoke (bounded storage-fault soak)"
 # Fixed seeds, short schedules: 6 runs on each of the sweep's six columns,
 # 36 schedules in all, of crashes, partitions, torn writes, and journal
 # corruption; exits non-zero on any epoch-safety, coherence, or 1SR
-# violation. Dirty runs dump their flight recorder as causally-merged
-# JSONL + timeline under target/.
+# violation. A dirty run dumps its complete trace up to its first
+# violation as causally merged JSONL under target/.
 cargo run --release -p coterie-harness --bin nemesis -- 6 42 1500
 
 echo "==> nemesis ratchet (every column over its own seeds)"
