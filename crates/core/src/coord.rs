@@ -335,7 +335,7 @@ impl ReplicaNode {
             _ => self.durable.epoch_view(),
         };
         let optimistic = NodeSet::from_iter(poll.granted.keys().copied()).union(poll.refused);
-        let plan = self.vol.plans.plan_for(&*self.config.rule, &view);
+        let plan = self.plans.plan_for(&*self.config.rule, &view);
         if !poll.refused.is_empty() && plan.includes_quorum(optimistic, kind) {
             FailReason::Contention
         } else {

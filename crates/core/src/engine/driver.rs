@@ -477,11 +477,6 @@ impl StepDriver {
         }
     }
 
-    /// True once [`enable_tracing`](StepDriver::enable_tracing) ran.
-    pub fn tracing_enabled(&self) -> bool {
-        self.interps.iter().any(|i| i.tracing.is_some())
-    }
-
     /// `node`'s flight recorder, if tracing is enabled.
     pub fn trace_ring(&self, node: NodeId) -> Option<&TraceRing> {
         self.interps[node.0 as usize].tracing.as_ref()
@@ -660,13 +655,8 @@ fn canonical_node(out: &mut String, node: &ReplicaNode) {
     let retry: Vec<_> = v.decision_retry_armed.keys().copied().collect();
     let _ = write!(
         out,
-        "eck=({:?},{},{});dra={retry:?};rej={:?};seq={};rng={:?};",
-        v.last_epoch_check_seen,
-        v.epoch_check_active,
-        v.epoch_retry_armed,
-        v.rejoin,
-        node.timer_seq,
-        node.rng,
+        "eck=({:?},{});dra={retry:?};rej={:?};seq={};rng={:?};",
+        v.last_epoch_check_seen, v.epoch_retry_armed, v.rejoin, node.timer_seq, node.rng,
     );
 }
 

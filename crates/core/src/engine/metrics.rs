@@ -9,18 +9,12 @@
 //! HDR-style layout real metrics systems use. `min`, `max`, `sum`, and
 //! `count` are exact.
 //!
-//! The registry is snapshot-serializable without serde: [`to_json`]
-//! hand-rolls a deterministic JSON object (BTreeMap iteration is key
-//! order), which serde-equipped crates re-parse for embedding in their own
-//! artifacts. It is exposed uniformly: per node as
+//! The registry is exposed uniformly: per node as
 //! [`ReplicaNode::stats`](crate::node::ReplicaNode::stats), per cluster via
 //! [`StepDriver::metrics`](super::driver::StepDriver::metrics), and by the
 //! threaded host via `JournaledNode::metrics`.
-//!
-//! [`to_json`]: MetricsRegistry::to_json
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Counter and histogram key constants (plus per-class key functions), so
 /// every increment site and every reader agree on spelling.
@@ -287,42 +281,6 @@ impl MetricsRegistry {
             self.hists.entry(k).or_default().merge(h);
         }
     }
-
-    /// Deterministic JSON snapshot:
-    /// `{"counters":{...},"histograms":{"k":{"count":..,"sum":..,"min":..,
-    /// "max":..,"mean":..,"p50":..,"p90":..,"p99":..}}}`.
-    /// Keys appear in `BTreeMap` order, so equal registries render to equal
-    /// bytes.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{k}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                 \"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.mean(),
-                h.quantile(0.5),
-                h.quantile(0.9),
-                h.quantile(0.99),
-            );
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -379,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_and_json_are_deterministic() {
+    fn registry_counters_merge_and_histograms() {
         let mut r = MetricsRegistry::new();
         r.inc(keys::WRITES_OK);
         r.add(keys::WRITES_OK, 2);
@@ -395,10 +353,5 @@ mod tests {
         assert_eq!(r.counter(keys::WRITES_OK), 4);
         let h = r.histogram(keys::OP_LATENCY_US).expect("histogram exists");
         assert_eq!(h.count(), 3);
-        let json = r.to_json();
-        assert_eq!(json, r.clone().to_json());
-        assert!(json.starts_with("{\"counters\":{"));
-        assert!(json.contains("\"writes_ok\":4"));
-        assert!(json.contains("\"op_latency_us\":{\"count\":3"));
     }
 }

@@ -71,7 +71,7 @@ impl ReplicaNode {
             .vol
             .last_epoch_check_seen
             .is_some_and(|t| ctx.now().since(t) < check_period);
-        if !recent && !self.vol.epoch_check_active {
+        if !recent && !self.epoch_check_active() {
             self.start_epoch_check(ctx);
         }
         self.arm_epoch_tick(ctx);
@@ -84,7 +84,6 @@ impl ReplicaNode {
             op,
             enumber: self.durable.enumber,
         });
-        self.vol.epoch_check_active = true;
         self.vol.last_epoch_check_seen = Some(ctx.now());
         let mut poll = Poll::default();
         let all = NodeSet::from_iter(self.all_nodes());
@@ -101,7 +100,7 @@ impl ReplicaNode {
         ec.poll.close(ctx);
         let Some(c) = Classified::evaluate(
             &*self.config.rule,
-            &mut self.vol.plans,
+            &mut self.plans,
             &ec.poll.granted,
             QuorumKind::Write,
         ) else {
@@ -183,7 +182,7 @@ impl ReplicaNode {
     /// One-shot fast retry after an aborted epoch change.
     pub(crate) fn on_epoch_retry(&mut self, ctx: &mut NodeCtx<'_>) {
         self.vol.epoch_retry_armed = false;
-        if matches!(self.config.mode, Mode::Dynamic { .. }) && !self.vol.epoch_check_active {
+        if matches!(self.config.mode, Mode::Dynamic { .. }) && !self.epoch_check_active() {
             self.start_epoch_check(ctx);
         }
     }
@@ -192,6 +191,13 @@ impl ReplicaNode {
     /// its timers.
     fn finish_epoch_check(&mut self, op: OpId) {
         self.vol.ops.remove(&op);
-        self.vol.epoch_check_active = false;
+    }
+
+    /// Whether this node has an epoch check of its own in flight.
+    fn epoch_check_active(&self) -> bool {
+        self.vol
+            .ops
+            .values()
+            .any(|f| matches!(f, InFlight::Epoch(_)))
     }
 }

@@ -90,7 +90,7 @@ pub use engine::{
 };
 #[cfg(feature = "simnet-host")]
 pub use host::{JournaledNode, WireMsg};
-pub use locks::{LockGrant, ReplicaLock};
+pub use locks::ReplicaLock;
 pub use msg::{
     Action, ClientRequest, FailReason, Msg, MsgClass, OpId, PropPayload, PropReply, ProtocolEvent,
     StateTuple,

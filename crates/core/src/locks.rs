@@ -23,51 +23,38 @@ pub struct ReplicaLock {
     handed_off: bool,
 }
 
-/// Result of a lock attempt.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LockGrant {
-    /// Lock acquired (or already held by the same operation).
-    Granted,
-    /// Refused: held incompatibly by other operations.
-    Busy,
-}
-
 impl ReplicaLock {
     /// A free lock.
     pub fn new() -> Self {
         ReplicaLock::default()
     }
 
-    /// Attempts to take the exclusive lock for `op`. A fresh grant clears
-    /// the contention bit and a refusal sets it.
-    pub fn try_exclusive(&mut self, op: OpId) -> LockGrant {
+    /// Attempts to take the exclusive lock for `op`: true when granted (or
+    /// already held by `op`), false when held by others. A fresh grant
+    /// clears the contention bit and a refusal sets it.
+    pub(crate) fn try_exclusive(&mut self, op: OpId) -> bool {
         if self.exclusive == Some(op) {
-            return LockGrant::Granted;
+            return true;
         }
-        if self.exclusive.is_none() && self.shared.is_empty() {
+        let free = self.exclusive.is_none() && self.shared.is_empty();
+        if free {
             self.exclusive = Some(op);
-            self.contended = false;
             self.handed_off = false;
-            LockGrant::Granted
-        } else {
-            self.contended = true;
-            LockGrant::Busy
         }
+        self.contended = !free;
+        free
     }
 
-    /// Attempts to take a shared lock for `op`; a refusal sets the
-    /// contention bit.
-    pub fn try_shared(&mut self, op: OpId) -> LockGrant {
-        if self.shared.contains(&op) {
-            return LockGrant::Granted;
-        }
-        if self.exclusive.is_none() {
+    /// Attempts to take a shared lock for `op`: true when granted (or
+    /// already held by `op`). A refusal sets the contention bit.
+    pub(crate) fn try_shared(&mut self, op: OpId) -> bool {
+        let granted = self.exclusive.is_none() || self.shared.contains(&op);
+        if granted {
             self.shared.insert(op);
-            LockGrant::Granted
         } else {
             self.contended = true;
-            LockGrant::Busy
         }
+        granted
     }
 
     /// Forces the exclusive lock for `op`, evicting any other holders.
@@ -108,11 +95,6 @@ impl ReplicaLock {
     /// Whether `op` currently holds the exclusive lock.
     pub fn held_exclusively_by(&self, op: OpId) -> bool {
         self.exclusive == Some(op)
-    }
-
-    /// Whether `op` currently holds a shared lock.
-    pub fn held_shared_by(&self, op: OpId) -> bool {
-        self.shared.contains(&op)
     }
 
     /// Whether the replica is locked at all.
@@ -163,9 +145,9 @@ mod tests {
     #[test]
     fn exclusive_excludes_everything() {
         let mut l = ReplicaLock::new();
-        assert_eq!(l.try_exclusive(op(0, 1)), LockGrant::Granted);
-        assert_eq!(l.try_exclusive(op(1, 1)), LockGrant::Busy);
-        assert_eq!(l.try_shared(op(1, 1)), LockGrant::Busy);
+        assert!(l.try_exclusive(op(0, 1)));
+        assert!(!l.try_exclusive(op(1, 1)));
+        assert!(!l.try_shared(op(1, 1)));
         assert!(l.held_exclusively_by(op(0, 1)));
         assert!(l.is_locked());
     }
@@ -173,25 +155,25 @@ mod tests {
     #[test]
     fn shared_locks_coexist_but_block_writers() {
         let mut l = ReplicaLock::new();
-        assert_eq!(l.try_shared(op(0, 1)), LockGrant::Granted);
-        assert_eq!(l.try_shared(op(1, 1)), LockGrant::Granted);
-        assert_eq!(l.try_exclusive(op(2, 1)), LockGrant::Busy);
+        assert!(l.try_shared(op(0, 1)));
+        assert!(l.try_shared(op(1, 1)));
+        assert!(!l.try_exclusive(op(2, 1)));
         l.release(op(0, 1));
-        assert_eq!(l.try_exclusive(op(2, 1)), LockGrant::Busy);
+        assert!(!l.try_exclusive(op(2, 1)));
         l.release(op(1, 1));
-        assert_eq!(l.try_exclusive(op(2, 1)), LockGrant::Granted);
+        assert!(l.try_exclusive(op(2, 1)));
     }
 
     #[test]
     fn reacquisition_is_idempotent() {
         let mut l = ReplicaLock::new();
-        assert_eq!(l.try_exclusive(op(0, 1)), LockGrant::Granted);
-        assert_eq!(l.try_exclusive(op(0, 1)), LockGrant::Granted);
-        assert_eq!(l.try_shared(op(1, 1)), LockGrant::Busy);
+        assert!(l.try_exclusive(op(0, 1)));
+        assert!(l.try_exclusive(op(0, 1)));
+        assert!(!l.try_shared(op(1, 1)));
         l.release(op(0, 1));
-        assert_eq!(l.try_shared(op(1, 1)), LockGrant::Granted);
-        assert_eq!(l.try_shared(op(1, 1)), LockGrant::Granted);
-        assert!(l.held_shared_by(op(1, 1)));
+        assert!(l.try_shared(op(1, 1)));
+        assert!(l.try_shared(op(1, 1)));
+        assert_eq!(l.shared_holders().collect::<Vec<_>>(), [op(1, 1)]);
     }
 
     #[test]
@@ -212,8 +194,8 @@ mod tests {
         l.try_shared(op(1, 1));
         l.force_exclusive(op(7, 7));
         assert!(l.held_exclusively_by(op(7, 7)));
-        assert!(!l.held_shared_by(op(0, 1)));
-        assert_eq!(l.try_shared(op(2, 2)), LockGrant::Busy);
+        assert_eq!(l.shared_holders().count(), 0);
+        assert!(!l.try_shared(op(2, 2)));
     }
 
     #[test]
@@ -236,6 +218,6 @@ mod tests {
         l.try_exclusive(op(0, 1));
         l.clear();
         assert!(!l.is_locked());
-        assert_eq!(l.try_shared(op(3, 3)), LockGrant::Granted);
+        assert!(l.try_shared(op(3, 3)));
     }
 }

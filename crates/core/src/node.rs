@@ -98,7 +98,7 @@ pub enum Timer {
 /// The engine contract is *same inputs ⇒ byte-identical effects*, which a
 /// randomly seeded hash order would silently break (enforced by the
 /// `disallowed-types` entries of `crates/core/clippy.toml`).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Volatile {
     /// The replica lock.
     pub lock: ReplicaLock,
@@ -128,8 +128,6 @@ pub struct Volatile {
     pub pending_epoch_prepare: Option<(OpId, NodeId, Action)>,
     /// When this node last saw an epoch check (initiation suppression).
     pub last_epoch_check_seen: Option<SimTime>,
-    /// True while this node has an epoch check of its own in flight.
-    pub epoch_check_active: bool,
     /// True while a one-shot epoch retry timer is pending.
     pub epoch_retry_armed: bool,
     /// The pending decision-retry timer of each in-doubt op: at most one
@@ -144,35 +142,6 @@ pub struct Volatile {
     /// for the quorum a coordinator asks (`choose_quorum`), never journaled,
     /// sent or judged.
     pub current: NodeSet,
-    /// Compiled quorum plans, keyed by epoch member set. Purely a cache:
-    /// rebuilt on demand after a crash, and stale entries for dead epochs
-    /// are harmless (they are simply never looked up again).
-    pub plans: PlanCache,
-}
-
-impl Clone for Volatile {
-    fn clone(&self) -> Self {
-        Volatile {
-            lock: self.lock.clone(),
-            lock_leases: self.lock_leases.clone(),
-            ops: self.ops.clone(),
-            write_queue: self.write_queue.clone(),
-            write_queue_held: self.write_queue_held,
-            propagator: self.propagator.clone(),
-            incoming_prop: self.incoming_prop.clone(),
-            pending_epoch_prepare: self.pending_epoch_prepare.clone(),
-            last_epoch_check_seen: self.last_epoch_check_seen,
-            epoch_check_active: self.epoch_check_active,
-            epoch_retry_armed: self.epoch_retry_armed,
-            decision_retry_armed: self.decision_retry_armed.clone(),
-            rejoin: self.rejoin.clone(),
-            current: self.current,
-            // A pure cache: cloning an empty one is always correct, and the
-            // clone (driver forks in the interleaving explorer) rebuilds
-            // plans on demand.
-            plans: PlanCache::default(),
-        }
-    }
 }
 
 /// A replica node running the dynamic structured coterie protocol.
@@ -191,6 +160,10 @@ pub struct ReplicaNode {
     pub durable: DurableCell,
     /// Crash-wiped state.
     pub vol: Volatile,
+    /// Compiled quorum plans, keyed by epoch member set: a memo, not
+    /// protocol state, so it survives a crash, and entries for dead epochs
+    /// are simply never looked up again.
+    pub plans: PlanCache,
     /// Run-long counters and histograms (measurement only, not protocol
     /// state): kept across crashes so readers get totals for the whole
     /// run, under the [`keys`] constants.
@@ -223,6 +196,7 @@ impl ReplicaNode {
             durable: DurableCell::new(Durable::pristine(&config)),
             config,
             vol: Volatile::default(),
+            plans: PlanCache::default(),
             stats: MetricsRegistry::new(),
             timer_seq: 0,
             lamport: 0,
@@ -253,6 +227,23 @@ impl ReplicaNode {
     /// All replica names.
     pub fn all_nodes(&self) -> Vec<NodeId> {
         (0..self.config.n_replicas as u32).map(NodeId).collect()
+    }
+
+    /// Takes the replica lock for `op`, exclusive or shared, traces the
+    /// grant and arms its lease: each node that receives a request "obtains
+    /// a lock for its replica" (§4.1). No-wait: false when others hold it
+    /// incompatibly, which sets the contention bit chaining yields on.
+    pub(crate) fn lock(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, exclusive: bool) -> bool {
+        let granted = if exclusive {
+            self.vol.lock.try_exclusive(op)
+        } else {
+            self.vol.lock.try_shared(op)
+        };
+        if granted {
+            ctx.trace(TraceEvent::LockAcquire { op, exclusive });
+            self.arm_lock_lease(ctx, op);
+        }
+        granted
     }
 
     /// Arms (or re-arms) the lock lease for `op`.
@@ -288,6 +279,7 @@ impl ReplicaNode {
         true
     }
 
+    /// `op`'s lease ran out: its lock is freed like any other release.
     pub(crate) fn handle_lock_lease(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
         self.vol.lock_leases.remove(&op);
         // Never break a prepared transaction's lock: 2PC blocks until the
@@ -296,9 +288,7 @@ impl ReplicaNode {
             self.arm_lock_lease(ctx, op);
             return;
         }
-        self.vol.lock.release(op);
-        ctx.trace(TraceEvent::LockRelease { op });
-        self.grant_pending_epoch_prepare(ctx);
+        self.release_lock(ctx, op);
     }
 }
 

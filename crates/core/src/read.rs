@@ -61,7 +61,7 @@ impl ReplicaNode {
         rc.poll.close(ctx);
         let classified = Classified::evaluate(
             &*self.config.rule,
-            &mut self.vol.plans,
+            &mut self.plans,
             &rc.poll.granted,
             QuorumKind::Read,
         );

@@ -138,7 +138,7 @@ impl ReplicaNode {
         let rule = self.config.rule.clone();
         let Some(classified) = Classified::evaluate(
             rule.as_ref(),
-            &mut self.vol.plans,
+            &mut self.plans,
             &responses,
             QuorumKind::Write,
         ) else {

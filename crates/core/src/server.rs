@@ -54,19 +54,7 @@ impl ReplicaNode {
         // a stale read. Reads are the sharper hazard: they have no 2PC
         // vote, so the vote-no fence never engages. The coordinator retries
         // around us like any busy replica.
-        let granted = !self.in_rejoin_limbo() && {
-            let lock = &mut self.vol.lock;
-            let grant = if exclusive {
-                lock.try_exclusive(op)
-            } else {
-                lock.try_shared(op)
-            };
-            matches!(grant, crate::locks::LockGrant::Granted)
-        };
-        if granted {
-            ctx.trace(TraceEvent::LockAcquire { op, exclusive });
-            self.arm_lock_lease(ctx, op);
-        }
+        let granted = !self.in_rejoin_limbo() && self.lock(ctx, op, exclusive);
         let wac = self.config.write_mode == WriteMode::WriteAllCurrent;
         let carries = granted && (!exclusive || wac) && !self.durable.stale;
         let pages = carries.then(|| self.durable.object.snapshot());
@@ -168,23 +156,8 @@ impl ReplicaNode {
                 // replica, which was never polled ("no permission ... is
                 // needed"), may acquire the lock at prepare time, voting
                 // no if busy.
-                let locked = if self.vol.lock.held_exclusively_by(op) {
-                    true
-                } else if extra
-                    && matches!(
-                        self.vol.lock.try_exclusive(op),
-                        crate::locks::LockGrant::Granted
-                    )
-                {
-                    ctx.trace(TraceEvent::LockAcquire {
-                        op,
-                        exclusive: true,
-                    });
-                    self.arm_lock_lease(ctx, op);
-                    true
-                } else {
-                    false
-                };
+                let locked =
+                    self.vol.lock.held_exclusively_by(op) || extra && self.lock(ctx, op, true);
                 locked && version_ok
             }
             Action::MarkStale { .. } => self.vol.lock.held_exclusively_by(op),
@@ -200,19 +173,10 @@ impl ReplicaNode {
                 // an epoch prepare may *wait* for the lock (see
                 // `Volatile::pending_epoch_prepare`) so that epoch changes
                 // cannot starve under client load.
-                let lockable = matches!(
-                    self.vol.lock.try_exclusive(op),
-                    crate::locks::LockGrant::Granted
-                );
-                if !lockable {
+                if !self.lock(ctx, op, true) {
                     self.queue_epoch(ctx, from, op, action);
                     return;
                 }
-                ctx.trace(TraceEvent::LockAcquire {
-                    op,
-                    exclusive: true,
-                });
-                self.arm_lock_lease(ctx, op);
                 true
             }
         };

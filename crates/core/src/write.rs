@@ -151,7 +151,7 @@ impl ReplicaNode {
         let heavy = wc.poll.heavy;
         let classified = Classified::evaluate(
             &*self.config.rule,
-            &mut self.vol.plans,
+            &mut self.plans,
             &wc.poll.granted,
             QuorumKind::Write,
         );
@@ -227,7 +227,7 @@ impl ReplicaNode {
         let good_set = NodeSet::from_iter(c.good.iter().copied());
         // One compiled plan covers every quorum test below; the clone out
         // of the cache keeps `self.vol` free for the coordinator borrow.
-        let plan = self.vol.plans.plan_for(&*self.config.rule, &c.view).clone();
+        let plan = self.plans.plan_for(&*self.config.rule, &c.view).clone();
         let is_quorum = |nodes| plan.includes_quorum(nodes, QuorumKind::Write);
         let Some(InFlight::Write(wc)) = self.vol.ops.get_mut(&op) else {
             return;

@@ -10,13 +10,21 @@
 //!   quarantine fence with no record, it stays silent instead of presuming
 //!   abort; it answers from a record it kept, and presumes abort for an op
 //!   past the fence that is no longer in flight (DESIGN.md §13).
+//! * A replica in rejoin limbo does not know its desired version yet, so
+//!   it votes NO on every Prepare, even one it could lock at prepare time
+//!   (an epoch install, or a safety-threshold extra shipping a
+//!   write-all-current base that would clear its stale flag).
+//! * A propagation target permitted a transfer, and then a two-phase
+//!   commit locked it: the transfer is refused and applies nothing, so
+//!   propagation never races a write (§4.2).
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use coterie_base::SimTime;
 use coterie_core::{
-    Action, Durable, Effect, Input, Msg, OpId, PartialWrite, ProtocolConfig, ReplicaNode,
+    Action, Durable, Effect, Input, Msg, OpId, PagedObject, PartialWrite, PropPayload, PropReply,
+    ProtocolConfig, ReplicaNode,
 };
 use coterie_quorum::{MajorityCoterie, NodeId};
 
@@ -129,4 +137,96 @@ fn a_quarantined_coordinator_is_silent_on_fenced_ops_it_has_no_record_of() {
     // The rejoin poll took `fence + 1`; this op was never started.
     let past = op(0, fence + 2);
     assert_eq!(decisions(&query(&mut node, past)), vec![(past, false)]);
+}
+
+#[test]
+fn a_replica_in_rejoin_limbo_votes_no_on_every_prepare() {
+    let config = majority3();
+    let mut durable = Durable::pristine(&config);
+    durable.quarantine();
+    let mut node = ReplicaNode::new(NodeId(1), config);
+    node.install_durable(durable);
+    node.step(SimTime::ZERO, Input::Boot);
+    assert!(node.durable.rejoin_pending, "the boot left rejoin limbo");
+    let epoch = Action::NewEpoch {
+        list: vec![NodeId(0), NodeId(1), NodeId(2)],
+        enumber: node.durable.enumber + 1,
+        good: vec![NodeId(0)],
+        stale: vec![NodeId(1), NodeId(2)],
+        desired_version: 0,
+    };
+    let base = PagedObject::new(node.config.n_pages).snapshot();
+    let Action::DoUpdate { writes, good, .. } = update(2, 1) else {
+        unreachable!()
+    };
+    let shipment = Action::DoUpdate {
+        writes,
+        new_version: 2,
+        stale: Vec::new(),
+        good,
+        base: Some((base, 1)),
+    };
+    for (what, seq, action) in [
+        ("an epoch install", 1, epoch),
+        ("a base shipment", 2, shipment),
+    ] {
+        let op = op(0, seq);
+        let effects = deliver(
+            &mut node,
+            NodeId(0),
+            Msg::Prepare {
+                op,
+                action,
+                extra: true,
+            },
+        );
+        assert!(!vote(&effects), "{what} got a YES in limbo");
+        assert_eq!(node.durable.prepared, None, "{what} was prepared in limbo");
+        assert!(!node.vol.lock.is_locked(), "{what} left the replica locked");
+    }
+}
+
+#[test]
+fn a_transfer_is_refused_once_a_two_phase_commit_took_the_replica() {
+    let mut durable = Durable::pristine(&majority3());
+    (durable.stale, durable.dversion) = (true, 1);
+    let mut node = ReplicaNode::new(NodeId(1), majority3());
+    node.install_durable(durable);
+    let (source, prop) = (NodeId(0), op(0, 7));
+    let offered = deliver(&mut node, source, Msg::PropOffer { prop, version: 1 });
+    let permitted = offered.iter().any(|e| {
+        matches!(
+            e,
+            Effect::Send {
+                msg: Msg::PropResp {
+                    reply: PropReply::Permitted { .. },
+                    ..
+                },
+                ..
+            }
+        )
+    });
+    assert!(permitted, "the offer was not permitted: {offered:?}");
+    deliver(&mut node, NodeId(2), Msg::WriteReq { op: op(2, 1) });
+    assert_eq!(node.vol.lock.exclusive_holder(), Some(op(2, 1)));
+
+    let pages = PagedObject::new(node.config.n_pages).snapshot();
+    let payload = PropPayload::Snapshot { pages, version: 1 };
+    let data = Msg::PropData {
+        prop,
+        payload,
+        source_version: 1,
+    };
+    let acks: Vec<bool> = deliver(&mut node, source, data)
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Send {
+                msg: Msg::PropAck { ok, .. },
+                ..
+            } => Some(*ok),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(acks, [false]);
+    assert_eq!((node.durable.version, node.durable.stale), (0, true));
 }

@@ -71,8 +71,10 @@ fn main() {
         schedules += runs;
         for run in report.iter().filter(|r| !r.clean()) {
             failed = true;
-            eprintln!("== {name} seed {} ==", run.seed);
-            for v in &run.violations {
+            let kinds: std::collections::BTreeSet<_> = run.violations.iter().map(|v| v.0).collect();
+            let signature = Vec::from_iter(kinds).join("+");
+            eprintln!("== {name} seed {}: {signature} ==", run.seed);
+            for (_, v) in &run.violations {
                 eprintln!("  {v}");
             }
             if let Some(trace) = &run.trace {
@@ -107,8 +109,8 @@ fn print_report(name: &str, n_nodes: usize, runs: &[NemesisRun]) {
         sum(|r| r.quarantines),
         sum(|r| r.faults_fired),
         sum(|r| r.rejoined),
-        sum(|r| r.writes_committed),
-        sum(|r| r.reads_checked),
+        sum(|r| r.check.writes_committed),
+        sum(|r| r.check.reads_checked),
         runs.iter().filter(|r| !r.clean()).count()
     );
 }

@@ -64,6 +64,19 @@ pub enum Violation {
     },
 }
 
+impl Violation {
+    /// The variant's name: this violation's kind in a nemesis signature.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Violation::DuplicateWriteVersion { .. } => "DuplicateWriteVersion",
+            Violation::VersionGap { .. } => "VersionGap",
+            Violation::ReadDigestMismatch { .. } => "ReadDigestMismatch",
+            Violation::StaleRead { .. } => "StaleRead",
+            Violation::PhantomVersion { .. } => "PhantomVersion",
+        }
+    }
+}
+
 /// The checker's verdict.
 #[derive(Clone, Debug, Default)]
 pub struct CheckReport {

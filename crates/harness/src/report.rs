@@ -25,16 +25,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -92,8 +82,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("== demo =="));
         assert!(s.contains("n"));
-        assert!(s.lines().count() >= 4);
-        assert_eq!(t.len(), 2);
+        assert_eq!(s.lines().count(), 5);
     }
 
     #[test]

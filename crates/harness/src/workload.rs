@@ -124,26 +124,6 @@ impl Workload {
         }
         out
     }
-
-    /// Number of operations in the schedule.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True if the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Count of writes in the schedule.
-    pub fn writes(&self) -> usize {
-        self.issued.values().filter(|o| o.write.is_some()).count()
-    }
-
-    /// Count of reads in the schedule.
-    pub fn reads(&self) -> usize {
-        self.len() - self.writes()
-    }
 }
 
 #[cfg(test)]
@@ -164,15 +144,17 @@ mod tests {
             ..Default::default()
         };
         let w = Workload::generate(&cfg, &grid(5));
+        let len = w.ops.len();
         // ~1000 ops expected; allow wide slack.
-        assert!(w.len() > 700 && w.len() < 1300, "got {}", w.len());
+        assert!(len > 700 && len < 1300, "got {len}");
         // Sorted by time, ids unique.
         for pair in w.ops.windows(2) {
             assert!(pair[0].0 <= pair[1].0);
         }
-        assert_eq!(w.issued.len(), w.len());
+        assert_eq!(w.issued.len(), len);
         // Mix near the requested fraction.
-        let frac = w.reads() as f64 / w.len() as f64;
+        let reads = w.issued.values().filter(|o| o.write.is_none()).count();
+        let frac = reads as f64 / len as f64;
         assert!((frac - 0.5).abs() < 0.1, "read fraction {frac}");
         // Coordinators within range.
         assert!(w.ops.iter().all(|(_, n, _)| n.0 < 5));
@@ -183,7 +165,7 @@ mod tests {
         let cfg = WorkloadConfig::default();
         let a = Workload::generate(&cfg, &grid(3));
         let b = Workload::generate(&cfg, &grid(3));
-        assert_eq!(a.len(), b.len());
+        assert_eq!(a.ops.len(), b.ops.len());
         assert_eq!(
             a.ops
                 .iter()
@@ -203,13 +185,12 @@ mod tests {
             ..Default::default()
         };
         let w = Workload::generate(&all_reads, &grid(2));
-        assert_eq!(w.writes(), 0);
+        assert!(w.issued.values().all(|o| o.write.is_none()));
         let all_writes = WorkloadConfig {
             read_fraction: 0.0,
             ..Default::default()
         };
         let w = Workload::generate(&all_writes, &grid(2));
-        assert_eq!(w.reads(), 0);
         assert!(w.issued.values().all(|o| o.write.is_some()));
     }
 }

@@ -1,6 +1,7 @@
 //! Safety of the write-path optimisations (DESIGN.md §10), which every
 //! write runs, under adversarial schedules: interleaving exploration of
-//! shared and chained rounds, and a bounded nemesis soak.
+//! shared and chained rounds. The bounded grid soak is `nemesis.rs`'s
+//! `short_soak_is_clean_on_grid`.
 
 // Test-side issued-op bookkeeping; hash order never feeds the engine.
 #![allow(clippy::disallowed_types)]
@@ -13,7 +14,6 @@ use std::sync::Arc;
 use bytes::Bytes;
 use coterie_core::{keys, Msg, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver};
 use coterie_harness::explore::{explore, ExplorerConfig};
-use coterie_harness::nemesis::{soak, NemesisConfig, NemesisRun};
 use coterie_harness::workload::IssuedOp;
 use coterie_quorum::{GridCoterie, NodeId};
 use coterie_simnet::SimDuration;
@@ -156,22 +156,4 @@ fn the_explored_burst_reaches_a_lock_handoff() {
         chained
     });
     assert!(handoff, "no handoff in the explored prefix");
-}
-
-/// A bounded nemesis soak — crashes, partitions, torn writes, journal
-/// corruption — on the grid, where writes share and chain rounds.
-#[test]
-fn feature_enabled_soak_is_clean() {
-    let cfg = NemesisConfig {
-        steps: 800,
-        client_ops: 10,
-        ..Default::default()
-    };
-    let runs = soak(Arc::new(GridCoterie::new()), 0xFACE, 3, &cfg);
-    assert!(runs.iter().all(NemesisRun::clean), "{runs:#?}");
-    assert!(runs.iter().any(|r| r.crashes > 0 && r.recoveries > 0));
-    assert!(
-        runs.iter().any(|r| r.writes_committed > 0),
-        "soak must commit writes"
-    );
 }

@@ -23,8 +23,8 @@
 //! backwards. It fails the moment the bug is fixed, or the moment a change
 //! moves the seeded schedules. If it was fixed, turn it into an absence
 //! test. If the schedules moved, re-pin it: run `nemesis 1200 0 3000
-//! majority`, take the lowest seed whose violations contain `epoch
-//! safety`, and move the absence seeds to whatever the new schedules make
+//! majority`, take the lowest seed whose header names `epoch-safety`,
+//! and move the absence seeds to whatever the new schedules make
 //! of them. Same-seed byte stability of the trace itself is covered by
 //! coterie-core's `tests/determinism.rs` and `tests/trace_determinism.rs`.
 
@@ -75,7 +75,9 @@ fn epoch_list_divergence_majority_seed_1009_still_reproduces() {
          see the module docs)"
     );
     assert!(
-        run.violations.iter().any(|v| v.contains("epoch safety")),
+        run.violations
+            .iter()
+            .any(|(kind, _)| *kind == "epoch-safety"),
         "seed 1009 violated something other than epoch safety: {:?}",
         run.violations
     );

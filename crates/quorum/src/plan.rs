@@ -223,7 +223,7 @@ impl QuorumPlan {
 /// (`BTreeMap` keeps cache traversal order-stable for the engine's
 /// determinism contract; the cache is tiny — one entry per live epoch —
 /// so the O(log n) lookup is irrelevant next to plan compilation.)
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct PlanCache {
     plans: std::collections::BTreeMap<NodeSet, QuorumPlan>,
 }

@@ -116,12 +116,6 @@ echo "==> nemesis ratchet (every column over its own seeds)"
 # listed run that came back clean, so the list only shrinks (ROADMAP 1(c)).
 scripts/nemesis_ratchet.sh
 
-echo "==> trace determinism smoke"
-# Same-seed runs must produce byte-identical trace JSONL (in-process and
-# across a self-exec process boundary), and attaching a sink must not
-# change a single journal/digest/output byte.
-cargo test -q -p coterie-core --test determinism --test trace_determinism
-
 echo "==> line budget (per-crate src ceilings, shrink-only)"
 scripts/loc_budget.sh
 
