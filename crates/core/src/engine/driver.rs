@@ -652,10 +652,10 @@ fn canonical_node(out: &mut String, node: &ReplicaNode) {
         v.incoming_prop,
         v.pending_epoch_prepare,
     );
-    let retry: Vec<_> = v.decision_retry_armed.keys().copied().collect();
+    let retry = v.decision_retry.is_some();
     let _ = write!(
         out,
-        "eck=({:?},{});dra={retry:?};rej={:?};seq={};rng={:?};",
+        "eck=({:?},{});dra={retry};rej={:?};seq={};rng={:?};",
         v.last_epoch_check_seen, v.epoch_retry_armed, v.rejoin, node.timer_seq, node.rng,
     );
 }

@@ -119,7 +119,7 @@ impl ReplicaNode {
             Msg::Release { op } => self.release_lock(ctx, op),
             Msg::Prepare { op, action, extra } => self.srv_prepare(ctx, from, op, action, extra),
             Msg::Vote { op, yes, contended } => self.on_vote(ctx, from, op, yes, contended),
-            Msg::Decision { op, commit, chain } => self.srv_decision(ctx, from, op, commit, chain),
+            Msg::Decision { op, commit, chain } => self.srv_decision(ctx, op, commit, chain),
             Msg::DecisionQuery { op } => self.srv_decision_query(ctx, from, op),
             Msg::PropOffer { prop, version } => self.srv_prop_offer(ctx, from, prop, version),
             Msg::PropResp { prop, reply } => self.on_prop_resp(ctx, from, prop, reply),
@@ -154,18 +154,13 @@ impl ReplicaNode {
             Msg::PropOffer { prop, .. } | Msg::PropData { prop, .. } => {
                 self.on_prop_peer_failed(ctx, prop, to)
             }
-            Msg::DecisionQuery { op } => {
-                // Coordinator unreachable: stay blocked, re-query later
-                // (deduplicated: at most one retry chain per op).
-                if self.in_doubt(op) {
-                    self.arm_decision_retry(ctx, op);
-                }
-            }
             // Lost responses and notifications are covered by coordinator
-            // timeouts; lost decisions are re-fetched by the participant.
+            // timeouts; lost decisions are re-fetched by the participant,
+            // whose retry chain is still armed when its query bounces.
             // An unreachable rejoin peer is retried by the RejoinRetry
             // timer chain.
-            Msg::RejoinQuery { .. }
+            Msg::DecisionQuery { .. }
+            | Msg::RejoinQuery { .. }
             | Msg::RejoinInfo { .. }
             | Msg::StateResp { .. }
             | Msg::Vote { .. }

@@ -130,9 +130,9 @@ pub struct Volatile {
     pub last_epoch_check_seen: Option<SimTime>,
     /// True while a one-shot epoch retry timer is pending.
     pub epoch_retry_armed: bool,
-    /// The pending decision-retry timer of each in-doubt op: at most one
-    /// chain per op, and the handle that disarms it once the op is decided.
-    pub decision_retry_armed: BTreeMap<OpId, TimerId>,
+    /// The prepared slot's pending decision-retry timer: one chain, and the
+    /// handle that disarms it once the slot is emptied.
+    pub decision_retry: Option<TimerId>,
     /// In-progress stale-rejoin after a quarantined boot (see
     /// [`crate::rejoin`]). While set, this replica refuses propagation
     /// offers and 2PC prepares — its desired version is not yet known.
@@ -314,24 +314,21 @@ impl ReplicaNode {
         matches!(&self.durable.prepared, Some((p, _)) if *p == op)
     }
 
-    /// Arms the decision-retry chain for `op`, at most one chain per op.
+    /// Arms the decision-retry chain chasing `op`'s outcome: one chain, for the slot.
     pub(crate) fn arm_decision_retry(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
         self.vol
-            .decision_retry_armed
-            .entry(op)
-            .or_insert_with(|| ctx.set_timer(DECISION_RETRY, Timer::DecisionRetry { op }));
+            .decision_retry
+            .get_or_insert_with(|| ctx.set_timer(DECISION_RETRY, Timer::DecisionRetry { op }));
     }
 
     /// Empties the prepared slot — the one way it is emptied — and disarms
     /// the retry chain that was chasing its outcome: an op that is no longer
     /// in doubt holds no timer.
     pub(crate) fn take_prepared(&mut self, ctx: &mut NodeCtx<'_>) -> Option<(OpId, Action)> {
-        let slot = self.durable.take_prepared();
-        let armed = |(op, _): &(OpId, Action)| self.vol.decision_retry_armed.remove(op);
-        if let Some(timer) = slot.as_ref().and_then(armed) {
+        if let Some(timer) = self.vol.decision_retry.take() {
             ctx.cancel_timer(timer);
         }
-        slot
+        self.durable.take_prepared()
     }
 
     /// The quorum function as a coordinator uses it, current-first: the

@@ -234,7 +234,6 @@ impl ReplicaNode {
     pub(crate) fn srv_decision(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        _from: NodeId,
         op: OpId,
         commit: bool,
         chain: Option<OpId>,
@@ -296,21 +295,12 @@ impl ReplicaNode {
         ctx.send(from, Msg::Decision { op, commit, chain });
     }
 
-    /// Periodic re-query for an in-doubt prepared transaction. Exactly one
-    /// retry chain exists per op (see `arm_decision_retry`).
+    /// Periodic re-query for an in-doubt prepared transaction: the slot's
+    /// one retry chain (see `arm_decision_retry`) asks the coordinator, this
+    /// node included, and `srv_decision_query` answers.
     pub(crate) fn on_decision_retry(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        self.vol.decision_retry_armed.remove(&op);
+        self.vol.decision_retry = None;
         if !self.in_doubt(op) {
-            return;
-        }
-        if op.node == self.me {
-            // We coordinated this op ourselves and then crashed: resolve
-            // directly from the durable decision log.
-            let commit = self.durable.decisions.get(&op).copied().unwrap_or(false);
-            if let Some((_, action)) = self.take_prepared(ctx).filter(|_| commit) {
-                self.apply_action(ctx, &action);
-            }
-            self.release_lock(ctx, op);
             return;
         }
         ctx.send(op.node, Msg::DecisionQuery { op });

@@ -13,18 +13,25 @@
 //! * A replica in rejoin limbo does not know its desired version yet, so
 //!   it votes NO on every Prepare, even one it could lock at prepare time
 //!   (an epoch install, or a safety-threshold extra shipping a
-//!   write-all-current base that would clear its stale flag).
+//!   write-all-current base that would clear its stale flag), and it does
+//!   not answer another replica's rejoin query with its amnesiac tuple.
 //! * A propagation target permitted a transfer, and then a two-phase
 //!   commit locked it: the transfer is refused and applies nothing, so
 //!   propagation never races a write (§4.2).
+//! * A coordinator is an ordinary participant of its own ballot: its
+//!   in-doubt slot asks the coordinator, itself, like any other, and a
+//!   coordinator still collecting votes does not answer. Its own decision
+//!   retry firing before the last vote arrives leaves the slot prepared
+//!   until the COMMIT installs it (ROADMAP 31; this one runs three engines
+//!   on a [`StepDriver`] to route the coordinator's messages to itself).
 
 use std::sync::Arc;
 
 use bytes::Bytes;
-use coterie_base::SimTime;
+use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
-    Action, Durable, Effect, Input, Msg, OpId, PagedObject, PartialWrite, PropPayload, PropReply,
-    ProtocolConfig, ReplicaNode,
+    Action, ClientRequest, Durable, Effect, Input, Msg, OpId, PagedObject, PartialWrite,
+    PropPayload, PropReply, ProtocolConfig, ProtocolEvent, ReplicaNode, StepDriver, Timer,
 };
 use coterie_quorum::{MajorityCoterie, NodeId};
 
@@ -184,6 +191,14 @@ fn a_replica_in_rejoin_limbo_votes_no_on_every_prepare() {
         assert_eq!(node.durable.prepared, None, "{what} was prepared in limbo");
         assert!(!node.vol.lock.is_locked(), "{what} left the replica locked");
     }
+    let query = Msg::RejoinQuery { op: op(2, 1) };
+    let answers = deliver(&mut node, NodeId(2), query);
+    let answered =
+        |e: &Effect| matches!(e, Effect::Send { msg, .. } if matches!(msg, Msg::RejoinInfo { .. }));
+    assert!(
+        !answers.iter().any(answered),
+        "answered a rejoin query in limbo"
+    );
 }
 
 #[test]
@@ -229,4 +244,50 @@ fn a_transfer_is_refused_once_a_two_phase_commit_took_the_replica() {
         .collect();
     assert_eq!(acks, [false]);
     assert_eq!((node.durable.version, node.durable.stale), (0, true));
+}
+
+#[test]
+fn a_coordinators_own_decision_retry_waits_for_its_ballot() {
+    let config = majority3().pages(4).static_mode();
+    let mut driver = StepDriver::new(3, config);
+    let coordinator = NodeId(2);
+    let write = PartialWrite::new([(0, Bytes::from_static(b"one"))]);
+    driver.inject(coordinator, ClientRequest::Write { id: 1, write });
+    // Every message but a peer's vote to the coordinator is delivered.
+    let held = |e: &coterie_core::Envelope| {
+        e.to == coordinator && e.from != coordinator && matches!(e.msg, Msg::Vote { .. })
+    };
+    let deliver_unheld = |driver: &mut StepDriver| {
+        while let Some(i) = driver.pending_messages().iter().position(|e| !held(e)) {
+            let answered = matches!(driver.pending_messages()[i].msg, Msg::Decision { .. });
+            assert!(!answered, "the coordinator answered while collecting votes");
+            driver.deliver(i);
+        }
+    };
+    deliver_unheld(&mut driver);
+    let slot = driver.node(coordinator).durable.prepared.clone();
+    assert!(slot.is_some(), "the coordinator is not in its own quorum");
+    assert!(driver.pending_messages().iter().any(held), "no peer voted");
+
+    let retry = driver
+        .pending_timers()
+        .iter()
+        .position(|t| t.node == coordinator && matches!(t.timer, Timer::DecisionRetry { .. }));
+    driver.fire(retry.expect("the coordinator's slot armed no retry"));
+    assert_eq!(
+        driver.node(coordinator).durable.prepared,
+        slot,
+        "the coordinator's own retry emptied its slot while it was still collecting votes"
+    );
+    deliver_unheld(&mut driver);
+    assert_eq!(driver.node(coordinator).durable.prepared, slot);
+
+    driver.run_for(SimDuration::from_secs(1));
+    let node = driver.node(coordinator);
+    assert_eq!((node.durable.version, &node.durable.prepared), (1, &None));
+    let acked = driver
+        .outputs()
+        .iter()
+        .any(|(_, _, e)| matches!(e, ProtocolEvent::WriteOk { id: 1, .. }));
+    assert!(acked, "the write was not acknowledged");
 }

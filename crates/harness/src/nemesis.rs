@@ -314,8 +314,8 @@ fn inject_op(
     driver.inject(coordinator, request);
 }
 
-/// One unit of ordinary progress: deliver a random in-flight message,
-/// else fire a random armed timer, else let time pass.
+/// Delivers a random in-flight message, else fires any armed timer, not the earliest as both hosts
+/// do: an adversary's timer order, which found ROADMAP 31. Else lets time pass.
 fn progress(driver: &mut StepDriver, rng: &mut Rng64) {
     let msgs = driver.pending_messages().len();
     if msgs > 0 {
