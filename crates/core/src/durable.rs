@@ -47,7 +47,7 @@ pub struct Durable {
     /// Recent writes, for incremental propagation.
     pub log: WriteLog,
     /// A prepared-but-undecided 2PC action, if any. At most one can exist
-    /// because preparing requires the exclusive replica lock.
+    /// because a held slot refuses every other `Prepare`.
     pub prepared: Option<(OpId, Action)>,
     /// Commit/abort decisions this node made as a 2PC coordinator.
     pub decisions: BTreeMap<OpId, bool>,

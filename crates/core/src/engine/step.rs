@@ -106,6 +106,29 @@ impl ReplicaNode {
         let class = msg.class();
         self.stats.inc(keys::msgs_in(class));
         ctx.trace(TraceEvent::MsgRecv { from, class });
+        // Rejoin limbo, the one rule: until its own rejoin poll completes,
+        // this replica serves no peer, so to them it is a failed node, which
+        // the protocol survives (timeouts, retries around it, epoch checks
+        // that shrink the epoch). Its tuple may have lost acknowledged
+        // writes, votes and decisions, and an amnesiac tuple enters no
+        // classification and anchors no vote: a quorum whose only
+        // intersection with a lost write's quorum is this replica would
+        // commit a duplicate version or serve a stale read. Replies to its
+        // own polls and ballots, decisions, releases, decision queries
+        // (behind the quarantine fence) and transfers still run.
+        if self.in_rejoin_limbo()
+            && matches!(
+                msg,
+                Msg::ReadReq { .. }
+                    | Msg::WriteReq { .. }
+                    | Msg::EpochCheckReq { .. }
+                    | Msg::RejoinQuery { .. }
+                    | Msg::Prepare { .. }
+                    | Msg::PropOffer { .. }
+            )
+        {
+            return;
+        }
         match msg {
             Msg::WriteReq { op } => self.srv_permission(ctx, from, op, true),
             Msg::ReadReq { op } => self.srv_permission(ctx, from, op, false),
@@ -152,7 +175,7 @@ impl ReplicaNode {
             // have prepared: it never received the Prepare).
             Msg::Prepare { op, .. } => self.on_vote(ctx, to, op, false, false),
             Msg::PropOffer { prop, .. } | Msg::PropData { prop, .. } => {
-                self.on_prop_peer_failed(ctx, prop, to)
+                self.on_prop_peer_failed(ctx, prop)
             }
             // Lost responses and notifications are covered by coordinator
             // timeouts; lost decisions are re-fetched by the participant,

@@ -165,10 +165,8 @@ impl ReplicaNode {
         prop: OpId,
         source_version: u64,
     ) {
-        // "if locked-for-propagation = 1 then reply already-recovering";
-        // rejoin limbo defers the offer too, since the desired version is not
-        // known yet and a safe source cannot be told from an obsolete one.
-        let busy = self.vol.incoming_prop.is_some() || self.in_rejoin_limbo();
+        // "if locked-for-propagation = 1 then reply already-recovering".
+        let busy = self.vol.incoming_prop.is_some();
         // "if stale-data = 1 and desired-version-number <= v" ...
         let wanted = self.durable.stale && self.durable.dversion <= source_version;
         // ... unless a two-phase commit is touching this replica: that keeps
@@ -202,17 +200,10 @@ impl ReplicaNode {
             return;
         }
         match reply {
-            PropReply::IAmCurrent => {
-                // "STALE-NODES := STALE-NODES \ {node}".
-                self.clear_flight(ctx, true);
-                self.kick_propagation(ctx, true);
-            }
-            PropReply::AlreadyRecovering => {
-                // "pause(some-time)" and retry later.
-                self.clear_flight(ctx, false);
-                self.bump_attempts(from);
-                self.kick_propagation(ctx, false);
-            }
+            // "STALE-NODES := STALE-NODES \ {node}".
+            PropReply::IAmCurrent => self.complete_flight(ctx),
+            // "pause(some-time)" and retry later.
+            PropReply::AlreadyRecovering => self.fail_flight(ctx),
             PropReply::Permitted { target_version } => {
                 // The log suffix is an atomic snapshot, so no source lock
                 // is needed.
@@ -220,9 +211,7 @@ impl ReplicaNode {
                     // We were marked stale since the offer: abandon this
                     // attempt and free the target.
                     ctx.send(from, Msg::PropCancel { prop });
-                    self.clear_flight(ctx, false);
-                    self.bump_attempts(from);
-                    self.kick_propagation(ctx, false);
+                    self.fail_flight(ctx);
                     return;
                 }
                 let payload = match self.durable.log.updates_since(target_version) {
@@ -297,12 +286,9 @@ impl ReplicaNode {
                 target: from,
                 version,
             });
-            self.clear_flight(ctx, true);
-            self.kick_propagation(ctx, true);
+            self.complete_flight(ctx);
         } else {
-            self.clear_flight(ctx, false);
-            self.bump_attempts(from);
-            self.kick_propagation(ctx, false);
+            self.fail_flight(ctx);
         }
     }
 
@@ -321,25 +307,15 @@ impl ReplicaNode {
             _ => return,
         };
         ctx.send(target, Msg::PropCancel { prop });
-        self.clear_flight(ctx, false);
-        self.bump_attempts(target);
-        self.kick_propagation(ctx, false);
+        self.fail_flight(ctx);
     }
 
     /// Source side: the offer or data bounced (`RPC.CallFailed`).
-    pub(crate) fn on_prop_peer_failed(&mut self, ctx: &mut NodeCtx<'_>, prop: OpId, to: NodeId) {
-        let is_current = self
-            .vol
-            .propagator
-            .in_flight
-            .as_ref()
-            .is_some_and(|f| f.prop == prop);
-        if !is_current {
-            return;
+    pub(crate) fn on_prop_peer_failed(&mut self, ctx: &mut NodeCtx<'_>, prop: OpId) {
+        let flight = self.vol.propagator.in_flight.as_ref();
+        if flight.is_some_and(|f| f.prop == prop) {
+            self.fail_flight(ctx);
         }
-        self.clear_flight(ctx, false);
-        self.bump_attempts(to);
-        self.kick_propagation(ctx, false);
     }
 
     /// Target side: a permitted propagation never completed; free the
@@ -351,32 +327,38 @@ impl ReplicaNode {
         }
     }
 
-    /// Drops the in-flight attempt; `done` removes the target from the
-    /// work list.
-    fn clear_flight(&mut self, ctx: &mut NodeCtx<'_>, done: bool) {
-        if let Some(flight) = self.vol.propagator.in_flight.take() {
+    /// The in-flight attempt found its target current: drop the attempt
+    /// and the target from the work list, and kick the next target.
+    fn complete_flight(&mut self, ctx: &mut NodeCtx<'_>) {
+        let propagator = &mut self.vol.propagator;
+        if let Some(flight) = propagator.in_flight.take() {
             ctx.cancel_timer(flight.timer);
-            if done {
-                self.vol.propagator.remaining.remove(flight.target);
-                self.vol.propagator.attempts.remove(&flight.target);
-                // Start the re-offer coalescing window: if newer writes
-                // re-mark this target stale, the next offer waits until
-                // the window closes and covers all of them at once.
-                self.vol
-                    .propagator
-                    .cooldown
-                    .insert(flight.target, ctx.now() + PROPAGATION_COALESCE);
-            }
+            propagator.remaining.remove(flight.target);
+            propagator.attempts.remove(&flight.target);
+            // Start the re-offer coalescing window: if newer writes
+            // re-mark this target stale, the next offer waits until the
+            // window closes and covers all of them at once.
+            let until = ctx.now() + PROPAGATION_COALESCE;
+            propagator.cooldown.insert(flight.target, until);
         }
+        self.kick_propagation(ctx, true);
     }
 
-    fn bump_attempts(&mut self, target: NodeId) {
-        let n = self.vol.propagator.attempts.entry(target).or_insert(0);
+    /// The one policy for a failed attempt, whatever failed: drop the
+    /// attempt, count it against its target, and retry with back-off.
+    fn fail_flight(&mut self, ctx: &mut NodeCtx<'_>) {
+        let propagator = &mut self.vol.propagator;
+        let Some(flight) = propagator.in_flight.take() else {
+            return;
+        };
+        ctx.cancel_timer(flight.timer);
+        let n = propagator.attempts.entry(flight.target).or_insert(0);
         *n += 1;
         if *n >= MAX_PROP_ATTEMPTS {
             // Give up: the epoch-checking protocol owns long-term repair.
-            self.vol.propagator.remaining.remove(target);
-            self.vol.propagator.attempts.remove(&target);
+            propagator.remaining.remove(flight.target);
+            propagator.attempts.remove(&flight.target);
         }
+        self.kick_propagation(ctx, false);
     }
 }

@@ -39,15 +39,14 @@
 //!    machinery (kicked proactively by the current replicas that answered
 //!    the poll, and by the next epoch check) bring it back to current.
 //!
-//! While the handshake is in flight the replica is in *rejoin limbo*: it
-//! refuses propagation offers (its desired version is not yet known, so it
-//! cannot tell a safe source from an obsolete one), votes no on every
-//! 2PC prepare (its recovered state must not anchor new writes), refuses
-//! read and write permission requests, and leaves epoch checks and peer
-//! rejoin polls unanswered — its state tuple must not enter anyone's
-//! classification, because a quorum whose only intersection with a lost
-//! write's quorum is this amnesiac replica would commit duplicate versions
-//! or serve stale reads.
+//! While the handshake is in flight the replica is in *rejoin limbo*, and
+//! one rule, applied once at message dispatch, governs it: the replica
+//! serves no peer. Read, write and epoch-check polls, peer rejoin polls,
+//! 2PC prepares and propagation offers are dropped unanswered, so to its
+//! peers it is a failed node, which the protocol already survives. Its
+//! tuple must enter no classification and anchor no vote: a quorum whose
+//! only intersection with a lost write's quorum is this amnesiac replica
+//! would commit duplicate versions or serve stale reads.
 //!
 //! The handshake itself must survive crashes: a crash during limbo loses
 //! the volatile [`RejoinState`], and the next replay may be clean. Since
@@ -104,14 +103,6 @@ impl ReplicaNode {
     /// (it is stale by construction; waiting for the next epoch check
     /// would leave it degraded for a full check period).
     pub(crate) fn srv_rejoin_query(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, op: OpId) {
-        // A replica in rejoin limbo stays silent: its own tuple is still
-        // amnesiac, and counting it toward the asker's write quorum could
-        // finalize a rejoin without reaching any replica that knows the
-        // lost writes. The asker's retry timer re-polls us once we have
-        // finished our own handshake.
-        if self.in_rejoin_limbo() {
-            return;
-        }
         let state = self.state_tuple();
         ctx.send(from, Msg::RejoinInfo { op, state });
         if !self.durable.stale {
@@ -228,13 +219,12 @@ impl ReplicaNode {
         ctx.set_timer(delay, Timer::RejoinRetry);
     }
 
-    /// True while the rejoin handshake is in flight (limbo): permission
-    /// requests, propagation offers, and 2PC prepares must be refused, and
-    /// epoch checks and peer rejoin polls go unanswered — the replica's
-    /// tuple must not enter anyone's classification until its desired
-    /// version carries the rejoin bound. The durable flag alone decides:
-    /// every boot that finds it set starts the poll, and the step that
-    /// ends the poll clears it.
+    /// True while the rejoin handshake is in flight (limbo): message
+    /// dispatch drops every request that asks this replica to serve, so
+    /// its tuple enters no one's classification until its desired version
+    /// carries the rejoin bound. The durable flag alone decides: every
+    /// boot that finds it set starts the poll, and the step that ends the
+    /// poll clears it.
     pub(crate) fn in_rejoin_limbo(&self) -> bool {
         self.durable.rejoin_pending
     }

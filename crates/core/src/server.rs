@@ -47,14 +47,7 @@ impl ReplicaNode {
         op: OpId,
         exclusive: bool,
     ) {
-        // Rejoin limbo: refuse so our amnesiac tuple never enters the
-        // coordinator's classification (refused responders are excluded) —
-        // a quorum whose only intersection with a lost write's quorum is
-        // this replica would otherwise commit a duplicate version or serve
-        // a stale read. Reads are the sharper hazard: they have no 2PC
-        // vote, so the vote-no fence never engages. The coordinator retries
-        // around us like any busy replica.
-        let granted = !self.in_rejoin_limbo() && self.lock(ctx, op, exclusive);
+        let granted = self.lock(ctx, op, exclusive);
         let wac = self.config.write_mode == WriteMode::WriteAllCurrent;
         let carries = granted && (!exclusive || wac) && !self.durable.stale;
         let pages = carries.then(|| self.durable.object.snapshot());
@@ -75,14 +68,6 @@ impl ReplicaNode {
     /// absence of failures").
     pub(crate) fn srv_epoch_check_req(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, op: OpId) {
         self.vol.last_epoch_check_seen = Some(ctx.now());
-        // Rejoin limbo: stay silent, like a down node. Answering would
-        // either poison the epoch install with an amnesiac tuple or (since
-        // limbo votes no on every prepare) abort the epoch change
-        // outright; silence lets the coordinator shrink the epoch around
-        // us until the handshake completes.
-        if self.in_rejoin_limbo() {
-            return;
-        }
         let state = self.state_tuple();
         ctx.send(
             from,
@@ -117,14 +102,6 @@ impl ReplicaNode {
             } else {
                 self.send_vote(ctx, from, op, false);
             }
-            return;
-        }
-        // Rejoin limbo after a quarantined journal: this replica's state
-        // must not anchor new transactions until its desired version is
-        // known (in particular, a write-all-current base shipment would
-        // clear the stale flag and skip the rejoin safety net).
-        if self.in_rejoin_limbo() {
-            self.send_vote(ctx, from, op, false);
             return;
         }
         let yes = match &action {

@@ -1,15 +1,19 @@
 //! Targeted tests of the §4.2 propagation protocol: incremental log
 //! shipping, the snapshot fallback when the log has been trimmed, a
-//! propagation source crashing mid-transfer, and stale replicas never
-//! serving reads.
+//! propagation source crashing mid-transfer, stale replicas never serving
+//! reads, and, on a lone engine, a source marked stale between its offer
+//! and the target's permission abandoning the transfer.
 
 mod common;
 
 use bytes::Bytes;
 use common::{drain_messages, Cluster};
 use coterie_base::{SimDuration, SimTime};
-use coterie_core::{config::LOG_CAP, ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent};
-use coterie_quorum::{GridCoterie, NodeId};
+use coterie_core::{
+    config::LOG_CAP, Action, ClientRequest, Effect, Input, Msg, OpId, PartialWrite, PropReply,
+    ProtocolConfig, ProtocolEvent, ReplicaNode, Timer,
+};
+use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 use std::sync::Arc;
 
 fn write(id: u64) -> ClientRequest {
@@ -193,5 +197,93 @@ fn stale_replica_never_serves_reads() {
     assert!(
         reads >= 7,
         "most reads should complete, got {reads}: {evs:?}"
+    );
+}
+
+/// Runs `action` through a whole 2PC at `node`, coordinated by `from`:
+/// permission grant, prepare, commit.
+fn commit(node: &mut ReplicaNode, from: NodeId, op: OpId, action: Action) {
+    let prepare = Msg::Prepare {
+        op,
+        action,
+        extra: false,
+    };
+    let decision = Msg::Decision {
+        op,
+        commit: true,
+        chain: None,
+    };
+    for msg in [Msg::WriteReq { op }, prepare, decision] {
+        let lamport = 0;
+        node.step(SimTime::ZERO, Input::Deliver { from, msg, lamport });
+    }
+}
+
+/// The messages among `effects`, with their destinations.
+fn sent(effects: &[Effect]) -> Vec<(NodeId, &Msg)> {
+    effects
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Send { to, msg, .. } => Some((*to, msg)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_source_marked_stale_after_its_offer_cancels_the_transfer() {
+    let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3);
+    let (source, coordinator, target) = (NodeId(0), NodeId(1), NodeId(2));
+    let mut node = ReplicaNode::new(source, config);
+    let op = |seq| OpId {
+        node: coordinator,
+        seq,
+    };
+    // A write marks the target stale; the source, current, offers to it.
+    let marks_target = Action::DoUpdate {
+        writes: vec![PartialWrite::new([(0, Bytes::from_static(b"w1"))])],
+        new_version: 1,
+        stale: vec![target],
+        good: vec![source, coordinator],
+        base: None,
+    };
+    commit(&mut node, coordinator, op(1), marks_target);
+    let kicked = node.step(SimTime::ZERO, Input::TimerFired(Timer::PropKick));
+    let prop = match sent(&kicked)[..] {
+        [(to, &Msg::PropOffer { prop, .. })] if to == target => prop,
+        ref other => panic!("the kick sent no offer to the target: {other:?}"),
+    };
+    // Another write marks the source stale before the target answers.
+    commit(
+        &mut node,
+        coordinator,
+        op(2),
+        Action::MarkStale { desired_version: 2 },
+    );
+    assert!(
+        node.durable.stale,
+        "the MarkStale commit left the source current"
+    );
+
+    let permitted = Msg::PropResp {
+        prop,
+        reply: PropReply::Permitted { target_version: 0 },
+    };
+    let lamport = 0;
+    let deliver = Input::Deliver {
+        from: target,
+        msg: permitted,
+        lamport,
+    };
+    let effects = node.step(SimTime::ZERO, deliver);
+    let sent = sent(&effects);
+    assert!(
+        !sent.iter().any(|(_, m)| matches!(m, Msg::PropData { .. })),
+        "a stale source shipped data: {sent:?}"
+    );
+    assert!(
+        sent.iter()
+            .any(|&(to, m)| to == target && matches!(m, Msg::PropCancel { prop: p } if *p == prop)),
+        "the stale source did not free the target: {sent:?}"
     );
 }

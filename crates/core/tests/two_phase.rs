@@ -11,10 +11,11 @@
 //!   abort; it answers from a record it kept, and presumes abort for an op
 //!   past the fence that is no longer in flight (DESIGN.md §13).
 //! * A replica in rejoin limbo does not know its desired version yet, so
-//!   it votes NO on every Prepare, even one it could lock at prepare time
-//!   (an epoch install, or a safety-threshold extra shipping a
-//!   write-all-current base that would clear its stale flag), and it does
-//!   not answer another replica's rejoin query with its amnesiac tuple.
+//!   it serves no peer: a read, write or epoch-check poll, a rejoin query,
+//!   a Prepare (even an epoch install it could lock at prepare time) and a
+//!   propagation offer all go unanswered, and none takes its lock or its
+//!   prepared slot. It still answers a decision query from a record it
+//!   kept.
 //! * A propagation target permitted a transfer, and then a two-phase
 //!   commit locked it: the transfer is refused and applies nothing, so
 //!   propagation never races a write (§4.2).
@@ -147,58 +148,61 @@ fn a_quarantined_coordinator_is_silent_on_fenced_ops_it_has_no_record_of() {
 }
 
 #[test]
-fn a_replica_in_rejoin_limbo_votes_no_on_every_prepare() {
+fn a_replica_in_rejoin_limbo_serves_no_peer() {
     let config = majority3();
     let mut durable = Durable::pristine(&config);
+    let kept = op(0, 4);
+    durable.decisions.insert(kept, true);
+    durable.op_counter = 5;
     durable.quarantine();
-    let mut node = ReplicaNode::new(NodeId(1), config);
+    let mut node = ReplicaNode::new(NodeId(0), config);
     node.install_durable(durable);
     node.step(SimTime::ZERO, Input::Boot);
     assert!(node.durable.rejoin_pending, "the boot left rejoin limbo");
+    // An epoch install that lists this replica locks at prepare time, so
+    // outside limbo it would be prepared and voted YES.
     let epoch = Action::NewEpoch {
         list: vec![NodeId(0), NodeId(1), NodeId(2)],
         enumber: node.durable.enumber + 1,
-        good: vec![NodeId(0)],
-        stale: vec![NodeId(1), NodeId(2)],
+        good: vec![NodeId(1)],
+        stale: vec![NodeId(0), NodeId(2)],
         desired_version: 0,
     };
-    let base = PagedObject::new(node.config.n_pages).snapshot();
-    let Action::DoUpdate { writes, good, .. } = update(2, 1) else {
-        unreachable!()
-    };
-    let shipment = Action::DoUpdate {
-        writes,
-        new_version: 2,
-        stale: Vec::new(),
-        good,
-        base: Some((base, 1)),
-    };
-    for (what, seq, action) in [
-        ("an epoch install", 1, epoch),
-        ("a base shipment", 2, shipment),
-    ] {
-        let op = op(0, seq);
-        let effects = deliver(
-            &mut node,
-            NodeId(0),
+    let asker = op(1, 1);
+    let requests = [
+        ("a ReadReq", Msg::ReadReq { op: asker }),
+        ("a WriteReq", Msg::WriteReq { op: asker }),
+        ("an EpochCheckReq", Msg::EpochCheckReq { op: asker }),
+        ("a RejoinQuery", Msg::RejoinQuery { op: asker }),
+        (
+            "a Prepare",
             Msg::Prepare {
-                op,
-                action,
+                op: asker,
+                action: epoch,
                 extra: true,
             },
-        );
-        assert!(!vote(&effects), "{what} got a YES in limbo");
+        ),
+        (
+            "a PropOffer",
+            Msg::PropOffer {
+                prop: asker,
+                version: 1,
+            },
+        ),
+    ];
+    for (what, msg) in requests {
+        let effects = deliver(&mut node, NodeId(1), msg);
+        let sent: Vec<&Effect> = effects
+            .iter()
+            .filter(|e| matches!(e, Effect::Send { .. }))
+            .collect();
+        assert!(sent.is_empty(), "{what} was answered in limbo: {sent:?}");
+        assert!(!node.vol.lock.is_locked(), "{what} locked the replica");
         assert_eq!(node.durable.prepared, None, "{what} was prepared in limbo");
-        assert!(!node.vol.lock.is_locked(), "{what} left the replica locked");
     }
-    let query = Msg::RejoinQuery { op: op(2, 1) };
-    let answers = deliver(&mut node, NodeId(2), query);
-    let answered =
-        |e: &Effect| matches!(e, Effect::Send { msg, .. } if matches!(msg, Msg::RejoinInfo { .. }));
-    assert!(
-        !answers.iter().any(answered),
-        "answered a rejoin query in limbo"
-    );
+    // Decision queries still run in limbo: a decision it kept is answered.
+    let answer = deliver(&mut node, NodeId(1), Msg::DecisionQuery { op: kept });
+    assert_eq!(decisions(&answer), vec![(kept, true)]);
 }
 
 #[test]
