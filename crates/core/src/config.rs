@@ -79,7 +79,7 @@ pub enum WriteMode {
 }
 
 /// All tunables of a replica node.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ProtocolConfig {
     /// The coterie rule shared by all nodes.
     pub rule: Arc<dyn CoterieRule>,
@@ -104,18 +104,6 @@ pub struct ProtocolConfig {
     /// stream as `seed ^ node_id`, so a cluster built from one config is
     /// fully determined by `(seed, input schedule)`.
     pub seed: u64,
-}
-
-impl std::fmt::Debug for ProtocolConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProtocolConfig")
-            .field("rule", &self.rule.name())
-            .field("n_replicas", &self.n_replicas)
-            .field("n_pages", &self.n_pages)
-            .field("mode", &self.mode)
-            .field("write_mode", &self.write_mode)
-            .finish_non_exhaustive()
-    }
 }
 
 impl ProtocolConfig {

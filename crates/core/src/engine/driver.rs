@@ -503,37 +503,31 @@ impl StepDriver {
         merged
     }
 
-    /// A deterministic digest of the cluster's logical state: engine states,
-    /// liveness flags, the pending message/timer pools (order-insensitive,
-    /// expiry-time-blind), and the output history. Two drivers with equal
-    /// digests behave identically under equal future schedules, so an
-    /// explorer can prune revisits.
+    /// A deterministic digest of the cluster's logical state. Per node: its
+    /// liveness and island, its `Durable` and `Volatile` as `Debug` prints
+    /// them (keyed state is BTree-only, so the rendering is canonical), its
+    /// RNG and its timer-id counter. Then the pending message/timer pools
+    /// (order-insensitive, expiry-time-blind) and the output history. Left
+    /// out: `stats`, `plans`, `lamport` and `trace_seq`, which measure or
+    /// memoise and never decide a step. Two drivers with equal digests
+    /// behave identically under equal future schedules, so an explorer can
+    /// prune revisits.
     pub fn state_digest(&self) -> u64 {
         let mut repr = String::new();
         for (i, node) in self.nodes.iter().enumerate() {
             let _ = write!(
                 repr,
-                "n{i};down={};isl={};",
-                self.down[i], self.partition[i]
+                "n{i};down={};isl={};{:?};{:?};rng={:?};seq={};",
+                self.down[i], self.partition[i], *node.durable, node.vol, node.rng, node.timer_seq,
             );
-            canonical_node(&mut repr, node);
         }
-        let mut msgs: Vec<String> = self
-            .pending_messages()
-            .iter()
-            .map(|e| format!("{}>{}:{:?}", e.from.0, e.to.0, e.msg))
-            .collect();
-        msgs.sort_unstable();
-        let mut tmrs: Vec<String> = self
-            .pending_timers()
-            .iter()
-            .map(|t| format!("{}#{}:{:?}", t.node.0, t.id.0, t.timer))
-            .collect();
-        tmrs.sort_unstable();
-        for s in msgs.iter().chain(tmrs.iter()) {
-            repr.push_str(s);
-            repr.push('\n');
-        }
+        let msgs = (self.pending_messages().iter())
+            .map(|e| format!("{}>{}:{:?}\n", e.from.0, e.to.0, e.msg));
+        let tmrs = (self.pending_timers().iter())
+            .map(|t| format!("{}#{}:{:?}\n", t.node.0, t.id.0, t.timer));
+        let mut pending: Vec<String> = msgs.chain(tmrs).collect();
+        pending.sort_unstable();
+        repr.extend(pending);
         let _ = write!(repr, "outs={}", self.outputs.len());
         for (_, n, e) in &self.outputs {
             let _ = write!(repr, ";{}:{e:?}", n.0);
@@ -604,75 +598,10 @@ impl Substrate for Pools<'_> {
     }
 }
 
-/// Writes a canonical (iteration-order-independent) textual form of one
-/// engine's full state into `out`.
-fn canonical_node(out: &mut String, node: &ReplicaNode) {
-    let d = &node.durable;
-    let _ = write!(
-        out,
-        "v={},st={},dv={},e={},el={:?},obj={:x},log=({},{}),prep={:?},opc={},lg={:?},qf={};",
-        d.version,
-        d.stale,
-        d.dversion,
-        d.enumber,
-        d.elist,
-        d.object.digest(),
-        d.log.len(),
-        d.log.newest_version(),
-        d.prepared,
-        d.op_counter,
-        d.last_good,
-        d.quarantine_fence,
-    );
-    // Durable/Volatile keyed state lives in BTree collections, so plain
-    // iteration is already in canonical (ascending-key) order.
-    let decisions: Vec<_> = d.decisions.iter().map(|(op, c)| (*op, *c)).collect();
-    let _ = write!(out, "dec={decisions:?};");
-
-    let v = &node.vol;
-    let _ = write!(out, "lock={:?},", v.lock.exclusive_holder());
-    let shared: Vec<_> = v.lock.shared_holders().collect();
-    let _ = write!(out, "shared={shared:?};");
-    let leases: Vec<_> = v.lock_leases.iter().map(|(op, id)| (*op, id.0)).collect();
-    let _ = write!(out, "leases={leases:?};");
-    sorted_map(out, "ops", &v.ops);
-    let _ = write!(out, "write_queue={:?};", v.write_queue);
-    let attempts: Vec<_> = v
-        .propagator
-        .attempts
-        .iter()
-        .map(|(n, a)| (*n, *a))
-        .collect();
-    let _ = write!(
-        out,
-        "prop=({:?},{:?},{attempts:?},{});inc={:?};pep={:?};",
-        v.propagator.remaining,
-        v.propagator.in_flight,
-        v.propagator.kick_armed,
-        v.incoming_prop,
-        v.pending_epoch_prepare,
-    );
-    let retry = v.decision_retry.is_some();
-    let _ = write!(
-        out,
-        "eck=({:?},{});dra={retry};rej={:?};seq={};rng={:?};",
-        v.last_epoch_check_seen, v.epoch_retry_armed, v.rejoin, node.timer_seq, node.rng,
-    );
-}
-
-fn sorted_map<V: std::fmt::Debug>(
-    out: &mut String,
-    label: &str,
-    map: &std::collections::BTreeMap<crate::msg::OpId, V>,
-) {
-    // BTreeMap iterates in key order, so the rendering is canonical as-is.
-    let entries: Vec<_> = map.iter().collect();
-    let _ = write!(out, "{label}={entries:?};");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     /// A pool against a plain `Vec` model: a seeded mix of arming, removal
     /// at the front / middle / back, cancellation and fail-stop sweeps, with
@@ -734,5 +663,44 @@ mod tests {
             assert_eq!(pending.collect::<Vec<_>>(), model, "after step {step}");
         }
         assert!(wraps >= 3, "only {wraps} wrap-arounds exercised");
+    }
+
+    /// The digest splits states that differ in one field the engine acts
+    /// on: each change below, made alone at node 0, moves it.
+    #[test]
+    fn state_digest_sees_every_field_the_engine_acts_on() {
+        use coterie_quorum::{MajorityCoterie, NodeSet};
+        let driver = StepDriver::new(3, ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3));
+        let blind_to = |field, change: fn(&mut ReplicaNode)| {
+            let mut changed = driver.clone();
+            change(&mut changed.nodes[0]);
+            (changed.state_digest() == driver.state_digest()).then_some(field)
+        };
+        let blind: Vec<&str> = [
+            blind_to("current", |n| n.vol.current = NodeSet::singleton(NodeId(1))),
+            blind_to("write_queue_held", |n| n.vol.write_queue_held = true),
+            blind_to("cooldown", |n| {
+                n.vol.propagator.cooldown = [(NodeId(1), SimTime::ZERO)].into()
+            }),
+            // A refusal sets the contention bit; the holder's release keeps it.
+            blind_to("contended", |n| {
+                let op = |node| crate::msg::OpId {
+                    node: NodeId(node),
+                    seq: 1,
+                };
+                assert!(n.vol.lock.try_exclusive(op(1)) && !n.vol.lock.try_shared(op(2)));
+                n.vol.lock.release(op(1));
+            }),
+            blind_to("rejoin_pending", |n| {
+                n.install_durable(Durable {
+                    rejoin_pending: true,
+                    ..(*n.durable).clone()
+                })
+            }),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        assert!(blind.is_empty(), "digest blind to {blind:?}");
     }
 }

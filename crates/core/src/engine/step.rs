@@ -116,7 +116,7 @@ impl ReplicaNode {
         // commit a duplicate version or serve a stale read. Replies to its
         // own polls and ballots, decisions, releases, decision queries
         // (behind the quarantine fence) and transfers still run.
-        if self.in_rejoin_limbo()
+        if self.durable.rejoin_pending
             && matches!(
                 msg,
                 Msg::ReadReq { .. }

@@ -223,12 +223,13 @@ impl FramedJournal {
         self.append_batch(std::slice::from_ref(delta));
     }
 
-    /// Group commit (DESIGN.md §10): appends every record of `deltas` and
-    /// commits them all with a *single* header rewrite — one frame-flush
-    /// (one fsync on real storage) amortized over the whole batch. The
-    /// resulting bytes are identical to appending the same deltas one at a
-    /// time: records are laid out in order and the header ends at the same
-    /// final count, so replay cannot tell group commit happened.
+    /// Appends every record of `deltas` and commits them all with one
+    /// header rewrite. The bytes are identical to appending the same deltas
+    /// one at a time: records are laid out in order and the header ends at
+    /// the same final count. Production commits one delta per step (the
+    /// interpreter passes a slice of one); longer slices serve only the
+    /// benchmark's `storage.append_batch16` probe and `write_path.rs`'s
+    /// byte-identity property.
     pub fn append_batch(&mut self, deltas: &[DurableDelta]) {
         if deltas.is_empty() {
             return;
@@ -239,15 +240,14 @@ impl FramedJournal {
         self.rewrite_header();
     }
 
-    /// A torn group-commit flush: only a prefix of the batch's records
-    /// reaches the journal and the count is *not* bumped, so replay drops
-    /// the whole batch as a torn tail. Correct because the single header
-    /// rewrite is the batch's only commit point — a crash anywhere before
-    /// it loses every delta of the batch, none of which was acknowledged
-    /// (ack-before-flush). `cut` picks how many bytes survive from the
-    /// batch's framed length, so a fault injector can draw the cut without
-    /// knowing the framing; at least one byte is always dropped (a
-    /// fully-written batch would be indistinguishable from a pre-commit
+    /// A torn append: only a prefix of the records' bytes reaches the
+    /// journal and the count is *not* bumped, so replay drops them as a
+    /// torn tail. Correct because the header rewrite is the only commit
+    /// point, and nothing is acknowledged before it (ack-before-flush). The
+    /// interpreter tears one delta at a time. `cut` picks how many bytes
+    /// survive from the framed length, so a fault injector can draw the cut
+    /// without knowing the framing; at least one byte is always dropped (a
+    /// fully-written record would be indistinguishable from a pre-commit
     /// crash, which is the same recovery anyway).
     pub(super) fn append_batch_torn_at(
         &mut self,

@@ -24,11 +24,6 @@ pub struct ReplicaLock {
 }
 
 impl ReplicaLock {
-    /// A free lock.
-    pub fn new() -> Self {
-        ReplicaLock::default()
-    }
-
     /// Attempts to take the exclusive lock for `op`: true when granted (or
     /// already held by `op`), false when held by others. A fresh grant
     /// clears the contention bit and a refusal sets it.
@@ -144,7 +139,7 @@ mod tests {
 
     #[test]
     fn exclusive_excludes_everything() {
-        let mut l = ReplicaLock::new();
+        let mut l = ReplicaLock::default();
         assert!(l.try_exclusive(op(0, 1)));
         assert!(!l.try_exclusive(op(1, 1)));
         assert!(!l.try_shared(op(1, 1)));
@@ -154,7 +149,7 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist_but_block_writers() {
-        let mut l = ReplicaLock::new();
+        let mut l = ReplicaLock::default();
         assert!(l.try_shared(op(0, 1)));
         assert!(l.try_shared(op(1, 1)));
         assert!(!l.try_exclusive(op(2, 1)));
@@ -166,7 +161,7 @@ mod tests {
 
     #[test]
     fn reacquisition_is_idempotent() {
-        let mut l = ReplicaLock::new();
+        let mut l = ReplicaLock::default();
         assert!(l.try_exclusive(op(0, 1)));
         assert!(l.try_exclusive(op(0, 1)));
         assert!(!l.try_shared(op(1, 1)));
@@ -178,7 +173,7 @@ mod tests {
 
     #[test]
     fn release_is_idempotent_and_targeted() {
-        let mut l = ReplicaLock::new();
+        let mut l = ReplicaLock::default();
         l.try_shared(op(0, 1));
         l.release(op(9, 9)); // unknown: no-op
         assert!(l.is_locked());
@@ -189,7 +184,7 @@ mod tests {
 
     #[test]
     fn force_exclusive_evicts() {
-        let mut l = ReplicaLock::new();
+        let mut l = ReplicaLock::default();
         l.try_shared(op(0, 1));
         l.try_shared(op(1, 1));
         l.force_exclusive(op(7, 7));
@@ -200,7 +195,7 @@ mod tests {
 
     #[test]
     fn transfer_moves_only_from_current_holder() {
-        let mut l = ReplicaLock::new();
+        let mut l = ReplicaLock::default();
         l.try_exclusive(op(0, 1));
         assert!(l.transfer_exclusive(op(0, 1), op(0, 2)));
         assert!(l.held_exclusively_by(op(0, 2)));
@@ -214,7 +209,7 @@ mod tests {
 
     #[test]
     fn clear_resets() {
-        let mut l = ReplicaLock::new();
+        let mut l = ReplicaLock::default();
         l.try_exclusive(op(0, 1));
         l.clear();
         assert!(!l.is_locked());

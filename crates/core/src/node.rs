@@ -134,8 +134,10 @@ pub struct Volatile {
     /// handle that disarms it once the slot is emptied.
     pub decision_retry: Option<TimerId>,
     /// In-progress stale-rejoin after a quarantined boot (see
-    /// [`crate::rejoin`]). While set, this replica refuses propagation
-    /// offers and 2PC prepares — its desired version is not yet known.
+    /// [`crate::rejoin`]). Limbo itself is `Durable::rejoin_pending`:
+    /// while it is set, `step.rs`'s dispatch drops every request that asks
+    /// this replica to serve a peer, since its desired version is not yet
+    /// known.
     pub rejoin: Option<crate::rejoin::RejoinState>,
     /// The replicas this node last learned were current (its last read's
     /// GOOD set, or those that applied its last committed write): a hint

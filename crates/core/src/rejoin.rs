@@ -218,14 +218,4 @@ impl ReplicaNode {
         let delay = base + self.jitter(ctx, base);
         ctx.set_timer(delay, Timer::RejoinRetry);
     }
-
-    /// True while the rejoin handshake is in flight (limbo): message
-    /// dispatch drops every request that asks this replica to serve, so
-    /// its tuple enters no one's classification until its desired version
-    /// carries the rejoin bound. The durable flag alone decides: every
-    /// boot that finds it set starts the poll, and the step that ends the
-    /// poll clears it.
-    pub(crate) fn in_rejoin_limbo(&self) -> bool {
-        self.durable.rejoin_pending
-    }
 }

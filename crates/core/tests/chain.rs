@@ -7,39 +7,24 @@
 //! most one more. An epoch prepare that meets a chained round's prepared
 //! slot queues and sets the bit as it would at a busy lock.
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use common::{deliver, majority3, op};
 use coterie_base::SimTime;
 use coterie_core::{
     keys, Action, ClientRequest, Effect, Input, Msg, OpId, PartialWrite, PendingTimer,
     ProtocolConfig, ProtocolEvent, ReplicaNode, StepDriver, Timer,
 };
-use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
+use coterie_quorum::{GridCoterie, NodeId};
 use coterie_simnet::SimDuration;
-
-/// Three replicas under majority; rounds carry up to `MAX_WRITE_BATCH`
-/// writes.
-fn majority3() -> ProtocolConfig {
-    ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
-}
 
 fn write(id: u64) -> ClientRequest {
     let write = PartialWrite::new([((id % 4) as u16, Bytes::from(vec![id as u8]))]);
     ClientRequest::Write { id, write }
-}
-
-fn op(node: u32, seq: u64) -> OpId {
-    OpId {
-        node: NodeId(node),
-        seq,
-    }
-}
-
-fn deliver(node: &mut ReplicaNode, from: NodeId, msg: Msg) -> Vec<Effect> {
-    let lamport = 0;
-    node.step(SimTime::ZERO, Input::Deliver { from, msg, lamport })
 }
 
 /// The messages among `effects`, with their recipients.

@@ -1,7 +1,8 @@
 //! The fixtures the protocol-level integration tests share: a
 //! [`StepDriver`] on the modelled network, read the way a test reads it,
-//! and the weighted random schedule and pinned run of the determinism and
-//! crash-replay tests.
+//! the weighted random schedule and pinned run of the determinism and
+//! crash-replay tests, and the helpers of the tests that drive one engine
+//! by hand.
 
 #![allow(dead_code, reason = "each test crate uses its own subset")]
 
@@ -10,8 +11,11 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use coterie_base::{SimDuration, SimTime};
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, Rng64, StepDriver};
-use coterie_quorum::{GridCoterie, NodeId};
+use coterie_core::{
+    ClientRequest, Effect, Input, Msg, OpId, PartialWrite, ProtocolConfig, ProtocolEvent,
+    ReplicaNode, Rng64, StepDriver,
+};
+use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 
 /// A cluster on the modelled network, plus how much of its output the test
 /// has already taken.
@@ -154,4 +158,23 @@ impl DerefMut for Cluster {
     fn deref_mut(&mut self) -> &mut StepDriver {
         &mut self.driver
     }
+}
+
+/// Three replicas under majority.
+pub fn majority3() -> ProtocolConfig {
+    ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
+}
+
+/// The op `seq` coordinated by `node`.
+pub fn op(node: u32, seq: u64) -> OpId {
+    OpId {
+        node: NodeId(node),
+        seq,
+    }
+}
+
+/// Steps a lone engine on `msg` from `from`, at time zero.
+pub fn deliver(node: &mut ReplicaNode, from: NodeId, msg: Msg) -> Vec<Effect> {
+    let lamport = 0;
+    node.step(SimTime::ZERO, Input::Deliver { from, msg, lamport })
 }

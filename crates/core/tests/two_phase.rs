@@ -26,31 +26,16 @@
 //!   until the COMMIT installs it (ROADMAP 31; this one runs three engines
 //!   on a [`StepDriver`] to route the coordinator's messages to itself).
 
-use std::sync::Arc;
+mod common;
 
 use bytes::Bytes;
+use common::{deliver, majority3, op};
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
     Action, ClientRequest, Durable, Effect, Input, Msg, OpId, PagedObject, PartialWrite,
-    PropPayload, PropReply, ProtocolConfig, ProtocolEvent, ReplicaNode, StepDriver, Timer,
+    PropPayload, PropReply, ProtocolEvent, ReplicaNode, StepDriver, Timer,
 };
-use coterie_quorum::{MajorityCoterie, NodeId};
-
-fn majority3() -> ProtocolConfig {
-    ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3)
-}
-
-fn op(node: u32, seq: u64) -> OpId {
-    OpId {
-        node: NodeId(node),
-        seq,
-    }
-}
-
-fn deliver(node: &mut ReplicaNode, from: NodeId, msg: Msg) -> Vec<Effect> {
-    let lamport = 0;
-    node.step(SimTime::ZERO, Input::Deliver { from, msg, lamport })
-}
+use coterie_quorum::NodeId;
 
 /// A one-write update to version `new_version`, writing `byte` to page 0.
 fn update(new_version: u64, byte: u8) -> Action {

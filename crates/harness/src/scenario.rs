@@ -38,9 +38,8 @@ pub struct ScenarioResult {
     pub reads_ok: u64,
     /// Failed reads.
     pub reads_failed: u64,
-    /// Messages delivered or bounced back to their sender.
-    pub msgs_sent: u64,
-    /// Messages per *completed* operation.
+    /// Messages delivered or bounced back to their sender, per *completed*
+    /// operation.
     pub msgs_per_op: f64,
     /// Write latency distribution, µs.
     pub write_latency: Histogram,
@@ -48,12 +47,8 @@ pub struct ScenarioResult {
     pub read_latency: Histogram,
     /// Per-node received-message load.
     pub load: LoadStats,
-    /// Client-level retries.
-    pub retries: u64,
     /// Epoch changes committed.
     pub epoch_changes: u64,
-    /// Propagations completed.
-    pub propagations: u64,
     /// Synchronous reconciliations (write-all-current baseline).
     pub sync_reconciliations: u64,
     /// Mean replicas touched per committed write.
@@ -143,20 +138,18 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
     result.writes_failed = count(keys::WRITES_FAILED);
     result.reads_ok = count(keys::READS_OK);
     result.reads_failed = count(keys::READS_FAILED);
-    result.retries = count(keys::RETRIES);
     result.epoch_changes = count(keys::EPOCH_CHANGES);
-    result.propagations = count(keys::PROPAGATIONS_DONE);
     result.sync_reconciliations = count(keys::SYNC_RECONCILIATIONS);
-    for class in MsgClass::ALL {
-        result.msgs_sent += count(keys::msgs_in(class)) + count(keys::msgs_bounced(class));
-    }
+    let msgs_sent: u64 = (MsgClass::ALL.iter())
+        .map(|&class| count(keys::msgs_in(class)) + count(keys::msgs_bounced(class)))
+        .sum();
     // Both sums grow only when a write commits.
     let per_write = |key| count(key) as f64 / result.writes_ok.max(1) as f64;
     result.replicas_touched_avg = per_write(keys::REPLICAS_TOUCHED_SUM);
     result.marked_stale_avg = per_write(keys::MARKED_STALE_SUM);
     let completed = result.writes_ok + result.reads_ok;
     result.msgs_per_op = if completed > 0 {
-        result.msgs_sent as f64 / completed as f64
+        msgs_sent as f64 / completed as f64
     } else {
         0.0
     };
@@ -243,7 +236,7 @@ mod tests {
         let a = run_scenario(&base_scenario(7, FaultPlan::default()));
         let b = run_scenario(&base_scenario(7, FaultPlan::default()));
         assert_eq!(a.writes_ok, b.writes_ok);
-        assert_eq!(a.msgs_sent, b.msgs_sent);
+        assert_eq!(a.msgs_per_op, b.msgs_per_op);
         assert_eq!(a.reads_ok, b.reads_ok);
         assert!(a.invariants.is_empty(), "{:?}", a.invariants);
     }
