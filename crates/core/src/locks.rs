@@ -52,15 +52,6 @@ impl ReplicaLock {
         granted
     }
 
-    /// Forces the exclusive lock for `op`, evicting any other holders.
-    /// Used only during crash recovery to fence a prepared-but-undecided
-    /// transaction: volatile lock state was lost, but the prepared action
-    /// must keep the replica locked until the outcome is known.
-    pub fn force_exclusive(&mut self, op: OpId) {
-        self.exclusive = Some(op);
-        self.shared.clear();
-    }
-
     /// Releases whatever `op` holds. Unknown ops are a no-op (idempotent,
     /// so duplicate releases and releases after a lease expiry are safe).
     pub fn release(&mut self, op: OpId) {
@@ -180,17 +171,6 @@ mod tests {
         l.release(op(0, 1));
         l.release(op(0, 1));
         assert!(!l.is_locked());
-    }
-
-    #[test]
-    fn force_exclusive_evicts() {
-        let mut l = ReplicaLock::default();
-        l.try_shared(op(0, 1));
-        l.try_shared(op(1, 1));
-        l.force_exclusive(op(7, 7));
-        assert!(l.held_exclusively_by(op(7, 7)));
-        assert_eq!(l.shared_holders().count(), 0);
-        assert!(!l.try_shared(op(2, 2)));
     }
 
     #[test]

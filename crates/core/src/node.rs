@@ -255,28 +255,37 @@ impl ReplicaNode {
         self.vol.lock_leases.insert(op, id);
     }
 
-    /// Releases `op`'s lock and lease bookkeeping, then hands the lock to
-    /// a waiting epoch prepare if one is queued.
-    pub fn release_lock(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        self.vol.lock.release(op);
-        ctx.trace(TraceEvent::LockRelease { op });
+    /// Disarms `op`'s lock lease, if it holds one.
+    pub(crate) fn drop_lease(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
         if let Some(timer) = self.vol.lock_leases.remove(&op) {
             ctx.cancel_timer(timer);
         }
+    }
+
+    /// Releases `op`'s lock and drops its lease, then hands the lock to a
+    /// waiting epoch prepare if one is queued. The op in the prepared slot
+    /// keeps its lock: from its YES vote (or its replay at boot) until its
+    /// decision it holds the lock exclusively with no lease, and only that
+    /// decision frees it, never a `Release` or a lease naming its op id.
+    pub fn release_lock(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
+        if self.in_doubt(op) {
+            return;
+        }
+        self.vol.lock.release(op);
+        ctx.trace(TraceEvent::LockRelease { op });
+        self.drop_lease(ctx, op);
         self.grant_pending_epoch_prepare(ctx);
     }
 
-    /// Hands `from_op`'s exclusive lock, and its lease, to the chained round
-    /// `to_op`: a lock and its lease never change owner apart. False, with
-    /// nothing changed, unless `from_op` holds the lock exclusively.
+    /// Hands `from_op`'s exclusive lock to the chained round `to_op`, which
+    /// gets a lease of its own as `from_op`'s goes. False, with nothing
+    /// changed, unless `from_op` holds the lock exclusively.
     pub fn hand_off_lock(&mut self, ctx: &mut NodeCtx<'_>, from_op: OpId, to_op: OpId) -> bool {
         if !self.vol.lock.transfer_exclusive(from_op, to_op) {
             return false;
         }
         ctx.trace(TraceEvent::LockHandoff { from_op, to_op });
-        if let Some(timer) = self.vol.lock_leases.remove(&from_op) {
-            ctx.cancel_timer(timer);
-        }
+        self.drop_lease(ctx, from_op);
         self.arm_lock_lease(ctx, to_op);
         true
     }
@@ -284,12 +293,6 @@ impl ReplicaNode {
     /// `op`'s lease ran out: its lock is freed like any other release.
     pub(crate) fn handle_lock_lease(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
         self.vol.lock_leases.remove(&op);
-        // Never break a prepared transaction's lock: 2PC blocks until the
-        // outcome is known (textbook behaviour).
-        if self.in_doubt(op) {
-            self.arm_lock_lease(ctx, op);
-            return;
-        }
         self.release_lock(ctx, op);
     }
 }

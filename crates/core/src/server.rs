@@ -159,8 +159,10 @@ impl ReplicaNode {
         };
         if yes {
             self.durable.vote(op, action);
-            // Chase the outcome if the coordinator goes quiet (it may have
-            // aborted before our delayed vote arrived).
+            // The vote holds the lock with no lease until the decision (see
+            // `release_lock`); chase the outcome if the coordinator goes
+            // quiet (it may have aborted before our delayed vote arrived).
+            self.drop_lease(ctx, op);
             self.arm_decision_retry(ctx, op);
         } else if matches!(action, Action::NewEpoch { .. } | Action::DoUpdate { .. })
             && self.vol.lock.held_exclusively_by(op)

@@ -5,6 +5,12 @@
 //!   even one that names the held op, and the slot and the lock stay as
 //!   they were. A YES to a reused op id let a COMMIT apply the old slot's
 //!   action (ROADMAP 1(a)(i)).
+//! * From its YES vote until its decision, a prepared op holds the
+//!   replica's exclusive lock with no lease: neither a lease expiry nor a
+//!   `Release` naming its op id frees it, only the decision does. A replica
+//!   that recovers the slot from its journal holds the lock the same way.
+//!   A `Release` of a reused op id freed an in-doubt slot's lock
+//!   (ROADMAP 1(a)(ii)).
 //! * A coordinator whose journal was quarantined may have lost decision
 //!   records with the corrupt suffix. Asked about an op behind its
 //!   quarantine fence with no record, it stays silent instead of presuming
@@ -30,10 +36,10 @@ mod common;
 
 use bytes::Bytes;
 use common::{deliver, majority3, op};
-use coterie_base::{SimDuration, SimTime};
+use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_core::{
-    Action, ClientRequest, Durable, Effect, Input, Msg, OpId, PagedObject, PartialWrite,
-    PropPayload, PropReply, ProtocolEvent, ReplicaNode, StepDriver, Timer,
+    Action, ClientRequest, Durable, Effect, FramedJournal, Input, Msg, OpId, PagedObject,
+    PartialWrite, PropPayload, PropReply, ProtocolEvent, ReplicaNode, StepDriver, Timer,
 };
 use coterie_quorum::NodeId;
 
@@ -107,6 +113,79 @@ fn a_held_prepared_slot_refuses_every_other_prepare() {
         );
         assert_eq!(node.durable.prepared, held, "after a Prepare for {what}");
         assert_eq!(node.vol.lock.exclusive_holder(), Some(a), "after {what}");
+    }
+}
+
+/// Folds `effects` into `leases`, the lock-lease timers pending for `op`:
+/// each one armed is added, each one cancelled removed.
+fn track_leases(leases: &mut Vec<TimerId>, effects: &[Effect], op: OpId) {
+    for effect in effects {
+        match effect {
+            Effect::SetTimer {
+                id,
+                timer: Timer::LockLease { op: holder },
+                ..
+            } if *holder == op => leases.push(*id),
+            Effect::CancelTimer(id) => leases.retain(|lease| lease != id),
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn a_prepared_op_holds_its_lock_without_a_lease_until_its_decision() {
+    let config = majority3();
+    let mut node = ReplicaNode::new(NodeId(1), config.clone());
+    let (coordinator, a) = (NodeId(0), op(0, 1));
+    let (mut journal, mut leases) = (FramedJournal::new(), Vec::new());
+    let mut step = |node: &mut ReplicaNode, msg, leases: &mut Vec<TimerId>| {
+        let effects = deliver(node, coordinator, msg);
+        for effect in &effects {
+            if let Effect::Persist(delta) = effect {
+                journal.append_delta(delta);
+            }
+        }
+        track_leases(leases, &effects, a);
+        effects
+    };
+    step(&mut node, Msg::WriteReq { op: a }, &mut leases);
+    assert_eq!(leases.len(), 1, "the permission armed no lease");
+    let prepare = Msg::Prepare {
+        op: a,
+        action: update(1, 1),
+        extra: false,
+    };
+    assert!(vote(&step(&mut node, prepare, &mut leases)));
+    assert_eq!(leases, [], "the YES vote left the op's lease pending");
+    step(&mut node, Msg::Release { op: a }, &mut leases);
+    assert!(
+        node.vol.lock.held_exclusively_by(a),
+        "a Release freed a prepared op's lock"
+    );
+
+    let replay = journal.replay_checked(&config);
+    assert_eq!(replay.durable.prepared, Some((a, update(1, 1))));
+    let mut recovered = ReplicaNode::new(NodeId(1), config);
+    recovered.install_durable(replay.durable);
+    let mut replayed_leases = Vec::new();
+    let booted = recovered.step(SimTime::ZERO, Input::Boot);
+    track_leases(&mut replayed_leases, &booted, a);
+    deliver(&mut recovered, coordinator, Msg::Release { op: a });
+    assert_eq!(replayed_leases, [], "the boot armed a lease for the slot");
+    assert!(
+        recovered.vol.lock.held_exclusively_by(a),
+        "the recovered slot does not hold the lock"
+    );
+
+    for node in [&mut node, &mut recovered] {
+        let commit = Msg::Decision {
+            op: a,
+            commit: true,
+            chain: None,
+        };
+        deliver(node, coordinator, commit);
+        assert!(!node.vol.lock.is_locked(), "the decision kept the lock");
+        assert_eq!((node.durable.version, &node.durable.prepared), (1, &None));
     }
 }
 

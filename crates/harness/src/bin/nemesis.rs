@@ -9,7 +9,7 @@
 //! (`0..seeds`) at 3 000 steps: the full sweep, which
 //! `scripts/nemesis_ratchet.sh` gates. `runs` replaces every column's seed
 //! count, `first_seed` (default 0) and `steps` set the rest, and `column`
-//! restricts the sweep to one column, so `nemesis 1 1009 3000 majority`
+//! restricts the sweep to one column, so `nemesis 1 571 3000 majority`
 //! re-runs one schedule.
 //!
 //! Exits 1 if any run found a violation and 2 on an unknown column. A

@@ -9,17 +9,19 @@
 //! applied the old slot's action (ROADMAP 1(a)(i)). A held slot now
 //! refuses every other Prepare, and each seed runs clean.
 //!
-//! *Presence test.* Default-majority seed 1009 still splits the epoch list
-//! (`cargo run -p coterie-harness --bin nemesis -- 1 1009 3000 majority`):
+//! *Presence test.* Default-majority seed 571 still splits the epoch list
+//! (`cargo run -p coterie-harness --bin nemesis -- 1 571 3000 majority`):
 //! a COMMIT for a reused op id applies whatever slot the participant holds
 //! (ROADMAP 1(a)(ii); DESIGN.md §14.4 walks the chain). The id is reused
-//! after a second, deeper quarantine: n0 issues `n0#1000003`, is
-//! quarantined again from a prefix whose op counter is 0, rejoins as
-//! `n0#1000001` and issues `n0#1000003` a second time. The other route, a
-//! torn boot step, is closed, and this seed never took it.
+//! after a deeper quarantine: n4 is quarantined and rejoins as
+//! `n4#1000002`, is quarantined again from a prefix whose op counter is 0,
+//! rejoins as `n4#1000001` (twice, a third quarantine between) and issues
+//! `n4#1000002` twice; epoch safety breaks at step 782, after a fourth
+//! quarantine. The other route, a torn boot step, is closed, and this seed
+//! never took it.
 //! The test asserts that the bug is hit and that its trace, complete up
 //! to the first violation, holds that chain: both prepares of
-//! `n0#1000003`, both quarantines of n0, and its rejoin ids going
+//! `n4#1000002`, the four quarantines of n4, and its rejoin ids going
 //! backwards. It fails the moment the bug is fixed, or the moment a change
 //! moves the seeded schedules. If it was fixed, turn it into an absence
 //! test. If the schedules moved, re-pin it: run `nemesis 1200 0 3000
@@ -66,49 +68,54 @@ fn a_committed_write_survives_on_client_heavy_grid9_seed_310() {
 }
 
 #[test]
-fn epoch_list_divergence_majority_seed_1009_still_reproduces() {
-    let run = run(Arc::new(MajorityCoterie::new()), 5, 30, 1009);
+fn epoch_list_divergence_majority_seed_571_still_reproduces() {
+    let run = run(Arc::new(MajorityCoterie::new()), 5, 30, 571);
     assert!(
         !run.clean(),
-        "majority seed 1009 ran clean: ROADMAP 1(a)(ii) is fixed (invert this \
+        "majority seed 571 ran clean: ROADMAP 1(a)(ii) is fixed (invert this \
          test into a clean-run gate) or the seeded schedules moved (re-pin: \
          see the module docs)"
     );
     assert!(
         run.violations
             .iter()
-            .any(|(kind, _)| *kind == "epoch-safety"),
-        "seed 1009 violated something other than epoch safety: {:?}",
+            .all(|(kind, _)| *kind == "epoch-safety"),
+        "seed 571 violated something other than epoch safety: {:?}",
         run.violations
     );
 
     // The dump is the complete trace up to the first violation, so it
-    // holds the whole chain: n0 prepares `n0#1000003`, is quarantined,
-    // rejoins as `n0#1000002`, is quarantined again from a deeper prefix,
-    // rejoins as `n0#1000001` (the fence went backwards) and prepares
-    // `n0#1000003` a second time.
+    // holds the whole chain: n4 is quarantined and rejoins as
+    // `n4#1000002`, is quarantined from a deeper prefix and rejoins as
+    // `n4#1000001` (the fence went backwards), prepares `n4#1000002`, is
+    // quarantined to the same fence, rejoins as `n4#1000001` again and
+    // prepares `n4#1000002` a second time.
     let trace = run.trace.as_ref().expect("dirty run must carry its trace");
-    let node0: Vec<&str> = trace
+    let node4: Vec<&str> = trace
         .lines()
-        .filter(|l| l.contains("\"node\":0,"))
+        .filter(|l| l.contains("\"node\":4,"))
         .collect();
-    let count = |needle: &str| node0.iter().filter(|l| l.contains(needle)).count();
+    let count = |needle: &str| node4.iter().filter(|l| l.contains(needle)).count();
     assert_eq!(
-        count("\"ev\":\"prepare_issued\",\"op\":\"n0#1000003\""),
+        count("\"ev\":\"prepare_issued\",\"op\":\"n4#1000002\""),
         2,
-        "n0 should prepare the reused id twice"
+        "n4 should prepare the reused id twice"
     );
     assert_eq!(
         count("\"replay\":\"quarantined\""),
-        2,
-        "n0 should be quarantined twice"
+        4,
+        "n4 should be quarantined four times"
     );
-    let rejoins: Vec<&str> = node0
+    let rejoins: Vec<&str> = node4
         .iter()
         .filter(|l| l.contains("\"ev\":\"rejoin_start\""))
         .filter_map(|l| l.split("\"op\":\"").nth(1)?.split('"').next())
         .collect();
-    assert_eq!(rejoins, ["n0#1000002", "n0#1000001"], "n0's rejoin ids");
+    assert_eq!(
+        rejoins,
+        ["n4#1000002", "n4#1000001", "n4#1000001", "n4#2000003"],
+        "n4's rejoin ids"
+    );
     // The causal merge never lets a Lamport stamp go backwards.
     let lamports: Vec<u64> = trace
         .lines()

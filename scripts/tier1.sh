@@ -32,8 +32,10 @@ echo "==> traced write_leader: history flatness, and what a committed write leav
 # history what it costs at the start (3.8 when a step's delta came from
 # rescanning the decision table; ~1.0 now that each durable transition
 # records its own change, so a step reads nothing it did not touch).
-# driver.pending_timers_max <= 64: a decided participant holds no timer (20;
-# 1 368 when every committed write leaves its DecisionRetry chain armed).
+# driver.pending_timers_max <= 16: a decided participant holds no timer and
+# a prepared one holds one, its DecisionRetry, its lock lease dropped at the
+# YES vote (15; 20 when a prepared participant kept its lease too; 1 368
+# when every committed write leaves its DecisionRetry chain armed).
 # storage.bytes_per_write <= 1500: a write journals the log entry it pushed
 # (794 B over its 2.75 records now that four writes share a round's 2PC;
 # 683 B over 12.0 with one write per round; 7 226 when each apply re-ships the
@@ -62,7 +64,7 @@ at_most() { # name bound complaint
 }
 traced_run write_leader
 at_most core.step_growth 2.0 "step() cost grows with history"
-at_most driver.pending_timers_max 64 "decided operations leave timers armed"
+at_most driver.pending_timers_max 16 "decided or prepared operations leave timers armed"
 at_most storage.bytes_per_write 1500 "a committed write journals more than it touched"
 at_most core.heavy_per_op 0.05 "write quorums miss the current replicas and go heavy"
 at_most core.msgs_per_op.commit 5 "writes at one coordinator stopped sharing 2PC rounds"
@@ -108,6 +110,19 @@ echo "==> nemesis smoke (bounded storage-fault soak)"
 # violation. A dirty run dumps its complete trace up to its first
 # violation as causally merged JSONL under target/.
 cargo run --release -p coterie-harness --bin nemesis -- 6 42 1500
+
+echo "==> nemesis smoke in the dev profile (the engine's debug assertions)"
+# Every other nemesis run here is --release, so the engine's debug
+# assertions (one vote per slot, no re-decided op, the prepared slot's op
+# holds the exclusive lock) would never see a storage fault without this
+# one: 25 seeds of each column (~5 s on 2 cores). It fails only on a
+# panic; exit 1 for a violation is the ratchet's to judge.
+status=0
+cargo run -p coterie-harness --bin nemesis -- 25 0 3000 >/dev/null || status=$?
+if ((status > 1)); then
+  echo "tier-1: the dev-profile nemesis smoke exited with status $status"
+  exit 1
+fi
 
 echo "==> nemesis ratchet (every column over its own seeds)"
 # The full sweep (~20 s, 4 400 schedules): the grid at 4 and 9 nodes and
