@@ -38,7 +38,6 @@ impl ReplicaNode {
         input: Input,
         ring: Option<&mut TraceRing>,
     ) -> Vec<Effect> {
-        let live = !matches!(input, Input::Crash);
         let mut effects = Vec::new();
         // Move the engine-owned substrate state into locals so the context
         // can borrow them while protocol handlers borrow `self`.
@@ -63,15 +62,6 @@ impl ReplicaNode {
         self.timer_seq = timer_seq;
         self.lamport = lamport;
         self.trace_seq = trace_seq;
-        // The one in-doubt state: from its YES vote (or its replay at boot)
-        // until its decision, a prepared op holds the lock (`release_lock`).
-        let prepared = self.durable.prepared.as_ref().map(|(op, _)| *op);
-        debug_assert!(
-            !live || prepared.is_none_or(|op| self.vol.lock.held_exclusively_by(op)),
-            "{}: the prepared slot's op does not hold the exclusive lock",
-            self.me
-        );
-
         if let Some(delta) = self.durable.take_delta() {
             effects.insert(0, Effect::Persist(Box::new(delta)));
         }
@@ -93,10 +83,9 @@ impl ReplicaNode {
     }
 
     fn handle_boot(&mut self, ctx: &mut NodeCtx<'_>) {
-        // A replayed prepared slot holds the lock the way its vote did:
-        // exclusively, with no lease, until its decision, which it chases.
+        // A replayed prepared slot is the lock the way its vote made it,
+        // with no lease, until its decision, which it chases.
         if let Some(op) = self.durable.prepared.as_ref().map(|(op, _)| *op) {
-            self.vol.lock.try_exclusive(op);
             self.arm_decision_retry(ctx, op);
         }
         if matches!(self.config.mode, Mode::Dynamic { .. }) {

@@ -11,7 +11,9 @@
 use crate::msg::OpId;
 use std::collections::BTreeSet;
 
-/// The lock state of one replica.
+/// The leased lock grants of one replica. While the replica's prepared
+/// slot is held, the slot is the lock and this holds no grant (see
+/// `ReplicaNode::exclusive_holder`).
 #[derive(Clone, Debug, Default)]
 pub struct ReplicaLock {
     exclusive: Option<OpId>,
@@ -19,7 +21,9 @@ pub struct ReplicaLock {
     /// Someone was refused here since the last fresh exclusive grant: the
     /// signal a chain of pipelined write rounds yields on (DESIGN.md §10).
     contended: bool,
-    /// The exclusive holder got the lock by a handoff: a chained round.
+    /// The last exclusive grant was a handoff: a chained round. A release
+    /// keeps it, so it still describes the round whose YES vote moved that
+    /// grant into the prepared slot.
     handed_off: bool,
 }
 
@@ -57,34 +61,33 @@ impl ReplicaLock {
     pub fn release(&mut self, op: OpId) {
         if self.exclusive == Some(op) {
             self.exclusive = None;
-            self.handed_off = false;
         }
         self.shared.remove(&op);
     }
 
-    /// Hands the exclusive lock from `from` to `to` without an unlocked
-    /// window in between (pipelined 2PC's decision-time chain, DESIGN.md
-    /// §10), keeping the contention bit. Returns false — leaving the lock
-    /// untouched — unless `from` is the current exclusive holder, so a
-    /// stale or reordered handoff can never steal a lock some other
-    /// operation legitimately acquired.
-    pub(crate) fn transfer_exclusive(&mut self, from: OpId, to: OpId) -> bool {
-        if self.exclusive == Some(from) {
-            self.exclusive = Some(to);
-            self.handed_off = true;
-            true
-        } else {
-            false
-        }
+    /// Refuses a request outright, as a held lock refuses it: sets the
+    /// contention bit.
+    pub(crate) fn refuse(&mut self) -> bool {
+        self.contended = true;
+        false
     }
 
-    /// Whether `op` currently holds the exclusive lock.
-    pub fn held_exclusively_by(&self, op: OpId) -> bool {
+    /// Grants the exclusive lock to the chained round `to` by a handoff
+    /// (pipelined 2PC's decision-time chain, DESIGN.md §10), keeping the
+    /// contention bit. Only a committing decision that emptied the prepared
+    /// slot hands off, and nothing holds a grant while the slot is held.
+    pub(crate) fn hand_off(&mut self, to: OpId) {
+        self.exclusive = Some(to);
+        self.handed_off = true;
+    }
+
+    /// Whether `op` holds the leased exclusive grant.
+    pub(crate) fn held_exclusively_by(&self, op: OpId) -> bool {
         self.exclusive == Some(op)
     }
 
-    /// Whether the replica is locked at all.
-    pub fn is_locked(&self) -> bool {
+    /// Whether any leased grant is held.
+    pub(crate) fn is_locked(&self) -> bool {
         self.exclusive.is_some() || !self.shared.is_empty()
     }
 
@@ -93,8 +96,8 @@ impl ReplicaLock {
         self.shared.iter().copied()
     }
 
-    /// The current exclusive holder, if any.
-    pub fn exclusive_holder(&self) -> Option<OpId> {
+    /// The leased exclusive holder, if any.
+    pub(crate) fn exclusive_holder(&self) -> Option<OpId> {
         self.exclusive
     }
 
@@ -108,11 +111,6 @@ impl ReplicaLock {
     pub(crate) fn wait_behind_chain(&mut self) -> bool {
         self.contended |= self.handed_off;
         self.handed_off
-    }
-
-    /// Clears all lock state (volatile; called on crash).
-    pub fn clear(&mut self) {
-        *self = ReplicaLock::default();
     }
 }
 
@@ -171,28 +169,5 @@ mod tests {
         l.release(op(0, 1));
         l.release(op(0, 1));
         assert!(!l.is_locked());
-    }
-
-    #[test]
-    fn transfer_moves_only_from_current_holder() {
-        let mut l = ReplicaLock::default();
-        l.try_exclusive(op(0, 1));
-        assert!(l.transfer_exclusive(op(0, 1), op(0, 2)));
-        assert!(l.held_exclusively_by(op(0, 2)));
-        // Stale handoff naming the old holder: refused, state untouched.
-        assert!(!l.transfer_exclusive(op(0, 1), op(0, 3)));
-        assert!(l.held_exclusively_by(op(0, 2)));
-        l.release(op(0, 2));
-        assert!(!l.transfer_exclusive(op(0, 2), op(0, 4)));
-        assert!(!l.is_locked());
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut l = ReplicaLock::default();
-        l.try_exclusive(op(0, 1));
-        l.clear();
-        assert!(!l.is_locked());
-        assert!(l.try_shared(op(3, 3)));
     }
 }

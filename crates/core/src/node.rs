@@ -231,12 +231,29 @@ impl ReplicaNode {
         (0..self.config.n_replicas as u32).map(NodeId).collect()
     }
 
+    /// The replica's exclusive holder: the prepared slot's op, else the
+    /// leased exclusive grant's. From its YES vote (or its replay at boot)
+    /// until its decision the slot is the lock, with no lease.
+    pub fn exclusive_holder(&self) -> Option<OpId> {
+        let slot = self.durable.prepared.as_ref().map(|(op, _)| *op);
+        slot.or(self.vol.lock.exclusive_holder())
+    }
+
+    /// Whether the replica is locked at all: its prepared slot is held, or
+    /// some leased grant is.
+    pub fn is_locked(&self) -> bool {
+        self.durable.prepared.is_some() || self.vol.lock.is_locked()
+    }
+
     /// Takes the replica lock for `op`, exclusive or shared, traces the
     /// grant and arms its lease: each node that receives a request "obtains
     /// a lock for its replica" (§4.1). No-wait: false when others hold it
-    /// incompatibly, which sets the contention bit chaining yields on.
+    /// incompatibly, or the prepared slot is held, whatever its op; either
+    /// refusal sets the contention bit chaining yields on.
     pub(crate) fn lock(&mut self, ctx: &mut NodeCtx<'_>, op: OpId, exclusive: bool) -> bool {
-        let granted = if exclusive {
+        let granted = if self.durable.prepared.is_some() {
+            self.vol.lock.refuse()
+        } else if exclusive {
             self.vol.lock.try_exclusive(op)
         } else {
             self.vol.lock.try_shared(op)
@@ -262,32 +279,15 @@ impl ReplicaNode {
         }
     }
 
-    /// Releases `op`'s lock and drops its lease, then hands the lock to a
-    /// waiting epoch prepare if one is queued. The op in the prepared slot
-    /// keeps its lock: from its YES vote (or its replay at boot) until its
-    /// decision it holds the lock exclusively with no lease, and only that
-    /// decision frees it, never a `Release` or a lease naming its op id.
+    /// Releases `op`'s leased grant and drops its lease, then hands the
+    /// lock to a waiting epoch prepare if one is queued. The prepared
+    /// slot's op holds no grant (its YES vote moved it into the slot), so a
+    /// `Release` or a lease naming it frees nothing: only its decision does.
     pub fn release_lock(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        if self.in_doubt(op) {
-            return;
-        }
         self.vol.lock.release(op);
         ctx.trace(TraceEvent::LockRelease { op });
         self.drop_lease(ctx, op);
         self.grant_pending_epoch_prepare(ctx);
-    }
-
-    /// Hands `from_op`'s exclusive lock to the chained round `to_op`, which
-    /// gets a lease of its own as `from_op`'s goes. False, with nothing
-    /// changed, unless `from_op` holds the lock exclusively.
-    pub fn hand_off_lock(&mut self, ctx: &mut NodeCtx<'_>, from_op: OpId, to_op: OpId) -> bool {
-        if !self.vol.lock.transfer_exclusive(from_op, to_op) {
-            return false;
-        }
-        ctx.trace(TraceEvent::LockHandoff { from_op, to_op });
-        self.drop_lease(ctx, from_op);
-        self.arm_lock_lease(ctx, to_op);
-        true
     }
 
     /// `op`'s lease ran out: its lock is freed like any other release.

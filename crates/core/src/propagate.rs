@@ -171,7 +171,7 @@ impl ReplicaNode {
         let wanted = self.durable.stale && self.durable.dversion <= source_version;
         // ... unless a two-phase commit is touching this replica: that keeps
         // propagation from racing a prepared update.
-        let in_2pc = self.vol.lock.exclusive_holder().is_some() || self.durable.prepared.is_some();
+        let in_2pc = self.exclusive_holder().is_some();
         let reply = if busy || (wanted && in_2pc) {
             PropReply::AlreadyRecovering
         } else if !wanted {
@@ -255,7 +255,7 @@ impl ReplicaNode {
         };
         // Lock-free fence: a two-phase commit grabbed the replica between
         // the offer and the transfer — back off, retry later.
-        if self.vol.lock.exclusive_holder().is_some() || self.durable.prepared.is_some() {
+        if self.exclusive_holder().is_some() {
             ctx.cancel_timer(inc.lease);
             ctx.send(from, Msg::PropAck { prop, ok: false });
             return;

@@ -21,7 +21,7 @@ impl ReplicaNode {
             elist: self.durable.elist.clone(),
             enumber: self.durable.enumber,
             last_good: self.durable.last_good.clone(),
-            wlocked: self.vol.lock.exclusive_holder().is_some(),
+            wlocked: self.exclusive_holder().is_some(),
             prepared_version: self.durable.prepared.as_ref().map(|(_, a)| match a {
                 Action::DoUpdate { new_version, .. } => *new_version,
                 Action::MarkStale { desired_version }
@@ -158,15 +158,16 @@ impl ReplicaNode {
             }
         };
         if yes {
+            // The vote moves the op's grant into the slot, which is the lock
+            // with no lease until the decision; chase the outcome if the
+            // coordinator goes quiet (it may have aborted before our delayed
+            // vote arrived).
             self.durable.vote(op, action);
-            // The vote holds the lock with no lease until the decision (see
-            // `release_lock`); chase the outcome if the coordinator goes
-            // quiet (it may have aborted before our delayed vote arrived).
+            self.vol.lock.release(op);
             self.drop_lease(ctx, op);
             self.arm_decision_retry(ctx, op);
         } else if matches!(action, Action::NewEpoch { .. } | Action::DoUpdate { .. })
             && self.vol.lock.held_exclusively_by(op)
-            && self.durable.prepared.is_none()
         {
             // The prepare acquired (or held) the lock but failed
             // validation; don't leave the replica locked until the lease.
@@ -236,11 +237,14 @@ impl ReplicaNode {
             }
         }
         // Pipelined 2PC handoff: a committing decision may name the chained
-        // round whose prepare is right behind it; hand that round the lock
-        // instead of opening a window another operation could slip into.
-        // Only when this node applied `op`: a stale duplicate, or a lock that
-        // already moved on, falls through to the idempotent release.
-        if commit && applied && chain.is_some_and(|next| self.hand_off_lock(ctx, op, next)) {
+        // round whose prepare is right behind it; hand that round a leased
+        // grant instead of opening a window another operation could slip
+        // into. Only when this decision emptied the slot: a stale duplicate
+        // falls through to the idempotent release.
+        if let Some(to_op) = chain.filter(|_| commit && applied) {
+            self.vol.lock.hand_off(to_op);
+            ctx.trace(TraceEvent::LockHandoff { from_op: op, to_op });
+            self.arm_lock_lease(ctx, to_op);
             return;
         }
         // Idempotent: also frees the lock of a participant that voted no
@@ -338,7 +342,7 @@ impl ReplicaNode {
 
     /// Grants a queued epoch prepare once the replica lock frees up.
     pub(crate) fn grant_pending_epoch_prepare(&mut self, ctx: &mut NodeCtx<'_>) {
-        if self.vol.lock.is_locked() || self.durable.prepared.is_some() {
+        if self.is_locked() {
             return;
         }
         if let Some((op, from, action)) = self.vol.pending_epoch_prepare.take() {

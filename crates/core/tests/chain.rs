@@ -111,7 +111,20 @@ fn a_refusal_sets_the_bit_a_handoff_keeps_it_and_a_fresh_grant_clears_it() {
             chain,
         },
     );
-    assert!(node.vol.lock.held_exclusively_by(c));
+    assert_eq!(node.exclusive_holder(), Some(c));
+    // A duplicate of a decision whose op is no longer in the prepared slot
+    // moves no lock, whatever round it names.
+    let duplicate = |decided| Msg::Decision {
+        op: decided,
+        commit,
+        chain: Some(op(0, 9)),
+    };
+    deliver(&mut node, coordinator, duplicate(a));
+    assert_eq!(
+        node.exclusive_holder(),
+        Some(c),
+        "a stale handoff moved the lock"
+    );
     assert_eq!(
         vote(&deliver(&mut node, coordinator, prepare(c, 2))),
         (true, true)
@@ -126,6 +139,8 @@ fn a_refusal_sets_the_bit_a_handoff_keeps_it_and_a_fresh_grant_clears_it() {
             chain,
         },
     );
+    deliver(&mut node, coordinator, duplicate(c));
+    assert!(!node.is_locked(), "a stale handoff locked a free replica");
     // A fresh exclusive grant starts over.
     deliver(&mut node, coordinator, Msg::WriteReq { op: d });
     assert!(!node.vol.lock.contended(), "a fresh grant kept the bit");

@@ -115,12 +115,7 @@ fn read_at_a_replica_outside_the_good_set_commits_newest_without_a_fetch() {
         driver.perform(event);
     }
     for i in 0..N as u32 {
-        let lock = &driver.node(NodeId(i)).vol.lock;
-        assert_eq!(
-            lock.shared_holders().count(),
-            0,
-            "n{i} still holds a shared lock"
-        );
+        assert!(!driver.node(NodeId(i)).is_locked(), "n{i} is still locked");
     }
 }
 

@@ -5,12 +5,14 @@
 //!   even one that names the held op, and the slot and the lock stay as
 //!   they were. A YES to a reused op id let a COMMIT apply the old slot's
 //!   action (ROADMAP 1(a)(i)).
-//! * From its YES vote until its decision, a prepared op holds the
-//!   replica's exclusive lock with no lease: neither a lease expiry nor a
-//!   `Release` naming its op id frees it, only the decision does. A replica
-//!   that recovers the slot from its journal holds the lock the same way.
-//!   A `Release` of a reused op id freed an in-doubt slot's lock
-//!   (ROADMAP 1(a)(ii)).
+//! * From its YES vote until its decision, a prepared op's slot is the
+//!   replica's exclusive lock, with no lease: neither a lease expiry nor a
+//!   `Release` naming its op id frees it, only the decision does, and every
+//!   permission request is refused, a read or write naming the slot's own
+//!   op id too, with no grant and no lease. A replica that recovers the
+//!   slot from its journal holds the lock the same way. A `Release` of a
+//!   reused op id freed an in-doubt slot's lock (ROADMAP 1(a)(ii)), and a
+//!   `WriteReq` of one was granted with a fresh lease.
 //! * A coordinator whose journal was quarantined may have lost decision
 //!   records with the corrupt suffix. Asked about an op behind its
 //!   quarantine fence with no record, it stays silent instead of presuming
@@ -112,7 +114,7 @@ fn a_held_prepared_slot_refuses_every_other_prepare() {
             "a Prepare for {what} journaled something"
         );
         assert_eq!(node.durable.prepared, held, "after a Prepare for {what}");
-        assert_eq!(node.vol.lock.exclusive_holder(), Some(a), "after {what}");
+        assert_eq!(node.exclusive_holder(), Some(a), "after {what}");
     }
 }
 
@@ -130,6 +132,48 @@ fn track_leases(leases: &mut Vec<TimerId>, effects: &[Effect], op: OpId) {
             _ => {}
         }
     }
+}
+
+/// `node`, whose prepared slot holds `a`, refuses every permission request:
+/// another op's read sets the contention bit as a held lock's refusal
+/// does, and a write or read naming `a` itself, a reused id, gets no grant
+/// and arms no lease.
+fn the_slot_refuses_every_request(node: &mut ReplicaNode, a: OpId) {
+    assert!(
+        !node.vol.lock.contended(),
+        "the bit was set before a refusal"
+    );
+    let asks = [
+        ("another op's ReadReq", Msg::ReadReq { op: op(2, 1) }),
+        ("a WriteReq naming the slot's op", Msg::WriteReq { op: a }),
+        ("a ReadReq naming the slot's op", Msg::ReadReq { op: a }),
+    ];
+    for (what, ask) in asks {
+        let effects = deliver(node, NodeId(2), ask);
+        let granted: Vec<bool> = effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send {
+                    msg: Msg::StateResp { granted, .. },
+                    ..
+                } => Some(*granted),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(granted, [false], "{what}");
+        let leased = effects.iter().any(|e| {
+            matches!(
+                e,
+                Effect::SetTimer {
+                    timer: Timer::LockLease { .. },
+                    ..
+                }
+            )
+        });
+        assert!(!leased, "{what} armed a lock lease");
+        assert!(node.vol.lock.contended(), "{what} left the bit clear");
+    }
+    assert_eq!(node.exclusive_holder(), Some(a));
 }
 
 #[test]
@@ -157,11 +201,9 @@ fn a_prepared_op_holds_its_lock_without_a_lease_until_its_decision() {
     };
     assert!(vote(&step(&mut node, prepare, &mut leases)));
     assert_eq!(leases, [], "the YES vote left the op's lease pending");
+    the_slot_refuses_every_request(&mut node, a);
     step(&mut node, Msg::Release { op: a }, &mut leases);
-    assert!(
-        node.vol.lock.held_exclusively_by(a),
-        "a Release freed a prepared op's lock"
-    );
+    assert_eq!(node.exclusive_holder(), Some(a), "a Release freed the slot");
 
     let replay = journal.replay_checked(&config);
     assert_eq!(replay.durable.prepared, Some((a, update(1, 1))));
@@ -172,10 +214,12 @@ fn a_prepared_op_holds_its_lock_without_a_lease_until_its_decision() {
     track_leases(&mut replayed_leases, &booted, a);
     deliver(&mut recovered, coordinator, Msg::Release { op: a });
     assert_eq!(replayed_leases, [], "the boot armed a lease for the slot");
-    assert!(
-        recovered.vol.lock.held_exclusively_by(a),
-        "the recovered slot does not hold the lock"
+    assert_eq!(
+        recovered.exclusive_holder(),
+        Some(a),
+        "a Release freed the slot"
     );
+    the_slot_refuses_every_request(&mut recovered, a);
 
     for node in [&mut node, &mut recovered] {
         let commit = Msg::Decision {
@@ -184,7 +228,7 @@ fn a_prepared_op_holds_its_lock_without_a_lease_until_its_decision() {
             chain: None,
         };
         deliver(node, coordinator, commit);
-        assert!(!node.vol.lock.is_locked(), "the decision kept the lock");
+        assert!(!node.is_locked(), "the decision kept the lock");
         assert_eq!((node.durable.version, &node.durable.prepared), (1, &None));
     }
 }
@@ -261,7 +305,7 @@ fn a_replica_in_rejoin_limbo_serves_no_peer() {
             .filter(|e| matches!(e, Effect::Send { .. }))
             .collect();
         assert!(sent.is_empty(), "{what} was answered in limbo: {sent:?}");
-        assert!(!node.vol.lock.is_locked(), "{what} locked the replica");
+        assert!(!node.is_locked(), "{what} locked the replica");
         assert_eq!(node.durable.prepared, None, "{what} was prepared in limbo");
     }
     // Decision queries still run in limbo: a decision it kept is answered.
@@ -291,7 +335,7 @@ fn a_transfer_is_refused_once_a_two_phase_commit_took_the_replica() {
     });
     assert!(permitted, "the offer was not permitted: {offered:?}");
     deliver(&mut node, NodeId(2), Msg::WriteReq { op: op(2, 1) });
-    assert_eq!(node.vol.lock.exclusive_holder(), Some(op(2, 1)));
+    assert_eq!(node.exclusive_holder(), Some(op(2, 1)));
 
     let pages = PagedObject::new(node.config.n_pages).snapshot();
     let payload = PropPayload::Snapshot { pages, version: 1 };

@@ -266,17 +266,10 @@ fn write_burst_batches_and_chains_rounds() {
     let drained = LOCK_LEASE / 2;
     driver.run_for(drained);
     for i in 0..3 {
-        let vol = &driver.node(NodeId(i)).vol;
-        let held = (
-            vol.lock.exclusive_holder(),
-            vol.lock.shared_holders().count(),
-        );
-        assert_eq!(held, (None, 0), "n{i} still holds a lock");
-        assert!(
-            vol.lock_leases.is_empty(),
-            "n{i} holds a lease: {:?}",
-            vol.lock_leases
-        );
+        let node = driver.node(NodeId(i));
+        assert!(!node.is_locked(), "n{i} is still locked");
+        let leases = &node.vol.lock_leases;
+        assert!(leases.is_empty(), "n{i} holds a lease: {leases:?}");
     }
     driver.run_for(SimDuration::from_secs(5) - drained);
 

@@ -113,10 +113,10 @@ cargo run --release -p coterie-harness --bin nemesis -- 6 42 1500
 
 echo "==> nemesis smoke in the dev profile (the engine's debug assertions)"
 # Every other nemesis run here is --release, so the engine's debug
-# assertions (one vote per slot, no re-decided op, the prepared slot's op
-# holds the exclusive lock) would never see a storage fault without this
-# one: 25 seeds of each column (~5 s on 2 cores). It fails only on a
-# panic; exit 1 for a violation is the ratchet's to judge.
+# assertions (`durable.rs`: one vote per slot, no re-decided op) would
+# never see a storage fault without this one: 25 seeds of each column
+# (~5 s on 2 cores). It fails only on a panic; exit 1 for a violation is
+# the ratchet's to judge.
 status=0
 cargo run -p coterie-harness --bin nemesis -- 25 0 3000 >/dev/null || status=$?
 if ((status > 1)); then
