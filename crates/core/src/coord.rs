@@ -266,21 +266,9 @@ impl ReplicaNode {
     }
 
     /// `RPC.CallFailed` for a poll request: the callee failed in the poll
-    /// that sent that request. After a quarantine an `OpId` can come back
-    /// as an op of another kind (DESIGN.md §14.4), so a bounce counts only
-    /// against a poll of its own kind.
-    pub(crate) fn on_request_failed(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        to: NodeId,
-        op: OpId,
-        request: &Msg,
-    ) {
-        let Some(entry) = self.vol.ops.get_mut(&op) else {
-            return;
-        };
-        let same = std::mem::discriminant(&entry.request(op)) == std::mem::discriminant(request);
-        if same && entry.poll().fail(to) {
+    /// that sent that request.
+    pub(crate) fn on_request_failed(&mut self, ctx: &mut NodeCtx<'_>, to: NodeId, op: OpId) {
+        if self.vol.ops.get_mut(&op).is_some_and(|e| e.poll().fail(to)) {
             self.evaluate(ctx, op);
         }
     }

@@ -21,11 +21,6 @@ use crate::config::{ProtocolConfig, LOG_CAP};
 use crate::msg::{Action, OpId, PropPayload};
 use crate::store::{LogDelta, LogEntry, PageId, PagedObject, Pages, PartialWrite, WriteLog};
 
-/// How far a quarantine moves the op counter past ids the lost journal
-/// suffix could have allocated. The suffix length is bounded by the
-/// journal's record count, which is far below this for any conceivable run.
-const OP_COUNTER_SKIP: u64 = 1_000_000;
-
 /// State that survives crashes (the paper's per-node protocol state of
 /// §4 — version number, epoch number, stale flag, desired version, epoch
 /// list — plus the object, the propagation log, and the 2PC artifacts that
@@ -56,12 +51,11 @@ pub struct Durable {
     /// Good list recorded by the most recent write this replica
     /// participated in (safety-threshold extension, §4.1).
     pub last_good: Vec<NodeId>,
-    /// Amnesia fence after a journal quarantine: decision queries for ops
-    /// this node coordinated with `seq <= quarantine_fence` and absent from
-    /// [`decisions`](Durable::decisions) stay *silent* rather than presume
-    /// abort, since their commit record may have been lost with the corrupt
-    /// suffix. Zero means the journal has never been quarantined.
-    pub quarantine_fence: u64,
+    /// The incarnation stamped on every op id this node issues: fresh at
+    /// every journal quarantine, so no id issued after one equals an id
+    /// issued before it, however little of the journal survived. Zero
+    /// means the journal has never been quarantined.
+    pub incarnation: u64,
     /// True from a journal quarantine until the stale-rejoin handshake
     /// completes (`DurableCell::end_rejoin`); every boot that finds it set
     /// enters the handshake ([`crate::rejoin`]).
@@ -84,7 +78,7 @@ impl Durable {
             decisions: BTreeMap::new(),
             op_counter: 0,
             last_good: Vec::new(),
-            quarantine_fence: 0,
+            incarnation: 0,
             rejoin_pending: false,
         }
     }
@@ -96,17 +90,15 @@ impl Durable {
 
     /// Journal quarantine: stale, with the rejoin handshake owed; the
     /// prepared slot dropped (its vote may be part of the lost suffix, so
-    /// the promise can be kept neither way); and the amnesia fence
-    /// `OP_COUNTER_SKIP` ids past the replayed op counter, which moves
-    /// onto it so no new op reuses an id the lost suffix could have
+    /// the promise can be kept neither way); and the fresh `incarnation`
+    /// the host drew, so no new op reuses an id the lost suffix could have
     /// issued. The host writes the result as the one image a quarantined
     /// journal restarts from, so no later append can tear it in half.
-    pub fn quarantine(&mut self) {
+    pub fn quarantine(&mut self, incarnation: u64) {
         self.stale = true;
         self.rejoin_pending = true;
         self.prepared = None;
-        self.quarantine_fence = self.op_counter + OP_COUNTER_SKIP;
-        self.op_counter = self.quarantine_fence;
+        self.incarnation = incarnation;
     }
 }
 
@@ -139,8 +131,8 @@ pub struct DurableDelta {
     pub op_counter: Option<u64>,
     /// New good list from the most recent write.
     pub last_good: Option<Vec<NodeId>>,
-    /// New quarantine fence (see [`Durable::quarantine_fence`]).
-    pub quarantine_fence: Option<u64>,
+    /// New incarnation (see [`Durable::incarnation`]).
+    pub incarnation: Option<u64>,
     /// New rejoin-pending flag (see [`Durable::rejoin_pending`]).
     pub rejoin_pending: Option<bool>,
 }
@@ -174,7 +166,7 @@ impl DurableDelta {
         put!(cell, prepared, durable.prepared.clone());
         put!(cell, op_counter, durable.op_counter);
         put!(cell, last_good, durable.last_good.clone());
-        put!(cell, quarantine_fence, durable.quarantine_fence);
+        put!(cell, incarnation, durable.incarnation);
         put!(cell, rejoin_pending, durable.rejoin_pending);
         cell.take_delta()
     }
@@ -198,7 +190,7 @@ impl DurableDelta {
         }
         set(&mut durable.op_counter, &self.op_counter);
         set(&mut durable.last_good, &self.last_good);
-        set(&mut durable.quarantine_fence, &self.quarantine_fence);
+        set(&mut durable.incarnation, &self.incarnation);
         set(&mut durable.rejoin_pending, &self.rejoin_pending);
     }
 }
@@ -282,11 +274,16 @@ impl DurableCell {
         }
     }
 
-    /// Allocates `me`'s next operation id from the durable counter.
+    /// Allocates `me`'s next operation id: the current incarnation, and
+    /// the next value of the durable counter.
     pub(crate) fn next_op(&mut self, me: NodeId) -> OpId {
         let seq = self.state.op_counter + 1;
         put!(self, op_counter, seq);
-        OpId { node: me, seq }
+        OpId {
+            node: me,
+            inc: self.state.incarnation,
+            seq,
+        }
     }
 
     /// §4 do-update: records the good list, restores the write-all-current
@@ -422,7 +419,7 @@ mod tests {
 
     fn op(seq: u64) -> OpId {
         let node = NodeId(0);
-        OpId { node, seq }
+        OpId { node, inc: 0, seq }
     }
 
     fn write(page: PageId, contents: &str) -> PartialWrite {
@@ -555,7 +552,7 @@ mod tests {
         cell.install_epoch(1, &[NodeId(1), NodeId(2)]);
         cell.apply_update(&[write(1, "y")], cell.version + 1, None, &[NodeId(1)]);
         let mut quarantined = cell.state;
-        quarantined.quarantine();
+        quarantined.quarantine(7);
         let mut cell = DurableCell::new(quarantined);
         cell.vote(op(4), Action::MarkStale { desired_version: 2 });
         cell.mark_stale(40);

@@ -1,5 +1,5 @@
 //! Deterministic byte codec for [`DurableDelta`] — the payload format of
-//! the framed journal (format v2, see DESIGN.md §9).
+//! the framed journal (format v3, see DESIGN.md §9).
 //!
 //! Every field is little-endian and self-delimiting: scalars are fixed
 //! width, `Option`s carry a one-byte tag, and variable-length data is
@@ -147,7 +147,7 @@ pub fn encode_delta_into(out: &mut Vec<u8>, delta: &DurableDelta) {
     }
     put_opt(out, delta.op_counter, put_u64);
     put_opt(out, delta.last_good.as_deref(), put_nodes);
-    put_opt(out, delta.quarantine_fence, put_u64);
+    put_opt(out, delta.incarnation, put_u64);
     put_opt(out, delta.rejoin_pending, put_bool);
 }
 
@@ -187,7 +187,7 @@ pub fn decode_delta(payload: &[u8]) -> Result<DurableDelta, DecodeError> {
     }
     delta.op_counter = r.opt_u64()?;
     delta.last_good = r.opt("last-good option tag", Reader::nodes)?;
-    delta.quarantine_fence = r.opt_u64()?;
+    delta.incarnation = r.opt_u64()?;
     delta.rejoin_pending = r.opt_bool()?;
     if r.pos != r.buf.len() {
         return Err(DecodeError {
@@ -248,6 +248,7 @@ fn put_nodes(out: &mut Vec<u8>, nodes: &[NodeId]) {
 
 fn put_op(out: &mut Vec<u8>, op: OpId) {
     put_u32(out, op.node.0);
+    put_u64(out, op.inc);
     put_u64(out, op.seq);
 }
 
@@ -421,8 +422,9 @@ impl<'a> Reader<'a> {
 
     fn op(&mut self) -> Result<OpId, DecodeError> {
         let node = NodeId(self.u32("op node")?);
+        let inc = self.u64("op incarnation")?;
         let seq = self.u64("op seq")?;
-        Ok(OpId { node, seq })
+        Ok(OpId { node, inc, seq })
     }
 
     fn write(&mut self) -> Result<PartialWrite, DecodeError> {
@@ -526,8 +528,10 @@ mod tests {
     fn rich_delta() -> DurableDelta {
         let op = |seq| OpId {
             node: NodeId(0),
+            inc: 0,
             seq,
         };
+        let inc = 0xC0DE_0000_0000_0001;
         let write = PartialWrite::new([(0, b("aa"))]);
         let action = Action::MarkStale { desired_version: 8 };
         DurableDelta {
@@ -541,10 +545,10 @@ mod tests {
                 pushed: vec![Arc::new(LogEntry { version: 7, write })],
             },
             prepared: Some(Some((op(40), action))),
-            decisions: vec![(op(1), true), (op(2), false)],
+            decisions: vec![(op(1), true), (op(2), false), (OpId { inc, ..op(3) }, true)],
             op_counter: Some(12),
             last_good: Some(vec![NodeId(0), NodeId(2)]),
-            quarantine_fence: Some(1_000_000),
+            incarnation: Some(inc),
             rejoin_pending: Some(true),
         }
     }
@@ -590,6 +594,7 @@ mod tests {
                 prepared: Some(Some((
                     OpId {
                         node: NodeId(1),
+                        inc: 0,
                         seq: 3,
                     },
                     action.clone(),

@@ -686,6 +686,7 @@ mod tests {
             blind_to("contended", |n| {
                 let op = |node| crate::msg::OpId {
                     node: NodeId(node),
+                    inc: 0,
                     seq: 1,
                 };
                 assert!(n.vol.lock.try_exclusive(op(1)) && !n.vol.lock.try_shared(op(2)));

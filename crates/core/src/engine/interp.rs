@@ -18,6 +18,7 @@ use crate::node::{ReplicaNode, Timer};
 
 use super::failpoint::{Failpoints, FaultKind};
 use super::io::{Effect, Input};
+use super::rng::Rng64;
 use super::storage::{FramedJournal, ReplayVerdict};
 use super::trace::{ReplayClass, TraceEvent, TraceRecord, TraceRing};
 use crate::durable::DurableDelta;
@@ -62,14 +63,19 @@ pub struct EffectInterpreter {
     pub failpoints: Failpoints,
     /// This replica's flight recorder, when tracing is enabled.
     pub tracing: Option<TraceRing>,
+    /// The stream each journal quarantine draws a fresh incarnation from,
+    /// decorrelated from the failpoint and engine streams.
+    incarnations: Rng64,
 }
 
 impl EffectInterpreter {
     /// The interpreter for replica `me` of a cluster configured by `config`.
     pub fn new(me: NodeId, config: &ProtocolConfig) -> Self {
+        let seed = config.seed ^ (u64::from(me.0) << 32);
         EffectInterpreter {
-            failpoints: Failpoints::new(config.seed ^ (u64::from(me.0) << 32)),
+            failpoints: Failpoints::new(seed),
             tracing: None,
+            incarnations: Rng64::new(seed ^ 0x1AC0_0000_0000_0001),
         }
     }
 
@@ -185,14 +191,16 @@ impl EffectInterpreter {
     /// the checked replay decides what it boots from. A clean or torn-tail
     /// replay boots as it stands. Damage inside the acknowledged prefix
     /// quarantines the journal: the longest intact prefix, put through
-    /// [`Durable::quarantine`](crate::durable::Durable::quarantine), is
-    /// rewritten as the one image the node restarts from, and the node
-    /// re-enters the cluster stale. The host then feeds [`Input::Boot`].
+    /// [`Durable::quarantine`](crate::durable::Durable::quarantine) with a
+    /// fresh incarnation from this interpreter's seeded stream (so runs
+    /// repeat), is rewritten as the one image the node restarts from, and
+    /// the node re-enters the cluster stale. The host then feeds
+    /// [`Input::Boot`].
     ///
     /// A quarantine is one journal write: the image already holds the
-    /// stale and rejoin flags, the dropped prepared slot, the decision
-    /// fence and the skipped op counter. Were any of them left to the boot
-    /// step's own delta, a failed append of that delta would lose them.
+    /// stale and rejoin flags, the dropped prepared slot and the new
+    /// incarnation. Were any of them left to the boot step's own delta, a
+    /// failed append of that delta would lose them.
     pub fn recover(&mut self, r: &mut Replica<'_>) {
         let mut replay = r.journal.replay_checked(&r.node.config);
         let class = match replay.verdict {
@@ -204,7 +212,7 @@ impl EffectInterpreter {
         if replay.verdict.is_bootable() {
             r.journal.truncate_tail();
         } else {
-            replay.durable.quarantine();
+            replay.durable.quarantine(self.incarnations.next_u64());
             r.journal.reset_to(&replay.durable, &r.node.config);
         }
         r.node.install_durable(replay.durable);

@@ -113,7 +113,7 @@ impl ReplicaNode {
         // intersection with a lost write's quorum is this replica would
         // commit a duplicate version or serve a stale read. Replies to its
         // own polls and ballots, decisions, releases, decision queries
-        // (behind the quarantine fence) and transfers still run.
+        // (silent on earlier incarnations) and transfers still run.
         if self.durable.rejoin_pending
             && matches!(
                 msg,
@@ -167,7 +167,7 @@ impl ReplicaNode {
         ctx.trace(TraceEvent::MsgBounce { to, class });
         match msg {
             Msg::WriteReq { op } | Msg::ReadReq { op } | Msg::EpochCheckReq { op } => {
-                self.on_request_failed(ctx, to, op, &msg)
+                self.on_request_failed(ctx, to, op)
             }
             // An unreachable 2PC participant is an implicit "no" (it cannot
             // have prepared: it never received the Prepare).

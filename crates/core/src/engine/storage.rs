@@ -26,16 +26,16 @@ use std::ops::Range;
 use crate::config::ProtocolConfig;
 use crate::durable::{Durable, DurableDelta};
 
-/// Journal format v2 magic bytes (`"CTJ2"`).
-pub const JOURNAL_MAGIC: [u8; 4] = *b"CTJ2";
+/// Journal format v3 magic bytes (`"CTJ3"`).
+pub const JOURNAL_MAGIC: [u8; 4] = *b"CTJ3";
 
-/// Byte length of the v2 header: magic, record count, count checksum.
+/// Byte length of the v3 header: magic, record count, count checksum.
 pub const JOURNAL_HEADER_LEN: usize = 16;
 
 /// Why a replay quarantined a journal instead of recovering from it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum QuarantineReason {
-    /// The magic bytes are wrong: this is not a v2 journal.
+    /// The magic bytes are wrong: this is not a v3 journal.
     BadMagic,
     /// The record-count header fails its checksum — the commit pointer
     /// itself is corrupt, so *which* records were acknowledged is unknown.
@@ -105,13 +105,13 @@ pub struct FramedReplay {
     pub verdict: ReplayVerdict,
 }
 
-/// Journal format v2: a byte buffer of length-prefixed, CRC-checksummed
+/// Journal format v3: a byte buffer of length-prefixed, CRC-checksummed
 /// [`DurableDelta`] records behind a checksummed record-count header.
 ///
 /// Layout:
 ///
 /// ```text
-/// [magic "CTJ2" | count: u64 LE | crc32(count bytes): u32 LE]   header, 16 B
+/// [magic "CTJ3" | count: u64 LE | crc32(count bytes): u32 LE]   header, 16 B
 /// [len: u32 LE | crc32(payload): u32 LE | payload: len B]*      records
 /// ```
 ///
@@ -477,7 +477,7 @@ mod tests {
 
     fn op(seq: u64) -> OpId {
         let node = NodeId(0);
-        OpId { node, seq }
+        OpId { node, inc: 0, seq }
     }
 
     fn entry(version: u64) -> LogEntry {

@@ -269,7 +269,8 @@ fn class_name(class: MsgClass) -> &'static str {
 }
 
 fn op_str(op: &OpId) -> String {
-    format!("n{}#{}", op.node.0, op.seq)
+    let inc = (op.inc != 0).then(|| format!(".{:x}", op.inc));
+    format!("n{}{}#{}", op.node.0, inc.unwrap_or_default(), op.seq)
 }
 
 /// One stamped trace record: the event plus its three clocks.
@@ -445,6 +446,7 @@ mod tests {
                 TraceEvent::VoteCast {
                     op: OpId {
                         node: NodeId(1),
+                        inc: 0,
                         seq: 9,
                     },
                     yes: true,

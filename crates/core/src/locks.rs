@@ -122,6 +122,7 @@ mod tests {
     fn op(n: u32, s: u64) -> OpId {
         OpId {
             node: NodeId(n),
+            inc: 0,
             seq: s,
         }
     }

@@ -3,12 +3,15 @@
 use crate::store::{LogEntry, Pages, PartialWrite};
 use coterie_quorum::NodeId;
 
-/// Globally unique operation identifier: the coordinating node plus a
+/// Globally unique operation identifier: the coordinating node, its
+/// incarnation (so ids stay unique across journal quarantines), and a
 /// durable per-node sequence number (so ids stay unique across crashes).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct OpId {
     /// Coordinating node.
     pub node: NodeId,
+    /// The coordinator's incarnation ([`crate::Durable::incarnation`]).
+    pub inc: u64,
     /// Durable per-node sequence number.
     pub seq: u64,
 }

@@ -15,9 +15,8 @@
 //!    journal restarts from, marks the replica stale and rejoin-pending,
 //!    drops any replayed prepared-transaction slot (its vote may or may
 //!    not have reached the coordinator; either way it can no longer honor
-//!    it), fences possibly-lost coordinator decisions (see
-//!    [`Durable::quarantine_fence`]), and skips its op counter far past
-//!    any id the lost suffix could have allocated;
+//!    it), and takes a fresh [`Durable::incarnation`], so no id it issues
+//!    equals one the lost suffix could have allocated;
 //! 2. at its next [`Input::Boot`](crate::engine::Input), which finds
 //!    [`Durable::rejoin_pending`] set, the replica polls all peers with
 //!    [`Msg::RejoinQuery`] and collects [`Msg::RejoinInfo`] state tuples
@@ -52,9 +51,9 @@
 //! the volatile [`RejoinState`], and the next replay may be clean. Since
 //! every field of the quarantine is in the image, the boot after such a
 //! crash (or after a failed append of the boot step's own record) replays
-//! the same fence, counter and flags: [`Durable::rejoin_pending`] stays
-//! set until the handshake completes, and every boot that sees it
-//! re-enters the poll with an id past the fence.
+//! the same incarnation and flags: [`Durable::rejoin_pending`] stays set
+//! until the handshake completes, and every boot that sees it re-enters
+//! the poll with an id of the new incarnation.
 
 use std::collections::BTreeMap;
 

@@ -2,7 +2,6 @@
 //! commit and decision recovery.
 
 use crate::config::WriteMode;
-use crate::coord::InFlight;
 use crate::engine::trace::TraceEvent;
 use crate::msg::{Action, Msg, OpId, StateTuple};
 use crate::node::{NodeCtx, ReplicaNode};
@@ -253,25 +252,19 @@ impl ReplicaNode {
     }
 
     /// A recovered participant asks for the outcome of an in-doubt op this
-    /// node coordinated. Presumed abort: if no commit decision is on disk
-    /// and the op is not still in flight, it aborted.
+    /// node coordinated: from its decision record if there is one.
+    /// Presumed abort for an op of this incarnation no longer in flight.
+    /// Silence otherwise: the record of an earlier incarnation's op may
+    /// have been lost with a quarantined suffix, and presuming abort could
+    /// contradict a commit another participant applied, so the participant
+    /// stays blocked (textbook 2PC; the cost of losing the coordinator's
+    /// log) and re-queries.
     pub(crate) fn srv_decision_query(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, op: OpId) {
-        if matches!(
-            self.vol.ops.get(&op),
-            Some(InFlight::Write(_) | InFlight::Epoch(_))
-        ) {
-            return; // still deciding; the participant will re-query
-        }
-        // Quarantine amnesia fence: a decision record for an op behind the
-        // fence may have been lost with the corrupt journal suffix, so
-        // "not on disk" does not mean "aborted". Presuming abort here
-        // could contradict a commit another participant already applied —
-        // stay silent and leave the participant blocked (textbook 2PC
-        // blocking; the cost of losing the coordinator's log).
-        if op.seq <= self.durable.quarantine_fence && !self.durable.decisions.contains_key(&op) {
-            return;
-        }
-        let commit = self.durable.decisions.get(&op).copied().unwrap_or(false);
+        let commit = match self.durable.decisions.get(&op) {
+            Some(&commit) => commit,
+            None if op.inc == self.durable.incarnation && !self.vol.ops.contains_key(&op) => false,
+            None => return,
+        };
         // No chain on the recovery path: whatever round was chained at
         // decision time has long since prepared or aborted on its own.
         let chain = None;

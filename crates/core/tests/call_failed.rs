@@ -1,9 +1,9 @@
 //! `on_call_failed` coverage: what a coordinator does when an RPC bounces
 //! off a crashed peer, exercised through the sans-I/O [`StepDriver`]
 //! (delivering a message to a down node steps the *sender* with
-//! [`Input::CallFailed`]).
+//! [`Input::CallFailed`](coterie_core::Input::CallFailed)).
 //!
-//! Three paths with non-trivial bounce semantics are covered here:
+//! Two paths with non-trivial bounce semantics are covered here:
 //!
 //! * **Decision recovery** — a prepared participant's `DecisionRetry` chain
 //!   is disarmed the moment the decision arrives, and keeps re-querying
@@ -11,17 +11,14 @@
 //! * **Propagation** — a bounced `PropOffer`/`PropData` clears the
 //!   in-flight attempt, bumps the per-target failure count, and re-arms
 //!   the kick timer; once the target recovers, propagation completes.
-//! * **Polls** — a bounce counts as a silent peer only for a poll of the
-//!   bounced request's own kind: a stray request carrying the op id of an
-//!   epoch check does not complete the check's poll.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use coterie_base::{SimDuration, SimTime};
 use coterie_core::{
-    keys, ClientRequest, Effect, Input, Msg, MsgClass, PartialWrite, ProtocolConfig, ProtocolEvent,
-    ReplicaNode, StepDriver, Timer,
+    keys, ClientRequest, Msg, MsgClass, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
+    Timer,
 };
 use coterie_quorum::{MajorityCoterie, NodeId};
 
@@ -187,46 +184,4 @@ fn bounced_propagation_offer_retries_until_target_recovers() {
         driver.node(source).durable.object.digest(),
         "propagated contents must match the source"
     );
-}
-
-#[test]
-fn a_bounce_of_another_kind_does_not_complete_an_epoch_check() {
-    let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3).pages(4);
-    let mut node = ReplicaNode::new(NodeId(0), config);
-    node.step(SimTime::ZERO, Input::Boot);
-    let polled = node.step(SimTime::ZERO, Input::TimerFired(Timer::EpochTick));
-    let op = polled
-        .iter()
-        .find_map(|e| match e {
-            Effect::Send {
-                msg: Msg::EpochCheckReq { op },
-                ..
-            } => Some(*op),
-            _ => None,
-        })
-        .expect("the tick started no epoch check");
-    // Two of the three answer; node 2 has not.
-    for from in [NodeId(0), NodeId(1)] {
-        let mut state = node.state_tuple();
-        state.node = from;
-        let (granted, pages, lamport) = (true, None, 0);
-        let msg = Msg::StateResp {
-            op,
-            granted,
-            state,
-            pages,
-        };
-        node.step(SimTime::ZERO, Input::Deliver { from, msg, lamport });
-    }
-    let is_prepare =
-        |e: &&Effect| matches!(e, Effect::Send { msg, .. } if matches!(msg, Msg::Prepare { .. }));
-    let prepares = |effects: &[Effect]| effects.iter().filter(is_prepare).count();
-    let bounce = |node: &mut ReplicaNode, msg| {
-        node.step(SimTime::ZERO, Input::CallFailed { to: NodeId(2), msg })
-    };
-    let stray = bounce(&mut node, Msg::WriteReq { op });
-    assert_eq!(prepares(&stray), 0, "a bounced WriteReq completed the poll");
-    // The check's own request bouncing does: {0, 1} is a new epoch.
-    let own = bounce(&mut node, Msg::EpochCheckReq { op });
-    assert_eq!(prepares(&own), 2, "{own:?}");
 }

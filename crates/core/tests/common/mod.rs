@@ -169,6 +169,7 @@ pub fn majority3() -> ProtocolConfig {
 pub fn op(node: u32, seq: u64) -> OpId {
     OpId {
         node: NodeId(node),
+        inc: 0,
         seq,
     }
 }

@@ -237,6 +237,7 @@ fn a_source_marked_stale_after_its_offer_cancels_the_transfer() {
     let mut node = ReplicaNode::new(source, config);
     let op = |seq| OpId {
         node: coordinator,
+        inc: 0,
         seq,
     };
     // A write marks the target stale; the source, current, offers to it.

@@ -154,6 +154,7 @@ fn only_a_granted_read_from_a_non_stale_replica_carries_the_object() {
     node.install_durable(durable.clone());
     let op = |seq| OpId {
         node: NodeId(0),
+        inc: 0,
         seq,
     };
 

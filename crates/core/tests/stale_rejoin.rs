@@ -129,17 +129,17 @@ fn bit_flip_quarantines_then_rejoin_and_propagation_repair_to_current() {
 }
 
 /// A quarantine is one journal write. The rewritten image already records
-/// "stale, rejoin owed" with the decision fence and the skipped op counter,
-/// so when the quarantined boot's own append fails, the next boot replays
-/// that image clean and still comes up stale and rejoin-pending — not as a
-/// current replica that lost acknowledged writes — and its next op id is
-/// above every id it issued before the crash.
+/// "stale, rejoin owed" with the fresh incarnation, so when the quarantined
+/// boot's own append fails, the next boot replays that image clean and
+/// still comes up stale and rejoin-pending — not as a current replica that
+/// lost acknowledged writes — and in the new incarnation, so no id it
+/// issues equals one it issued before the crash.
 #[test]
 fn failed_append_after_quarantined_boot_still_boots_stale_and_rejoin_pending() {
     let mut driver = cluster(0xC0FFEE);
     let victim = NodeId(3);
     corrupt_and_crash(&mut driver, victim);
-    let issued = driver.node(victim).durable.op_counter;
+    let before = driver.node(victim).durable.incarnation;
 
     driver.arm_storage_fault(victim, FaultKind::AppendFail);
     driver.recover(victim);
@@ -147,6 +147,8 @@ fn failed_append_after_quarantined_boot_still_boots_stale_and_rejoin_pending() {
         driver.is_down(victim),
         "the quarantined boot's append should have failed"
     );
+    let drawn = driver.node(victim).durable.incarnation;
+    assert_ne!(drawn, before, "the quarantine kept the old incarnation");
     assert!(matches!(
         driver.replay_checked(victim).verdict,
         ReplayVerdict::Clean
@@ -162,12 +164,9 @@ fn failed_append_after_quarantined_boot_still_boots_stale_and_rejoin_pending() {
         durable.rejoin_pending,
         "the quarantine image forgot the rejoin handshake"
     );
-    let fence = durable.quarantine_fence;
-    assert!(fence >= issued, "fence {fence} below issued {issued}");
-    assert!(
-        durable.op_counter > issued,
-        "op counter {} would reuse an id up to {issued}",
-        durable.op_counter
+    assert_eq!(
+        durable.incarnation, drawn,
+        "the image lost the incarnation: ids of {before} would be reused"
     );
     driver.run_for(SimDuration::from_secs(60));
     assert!(driver
@@ -240,7 +239,7 @@ fn append_failure_is_fail_stop_with_clean_journal() {
 fn rejoin_dversion_with(answers: Vec<StateTuple>) -> u64 {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), N).pages(2);
     let mut quarantined = Durable::pristine(&config);
-    quarantined.quarantine();
+    quarantined.quarantine(7);
     let mut node = ReplicaNode::new(NodeId(3), config);
     node.install_durable(quarantined);
     let now = SimTime::ZERO;

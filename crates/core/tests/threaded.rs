@@ -3,7 +3,7 @@
 //! node-local wall-clock timers),
 //! behind the journaling host: the protocol implementation is
 //! substrate-independent. The host is a plain runtime `Node`, so the first
-//! test drives it by hand, with no runtime at all.
+//! two tests drive it by hand, with no runtime at all.
 
 // Deadline polling against the real-thread host needs the real clock.
 #![allow(clippy::disallowed_methods)]
@@ -14,7 +14,7 @@ use coterie_core::{
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 use coterie_simnet::{Effect, Event, Node, SimDuration, SimTime, ThreadedRuntime};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -93,6 +93,61 @@ fn journaled_nodes_step_by_hand_without_a_runtime() {
     let (_, sent) = settle(&mut nodes, NodeId(0), Event::Start);
     let queries = sent.iter().filter(|m| matches!(m, Msg::RejoinQuery { .. }));
     assert_eq!(queries.count(), 2, "the restart sent {sent:?}");
+}
+
+/// ROADMAP 1(a)(ii): node 0's journal is quarantined twice, the second
+/// time from a shallower prefix than the first, and no op id it issues
+/// after the second equals one it issued before.
+#[test]
+fn a_shallower_second_quarantine_reissues_no_op_id() {
+    let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), 3);
+    let mut nodes: Vec<_> = (0..3)
+        .map(|i| JournaledNode::new(NodeId(i), config.clone()))
+        .collect();
+    for i in 0..3 {
+        settle(&mut nodes, NodeId(i), Event::Start);
+    }
+    // The op ids of the requests node 0 sends as `event` starts there.
+    let ids = |nodes: &mut [JournaledNode], event| {
+        let (_, sent) = settle(nodes, NodeId(0), event);
+        let op = |m: &Msg| match m {
+            Msg::WriteReq { op } | Msg::RejoinQuery { op } => Some(*op),
+            _ => None,
+        };
+        sent.iter().filter_map(op).collect::<BTreeSet<_>>()
+    };
+    // One write at a time, so each takes an id of its own.
+    let writes = |nodes: &mut [JournaledNode], range: std::ops::Range<u64>| {
+        range
+            .flat_map(|id| ids(nodes, Event::External(write(id))))
+            .collect::<BTreeSet<_>>()
+    };
+    // Flips a bit of node 0's journal at `byte` and restarts it: returns
+    // the op counter the quarantine replays, and the restart's ids.
+    let quarantine = |nodes: &mut [JournaledNode], byte: usize| {
+        assert!(nodes[0].journal.flip_bit(byte, 0));
+        let replay = nodes[0].journal.replay_checked(&config);
+        assert!(!replay.verdict.is_bootable(), "{:?}", replay.verdict);
+        assert!(nodes[0].step(SimTime::ZERO, Event::Crash).is_empty());
+        (replay.durable.op_counter, ids(nodes, Event::Start))
+    };
+
+    let mut before = writes(&mut nodes, 1..4);
+    // Deep: the last record's payload is damaged, the rest replays.
+    let last_byte = nodes[0].journal.bytes().len() - 1;
+    let (deep, rejoin) = quarantine(&mut nodes, last_byte);
+    before.extend(rejoin);
+    before.extend(writes(&mut nodes, 4..7));
+    // Shallow: a damaged header count loses every record.
+    let (shallow, mut after) = quarantine(&mut nodes, 4);
+    assert!(shallow < deep, "replayed {shallow} ids, then {deep}");
+    after.extend(writes(&mut nodes, 7..13));
+    assert_eq!((before.len(), after.len()), (7, 7));
+    let reissued: Vec<_> = after.intersection(&before).collect();
+    assert!(
+        reissued.is_empty(),
+        "reissued {reissued:?}; before: {before:?}"
+    );
 }
 
 /// Epoch checks every `check_ms` of *wall clock*; timeouts as configured.

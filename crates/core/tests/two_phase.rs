@@ -14,10 +14,11 @@
 //!   reused op id freed an in-doubt slot's lock (ROADMAP 1(a)(ii)), and a
 //!   `WriteReq` of one was granted with a fresh lease.
 //! * A coordinator whose journal was quarantined may have lost decision
-//!   records with the corrupt suffix. Asked about an op behind its
-//!   quarantine fence with no record, it stays silent instead of presuming
-//!   abort; it answers from a record it kept, and presumes abort for an op
-//!   past the fence that is no longer in flight (DESIGN.md §13).
+//!   records with the corrupt suffix. Asked about an op of an earlier
+//!   incarnation with no record, it stays silent instead of presuming
+//!   abort; it answers from a record it kept, whatever the incarnation,
+//!   and presumes abort for an op of its current incarnation that is no
+//!   longer in flight (DESIGN.md §13).
 //! * A replica in rejoin limbo does not know its desired version yet, so
 //!   it serves no peer: a read, write or epoch-check poll, a rejoin query,
 //!   a Prepare (even an epoch install it could lock at prepare time) and a
@@ -233,26 +234,28 @@ fn a_prepared_op_holds_its_lock_without_a_lease_until_its_decision() {
     }
 }
 
+/// A quarantined coordinator answers a decision query from its record if
+/// it has one, presumes abort for an op of its own incarnation, and stays
+/// silent on an unrecorded op of an earlier one, whose record may have
+/// been lost with the quarantined suffix.
 #[test]
-fn a_quarantined_coordinator_is_silent_on_fenced_ops_it_has_no_record_of() {
+fn a_quarantined_coordinator_is_silent_on_earlier_ops_it_has_no_record_of() {
     let config = majority3();
     let mut durable = Durable::pristine(&config);
     let (lost, kept) = (op(0, 3), op(0, 4));
     durable.decisions.insert(kept, true);
     durable.op_counter = 5;
-    durable.quarantine();
+    durable.quarantine(7);
     let mut node = ReplicaNode::new(NodeId(0), config);
     node.install_durable(durable);
     node.step(SimTime::ZERO, Input::Boot);
-    let fence = node.durable.quarantine_fence;
-    assert!(fence > kept.seq, "the fence {fence} is below the replay");
     let query = |node: &mut ReplicaNode, op| deliver(node, NodeId(1), Msg::DecisionQuery { op });
 
     assert_eq!(decisions(&query(&mut node, lost)), vec![]);
     assert_eq!(decisions(&query(&mut node, kept)), vec![(kept, true)]);
-    // The rejoin poll took `fence + 1`; this op was never started.
-    let past = op(0, fence + 2);
-    assert_eq!(decisions(&query(&mut node, past)), vec![(past, false)]);
+    // The same seq in the current incarnation was never started.
+    let fresh = OpId { inc: 7, ..lost };
+    assert_eq!(decisions(&query(&mut node, fresh)), vec![(fresh, false)]);
 }
 
 #[test]
@@ -262,7 +265,7 @@ fn a_replica_in_rejoin_limbo_serves_no_peer() {
     let kept = op(0, 4);
     durable.decisions.insert(kept, true);
     durable.op_counter = 5;
-    durable.quarantine();
+    durable.quarantine(7);
     let mut node = ReplicaNode::new(NodeId(0), config);
     node.install_durable(durable);
     node.step(SimTime::ZERO, Input::Boot);

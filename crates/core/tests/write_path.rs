@@ -68,11 +68,12 @@ fn mutate(state: &mut Durable, rng: &mut Rng64) -> DurableDelta {
             let seq = old.op_counter + 1;
             let node = NodeId(rng.below(4) as u32);
             delta.op_counter = Some(seq);
-            delta.decisions = vec![(OpId { node, seq }, rng.below(2) == 0)];
+            let inc = old.incarnation;
+            delta.decisions = vec![(OpId { node, inc, seq }, rng.below(2) == 0)];
         }
         _ => {
             // Quarantine bookkeeping.
-            delta.quarantine_fence = Some(old.op_counter).filter(|&f| f != old.quarantine_fence);
+            delta.incarnation = Some(rng.next_u64()).filter(|&i| i != old.incarnation);
             delta.rejoin_pending = Some(!old.rejoin_pending);
         }
     }

@@ -9,7 +9,7 @@
 //! (`0..seeds`) at 3 000 steps: the full sweep, which
 //! `scripts/nemesis_ratchet.sh` gates. `runs` replaces every column's seed
 //! count, `first_seed` (default 0) and `steps` set the rest, and `column`
-//! restricts the sweep to one column, so `nemesis 1 571 3000 majority`
+//! restricts the sweep to one column, so `nemesis 1 266 3000 majority`
 //! re-runs one schedule.
 //!
 //! Exits 1 if any run found a violation and 2 on an unknown column. A
@@ -101,7 +101,7 @@ fn print_report(name: &str, n_nodes: usize, runs: &[NemesisRun]) {
         "{name} ({n_nodes} nodes, {} seeds): \
          {} crashes, {} recoveries ({} torn tails, {} quarantined), \
          {} storage faults fired, {} rejoins, \
-         {} writes + {} reads checked, {} dirty runs",
+         {} writes + {} reads checked, {} slots in doubt, {} dirty runs",
         runs.len(),
         sum(|r| r.crashes),
         sum(|r| r.recoveries),
@@ -111,6 +111,7 @@ fn print_report(name: &str, n_nodes: usize, runs: &[NemesisRun]) {
         sum(|r| r.rejoined),
         sum(|r| r.check.writes_committed),
         sum(|r| r.check.reads_checked),
+        sum(|r| r.in_doubt),
         runs.iter().filter(|r| !r.clean()).count()
     );
 }

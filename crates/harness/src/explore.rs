@@ -158,13 +158,9 @@ fn enabled_events(
     crashes_used: usize,
     config: &ExplorerConfig,
 ) -> Vec<DriverEvent> {
-    let mut events: Vec<DriverEvent> = Vec::new();
-    for i in 0..driver.pending_messages().len() {
-        events.push(DriverEvent::Deliver(i));
-    }
-    for i in 0..driver.pending_timers().len() {
-        events.push(DriverEvent::Fire(i));
-    }
+    let deliveries = (0..driver.pending_messages().len()).map(DriverEvent::Deliver);
+    let firings = (0..driver.pending_timers().len()).map(DriverEvent::Fire);
+    let mut events: Vec<DriverEvent> = deliveries.chain(firings).collect();
     for &node in &config.crashable {
         if driver.is_down(node) {
             events.push(DriverEvent::Recover(node));
@@ -209,12 +205,10 @@ fn finish_schedule(
 pub fn cluster_invariant_violations(driver: &StepDriver) -> Vec<String> {
     let mut violations = Vec::new();
     let n = driver.cluster_size();
+    let durable = |i: usize| &driver.node(NodeId(i as u32)).durable;
     for a in 0..n {
         for b in (a + 1)..n {
-            let (da, db) = (
-                &driver.node(NodeId(a as u32)).durable,
-                &driver.node(NodeId(b as u32)).durable,
-            );
+            let (da, db) = (durable(a), durable(b));
             if da.enumber == db.enumber && da.elist != db.elist {
                 violations.push(format!(
                     "epoch safety: nodes {a} and {b} both in epoch {} but lists {:?} vs {:?}",

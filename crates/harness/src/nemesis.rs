@@ -100,6 +100,8 @@ pub struct NemesisRun {
     pub rejoined: usize,
     /// Storage faults that actually fired at an append.
     pub faults_fired: usize,
+    /// Up nodes still holding a prepared slot (in doubt) after the wind-down.
+    pub in_doubt: usize,
     /// The 1SR checker's verdict on the converged cluster.
     pub check: CheckReport,
     /// The complete trace up to the first violation, causally merged and
@@ -200,6 +202,8 @@ pub fn run_nemesis(rule: Arc<dyn CoterieRule>, seed: u64, cfg: &NemesisConfig) -
     run.faults_fired = (0..n as u32)
         .map(|i| driver.fired_faults(NodeId(i)).len())
         .sum();
+    let prepared = |&i: &NodeId| driver.node(i).durable.prepared.is_some();
+    run.in_doubt = nodes(&driver, true).into_iter().filter(prepared).count();
     snapshot_on_violation(&driver, &mut run);
     run
 }
@@ -224,10 +228,12 @@ pub fn soak(
         .collect()
 }
 
-fn up_count(driver: &StepDriver) -> usize {
+/// The nodes that are up, or (with `up` false) down.
+fn nodes(driver: &StepDriver, up: bool) -> Vec<NodeId> {
     (0..driver.cluster_size() as u32)
-        .filter(|&i| !driver.is_down(NodeId(i)))
-        .count()
+        .map(NodeId)
+        .filter(|&i| driver.is_down(i) != up)
+        .collect()
 }
 
 /// Fail-stops a node if the liveness floor (2 nodes up) allows. Once the
@@ -244,7 +250,7 @@ fn maybe_crash(driver: &mut StepDriver, rng: &mut Rng64, victim: NodeId, run: &m
     } else {
         NodeId(rng.below(n as u64) as u32)
     };
-    if !driver.is_down(target) && up_count(driver) > 2 {
+    if !driver.is_down(target) && nodes(driver, true).len() > 2 {
         driver.crash(target);
         run.crashes += 1;
     }
@@ -253,10 +259,7 @@ fn maybe_crash(driver: &mut StepDriver, rng: &mut Rng64, victim: NodeId, run: &m
 /// Recovers a random downed node, counting its replay verdict and
 /// re-checking the cluster invariants right after the boot.
 fn maybe_recover(driver: &mut StepDriver, rng: &mut Rng64, step: usize, run: &mut NemesisRun) {
-    let downed: Vec<NodeId> = (0..driver.cluster_size() as u32)
-        .map(NodeId)
-        .filter(|&x| driver.is_down(x))
-        .collect();
+    let downed = nodes(driver, false);
     if downed.is_empty() {
         return;
     }
@@ -296,8 +299,7 @@ fn inject_op(
     next_id: &mut u64,
     issued: &mut HashMap<u64, IssuedOp>,
 ) {
-    let n = driver.cluster_size() as u32;
-    let up: Vec<NodeId> = (0..n).map(NodeId).filter(|&x| !driver.is_down(x)).collect();
+    let up = nodes(driver, true);
     let Some(&coordinator) = up.get(rng.below(up.len().max(1) as u64) as usize) else {
         return;
     };

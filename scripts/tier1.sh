@@ -37,7 +37,8 @@ echo "==> traced write_leader: history flatness, and what a committed write leav
 # YES vote (15; 20 when a prepared participant kept its lease too; 1 368
 # when every committed write leaves its DecisionRetry chain armed).
 # storage.bytes_per_write <= 1500: a write journals the log entry it pushed
-# (794 B over its 2.75 records now that four writes share a round's 2PC;
+# (806 B over its 2.75 records now that four writes share a round's 2PC,
+# 794 B before each journaled op id carried its 8-byte incarnation;
 # 683 B over 12.0 with one write per round; 7 226 when each apply re-ships the
 # whole log).
 # core.heavy_per_op <= 0.05: a coordinator asks a quorum holding a replica it
