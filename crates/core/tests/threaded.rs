@@ -1,16 +1,18 @@
 //! The same `ReplicaNode` engine that runs on the deterministic step driver
-//! also runs on real OS threads (one per node, `std::sync::mpsc` channels,
-//! node-local wall-clock timers),
-//! behind the journaling host: the protocol implementation is
+//! also runs on real OS threads (a shared pool of workers, a mailbox per
+//! node, one wall-clock deadline queue), behind the journaling host, with
+//! and without its `fdatasync`'d journal files: the protocol implementation is
 //! substrate-independent. The host is a plain runtime `Node`, so the first
 //! two tests drive it by hand, with no runtime at all.
 
-// Deadline polling against the real-thread host needs the real clock.
-#![allow(clippy::disallowed_methods)]
+// Deadline polling against the real-thread host needs the real clock, and
+// the fsync test the journal files a host mirrors to.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use bytes::Bytes;
 use coterie_core::{
-    ClientRequest, FaultKind, JournaledNode, Msg, PartialWrite, ProtocolConfig, ProtocolEvent,
+    ClientRequest, FaultKind, FramedJournal, JournaledNode, Msg, PartialWrite, ProtocolConfig,
+    ProtocolEvent,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 use coterie_simnet::{Effect, Event, Node, SimDuration, SimTime, ThreadedRuntime};
@@ -247,6 +249,48 @@ fn assert_converged(nodes: &[JournaledNode]) {
 fn writes_and_reads_commit_over_real_threads() {
     let nodes = write_read_settle(config(9, 500));
     assert_converged(&nodes);
+}
+
+/// The fsync path: nine hosts mirror their journals to files, each commit
+/// an `fdatasync`, while they commit writes and a read over real threads.
+/// After shutdown each file holds its node's journal image byte for byte,
+/// and replays to the node's durable state.
+#[test]
+fn synced_journal_files_hold_the_journals_and_replay_to_durable_state() {
+    let dir = std::env::temp_dir().join(format!("coterie-synced-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let path = |id: NodeId| dir.join(format!("node{}.ctj", id.0));
+    let config = config(9, 500);
+    let rt = ThreadedRuntime::spawn(9, 42, Duration::from_millis(20), |id| {
+        let mut node = JournaledNode::new(id, config.clone());
+        node.attach_sync_file(std::fs::File::create(path(id)).expect("a journal file"));
+        node
+    });
+    for i in 0..5u64 {
+        rt.inject(NodeId((i % 9) as u32), write(i));
+        let committed =
+            |e: &ProtocolEvent| matches!(e, ProtocolEvent::WriteOk { id, .. } if *id == i);
+        assert!(wait_for(&rt, 10, committed), "write {i} did not commit");
+    }
+    rt.inject(NodeId(7), ClientRequest::Read { id: 99 });
+    let read = |e: &ProtocolEvent| {
+        matches!(
+            e,
+            ProtocolEvent::ReadOk {
+                id: 99,
+                version: 5,
+                ..
+            }
+        )
+    };
+    assert!(wait_for(&rt, 10, read), "the read did not see version 5");
+    for node in rt.shutdown() {
+        let on_disk = std::fs::read(path(node.me)).expect("the journal file");
+        assert_eq!(on_disk, node.journal.bytes(), "node {:?}'s file", node.me);
+        let replay = FramedJournal::from_bytes(on_disk).replay_checked(&config);
+        assert_eq!(replay.durable, node.node.durable, "node {:?}", node.me);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,20 +1,16 @@
 //! # coterie-simnet
 //!
-//! A real-thread runtime for fail-stop distributed systems, providing the
-//! substrate the paper assumes in §3 on OS threads and the wall clock:
+//! A real-thread runtime for fail-stop distributed systems: the paper's §3
+//! substrate on OS threads and the wall clock. Messages are RPC-style, "in
+//! which the notification `RPC.CallFailed` is returned to the sender if the
+//! message cannot be delivered"; a crash keeps durable state and wipes
+//! volatile state; timers can be cancelled.
 //!
-//! * RPC-style communication "in which the notification `RPC.CallFailed` is
-//!   returned to the sender if the message cannot be delivered";
-//! * fail-stop nodes (crash, no Byzantine behaviour) with durable state
-//!   surviving crashes and volatile state wiped;
-//! * timers with cancellation, kept by each node's own thread: a due timer
-//!   fires ahead of the node's next inbox message.
-//!
-//! Nodes implement [`Node`]: the runtime feeds each node [`Event`]s and
-//! applies the [`Effect`]s it returns. The caller injects client
-//! operations, crashes and recoveries through the [`ThreadedRuntime`]
-//! handle. Runs are not reproducible: the deterministic simulator is
-//! `coterie_core::StepDriver`.
+//! Nodes implement [`Node`]: the runtime steps them on a shared pool of
+//! worker threads, feeding each [`Event`]s and applying the [`Effect`]s it
+//! returns. The caller injects client operations, crashes and recoveries
+//! through the [`ThreadedRuntime`] handle. Runs are not reproducible: the
+//! deterministic simulator is `coterie_core::StepDriver`.
 //!
 //! ```
 //! use coterie_simnet::{Effect, Event, Node, NodeId, SimTime, ThreadedRuntime};
@@ -54,8 +50,6 @@ pub mod node;
 pub mod threaded;
 
 pub use coterie_base::{SimDuration, SimTime, TimerId};
+pub use coterie_quorum::NodeId;
 pub use node::{Effect, Event, Node};
 pub use threaded::ThreadedRuntime;
-
-// Re-export the node identifier type for convenience.
-pub use coterie_quorum::NodeId;

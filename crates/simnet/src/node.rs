@@ -9,10 +9,6 @@ use coterie_quorum::NodeId;
 /// come back, and the runtime applies them in order after the step
 /// returns, so a node never re-enters itself.
 ///
-/// The model matches the paper's §3: fail-stop nodes communicating through
-/// RPC-style messages, where "the notification RPC.CallFailed is returned to
-/// the sender if the message cannot be delivered".
-///
 /// State discipline: anything that must survive a crash (the replica's
 /// version number, epoch list, stale flag, the prepared-transaction log, …)
 /// must be kept through [`Event::Crash`]; everything else (locks, in-flight

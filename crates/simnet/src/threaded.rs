@@ -1,23 +1,24 @@
-//! A real-thread runtime for [`Node`]s.
+//! A real-thread runtime for [`Node`]s, on the wall clock: delivery, the
+//! `CallFailed` bounce, timers, crash and recovery behave as under the
+//! deterministic `coterie_core::StepDriver`, but runs are not reproducible.
 //!
-//! The deterministic `coterie_core::StepDriver` is the measurement
-//! substrate; this module hosts the protocol on OS threads, one per node,
-//! joined by unbounded `std::sync::mpsc` channels (through the vendored
-//! `crossbeam` shim), demonstrating that the implementation is not
-//! simulator-bound. Message delivery, the `RPC.CallFailed` bounce for down
-//! nodes, timers with cancellation, crash (volatile-state wipe) and
-//! recovery all behave like the driver's — except that time is real and
-//! scheduling is whatever the OS provides, so runs are *not* reproducible
-//! (use the driver for experiments).
+//! Nodes are actors on a pool of worker threads. One mutex guards the
+//! scheduler: a mailbox per node, a FIFO of the nodes with mail, and one
+//! deadline queue of every node's timers and owed bounces, keyed by deadline
+//! and arming order, with a timer index so that a cancel removes its entry.
+//! A worker takes a node off the FIFO, steps it on one [`Event`] outside the
+//! lock and posts the [`Effect`]s. One worker steps a node at a time, so one
+//! sender's messages to a node arrive in order. Due deadlines are posted
+//! before each take: a timer ahead of its node's waiting mail, a bounce
+//! behind its sender's. A crash drops the node's timers, not its bounces.
 //!
-//! Each node thread is its own event loop. It feeds its node one [`Event`]
-//! at a time and applies the returned [`Effect`]s. It owns a deadline
-//! queue of its node's armed timers and the `CallFailed` bounces it owes,
-//! and waits on its inbox only until the earliest of them is due. Every
-//! due entry fires before the next inbox message is taken, so a busy inbox
-//! cannot starve a timer. Cancelling a timer removes its entry; a crash
-//! drops the node's timers but not the bounces it owes. A runtime of `n`
-//! nodes runs `n` threads and no others.
+//! A worker that posts work keeps taking it, and wakes an idle worker only
+//! while work is queued and no worker woken before is on its way (Go's
+//! "searching worker" rule), so a fan-out has at most one wake in flight,
+//! not one per message. Idle workers sleep on one `Condvar`; only the one
+//! waiting for the earliest deadline has a timeout.
+//! A step may block (the fsync host's `fdatasync`), so there is one worker
+//! per node, not per core: a runtime of `n` nodes runs `n` threads.
 
 #![expect(
     clippy::disallowed_methods,
@@ -27,138 +28,274 @@
 use crate::node::{Effect, Event, Node};
 use coterie_base::{SimTime, TimerId};
 use coterie_quorum::NodeId;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What a node thread's inbox carries: an event for its node, or `None`,
-/// which stops the thread. A recovery arrives as [`Event::Start`].
-type Inbox<N> = Option<Event<N>>;
-
-/// What a node's deadline queue holds.
+/// A deadline queue entry: node `.0`'s timer, or a `CallFailed` owed to
+/// node `.0` for its message to `.1`.
 enum Due<N: Node> {
-    /// One of the node's own timers.
-    Timer { id: TimerId, timer: N::Timer },
-    /// A `CallFailed` this node owes `sender` for its `msg` to `to`.
-    Bounce {
-        sender: NodeId,
-        to: NodeId,
-        msg: N::Msg,
-    },
+    Timer(usize, TimerId, N::Timer),
+    Bounce(usize, NodeId, N::Msg),
 }
 
 /// A queue position: the deadline, then arming order among equal deadlines.
 type Key = (Instant, u64);
 
-/// One node's deadline queue, with an index from timer id to queue key so
-/// that a cancel removes the entry instead of leaving it to come due.
-struct Deadlines<N: Node> {
-    queue: BTreeMap<Key, Due<N>>,
-    timers: BTreeMap<TimerId, Key>,
-    seq: u64,
+/// One node's place in the scheduler: the node (`None` while a worker
+/// steps it), its mailbox (its `fired` due timers, then its mail), whether
+/// it is up, and whether it is `scheduled` (queued to run, or running).
+struct Slot<N: Node> {
+    node: Option<N>,
+    mailbox: VecDeque<Event<N>>,
+    fired: usize,
+    up: bool,
+    scheduled: bool,
 }
 
-impl<N: Node> Deadlines<N> {
+/// The scheduler, shared by the workers and the runtime handle.
+struct Sched<N: Node> {
+    slots: Vec<Slot<N>>,
+    /// Nodes with mail and no worker, in the order they got it.
+    runnable: VecDeque<usize>,
+    deadlines: BTreeMap<Key, Due<N>>,
+    /// Where each armed timer sits in `deadlines`.
+    timers: BTreeMap<(usize, TimerId), Key>,
+    seq: u64,
+    /// Workers asleep; whether one was woken and has not taken the lock
+    /// since; the deadline a sleeper waits for, if one does.
+    idle: usize,
+    waking: bool,
+    timed: Option<Instant>,
+    stop: bool,
+}
+
+impl<N: Node> Sched<N> {
+    /// Queues `event` for node `i`: a due timer behind those already
+    /// waiting, anything else at the back.
+    fn post(&mut self, i: usize, event: Event<N>) {
+        let slot = &mut self.slots[i];
+        if let Event::Timer(_) = event {
+            slot.mailbox.insert(slot.fired, event);
+            slot.fired += 1;
+        } else {
+            slot.mailbox.push_back(event);
+        }
+        if !slot.scheduled {
+            slot.scheduled = true;
+            self.runnable.push_back(i);
+        }
+    }
+
     fn push(&mut self, at: Instant, due: Due<N>) -> Key {
         self.seq += 1;
-        self.queue.insert((at, self.seq), due);
+        self.deadlines.insert((at, self.seq), due);
         (at, self.seq)
     }
 
-    /// Arms timer `id`, which must not be live already.
-    fn arm(&mut self, at: Instant, id: TimerId, timer: N::Timer) {
-        let key = self.push(at, Due::Timer { id, timer });
-        self.timers.insert(id, key);
-    }
-
-    /// Disarms timer `id`; an unknown or already-fired id is a no-op.
-    fn cancel(&mut self, id: TimerId) {
-        if let Some(key) = self.timers.remove(&id) {
-            self.queue.remove(&key);
+    /// Wakes an idle worker if work is queued and no woken worker is still
+    /// on its way to it.
+    fn wake(&mut self, wakeup: &Condvar) {
+        if !self.runnable.is_empty() && self.idle > 0 && !self.waking {
+            self.waking = true;
+            wakeup.notify_one();
         }
     }
 }
 
-/// Shared state between node threads and the runtime handle.
+/// What the workers and the runtime handle share.
 struct Shared<N: Node> {
-    inboxes: Vec<Sender<Inbox<N>>>,
+    sched: Mutex<Sched<N>>,
+    wakeup: Condvar,
+    outputs: Sender<(NodeId, N::Output)>,
     fail_notice: Duration,
     started: Instant,
 }
 
+type Guard<'a, N> = MutexGuard<'a, Sched<N>>;
+const POISONED: &str = "the scheduler lock is poisoned";
+
+#[expect(clippy::expect_used, reason = "lock unpoisoned; one worker per node")]
 impl<N: Node> Shared<N> {
+    fn lock(&self) -> Guard<'_, N> {
+        self.sched.lock().expect(POISONED)
+    }
+
     fn send_event(&self, to: NodeId, event: Event<N>) {
-        if let Some(tx) = self.inboxes.get(to.index()) {
-            let _ = tx.send(Some(event));
+        let mut sched = self.lock();
+        if to.index() < sched.slots.len() {
+            sched.post(to.index(), event);
+            sched.wake(&self.wakeup);
         }
+    }
+
+    /// A worker's loop: post what is due, then step a runnable node or
+    /// sleep, until the runtime stops.
+    fn work(&self) {
+        let mut sched = self.lock();
+        while !sched.stop {
+            let now = Instant::now();
+            while let Some(head) = sched.deadlines.first_entry().filter(|e| e.key().0 <= now) {
+                match head.remove() {
+                    Due::Timer(i, id, timer) => {
+                        sched.timers.remove(&(i, id));
+                        sched.post(i, Event::Timer(timer));
+                    }
+                    Due::Bounce(i, to, msg) => sched.post(i, Event::CallFailed { to, msg }),
+                }
+            }
+            sched = match sched.runnable.pop_front() {
+                Some(i) => {
+                    sched.wake(&self.wakeup);
+                    self.run(sched, i)
+                }
+                None => self.sleep(sched, now),
+            };
+        }
+    }
+
+    /// Sleeps until woken, or until the earliest deadline when no other
+    /// sleeper waits for it (an endless timeout is a plain wait).
+    fn sleep<'a>(&'a self, mut sched: Guard<'a, N>, now: Instant) -> Guard<'a, N> {
+        let head = sched.deadlines.first_key_value().map(|(key, _)| key.0);
+        let timed = head.filter(|&at| sched.timed.is_none_or(|other| at < other));
+        let wait = timed.map_or(Duration::MAX, |at| at.saturating_duration_since(now));
+        (sched.idle, sched.timed) = (sched.idle + 1, timed.or(sched.timed));
+        sched = self.wakeup.wait_timeout(sched, wait).expect(POISONED).0;
+        if sched.timed == timed {
+            sched.timed = None;
+        }
+        sched.idle -= 1;
+        sched.waking = false;
+        sched
+    }
+
+    /// Feeds node `i` its next event, stepping it outside the lock, and
+    /// posts the effects: sends to mailboxes (or bounces), timers into the
+    /// deadline queue, outputs to the output channel. One clock reading
+    /// serves the step's `now` and every deadline it arms. A down node
+    /// steps on [`Event::Start`] alone; a message to it becomes a bounce
+    /// owed to its sender after the RPC notice delay.
+    fn run<'a>(&'a self, mut sched: Guard<'a, N>, i: usize) -> Guard<'a, N> {
+        let (me, slot) = (NodeId(i as u32), &mut sched.slots[i]);
+        slot.fired = slot.fired.saturating_sub(1);
+        let (event, up) = (slot.mailbox.pop_front(), slot.up);
+        let event = match event {
+            Some(Event::Crash) if up => {
+                sched.timers.retain(|&(node, _), _| node != i);
+                (sched.deadlines)
+                    .retain(|_, due| !matches!(due, Due::Timer(node, ..) if *node == i));
+                Some(Event::Crash)
+            }
+            Some(Event::Message { from, msg }) if !up => {
+                let at = Instant::now() + self.fail_notice;
+                sched.push(at, Due::Bounce(from.index(), me, msg));
+                None
+            }
+            Some(Event::Start) => (!up).then_some(Event::Start),
+            event => event.filter(|e| up && !matches!(e, Event::Crash)),
+        };
+        if let Some(event) = event {
+            let crash = matches!(event, Event::Crash);
+            sched.slots[i].up = !crash;
+            let mut node = sched.slots[i].node.take().expect("a node stepped twice");
+            drop(sched);
+            let now = Instant::now();
+            let at = SimTime(now.duration_since(self.started).as_micros() as u64);
+            let effects = node.step(at, event);
+            sched = self.lock();
+            sched.slots[i].node = Some(node);
+            // A down node does nothing: what its crash step asks for is
+            // dropped with its timers.
+            for effect in effects.into_iter().filter(|_| !crash) {
+                match effect {
+                    Effect::Send { to, msg } if to.index() < sched.slots.len() => {
+                        sched.post(to.index(), Event::Message { from: me, msg });
+                    }
+                    Effect::Send { to, msg } => {
+                        sched.push(now + self.fail_notice, Due::Bounce(i, to, msg));
+                    }
+                    Effect::SetTimer { id, delay, timer } => {
+                        let at = now + Duration::from_micros(delay.micros());
+                        let key = sched.push(at, Due::Timer(i, id, timer));
+                        sched.timers.insert((i, id), key);
+                    }
+                    Effect::CancelTimer(id) => {
+                        let key = sched.timers.remove(&(i, id));
+                        key.map(|key| sched.deadlines.remove(&key));
+                    }
+                    Effect::Output(out) => {
+                        let _ = self.outputs.send((me, out));
+                    }
+                }
+            }
+        }
+        let slot = &mut sched.slots[i];
+        slot.scheduled = !slot.mailbox.is_empty();
+        if slot.scheduled {
+            sched.runnable.push_back(i);
+        }
+        sched
     }
 }
 
 /// The real-thread runtime. Create with [`ThreadedRuntime::spawn`], interact
 /// through the handle, and call [`shutdown`](ThreadedRuntime::shutdown) to
-/// join every node thread.
-pub struct ThreadedRuntime<N: Node + Send + 'static>
-where
-    N::Msg: Send,
-    N::Timer: Send,
-    N::External: Send,
-    N::Output: Send,
-{
+/// join every worker thread.
+pub struct ThreadedRuntime<N: Node> {
     shared: Arc<Shared<N>>,
     outputs: Receiver<(NodeId, N::Output)>,
-    node_handles: Vec<JoinHandle<NodeThread<N>>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
-impl<N: Node + Send + 'static> ThreadedRuntime<N>
+impl<N> ThreadedRuntime<N>
 where
-    N::Msg: Send,
-    N::Timer: Send,
-    N::External: Send,
-    N::Output: Send,
+    N: Node<Msg: Send, Timer: Send, External: Send, Output: Send> + Send + 'static,
 {
-    /// Spawns `n` nodes built by `make_node`, each on its own thread.
-    /// `fail_notice` is the delay before a sender learns a message to a
-    /// down or nonexistent node could not be delivered. The runtime draws
-    /// no randomness, so `_seed` is unused.
+    /// Spawns `n` nodes built by `make_node` on a pool of `n` worker
+    /// threads. `fail_notice` is the delay before a sender learns a message
+    /// to a down or nonexistent node could not be delivered. The runtime
+    /// draws no randomness, so `_seed` is unused.
     pub fn spawn(
         n: usize,
         _seed: u64,
         fail_notice: Duration,
         mut make_node: impl FnMut(NodeId) -> N,
     ) -> Self {
-        let (out_tx, out_rx) = unbounded();
-        let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let (out_tx, outputs) = unbounded();
+        let slots = (0..n as u32).map(|i| Slot {
+            node: Some(make_node(NodeId(i))),
+            mailbox: VecDeque::from([Event::Start]),
+            fired: 0,
+            up: false,
+            scheduled: true,
+        });
+        let sched = Mutex::new(Sched {
+            slots: slots.collect(),
+            runnable: (0..n).collect(),
+            deadlines: BTreeMap::new(),
+            timers: BTreeMap::new(),
+            seq: 0,
+            idle: 0,
+            waking: false,
+            timed: None,
+            stop: false,
+        });
         let shared = Arc::new(Shared {
-            inboxes: inbox_txs,
+            sched,
+            wakeup: Condvar::new(),
+            outputs: out_tx,
             fail_notice,
             started: Instant::now(),
         });
-        let node_handles = inbox_rxs
-            .into_iter()
-            .enumerate()
-            .map(|(i, inbox)| {
-                let me = NodeId(i as u32);
-                let node = NodeThread {
-                    shared: shared.clone(),
-                    out_tx: out_tx.clone(),
-                    me,
-                    up: true,
-                    deadlines: Deadlines {
-                        queue: BTreeMap::new(),
-                        timers: BTreeMap::new(),
-                        seq: 0,
-                    },
-                    node: make_node(me),
-                };
-                std::thread::spawn(move || node.serve(inbox))
-            })
-            .collect();
+        let worker = |shared: Arc<Shared<N>>| std::thread::spawn(move || shared.work());
+        let workers = (0..n).map(|_| worker(shared.clone())).collect();
         ThreadedRuntime {
             shared,
-            outputs: out_rx,
-            node_handles,
+            outputs,
+            workers,
         }
     }
 
@@ -187,127 +324,19 @@ where
         self.outputs.try_iter().collect()
     }
 
-    /// Stops every node and joins all threads, returning the final node
-    /// states in id order.
+    /// Stops every worker after its current step and joins them all,
+    /// returning the final node states in id order. Events still queued
+    /// are dropped.
+    #[expect(clippy::expect_used, reason = "join fails only if a node panicked")]
     pub fn shutdown(self) -> Vec<N> {
-        self.stop().into_iter().map(|thread| thread.node).collect()
-    }
-
-    #[expect(clippy::expect_used, reason = "join fails only if the node panicked")]
-    fn stop(self) -> Vec<NodeThread<N>> {
-        for tx in &self.shared.inboxes {
-            let _ = tx.send(None);
+        self.shared.lock().stop = true;
+        self.shared.wakeup.notify_all();
+        for worker in self.workers {
+            worker.join().expect("a node panicked in its step");
         }
-        self.node_handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect()
-    }
-}
-
-/// One node's thread: its node, its deadline queue, and where its effects
-/// go.
-struct NodeThread<N: Node> {
-    shared: Arc<Shared<N>>,
-    out_tx: Sender<(NodeId, N::Output)>,
-    me: NodeId,
-    up: bool,
-    deadlines: Deadlines<N>,
-    node: N,
-}
-
-impl<N: Node> NodeThread<N> {
-    /// The node's event loop, until it is stopped or its inbox closes.
-    fn serve(mut self, inbox: Receiver<Inbox<N>>) -> Self {
-        self.run(Event::Start);
-        while let Some(event) = self.next_event(&inbox) {
-            match event {
-                Event::Start if !self.up => {
-                    self.up = true;
-                    self.run(Event::Start);
-                }
-                Event::Crash if self.up => {
-                    self.up = false;
-                    self.deadlines.timers.clear();
-                    let queue = &mut self.deadlines.queue;
-                    queue.retain(|_, due| matches!(due, Due::Bounce { .. }));
-                    // A down node does nothing: what its crash step asks
-                    // for is dropped with its timers.
-                    let _ = self.node.step(self.sim_time(Instant::now()), Event::Crash);
-                }
-                Event::Message { from: sender, msg } if !self.up => {
-                    // The host bounces on behalf of the dead node after
-                    // the RPC notice delay.
-                    let (at, to) = (Instant::now() + self.shared.fail_notice, self.me);
-                    self.deadlines.push(at, Due::Bounce { sender, to, msg });
-                }
-                Event::Start | Event::Crash => {} // already up, already down
-                event if self.up => self.run(event),
-                _ => {} // a down node takes nothing else
-            }
-        }
-        self
-    }
-
-    /// Fires every due queue entry, then waits for the next event until
-    /// the earliest deadline (or for good, when the queue is empty).
-    fn next_event(&mut self, inbox: &Receiver<Inbox<N>>) -> Option<Event<N>> {
-        loop {
-            let Some(head) = self.deadlines.queue.first_entry() else {
-                return inbox.recv().ok().flatten();
-            };
-            let (at, now) = (head.key().0, Instant::now());
-            if at > now {
-                match inbox.recv_timeout(at - now) {
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    received => return received.ok().flatten(),
-                }
-            }
-            match head.remove() {
-                Due::Timer { id, timer } => {
-                    self.deadlines.timers.remove(&id);
-                    self.run(Event::Timer(timer));
-                }
-                Due::Bounce { sender, to, msg } => {
-                    self.shared
-                        .send_event(sender, Event::CallFailed { to, msg });
-                }
-            }
-        }
-    }
-
-    /// `at` on the runtime's clock.
-    fn sim_time(&self, at: Instant) -> SimTime {
-        SimTime(at.duration_since(self.shared.started).as_micros() as u64)
-    }
-
-    /// Feeds the node one event, then applies the effects it returns:
-    /// sends become channel deliveries (or bounces), timers enter the
-    /// deadline queue, outputs go to the output channel. One clock reading
-    /// serves the step's `now` and every deadline it arms.
-    fn run(&mut self, event: Event<N>) {
-        let (me, now) = (self.me, Instant::now());
-        for effect in self.node.step(self.sim_time(now), event) {
-            match effect {
-                Effect::Send { to, msg } => match self.shared.inboxes.get(to.index()) {
-                    Some(tx) => {
-                        let _ = tx.send(Some(Event::Message { from: me, msg }));
-                    }
-                    None => {
-                        let (at, sender) = (now + self.shared.fail_notice, me);
-                        self.deadlines.push(at, Due::Bounce { sender, to, msg });
-                    }
-                },
-                Effect::SetTimer { id, delay, timer } => {
-                    let at = now + Duration::from_micros(delay.micros());
-                    self.deadlines.arm(at, id, timer);
-                }
-                Effect::CancelTimer(id) => self.deadlines.cancel(id),
-                Effect::Output(out) => {
-                    let _ = self.out_tx.send((me, out));
-                }
-            }
-        }
+        let slots = std::mem::take(&mut self.shared.lock().slots);
+        let node = |slot: Slot<N>| slot.node.expect("every worker returned its node");
+        slots.into_iter().map(node).collect()
     }
 }
 
@@ -316,32 +345,24 @@ mod tests {
     use super::*;
     use coterie_base::SimDuration;
 
-    /// Minimal ping-counting node.
+    /// Minimal ping-counting node; a message is a ping (`true`) or a pong.
     #[derive(Default)]
     struct Counter {
         pings: u64,
         durable: u64,
     }
 
-    enum M {
-        Ping,
-        Pong,
-    }
-
     impl Node for Counter {
-        type Msg = M;
+        type Msg = bool;
         type Timer = ();
         type External = NodeId; // "ping this node"
         type Output = u64;
 
         fn step(&mut self, _now: SimTime, event: Event<Self>) -> Vec<Effect<Self>> {
             match event {
-                Event::External(to) => vec![Effect::Send { to, msg: M::Ping }],
-                Event::Message { from, msg: M::Ping } => vec![Effect::Send {
-                    to: from,
-                    msg: M::Pong,
-                }],
-                Event::Message { msg: M::Pong, .. } => {
+                Event::External(to) => vec![Effect::Send { to, msg: true }],
+                Event::Message { from: to, msg } if msg => vec![Effect::Send { to, msg: false }],
+                Event::Message { .. } => {
                     self.pings += 1;
                     self.durable += 1;
                     vec![Effect::Output(self.pings)]
@@ -365,24 +386,19 @@ mod tests {
         last_timer: u64,
     }
 
+    /// `Arm(ms)` arms a timer; `ArmCancel(n, ms)` arms `n`, cancelling each
+    /// at once; `Spin` keeps a message to self queued until a timer fires.
     enum Cmd {
-        /// Arm a timer of this many ms.
         Arm(u64),
-        /// Arm this many timers of this many ms, cancelling each at once.
         ArmCancel(u32, u64),
-        /// Keep a message to self in the inbox until a timer fires.
         Spin,
     }
 
     impl Alarm {
         fn arm(&mut self, ms: u64) -> Effect<Self> {
             self.last_timer += 1;
-            let (id, delay) = (TimerId(self.last_timer), SimDuration::from_millis(ms));
-            Effect::SetTimer {
-                id,
-                delay,
-                timer: ms,
-            }
+            let (id, delay, timer) = (TimerId(self.last_timer), SimDuration::from_millis(ms), ms);
+            Effect::SetTimer { id, delay, timer }
         }
     }
 
@@ -393,10 +409,8 @@ mod tests {
         type Output = u64; // 0 = armed, else the delay of the timer that fired
 
         fn step(&mut self, _now: SimTime, event: Event<Self>) -> Vec<Effect<Self>> {
-            let to_self = Effect::Send {
-                to: NodeId(0),
-                msg: (),
-            };
+            let (to, msg) = (NodeId(0), ());
+            let to_self = Effect::Send { to, msg };
             match event {
                 Event::Message { .. } if !self.fired => {
                     self.spins += 1;
@@ -437,17 +451,15 @@ mod tests {
         let armed_long = Instant::now();
         rt.inject(NodeId(0), Cmd::Arm(500));
         assert_eq!(next(&rt), Some(0), "long timer armed");
-        // Let the node thread block on the 500 ms deadline, so the short
-        // timer's command arrives while it waits. (If it has not blocked
-        // yet the assertions below still hold; the sleep only makes the
-        // interesting interleaving the likely one.)
+        // Let the worker wait for the 500 ms deadline, so the short timer's
+        // command arrives meanwhile (the likely interleaving, not a forced
+        // one: the assertions below hold either way).
         std::thread::sleep(Duration::from_millis(50));
         rt.inject(NodeId(0), Cmd::Arm(20));
         assert_eq!(next(&rt), Some(0), "short timer armed");
         assert_eq!(next(&rt), Some(20), "the earlier-due timer fires first");
-        // A thread that kept waiting for the long deadline would deliver
-        // both then, in this same order — so the short one must arrive
-        // clearly ahead of it (~70 ms after the long timer was armed).
+        // A worker that kept waiting for the long deadline would deliver both
+        // then, in this order: the short one must come ~70 ms after arming.
         let waited = armed_long.elapsed().as_millis();
         assert!(waited < 400, "fired after {waited} ms");
         assert_eq!(next(&rt), Some(500));
@@ -464,9 +476,10 @@ mod tests {
         rt.inject(NodeId(0), Cmd::Arm(20));
         assert_eq!(next(&rt), Some(0));
         assert_eq!(next(&rt), Some(20), "only the timer left armed fires");
-        let nodes = rt.stop();
-        let deadlines = &nodes[0].deadlines;
-        assert!(deadlines.queue.is_empty() && deadlines.timers.is_empty());
+        let sched = rt.shared.lock();
+        assert!(sched.deadlines.is_empty() && sched.timers.is_empty());
+        drop(sched);
+        rt.shutdown();
     }
 
     #[test]
@@ -517,8 +530,8 @@ mod tests {
             rt.inject(NodeId(0), NodeId(1));
         }
         std::thread::sleep(notice / 2);
-        // Every bounce is owed now, in node 1's queue. Other tests may start
-        // a runtime meanwhile (a few threads); a thread per bounce adds 200.
+        // Every bounce is owed now. Other tests may start a runtime meanwhile
+        // (a few threads); a thread per bounce would add 200.
         let during = threads();
         assert!(during < before + 50, "{before} threads, then {during}");
         for _ in 0..200 {
@@ -539,10 +552,7 @@ mod tests {
         rt.inject(NodeId(0), NodeId(1));
         let (_, count) = rt.recv_output(Duration::from_secs(5)).expect("pong");
         assert_eq!(count, 1, "volatile counter must restart at zero");
-        assert_eq!(
-            rt.shutdown()[0].durable,
-            2,
-            "durable counter survives the crash"
-        );
+        let durable = rt.shutdown()[0].durable;
+        assert_eq!(durable, 2, "durable counter survives the crash");
     }
 }

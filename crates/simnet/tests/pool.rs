@@ -1,0 +1,175 @@
+//! The shared worker pool, through the public API: a blocked step does not
+//! hold up other nodes, no node is stepped by two workers at once, and one
+//! sender's messages reach one node in the order sent.
+
+// Blocking a step and timing a round trip need the real clock.
+#![allow(clippy::disallowed_methods)]
+
+use coterie_simnet::{Effect, Event, Node, NodeId, SimTime, ThreadedRuntime};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// What a [`Gated`] node outputs.
+#[derive(Debug, PartialEq)]
+enum Out {
+    /// A blocked step returned.
+    Released,
+    /// A pong came back.
+    Pong,
+}
+
+/// A node whose `External(None)` step blocks until the test opens a shared
+/// gate (or 5 s pass), and whose `External(Some(to))` pings `to`.
+struct Gated {
+    entered: Sender<NodeId>,
+    gate: Arc<Mutex<Receiver<()>>>,
+    me: NodeId,
+}
+
+impl Node for Gated {
+    type Msg = bool; // true: ping
+    type Timer = ();
+    type External = Option<NodeId>;
+    type Output = Out;
+
+    fn step(&mut self, _now: SimTime, event: Event<Self>) -> Vec<Effect<Self>> {
+        match event {
+            Event::External(None) => {
+                self.entered.send(self.me).expect("the test is waiting");
+                let gate = self.gate.lock().expect("no step panics holding the gate");
+                let _ = gate.recv_timeout(Duration::from_secs(5));
+                vec![Effect::Output(Out::Released)]
+            }
+            Event::External(Some(to)) => vec![Effect::Send { to, msg: true }],
+            Event::Message {
+                from: to,
+                msg: true,
+            } => vec![Effect::Send { to, msg: false }],
+            Event::Message { msg: false, .. } => vec![Effect::Output(Out::Pong)],
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// With every core's worth of nodes blocked inside a step, two other nodes
+/// still finish a ping-pong well inside 50 ms: the pool has a worker per
+/// node. A pool sized to the cores would have no worker left, and the pong
+/// would wait for a blocked step to return.
+#[test]
+fn blocked_steps_do_not_hold_up_other_nodes() {
+    let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let (entered_tx, entered) = channel();
+    let (open, gate) = channel::<()>();
+    let gate = Arc::new(Mutex::new(gate));
+    let rt = ThreadedRuntime::spawn(cores + 2, 0, Duration::from_millis(20), |me| Gated {
+        entered: entered_tx.clone(),
+        gate: gate.clone(),
+        me,
+    });
+    // Every blocked node is inside its step before the ping is sent. The
+    // gate's mutex lets one step wait on the channel and the rest on the
+    // mutex: either way each holds its worker.
+    for i in 0..cores {
+        rt.inject(NodeId(i as u32), None);
+    }
+    for _ in 0..cores {
+        entered
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a blocked step began");
+    }
+    let (a, b) = (NodeId(cores as u32), NodeId(cores as u32 + 1));
+    let pinged = Instant::now();
+    rt.inject(a, Some(b));
+    let first = rt.recv_output(Duration::from_secs(5));
+    let took = pinged.elapsed();
+    drop(open); // releases every blocked step
+    assert_eq!(first, Some((a, Out::Pong)), "a blocked step came first");
+    assert!(
+        took < Duration::from_millis(50),
+        "the ping-pong took {took:?}"
+    );
+    for _ in 0..cores {
+        let out = rt.recv_output(Duration::from_secs(10)).map(|(_, out)| out);
+        assert_eq!(out, Some(Out::Released));
+    }
+    rt.shutdown();
+}
+
+/// Every node sends `PER_SENDER` numbered messages to node 0, and node 0
+/// to node 1; each node checks that it is never stepped concurrently and
+/// that each sender's numbers arrive in order.
+struct FanIn {
+    stepping: AtomicBool,
+    /// The next number expected from each sender.
+    next: Vec<u32>,
+    received: u32,
+    overlaps: u32,
+    out_of_order: u32,
+}
+
+const PER_SENDER: u32 = 300;
+
+impl Node for FanIn {
+    type Msg = u32;
+    type Timer = ();
+    type External = NodeId;
+    type Output = u32;
+
+    fn step(&mut self, _now: SimTime, event: Event<Self>) -> Vec<Effect<Self>> {
+        // The step is long enough for another worker to collide with it.
+        self.overlaps += u32::from(self.stepping.swap(true, Ordering::SeqCst));
+        std::thread::yield_now();
+        let effects = match event {
+            Event::External(to) => (0..PER_SENDER)
+                .map(|msg| Effect::Send { to, msg })
+                .collect(),
+            Event::Message { from, msg } => {
+                let expected = &mut self.next[from.index()];
+                self.out_of_order += u32::from(msg != *expected);
+                *expected = msg + 1;
+                self.received += 1;
+                vec![Effect::Output(self.received)]
+            }
+            _ => Vec::new(),
+        };
+        self.stepping.store(false, Ordering::SeqCst);
+        effects
+    }
+}
+
+#[test]
+fn fan_in_steps_each_node_once_at_a_time_and_keeps_sender_order() {
+    let n = 8;
+    let rt = ThreadedRuntime::spawn(n, 0, Duration::from_millis(20), |_| FanIn {
+        stepping: AtomicBool::new(false),
+        next: vec![0; n],
+        received: 0,
+        overlaps: 0,
+        out_of_order: 0,
+    });
+    for i in 0..n as u32 {
+        rt.inject(NodeId(i), NodeId(u32::from(i == 0)));
+    }
+    // Node 0 hears from the n - 1 others, node 1 from node 0.
+    let want = [(n as u32 - 1) * PER_SENDER, PER_SENDER];
+    let mut received = [0, 0];
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while received != want && Instant::now() < deadline {
+        if let Some((node, count)) = rt.recv_output(Duration::from_millis(100)) {
+            received[node.index()] = count;
+        }
+    }
+    assert_eq!(received, want);
+    for (i, node) in rt.shutdown().iter().enumerate() {
+        assert_eq!(
+            node.overlaps, 0,
+            "node {i} was stepped by two workers at once"
+        );
+        assert_eq!(
+            node.out_of_order, 0,
+            "node {i} got a sender's messages out of order"
+        );
+    }
+}

@@ -1,8 +1,8 @@
 //! The dynamic grid protocol on real OS threads.
 //!
 //! The same `ReplicaNode` engine that runs on the deterministic step
-//! driver here runs on nine OS threads with `std::sync::mpsc` channels
-//! and node-local wall-clock timers, each behind the journaling host —
+//! driver here runs on a pool of nine worker threads, with a mailbox per
+//! node and wall-clock timers, each node behind the journaling host —
 //! writes commit in real milliseconds, a crashed node is voted out of the
 //! epoch by the periodic epoch check, and writes keep flowing.
 //!

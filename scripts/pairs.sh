@@ -15,18 +15,23 @@
 # target/pairs/. Every run's last output line is kept in
 # target/pairs/out/{base,head}-<i>.json. Exits 1 if a run reports
 # `"correct": false`.
+# With `trace` as a fourth argument the runs are traced (`--trace 1`) and
+# the summary covers the per-layer cells of BENCHMARK.json instead (a
+# traced run reports no end-to-end cell); a cell no run reports is skipped.
 # A manual tool, not a tier-1 step: two cold builds (~3 min on 2 cores),
 # then a few seconds per run (a live_serial pair took ~7 s on a 2-core VM).
-# Usage: scripts/pairs.sh <rev> <workload> <n>   e.g. scripts/pairs.sh HEAD~ failover 10
+# Usage: scripts/pairs.sh <rev> <workload> <n> [trace]
+#   e.g. scripts/pairs.sh HEAD~ failover 10; scripts/pairs.sh HEAD~ live_serial 5 trace
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export LC_ALL=C
 
-if [[ $# -ne 3 ]]; then
-  echo "usage: scripts/pairs.sh <rev> <workload> <n>"
+if [[ $# -lt 3 || $# -gt 4 || ($# -eq 4 && $4 != trace) ]]; then
+  echo "usage: scripts/pairs.sh <rev> <workload> <n> [trace]"
   exit 2
 fi
-rev=$1 workload=$2 n=$3
+rev=$1 workload=$2 n=$3 trace=0
+[[ $# -eq 4 ]] && trace=1
 head=$PWD
 work=$head/target/pairs
 base=$work/base
@@ -46,7 +51,7 @@ done
 
 bench() { # side pair
   (cd "$out" && "$work/target-$1/release/benchmark" --workload "$workload" --seed 1 \
-    --seconds 10 --trace 0 2>/dev/null | tail -n 1 >"$1-$2.json")
+    --seconds 10 --trace "$trace" 2>/dev/null | tail -n 1 >"$1-$2.json")
 }
 for ((i = 1; i <= n; i++)); do
   echo "==> pair $i of $n"
@@ -62,10 +67,11 @@ if grep -l '"correct": false' "$out"/*.json; then
   exit 1
 fi
 
-# `name better` for each end-to-end cell, in BENCHMARK.json's order.
-cells=$(awk '
-  /"end_to_end"/ { inside = 1 }
-  /"per_layer"/ { inside = 0 }
+# `name better` for each end-to-end cell (traced: each per-layer cell), in
+# BENCHMARK.json's order.
+cells=$(awk -v trace="$trace" '
+  /"end_to_end"/ { inside = !trace }
+  /"per_layer"/ { inside = trace }
   inside && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
   inside && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' BENCHMARK.json)
 
@@ -80,10 +86,13 @@ summary() {
     END { v[NR + 1] = v[NR]; printf "%.6g %.6g %.6g %.6g %.6g\n", q(0.5), q(0.25), q(0.75), v[1], v[NR] }'
 }
 
-echo "pairs: $workload, $n pairs, working tree against $rev"
-printf '%-16s %-6s  %-44s  %-44s  %s\n' cell better \
+echo "pairs: $workload, $n pairs, working tree against $rev$( ((trace)) && echo ", traced")"
+w=16
+((trace)) && w=38 # the longest per-layer name
+printf "%-${w}s %-6s  %-44s  %-44s  %s\n" cell better \
   "$rev: median [IQR] (min-max)" "head: median [IQR] (min-max)" "head wins"
 while read -r cell better; do
+  [[ -z $(cat "$out"/*.json | value /dev/stdin "$cell") ]] && continue
   wins=0
   for ((i = 1; i <= n; i++)); do
     b=$(value "$out/base-$i.json" "$cell")
@@ -100,5 +109,5 @@ while read -r cell better; do
     done | summary)
     row+=$(printf '%-44s  ' "$med [$q1-$q3] ($lo-$hi)")
   done
-  printf '%-16s %-6s  %s%d/%d\n' "$cell" "$better" "$row" "$wins" "$n"
+  printf "%-${w}s %-6s  %s%d/%d\n" "$cell" "$better" "$row" "$wins" "$n"
 done <<<"$cells"
