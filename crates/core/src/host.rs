@@ -200,7 +200,7 @@ impl Substrate for Outbox<'_> {
         let started = std::time::Instant::now();
         write(journal);
         if let Some(sink) = self.sync {
-            sink.commit(journal.bytes());
+            coterie_simnet::blocking(|| sink.commit(journal.bytes()));
         }
         *self.flushes += 1;
         self.metrics

@@ -8,37 +8,34 @@
 //!
 //! Nodes implement [`Node`]: the runtime steps them on a shared pool of
 //! worker threads, feeding each [`Event`]s and applying the [`Effect`]s it
-//! returns. The caller injects client operations, crashes and recoveries
-//! through the [`ThreadedRuntime`] handle. Runs are not reproducible: the
-//! deterministic simulator is `coterie_core::StepDriver`.
+//! returns; a step that blocks does so inside [`blocking`]. The caller
+//! injects client operations, crashes and recoveries through the
+//! [`ThreadedRuntime`] handle. Runs are not reproducible: the deterministic
+//! simulator is `coterie_core::StepDriver`.
 //!
 //! ```
 //! use coterie_simnet::{Effect, Event, Node, NodeId, SimTime, ThreadedRuntime};
 //! use std::time::Duration;
 //!
-//! struct Echo(NodeId);
+//! struct Echo; // answers a ping (`true`) with a pong
 //! impl Node for Echo {
-//!     type Msg = String;
+//!     type Msg = bool;
 //!     type Timer = ();
-//!     type External = NodeId;
-//!     type Output = String;
+//!     type External = NodeId; // ping this node
+//!     type Output = NodeId; // a pong came from this node
 //!     fn step(&mut self, _now: SimTime, event: Event<Self>) -> Vec<Effect<Self>> {
 //!         match event {
-//!             Event::External(to) => vec![Effect::Send { to, msg: "ping".into() }],
-//!             Event::Message { from, msg } if msg == "ping" => {
-//!                 let msg = format!("pong from {}", self.0);
-//!                 vec![Effect::Send { to: from, msg }]
-//!             }
-//!             Event::Message { msg, .. } => vec![Effect::Output(msg)],
+//!             Event::External(to) => vec![Effect::Send { to, msg: true }],
+//!             Event::Message { from: to, msg: true } => vec![Effect::Send { to, msg: false }],
+//!             Event::Message { from, .. } => vec![Effect::Output(from)],
 //!             _ => Vec::new(),
 //!         }
 //!     }
 //! }
 //!
-//! let rt = ThreadedRuntime::spawn(2, 0, Duration::from_millis(20), Echo);
+//! let rt = ThreadedRuntime::spawn(2, 0, Duration::from_millis(20), |_| Echo);
 //! rt.inject(NodeId(0), NodeId(1));
-//! let (node, out) = rt.recv_output(Duration::from_secs(5)).unwrap();
-//! assert_eq!((node, out.starts_with("pong")), (NodeId(0), true));
+//! assert_eq!(rt.recv_output(Duration::from_secs(5)), Some((NodeId(0), NodeId(1))));
 //! rt.shutdown();
 //! ```
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -52,4 +49,4 @@ pub mod threaded;
 pub use coterie_base::{SimDuration, SimTime, TimerId};
 pub use coterie_quorum::NodeId;
 pub use node::{Effect, Event, Node};
-pub use threaded::ThreadedRuntime;
+pub use threaded::{blocking, ThreadedRuntime};

@@ -7,24 +7,23 @@ use coterie_quorum::NodeId;
 /// A node program hosted by the runtime, shaped like the engine's
 /// `ReplicaNode::step`: each [`Event`] goes in, the [`Effect`]s it causes
 /// come back, and the runtime applies them in order after the step
-/// returns, so a node never re-enters itself.
+/// returns, so a node never re-enters itself. A step that blocks (a sync,
+/// a lock, a channel) does so inside [`blocking`](crate::blocking); one
+/// that blocks without it holds up every node.
 ///
-/// State discipline: anything that must survive a crash (the replica's
-/// version number, epoch list, stale flag, the prepared-transaction log, …)
-/// must be kept through [`Event::Crash`]; everything else (locks, in-flight
-/// coordinator state) is volatile and must be reset there. The runtime
-/// drops the node's pending timers on a crash, and whatever effects the
-/// crash step returns.
+/// State that must survive a crash (the replica's version number, epoch
+/// list, stale flag, prepared-transaction log, …) is kept through
+/// [`Event::Crash`]; the rest (locks, in-flight coordinator state) is
+/// volatile and reset there. The runtime drops the node's pending timers
+/// on a crash, and whatever effects the crash step returns.
 pub trait Node: Sized {
     /// Messages exchanged between nodes.
     type Msg;
     /// Timer payloads delivered back to the node that set them.
     type Timer;
-    /// Operations injected from outside the system (client requests,
-    /// management commands).
+    /// Operations injected from outside (client requests, commands).
     type External;
-    /// Observable outputs collected by the runtime (client responses,
-    /// protocol events of interest to the harness).
+    /// Outputs collected by the runtime (client responses, events).
     type Output;
 
     /// Handles one event at time `now` and returns what it causes.
@@ -35,8 +34,7 @@ pub trait Node: Sized {
 pub enum Event<N: Node> {
     /// The node boots: first, and again after every recovery.
     Start,
-    /// The node fail-stops: reset volatile state, keep durable state. No
-    /// other event arrives until the next [`Event::Start`].
+    /// The node fail-stops; nothing else arrives until the next `Start`.
     Crash,
     /// A message from `from` arrived.
     Message {
@@ -45,16 +43,14 @@ pub enum Event<N: Node> {
         /// The message.
         msg: N::Msg,
     },
-    /// A message this node sent to `to` could not be delivered (the
-    /// paper's `RPC.CallFailed`).
+    /// A message to `to` could not be delivered (the paper's `RPC.CallFailed`).
     CallFailed {
         /// The unreachable node.
         to: NodeId,
         /// The undeliverable message.
         msg: N::Msg,
     },
-    /// A timer armed by [`Effect::SetTimer`] fired. A due timer goes ahead
-    /// of the next message waiting in the node's inbox.
+    /// A timer armed by [`Effect::SetTimer`] fired; it goes ahead of waiting mail.
     Timer(N::Timer),
     /// An operation was injected at this node.
     External(N::External),
@@ -70,9 +66,8 @@ pub enum Effect<N: Node> {
         /// The message.
         msg: N::Msg,
     },
-    /// Arm timer `id` to fire `timer` after `delay`, unless it is
-    /// cancelled or the node crashes first. The node chooses its ids; an
-    /// id must be unique among the node's live timers.
+    /// Arm timer `id` (unique among the node's live timers) to fire `timer`
+    /// after `delay`, unless it is cancelled or the node crashes first.
     SetTimer {
         /// The node's name for this timer.
         id: TimerId,

@@ -1,24 +1,16 @@
-//! A real-thread runtime for [`Node`]s, on the wall clock: delivery, the
+//! A real-thread runtime for [`Node`]s on the wall clock: delivery, the
 //! `CallFailed` bounce, timers, crash and recovery behave as under the
 //! deterministic `coterie_core::StepDriver`, but runs are not reproducible.
 //!
-//! Nodes are actors on a pool of worker threads. One mutex guards the
-//! scheduler: a mailbox per node, a FIFO of the nodes with mail, and one
-//! deadline queue of every node's timers and owed bounces, keyed by deadline
-//! and arming order, with a timer index so that a cancel removes its entry.
-//! A worker takes a node off the FIFO, steps it on one [`Event`] outside the
-//! lock and posts the [`Effect`]s. One worker steps a node at a time, so one
-//! sender's messages to a node arrive in order. Due deadlines are posted
-//! before each take: a timer ahead of its node's waiting mail, a bounce
-//! behind its sender's. A crash drops the node's timers, not its bounces.
-//!
-//! A worker that posts work keeps taking it, and wakes an idle worker only
-//! while work is queued and no worker woken before is on its way (Go's
-//! "searching worker" rule), so a fan-out has at most one wake in flight,
-//! not one per message. Idle workers sleep on one `Condvar`; only the one
-//! waiting for the earliest deadline has a timeout.
-//! A step may block (the fsync host's `fdatasync`), so there is one worker
-//! per node, not per core: a runtime of `n` nodes runs `n` threads.
+//! Nodes are actors on a pool of `n` workers, one per node, since every
+//! node may block at once. One mutex guards the scheduler: a mailbox per
+//! node, a FIFO of the nodes with mail, and one deadline queue of timers and
+//! owed bounces. A worker steps a node taken off the FIFO on one [`Event`]
+//! outside the lock and posts its [`Effect`]s; no two step one node, so one
+//! sender's messages to a node arrive in order. Work stays on the worker
+//! that made it: an idle worker is woken only when work is queued, none
+//! woken before is on its way, and each busy worker is inside [`blocking`]
+//! (Go's `entersyscall` hand-off), so a lone operation runs on one worker.
 
 #![expect(
     clippy::disallowed_methods,
@@ -29,6 +21,7 @@ use crate::node::{Effect, Event, Node};
 use coterie_base::{SimTime, TimerId};
 use coterie_quorum::NodeId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -48,7 +41,7 @@ type Key = (Instant, u64);
 /// steps it), its mailbox (its `fired` due timers, then its mail), whether
 /// it is up, and whether it is `scheduled` (queued to run, or running).
 struct Slot<N: Node> {
-    node: Option<N>,
+    node: Option<Box<N>>,
     mailbox: VecDeque<Event<N>>,
     fired: usize,
     up: bool,
@@ -64,9 +57,10 @@ struct Sched<N: Node> {
     /// Where each armed timer sits in `deadlines`.
     timers: BTreeMap<(usize, TimerId), Key>,
     seq: u64,
-    /// Workers asleep; whether one was woken and has not taken the lock
-    /// since; the deadline a sleeper waits for, if one does.
+    /// Workers asleep, and stepping (neither asleep nor in [`blocking`]);
+    /// whether a woken one has yet to take the lock; a sleeper's deadline.
     idle: usize,
+    stepping: usize,
     waking: bool,
     timed: Option<Instant>,
     stop: bool,
@@ -95,10 +89,10 @@ impl<N: Node> Sched<N> {
         (at, self.seq)
     }
 
-    /// Wakes an idle worker if work is queued and no woken worker is still
-    /// on its way to it.
+    /// Wakes an idle worker if work is queued, no worker is stepping and no
+    /// woken worker is still on its way to it.
     fn wake(&mut self, wakeup: &Condvar) {
-        if !self.runnable.is_empty() && self.idle > 0 && !self.waking {
+        if !self.runnable.is_empty() && self.idle > 0 && self.stepping == 0 && !self.waking {
             self.waking = true;
             wakeup.notify_one();
         }
@@ -118,7 +112,7 @@ type Guard<'a, N> = MutexGuard<'a, Sched<N>>;
 const POISONED: &str = "the scheduler lock is poisoned";
 
 #[expect(clippy::expect_used, reason = "lock unpoisoned; one worker per node")]
-impl<N: Node> Shared<N> {
+impl<N: Node + 'static> Shared<N> {
     fn lock(&self) -> Guard<'_, N> {
         self.sched.lock().expect(POISONED)
     }
@@ -131,9 +125,11 @@ impl<N: Node> Shared<N> {
         }
     }
 
-    /// A worker's loop: post what is due, then step a runnable node or
-    /// sleep, until the runtime stops.
-    fn work(&self) {
+    /// A worker's loop: hook [`blocking`] to the pool, then post what is due
+    /// and step a runnable node or sleep, until the runtime stops.
+    fn work(self: Arc<Self>) {
+        let pool = self.clone();
+        let _ = POOL.with(|hook| hook.set(Box::new(move |paused| pool.pause(paused))));
         let mut sched = self.lock();
         while !sched.stop {
             let now = Instant::now();
@@ -147,10 +143,7 @@ impl<N: Node> Shared<N> {
                 }
             }
             sched = match sched.runnable.pop_front() {
-                Some(i) => {
-                    sched.wake(&self.wakeup);
-                    self.run(sched, i)
-                }
+                Some(i) => self.run(sched, i),
                 None => self.sleep(sched, now),
             };
         }
@@ -163,21 +156,28 @@ impl<N: Node> Shared<N> {
         let timed = head.filter(|&at| sched.timed.is_none_or(|other| at < other));
         let wait = timed.map_or(Duration::MAX, |at| at.saturating_duration_since(now));
         (sched.idle, sched.timed) = (sched.idle + 1, timed.or(sched.timed));
+        sched.stepping -= 1;
         sched = self.wakeup.wait_timeout(sched, wait).expect(POISONED).0;
         if sched.timed == timed {
             sched.timed = None;
         }
-        sched.idle -= 1;
-        sched.waking = false;
+        (sched.idle, sched.stepping, sched.waking) = (sched.idle - 1, sched.stepping + 1, false);
         sched
     }
 
+    /// Counts this worker out of the stepping ones while it is inside
+    /// [`blocking`] (`paused`), so that queued work can wake an idle one.
+    fn pause(&self, paused: bool) {
+        let mut sched = self.lock();
+        let stepping = sched.stepping;
+        sched.stepping = if paused { stepping - 1 } else { stepping + 1 };
+        sched.wake(&self.wakeup);
+    }
+
     /// Feeds node `i` its next event, stepping it outside the lock, and
-    /// posts the effects: sends to mailboxes (or bounces), timers into the
-    /// deadline queue, outputs to the output channel. One clock reading
-    /// serves the step's `now` and every deadline it arms. A down node
-    /// steps on [`Event::Start`] alone; a message to it becomes a bounce
-    /// owed to its sender after the RPC notice delay.
+    /// posts the effects; one clock reading serves the step's `now` and the
+    /// deadlines it arms. A down node steps on [`Event::Start`] alone; a
+    /// message to it becomes a bounce owed to its sender after `fail_notice`.
     fn run<'a>(&'a self, mut sched: Guard<'a, N>, i: usize) -> Guard<'a, N> {
         let (me, slot) = (NodeId(i as u32), &mut sched.slots[i]);
         slot.fired = slot.fired.saturating_sub(1);
@@ -207,8 +207,7 @@ impl<N: Node> Shared<N> {
             let effects = node.step(at, event);
             sched = self.lock();
             sched.slots[i].node = Some(node);
-            // A down node does nothing: what its crash step asks for is
-            // dropped with its timers.
+            // A crash step's effects are dropped with the node's timers.
             for effect in effects.into_iter().filter(|_| !crash) {
                 match effect {
                     Effect::Send { to, msg } if to.index() < sched.slots.len() => {
@@ -226,9 +225,7 @@ impl<N: Node> Shared<N> {
                         let key = sched.timers.remove(&(i, id));
                         key.map(|key| sched.deadlines.remove(&key));
                     }
-                    Effect::Output(out) => {
-                        let _ = self.outputs.send((me, out));
-                    }
+                    Effect::Output(out) => _ = self.outputs.send((me, out)),
                 }
             }
         }
@@ -239,6 +236,21 @@ impl<N: Node> Shared<N> {
         }
         sched
     }
+}
+
+// The pause hook of the pool whose worker runs on this thread, if any.
+thread_local!(static POOL: OnceCell<Box<dyn Fn(bool)>> = const { OnceCell::new() });
+
+/// Runs `f`, a call that may block (a sync, a lock, a channel), from inside
+/// a step, and returns what it returns. On a pool worker, the worker counts
+/// as not stepping until `f` returns, so queued work can wake an idle worker
+/// meanwhile; anywhere else this just runs `f`. Calls do not nest.
+pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
+    let pause = |paused| POOL.with(|hook| hook.get().map(|pause| pause(paused)));
+    pause(true);
+    let out = f();
+    pause(false);
+    out
 }
 
 /// The real-thread runtime. Create with [`ThreadedRuntime::spawn`], interact
@@ -254,10 +266,9 @@ impl<N> ThreadedRuntime<N>
 where
     N: Node<Msg: Send, Timer: Send, External: Send, Output: Send> + Send + 'static,
 {
-    /// Spawns `n` nodes built by `make_node` on a pool of `n` worker
-    /// threads. `fail_notice` is the delay before a sender learns a message
-    /// to a down or nonexistent node could not be delivered. The runtime
-    /// draws no randomness, so `_seed` is unused.
+    /// Spawns `n` nodes built by `make_node` on `n` workers. `fail_notice`
+    /// is the delay before a sender learns that a message to a down or
+    /// nonexistent node was not delivered; `_seed` is unused (no randomness).
     pub fn spawn(
         n: usize,
         _seed: u64,
@@ -266,7 +277,7 @@ where
     ) -> Self {
         let (out_tx, outputs) = unbounded();
         let slots = (0..n as u32).map(|i| Slot {
-            node: Some(make_node(NodeId(i))),
+            node: Some(Box::new(make_node(NodeId(i)))),
             mailbox: VecDeque::from([Event::Start]),
             fired: 0,
             up: false,
@@ -279,6 +290,7 @@ where
             timers: BTreeMap::new(),
             seq: 0,
             idle: 0,
+            stepping: n,
             waking: false,
             timed: None,
             stop: false,
@@ -335,7 +347,7 @@ where
             worker.join().expect("a node panicked in its step");
         }
         let slots = std::mem::take(&mut self.shared.lock().slots);
-        let node = |slot: Slot<N>| slot.node.expect("every worker returned its node");
+        let node = |slot: Slot<N>| *slot.node.expect("every worker returned its node");
         slots.into_iter().map(node).collect()
     }
 }
@@ -377,8 +389,7 @@ mod tests {
         }
     }
 
-    /// Arms timers on command and reports each one that fires. Its only
-    /// messages are to itself.
+    /// Arms timers on command and reports each that fires; messages itself.
     #[derive(Default)]
     struct Alarm {
         spins: u64,
@@ -451,15 +462,12 @@ mod tests {
         let armed_long = Instant::now();
         rt.inject(NodeId(0), Cmd::Arm(500));
         assert_eq!(next(&rt), Some(0), "long timer armed");
-        // Let the worker wait for the 500 ms deadline, so the short timer's
-        // command arrives meanwhile (the likely interleaving, not a forced
-        // one: the assertions below hold either way).
+        // Likely, not forced: the worker is waiting on the 500 ms deadline.
         std::thread::sleep(Duration::from_millis(50));
         rt.inject(NodeId(0), Cmd::Arm(20));
         assert_eq!(next(&rt), Some(0), "short timer armed");
         assert_eq!(next(&rt), Some(20), "the earlier-due timer fires first");
-        // A worker that kept waiting for the long deadline would deliver both
-        // then, in this order: the short one must come ~70 ms after arming.
+        // A worker still waiting for the long deadline would fire both late.
         let waited = armed_long.elapsed().as_millis();
         assert!(waited < 400, "fired after {waited} ms");
         assert_eq!(next(&rt), Some(500));

@@ -1,14 +1,16 @@
-//! The shared worker pool, through the public API: a blocked step does not
-//! hold up other nodes, no node is stepped by two workers at once, and one
+//! The shared worker pool, through the public API: a step blocked inside
+//! `blocking` does not hold up other nodes, a lone fan-out runs on the one
+//! worker that began it, no node is stepped by two workers at once, and one
 //! sender's messages reach one node in the order sent.
 
 // Blocking a step and timing a round trip need the real clock.
 #![allow(clippy::disallowed_methods)]
 
-use coterie_simnet::{Effect, Event, Node, NodeId, SimTime, ThreadedRuntime};
+use coterie_simnet::{blocking, Effect, Event, Node, NodeId, SimTime, ThreadedRuntime};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// What a [`Gated`] node outputs.
@@ -20,8 +22,9 @@ enum Out {
     Pong,
 }
 
-/// A node whose `External(None)` step blocks until the test opens a shared
-/// gate (or 5 s pass), and whose `External(Some(to))` pings `to`.
+/// A node whose `External(None)` step blocks, inside [`blocking`], until the
+/// test opens a shared gate (or 5 s pass), and whose `External(Some(to))`
+/// pings `to`.
 struct Gated {
     entered: Sender<NodeId>,
     gate: Arc<Mutex<Receiver<()>>>,
@@ -38,8 +41,10 @@ impl Node for Gated {
         match event {
             Event::External(None) => {
                 self.entered.send(self.me).expect("the test is waiting");
-                let gate = self.gate.lock().expect("no step panics holding the gate");
-                let _ = gate.recv_timeout(Duration::from_secs(5));
+                blocking(|| {
+                    let gate = self.gate.lock().expect("no step panics holding the gate");
+                    let _ = gate.recv_timeout(Duration::from_secs(5));
+                });
                 vec![Effect::Output(Out::Released)]
             }
             Event::External(Some(to)) => vec![Effect::Send { to, msg: true }],
@@ -55,8 +60,9 @@ impl Node for Gated {
 
 /// With every core's worth of nodes blocked inside a step, two other nodes
 /// still finish a ping-pong well inside 50 ms: the pool has a worker per
-/// node. A pool sized to the cores would have no worker left, and the pong
-/// would wait for a blocked step to return.
+/// node, and a worker blocked in [`blocking`] hands the queue off. A pool
+/// sized to the cores would have no worker left, and the pong would wait
+/// for a blocked step to return.
 #[test]
 fn blocked_steps_do_not_hold_up_other_nodes() {
     let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
@@ -118,9 +124,10 @@ impl Node for FanIn {
     type Output = u32;
 
     fn step(&mut self, _now: SimTime, event: Event<Self>) -> Vec<Effect<Self>> {
-        // The step is long enough for another worker to collide with it.
+        // The step is long enough for another worker to collide with it, and
+        // its pause lets one wake: a step that never blocks keeps the queue.
         self.overlaps += u32::from(self.stepping.swap(true, Ordering::SeqCst));
-        std::thread::yield_now();
+        blocking(std::thread::yield_now);
         let effects = match event {
             Event::External(to) => (0..PER_SENDER)
                 .map(|msg| Effect::Send { to, msg })
@@ -172,4 +179,84 @@ fn fan_in_steps_each_node_once_at_a_time_and_keeps_sender_order() {
             "node {i} got a sender's messages out of order"
         );
     }
+}
+
+/// A hub pings the other nodes and counts their pongs; every step spins
+/// without blocking and records the worker that ran it.
+struct Hub {
+    steps: Arc<Mutex<Vec<ThreadId>>>,
+    pongs: u32,
+}
+
+const SPOKES: u32 = 7;
+
+impl Node for Hub {
+    type Msg = bool; // true: ping
+    type Timer = ();
+    type External = ();
+    type Output = ();
+
+    fn step(&mut self, _now: SimTime, event: Event<Self>) -> Vec<Effect<Self>> {
+        if matches!(event, Event::Start) {
+            return Vec::new();
+        }
+        let spin = Instant::now();
+        while spin.elapsed() < Duration::from_micros(200) {
+            std::hint::spin_loop();
+        }
+        let me = std::thread::current().id();
+        self.steps.lock().expect("no step panics").push(me);
+        match event {
+            Event::External(()) => (1..=SPOKES)
+                .map(|i| Effect::Send {
+                    to: NodeId(i),
+                    msg: true,
+                })
+                .collect(),
+            Event::Message {
+                from: to,
+                msg: true,
+            } => vec![Effect::Send { to, msg: false }],
+            Event::Message { .. } => {
+                self.pongs += 1;
+                if self.pongs == SPOKES {
+                    vec![Effect::Output(())]
+                } else {
+                    Vec::new()
+                }
+            }
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// Once the pool is idle, a lone fan-out and its replies (1 + 7 + 7 steps,
+/// none blocking) run on the one worker woken for it: taking work wakes no
+/// helper while a worker is stepping.
+#[test]
+fn a_lone_fan_out_runs_on_one_worker() {
+    let steps = Arc::new(Mutex::new(Vec::new()));
+    let rt = ThreadedRuntime::spawn(SPOKES as usize + 1, 0, Duration::from_millis(20), |_| Hub {
+        steps: steps.clone(),
+        pongs: 0,
+    });
+    std::thread::sleep(Duration::from_millis(100)); // every Start step done
+    rt.inject(NodeId(0), ());
+    assert_eq!(
+        rt.recv_output(Duration::from_secs(5)),
+        Some((NodeId(0), ()))
+    );
+    rt.shutdown();
+    let steps = steps.lock().expect("no step panicked");
+    assert_eq!(steps.len(), 2 * SPOKES as usize + 1);
+    assert!(
+        steps.iter().all(|&id| id == steps[0]),
+        "a helper stole a step: {steps:?}"
+    );
+}
+
+#[test]
+fn blocking_outside_a_worker_runs_on_the_caller() {
+    let caller = std::thread::current().id();
+    assert_eq!(blocking(|| (std::thread::current().id(), 7)), (caller, 7));
 }
