@@ -6,12 +6,11 @@
 //! message cannot be delivered"; a crash keeps durable state and wipes
 //! volatile state; timers can be cancelled.
 //!
-//! Nodes implement [`Node`]: the runtime steps them on a shared pool of
-//! worker threads, feeding each [`Event`]s and applying the [`Effect`]s it
-//! returns; a step that blocks does so inside [`blocking`]. The caller
-//! injects client operations, crashes and recoveries through the
-//! [`ThreadedRuntime`] handle. Runs are not reproducible: the deterministic
-//! simulator is `coterie_core::StepDriver`.
+//! Nodes implement [`Node`]: worker threads, and a caller waiting for an
+//! output, step them on [`Event`]s and apply the [`Effect`]s they return; a
+//! step that blocks does so inside [`blocking`]. The caller injects client
+//! operations, crashes and recoveries through the [`ThreadedRuntime`] handle.
+//! Runs are not reproducible: the deterministic simulator is `coterie_core::StepDriver`.
 //!
 //! ```
 //! use coterie_simnet::{Effect, Event, Node, NodeId, SimTime, ThreadedRuntime};

@@ -9,7 +9,7 @@ use coterie_quorum::NodeId;
 /// come back, and the runtime applies them in order after the step
 /// returns, so a node never re-enters itself. A step that blocks (a sync,
 /// a lock, a channel) does so inside [`blocking`](crate::blocking); one
-/// that blocks without it holds up every node.
+/// that blocks without it holds up every node but a waiting caller's.
 ///
 /// State that must survive a crash (the replica's version number, epoch
 /// list, stale flag, prepared-transaction log, …) is kept through

@@ -2,15 +2,13 @@
 //! `CallFailed` bounce, timers, crash and recovery behave as under the
 //! deterministic `coterie_core::StepDriver`, but runs are not reproducible.
 //!
-//! Nodes are actors on a pool of `n` workers, one per node, since every
-//! node may block at once. One mutex guards the scheduler: a mailbox per
-//! node, a FIFO of the nodes with mail, and one deadline queue of timers and
-//! owed bounces. A worker steps a node taken off the FIFO on one [`Event`]
-//! outside the lock and posts its [`Effect`]s; no two step one node, so one
-//! sender's messages to a node arrive in order. Work stays on the worker
-//! that made it: an idle worker is woken only when work is queued, none
-//! woken before is on its way, and each busy worker is inside [`blocking`]
-//! (Go's `entersyscall` hand-off), so a lone operation runs on one worker.
+//! Nodes are actors stepped by `n` workers and by any thread waiting in
+//! [`ThreadedRuntime::recv_output`] (tokio's `block_on`), one [`Event`] at a
+//! time outside the one scheduler lock; no two threads step one node, so one
+//! sender's messages arrive in order. An idle worker is woken only for a
+//! deadline no sleeper waits for, or for queued work while each busy thread
+//! is inside [`blocking`] (Go's `entersyscall` hand-off), so a lone
+//! operation runs on the thread that waits for it.
 
 #![expect(
     clippy::disallowed_methods,
@@ -20,46 +18,38 @@
 use crate::node::{Effect, Event, Node};
 use coterie_base::{SimTime, TimerId};
 use coterie_quorum::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::cell::OnceCell;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A deadline queue entry: node `.0`'s timer, or a `CallFailed` owed to
-/// node `.0` for its message to `.1`.
-enum Due<N: Node> {
-    Timer(usize, TimerId, N::Timer),
-    Bounce(usize, NodeId, N::Msg),
-}
+/// A deadline's event for node `.0`: a [`Event::Timer`] (its timer `.1`) or a bounce.
+type Due<N> = (usize, Option<TimerId>, Event<N>);
 
-/// A queue position: the deadline, then arming order among equal deadlines.
-type Key = (Instant, u64);
-
-/// One node's place in the scheduler: the node (`None` while a worker
-/// steps it), its mailbox (its `fired` due timers, then its mail), whether
-/// it is up, and whether it is `scheduled` (queued to run, or running).
+/// One node's place in the scheduler: the node (`None` while a thread
+/// steps it), its mailbox (its due timers, then its mail), and whether it is
+/// up. A node is queued to run while it has mail and is not being stepped.
 struct Slot<N: Node> {
     node: Option<Box<N>>,
     mailbox: VecDeque<Event<N>>,
-    fired: usize,
     up: bool,
-    scheduled: bool,
 }
 
 /// The scheduler, shared by the workers and the runtime handle.
 struct Sched<N: Node> {
     slots: Vec<Slot<N>>,
-    /// Nodes with mail and no worker, in the order they got it.
+    /// Nodes with mail and no thread stepping them, in the order they got it.
     runnable: VecDeque<usize>,
-    deadlines: BTreeMap<Key, Due<N>>,
-    /// Where each armed timer sits in `deadlines`.
-    timers: BTreeMap<(usize, TimerId), Key>,
+    /// Due events by deadline, then arming order; where each timer sits.
+    deadlines: BTreeMap<(Instant, u64), Due<N>>,
+    timers: BTreeMap<(usize, TimerId), (Instant, u64)>,
     seq: u64,
-    /// Workers asleep, and stepping (neither asleep nor in [`blocking`]);
-    /// whether a woken one has yet to take the lock; a sleeper's deadline.
+    outputs: VecDeque<(NodeId, N::Output)>,
+    /// Workers and callers asleep; threads stepping (neither asleep nor in
+    /// [`blocking`]); whether a woken worker is on its way; its deadline.
     idle: usize,
+    callers: usize,
     stepping: usize,
     waking: bool,
     timed: Option<Instant>,
@@ -67,43 +57,45 @@ struct Sched<N: Node> {
 }
 
 impl<N: Node> Sched<N> {
-    /// Queues `event` for node `i`: a due timer behind those already
-    /// waiting, anything else at the back.
+    /// Queues `event` for node `i`: a due timer ahead of its mail, the rest last.
     fn post(&mut self, i: usize, event: Event<N>) {
         let slot = &mut self.slots[i];
+        if slot.node.is_some() && slot.mailbox.is_empty() {
+            self.runnable.push_back(i);
+        }
         if let Event::Timer(_) = event {
-            slot.mailbox.insert(slot.fired, event);
-            slot.fired += 1;
+            let timer = |e: &&Event<N>| matches!(e, Event::Timer(_));
+            let fired = slot.mailbox.iter().take_while(timer).count();
+            slot.mailbox.insert(fired, event);
         } else {
             slot.mailbox.push_back(event);
         }
-        if !slot.scheduled {
-            slot.scheduled = true;
-            self.runnable.push_back(i);
-        }
     }
 
-    fn push(&mut self, at: Instant, due: Due<N>) -> Key {
+    fn push(&mut self, at: Instant, due: Due<N>) -> (Instant, u64) {
         self.seq += 1;
         self.deadlines.insert((at, self.seq), due);
         (at, self.seq)
     }
 
-    /// Wakes an idle worker if work is queued, no worker is stepping and no
-    /// woken worker is still on its way to it.
+    /// Wakes an idle worker if work is queued and no thread is stepping, or
+    /// no sleeper waits for the earliest deadline, and none is on its way.
     fn wake(&mut self, wakeup: &Condvar) {
-        if !self.runnable.is_empty() && self.idle > 0 && self.stepping == 0 && !self.waking {
+        let head = self.deadlines.first_key_value().map(|(key, _)| key.0);
+        let untimed = head.is_some_and(|at| self.timed.is_none_or(|other| at < other));
+        let queued = !self.runnable.is_empty() && self.stepping == 0;
+        if (queued || untimed) && self.idle > 0 && !self.waking {
             self.waking = true;
             wakeup.notify_one();
         }
     }
 }
 
-/// What the workers and the runtime handle share.
+/// What workers and handle share; idle workers wait on `wakeup`, callers on `ready`.
 struct Shared<N: Node> {
     sched: Mutex<Sched<N>>,
     wakeup: Condvar,
-    outputs: Sender<(NodeId, N::Output)>,
+    ready: Condvar,
     fail_notice: Duration,
     started: Instant,
 }
@@ -111,7 +103,7 @@ struct Shared<N: Node> {
 type Guard<'a, N> = MutexGuard<'a, Sched<N>>;
 const POISONED: &str = "the scheduler lock is poisoned";
 
-#[expect(clippy::expect_used, reason = "lock unpoisoned; one worker per node")]
+#[expect(clippy::expect_used, reason = "lock unpoisoned; one thread per node")]
 impl<N: Node + 'static> Shared<N> {
     fn lock(&self) -> Guard<'_, N> {
         self.sched.lock().expect(POISONED)
@@ -125,28 +117,41 @@ impl<N: Node + 'static> Shared<N> {
         }
     }
 
-    /// A worker's loop: hook [`blocking`] to the pool, then post what is due
-    /// and step a runnable node or sleep, until the runtime stops.
-    fn work(self: Arc<Self>) {
+    /// The loop of workers and waiting callers: post what is due, then step a
+    /// runnable node or sleep; a worker (no `until`) until the runtime stops,
+    /// a caller until an output is queued, which it takes, or `until` passes.
+    fn serve(self: &Arc<Self>, until: Option<Instant>) -> Option<(NodeId, N::Output)> {
         let pool = self.clone();
-        let _ = POOL.with(|hook| hook.set(Box::new(move |paused| pool.pause(paused))));
+        let hook = POOL.replace(Some(Box::new(move |paused| pool.pause(paused))));
         let mut sched = self.lock();
-        while !sched.stop {
+        sched.stepping += 1;
+        let out = loop {
             let now = Instant::now();
-            while let Some(head) = sched.deadlines.first_entry().filter(|e| e.key().0 <= now) {
-                match head.remove() {
-                    Due::Timer(i, id, timer) => {
-                        sched.timers.remove(&(i, id));
-                        sched.post(i, Event::Timer(timer));
-                    }
-                    Due::Bounce(i, to, msg) => sched.post(i, Event::CallFailed { to, msg }),
-                }
+            let out = until.and_then(|_| sched.outputs.pop_front());
+            if out.is_some() || sched.stop || until.is_some_and(|at| at <= now) {
+                break out;
             }
-            sched = match sched.runnable.pop_front() {
-                Some(i) => self.run(sched, i),
-                None => self.sleep(sched, now),
+            while let Some(head) = sched.deadlines.first_entry().filter(|e| e.key().0 <= now) {
+                let (i, timer, event) = head.remove();
+                timer.map(|id| sched.timers.remove(&(i, id)));
+                sched.post(i, event);
+            }
+            sched = match (sched.runnable.pop_front(), until) {
+                (Some(i), _) => self.run(sched, i),
+                (None, None) => self.sleep(sched, now),
+                (None, Some(at)) => {
+                    (sched.callers, sched.stepping) = (sched.callers + 1, sched.stepping - 1);
+                    sched.wake(&self.wakeup); // for the deadlines it armed
+                    sched = self.ready.wait_timeout(sched, at - now).expect(POISONED).0;
+                    (sched.callers, sched.stepping) = (sched.callers - 1, sched.stepping + 1);
+                    sched
+                }
             };
-        }
+        };
+        sched.stepping -= 1;
+        sched.wake(&self.wakeup); // for what a caller leaves behind
+        POOL.set(hook);
+        out
     }
 
     /// Sleeps until woken, or until the earliest deadline when no other
@@ -158,19 +163,16 @@ impl<N: Node + 'static> Shared<N> {
         (sched.idle, sched.timed) = (sched.idle + 1, timed.or(sched.timed));
         sched.stepping -= 1;
         sched = self.wakeup.wait_timeout(sched, wait).expect(POISONED).0;
-        if sched.timed == timed {
-            sched.timed = None;
-        }
+        sched.timed = sched.timed.filter(|&at| Some(at) != timed); // our claim ends
         (sched.idle, sched.stepping, sched.waking) = (sched.idle - 1, sched.stepping + 1, false);
         sched
     }
 
-    /// Counts this worker out of the stepping ones while it is inside
-    /// [`blocking`] (`paused`), so that queued work can wake an idle one.
+    /// Counts this thread out of the stepping ones while it is inside
+    /// [`blocking`] (`paused`), so that queued work can wake an idle worker.
     fn pause(&self, paused: bool) {
         let mut sched = self.lock();
-        let stepping = sched.stepping;
-        sched.stepping = if paused { stepping - 1 } else { stepping + 1 };
+        sched.stepping = sched.stepping + usize::from(!paused) - usize::from(paused);
         sched.wake(&self.wakeup);
     }
 
@@ -180,25 +182,22 @@ impl<N: Node + 'static> Shared<N> {
     /// message to it becomes a bounce owed to its sender after `fail_notice`.
     fn run<'a>(&'a self, mut sched: Guard<'a, N>, i: usize) -> Guard<'a, N> {
         let (me, slot) = (NodeId(i as u32), &mut sched.slots[i]);
-        slot.fired = slot.fired.saturating_sub(1);
         let (event, up) = (slot.mailbox.pop_front(), slot.up);
         let event = match event {
-            Some(Event::Crash) if up => {
-                sched.timers.retain(|&(node, _), _| node != i);
-                (sched.deadlines)
-                    .retain(|_, due| !matches!(due, Due::Timer(node, ..) if *node == i));
-                Some(Event::Crash)
-            }
             Some(Event::Message { from, msg }) if !up => {
                 let at = Instant::now() + self.fail_notice;
-                sched.push(at, Due::Bounce(from.index(), me, msg));
+                sched.push(at, (from.index(), None, Event::CallFailed { to: me, msg }));
                 None
             }
             Some(Event::Start) => (!up).then_some(Event::Start),
-            event => event.filter(|e| up && !matches!(e, Event::Crash)),
+            event => event.filter(|_| up),
         };
         if let Some(event) = event {
             let crash = matches!(event, Event::Crash);
+            if crash {
+                sched.timers.retain(|&(node, _), _| node != i);
+                sched.deadlines.retain(|_, d| d.0 != i || d.1.is_none());
+            }
             sched.slots[i].up = !crash;
             let mut node = sched.slots[i].node.take().expect("a node stepped twice");
             drop(sched);
@@ -206,47 +205,53 @@ impl<N: Node + 'static> Shared<N> {
             let at = SimTime(now.duration_since(self.started).as_micros() as u64);
             let effects = node.step(at, event);
             sched = self.lock();
-            sched.slots[i].node = Some(node);
-            // A crash step's effects are dropped with the node's timers.
+            // A crash step's effects are dropped with the node's timers. The
+            // node goes back after its sends, so that they do not queue it.
             for effect in effects.into_iter().filter(|_| !crash) {
                 match effect {
                     Effect::Send { to, msg } if to.index() < sched.slots.len() => {
                         sched.post(to.index(), Event::Message { from: me, msg });
                     }
                     Effect::Send { to, msg } => {
-                        sched.push(now + self.fail_notice, Due::Bounce(i, to, msg));
+                        let bounce = Event::CallFailed { to, msg };
+                        sched.push(now + self.fail_notice, (i, None, bounce));
                     }
                     Effect::SetTimer { id, delay, timer } => {
                         let at = now + Duration::from_micros(delay.micros());
-                        let key = sched.push(at, Due::Timer(i, id, timer));
+                        let key = sched.push(at, (i, Some(id), Event::Timer(timer)));
                         sched.timers.insert((i, id), key);
                     }
                     Effect::CancelTimer(id) => {
                         let key = sched.timers.remove(&(i, id));
                         key.map(|key| sched.deadlines.remove(&key));
                     }
-                    Effect::Output(out) => _ = self.outputs.send((me, out)),
+                    Effect::Output(out) => {
+                        sched.outputs.push_back((me, out));
+                        if sched.callers > 0 {
+                            self.ready.notify_one();
+                        }
+                    }
                 }
             }
+            sched.slots[i].node = Some(node);
         }
-        let slot = &mut sched.slots[i];
-        slot.scheduled = !slot.mailbox.is_empty();
-        if slot.scheduled {
+        if !sched.slots[i].mailbox.is_empty() {
             sched.runnable.push_back(i);
         }
         sched
     }
 }
 
-// The pause hook of the pool whose worker runs on this thread, if any.
-thread_local!(static POOL: OnceCell<Box<dyn Fn(bool)>> = const { OnceCell::new() });
+// The pause hook of the pool this thread serves, if any.
+type Hook = RefCell<Option<Box<dyn Fn(bool)>>>;
+thread_local!(static POOL: Hook = const { RefCell::new(None) });
 
-/// Runs `f`, a call that may block (a sync, a lock, a channel), from inside
-/// a step, and returns what it returns. On a pool worker, the worker counts
-/// as not stepping until `f` returns, so queued work can wake an idle worker
-/// meanwhile; anywhere else this just runs `f`. Calls do not nest.
+/// Runs `f`, a call that may block (a sync, a lock, a channel), inside a
+/// step and returns its result. On a pool's thread (a worker, or a caller in
+/// `recv_output`) the thread counts as not stepping meanwhile, so queued work
+/// can wake an idle worker; elsewhere it just runs `f`. Calls do not nest.
 pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
-    let pause = |paused| POOL.with(|hook| hook.get().map(|pause| pause(paused)));
+    let pause = |paused| POOL.with_borrow(|hook| hook.as_ref().map(|pause| pause(paused)));
     pause(true);
     let out = f();
     pause(false);
@@ -258,7 +263,6 @@ pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
 /// join every worker thread.
 pub struct ThreadedRuntime<N: Node> {
     shared: Arc<Shared<N>>,
-    outputs: Receiver<(NodeId, N::Output)>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -275,13 +279,10 @@ where
         fail_notice: Duration,
         mut make_node: impl FnMut(NodeId) -> N,
     ) -> Self {
-        let (out_tx, outputs) = unbounded();
         let slots = (0..n as u32).map(|i| Slot {
             node: Some(Box::new(make_node(NodeId(i)))),
             mailbox: VecDeque::from([Event::Start]),
-            fired: 0,
             up: false,
-            scheduled: true,
         });
         let sched = Mutex::new(Sched {
             slots: slots.collect(),
@@ -289,8 +290,10 @@ where
             deadlines: BTreeMap::new(),
             timers: BTreeMap::new(),
             seq: 0,
+            outputs: VecDeque::new(),
             idle: 0,
-            stepping: n,
+            callers: 0,
+            stepping: 0,
             waking: false,
             timed: None,
             stop: false,
@@ -298,17 +301,13 @@ where
         let shared = Arc::new(Shared {
             sched,
             wakeup: Condvar::new(),
-            outputs: out_tx,
+            ready: Condvar::new(),
             fail_notice,
             started: Instant::now(),
         });
-        let worker = |shared: Arc<Shared<N>>| std::thread::spawn(move || shared.work());
+        let worker = |shared: Arc<Shared<N>>| std::thread::spawn(move || _ = shared.serve(None));
         let workers = (0..n).map(|_| worker(shared.clone())).collect();
-        ThreadedRuntime {
-            shared,
-            outputs,
-            workers,
-        }
+        ThreadedRuntime { shared, workers }
     }
 
     /// Injects an external operation at `node`.
@@ -326,14 +325,16 @@ where
         self.shared.send_event(node, Event::Start);
     }
 
-    /// Receives the next output, waiting up to `timeout`.
+    /// Receives the next output, waiting up to `timeout` while this thread
+    /// steps nodes as a worker does: the call can overrun `timeout` by the
+    /// step in progress, and a panic in a step it runs surfaces here.
     pub fn recv_output(&self, timeout: Duration) -> Option<(NodeId, N::Output)> {
-        self.outputs.recv_timeout(timeout).ok()
+        self.shared.serve(Some(Instant::now() + timeout))
     }
 
     /// Drains all currently available outputs.
     pub fn drain_outputs(&self) -> Vec<(NodeId, N::Output)> {
-        self.outputs.try_iter().collect()
+        std::mem::take(&mut self.shared.lock().outputs).into()
     }
 
     /// Stops every worker after its current step and joins them all,

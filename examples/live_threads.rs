@@ -4,8 +4,9 @@
 //! driver here runs on a pool of nine worker threads, with a mailbox per
 //! node and wall-clock timers, each node behind the journaling host —
 //! writes commit in real milliseconds, a crashed node is voted out of the
-//! epoch by the periodic epoch check, and writes keep flowing. Work stays
-//! on the worker that made it; a step hands the queue to an idle worker
+//! epoch by the periodic epoch check, and writes keep flowing. The main
+//! thread steps nodes itself while it waits in `recv_output`; work stays on
+//! the thread that made it, and a step hands the queue to an idle worker
 //! only while it blocks inside `simnet::blocking` (a journal `fdatasync`).
 //!
 //! Run with: `cargo run --release --example live_threads`
